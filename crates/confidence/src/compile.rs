@@ -409,6 +409,27 @@ impl LineagePrograms {
             .map(|(p, _)| p)
     }
 
+    /// The compile-vs-sample decision for event `index`, in one place: its
+    /// exact probability via the d-DNNF backend when the backend is enabled
+    /// (`node_budget > 0`) and the cost model
+    /// ([`cost::choose_backend`]) prices the circuit below a sampling bill
+    /// of `sample_bill` draws; `None` means *sample* — backend off, circuit
+    /// estimated dearer than the bill, or compilation aborted at the budget.
+    pub fn exact_if_cheaper(
+        &self,
+        index: usize,
+        sample_bill: u64,
+        node_budget: u32,
+    ) -> Option<f64> {
+        if node_budget == 0
+            || cost::choose_backend(self.dnnf_estimate(index), sample_bill, node_budget)
+                != cost::Backend::Exact
+        {
+            return None;
+        }
+        self.dnnf_probability(index, node_budget)
+    }
+
     /// Circuit node count of event `index` when the d-DNNF backend has
     /// compiled it (`None` before the first attempt or after an abort).
     pub fn dnnf_nodes(&self, index: usize) -> Option<u32> {
@@ -421,10 +442,15 @@ impl LineagePrograms {
     /// Shannon expansion **once** and memoised: the warm estimator state of a
     /// served exact-confidence request is this slice.
     pub fn exact_probabilities(&self) -> Result<&[f64]> {
+        // The initialiser is sequential on purpose.  A parallel map in here
+        // would, while it waits, help run queued pool jobs — among them the
+        // sibling events of the very batch that is asking (the per-event
+        // `ExactEstimator` path fans out before it gets here) — and
+        // re-entering `get_or_init` from inside its own initialiser
+        // deadlocks.  Concurrent callers block on the one computation.
         let cached = self.exact_cache.get_or_init(|| {
-            use rayon::prelude::*;
             self.events
-                .par_iter()
+                .iter()
                 .map(|event| exact::probability(event, &self.space))
                 .collect::<Result<Vec<f64>>>()
         });

@@ -40,7 +40,6 @@
 use crate::adaptive::IncrementalEstimator;
 use crate::bitworld::BitKarpLuby;
 use crate::compile::LineagePrograms;
-use crate::cost::{self, Backend};
 use crate::error::Result;
 use crate::event::{DnfEvent, ProbabilitySpace};
 use crate::exact;
@@ -268,17 +267,12 @@ impl ConfidenceEstimator for FprasEstimator {
         let m = self.params.samples_for(programs.num_terms(index))?;
         // Backend choice: compile to d-DNNF and answer exactly when the cost
         // model says the circuit is cheaper than the Chernoff sample bill.
-        if self.exact_backend > 0
-            && cost::choose_backend(programs.dnnf_estimate(index), m as u64, self.exact_backend)
-                == Backend::Exact
-        {
-            if let Some(p) = programs.dnnf_probability(index, self.exact_backend) {
-                return Ok(EventEstimate {
-                    estimate: p,
-                    samples: 0,
-                    exact: true,
-                });
-            }
+        if let Some(p) = programs.exact_if_cheaper(index, m as u64, self.exact_backend) {
+            return Ok(EventEstimate {
+                estimate: p,
+                samples: 0,
+                exact: true,
+            });
         }
         // The block width follows the ε/δ-implied sample budget: Chernoff
         // budgets past 256 ride the 4-word (256-lane) block.
@@ -363,14 +357,10 @@ impl ConfidenceEstimator for BatchedIncrementalEstimator {
         seed: u64,
     ) -> Result<EventEstimate> {
         let mut estimator = IncrementalEstimator::from_compiled(programs, index)?;
-        if self.exact_backend > 0 && !estimator.is_trivial() {
+        if !estimator.is_trivial() {
             let bill = (self.batches as u64).saturating_mul(programs.num_terms(index) as u64);
-            if cost::choose_backend(programs.dnnf_estimate(index), bill, self.exact_backend)
-                == Backend::Exact
-            {
-                if let Some(p) = programs.dnnf_probability(index, self.exact_backend) {
-                    estimator.resolve_exactly(p);
-                }
+            if let Some(p) = programs.exact_if_cheaper(index, bill, self.exact_backend) {
+                estimator.resolve_exactly(p);
             }
         }
         self.drive(&mut estimator, seed)

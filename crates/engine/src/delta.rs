@@ -35,6 +35,7 @@
 //! sub-plan.
 
 use crate::error::Result;
+use crate::ops::JoinShape;
 use algebra::{Predicate, ProjItem};
 use pdb::{Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -227,40 +228,17 @@ pub fn natural_join_delta(
     left: &DeltaInput<'_>,
     right: &DeltaInput<'_>,
 ) -> Result<Option<URelation>> {
-    let shared: Vec<String> = left
-        .new
-        .schema()
-        .attrs()
-        .iter()
-        .filter(|a| right.new.schema().contains(a))
-        .cloned()
-        .collect();
-    if shared.is_empty() {
+    let shape = JoinShape::new(left.new.schema(), right.new.schema())?;
+    if shape.left_key.is_empty() {
         return Ok(None);
     }
-    let left_idx = left
-        .new
-        .schema()
-        .indices_of(&shared)
-        .map_err(crate::error::EngineError::Pdb)?;
-    let right_idx = right
-        .new
-        .schema()
-        .indices_of(&shared)
-        .map_err(crate::error::EngineError::Pdb)?;
-    let right_rest: Vec<String> = right.new.schema().minus(&shared);
-    let right_rest_idx = right
-        .new
-        .schema()
-        .indices_of(&right_rest)
-        .map_err(crate::error::EngineError::Pdb)?;
 
     let mut affected: BTreeSet<Tuple> = BTreeSet::new();
     for row in left.inserted.iter().chain(left.deleted.iter()) {
-        affected.insert(row.tuple.project(&left_idx));
+        affected.insert(row.tuple.project(&shape.left_key));
     }
     for row in right.inserted.iter().chain(right.deleted.iter()) {
-        affected.insert(row.tuple.project(&right_idx));
+        affected.insert(row.tuple.project(&shape.right_key));
     }
     if affected.is_empty() {
         return Ok(Some(old_output.clone()));
@@ -272,7 +250,7 @@ pub fn natural_join_delta(
     // not a row-by-row rebuild of the unaffected majority.
     let stale: Vec<URow> = old_output
         .iter()
-        .filter(|row| affected.contains(&row.tuple.project(&left_idx)))
+        .filter(|row| affected.contains(&row.tuple.project(&shape.left_key)))
         .cloned()
         .collect();
     let mut out = old_output.clone();
@@ -283,13 +261,13 @@ pub fn natural_join_delta(
     // Re-join the new inputs restricted to the affected keys.
     let mut right_map: BTreeMap<Tuple, Vec<&URow>> = BTreeMap::new();
     for row in right.new.iter() {
-        let key = row.tuple.project(&right_idx);
+        let key = row.tuple.project(&shape.right_key);
         if affected.contains(&key) {
             right_map.entry(key).or_default().push(row);
         }
     }
     for l in left.new.iter() {
-        let key = l.tuple.project(&left_idx);
+        let key = l.tuple.project(&shape.left_key);
         if !affected.contains(&key) {
             continue;
         }
@@ -300,7 +278,7 @@ pub fn natural_join_delta(
             let Some(cond) = l.condition.merge(&r.condition) else {
                 continue;
             };
-            out.insert(cond, l.tuple.concat(&r.tuple.project(&right_rest_idx)))?;
+            out.insert(cond, l.tuple.concat(&r.tuple.project(&shape.right_rest)))?;
         }
     }
     Ok(Some(out))
@@ -443,10 +421,10 @@ mod tests {
             );
             // Natural join on the shared attribute A (conditions merge, and
             // conflicting conditions drop rows — both paths exercised).
-            let old_out = ops::natural_join(&old_l, &old_r).unwrap();
+            let old_out = ops::natural_join_nested_loop(&old_l, &old_r).unwrap();
             assert_eq!(
                 natural_join_delta(&old_out, &dl, &dr).unwrap().unwrap(),
-                ops::natural_join(&new_l, &new_r).unwrap(),
+                ops::natural_join_nested_loop(&new_l, &new_r).unwrap(),
                 "join, round {round}"
             );
         }
@@ -467,7 +445,7 @@ mod tests {
             inserted: &empty,
             deleted: &empty,
         };
-        let old_out = ops::natural_join(&l, &r).unwrap();
+        let old_out = ops::natural_join_nested_loop(&l, &r).unwrap();
         assert!(natural_join_delta(&old_out, &dl, &dr).unwrap().is_none());
     }
 
@@ -486,7 +464,7 @@ mod tests {
             inserted: &empty,
             deleted: &empty,
         };
-        let old_out = ops::natural_join(&l, &r).unwrap();
+        let old_out = ops::natural_join_nested_loop(&l, &r).unwrap();
         assert_eq!(
             natural_join_delta(&old_out, &dl, &dr).unwrap().unwrap(),
             old_out

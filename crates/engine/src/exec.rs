@@ -111,8 +111,8 @@ pub struct EvalConfig {
 
 /// Default shard count: one chunk per hardware thread, capped (chunking has
 /// per-chunk overhead and the join index is shared anyway), but never below
-/// 2 — the chunked join's shared key index wins even single-threaded, so the
-/// default configuration should get it.  Derived from the machine's available
+/// 2, so the default configuration asks for chunked execution wherever the
+/// pool has worker threads to run it on.  Derived from the machine's available
 /// parallelism directly (not the pool's worker count) so configuration
 /// defaults do not depend on pool initialization order; `with_shards` /
 /// explicit field writes always win.

@@ -6,7 +6,8 @@
 use crate::error::{EngineError, Result};
 use algebra::{Predicate, ProjItem};
 use pdb::{Schema, Tuple, Value};
-use urel::{ColumnarChunk, URelation};
+use std::collections::HashMap;
+use urel::{Condition, URelation};
 
 /// Merges per-chunk operator outputs; set semantics make the merged relation
 /// identical to the single-batch result, whatever the chunking.
@@ -62,78 +63,6 @@ pub fn extend(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
     Ok(out)
 }
 
-/// Columnar `σ_φ` over one chunk: identical output to [`select`] on the
-/// chunk's rows.  Conditions stay in the chunk's flattened arenas and the
-/// data tuple is gathered from the per-attribute arenas only for rows the
-/// predicate keeps — the common single-attribute predicate touches one
-/// contiguous column per probe.
-pub fn select_columnar(chunk: &ColumnarChunk, predicate: &Predicate) -> Result<URelation> {
-    predicate.check(chunk.schema())?;
-    let mut out = URelation::empty(chunk.schema().clone());
-    for i in 0..chunk.len() {
-        let tuple = chunk.tuple_at(i);
-        if predicate.eval(chunk.schema(), &tuple)? {
-            out.insert(chunk.condition_at(i), tuple)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Columnar generalised projection over one chunk: identical output to
-/// [`project`] on the chunk's rows.
-pub fn project_columnar(chunk: &ColumnarChunk, items: &[ProjItem]) -> Result<URelation> {
-    let out_schema = Schema::new(items.iter().map(|i| i.name.clone())).map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
-    for i in 0..chunk.len() {
-        let tuple = chunk.tuple_at(i);
-        let mut values: Vec<Value> = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(chunk.schema(), &tuple)?);
-        }
-        out.insert(chunk.condition_at(i), Tuple::new(values))?;
-    }
-    Ok(out)
-}
-
-/// Columnar extension over one chunk: identical output to [`extend`] on the
-/// chunk's rows.
-pub fn extend_columnar(chunk: &ColumnarChunk, items: &[ProjItem]) -> Result<URelation> {
-    let mut names: Vec<String> = chunk.schema().attrs().to_vec();
-    names.extend(items.iter().map(|i| i.name.clone()));
-    let out_schema = Schema::new(names).map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
-    for i in 0..chunk.len() {
-        let tuple = chunk.tuple_at(i);
-        let mut values: Vec<Value> = tuple.clone().into_values();
-        for item in items {
-            values.push(item.expr.eval(chunk.schema(), &tuple)?);
-        }
-        out.insert(chunk.condition_at(i), Tuple::new(values))?;
-    }
-    Ok(out)
-}
-
-/// Columnar `×` of one left-side chunk against the whole right side:
-/// identical output to [`product`] restricted to the chunk's rows.
-pub fn product_columnar(chunk: &ColumnarChunk, right: &URelation) -> Result<URelation> {
-    let out_schema = chunk
-        .schema()
-        .concat(right.schema(), "rhs")
-        .map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
-    for i in 0..chunk.len() {
-        let lcond = chunk.condition_at(i);
-        let ltuple = chunk.tuple_at(i);
-        for r in right.iter() {
-            let Some(cond) = lcond.merge(&r.condition) else {
-                continue;
-            };
-            out.insert(cond, ltuple.concat(&r.tuple))?;
-        }
-    }
-    Ok(out)
-}
-
 /// `ρ_{from→to}`: renames an attribute.
 pub fn rename(rel: &URelation, from: &str, to: &str) -> Result<URelation> {
     let out_schema = rel.schema().rename(from, to).map_err(EngineError::Pdb)?;
@@ -163,146 +92,83 @@ pub fn product(left: &URelation, right: &URelation) -> Result<URelation> {
     Ok(out)
 }
 
-/// `⋈`: natural join on shared attribute names, merging conditions.
-pub fn natural_join(left: &URelation, right: &URelation) -> Result<URelation> {
-    let shared: Vec<String> = left
-        .schema()
-        .attrs()
-        .iter()
-        .filter(|a| right.schema().contains(a))
-        .cloned()
-        .collect();
-    let left_idx = left
-        .schema()
-        .indices_of(&shared)
-        .map_err(EngineError::Pdb)?;
-    let right_idx = right
-        .schema()
-        .indices_of(&shared)
-        .map_err(EngineError::Pdb)?;
-    let right_rest: Vec<String> = right.schema().minus(&shared);
-    let right_rest_idx = right
-        .schema()
-        .indices_of(&right_rest)
-        .map_err(EngineError::Pdb)?;
+/// How the two schemas of a `⋈` line up: where the shared (join-key)
+/// attributes sit on each side, which right-side attributes are appended,
+/// and the resulting output schema `left attrs ++ right rest`.
+pub(crate) struct JoinShape {
+    pub(crate) left_key: Vec<usize>,
+    pub(crate) right_key: Vec<usize>,
+    pub(crate) right_rest: Vec<usize>,
+    pub(crate) out_schema: Schema,
+}
 
-    let mut names: Vec<String> = left.schema().attrs().to_vec();
-    names.extend(right_rest.iter().cloned());
-    let out_schema = Schema::new(names).map_err(EngineError::Pdb)?;
+impl JoinShape {
+    pub(crate) fn new(left: &Schema, right: &Schema) -> Result<JoinShape> {
+        let shared: Vec<String> = left
+            .attrs()
+            .iter()
+            .filter(|a| right.contains(a))
+            .cloned()
+            .collect();
+        let right_rest: Vec<String> = right.minus(&shared);
+        let mut names: Vec<String> = left.attrs().to_vec();
+        names.extend(right_rest.iter().cloned());
+        Ok(JoinShape {
+            left_key: left.indices_of(&shared).map_err(EngineError::Pdb)?,
+            right_key: right.indices_of(&shared).map_err(EngineError::Pdb)?,
+            right_rest: right.indices_of(&right_rest).map_err(EngineError::Pdb)?,
+            out_schema: Schema::new(names).map_err(EngineError::Pdb)?,
+        })
+    }
+}
 
-    let mut out = URelation::empty(out_schema);
-    for l in left.iter() {
-        let lkey = l.tuple.project(&left_idx);
+/// The right side of a `⋈`, indexed by join key: built once, then probed
+/// read-only by the left side — whole, or chunk by chunk (concurrently) when
+/// the executor partitions it.  Each left row costs one key lookup instead
+/// of a right-side scan, whatever the input sizes.
+pub(crate) struct JoinIndex<'r> {
+    shape: JoinShape,
+    /// Join key → the matching right rows' conditions and projected
+    /// rest-tuples.  Lookup only; output order comes from the set insert.
+    index: HashMap<Tuple, Vec<(&'r Condition, Tuple)>>,
+}
+
+impl<'r> JoinIndex<'r> {
+    pub(crate) fn build(left: &Schema, right: &'r URelation) -> Result<JoinIndex<'r>> {
+        let shape = JoinShape::new(left, right.schema())?;
+        let mut index: HashMap<Tuple, Vec<(&Condition, Tuple)>> = HashMap::new();
         for r in right.iter() {
-            if r.tuple.project(&right_idx) != lkey {
-                continue;
-            }
-            let Some(cond) = l.condition.merge(&r.condition) else {
+            index
+                .entry(r.tuple.project(&shape.right_key))
+                .or_default()
+                .push((&r.condition, r.tuple.project(&shape.right_rest)));
+        }
+        Ok(JoinIndex { shape, index })
+    }
+
+    /// Joins `left` (the whole left side or one chunk of it) against the
+    /// indexed right side, merging conditions and dropping conflicts.
+    pub(crate) fn probe(&self, left: &URelation) -> Result<URelation> {
+        let mut out = URelation::empty(self.shape.out_schema.clone());
+        for l in left.iter() {
+            let Some(matches) = self.index.get(&l.tuple.project(&self.shape.left_key)) else {
                 continue;
             };
-            out.insert(cond, l.tuple.concat(&r.tuple.project(&right_rest_idx)))?;
-        }
-    }
-    Ok(out)
-}
-
-/// Chunked `⋈`: identical output to [`natural_join`], organised for sharded
-/// execution — the right side is indexed by join key *once*, the left side is
-/// split into `shards` partitions, and each partition probes the shared
-/// index (concurrently, when worker threads are available).  Because rows
-/// live in sets, merging the per-chunk outputs reproduces the single-batch
-/// result bit for bit; the index also turns the per-row cost from a full
-/// right-side scan into a key lookup, so the chunked join wins even
-/// single-threaded.
-pub fn natural_join_sharded(
-    left: &URelation,
-    right: &URelation,
-    shards: usize,
-) -> Result<URelation> {
-    natural_join_spilling(left, right, shards, 0)
-}
-
-/// The chunked join underneath [`natural_join_sharded`], with an optional
-/// spill budget.  The left side is split into byte-budgeted *columnar*
-/// chunks, so each probe projects its join key straight out of the chunk's
-/// contiguous per-attribute arenas and the full output row is materialised
-/// only on a key match.  With `spill_budget > 0` the chunk count also grows
-/// to keep each chunk's input near the budget, and per-chunk outputs heavier
-/// than the budget are written to digest-verified temporary segments and
-/// merged back by streaming decode (`engine::storage`) — bounding resident
-/// memory while producing the exact same relation.
-pub fn natural_join_spilling(
-    left: &URelation,
-    right: &URelation,
-    shards: usize,
-    spill_budget: usize,
-) -> Result<URelation> {
-    use rayon::prelude::*;
-    use std::collections::HashMap;
-
-    let shared: Vec<String> = left
-        .schema()
-        .attrs()
-        .iter()
-        .filter(|a| right.schema().contains(a))
-        .cloned()
-        .collect();
-    let left_idx = left
-        .schema()
-        .indices_of(&shared)
-        .map_err(EngineError::Pdb)?;
-    let right_idx = right
-        .schema()
-        .indices_of(&shared)
-        .map_err(EngineError::Pdb)?;
-    let right_rest: Vec<String> = right.schema().minus(&shared);
-    let right_rest_idx = right
-        .schema()
-        .indices_of(&right_rest)
-        .map_err(EngineError::Pdb)?;
-
-    let mut names: Vec<String> = left.schema().attrs().to_vec();
-    names.extend(right_rest.iter().cloned());
-    let out_schema = Schema::new(names).map_err(EngineError::Pdb)?;
-
-    // One shared key index over the right side; probed read-only by every
-    // chunk.  The projected rest-tuples are precomputed alongside.
-    let mut index: HashMap<Tuple, Vec<(&urel::Condition, Tuple)>> = HashMap::new();
-    for r in right.iter() {
-        index
-            .entry(r.tuple.project(&right_idx))
-            .or_default()
-            .push((&r.condition, r.tuple.project(&right_rest_idx)));
-    }
-
-    let chunks = left.partition_columnar(chunk_count(left, shards, spill_budget));
-    let outs: Vec<URelation> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut out = URelation::empty(out_schema.clone());
-            for i in 0..chunk.len() {
-                // Gather the key from the column arenas; rows without a
-                // match never materialise a tuple or condition at all.
-                let key: Tuple = left_idx
-                    .iter()
-                    .map(|&a| chunk.column(a)[i].clone())
-                    .collect();
-                let Some(matches) = index.get(&key) else {
+            for &(r_cond, ref r_rest) in matches {
+                let Some(cond) = l.condition.merge(r_cond) else {
                     continue;
                 };
-                let lcond = chunk.condition_at(i);
-                let ltuple = chunk.tuple_at(i);
-                for &(r_cond, ref r_rest) in matches {
-                    let Some(cond) = lcond.merge(r_cond) else {
-                        continue;
-                    };
-                    out.insert(cond, ltuple.concat(r_rest))?;
-                }
+                out.insert(cond, l.tuple.concat(r_rest))?;
             }
-            Ok(out)
-        })
-        .collect::<Result<_>>()?;
-    crate::storage::merge_spilling(outs, spill_budget)
+        }
+        Ok(out)
+    }
+}
+
+/// `⋈`: natural join on shared attribute names, merging conditions (the
+/// right side is indexed by join key once and probed by every left row).
+pub fn natural_join(left: &URelation, right: &URelation) -> Result<URelation> {
+    JoinIndex::build(left.schema(), right)?.probe(left)
 }
 
 /// How many chunks to split an operator input into: the sharding gate's
@@ -360,12 +226,34 @@ pub fn difference_complete(left: &URelation, right: &URelation) -> Result<URelat
     Ok(out)
 }
 
+/// The nested-loop `⋈` straight from the Section 3 translation: the
+/// reference the indexed [`natural_join`] and the incremental join rule are
+/// tested against.
+#[cfg(test)]
+pub(crate) fn natural_join_nested_loop(left: &URelation, right: &URelation) -> Result<URelation> {
+    let shape = JoinShape::new(left.schema(), right.schema())?;
+    let mut out = URelation::empty(shape.out_schema.clone());
+    for l in left.iter() {
+        let lkey = l.tuple.project(&shape.left_key);
+        for r in right.iter() {
+            if r.tuple.project(&shape.right_key) != lkey {
+                continue;
+            }
+            let Some(cond) = l.condition.merge(&r.condition) else {
+                continue;
+            };
+            out.insert(cond, l.tuple.concat(&r.tuple.project(&shape.right_rest)))?;
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use algebra::{CmpOp, Expr};
     use pdb::{relation, schema, tuple};
-    use urel::{Condition, Var};
+    use urel::Var;
 
     fn cond(var: &str, val: &str) -> Condition {
         Condition::new([(Var::new(var), Value::str(val))]).unwrap()
@@ -466,69 +354,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_join_matches_reference_for_every_chunk_count() {
-        // A larger uncertain relation joined with a complete lookup table.
-        let mut readings = URelation::empty(schema!["Sensor", "Temp"]);
-        for i in 0..50 {
-            readings
-                .insert(cond("v", &format!("a{i}")), tuple![i % 7, 10 + (i % 13)])
-                .unwrap();
-        }
-        let lookup = URelation::from_complete(&relation![schema!["Sensor", "Zone"];
-            [0, "north"], [1, "north"], [2, "south"], [3, "south"], [4, "east"], [5, "east"]]);
-        let reference = natural_join(&readings, &lookup).unwrap();
-        for shards in [1usize, 2, 3, 4, 8, 64] {
-            let sharded = natural_join_sharded(&readings, &lookup, shards).unwrap();
-            assert_eq!(sharded, reference, "shards = {shards}");
-        }
-        // Self-join with conflicting conditions drops rows identically.
-        let reference = natural_join(&ur(), &ur()).unwrap();
-        assert_eq!(natural_join_sharded(&ur(), &ur(), 4).unwrap(), reference);
-        // Empty sides.
-        let empty = URelation::empty(schema!["Sensor", "Temp"]);
-        assert_eq!(
-            natural_join_sharded(&empty, &lookup, 4).unwrap(),
-            natural_join(&empty, &lookup).unwrap()
-        );
-    }
-
-    #[test]
-    fn columnar_kernels_match_row_kernels_bit_for_bit() {
-        let f = faces();
-        for chunks in [1usize, 2, 3] {
-            for chunk in f.partition_columnar(chunks) {
-                let rows = chunk.to_relation();
-                let pred = Predicate::cmp(Expr::attr("FProb"), CmpOp::Ge, Expr::konst(0.5));
-                assert_eq!(
-                    select_columnar(&chunk, &pred).unwrap(),
-                    select(&rows, &pred).unwrap()
-                );
-                let items = [
-                    ProjItem::attr("CoinType"),
-                    ProjItem::computed(Expr::attr("FProb") * Expr::konst(2.0), "Doubled"),
-                ];
-                assert_eq!(
-                    project_columnar(&chunk, &items).unwrap(),
-                    project(&rows, &items).unwrap()
-                );
-                assert_eq!(
-                    extend_columnar(&chunk, &items[1..]).unwrap(),
-                    extend(&rows, &items[1..]).unwrap()
-                );
-                assert_eq!(
-                    product_columnar(&chunk, &ur()).unwrap(),
-                    product(&rows, &ur()).unwrap()
-                );
-            }
-        }
-        // Error paths classify identically (bad attribute reference).
-        let chunk = ColumnarChunk::from_relation(&f);
-        assert!(select_columnar(&chunk, &Predicate::eq(Expr::attr("X"), Expr::konst(1))).is_err());
-    }
-
-    #[test]
-    fn spilling_join_matches_reference_under_tiny_budgets() {
+    /// 60 uncertain sensor readings and a complete zone lookup table.
+    fn readings_and_lookup() -> (URelation, URelation) {
         let mut readings = URelation::empty(schema!["Sensor", "Temp"]);
         for i in 0..60 {
             readings
@@ -537,16 +364,114 @@ mod tests {
         }
         let lookup = URelation::from_complete(&relation![schema!["Sensor", "Zone"];
             [0, "north"], [1, "north"], [2, "south"], [3, "south"], [4, "east"], [5, "east"]]);
-        let reference = natural_join(&readings, &lookup).unwrap();
-        for budget in [64usize, 512, 1 << 20] {
-            for shards in [1usize, 4] {
-                assert_eq!(
-                    natural_join_spilling(&readings, &lookup, shards, budget).unwrap(),
-                    reference,
-                    "shards = {shards}, budget = {budget}"
-                );
-            }
+        (readings, lookup)
+    }
+
+    /// The executor's chunked form of a join: one index, one probe per
+    /// left chunk, merged.
+    fn chunked_join(left: &URelation, right: &URelation, chunks: usize) -> URelation {
+        let index = JoinIndex::build(left.schema(), right).unwrap();
+        merge_chunks(
+            left.partition(chunks)
+                .iter()
+                .map(|c| index.probe(c).unwrap())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn indexed_join_matches_the_nested_loop_reference_for_every_chunk_count() {
+        let (readings, lookup) = readings_and_lookup();
+        let reference = natural_join_nested_loop(&readings, &lookup).unwrap();
+        assert_eq!(natural_join(&readings, &lookup).unwrap(), reference);
+        for chunks in [1usize, 2, 3, 4, 8, 64] {
+            assert_eq!(
+                chunked_join(&readings, &lookup, chunks),
+                reference,
+                "chunks = {chunks}"
+            );
         }
+        // Self-join with conflicting conditions drops rows identically.
+        let reference = natural_join_nested_loop(&ur(), &ur()).unwrap();
+        assert_eq!(natural_join(&ur(), &ur()).unwrap(), reference);
+        assert_eq!(chunked_join(&ur(), &ur(), 4), reference);
+        // No shared attributes: the join degenerates to the product.
+        let renamed = rename(&ur(), "CoinType", "Other").unwrap();
+        assert_eq!(
+            natural_join(&ur(), &renamed).unwrap(),
+            natural_join_nested_loop(&ur(), &renamed).unwrap()
+        );
+        // Empty sides.
+        let empty = URelation::empty(schema!["Sensor", "Temp"]);
+        assert_eq!(
+            natural_join(&empty, &lookup).unwrap(),
+            natural_join_nested_loop(&empty, &lookup).unwrap()
+        );
+        assert_eq!(
+            natural_join(&readings, &URelation::empty(schema!["Sensor", "Zone"])).unwrap(),
+            natural_join_nested_loop(&readings, &URelation::empty(schema!["Sensor", "Zone"]))
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn small_probes_against_a_large_table_match_the_reference() {
+        // The left (probe) side straddles the executor's chunking threshold
+        // while the right side is large: one indexed kernel serves them all.
+        let mut table = URelation::empty(schema!["Sensor", "Zone"]);
+        for i in 0..2_500 {
+            table
+                .insert(cond("z", &format!("b{}", i % 50)), tuple![i % 300, i])
+                .unwrap();
+        }
+        for left_rows in [1usize, 127, 128, 129] {
+            let mut probe = URelation::empty(schema!["Sensor", "Temp"]);
+            for i in 0..left_rows as i64 {
+                probe
+                    .insert(cond("v", &format!("a{}", i % 9)), tuple![i, 10 + (i % 13)])
+                    .unwrap();
+            }
+            assert_eq!(
+                natural_join(&probe, &table).unwrap(),
+                natural_join_nested_loop(&probe, &table).unwrap(),
+                "left rows = {left_rows}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunked_row_kernels_match_single_batch_bit_for_bit() {
+        let f = faces();
+        let pred = Predicate::cmp(Expr::attr("FProb"), CmpOp::Ge, Expr::konst(0.5));
+        let items = [
+            ProjItem::attr("CoinType"),
+            ProjItem::computed(Expr::attr("FProb") * Expr::konst(2.0), "Doubled"),
+        ];
+        for chunks in [1usize, 2, 3] {
+            let chunked = |kernel: &dyn Fn(&URelation) -> Result<URelation>| {
+                merge_chunks(
+                    f.partition(chunks)
+                        .iter()
+                        .map(|c| kernel(c).unwrap())
+                        .collect(),
+                )
+            };
+            assert_eq!(chunked(&|c| select(c, &pred)), select(&f, &pred).unwrap());
+            assert_eq!(
+                chunked(&|c| project(c, &items)),
+                project(&f, &items).unwrap()
+            );
+            assert_eq!(
+                chunked(&|c| extend(c, &items[1..])),
+                extend(&f, &items[1..]).unwrap()
+            );
+            assert_eq!(chunked(&|c| product(c, &ur())), product(&f, &ur()).unwrap());
+        }
+    }
+
+    #[test]
+    fn chunk_count_follows_the_shard_gate_and_the_spill_budget() {
+        let (readings, _) = readings_and_lookup();
         // Budget-driven chunking kicks in even at one shard.
         assert!(chunk_count(&readings, 1, 64) > 1);
         assert_eq!(chunk_count(&readings, 4, 0), 4);

@@ -34,11 +34,11 @@
 //!   neither the RNG nor the database) runs as soon as its inputs are ready,
 //!   and all ready pure operators of a wave run concurrently — independent
 //!   DAG branches overlap;
-//! * large inputs are split into partitioned chunks
-//!   ([`URelation::partition`]) and the per-chunk results merged — a
-//!   set-semantics merge, so chunked output is identical to single-batch
-//!   output; the chunked join additionally probes one shared key index
-//!   instead of rescanning the right side per row;
+//! * large inputs are split into byte-budgeted row chunks
+//!   ([`URelation::partition`]), the operator's one row kernel runs per
+//!   chunk, and the per-chunk results are merged — a set-semantics merge,
+//!   so chunked output is identical to single-batch output; the join
+//!   indexes its right side by key once and every chunk probes that index;
 //! * *stateful* operators (repair-key, the confidence operators) execute
 //!   sequentially in node-id order, which keeps every RNG draw and variable
 //!   name identical to the sequential reference schedule — results are
@@ -74,7 +74,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use urel::{ColumnarChunk, Condition, UDatabase, URelation, Var};
+use urel::{Condition, UDatabase, URelation, Var};
 
 /// Minimum number of input rows before an operator is worth chunking.
 const SHARD_MIN_ROWS: usize = 128;
@@ -973,11 +973,13 @@ fn shard_parallel(len: usize, shards: usize) -> bool {
     shards > 1 && len >= SHARD_MIN_ROWS && rayon::current_num_threads() > 1
 }
 
-/// Applies a row-local unary operator per *columnar* chunk, concurrently,
-/// and merges (set semantics: identical to the single-batch result).  The
-/// chunk count is the larger of the parallel shard gate and the spill
-/// budget's byte-derived count, so a positive budget engages chunking (and
-/// spilling of heavy chunk outputs) even below the parallel threshold.
+/// Applies a row-local operator to `input`: in place when one chunk
+/// suffices, otherwise per byte-budgeted row chunk
+/// ([`URelation::partition`]), concurrently, merging the outputs (set
+/// semantics: identical to the single-batch result).  The chunk count is the
+/// larger of the parallel shard gate and the spill budget's byte-derived
+/// count, so a positive budget engages chunking (and spilling of heavy chunk
+/// outputs) even below the parallel threshold.
 fn sharded_unary<F>(
     input: &URelation,
     shards: usize,
@@ -985,7 +987,7 @@ fn sharded_unary<F>(
     f: F,
 ) -> Result<URelation>
 where
-    F: Fn(&ColumnarChunk) -> Result<URelation> + Sync,
+    F: Fn(&URelation) -> Result<URelation> + Sync,
 {
     let gate = if shard_parallel(input.len(), shards) {
         shards
@@ -994,9 +996,9 @@ where
     };
     let count = ops::chunk_count(input, gate, spill_budget);
     if count <= 1 {
-        return f(&ColumnarChunk::from_relation(input));
+        return f(input);
     }
-    let chunks = input.partition_columnar(count);
+    let chunks = input.partition(count);
     let outs: Vec<URelation> = chunks.par_iter().map(&f).collect::<Result<_>>()?;
     crate::storage::merge_spilling(outs, spill_budget)
 }
@@ -1181,7 +1183,7 @@ impl PhysicalOperator for SelectOp {
     ) -> Result<EvaluatedRelation> {
         let input = unary_input(inputs);
         let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::select_columnar(chunk, &self.predicate)
+            ops::select(chunk, &self.predicate)
         })?;
         Ok(propagate_unary(relation, &input))
     }
@@ -1218,7 +1220,7 @@ impl PhysicalOperator for ProjectOp {
     ) -> Result<EvaluatedRelation> {
         let input = unary_input(inputs);
         let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::project_columnar(chunk, &self.items)
+            ops::project(chunk, &self.items)
         })?;
         propagate_projection(relation, &input, &self.items)
     }
@@ -1255,7 +1257,7 @@ impl PhysicalOperator for ExtendOp {
     ) -> Result<EvaluatedRelation> {
         let input = unary_input(inputs);
         let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::extend_columnar(chunk, &self.items)
+            ops::extend(chunk, &self.items)
         })?;
         Ok(propagate_unary(relation, &input))
     }
@@ -1326,7 +1328,7 @@ impl PhysicalOperator for ProductOp {
     ) -> Result<EvaluatedRelation> {
         let (left, right) = binary_inputs(inputs);
         let relation = sharded_unary(&left.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::product_columnar(chunk, &right.relation)
+            ops::product(chunk, &right.relation)
         })?;
         Ok(propagate_binary(relation, &left, &right))
     }
@@ -1351,25 +1353,13 @@ impl PhysicalOperator for NaturalJoinOp {
         pctx: &PureCtx<'_>,
     ) -> Result<EvaluatedRelation> {
         let (left, right) = binary_inputs(inputs);
-        // The sharded join pays off even single-threaded: it probes one
-        // shared key index per chunk instead of rescanning the right side
-        // for every left row.  A positive spill budget also routes through
-        // the chunked path so heavy probe outputs can spill.
-        let by_shards = if pctx.shards > 1 && left.relation.len() >= SHARD_MIN_ROWS {
-            pctx.shards
-        } else {
-            1
-        };
-        let relation = if by_shards > 1 || pctx.spill_budget > 0 {
-            ops::natural_join_spilling(
-                &left.relation,
-                &right.relation,
-                by_shards,
-                pctx.spill_budget,
-            )?
-        } else {
-            ops::natural_join(&left.relation, &right.relation)?
-        };
+        // One kernel at every size: index the right side once, probe it
+        // with the left side — whole, or per chunk under the same shard /
+        // spill gate as every other row-local operator.
+        let index = ops::JoinIndex::build(left.relation.schema(), &right.relation)?;
+        let relation = sharded_unary(&left.relation, pctx.shards, pctx.spill_budget, |chunk| {
+            index.probe(chunk)
+        })?;
         Ok(propagate_binary(relation, &left, &right))
     }
 
@@ -2163,17 +2153,11 @@ impl ApproxSelectOp {
                                 let m = bill_params
                                     .samples_for(programs.num_terms(*event))
                                     .map_err(EngineError::Confidence)?;
-                                if confidence::cost::choose_backend(
-                                    programs.dnnf_estimate(*event),
-                                    m as u64,
-                                    node_budget,
-                                ) == confidence::Backend::Exact
+                                if let Some(p) =
+                                    programs.exact_if_cheaper(*event, m as u64, node_budget)
                                 {
-                                    if let Some(p) = programs.dnnf_probability(*event, node_budget)
-                                    {
-                                        state.resolve_exactly(p);
-                                        resolved += 1;
-                                    }
+                                    state.resolve_exactly(p);
+                                    resolved += 1;
                                 }
                             }
                         }
@@ -2474,6 +2458,32 @@ mod tests {
         let poss = lowered("poss(R)", &db, config);
         assert!(poss.execute_sequential(&mut ctx).is_ok());
         assert_eq!(ctx.config.shards, 6);
+    }
+
+    #[test]
+    fn chunked_and_spilled_joins_match_the_nested_loop_reference() {
+        // The join goes through the same chunk/spill wrapper as every other
+        // row-local operator: whatever the shard count or byte budget
+        // (budget-driven chunking engages even at one shard), the output is
+        // the nested-loop reference's, bit for bit.
+        let db = TupleIndependentDb {
+            num_tuples: 150,
+            domain_size: 5,
+            tuple_probability: None,
+            seed: 8,
+        }
+        .database();
+        let left = db.relation("T").unwrap();
+        let right = ops::rename(left, "B", "C").unwrap();
+        let reference = ops::natural_join_nested_loop(left, &right).unwrap();
+        let index = ops::JoinIndex::build(left.schema(), &right).unwrap();
+        for budget in [0usize, 64, 512, 1 << 20] {
+            for shards in [1usize, 4] {
+                let joined =
+                    sharded_unary(left, shards, budget, |chunk| index.probe(chunk)).unwrap();
+                assert_eq!(joined, reference, "shards = {shards}, budget = {budget}");
+            }
+        }
     }
 
     #[test]

@@ -32,19 +32,20 @@
 //! repair-key / exact-confidence nodes, which determine every context
 //! effect — introduced variables, statistics, compiled spaces), and each
 //! stored sub-plan result records the set of base relations it scans.
-//! [`ServingEngine::update_relations`] exploits both: a content update to
-//! relation `R` invalidates only the pooled sub-plan results whose footprint
-//! contains `R` (and whole entries only when `R` feeds their stateful
-//! spine), patches the surviving prefixes' database copies, and leaves every
-//! other prepared query at warm-path cost.
-//! [`ServingEngine::apply_deltas`] narrows invalidation further, to *row*
-//! granularity: a [`urel::RelationDelta`] (insert/delete row sets against a
-//! digest-pinned base) patches the footprint-intersecting pooled sub-plan
-//! results **in place** through the incremental operator rules of
-//! [`crate::delta`], so the re-warm cost is proportional to the delta
-//! rather than to the sub-plans it touches; slots the rules cannot cover
-//! (and deltas large relative to their base) fall back to the
-//! demote-and-recompute path.  [`ServingEngine::set_database`] remains the
+//! Content commits exploit both.  Every content change is a *delta*:
+//! [`ServingEngine::apply_deltas`] takes [`urel::RelationDelta`]s
+//! (insert/delete row sets against a digest-pinned base) and
+//! [`ServingEngine::update_relations`] takes whole replacements and derives
+//! the net delta itself; both end in one commit routine.  A commit to
+//! relation `R` drops whole entries only when `R` feeds their stateful
+//! spine, updates the surviving prefixes' database copies, and patches the
+//! pooled sub-plan results whose footprint contains `R` **in place**
+//! through the incremental operator rules of [`crate::delta`], so the
+//! re-warm cost is proportional to the delta rather than to the sub-plans
+//! it touches; slots the rules cannot cover (and deltas large relative to
+//! their base — a replacement that rewrites most of a relation) are demoted
+//! and recomputed by the next warm resume.  Every other prepared query
+//! stays at warm-path cost.  [`ServingEngine::set_database`] remains the
 //! full-swap path that drops everything (required for schema changes).
 //!
 //! Warm results are bit-identical to what a cold evaluation with the same
@@ -65,8 +66,8 @@
 //! all heavy work (parsing, lowering, prefix assembly, execution, estimation)
 //! runs with *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
-//! [`apply_deltas`](ServingEngine::apply_deltas) invalidation, pool absorbs
-//! — rewrites shared entries **copy-on-write** (`Arc::make_mut`), so an
+//! [`apply_deltas`](ServingEngine::apply_deltas) commits, pool absorbs —
+//! rewrites shared entries **copy-on-write** (`Arc::make_mut`), so an
 //! in-flight reader keeps the immutable entry it resolved.
 //!
 //! Admission control bounds how many requests execute at once
@@ -89,13 +90,13 @@
 //! Races over pool contents can change *cost* (a resolve may miss state a
 //! concurrent request is still absorbing), not *answers*.  Commits enforce
 //! this against in-flight evaluations with a database **epoch**: every
-//! content commit bumps it (under the state write lock, before invalidating
+//! content commit bumps it (under the state write lock, before maintaining
 //! the pool), every capturing evaluation records it when it reads its
 //! inputs, and an absorb whose recorded epoch is no longer current drops
 //! its snapshot instead of pooling it
 //! ([`ServingStats::stale_absorbs_dropped`]) — results computed from
-//! pre-commit content can never re-enter the pool behind the invalidation
-//! pass.  A second epoch guards the catalog: `prepare` re-checks it before
+//! pre-commit content can never re-enter the pool behind the commit's
+//! maintenance pass.  A second epoch guards the catalog: `prepare` re-checks it before
 //! installing a prepared query, so a plan lowered against a catalog that
 //! [`set_database`](ServingEngine::set_database) replaced mid-prepare is
 //! re-lowered rather than served.
@@ -181,12 +182,16 @@ pub struct ServingStats {
     /// query had already pooled the shared prefix (a subset of
     /// `warm_evaluations`).
     pub shared_prefix_hits: u64,
-    /// Pool entries dropped by [`ServingEngine::update_relations`] because a
-    /// changed relation fed their stateful spine.
+    /// Pool entries dropped by a content commit
+    /// ([`ServingEngine::update_relations`] or
+    /// [`ServingEngine::apply_deltas`]) because a changed relation fed
+    /// their stateful spine.
     pub snapshots_invalidated: u64,
-    /// Individual pooled sub-plan results dropped by
-    /// [`ServingEngine::update_relations`] footprint intersection (inside
-    /// surviving entries).
+    /// Pooled sub-plan results (inside surviving entries) demoted by a
+    /// commit that arrived through [`ServingEngine::update_relations`]: the
+    /// replacement's net delta was too large to patch, or no incremental
+    /// rule applied.  The `apply_deltas` counterpart is
+    /// `subplans_demoted`.
     pub subplans_invalidated: u64,
     /// Pure sub-plans recomputed during warm resumes because their pooled
     /// result was missing (invalidated by an update, or never produced by
@@ -196,19 +201,20 @@ pub struct ServingStats {
     pub subplans_recomputed: u64,
     /// Relations whose content actually changed across all
     /// [`ServingEngine::update_relations`] and
-    /// [`ServingEngine::apply_deltas`] calls (no-op replacements are
-    /// detected by content digest and skipped).
+    /// [`ServingEngine::apply_deltas`] calls (net no-ops — an empty row
+    /// delta — are skipped).
     pub relation_updates: u64,
-    /// Pooled sub-plan results *patched in place* by
-    /// [`ServingEngine::apply_deltas`] through the incremental operator
-    /// rules of [`crate::delta`] — their entries stayed warm without any
+    /// Pooled sub-plan results *patched in place* by a content commit
+    /// (through either entry point) by the incremental operator rules of
+    /// [`crate::delta`] — their entries stayed warm without any
     /// recomputation.
     pub subplans_patched: u64,
-    /// Pooled sub-plan results [`ServingEngine::apply_deltas`] had to demote
-    /// (drop for recomputation on the next warm resume) because no
-    /// incremental rule applied: the delta was large relative to its base,
-    /// the operator has no rule (product, difference), or a result the
-    /// patch needed was already missing.
+    /// Pooled sub-plan results a commit that arrived through
+    /// [`ServingEngine::apply_deltas`] had to demote (drop for
+    /// recomputation on the next warm resume) because no incremental rule
+    /// applied: the delta was large relative to its base, the operator has
+    /// no rule (product, difference), or a result the patch needed was
+    /// already missing.
     pub subplans_demoted: u64,
     /// Captured snapshots dropped instead of pooled because a database
     /// commit landed while the capturing evaluation was in flight — the
@@ -324,21 +330,46 @@ struct PooledSlot {
     footprint: Arc<BTreeSet<String>>,
 }
 
-/// One relation-content change as the snapshot pool consumes it: the final
+/// One relation-content change as the commit routine consumes it: the final
 /// new content, plus the net row delta when it is small enough to patch
-/// pooled results in place (`None` forces demote-and-recompute for every
-/// intersecting slot, exactly like [`ServingEngine::update_relations`]).
+/// pooled results in place (`None` demotes every intersecting slot for
+/// recomputation on the next warm resume).
 struct DeltaUpdate {
     name: String,
     new: URelation,
     patch: Option<RelationDelta>,
 }
 
+impl DeltaUpdate {
+    /// The net change turning the stored content `old` of relation `name`
+    /// into `new`, or `None` when nothing changes.  `delta` is the net row
+    /// edit when the caller already holds it (a single validated
+    /// [`RelationDelta`]); otherwise it is derived by one merge walk over
+    /// the two row sets ([`URelation::diff`]).  The observed delta size
+    /// decides patch-vs-demote ([`patch_worthwhile`]).
+    fn net(
+        name: String,
+        old: &URelation,
+        new: URelation,
+        delta: Option<RelationDelta>,
+    ) -> Option<DeltaUpdate> {
+        let delta = match delta {
+            Some(delta) => delta,
+            None => old.diff(&new).expect("replacement schema validated"),
+        };
+        if delta.is_empty() {
+            return None;
+        }
+        let patch = patch_worthwhile(delta.magnitude(), old.len()).then_some(delta);
+        Some(DeltaUpdate { name, new, patch })
+    }
+}
+
 /// Whether patching pooled sub-plan results in place is worthwhile for a
 /// net delta of `magnitude` row edits against a base of `base_rows`: tiny
 /// deltas always are, and beyond that the bookkeeping of the incremental
 /// rules should stay well below a recompute of the base.  Past the bound
-/// the engine falls back to demote-and-recompute.
+/// the commit falls back to demote-and-recompute.
 fn patch_worthwhile(magnitude: usize, base_rows: usize) -> bool {
     magnitude <= 8 || magnitude * 2 <= base_rows
 }
@@ -504,56 +535,20 @@ impl SnapshotPool {
         }
     }
 
-    /// Applies a relation-content update: drops entries whose stateful spine
-    /// scanned a changed relation, drops intersecting sub-plan results
-    /// inside surviving entries, and patches the survivors' database copies
-    /// so resumed suffixes (and recomputed pure sub-plans) see the new
-    /// content.  Returns `(entries_dropped, slots_dropped)`.
-    fn invalidate(
-        &mut self,
-        changed: &BTreeSet<String>,
-        updates: &[(String, URelation)],
-    ) -> (u64, u64) {
-        let mut entries_dropped = 0;
-        let mut slots_dropped = 0;
-        self.entries.retain(|_, entry| {
-            if intersects(&entry.stateful_footprint, changed) {
-                entries_dropped += 1;
-                return false;
-            }
-            let entry = Arc::make_mut(entry);
-            entry.slots.retain(|_, slot| {
-                let keep = !intersects(&slot.footprint, changed);
-                if !keep {
-                    slots_dropped += 1;
-                }
-                keep
-            });
-            for (name, rel) in updates {
-                let complete = entry.database.is_complete(name);
-                entry
-                    .database
-                    .set_relation(name.clone(), rel.clone(), complete);
-            }
-            true
-        });
-        (entries_dropped, slots_dropped)
-    }
-
-    /// The delta counterpart of [`invalidate`](SnapshotPool::invalidate):
-    /// entries whose stateful spine scans a changed relation still drop
-    /// (their context effects are stale), but inside surviving entries the
-    /// footprint-intersecting sub-plan results are *patched in place* by the
-    /// incremental operator rules of [`crate::delta`] wherever one applies,
-    /// and only demoted (dropped, recomputed lazily on the next warm
-    /// resume) where none does.  Returns
+    /// Applies committed relation-content changes: entries whose stateful
+    /// spine scans a changed relation drop (their context effects are
+    /// stale); surviving entries get their database copy updated, and their
+    /// footprint-intersecting sub-plan results are *patched in place* by
+    /// the incremental operator rules of [`crate::delta`] wherever an
+    /// update carries a row delta and a rule applies, and demoted (dropped,
+    /// recomputed lazily on the next warm resume) everywhere else.  Returns
     /// `(entries_dropped, slots_patched, slots_demoted)`.
     fn patch(
         &mut self,
-        changed: &BTreeSet<String>,
         updates: &[DeltaUpdate],
         plans: &[(Arc<PhysicalPlan>, Arc<PrefixProfile>)],
     ) -> (u64, u64, u64) {
+        let changed: &BTreeSet<String> = &updates.iter().map(|u| u.name.clone()).collect();
         let mut entries_dropped = 0;
         let mut slots_patched = 0;
         let mut slots_demoted = 0;
@@ -678,8 +673,7 @@ fn patch_entry_slots(
         }
     }
     // Intersecting slots no prepared plan covers (their query was evicted
-    // from the prepared map) cannot be patched: demote them, exactly as
-    // `update_relations` would.
+    // from the prepared map) cannot be patched: demote them.
     entry.slots.retain(|digest, slot| {
         let keep = outcomes.contains_key(digest) || !intersects(&slot.footprint, changed);
         if !keep {
@@ -1124,20 +1118,20 @@ fn config_digest(config: &EvalConfig) -> u64 {
 }
 
 /// A query server over one database: repeated queries cost estimation only,
-/// prefixes are shared across queries, relation updates invalidate only
-/// what they touch, and any number of sessions evaluate concurrently over
+/// prefixes are shared across queries, content commits touch only what
+/// intersects them, and any number of sessions evaluate concurrently over
 /// `&self` (see the module docs' concurrency section).
 pub struct ServingEngine {
     config: EvalConfig,
     limits: ServingLimits,
     state: OrderedRwLock<CatalogState>,
     /// Monotonic database-content version.  Bumped under the state write
-    /// lock *before* the matching pool invalidation runs, and compared by
+    /// lock *before* the matching pool maintenance runs, and compared by
     /// [`absorb_if_current`](ServingEngine::absorb_if_current) under the
     /// pool write lock: a snapshot captured from an epoch the pool has
     /// moved past is dropped instead of absorbed, so a commit landing
     /// between a session's database clone and its pool insert can never
-    /// re-pool pre-update answers after invalidation already ran.
+    /// re-pool pre-commit answers after the commit's pool pass already ran.
     db_epoch: AtomicU64,
     /// Monotonic catalog/schema version: bumped only by
     /// [`set_database`](ServingEngine::set_database) (content-only updates
@@ -1258,8 +1252,8 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// Applies content updates to named base relations, invalidating only
-    /// the cached state they touch.
+    /// Replaces the content of named base relations, re-warming only the
+    /// cached state the change touches.
     ///
     /// Every update must keep the relation's catalog identity: same schema,
     /// and a relation declared complete stays complete (schema evolution
@@ -1270,32 +1264,29 @@ impl ServingEngine {
     /// replacement *before* validation, so a transient-invalid intermediate
     /// that the same batch overwrites cannot reject the update — only the
     /// content the batch would actually leave behind is checked, and either
-    /// every update applies or none does.  Final contents whose digest
-    /// equals the stored relation are no-ops and invalidate nothing.
+    /// every update applies or none does.
     ///
-    /// Invalidation is footprint-based: a pooled prefix entry dies only if a
-    /// changed relation feeds its stateful spine (its repair-key variables
-    /// or exact-confidence statistics would be stale); otherwise the entry
-    /// survives, the sub-plan results that scanned a changed relation are
-    /// dropped, and the entry's database copy is patched.  Prepared queries
-    /// not scanning any changed relation keep their full warm path; queries
-    /// whose pure sub-plans were dropped re-warm exactly those sub-plans on
-    /// their next evaluation.  Warm answers after an update are
-    /// bit-identical to a cold evaluation over the updated database at the
-    /// same RNG state.
+    /// A replacement is committed as the row delta it amounts to: the net
+    /// [`RelationDelta`] is derived by one merge walk over the stored and
+    /// the new rows ([`URelation::diff`]) and handed to the same commit
+    /// path as [`apply_deltas`](ServingEngine::apply_deltas) — see there
+    /// for what a commit does to the pool.  An empty diff is a no-op: no
+    /// epoch bump, no counter, nothing invalidated.  So a *small*
+    /// replacement (a few rows of a large relation rewritten) patches the
+    /// pooled sub-plan results in place, exactly as the equivalent delta
+    /// would; a replacement that rewrites more than about half the
+    /// relation demotes them for recomputation on the next warm resume.
+    /// Slots demoted by a commit that arrived through this method count in
+    /// [`ServingStats::subplans_invalidated`].
     ///
-    /// This is the blunt full-replacement path: dropped sub-plan results are
-    /// recomputed from scratch on the next resume regardless of how little
-    /// actually changed.  When the change is small,
-    /// [`apply_deltas`](ServingEngine::apply_deltas) re-warms at cost
-    /// proportional to the delta instead.
+    /// Warm answers after an update are bit-identical to a cold evaluation
+    /// over the updated database at the same RNG state.
     pub fn update_relations(
         &self,
         updates: impl IntoIterator<Item = (impl Into<String>, URelation)>,
     ) -> Result<()> {
-        // The state write lock is held across validate + apply + pool
-        // invalidation, so concurrent sessions see either the whole batch
-        // or none of it.
+        // The state write lock is held across validate + commit, so
+        // concurrent sessions see either the whole batch or none of it.
         let mut state = self.state.write();
         // Collapse the batch to its net content first (last replacement per
         // name wins), then validate only that net content — atomically,
@@ -1307,42 +1298,14 @@ impl ServingEngine {
         for (name, rel) in &finals {
             state.database.check_replacement(name, rel)?;
         }
-        let changed: Vec<(String, URelation)> = finals
+        let updates: Vec<DeltaUpdate> = finals
             .into_iter()
-            .filter(|(name, rel)| {
-                state
-                    .database
-                    .relation(name)
-                    .map(|old| old.content_digest() != rel.content_digest())
-                    .unwrap_or(true)
+            .filter_map(|(name, new)| {
+                let old = state.database.relation(&name).expect("validated above");
+                DeltaUpdate::net(name, old, new, None)
             })
             .collect();
-        if changed.is_empty() {
-            return Ok(());
-        }
-        let changed_names: BTreeSet<String> =
-            changed.iter().map(|(name, _)| name.clone()).collect();
-        // Bump the content epoch before the pool invalidation below: a
-        // session that cloned the pre-update database can no longer absorb
-        // its snapshot once this commit is visible.
-        self.db_epoch.fetch_add(1, Ordering::Release);
-        for (name, rel) in &changed {
-            state
-                .database
-                .replace_relation(name, rel.clone())
-                .expect("update validated above");
-        }
-        let (entries_dropped, slots_dropped) =
-            self.pool.write().invalidate(&changed_names, &changed);
-        self.counters
-            .relation_updates
-            .fetch_add(changed.len() as u64, Ordering::Relaxed);
-        self.counters
-            .snapshots_invalidated
-            .fetch_add(entries_dropped, Ordering::Relaxed);
-        self.counters
-            .subplans_invalidated
-            .fetch_add(slots_dropped, Ordering::Relaxed);
+        self.commit(&mut state, updates, &self.counters.subplans_invalidated);
         Ok(())
     }
 
@@ -1353,103 +1316,96 @@ impl ServingEngine {
     /// the whole batch is checked before anything is applied (each delta's
     /// base digest must match the content it lands on — deltas to one name
     /// chain in batch order — and the patched relation must keep its catalog
-    /// identity), and net no-ops invalidate nothing.
+    /// identity), and net no-ops commit nothing.
     ///
-    /// Invalidation then runs at *row* granularity instead of sub-plan
-    /// granularity: entries whose stateful spine scans a changed relation
-    /// still drop (their repair-key variables or statistics would be stale),
-    /// but in surviving entries every footprint-intersecting pure sub-plan
-    /// result is patched in place by the incremental operator rules of
-    /// [`crate::delta`] — selections, projections, unions and renames map
-    /// the row edits pointwise, joins re-derive only the affected join keys
-    /// — producing bit-for-bit the relation a recompute would.  Sub-plans
-    /// with no incremental rule (products, difference), deltas large
-    /// relative to their base relation
-    /// (they would cost more to patch than to recompute), and slots whose
-    /// required neighbours are missing fall back to the
-    /// demote-and-recompute path of `update_relations`.
+    /// The commit — shared with `update_relations` — then maintains the
+    /// pool at *row* granularity: entries whose stateful spine scans a
+    /// changed relation drop (their repair-key variables or statistics
+    /// would be stale), every surviving entry's database copy takes the new
+    /// content, and in those entries every footprint-intersecting pure
+    /// sub-plan result is patched in place by the incremental operator
+    /// rules of [`crate::delta`] — selections, projections, unions and
+    /// renames map the row edits pointwise, joins re-derive only the
+    /// affected join keys — producing bit-for-bit the relation a recompute
+    /// would.  Sub-plans with no incremental rule (products, difference),
+    /// deltas large relative to their base relation (they would cost more
+    /// to patch than to recompute), and slots whose required neighbours are
+    /// missing are demoted instead: dropped, and recomputed once by the
+    /// next warm resume that needs them.  Prepared queries scanning no
+    /// changed relation keep their full warm path.
     /// [`ServingStats::subplans_patched`] / [`ServingStats::subplans_demoted`]
-    /// record which path each slot took.
+    /// record which way each slot went.
     ///
     /// Warm answers after a delta are bit-identical to a cold evaluation
-    /// over the patched database at the same RNG state, exactly as for full
-    /// replacements.
+    /// over the patched database at the same RNG state.
     pub fn apply_deltas(
         &self,
         deltas: impl IntoIterator<Item = (impl Into<String>, RelationDelta)>,
     ) -> Result<()> {
         // Like `update_relations`, the state write lock spans validate +
-        // apply + pool maintenance.
+        // commit.
         let mut state = self.state.write();
         // Validate the whole batch before applying any of it.  Deltas to
         // one name chain: each must apply against the content the previous
         // one produced (digest-checked), and the final content must pass
         // the same catalog checks as a full replacement.
-        let mut finals: BTreeMap<String, (URelation, Vec<RelationDelta>)> = BTreeMap::new();
+        // Per name: the final content, and the net row edit while a single
+        // delta *is* it (it was digest-validated against the stored
+        // content); a chain's net edit is re-derived by diffing.
+        let mut finals: BTreeMap<String, (URelation, Option<RelationDelta>)> = BTreeMap::new();
         for (name, delta) in deltas {
             let name = name.into();
             match finals.get_mut(&name) {
-                Some((current, chain)) => {
+                Some((current, single)) => {
                     let new = delta.apply_to(current)?;
                     state.database.check_replacement(&name, &new)?;
                     *current = new;
-                    chain.push(delta);
+                    *single = None;
                 }
                 None => {
                     let new = state.database.check_delta(&name, &delta)?;
-                    finals.insert(name, (new, vec![delta]));
+                    finals.insert(name, (new, Some(delta)));
                 }
             }
         }
-        let changed: Vec<(String, URelation, Vec<RelationDelta>)> = finals
+        let updates: Vec<DeltaUpdate> = finals
             .into_iter()
-            // Net no-ops drop out.  Direct equality, not digests: a chain
-            // that reverts itself compares equal after one short walk, and
-            // a real change usually diverges within a few rows.
-            .filter(|(name, (rel, _))| {
-                state
-                    .database
-                    .relation(name)
-                    .map(|old| old != rel)
-                    .unwrap_or(true)
+            .filter_map(|(name, (new, single))| {
+                let old = state.database.relation(&name).expect("validated above");
+                DeltaUpdate::net(name, old, new, single)
             })
-            .map(|(name, (rel, chain))| (name, rel, chain))
             .collect();
-        if changed.is_empty() {
-            return Ok(());
+        self.commit(&mut state, updates, &self.counters.subplans_demoted);
+        Ok(())
+    }
+
+    /// The one commit path of every content change, called with the state
+    /// write lock held and the batch validated and reduced to its net
+    /// per-relation changes: bumps the content epoch, applies the new
+    /// contents, maintains the pool ([`SnapshotPool::patch`]) and counts.
+    /// Demoted slots are charged to `demoted_counter`, which is the only
+    /// thing that differs between the two public entry points.
+    fn commit(
+        &self,
+        state: &mut CatalogState,
+        updates: Vec<DeltaUpdate>,
+        demoted_counter: &AtomicU64,
+    ) {
+        if updates.is_empty() {
+            return;
         }
-        let changed_names: BTreeSet<String> =
-            changed.iter().map(|(name, _, _)| name.clone()).collect();
-        // Same ordering as `update_relations`: epoch before pool patching,
-        // so stale snapshots captured before this commit drop at absorb.
+        // Bump the content epoch before the pool maintenance below: a
+        // session that cloned the pre-commit database can no longer absorb
+        // its snapshot once this commit is visible.
         self.db_epoch.fetch_add(1, Ordering::Release);
-        // The net row delta per relation, kept only while patching beats
-        // recomputing.  A single delta per name already *is* the net edit
-        // (it was digest-validated against the stored content); only chains
-        // re-derive it by diffing.
-        let updates: Vec<DeltaUpdate> = changed
-            .iter()
-            .map(|(name, new, chain)| {
-                let old = state.database.relation(name).expect("validated above");
-                let patch = match chain.as_slice() {
-                    [only] => Some(only.clone()),
-                    _ => old.diff(new).ok(),
-                }
-                .filter(|d| patch_worthwhile(d.magnitude(), old.len()));
-                DeltaUpdate {
-                    name: name.clone(),
-                    new: new.clone(),
-                    patch,
-                }
-            })
-            .collect();
-        let changed_count = changed.len() as u64;
-        for (name, rel, _) in changed {
-            // The batch was fully validated above; apply without re-running
-            // the catalog checks (moving the relation in, not cloning it),
-            // preserving the completeness declaration.
-            let complete = state.database.is_complete(&name);
-            state.database.set_relation(name, rel, complete);
+        for u in &updates {
+            // The batch was fully validated by the caller; apply without
+            // re-running the catalog checks, preserving the completeness
+            // declaration.
+            let complete = state.database.is_complete(&u.name);
+            state
+                .database
+                .set_relation(u.name.clone(), u.new.clone(), complete);
         }
         let plans: Vec<(Arc<PhysicalPlan>, Arc<PrefixProfile>)> = self
             .prepared
@@ -1457,21 +1413,16 @@ impl ServingEngine {
             .values()
             .map(|p| (p.physical.clone(), p.profile.clone()))
             .collect();
-        let (entries_dropped, patched, demoted) =
-            self.pool.write().patch(&changed_names, &updates, &plans);
-        self.counters
-            .relation_updates
-            .fetch_add(changed_count, Ordering::Relaxed);
-        self.counters
-            .snapshots_invalidated
-            .fetch_add(entries_dropped, Ordering::Relaxed);
-        self.counters
-            .subplans_patched
-            .fetch_add(patched, Ordering::Relaxed);
-        self.counters
-            .subplans_demoted
-            .fetch_add(demoted, Ordering::Relaxed);
-        Ok(())
+        let (entries_dropped, patched, demoted) = self.pool.write().patch(&updates, &plans);
+        let counters = &self.counters;
+        for (counter, by) in [
+            (&counters.relation_updates, updates.len() as u64),
+            (&counters.snapshots_invalidated, entries_dropped),
+            (&counters.subplans_patched, patched),
+            (demoted_counter, demoted),
+        ] {
+            counter.fetch_add(by, Ordering::Relaxed);
+        }
     }
 
     /// Evaluates a UA query given as text.  The first evaluation of a query
@@ -2201,20 +2152,7 @@ impl<'a> ServingSession<'a> {
         request: &Request<'_>,
         rng: &mut R,
     ) -> Result<EvalOutput> {
-        self.evaluations += 1;
-        let salt = self.evaluations;
-        let mut attempt = 0u32;
-        loop {
-            match self.engine.evaluate_request(request, rng) {
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    match self.backoff_or_give_up(request, attempt, salt) {
-                        Some(()) => attempt += 1,
-                        None => return Err(e),
-                    }
-                }
-                verdict => return verdict,
-            }
-        }
+        self.with_retries(request, |engine| engine.evaluate_request(request, rng))
     }
 
     /// The degradable counterpart of
@@ -2227,11 +2165,22 @@ impl<'a> ServingSession<'a> {
         request: &Request<'_>,
         rng: &mut R,
     ) -> Result<ServingAnswer> {
+        self.with_retries(request, |engine| engine.evaluate_degradable(request, rng))
+    }
+
+    /// Counts one session evaluation and runs `call` against the engine,
+    /// re-issuing it after a jittered backoff while it fails transiently
+    /// and the retry policy and the request deadline allow.
+    fn with_retries<T>(
+        &mut self,
+        request: &Request<'_>,
+        mut call: impl FnMut(&ServingEngine) -> Result<T>,
+    ) -> Result<T> {
         self.evaluations += 1;
         let salt = self.evaluations;
         let mut attempt = 0u32;
         loop {
-            match self.engine.evaluate_degradable(request, rng) {
+            match call(self.engine) {
                 Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
                     match self.backoff_or_give_up(request, attempt, salt) {
                         Some(()) => attempt += 1,
@@ -2689,7 +2638,7 @@ mod tests {
     }
 
     #[test]
-    fn update_relations_invalidates_only_intersecting_state() {
+    fn update_relations_touches_only_intersecting_state() {
         let db = two_relation_db();
         let touching = "aconf[0.3, 0.1](project[Label](join(repairkey[ @ Count](Coins), Labels)))";
         let independent = "aconf[0.3, 0.1](project[X](Other))";
@@ -2698,11 +2647,15 @@ mod tests {
         serving.evaluate(touching, &mut rng).unwrap();
         serving.evaluate(independent, &mut rng).unwrap();
         assert_eq!(serving.stats().cold_evaluations, 2);
+        let pooled = serving.pooled_subplans();
 
-        // Update `Labels`: it feeds only pure sub-plans of `touching` (the
-        // repair-key spine reads `Coins`), so the entry survives, only the
-        // Labels-scanning sub-plans are dropped, and `independent` (whose
-        // spine is empty and footprint disjoint) keeps its pooled state.
+        // Replace `Labels`: it feeds only pure sub-plans of `touching` (the
+        // repair-key spine reads `Coins`), so the entry survives, and
+        // `independent` (whose spine is empty and footprint disjoint) keeps
+        // its pooled state.  The replacement amounts to a four-row delta,
+        // small enough that the Labels-scanning sub-plans are patched in
+        // place rather than dropped — exactly what the equivalent
+        // `apply_deltas` call does.
         let new_labels = URelation::from_complete(
             &relation![schema!["CoinType", "Label"]; ["fair", "good"], ["2headed", "evil"]],
         );
@@ -2710,17 +2663,21 @@ mod tests {
         let stats = serving.stats();
         assert_eq!(stats.relation_updates, 1);
         assert_eq!(stats.snapshots_invalidated, 0, "no spine scans Labels");
-        assert!(stats.subplans_invalidated > 0);
+        assert_eq!(stats.subplans_patched, 3, "scan + join + project");
+        assert_eq!(stats.subplans_invalidated, 0);
+        assert_eq!(stats.subplans_demoted, 0);
+        assert_eq!(serving.pooled_subplans(), pooled);
 
-        // Both queries still evaluate warm (the touching one re-warms its
-        // dropped pure sub-plans during the resume), and the touching
-        // query's answer matches a cold engine over the updated database.
+        // Both queries still evaluate warm with nothing to recompute, and
+        // the touching query's answer matches a cold engine over the updated
+        // database.
         let mut warm_rng = ChaCha8Rng::seed_from_u64(42);
         let warm = serving.evaluate(touching, &mut warm_rng).unwrap();
         serving.evaluate(independent, &mut warm_rng).unwrap();
         let stats = serving.stats();
         assert_eq!(stats.cold_evaluations, 2, "no evaluation re-ran cold");
         assert_eq!(stats.warm_evaluations, 2);
+        assert_eq!(stats.subplans_recomputed, 0);
 
         let engine = UEngine::new(EvalConfig::default());
         let query = algebra::parse_query(touching).unwrap();
@@ -2731,13 +2688,6 @@ mod tests {
         assert_eq!(warm.result.relation, direct.result.relation);
         assert_eq!(warm.stats, direct.stats);
         assert_eq!(warm.database, direct.database);
-
-        // The re-warm recomputed the dropped sub-plans once and pooled the
-        // fresh results: a further warm evaluation recomputes nothing.
-        let recomputed = serving.stats().subplans_recomputed;
-        assert!(recomputed > 0, "the touching resume re-warmed sub-plans");
-        serving.evaluate(touching, &mut warm_rng).unwrap();
-        assert_eq!(serving.stats().subplans_recomputed, recomputed);
     }
 
     #[test]
@@ -2755,6 +2705,11 @@ mod tests {
         );
         serving.update_relations([("Coins", new_coins)]).unwrap();
         assert_eq!(serving.stats().snapshots_invalidated, 1);
+        assert_eq!(
+            serving.stats().subplans_patched,
+            0,
+            "stale spine: no patching"
+        );
         assert_eq!(serving.pooled_prefixes(), 0);
 
         // The next evaluation runs cold over the new content and matches
@@ -2778,11 +2733,15 @@ mod tests {
         let serving = ServingEngine::new(EvalConfig::exact(), db.clone()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         serving.evaluate(text, &mut rng).unwrap();
+        let before = (serving.stats(), serving.db_epoch.load(Ordering::Acquire));
         let same = db.relation("Coins").unwrap().clone();
         serving.update_relations([("Coins", same)]).unwrap();
-        let stats = serving.stats();
-        assert_eq!(stats.relation_updates, 0);
-        assert_eq!(stats.snapshots_invalidated, 0);
+        // A content-identical replacement is an empty delta: no epoch bump,
+        // no counter moves, nothing leaves the pool.
+        assert_eq!(
+            (serving.stats(), serving.db_epoch.load(Ordering::Acquire)),
+            before
+        );
         assert_eq!(serving.pooled_prefixes(), 1);
         serving.evaluate(text, &mut rng).unwrap();
         assert_eq!(serving.stats().warm_evaluations, 1);
@@ -2881,12 +2840,9 @@ mod tests {
         assert_eq!(re_cold.result.relation, direct.result.relation);
     }
 
-    #[test]
-    fn large_deltas_fall_back_to_demote_and_recompute() {
-        // A join side big enough that rewriting most of it crosses the
-        // patch-worthiness bound: the intersecting slots demote instead,
-        // and the next warm resume recomputes them (update_relations
-        // behaviour, same bit-identical answers).
+    /// A server over a 40-row `Labels` join side with the touching query
+    /// pooled, plus that query's text.
+    fn wide_labels_serving() -> (ServingEngine, &'static str) {
         let mut labels = pdb::Relation::empty(pdb::Schema::new(["CoinType", "Label"]).unwrap());
         for i in 0..40 {
             labels
@@ -2902,8 +2858,29 @@ mod tests {
         let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         serving.evaluate(touching, &mut rng).unwrap();
+        (serving, touching)
+    }
 
-        let old = serving.database().relation("Labels").unwrap().clone();
+    fn assert_warm_matches_cold(serving: &ServingEngine, text: &str, seed: u64) {
+        let mut warm_rng = ChaCha8Rng::seed_from_u64(seed);
+        let warm = serving.evaluate(text, &mut warm_rng).unwrap();
+        let engine = UEngine::new(EvalConfig::default());
+        let query = algebra::parse_query(text).unwrap();
+        let mut direct_rng = ChaCha8Rng::seed_from_u64(seed);
+        let direct = engine
+            .evaluate(&serving.database(), &query, &mut direct_rng)
+            .unwrap();
+        assert_eq!(warm.result.relation, direct.result.relation);
+        assert_eq!(warm.stats, direct.stats);
+    }
+
+    #[test]
+    fn large_changes_demote_and_recompute_through_either_entry_point() {
+        // Rewriting most of the join side crosses the patch-worthiness
+        // bound: the intersecting slots demote instead of patching, and the
+        // next warm resume recomputes them — same bit-identical answers.
+        // The two entry points differ only in which counter the demoted
+        // slots are charged to.
         let mut replacement =
             pdb::Relation::empty(pdb::Schema::new(["CoinType", "Label"]).unwrap());
         for i in 0..40 {
@@ -2915,28 +2892,68 @@ mod tests {
                 .unwrap();
         }
         let new = URelation::from_complete(&replacement);
-        let delta = old.diff(&new).unwrap();
-        assert!(
-            delta.magnitude() > 8,
-            "this test wants an unpatchable delta"
-        );
-        serving.apply_deltas([("Labels", delta)]).unwrap();
-        let stats = serving.stats();
-        assert_eq!(stats.snapshots_invalidated, 0);
-        assert_eq!(stats.subplans_patched, 0);
-        assert!(stats.subplans_demoted > 0);
+        for as_delta in [false, true] {
+            let (serving, touching) = wide_labels_serving();
+            let pooled = serving.pooled_subplans();
+            if as_delta {
+                let old = serving.database().relation("Labels").unwrap().clone();
+                let delta = old.diff(&new).unwrap();
+                assert!(
+                    delta.magnitude() * 2 > old.len(),
+                    "wants an unpatchable delta"
+                );
+                serving.apply_deltas([("Labels", delta)]).unwrap();
+            } else {
+                serving.update_relations([("Labels", new.clone())]).unwrap();
+            }
+            let stats = serving.stats();
+            assert_eq!(stats.snapshots_invalidated, 0);
+            assert_eq!(stats.subplans_patched, 0);
+            let (charged, other) = if as_delta {
+                (stats.subplans_demoted, stats.subplans_invalidated)
+            } else {
+                (stats.subplans_invalidated, stats.subplans_demoted)
+            };
+            assert_eq!(charged, 3, "scan + join + project");
+            assert_eq!(other, 0);
+            assert_eq!(serving.pooled_subplans(), pooled - 3);
 
-        let mut warm_rng = ChaCha8Rng::seed_from_u64(32);
-        let warm = serving.evaluate(touching, &mut warm_rng).unwrap();
-        assert!(serving.stats().subplans_recomputed > 0);
-        let engine = UEngine::new(EvalConfig::default());
-        let query = algebra::parse_query(touching).unwrap();
-        let mut direct_rng = ChaCha8Rng::seed_from_u64(32);
-        let direct = engine
-            .evaluate(&serving.database(), &query, &mut direct_rng)
+            assert_warm_matches_cold(&serving, touching, 32);
+
+            // The resume recomputed the demoted sub-plans once and pooled
+            // the fresh results: a further warm evaluation recomputes
+            // nothing.
+            let recomputed = serving.stats().subplans_recomputed;
+            assert!(recomputed > 0, "the touching resume re-warmed sub-plans");
+            assert_eq!(serving.pooled_subplans(), pooled);
+            let mut rng = ChaCha8Rng::seed_from_u64(32);
+            serving.evaluate(touching, &mut rng).unwrap();
+            assert_eq!(serving.stats().subplans_recomputed, recomputed);
+            assert_eq!(serving.pooled_subplans(), pooled);
+        }
+    }
+
+    #[test]
+    fn one_row_replacements_patch_in_place() {
+        // A whole-relation replacement that differs from the stored content
+        // in one row is committed as that one-row delta: the pooled scan,
+        // join and projection are patched, nothing leaves the pool, and the
+        // next resume recomputes nothing.
+        let (serving, touching) = wide_labels_serving();
+        let pooled = serving.pooled_subplans();
+        let mut new = serving.database().relation("Labels").unwrap().clone();
+        new.insert(urel::Condition::always(), pdb::tuple!["2headed", 777])
             .unwrap();
-        assert_eq!(warm.result.relation, direct.result.relation);
-        assert_eq!(warm.stats, direct.stats);
+        serving.update_relations([("Labels", new)]).unwrap();
+        let stats = serving.stats();
+        assert_eq!(stats.relation_updates, 1);
+        assert_eq!(stats.subplans_patched, 3, "scan + join + project");
+        assert_eq!(stats.subplans_invalidated, 0);
+        assert_eq!(stats.snapshots_invalidated, 0);
+        assert_eq!(serving.pooled_subplans(), pooled);
+
+        assert_warm_matches_cold(&serving, touching, 33);
+        assert_eq!(serving.stats().subplans_recomputed, 0);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Columnar chunks: per-attribute value arenas over a slice of a
 //! U-relation's canonical row order.
 //!
-//! The engine's sharded executor runs pure operators over partition chunks;
-//! [`ColumnarChunk`] is the chunk representation it hands to those
-//! operators.  Instead of a set of boxed `(condition, tuple)` rows, a chunk
+//! Instead of a set of boxed `(condition, tuple)` rows, a [`ColumnarChunk`]
 //! stores one contiguous `Vec<Value>` arena *per attribute* plus a flattened
 //! condition arena with per-row offsets, so a kernel scanning one attribute
-//! (a selection predicate, a join-key probe) walks contiguous memory.
+//! (a selection predicate, a join-key probe) would walk contiguous memory.
+//!
+//! No engine operator consumes chunks today: the executor's kernels are
+//! row-local and run on [`URelation::partition`] row chunks, because a
+//! kernel that gathers every row back out of the arenas only pays for the
+//! transposition.  The representation stays here, tested and measured (the
+//! contract benchmark's `urel.columnar_encode_us` probe), for the kernel
+//! that actually scans a column.
 //!
 //! The conversion is lossless in both directions and preserves the
 //! canonical row order, so `to_relation ∘ from_relation` is the identity and
 //! the chunk's [`content_digest`](ColumnarChunk::content_digest) equals the
-//! source relation's — the determinism invariant "columnar ≡ row" holds by
-//! construction and is pinned by the workspace's storage differential suite.
+//! source relation's.
 
 use crate::condition::Condition;
 use crate::urelation::{URelation, URow};

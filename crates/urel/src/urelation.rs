@@ -1,7 +1,6 @@
 //! U-relations: representation relations `U_R(D, A⃗)` pairing a condition
 //! with a data tuple.
 
-use crate::columnar::ColumnarChunk;
 use crate::condition::Condition;
 use crate::error::Result;
 use crate::wtable::WTable;
@@ -255,17 +254,6 @@ impl URelation {
         out
     }
 
-    /// [`partition`](URelation::partition), transposed: the same byte-budget
-    /// chunks handed to the executor in columnar form, so per-chunk kernels
-    /// scan contiguous per-attribute arenas.  Concatenating
-    /// `chunk.to_relation()` over the result reproduces `self` exactly.
-    pub fn partition_columnar(&self, chunks: usize) -> Vec<ColumnarChunk> {
-        self.partition(chunks)
-            .iter()
-            .map(ColumnarChunk::from_relation)
-            .collect()
-    }
-
     /// Merges another relation's rows into this one (set union; duplicate
     /// rows collapse).  The schemas must have equal arity — chunked operator
     /// execution always merges outputs of the same operator, which share a
@@ -475,30 +463,6 @@ mod tests {
             merged.absorb(p);
         }
         assert_eq!(merged, u);
-    }
-
-    #[test]
-    fn partition_columnar_mirrors_partition() {
-        let mut u = URelation::empty(schema!["A", "B"]);
-        for i in 0..50i64 {
-            u.insert(
-                Condition::new([(Var::new("v"), Value::Int(i % 5))]).unwrap(),
-                tuple![i, format!("s{i}")],
-            )
-            .unwrap();
-        }
-        for chunks in [1usize, 3, 7] {
-            let rows = u.partition(chunks);
-            let cols = u.partition_columnar(chunks);
-            assert_eq!(rows.len(), cols.len());
-            let mut merged = URelation::empty(u.schema().clone());
-            for (r, c) in rows.iter().zip(&cols) {
-                assert_eq!(&c.to_relation(), r);
-                assert_eq!(c.content_digest(), r.content_digest());
-                merged.absorb(c.to_relation());
-            }
-            assert_eq!(merged, u);
-        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Workload-level serving under updates: prepare a set of overlapping
-//! queries, serve them warm from the cross-query snapshot pool, apply a
-//! small content update, and watch the catalog-aware invalidation keep
-//! everything that did not touch the changed relation at warm-path cost —
-//! then ship the same kind of change as a [`urel::RelationDelta`] and watch
-//! `apply_deltas` patch the pooled sub-plan results in place, so the next
-//! request recomputes nothing at all.
+//! queries, serve them warm from the cross-query snapshot pool, then commit
+//! content changes and watch everything that did not touch the changed
+//! relation stay at warm-path cost.  Every content change is committed as a
+//! row delta: a *small* whole-relation replacement (`update_relations`)
+//! patches the pooled sub-plan results in place, a replacement that rewrites
+//! most of the relation demotes them for one selective re-warm, and an
+//! explicit [`urel::RelationDelta`] (`apply_deltas`) takes the very same
+//! path without the diff.
 //!
 //! Run with `cargo run --example serving_updates`.
 
@@ -34,6 +36,21 @@ fn rooms(rows: &[(i64, &str)]) -> URelation {
     URelation::from_complete(&rel)
 }
 
+/// Prints what one commit did to the pool: the stats counters' growth since
+/// `before` (demotions are charged to `subplans_invalidated` when the commit
+/// arrived through `update_relations`, to `subplans_demoted` through
+/// `apply_deltas`).
+fn print_commit(serving: &ServingEngine, before: engine::ServingStats) {
+    let s = serving.stats();
+    println!(
+        "  entries dropped: {}, sub-plans patched in place: {}, demoted: {}",
+        s.snapshots_invalidated - before.snapshots_invalidated,
+        s.subplans_patched - before.subplans_patched,
+        (s.subplans_invalidated + s.subplans_demoted)
+            - (before.subplans_invalidated + before.subplans_demoted)
+    );
+}
+
 fn main() {
     let mut db = UDatabase::new();
     db.set_relation(
@@ -43,7 +60,14 @@ fn main() {
     );
     db.set_relation(
         "Rooms",
-        rooms(&[(0, "lab"), (1, "lab"), (2, "office")]),
+        rooms(&[
+            (0, "lab"),
+            (1, "lab"),
+            (2, "office"),
+            (3, "office"),
+            (4, "attic"),
+            (5, "attic"),
+        ]),
         true,
     );
 
@@ -85,24 +109,56 @@ fn main() {
         serving.stats().warm_evaluations
     );
 
-    // 3. Small update: sensor 2 moves to the hallway.  `Rooms` feeds only
-    //    pure sub-plans (the repair-key spine reads `Readings`), so the
-    //    pooled prefix entry survives — just the Rooms-scanning sub-plans
-    //    are dropped and the prefix database is patched.
-    println!("— update Rooms (pure join side) —");
+    // 3. Small replacement: sensor 2 moves to the hallway.  `Rooms` feeds
+    //    only pure sub-plans (the repair-key spine reads `Readings`), so the
+    //    pooled prefix entry survives; the replacement amounts to a
+    //    two-row delta, so the Rooms scan, the join and the projection are
+    //    patched in place and the next request recomputes nothing.
+    println!("— replace Rooms, one row changed (pure join side) —");
+    let moved = rooms(&[
+        (0, "lab"),
+        (1, "lab"),
+        (2, "hallway"),
+        (3, "office"),
+        (4, "attic"),
+        (5, "attic"),
+    ]);
+    let before = serving.stats();
     serving
-        .update_relations([("Rooms", rooms(&[(0, "lab"), (1, "lab"), (2, "hallway")]))])
+        .update_relations([("Rooms", moved)])
         .expect("content update applies");
-    let s = serving.stats();
-    println!(
-        "  entries dropped: {}, sub-plans dropped: {}",
-        s.snapshots_invalidated, s.subplans_invalidated
+    print_commit(&serving, before);
+    serving
+        .evaluate(queries[0], &mut rng)
+        .expect("patched warm evaluation");
+    assert_eq!(
+        serving.stats().subplans_recomputed,
+        0,
+        "a patched prefix resumes without recomputing anything"
     );
+    println!("  next request recomputed nothing\n");
 
-    // 4. Selective re-warm: the next evaluation is still warm — it
-    //    recomputes exactly the dropped join/projection over the new Rooms
-    //    content, pools the fresh results, and keeps the repair-key
-    //    variables untouched.  Further requests recompute nothing.
+    // 4. Large replacement: every room is renamed.  The net delta rewrites
+    //    the whole relation — patching would cost more than recomputing —
+    //    so the Rooms-scanning sub-plans are demoted instead.  The next
+    //    evaluation is still warm: it recomputes exactly the demoted
+    //    join/projection over the new Rooms content, pools the fresh
+    //    results, and keeps the repair-key variables untouched.  Further
+    //    requests recompute nothing.
+    println!("— replace Rooms, every row changed —");
+    let renamed = rooms(&[
+        (0, "B1.lab"),
+        (1, "B1.lab"),
+        (2, "B1.hallway"),
+        (3, "B2.office"),
+        (4, "B2.attic"),
+        (5, "B2.attic"),
+    ]);
+    let before = serving.stats();
+    serving
+        .update_relations([("Rooms", renamed.clone())])
+        .expect("content update applies");
+    print_commit(&serving, before);
     println!("— selective re-warm —");
     let out = serving
         .evaluate(queries[0], &mut rng)
@@ -128,32 +184,38 @@ fn main() {
         serving.stats().warm_evaluations
     );
 
-    // 5. Delta update: sensor 1 moves to the office.  Shipping the change
-    //    as a row delta lets the pool *patch* the Rooms scan, the join and
-    //    the projection in place (incremental operator rules) instead of
-    //    demoting them — the re-warm cost is proportional to the one-row
-    //    delta, and the next evaluation recomputes nothing.
+    // 5. Explicit delta: sensor 1 moves to the office.  A caller that
+    //    already knows the row edit ships it as a `RelationDelta` and skips
+    //    the diff; the commit is the same one step 3 took — the Rooms scan,
+    //    the join and the projection are patched in place (incremental
+    //    operator rules), at cost proportional to the one-row change.
     println!("— delta update (one row of Rooms) —");
     let old = serving
         .database()
         .relation("Rooms")
         .expect("Rooms exists")
         .clone();
-    let new = rooms(&[(0, "lab"), (1, "office"), (2, "hallway")]);
+    let mut new = renamed;
+    new.remove_row(
+        &rooms(&[(1, "B1.lab")])
+            .iter()
+            .next()
+            .expect("one row")
+            .clone(),
+    );
+    new.absorb(rooms(&[(1, "B2.office")]));
     let delta = old.diff(&new).expect("same schema");
     println!(
         "  shipping Δ(+{} −{} rows)",
         delta.inserted().len(),
         delta.deleted().len()
     );
+    let before = serving.stats();
     serving
         .apply_deltas([("Rooms", delta)])
         .expect("delta applies");
+    print_commit(&serving, before);
     let s = serving.stats();
-    println!(
-        "  sub-plans patched in place: {}, demoted: {}, entries dropped: {}",
-        s.subplans_patched, s.subplans_demoted, s.snapshots_invalidated
-    );
     let out = serving
         .evaluate(queries[0], &mut rng)
         .expect("patched warm evaluation");

@@ -192,10 +192,14 @@ fn fault_storm_keeps_answers_exact_degraded_or_classified() {
     let config = EvalConfig::default();
     let serving = ServingEngine::new(config, db_with(coins_a())).unwrap();
 
+    // The registry is process-global: hold the storm lock for both phases,
+    // oracle included — a sibling test arming a site would fault it.
+    let _guard = faults::exclusive();
+
     // Cold ground truths for both database states, computed *before* the
-    // storm is armed (the registry is process-global, so an armed oracle
-    // would be faulted too).  One clean engine per state serves as the cold
-    // oracle for every seed, by the engine's warm ≡ cold invariant.
+    // storm is armed (an armed oracle would be faulted too).  One clean
+    // engine per state serves as the cold oracle for every seed, by the
+    // engine's warm ≡ cold invariant.
     let oracle_a = ServingEngine::new(config, db_with(coins_a())).unwrap();
     let oracle_b = ServingEngine::new(config, db_with(coins_b())).unwrap();
     let truth = |oracle: &ServingEngine, text: &str, seed: u64| -> EvaluatedRelation {
@@ -224,8 +228,6 @@ fn fault_storm_keeps_answers_exact_degraded_or_classified() {
         }
     }
 
-    // The registry is process-global: hold the storm lock for both phases.
-    let _guard = faults::exclusive();
     faults::arm(&FaultPlan::storm(0xdead_5eed, 200_000));
 
     std::thread::scope(|scope| {

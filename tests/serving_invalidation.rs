@@ -1,9 +1,12 @@
-//! Serving-layer invalidation correctness: after *any* sequence of
-//! `update_relations` calls, a warm-path evaluation must be bit-identical
-//! (result relation, error bounds, statistics, final database state) to what
-//! a cold `ServingEngine` over the updated database produces from the same
-//! RNG state — no matter whether the update killed pooled entries, dropped
-//! individual sub-plan results, or touched nothing the queries scan.
+//! Serving-layer commit correctness: after *any* sequence of
+//! `update_relations` / `apply_deltas` calls, a warm-path evaluation must be
+//! bit-identical (result relation, error bounds, statistics, final database
+//! state) to what a cold `ServingEngine` over the updated database produces
+//! from the same RNG state — no matter whether the commit killed pooled
+//! entries, patched or demoted individual sub-plan results, or touched
+//! nothing the queries scan.  A whole-relation replacement and the row
+//! delta it amounts to are one commit path, so they must also leave the
+//! pool in the same shape.
 
 use algebra::{ConfTerm, Expr, Predicate, Query};
 use engine::{EvalConfig, ServingEngine};
@@ -143,6 +146,79 @@ proptest! {
                 // The RNG streams advanced identically too.
                 prop_assert_eq!(warm_rng.next_u64(), cold_rng.next_u64());
             }
+        }
+    }
+
+    /// Replacement ≡ derived delta: `update_relations([(n, new)])` and
+    /// `apply_deltas([(n, old.diff(&new))])` are the same commit, so twin
+    /// engines taken through one each pool the same sub-plans, count the
+    /// same patches / demotions / dropped entries (only the counter the
+    /// demotions are charged to differs), and serve bit-identical warm
+    /// answers — both equal to a cold engine over the new content.
+    #[test]
+    fn replacements_and_their_derived_deltas_commit_identically(
+        r0 in proptest::collection::vec((0i64..4, 1i64..6), 1..8),
+        s0 in proptest::collection::vec((0i64..4, 1i64..6), 1..8),
+        replacements in proptest::collection::vec(arb_update(), 1..4),
+        seed in 0u64..1000,
+    ) {
+        let config = EvalConfig::default();
+        let queries = workload_queries();
+        let replaced = ServingEngine::new(config, database(&r0, &s0)).unwrap();
+        let patched = ServingEngine::new(config, database(&r0, &s0)).unwrap();
+        for engine in [&replaced, &patched] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for q in &queries {
+                engine.evaluate(q, &mut rng).unwrap();
+            }
+        }
+
+        for (round, (which, rows)) in replacements.iter().enumerate() {
+            let (name, new) = if *which {
+                ("S", relation_s(rows))
+            } else {
+                ("R", relation_r(rows))
+            };
+            let old = patched.database().relation(name).unwrap().clone();
+            let delta = old.diff(&new).unwrap();
+            replaced.update_relations([(name, new)]).unwrap();
+            patched.apply_deltas([(name, delta)]).unwrap();
+
+            prop_assert_eq!(replaced.pooled_prefixes(), patched.pooled_prefixes());
+            prop_assert_eq!(replaced.pooled_subplans(), patched.pooled_subplans());
+            let (a, b) = (replaced.stats(), patched.stats());
+            prop_assert_eq!(a.relation_updates, b.relation_updates);
+            prop_assert_eq!(a.snapshots_invalidated, b.snapshots_invalidated);
+            prop_assert_eq!(a.subplans_patched, b.subplans_patched);
+            prop_assert_eq!(a.subplans_invalidated, b.subplans_demoted);
+            prop_assert_eq!((a.subplans_demoted, b.subplans_invalidated), (0, 0));
+
+            for (qi, q) in queries.iter().enumerate() {
+                let case_seed = seed
+                    .wrapping_mul(61)
+                    .wrapping_add((round * queries.len() + qi) as u64);
+                let cold_engine =
+                    ServingEngine::new(config, replaced.database().clone()).unwrap();
+                let mut cold_rng = ChaCha8Rng::seed_from_u64(case_seed);
+                let cold = cold_engine.evaluate(q, &mut cold_rng).unwrap();
+                for (label, engine) in [("replaced", &replaced), ("patched", &patched)] {
+                    let mut warm_rng = ChaCha8Rng::seed_from_u64(case_seed);
+                    let warm = engine.evaluate(q, &mut warm_rng).unwrap();
+                    prop_assert_eq!(
+                        &warm.result.relation, &cold.result.relation,
+                        "{} engine diverged for `{}` after round {}", label, q, round
+                    );
+                    prop_assert_eq!(&warm.result.errors, &cold.result.errors);
+                    prop_assert_eq!(warm.stats, cold.stats);
+                    prop_assert_eq!(&warm.database, &cold.database);
+                    prop_assert_eq!(warm_rng.next_u64(), cold_rng.clone().next_u64());
+                }
+            }
+            // Same pool in, same work out: the twins re-warmed identically.
+            let (a, b) = (replaced.stats(), patched.stats());
+            prop_assert_eq!(a.subplans_recomputed, b.subplans_recomputed);
+            prop_assert_eq!(a.cold_evaluations, b.cold_evaluations);
+            prop_assert_eq!(a.warm_evaluations, b.warm_evaluations);
         }
     }
 

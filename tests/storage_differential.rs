@@ -4,11 +4,11 @@
 //! bit-identical — result relation, content digest, error bounds, statistics,
 //! final database state, and the caller's RNG stream:
 //!
-//! 1. the **row** baseline (the single-threaded, single-batch sequential
-//!    schedule),
-//! 2. the **columnar** sharded executor (per-attribute arenas probed per
-//!    chunk),
-//! 3. **columnar + spill** (a tiny byte budget forcing chunk outputs through
+//! 1. the **sequential** baseline (the single-threaded, single-batch
+//!    schedule: every row kernel runs once over its whole input),
+//! 2. the **sharded** executor (the same row kernels per byte-budgeted row
+//!    chunk, outputs merged),
+//! 3. **sharded + spill** (a tiny byte budget forcing chunk outputs through
 //!    digest-verified temporary segment files).
 //!
 //! And the checkpoint store must uphold the same invariant across process
@@ -52,8 +52,8 @@ fn database(r: &[(i64, i64)], s: &[(i64, i64)]) -> UDatabase {
     db
 }
 
-/// Operator pipelines covering every pure operator the columnar/spill path
-/// rewrites (selection, projection, join, product via join of disjoint
+/// Operator pipelines covering every pure operator the chunk/spill wrapper
+/// runs (selection, projection, join, product via join of disjoint
 /// schemas is exercised inside the planner) plus the stateful spine
 /// (repair-key, conf, aconf) the checkpoint store snapshots.
 fn pipelines() -> Vec<String> {
@@ -73,12 +73,12 @@ fn checkpoint_dir(tag: &str) -> std::path::PathBuf {
 }
 
 proptest! {
-    /// Row ≡ columnar ≡ spilled, bit for bit, per seed: the sequential
-    /// single-batch schedule, the sharded columnar executor, and the
+    /// Sequential ≡ sharded ≡ spilled, bit for bit, per seed: the
+    /// sequential single-batch schedule, the sharded executor, and the
     /// spilling executor under tiny byte budgets all produce the same
     /// relations, digests, stats, final database, and RNG stream.
     #[test]
-    fn row_columnar_and_spilled_executions_are_bit_identical(
+    fn sequential_sharded_and_spilled_executions_are_bit_identical(
         r0 in proptest::collection::vec((0i64..5, 1i64..6), 1..12),
         s0 in proptest::collection::vec((0i64..5, 1i64..8), 1..12),
         seed in 0u64..1000,
@@ -90,15 +90,15 @@ proptest! {
             let plan = LogicalPlan::lower_validated(&query, &catalog).unwrap();
             let case_seed = seed.wrapping_mul(31).wrapping_add(qi as u64);
 
-            // Row baseline: sequential schedule, fully resident.
-            let row_engine = UEngine::new(EvalConfig::default());
-            let mut row_rng = ChaCha8Rng::seed_from_u64(case_seed);
-            let row = row_engine
-                .evaluate_plan_sequential(&db, &plan, &mut row_rng)
+            // Baseline: sequential schedule, fully resident.
+            let baseline_engine = UEngine::new(EvalConfig::default());
+            let mut baseline_rng = ChaCha8Rng::seed_from_u64(case_seed);
+            let baseline = baseline_engine
+                .evaluate_plan_sequential(&db, &plan, &mut baseline_rng)
                 .unwrap();
 
-            // Columnar sharded, resident; and columnar with spill budgets
-            // small enough that every chunk output goes through disk.
+            // Sharded, resident; and chunked with spill budgets small
+            // enough that every chunk output goes through disk.
             let variants = [
                 EvalConfig::default().with_shards(4),
                 EvalConfig::default().with_shards(4).with_spill_budget_bytes(64),
@@ -109,23 +109,23 @@ proptest! {
                 let mut rng = ChaCha8Rng::seed_from_u64(case_seed);
                 let out = engine.evaluate_plan(&db, &plan, &mut rng).unwrap();
                 prop_assert_eq!(
-                    &out.result.relation, &row.result.relation,
+                    &out.result.relation, &baseline.result.relation,
                     "relation diverged for `{}` under {:?}", text, config
                 );
                 prop_assert_eq!(
                     out.result.relation.content_digest(),
-                    row.result.relation.content_digest()
+                    baseline.result.relation.content_digest()
                 );
-                prop_assert_eq!(&out.result.errors, &row.result.errors);
-                prop_assert_eq!(out.result.complete, row.result.complete);
+                prop_assert_eq!(&out.result.errors, &baseline.result.errors);
+                prop_assert_eq!(out.result.complete, baseline.result.complete);
                 prop_assert_eq!(
-                    out.stats, row.stats,
+                    out.stats, baseline.stats,
                     "stats diverged for `{}` under {:?}", text, config
                 );
-                prop_assert_eq!(&out.database, &row.database);
+                prop_assert_eq!(&out.database, &baseline.database);
                 prop_assert_eq!(
                     rng.next_u64(),
-                    row_rng.clone().next_u64(),
+                    baseline_rng.clone().next_u64(),
                     "RNG stream diverged for `{}` under {:?}", text, config
                 );
             }
