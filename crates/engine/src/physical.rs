@@ -46,11 +46,16 @@
 //!   count ([`PhysicalPlan::execute_sequential`] is the property-tested
 //!   reference).
 //!
-//! [`PhysicalPlan::execute_capturing`] additionally snapshots the slot state
-//! at the *sampling frontier* — just before the first operator that consumes
-//! randomness — and [`PhysicalPlan::resume`] restarts from such a snapshot,
-//! which is how the serving layer makes the steady-state cost of a repeated
-//! query estimation-only.
+//! [`PhysicalPlan::resume`] runs the pipeline from an [`ExecSnapshot`] — the
+//! plan's [empty snapshot](PhysicalPlan::empty_snapshot) for a cold start —
+//! and can capture a new snapshot at the *sampling frontier*, just before
+//! the first operator that consumes randomness; resuming from such a
+//! snapshot is how the serving layer makes the steady-state cost of a
+//! repeated query estimation-only.  A snapshot holds what its prefix
+//! *added* to the evaluation context (the W-table `repair-key` left behind,
+//! the variable counter, statistics, compiled spaces, slot results), never
+//! the relations the prefix read: whoever resumes it composes the context's
+//! database from the current relations and the snapshot's W-table.
 
 use crate::delta::{self, DeltaInput};
 use crate::error::{EngineError, Result};
@@ -74,7 +79,8 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use urel::{Condition, UDatabase, URelation, Var};
+use std::sync::Arc;
+use urel::{Condition, UDatabase, URelation, Var, WTable};
 
 /// Minimum number of input rows before an operator is worth chunking.
 const SHARD_MIN_ROWS: usize = 128;
@@ -226,25 +232,67 @@ impl SlotState {
     }
 }
 
+/// What the slot executor does on reaching the sampling frontier — the
+/// first node that would draw randomness.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum AtFrontier {
+    /// Keep going to the end of the plan.
+    Continue,
+    /// Snapshot the slot and context state, then keep going.
+    Capture,
+    /// Return with the deterministic prefix done and the rest unrun.
+    Stop,
+}
+
 /// A resumable snapshot of a partially executed plan, captured at the
-/// sampling frontier by [`PhysicalPlan::execute_capturing`].
+/// sampling frontier by a capturing [`PhysicalPlan::resume`].
 ///
 /// Everything below the frontier is deterministic for a fixed database, so
-/// the serving layer evaluates a prepared query by cloning this snapshot and
-/// running only the sampling suffix — parse, validation, lowering, the
+/// the serving layer evaluates a prepared query by resuming this snapshot
+/// and running only the sampling suffix — parse, validation, lowering, the
 /// relational prefix, lineage extraction and W-table compilation are all
 /// skipped, leaving estimation as the steady-state cost.
+///
+/// A snapshot keeps the effects of its prefix (`PrefixEffects`), not the
+/// content the prefix read: relations stay with whoever owns the database,
+/// and the context a snapshot is resumed in must hold them together with
+/// the snapshot's W-table.
 #[derive(Clone)]
 pub struct ExecSnapshot {
     state: SlotState,
     /// Signature of the plan the snapshot was captured on; resuming on any
     /// other plan is rejected.
     plan_signature: u64,
-    /// Database state at the frontier (includes prefix repair-key variables).
-    database: UDatabase,
-    var_counter: usize,
-    stats: EvalStats,
-    spaces: SpaceCache,
+    effects: PrefixEffects,
+}
+
+/// What executing a deterministic prefix *added* to the evaluation context
+/// it ran in — everything a snapshot carries besides slot results.  The
+/// relation content the prefix only read is not part of it.
+#[derive(Clone, Default)]
+pub(crate) struct PrefixEffects {
+    /// The W-table after the prefix: the base variables plus the ones its
+    /// `repair-key` operators introduced.  `None` for the empty snapshot,
+    /// which starts from whatever table the context's database holds.
+    pub wtable: Option<Arc<WTable>>,
+    /// The repair-key variable counter after the prefix.
+    pub var_counter: usize,
+    /// The statistics the prefix accumulated.
+    pub stats: EvalStats,
+    /// The memoised W-table compilations of the prefix.
+    pub spaces: SpaceCache,
+}
+
+impl PrefixEffects {
+    /// A copy with a [forked](SpaceCache::fork) space cache: compiled spaces
+    /// stay shared, but states compiled after the split never leak between
+    /// the copies.
+    pub fn fork(&self) -> PrefixEffects {
+        PrefixEffects {
+            spaces: self.spaces.fork(),
+            ..self.clone()
+        }
+    }
 }
 
 impl ExecSnapshot {
@@ -254,9 +302,9 @@ impl ExecSnapshot {
         self.state.done.iter().all(|&d| d)
     }
 
-    /// The database state at the snapshot point.
-    pub fn database(&self) -> &UDatabase {
-        &self.database
+    /// What the snapshotted prefix added to its evaluation context.
+    pub(crate) fn effects(&self) -> &PrefixEffects {
+        &self.effects
     }
 
     /// Which nodes had executed when the snapshot was captured.
@@ -276,21 +324,6 @@ impl ExecSnapshot {
             .iter()
             .enumerate()
             .filter_map(|(id, slot)| slot.as_ref().map(|value| (id, value)))
-    }
-
-    /// The repair-key variable counter at the snapshot point.
-    pub fn var_counter(&self) -> usize {
-        self.var_counter
-    }
-
-    /// The statistics accumulated by the snapshotted prefix.
-    pub fn stats(&self) -> EvalStats {
-        self.stats
-    }
-
-    /// The memoised W-table compilations of the snapshotted prefix.
-    pub fn spaces(&self) -> &SpaceCache {
-        &self.spaces
     }
 }
 
@@ -449,9 +482,9 @@ impl PhysicalPlan {
     }
 
     /// For every node, whether it belongs to the *deterministic prefix*: the
-    /// set of nodes that have executed when
-    /// [`execute_capturing`](PhysicalPlan::execute_capturing) reaches the
-    /// sampling frontier and captures its snapshot.
+    /// set of nodes that have executed when a capturing
+    /// [`resume`](PhysicalPlan::resume) reaches the sampling frontier and
+    /// captures its snapshot.
     ///
     /// The set is a pure function of the plan: sampling nodes never belong;
     /// other stateful nodes belong iff their id precedes the frontier (they
@@ -476,7 +509,7 @@ impl PhysicalPlan {
     /// deterministic prefix, in execution (id) order.
     ///
     /// This sequence determines every context effect of the prefix — the
-    /// repair-key variables added to the database (and hence the variable
+    /// repair-key variables added to the W-table (and hence the variable
     /// counter), the statistics, and the compiled probability spaces — so
     /// two plans whose stateful prefix sequences have equal sub-plan content
     /// can share one captured prefix snapshot bit for bit.
@@ -487,30 +520,46 @@ impl PhysicalPlan {
             .collect()
     }
 
+    /// For every node, its pending-consumer count once exactly the nodes
+    /// marked in `done` have executed.  A done node's count is the number of
+    /// its consumer occurrences among the undone nodes (plus one for the
+    /// root: the query output is taken only at the end of the run) — a
+    /// positive count means a resume from that state still needs the node's
+    /// result; an undone node's consumers are all undone, so the same sum
+    /// yields its full consumer count.
+    pub(crate) fn pending_consumers(&self, done: &[bool]) -> Vec<usize> {
+        let mut remaining = vec![0usize; self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate() {
+            if !done[id] {
+                for &input in &node.inputs {
+                    remaining[input] += 1;
+                }
+            }
+        }
+        remaining[self.root] += 1;
+        remaining
+    }
+
     /// Rebuilds a resumable [`ExecSnapshot`] of this plan's deterministic
     /// prefix from content-addressed parts (the serving layer's cross-query
     /// snapshot pool stores them per sub-plan rather than per query).
     ///
     /// `done` marks the nodes to restore as already executed.  It must keep
-    /// every stateful prefix node done (the supplied context effects —
-    /// database, variable counter, statistics — are those of the full
-    /// stateful prefix) but may mark *pure* prefix nodes undone, in which
-    /// case resuming recomputes them from the restored database: this is how
-    /// the serving layer re-warms exactly the sub-plans an update
+    /// every stateful prefix node done (the supplied `effects` are those of
+    /// the full stateful prefix) but may mark *pure* prefix nodes undone, in
+    /// which case resuming recomputes them from the context's database: this
+    /// is how the serving layer re-warms exactly the sub-plans an update
     /// invalidated.  `slots[i]` must be `Some` for every done node `i` whose
     /// result an undone node (or the root of a complete prefix) still
     /// consumes; pending-consumer counts are recomputed from the plan
-    /// structure, so the resulting snapshot is exactly what
-    /// [`execute_capturing`](PhysicalPlan::execute_capturing) would have
-    /// captured given the same prefix effects.
-    pub fn assemble_snapshot(
+    /// structure, so the resulting snapshot is exactly what a capturing
+    /// [`resume`](PhysicalPlan::resume) would have captured given the same
+    /// prefix effects.
+    pub(crate) fn assemble_snapshot(
         &self,
         done: Vec<bool>,
         slots: Vec<Option<EvaluatedRelation>>,
-        database: UDatabase,
-        var_counter: usize,
-        stats: EvalStats,
-        spaces: SpaceCache,
+        effects: PrefixEffects,
     ) -> Result<ExecSnapshot> {
         if slots.len() != self.nodes.len() || done.len() != self.nodes.len() {
             return Err(EngineError::Invariant(format!(
@@ -536,20 +585,7 @@ impl PhysicalPlan {
                 )));
             }
         }
-        let mut remaining = vec![0usize; self.nodes.len()];
-        // A done node's pending-consumer count is the number of its consumer
-        // occurrences in the suffix (plus one for the root: the query output
-        // is taken only at the end of the run); an undone node's consumers
-        // are all undone, so the same sum yields its full consumer count.
-        for (id, node) in self.nodes.iter().enumerate() {
-            if done[id] {
-                continue;
-            }
-            for &input in &node.inputs {
-                remaining[input] += 1;
-            }
-        }
-        remaining[self.root] += 1;
+        let remaining = self.pending_consumers(&done);
         for id in 0..self.nodes.len() {
             let needed = done[id] && remaining[id] > 0;
             if needed && slots[id].is_none() {
@@ -570,10 +606,7 @@ impl PhysicalPlan {
                 done,
             },
             plan_signature: self.signature,
-            database,
-            var_counter,
-            stats,
-            spaces,
+            effects,
         })
     }
 
@@ -581,66 +614,49 @@ impl PhysicalPlan {
     /// bit-identical to [`execute_sequential`](PhysicalPlan::execute_sequential)
     /// for a fixed seed.
     pub fn execute(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
-        self.run(ctx, SlotState::fresh(self), false)
-            .map(|(result, _)| result)
+        let mut state = SlotState::fresh(self);
+        self.run(ctx, &mut state, AtFrontier::Continue)?;
+        Ok(self.take_root(state))
     }
 
-    /// Executes the pipeline and captures a resumable [`ExecSnapshot`] at the
-    /// sampling frontier (the whole plan, if it is deterministic).
-    pub fn execute_capturing(
-        &self,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<(EvaluatedRelation, ExecSnapshot)> {
-        let (result, snapshot) = self.run(ctx, SlotState::fresh(self), true)?;
-        Ok((
-            result,
-            snapshot.expect("capturing execution always produces a snapshot"),
-        ))
+    /// The snapshot of this plan with nothing executed and nothing added:
+    /// resuming it is a cold start.
+    pub fn empty_snapshot(&self) -> ExecSnapshot {
+        ExecSnapshot {
+            state: SlotState::fresh(self),
+            plan_signature: self.signature,
+            effects: PrefixEffects::default(),
+        }
     }
 
-    /// Resumes execution from a snapshot captured on this plan: restores the
-    /// slot, database and statistics state of the deterministic prefix and
-    /// runs only the remaining (sampling) suffix.
+    /// Runs the plan from `snapshot` — captured or assembled on this plan,
+    /// or its [`empty_snapshot`](PhysicalPlan::empty_snapshot) — to the end:
+    /// restores the snapshot's slot state and context effects and runs only
+    /// what is left.  `ctx.database` must be the database at the snapshot
+    /// point: the relations the prefix read, over the snapshot's W-table
+    /// (for the empty snapshot, the base table).
+    ///
+    /// With `capture` set, a snapshot is taken at the sampling frontier (of
+    /// the whole plan, if it is deterministic) and returned.  The serving
+    /// layer captures on cold starts and when the snapshot was assembled
+    /// with *demoted* pure nodes (their pooled results were invalidated by
+    /// an update, or never computed by the query that pooled the prefix):
+    /// the demoted nodes recompute during the resume, and the re-captured
+    /// snapshot carries their fresh results back to the pool.
     pub fn resume(
         &self,
         ctx: &mut ExecContext<'_>,
-        snapshot: &ExecSnapshot,
-    ) -> Result<EvaluatedRelation> {
-        self.resume_owned(ctx, snapshot.clone())
-    }
-
-    /// [`resume`](PhysicalPlan::resume) taking the snapshot by value: the
-    /// restored database and slot state are moved into the execution
-    /// context instead of cloned.  The serving layer assembles a fresh
-    /// throwaway snapshot per warm request, so this saves a full database +
-    /// slot copy on its hot path.
-    pub fn resume_owned(
-        &self,
-        ctx: &mut ExecContext<'_>,
         snapshot: ExecSnapshot,
-    ) -> Result<EvaluatedRelation> {
-        let state = self.restore(ctx, snapshot)?;
-        self.run(ctx, state, false).map(|(result, _)| result)
-    }
-
-    /// Like [`resume_owned`](PhysicalPlan::resume_owned), but re-captures a
-    /// snapshot at the sampling frontier.  Used by the serving layer when a
-    /// snapshot was assembled with *demoted* pure nodes (their pooled
-    /// results were invalidated by an update, or never computed by the
-    /// query that pooled the prefix): the demoted nodes recompute during
-    /// the resume, and the re-captured snapshot carries their fresh results
-    /// back to the pool.
-    pub fn resume_capturing(
-        &self,
-        ctx: &mut ExecContext<'_>,
-        snapshot: ExecSnapshot,
-    ) -> Result<(EvaluatedRelation, ExecSnapshot)> {
-        let state = self.restore(ctx, snapshot)?;
-        let (result, recaptured) = self.run(ctx, state, true)?;
-        Ok((
-            result,
-            recaptured.expect("capturing execution always produces a snapshot"),
-        ))
+        capture: bool,
+    ) -> Result<(EvaluatedRelation, Option<ExecSnapshot>)> {
+        let at_frontier = if capture {
+            AtFrontier::Capture
+        } else {
+            AtFrontier::Continue
+        };
+        let mut state = self.restore(ctx, snapshot)?;
+        let captured = self.run(ctx, &mut state, at_frontier)?;
+        Ok((self.take_root(state), captured))
     }
 
     /// Moves a snapshot's context effects into `ctx` and returns its slot
@@ -655,11 +671,25 @@ impl PhysicalPlan {
                     .into(),
             ));
         }
-        ctx.database = snapshot.database;
-        ctx.var_counter = snapshot.var_counter;
-        ctx.stats = snapshot.stats;
-        ctx.spaces = snapshot.spaces.fork();
+        let effects = snapshot.effects;
+        // The compiled-space cache is keyed by variable count, so a context
+        // over any other W-table must not see this snapshot's spaces.
+        let variables = ctx.database.wtable().num_variables();
+        if (effects.wtable.as_ref()).is_some_and(|w| w.num_variables() != variables) {
+            return Err(EngineError::Invariant(
+                "snapshot resumed over a database that does not hold its W-table".into(),
+            ));
+        }
+        ctx.var_counter = effects.var_counter;
+        ctx.stats = effects.stats;
+        ctx.spaces = effects.spaces.fork();
         Ok(snapshot.state)
+    }
+
+    fn take_root(&self, mut state: SlotState) -> EvaluatedRelation {
+        state.slots[self.root]
+            .take()
+            .expect("the root slot holds the query result")
     }
 
     /// The single-threaded, single-batch reference schedule: every node runs
@@ -677,9 +707,7 @@ impl PhysicalPlan {
             state.slots[id] = Some(self.nodes[id].operator.execute(inputs, &mut ctx)?);
             state.done[id] = true;
         }
-        Ok(state.slots[self.root]
-            .take()
-            .expect("the root slot holds the query result"))
+        Ok(self.take_root(state))
     }
 
     /// Collects (moves or clones) a node's inputs out of the slots.
@@ -736,14 +764,16 @@ impl PhysicalPlan {
     }
 
     /// The slot executor: pure waves to a fixpoint, then the next stateful
-    /// node in id order, until every node has run.  When `capture` is set,
-    /// the slot/context state is snapshotted at the sampling frontier.
+    /// node in id order, until every node has run — or, under
+    /// [`AtFrontier::Stop`], until the next node would draw randomness.
+    /// Under [`AtFrontier::Capture`] the slot/context state is snapshotted
+    /// at the sampling frontier and returned.
     fn run(
         &self,
         ctx: &mut ExecContext<'_>,
-        mut state: SlotState,
-        capture: bool,
-    ) -> Result<(EvaluatedRelation, Option<ExecSnapshot>)> {
+        state: &mut SlotState,
+        at_frontier: AtFrontier,
+    ) -> Result<Option<ExecSnapshot>> {
         let mut snapshot = None;
         // A phantom consumer per not-yet-done prefix node keeps every
         // deterministic intermediate result alive until the snapshot is
@@ -751,11 +781,11 @@ impl PhysicalPlan {
         // later query sharing only an *interior* sub-plan (a hot join under
         // a different projection) can still resume it.  `capture_snapshot`
         // subtracts the phantoms again, so resuming sees the true
-        // pending-consumer counts.  (Resume-with-capture starts from a
+        // pending-consumer counts.  (A capturing resume starts from a
         // partially done state: already-done nodes carry true counts and
         // must not be touched.)
         let mut phantom = vec![false; self.nodes.len()];
-        if capture {
+        if at_frontier == AtFrontier::Capture {
             for (i, in_prefix) in self.prefix_done_flags().into_iter().enumerate() {
                 if in_prefix && !state.done[i] {
                     state.remaining[i] += 1;
@@ -770,7 +800,7 @@ impl PhysicalPlan {
                     shards: ctx.config.shards,
                     spill_budget: ctx.config.spill_budget_bytes,
                 };
-                if !self.run_pure_wave(&mut state, &pctx)? {
+                if !self.run_pure_wave(state, &pctx)? {
                     break;
                 }
             }
@@ -786,24 +816,26 @@ impl PhysicalPlan {
                 self.nodes[id].inputs.iter().all(|&i| state.done[i]),
                 "stateful node #{id} scheduled before its inputs"
             );
-            if capture && snapshot.is_none() && self.nodes[id].operator.class() == OpClass::Sampling
-            {
-                snapshot = Some(self.capture_snapshot(&state, ctx, &phantom));
+            if self.nodes[id].operator.class() == OpClass::Sampling {
+                match at_frontier {
+                    AtFrontier::Stop => return Ok(None),
+                    AtFrontier::Capture if snapshot.is_none() => {
+                        snapshot = Some(self.capture_snapshot(state, ctx, &phantom));
+                    }
+                    _ => {}
+                }
             }
-            let inputs = self.gather_inputs(id, &mut state);
+            let inputs = self.gather_inputs(id, state);
             state.slots[id] = Some(self.nodes[id].operator.execute(inputs, ctx)?);
             state.done[id] = true;
         }
         debug_assert!(state.done.iter().all(|&d| d), "executor left nodes unrun");
-        if capture && snapshot.is_none() {
+        if at_frontier == AtFrontier::Capture && snapshot.is_none() {
             // Fully deterministic plan: the snapshot holds the final state,
             // including the root result.
-            snapshot = Some(self.capture_snapshot(&state, ctx, &phantom));
+            snapshot = Some(self.capture_snapshot(state, ctx, &phantom));
         }
-        let result = state.slots[self.root]
-            .take()
-            .expect("the root slot holds the query result");
-        Ok((result, snapshot))
+        Ok(snapshot)
     }
 
     fn capture_snapshot(
@@ -823,10 +855,8 @@ impl PhysicalPlan {
                 state.remaining[i] -= 1;
             }
         }
-        ExecSnapshot {
-            state,
-            plan_signature: self.signature,
-            database: ctx.database.clone(),
+        let effects = PrefixEffects {
+            wtable: Some(Arc::new(ctx.database.wtable().clone())),
             var_counter: ctx.var_counter,
             stats: ctx.stats,
             // The snapshot *shares* the capturing run's cache map (no fork):
@@ -837,6 +867,11 @@ impl PhysicalPlan {
             // forks (see `restore`), so per-request compilations never leak
             // back into the snapshot.
             spaces: ctx.spaces.clone(),
+        };
+        ExecSnapshot {
+            state,
+            plan_signature: self.signature,
+            effects,
         }
     }
 
@@ -856,8 +891,10 @@ impl PhysicalPlan {
     }
 
     /// Degraded evaluation for [`bounds_root`](PhysicalPlan::bounds_root)
-    /// plans: runs the deterministic prefix only and answers the root
-    /// `conf` with the exact interval bounds of
+    /// plans: runs the deterministic prefix only — whatever of it `snapshot`
+    /// (see [`resume`](PhysicalPlan::resume)) has not already done — by
+    /// stopping the slot executor at the sampling frontier, and answers the
+    /// root `conf` with the exact interval bounds of
     /// [`confidence::event_bounds_with_limit`] (first-order ∩ Bonferroni
     /// lower, Hunter–Worsley upper) over each output tuple's lineage,
     /// widened by the tuple's accumulated input error.  Consumes no
@@ -866,6 +903,7 @@ impl PhysicalPlan {
     pub fn execute_bounds(
         &self,
         ctx: &mut ExecContext<'_>,
+        snapshot: ExecSnapshot,
         pairwise_limit: usize,
     ) -> Result<Vec<(Tuple, EventBounds)>> {
         if !self.bounds_root() {
@@ -875,29 +913,8 @@ impl PhysicalPlan {
                     .into(),
             ));
         }
-        let mut state = SlotState::fresh(self);
-        loop {
-            loop {
-                let pctx = PureCtx {
-                    database: &ctx.database,
-                    shards: ctx.config.shards,
-                    spill_budget: ctx.config.spill_budget_bytes,
-                };
-                if !self.run_pure_wave(&mut state, &pctx)? {
-                    break;
-                }
-            }
-            let Some(id) = (0..self.nodes.len()).find(|&id| {
-                id != self.root
-                    && !state.done[id]
-                    && self.nodes[id].operator.class() != OpClass::Pure
-            }) else {
-                break;
-            };
-            let inputs = self.gather_inputs(id, &mut state);
-            state.slots[id] = Some(self.nodes[id].operator.execute(inputs, ctx)?);
-            state.done[id] = true;
-        }
+        let mut state = self.restore(ctx, snapshot)?;
+        self.run(ctx, &mut state, AtFrontier::Stop)?;
         let input_id = self.nodes[self.root].inputs[0];
         let input = state.slots[input_id]
             .as_ref()
@@ -2216,6 +2233,18 @@ mod tests {
         }
     }
 
+    /// A cold start that captures: resumes the plan's empty snapshot.
+    fn capture_cold(
+        plan: &PhysicalPlan,
+        ctx: &mut ExecContext<'_>,
+    ) -> (EvaluatedRelation, ExecSnapshot) {
+        let (result, snapshot) = plan.resume(ctx, plan.empty_snapshot(), true).unwrap();
+        (
+            result,
+            snapshot.expect("a capturing run returns its snapshot"),
+        )
+    }
+
     #[test]
     fn operator_classes_and_sampling_frontier() {
         let db = TupleIndependentDb::default().database();
@@ -2255,15 +2284,25 @@ mod tests {
         // Cold run with capture.
         let mut rng = ChaCha8Rng::seed_from_u64(40);
         let mut ctx = ctx_for(&db, config, &mut rng);
-        let (cold, snapshot) = plan.execute_capturing(&mut ctx).unwrap();
+        let (cold, snapshot) = capture_cold(&plan, &mut ctx);
         assert!(!snapshot.is_complete(), "σ̂ keeps the suffix live");
-        assert!(snapshot.database().wtable().num_variables() > 0);
+        // The snapshot holds the W-table repair-key left behind, and no
+        // relation content.
+        let wtable = snapshot.effects().wtable.clone().expect("captured");
+        assert!(wtable.num_variables() > 0);
+        assert_eq!(ctx.database.wtable(), wtable.as_ref());
         assert!(format!("{snapshot:?}").contains("nodes_done"));
 
         // Resume with a fresh RNG state S equals direct execution with S.
+        // The resumed context holds the base relations over the snapshot's
+        // W-table; over any other table the resume is rejected.
+        let at_snapshot = db.with_wtable((*wtable).clone());
         let mut warm_rng = ChaCha8Rng::seed_from_u64(41);
-        let mut warm_ctx = ctx_for(&db, config, &mut warm_rng);
-        let warm = plan.resume(&mut warm_ctx, &snapshot).unwrap();
+        let mut base_ctx = ctx_for(&db, config, &mut warm_rng);
+        assert!(plan.resume(&mut base_ctx, snapshot.clone(), false).is_err());
+        let mut warm_ctx = ctx_for(&at_snapshot, config, &mut warm_rng);
+        let (warm, recaptured) = plan.resume(&mut warm_ctx, snapshot.clone(), false).unwrap();
+        assert!(recaptured.is_none(), "capture was not asked for");
 
         let mut direct_rng = ChaCha8Rng::seed_from_u64(41);
         let mut direct_ctx = ctx_for(&db, config, &mut direct_rng);
@@ -2282,8 +2321,8 @@ mod tests {
         // A snapshot from another plan is rejected.
         let other = lowered("poss(T)", &TupleIndependentDb::default().database(), config);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut ctx = ctx_for(&db, config, &mut rng);
-        assert!(other.resume(&mut ctx, &snapshot).is_err());
+        let mut ctx = ctx_for(&at_snapshot, config, &mut rng);
+        assert!(other.resume(&mut ctx, snapshot.clone(), false).is_err());
 
         // …including one with the *same* node count but a different query,
         // and the same query lowered under a different configuration.
@@ -2294,16 +2333,18 @@ mod tests {
         );
         assert_eq!(same_shape.nodes().len(), plan.nodes().len());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut ctx = ctx_for(&db, config, &mut rng);
-        assert!(same_shape.resume(&mut ctx, &snapshot).is_err());
+        let mut ctx = ctx_for(&at_snapshot, config, &mut rng);
+        assert!(same_shape
+            .resume(&mut ctx, snapshot.clone(), false)
+            .is_err());
         let other_config = lowered(
             &SensorWorkload::alarm_query(0.7, 0.05, 0.05).to_string(),
             &db,
             config.with_pruning(!config.prune_approx_select),
         );
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut ctx = ctx_for(&db, config, &mut rng);
-        assert!(other_config.resume(&mut ctx, &snapshot).is_err());
+        let mut ctx = ctx_for(&at_snapshot, config, &mut rng);
+        assert!(other_config.resume(&mut ctx, snapshot, false).is_err());
     }
 
     #[test]
@@ -2324,7 +2365,7 @@ mod tests {
 
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let mut ctx = ctx_for(&db, config, &mut rng);
-        let (_, captured) = plan.execute_capturing(&mut ctx).unwrap();
+        let (_, captured) = capture_cold(&plan, &mut ctx);
 
         // The statically computed prefix equals the captured done set, and
         // every scan belongs to it.
@@ -2350,22 +2391,17 @@ mod tests {
             slots[id] = Some(value.clone());
         }
         let rebuilt = plan
-            .assemble_snapshot(
-                plan.prefix_done_flags(),
-                slots,
-                captured.database().clone(),
-                captured.var_counter(),
-                captured.stats(),
-                captured.spaces().fork(),
-            )
+            .assemble_snapshot(plan.prefix_done_flags(), slots, captured.effects().fork())
             .unwrap();
 
+        let wtable = captured.effects().wtable.clone().expect("captured");
+        let at_snapshot = db.with_wtable((*wtable).clone());
         let mut rng_a = ChaCha8Rng::seed_from_u64(23);
-        let mut ctx_a = ctx_for(&db, config, &mut rng_a);
-        let from_captured = plan.resume(&mut ctx_a, &captured).unwrap();
+        let mut ctx_a = ctx_for(&at_snapshot, config, &mut rng_a);
+        let (from_captured, _) = plan.resume(&mut ctx_a, captured.clone(), false).unwrap();
         let mut rng_b = ChaCha8Rng::seed_from_u64(23);
-        let mut ctx_b = ctx_for(&db, config, &mut rng_b);
-        let from_rebuilt = plan.resume(&mut ctx_b, &rebuilt).unwrap();
+        let mut ctx_b = ctx_for(&at_snapshot, config, &mut rng_b);
+        let (from_rebuilt, _) = plan.resume(&mut ctx_b, rebuilt, false).unwrap();
         assert_eq!(from_captured.relation, from_rebuilt.relation);
         assert_eq!(from_captured.errors, from_rebuilt.errors);
         assert_eq!(ctx_a.stats, ctx_b.stats);
@@ -2378,20 +2414,14 @@ mod tests {
             .assemble_snapshot(
                 plan.prefix_done_flags(),
                 vec![None; plan.nodes().len()],
-                captured.database().clone(),
-                captured.var_counter(),
-                captured.stats(),
-                captured.spaces().fork(),
+                captured.effects().fork(),
             )
             .is_err());
         assert!(plan
             .assemble_snapshot(
                 plan.prefix_done_flags(),
                 Vec::new(),
-                captured.database().clone(),
-                captured.var_counter(),
-                captured.stats(),
-                captured.spaces().fork(),
+                captured.effects().fork(),
             )
             .is_err());
         let mut bad_done = plan.prefix_done_flags();
@@ -2406,14 +2436,7 @@ mod tests {
             slots[id] = Some(value.clone());
         }
         assert!(plan
-            .assemble_snapshot(
-                bad_done,
-                slots,
-                captured.database().clone(),
-                captured.var_counter(),
-                captured.stats(),
-                captured.spaces().fork(),
-            )
+            .assemble_snapshot(bad_done, slots, captured.effects().fork(),)
             .is_err());
     }
 
@@ -2424,12 +2447,17 @@ mod tests {
         let plan = lowered("conf(project[A](T))", &db, config);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ctx = ctx_for(&db, config, &mut rng);
-        let (cold, snapshot) = plan.execute_capturing(&mut ctx).unwrap();
+        let (cold, snapshot) = capture_cold(&plan, &mut ctx);
         assert!(snapshot.is_complete());
+        // No repair-key ran: the post-prefix W-table is the base table.
+        assert!(ctx.database.wtable().num_variables() > 0);
+        let wtable = snapshot.effects().wtable.clone().expect("captured");
+        assert_eq!(wtable.as_ref(), db.wtable());
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let mut ctx = ctx_for(&db, config, &mut rng);
-        let warm = plan.resume(&mut ctx, &snapshot).unwrap();
+        let (warm, _) = plan.resume(&mut ctx, snapshot, false).unwrap();
         assert_eq!(cold.relation, warm.relation);
+        assert_eq!(ctx.database, db);
     }
 
     #[test]

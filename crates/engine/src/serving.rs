@@ -37,8 +37,10 @@
 //! (insert/delete row sets against a digest-pinned base) and
 //! [`ServingEngine::update_relations`] takes whole replacements and derives
 //! the net delta itself; both end in one commit routine.  A commit to
-//! relation `R` drops whole entries only when `R` feeds their stateful
-//! spine, updates the surviving prefixes' database copies, and patches the
+//! relation `R` writes the new content once — into the served database,
+//! the only copy there is: pool entries hold what their spine *added* (the
+//! W-table `repair-key` left behind), never relation content — drops
+//! whole entries only when `R` feeds their stateful spine, and patches the
 //! pooled sub-plan results whose footprint contains `R` **in place**
 //! through the incremental operator rules of [`crate::delta`], so the
 //! re-warm cost is proportional to the delta rather than to the sub-plans
@@ -48,9 +50,14 @@
 //! stays at warm-path cost.  [`ServingEngine::set_database`] remains the
 //! full-swap path that drops everything (required for schema changes).
 //!
-//! Warm results are bit-identical to what a cold evaluation with the same
-//! RNG state would produce: the snapshot restores slots, database, variable
-//! counter and statistics exactly as the sequential schedule would have left
+//! Warm and cold requests are one path: both read the served relations,
+//! the content epoch and their spine's pool entry as one consistent cut and
+//! [resume](PhysicalPlan::resume) a snapshot over them — the pooled prefix,
+//! or the plan's empty snapshot on a cold start.  Warm results are
+//! bit-identical to what a cold evaluation with the same RNG state would
+//! produce: the request's database is composed from the served relations
+//! and the entry's W-table, the snapshot restores slots, variable counter
+//! and statistics, all exactly as the sequential schedule would have left
 //! them at the sampling frontier, and sampling operators derive all
 //! randomness from the caller's RNG as usual.  Sub-plan sharing preserves
 //! this because entries are only shared between prefixes with identical
@@ -106,8 +113,10 @@
 //! [`ServingEngine::checkpoint`] persists the served state as a directory of
 //! digest-verified segment files (see `engine::storage` for the framing):
 //! the W-table, the relation catalog, one segment per relation, and one
-//! *warm* segment per poolable deterministic-prefix snapshot, all recorded —
-//! length and digest pair — in a `MANIFEST` segment written last.
+//! *warm* segment per poolable deterministic-prefix snapshot (its introduced
+//! variables, counters and sub-plan results — relation content is written
+//! once, in the relation segments), all recorded — length and digest pair —
+//! in a `MANIFEST` segment written last.
 //! [`ServingEngine::restore`] rebuilds a server from such a directory and
 //! re-seeds the snapshot pool from the warm segments, so the restarted
 //! process answers its first requests at warm cost without re-preparing.
@@ -140,7 +149,9 @@ use crate::adaptive_query::catalog_of;
 use crate::delta::DeltaInput;
 use crate::error::{EngineError, Result};
 use crate::exec::{ConfidenceMode, EvalConfig, EvalOutput, EvalStats, EvaluatedRelation};
-use crate::physical::{ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalPlan};
+use crate::physical::{
+    ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalPlan, PrefixEffects,
+};
 use crate::space::SpaceCache;
 use crate::sync::{HeldRank, LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use algebra::{Catalog, LogicalPlan, PlanCache, SubplanDigest};
@@ -153,16 +164,18 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urel::{RelationDelta, UDatabase, URelation, URow};
+use urel::{RelationDelta, UDatabase, URelation, URow, WTable};
 
 /// Upper bound on prepared queries a server retains (each holds a lowered
 /// physical plan and a prefix profile; prefix state lives in the pool).
 const PREPARED_CAP: usize = 1024;
 
-/// Upper bound on pooled prefix entries; each holds a database clone plus
-/// the live sub-plan results of one stateful spine.  Reaching it clears the
-/// pool — steady-state serving re-warms the hot entries on the next
-/// requests.
+/// Upper bound on pooled prefix entries; each holds the post-spine W-table
+/// plus the live sub-plan results of one stateful spine.  Reaching it clears
+/// the pool — steady-state serving re-warms the hot entries on the next
+/// requests.  (Not one entry at a time: on a stream of never-repeated
+/// queries every cold request would then free one pooled prefix, which
+/// moves the median latency of `uabench`'s `cold_adhoc` past its bound.)
 const POOL_CAP: usize = 256;
 
 /// Counters describing how the serving caches are performing.
@@ -256,24 +269,25 @@ pub struct ServingStats {
 struct PrefixProfile {
     /// Pool key: hash of the lowering configuration plus the ordered
     /// sub-plan digests of the stateful spine.  Equal keys imply equal
-    /// context effects (database variables, counter, statistics, compiled
+    /// context effects (introduced variables, counter, statistics, compiled
     /// spaces) for prefixes executed over the same database.
     fingerprint: (u64, u64),
+    /// [`config_digest`] of the lowering configuration; pool entries record
+    /// it so a checkpoint can tell base-configuration entries apart.
+    config_digest: u64,
     /// Per-node content digests ([`LogicalPlan::subplan_digests`]).
     digests: Vec<SubplanDigest>,
     /// Per-node relation footprints ([`LogicalPlan::subplan_footprints`]).
     footprints: Vec<Arc<BTreeSet<String>>>,
     /// The deterministic prefix ([`PhysicalPlan::prefix_done_flags`]).
     done: Vec<bool>,
-    /// Operator classes, parallel to the nodes.
-    classes: Vec<OpClass>,
     /// Union footprint of the stateful spine: an update touching it makes
     /// the pooled effects stale, so the whole entry must go.
     stateful_footprint: BTreeSet<String>,
 }
 
 impl PrefixProfile {
-    fn new(plan: &LogicalPlan, physical: &PhysicalPlan, config: &EvalConfig) -> PrefixProfile {
+    fn new(plan: &LogicalPlan, physical: &PhysicalPlan, config_digest: u64) -> PrefixProfile {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let digests = plan.subplan_digests();
@@ -283,17 +297,12 @@ impl PrefixProfile {
             .map(Arc::new)
             .collect();
         let done = physical.prefix_done_flags();
-        let classes: Vec<OpClass> = physical
-            .nodes()
-            .iter()
-            .map(|n| n.operator.class())
-            .collect();
         let spine = physical.stateful_prefix();
         let mut h1 = DefaultHasher::new();
         let mut h2 = DefaultHasher::new();
         0x9E37_79B9_7F4A_7C15_u64.hash(&mut h2);
-        format!("{config:?}").hash(&mut h1);
-        format!("{config:?}").hash(&mut h2);
+        config_digest.hash(&mut h1);
+        config_digest.hash(&mut h2);
         let mut stateful_footprint = BTreeSet::new();
         for &id in &spine {
             digests[id].hash(&mut h1);
@@ -302,10 +311,10 @@ impl PrefixProfile {
         }
         PrefixProfile {
             fingerprint: (h1.finish(), h2.finish()),
+            config_digest,
             digests,
             footprints,
             done,
-            classes,
             stateful_footprint,
         }
     }
@@ -330,39 +339,13 @@ struct PooledSlot {
     footprint: Arc<BTreeSet<String>>,
 }
 
-/// One relation-content change as the commit routine consumes it: the final
-/// new content, plus the net row delta when it is small enough to patch
-/// pooled results in place (`None` demotes every intersecting slot for
-/// recomputation on the next warm resume).
+/// One committed relation-content change as the pool maintenance consumes
+/// it: the relation's name, plus the net row delta when it is small enough
+/// to patch pooled results in place (`None` demotes every intersecting slot
+/// for recomputation on the next warm resume).
 struct DeltaUpdate {
     name: String,
-    new: URelation,
     patch: Option<RelationDelta>,
-}
-
-impl DeltaUpdate {
-    /// The net change turning the stored content `old` of relation `name`
-    /// into `new`, or `None` when nothing changes.  `delta` is the net row
-    /// edit when the caller already holds it (a single validated
-    /// [`RelationDelta`]); otherwise it is derived by one merge walk over
-    /// the two row sets ([`URelation::diff`]).  The observed delta size
-    /// decides patch-vs-demote ([`patch_worthwhile`]).
-    fn net(
-        name: String,
-        old: &URelation,
-        new: URelation,
-        delta: Option<RelationDelta>,
-    ) -> Option<DeltaUpdate> {
-        let delta = match delta {
-            Some(delta) => delta,
-            None => old.diff(&new).expect("replacement schema validated"),
-        };
-        if delta.is_empty() {
-            return None;
-        }
-        let patch = patch_worthwhile(delta.magnitude(), old.len()).then_some(delta);
-        Some(DeltaUpdate { name, new, patch })
-    }
 }
 
 /// Whether patching pooled sub-plan results in place is worthwhile for a
@@ -383,18 +366,30 @@ struct ResolvedPrefix {
     shared: bool,
 }
 
+/// What a request starts from ([`ServingEngine::start`]): its private
+/// database (the served relations over the resolved prefix's W-table — the
+/// base table on a cold start), the content epoch it was read at, and the
+/// pooled prefix of the query's spine when one resolved (`None` is a cold
+/// start).
+struct Start {
+    database: UDatabase,
+    epoch: u64,
+    resolved: Option<ResolvedPrefix>,
+}
+
 /// The shared prefix of every prepared query with one stateful spine: the
-/// context effects of executing that spine, plus the content-addressed live
-/// results of the prefix sub-plans (of *all* queries that share the spine).
+/// context effects of executing that spine — what it *added* to the
+/// database it ran over, never that database's content — plus the
+/// content-addressed live results of the prefix sub-plans (of *all* queries
+/// that share the spine).
 struct PoolEntry {
     /// Normalized key of the query whose cold execution created the entry;
     /// used to tell genuine cross-query sharing apart from a query finding
     /// its own pooled prefix again (e.g. after prepared-cache eviction).
     creator: Arc<str>,
-    database: UDatabase,
-    var_counter: usize,
-    stats: EvalStats,
-    spaces: SpaceCache,
+    /// [`config_digest`] of the configuration the entry was pooled under.
+    config_digest: u64,
+    effects: PrefixEffects,
     slots: HashMap<SubplanDigest, PooledSlot>,
     stateful_footprint: BTreeSet<String>,
 }
@@ -402,15 +397,12 @@ struct PoolEntry {
 impl Clone for PoolEntry {
     /// The copy-on-write clone `Arc::make_mut` runs when a mutation hits an
     /// entry a concurrent reader still holds.  Slot values are `Arc`-shared
-    /// (shallow); the space cache is *forked* — compiled spaces stay shared,
-    /// but states compiled after the split never leak between the copies.
+    /// (shallow); the effects are [forked](PrefixEffects::fork).
     fn clone(&self) -> PoolEntry {
         PoolEntry {
             creator: self.creator.clone(),
-            database: self.database.clone(),
-            var_counter: self.var_counter,
-            stats: self.stats,
-            spaces: self.spaces.fork(),
+            config_digest: self.config_digest,
+            effects: self.effects.fork(),
             slots: self.slots.clone(),
             stateful_footprint: self.stateful_footprint.clone(),
         }
@@ -436,27 +428,27 @@ impl SnapshotPool {
     /// The `Arc`-held entry for a prefix fingerprint, if pooled.  Callers
     /// clone the `Arc` under the pool's read lock and resolve against it
     /// with [`resolve_prefix`] *after* dropping the lock — snapshot assembly
-    /// (a database clone plus slot clones) never blocks the pool.
+    /// (slot clones) never blocks the pool.
     fn entry(&self, fingerprint: &(u64, u64)) -> Option<Arc<PoolEntry>> {
         self.entries.get(fingerprint).cloned()
     }
 }
 
-/// Attempts to rebuild a resumable snapshot for `profile` from one pool
-/// entry.
+/// Attempts to rebuild a resumable snapshot for a prepared query from one
+/// pool entry.
 ///
 /// Pure prefix nodes whose pooled result is missing (never computed for
 /// this entry, or dropped by an update) are demoted to *undone* and will
-/// be recomputed from the entry's (patched) database during the resume —
-/// their inputs become needed in turn, to a fixpoint.  A missing
+/// be recomputed from the served database during the resume — their
+/// inputs become needed in turn, to a fixpoint.  A missing
 /// *stateful* result cannot be recomputed without re-running the spine,
 /// so it turns the lookup into a miss.
 fn resolve_prefix(
     entry: &PoolEntry,
-    profile: &PrefixProfile,
-    physical: &PhysicalPlan,
+    prepared: &PreparedQuery,
     requester: &Arc<str>,
 ) -> Result<Option<ResolvedPrefix>> {
+    let (profile, physical) = (&prepared.profile, &prepared.physical);
     let n = profile.digests.len();
     let available: Vec<bool> = (0..n)
         .map(|i| entry.slots.contains_key(&profile.digests[i]))
@@ -464,20 +456,20 @@ fn resolve_prefix(
     let mut done = profile.done.clone();
     let mut demoted = 0u64;
     loop {
-        let needed = needed_flags(physical, &done);
-        let Some(missing) = (0..n).find(|&i| done[i] && needed[i] && !available[i]) else {
+        let pending = physical.pending_consumers(&done);
+        let Some(missing) = (0..n).find(|&i| done[i] && pending[i] > 0 && !available[i]) else {
             break;
         };
-        if profile.classes[missing] != OpClass::Pure {
+        if physical.nodes()[missing].operator.class() != OpClass::Pure {
             return Ok(None);
         }
         done[missing] = false;
         demoted += 1;
     }
-    let needed = needed_flags(physical, &done);
+    let pending = physical.pending_consumers(&done);
     let mut slots: Vec<Option<EvaluatedRelation>> = (0..n).map(|_| None).collect();
     for i in 0..n {
-        if done[i] && needed[i] {
+        if done[i] && pending[i] > 0 {
             let slot = entry
                 .slots
                 .get(&profile.digests[i])
@@ -485,14 +477,7 @@ fn resolve_prefix(
             slots[i] = Some(slot.value.as_ref().clone());
         }
     }
-    let snapshot = physical.assemble_snapshot(
-        done,
-        slots,
-        entry.database.clone(),
-        entry.var_counter,
-        entry.stats,
-        entry.spaces.fork(),
-    )?;
+    let snapshot = physical.assemble_snapshot(done, slots, entry.effects.fork())?;
     Ok(Some(ResolvedPrefix {
         snapshot,
         demoted,
@@ -512,10 +497,8 @@ impl SnapshotPool {
         let entry = self.entries.entry(profile.fingerprint).or_insert_with(|| {
             Arc::new(PoolEntry {
                 creator: creator.clone(),
-                database: snapshot.database().clone(),
-                var_counter: snapshot.var_counter(),
-                stats: snapshot.stats(),
-                spaces: snapshot.spaces().fork(),
+                config_digest: profile.config_digest,
+                effects: snapshot.effects().fork(),
                 slots: HashMap::new(),
                 stateful_footprint: profile.stateful_footprint.clone(),
             })
@@ -537,7 +520,7 @@ impl SnapshotPool {
 
     /// Applies committed relation-content changes: entries whose stateful
     /// spine scans a changed relation drop (their context effects are
-    /// stale); surviving entries get their database copy updated, and their
+    /// stale); in surviving entries the
     /// footprint-intersecting sub-plan results are *patched in place* by
     /// the incremental operator rules of [`crate::delta`] wherever an
     /// update carries a row delta and a rule applies, and demoted (dropped,
@@ -558,14 +541,6 @@ impl SnapshotPool {
                 return false;
             }
             let entry = Arc::make_mut(entry);
-            // Patch the entry's database copy first: demoted sub-plans
-            // recompute from it, and resumed suffixes scan it.
-            for u in updates {
-                let complete = entry.database.is_complete(&u.name);
-                entry
-                    .database
-                    .set_relation(u.name.clone(), u.new.clone(), complete);
-            }
             let (patched, demoted) = patch_entry_slots(entry, fingerprint, changed, updates, plans);
             slots_patched += patched;
             slots_demoted += demoted;
@@ -584,44 +559,6 @@ enum SlotOutcome {
     /// No incremental rule applied; the slot was dropped and the next warm
     /// resume recomputes it (and, transitively, anything consuming it).
     Demoted,
-}
-
-/// The canonical row edit turning `old` into `new`: one merge walk over the
-/// two sorted row sets, with no content hashing — the hot inner step of
-/// delta propagation, run once per patched sub-plan.
-fn row_diff(old: &URelation, new: &URelation) -> (BTreeSet<URow>, BTreeSet<URow>) {
-    let mut inserted = BTreeSet::new();
-    let mut deleted = BTreeSet::new();
-    let mut old_rows = old.iter().peekable();
-    let mut new_rows = new.iter().peekable();
-    loop {
-        match (old_rows.peek(), new_rows.peek()) {
-            (Some(o), Some(n)) => match o.cmp(n) {
-                std::cmp::Ordering::Less => {
-                    deleted.insert((*o).clone());
-                    old_rows.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    inserted.insert((*n).clone());
-                    new_rows.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    old_rows.next();
-                    new_rows.next();
-                }
-            },
-            (Some(_), None) => {
-                deleted.extend(old_rows.cloned());
-                break;
-            }
-            (None, Some(_)) => {
-                inserted.extend(new_rows.cloned());
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    (inserted, deleted)
 }
 
 /// Patches (or demotes) every footprint-intersecting sub-plan result of one
@@ -738,26 +675,8 @@ fn try_patch_slot(
     }
     let old = &slot.value.relation;
     let new = node.operator.execute_delta(old, &inputs).ok()??;
-    let (inserted, deleted) = row_diff(old, &new);
+    let (inserted, deleted) = old.row_edits(&new);
     Some((new, inserted, deleted))
-}
-
-/// For every node: whether some undone node consumes it (or it is the done
-/// root, whose value the end of the run still takes).
-fn needed_flags(physical: &PhysicalPlan, done: &[bool]) -> Vec<bool> {
-    let mut needed = vec![false; done.len()];
-    for (id, node) in physical.nodes().iter().enumerate() {
-        if done[id] {
-            continue;
-        }
-        for &input in &node.inputs {
-            needed[input] = true;
-        }
-    }
-    if done[physical.root()] {
-        needed[physical.root()] = true;
-    }
-    needed
 }
 
 /// Admission limits of a [`ServingEngine`]: how many requests may execute
@@ -1298,14 +1217,8 @@ impl ServingEngine {
         for (name, rel) in &finals {
             state.database.check_replacement(name, rel)?;
         }
-        let updates: Vec<DeltaUpdate> = finals
-            .into_iter()
-            .filter_map(|(name, new)| {
-                let old = state.database.relation(&name).expect("validated above");
-                DeltaUpdate::net(name, old, new, None)
-            })
-            .collect();
-        self.commit(&mut state, updates, &self.counters.subplans_invalidated);
+        let finals = finals.into_iter().map(|(name, new)| (name, new, None));
+        self.commit(&mut state, finals, &self.counters.subplans_invalidated);
         Ok(())
     }
 
@@ -1321,8 +1234,9 @@ impl ServingEngine {
     /// The commit — shared with `update_relations` — then maintains the
     /// pool at *row* granularity: entries whose stateful spine scans a
     /// changed relation drop (their repair-key variables or statistics
-    /// would be stale), every surviving entry's database copy takes the new
-    /// content, and in those entries every footprint-intersecting pure
+    /// would be stale), and in the surviving entries — which hold no
+    /// relation content of their own, so the commit writes the new content
+    /// exactly once — every footprint-intersecting pure
     /// sub-plan result is patched in place by the incremental operator
     /// rules of [`crate::delta`] — selections, projections, unions and
     /// renames map the row edits pointwise, joins re-derive only the
@@ -1368,45 +1282,57 @@ impl ServingEngine {
                 }
             }
         }
-        let updates: Vec<DeltaUpdate> = finals
+        let finals = finals
             .into_iter()
-            .filter_map(|(name, (new, single))| {
-                let old = state.database.relation(&name).expect("validated above");
-                DeltaUpdate::net(name, old, new, single)
-            })
-            .collect();
-        self.commit(&mut state, updates, &self.counters.subplans_demoted);
+            .map(|(name, (new, single))| (name, new, single));
+        self.commit(&mut state, finals, &self.counters.subplans_demoted);
         Ok(())
     }
 
     /// The one commit path of every content change, called with the state
-    /// write lock held and the batch validated and reduced to its net
-    /// per-relation changes: bumps the content epoch, applies the new
-    /// contents, maintains the pool ([`SnapshotPool::patch`]) and counts.
-    /// Demoted slots are charged to `demoted_counter`, which is the only
-    /// thing that differs between the two public entry points.
+    /// write lock held and the batch validated and reduced to one final
+    /// content per relation.  Each comes with its net row edit when the
+    /// caller already holds it (a single validated [`RelationDelta`]);
+    /// otherwise the edit is derived by one merge walk over the stored and
+    /// the new rows ([`URelation::diff`]).  Relations whose edit is empty
+    /// are skipped; the others are written — once, into the served database,
+    /// the only copy of relation content — and the observed edit size decides
+    /// patch-vs-demote ([`patch_worthwhile`]).  Then the commit bumps the
+    /// content epoch, maintains the pool ([`SnapshotPool::patch`]) and
+    /// counts.  Demoted slots are charged to `demoted_counter`, which is the
+    /// only thing that differs between the two public entry points.
     fn commit(
         &self,
         state: &mut CatalogState,
-        updates: Vec<DeltaUpdate>,
+        finals: impl IntoIterator<Item = (String, URelation, Option<RelationDelta>)>,
         demoted_counter: &AtomicU64,
     ) {
+        let mut updates = Vec::new();
+        for (name, new, delta) in finals {
+            let old = state.database.relation(&name).expect("validated by caller");
+            let delta = match delta {
+                Some(delta) => delta,
+                None => old.diff(&new).expect("replacement schema validated"),
+            };
+            if delta.is_empty() {
+                continue;
+            }
+            let patch = patch_worthwhile(delta.magnitude(), old.len()).then_some(delta);
+            // The batch was fully validated by the caller; apply without
+            // re-running the catalog checks, preserving the completeness
+            // declaration.
+            let complete = state.database.is_complete(&name);
+            state.database.set_relation(name.clone(), new, complete);
+            updates.push(DeltaUpdate { name, patch });
+        }
         if updates.is_empty() {
             return;
         }
         // Bump the content epoch before the pool maintenance below: a
         // session that cloned the pre-commit database can no longer absorb
-        // its snapshot once this commit is visible.
+        // its snapshot once this commit is visible.  (Readers see content
+        // and epoch together, under the state lock this commit holds.)
         self.db_epoch.fetch_add(1, Ordering::Release);
-        for u in &updates {
-            // The batch was fully validated by the caller; apply without
-            // re-running the catalog checks, preserving the completeness
-            // declaration.
-            let complete = state.database.is_complete(&u.name);
-            state
-                .database
-                .set_relation(u.name.clone(), u.new.clone(), complete);
-        }
         let plans: Vec<(Arc<PhysicalPlan>, Arc<PrefixProfile>)> = self
             .prepared
             .read()
@@ -1436,6 +1362,10 @@ impl ServingEngine {
 
     /// Evaluates a [`Request`] (query text plus optional per-request ε/δ and
     /// deadline budgets).
+    ///
+    /// Warm and cold requests run the same path and differ only in the
+    /// snapshot they start from: the pooled prefix
+    /// of the query's stateful spine, or the plan's empty snapshot.
     pub fn evaluate_request<R: Rng + ?Sized>(
         &self,
         request: &Request<'_>,
@@ -1453,44 +1383,36 @@ impl ServingEngine {
         let (key, prepared) = self.prepare(request.text, config)?;
         crate::faults::fire("admission", deadline)?;
         let first_evaluation = prepared.evaluations.fetch_add(1, Ordering::Relaxed) == 0;
-        let physical = prepared.physical.clone();
-        let profile = prepared.profile.clone();
+        let profile = &prepared.profile;
 
         // Fair admission.  Classify warm/cold by peeking the pool (presence
-        // of the prefix entry); a cold request waits on the cold gate
-        // *before* taking an admission slot, so a cold burst cannot occupy
-        // the slots warm traffic needs.  The classification is best-effort
-        // — authoritative resolution happens after admission.
-        let looks_warm = self.pool.read().entry(&profile.fingerprint).is_some();
-        let queue_wait = self.limits.max_queue_wait;
-        let mut _cold_permit = if looks_warm {
-            None
-        } else {
-            Some(
-                self.cold_admission
-                    .acquire(deadline, queue_wait, "cold admission")?,
-            )
-        };
-        let mut _permit = self.admission.acquire(deadline, queue_wait, "admission")?;
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err(EngineError::DeadlineExceeded {
-                    stage: "pre-execution",
-                });
+        // of the prefix entry).  The classification is best-effort —
+        // authoritative resolution happens after admission.
+        let mut cold_admitted = self.pool.read().entry(&profile.fingerprint).is_none();
+        let mut _permits = self.admit(cold_admitted, deadline)?;
+        let start = loop {
+            let start = self.start(&prepared, &key)?;
+            if start.resolved.is_some() || cold_admitted {
+                break start;
             }
-        }
+            // A warm-classified request lands here when the pool entry
+            // vanished (or resolved as a miss) between the admission peek
+            // and resolution — typically right after an invalidation
+            // dropped a hot prefix.  It is a cold request now: route it
+            // through the cold gate so the resulting stampede stays bounded
+            // by `max_cold_in_flight`.  The admission slot is released
+            // first — permits are ordered cold-before-admission everywhere,
+            // and waiting on the cold gate while holding an admission slot
+            // could deadlock the two gates against each other — and so is
+            // the start, which is read again once the request is through.
+            drop((start, _permits));
+            cold_admitted = true;
+            _permits = self.admit(true, deadline)?;
+        };
 
-        let mut rng_ref: &mut R = rng;
-        let dyn_rng: &mut dyn RngCore = &mut rng_ref;
-        // The epoch is read *before* the entry lookup: the pool entry then
-        // reflects this epoch or a later one, so if the guarded absorb below
-        // sees the same epoch, no commit invalidated the pool in between.
-        let epoch = self.db_epoch.load(Ordering::Acquire);
-        // Resolve against an Arc clone of the entry: the pool lock is held
-        // only for the lookup, never across snapshot assembly or execution.
-        let entry = self.pool.read().entry(&profile.fingerprint);
-        if let Some(entry) = entry {
-            if let Some(resolved) = resolve_prefix(&entry, &profile, &physical, &key)? {
+        let warm = start.resolved.is_some();
+        let (snapshot, capture) = match start.resolved {
+            Some(resolved) => {
                 self.counters
                     .warm_evaluations
                     .fetch_add(1, Ordering::Relaxed);
@@ -1502,121 +1424,123 @@ impl ServingEngine {
                 self.counters
                     .subplans_recomputed
                     .fetch_add(resolved.demoted, Ordering::Relaxed);
-                let mut ctx = ExecContext {
-                    config,
-                    // The snapshot restores its own database; seeding the
-                    // context with an empty one avoids a wasted full clone.
-                    database: UDatabase::new(),
-                    stats: EvalStats::default(),
-                    var_counter: 0,
-                    rng: dyn_rng,
-                    spaces: SpaceCache::new(),
-                    deadline,
-                    sampler: config.shared_sampling.then(|| Arc::clone(&self.sampler)),
-                };
-                // Quarantine region: a panicking resume (an operator bug, or
-                // an injected fault) drops only this run's pool entry — the
-                // engine stays serviceable and the next request of this
-                // prefix re-warms it.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    if resolved.demoted > 0 {
-                        // Some pure sub-plans recompute during this resume;
-                        // capture at the frontier again and pool their fresh
-                        // results, so the next request (of any query sharing
-                        // them) finds the prefix fully warm.
-                        let (result, recaptured) =
-                            physical.resume_capturing(&mut ctx, resolved.snapshot)?;
-                        self.absorb_if_current(epoch, &profile, &recaptured, &key);
-                        Ok(result)
-                    } else {
-                        physical.resume_owned(&mut ctx, resolved.snapshot)
-                    }
-                }));
-                let result = match run {
-                    Ok(result) => result?,
-                    Err(_) => {
-                        self.quarantine(&profile.fingerprint);
-                        return Err(EngineError::Panicked { stage: "warm-eval" });
-                    }
-                };
-                self.absorb_estimation_stats(&ctx.stats);
-                return Ok(EvalOutput {
-                    result,
-                    database: ctx.database,
-                    stats: ctx.stats,
-                });
+                // With demoted sub-plans, some pure nodes recompute during
+                // this resume; capture at the frontier again and pool their
+                // fresh results, so the next request (of any query sharing
+                // them) finds the prefix fully warm.
+                (resolved.snapshot, resolved.demoted > 0)
             }
-        }
-
-        // A warm-classified request lands here when the pool entry vanished
-        // (or resolved as a miss) between the admission peek and resolution
-        // — typically right after an invalidation dropped a hot prefix.  It
-        // is a cold request now: route it through the cold gate so the
-        // resulting stampede stays bounded by `max_cold_in_flight`.  The
-        // admission slot is released first — permits are ordered
-        // cold-before-admission everywhere, and waiting on the cold gate
-        // while holding an admission slot could deadlock the two gates
-        // against each other.
-        if _cold_permit.is_none() {
-            drop(_permit);
-            _cold_permit = Some(self.cold_admission.acquire(
-                deadline,
-                queue_wait,
-                "cold admission",
-            )?);
-            _permit = self.admission.acquire(deadline, queue_wait, "admission")?;
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(EngineError::DeadlineExceeded {
-                        stage: "pre-execution",
-                    });
-                }
+            None => {
+                self.counters
+                    .cold_evaluations
+                    .fetch_add(1, Ordering::Relaxed);
+                (prepared.physical.empty_snapshot(), true)
             }
-        }
-        self.counters
-            .cold_evaluations
-            .fetch_add(1, Ordering::Relaxed);
-        // Clone the database and read the epoch under one state read lock:
-        // commits hold the write lock, so the pair is consistent.
-        let (database, epoch) = {
-            let state = self.state.read();
-            (
-                state.database.clone(),
-                self.db_epoch.load(Ordering::Acquire),
-            )
         };
-        let mut ctx = ExecContext {
-            config,
-            database,
-            stats: EvalStats::default(),
-            var_counter: 0,
-            rng: dyn_rng,
-            spaces: SpaceCache::new(),
-            deadline,
-            sampler: config.shared_sampling.then(|| Arc::clone(&self.sampler)),
-        };
-        // Quarantine region (see the warm path above).  The failpoint fires
-        // *inside* it: an injected cold-eval panic must be caught here, and
-        // it runs before the execution draws any caller randomness, so a
-        // retried request still evaluates bit-identically to cold.
+        let mut rng_ref: &mut R = rng;
+        let mut ctx = self.context(config, start.database, &mut rng_ref, deadline);
+        // Quarantine region: a panicking run (an operator bug, or an
+        // injected fault) drops only this run's pool entry — the engine
+        // stays serviceable and the next request of this prefix re-warms
+        // it.  The cold failpoint fires *inside* it: an injected cold-eval
+        // panic must be caught here, and it runs before the execution draws
+        // any caller randomness, so a retried request still evaluates
+        // bit-identically to cold.
         let run = catch_unwind(AssertUnwindSafe(|| {
-            crate::faults::fire("cold-eval", deadline)?;
-            physical.execute_capturing(&mut ctx)
+            if !warm {
+                crate::faults::fire("cold-eval", deadline)?;
+            }
+            prepared.physical.resume(&mut ctx, snapshot, capture)
         }));
-        let (result, snapshot) = match run {
+        let (result, captured) = match run {
             Ok(output) => output?,
             Err(_) => {
                 self.quarantine(&profile.fingerprint);
-                return Err(EngineError::Panicked { stage: "cold-eval" });
+                let stage = if warm { "warm-eval" } else { "cold-eval" };
+                return Err(EngineError::Panicked { stage });
             }
         };
-        self.absorb_if_current(epoch, &profile, &snapshot, &key);
+        if let Some(captured) = captured {
+            self.absorb_if_current(start.epoch, profile, &captured, &key);
+        }
         self.absorb_estimation_stats(&ctx.stats);
         Ok(EvalOutput {
             result,
             database: ctx.database,
             stats: ctx.stats,
         })
+    }
+
+    /// Fair admission: a cold request waits on the cold gate *before*
+    /// taking an admission slot, so a cold burst cannot occupy the slots
+    /// warm traffic needs.  Fails with the stage-tagged deadline or overload
+    /// error of whichever gate (or the final pre-execution check) gave up.
+    fn admit(
+        &self,
+        cold: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(GatePermit<'_>, Option<GatePermit<'_>>)> {
+        let queue_wait = self.limits.max_queue_wait;
+        let cold_gate = cold.then_some(&self.cold_admission);
+        let cold_permit = cold_gate
+            .map(|gate| gate.acquire(deadline, queue_wait, "cold admission"))
+            .transpose()?;
+        let permit = self.admission.acquire(deadline, queue_wait, "admission")?;
+        match deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(EngineError::DeadlineExceeded {
+                stage: "pre-execution",
+            }),
+            _ => Ok((permit, cold_permit)),
+        }
+    }
+
+    /// Reads what a request starts from as one consistent cut — the served
+    /// relations, the content epoch, and the pool entry of the query's
+    /// stateful spine — under the state → pool read-lock order commits and
+    /// checkpoints use (the pool lock is held for the lookup only), resolves
+    /// the entry into a resumable snapshot, and composes the request's
+    /// database: relations copied once, and one W-table — the resolved
+    /// prefix's, or the base table on a cold start.  Commits hold the state
+    /// write lock across the pool maintenance, so the entry's sub-plan
+    /// results always belong to the copied relations; if the guarded absorb
+    /// later sees the same epoch, no commit touched the pool in between.
+    fn start(&self, prepared: &PreparedQuery, requester: &Arc<str>) -> Result<Start> {
+        let state = self.state.read();
+        let entry = self.pool.read().entry(&prepared.profile.fingerprint);
+        let epoch = self.db_epoch.load(Ordering::Acquire);
+        let resolved = match entry {
+            Some(entry) => resolve_prefix(&entry, prepared, requester)?,
+            None => None,
+        };
+        let wtable = (resolved.as_ref())
+            .and_then(|r| r.snapshot.effects().wtable.as_deref())
+            .unwrap_or(state.database.wtable());
+        let database = state.database.with_wtable(wtable.clone());
+        Ok(Start {
+            database,
+            epoch,
+            resolved,
+        })
+    }
+
+    /// The execution context of one request over its start's database.
+    fn context<'a>(
+        &self,
+        config: EvalConfig,
+        database: UDatabase,
+        rng: &'a mut dyn RngCore,
+        deadline: Option<Instant>,
+    ) -> ExecContext<'a> {
+        ExecContext {
+            config,
+            database,
+            stats: EvalStats::default(),
+            var_counter: 0,
+            rng,
+            spaces: SpaceCache::new(),
+            deadline,
+            sampler: config.shared_sampling.then(|| Arc::clone(&self.sampler)),
+        }
     }
 
     /// Rolls one evaluation's estimation-backend counters into the engine
@@ -1650,7 +1574,10 @@ impl ServingEngine {
     ///
     /// The bounds path consumes no caller randomness, so a degraded answer
     /// leaves the session's RNG stream exactly where a shed request would
-    /// have: determinism of later full answers is unaffected.
+    /// have: determinism of later full answers is unaffected.  It starts
+    /// the way a full evaluation does: when the query's prefix is pooled,
+    /// the fallback resumes it instead of re-running the prefix cold (the
+    /// bounds draw no randomness, so the answer is the same either way).
     pub fn evaluate_degradable<R: Rng + ?Sized>(
         &self,
         request: &Request<'_>,
@@ -1679,36 +1606,33 @@ impl ServingEngine {
     }
 
     /// The guaranteed-bounds fallback of
-    /// [`evaluate_degradable`](ServingEngine::evaluate_degradable): runs the
-    /// deterministic prefix and answers the root `conf` from exact interval
-    /// bounds.  Deliberately bypasses the admission gates — it is the shed
-    /// path's fallback, so re-queueing it behind the very gate that shed the
-    /// request would defeat the point — and uses a fixed dummy RNG, which
-    /// [`PhysicalPlan::execute_bounds`] never draws from.
+    /// [`evaluate_degradable`](ServingEngine::evaluate_degradable): finishes
+    /// the deterministic prefix from the same [`start`](ServingEngine::start)
+    /// a full evaluation takes — the pooled prefix when there is one, so a
+    /// request shed on a warm prefix re-runs nothing — and answers the root
+    /// `conf` from exact interval bounds.  Deliberately bypasses the
+    /// admission gates — it is the shed path's fallback, so re-queueing it
+    /// behind the very gate that shed the request would defeat the point —
+    /// and uses a fixed dummy RNG, which [`PhysicalPlan::execute_bounds`]
+    /// never draws from.
     fn bounds_answer(
         &self,
         request: &Request<'_>,
         reason: DegradedReason,
     ) -> Result<DegradedAnswer> {
         let config = request.effective_config(self.config);
-        let (_key, prepared) = self.prepare(request.text, config)?;
-        let physical = prepared.physical.clone();
-        let database = {
-            let state = self.state.read();
-            state.database.clone()
+        let (key, prepared) = self.prepare(request.text, config)?;
+        let start = self.start(&prepared, &key)?;
+        let snapshot = match start.resolved {
+            Some(resolved) => resolved.snapshot,
+            None => prepared.physical.empty_snapshot(),
         };
         let mut dummy = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut ctx = ExecContext {
-            config,
-            database,
-            stats: EvalStats::default(),
-            var_counter: 0,
-            rng: &mut dummy,
-            spaces: SpaceCache::new(),
-            deadline: None,
-            sampler: None,
-        };
-        let bounds = physical.execute_bounds(&mut ctx, config.pairwise_bound_limit)?;
+        let mut ctx = self.context(config, start.database, &mut dummy, None);
+        let limit = config.pairwise_bound_limit;
+        let bounds = prepared
+            .physical
+            .execute_bounds(&mut ctx, snapshot, limit)?;
         Ok(DegradedAnswer { bounds, reason })
     }
 
@@ -1716,8 +1640,7 @@ impl ServingEngine {
     /// (or was about to populate) it, counting the removal.  The engine
     /// stays serviceable: the next request of the prefix re-warms it.
     fn quarantine(&self, fingerprint: &(u64, u64)) {
-        let mut pool = self.pool.write();
-        if pool.entries.remove(fingerprint).is_some() {
+        if self.pool.write().entries.remove(fingerprint).is_some() {
             self.counters
                 .entries_quarantined
                 .fetch_add(1, Ordering::Relaxed);
@@ -1788,12 +1711,13 @@ impl ServingEngine {
                 )
             };
             let (key, plan) = self.plans.lock().get_or_lower(text, &catalog)?;
-            let pkey: PreparedKey = (key.clone(), config_digest(&config));
+            let digest = config_digest(&config);
+            let pkey: PreparedKey = (key.clone(), digest);
             if let Some(hit) = self.prepared.read().get(&pkey).cloned() {
                 return Ok((key, hit));
             }
             let physical = Arc::new(PhysicalPlan::lower(&plan, config)?);
-            let profile = Arc::new(PrefixProfile::new(&plan, &physical, &config));
+            let profile = Arc::new(PrefixProfile::new(&plan, &physical, digest));
             let fresh = Arc::new(PreparedQuery {
                 physical,
                 profile,
@@ -1887,7 +1811,11 @@ impl ServingEngine {
     /// segment per relation, and one *warm* segment per poolable
     /// deterministic-prefix snapshot, all recorded in a `MANIFEST` segment
     /// written last — a crash mid-checkpoint leaves no complete manifest,
-    /// which [`restore`](ServingEngine::restore) rejects as a whole.
+    /// which [`restore`](ServingEngine::restore) rejects as a whole.  A warm
+    /// segment holds what its prefix added — the variables it introduced on
+    /// top of the base W-table, the variable counter, statistics and the
+    /// pooled sub-plan results — so relation content (and the base W-table)
+    /// is written once, in the segments of its own.
     ///
     /// The database and the pool are cloned under the same lock order every
     /// commit uses (state before pool), so a checkpoint is a consistent cut:
@@ -1895,28 +1823,34 @@ impl ServingEngine {
     /// Only pool entries created under the engine's own base configuration
     /// are persisted (per-request accuracy overrides prepare — and pool —
     /// separately; their entries are rebuilt on demand after a restore).
+    /// A checkpoint only reads: it prepares nothing and moves no counter.
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| {
             EngineError::Storage(format!("creating checkpoint dir {}: {e}", dir.display()))
         })?;
+        let base_digest = config_digest(&self.config);
         let (database, mut entries) = {
             let state = self.state.read();
             let pool = self.pool.read();
-            let entries: Vec<((u64, u64), Arc<PoolEntry>)> =
-                pool.entries.iter().map(|(k, v)| (*k, v.clone())).collect();
+            let entries: Vec<((u64, u64), Arc<PoolEntry>)> = pool
+                .entries
+                .iter()
+                .filter(|(_, entry)| entry.config_digest == base_digest)
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
             (state.database.clone(), entries)
         };
         entries.sort_by_key(|(k, _)| *k);
         let mut manifest = Vec::new();
+        let mut write = |name: &str, payload: &[u8]| -> Result<()> {
+            manifest.push(crate::storage::write_segment_file(dir, name, payload)?);
+            Ok(())
+        };
 
         let mut wtable = Vec::new();
         urel::segment::put_wtable(&mut wtable, database.wtable());
-        manifest.push(crate::storage::write_segment_file(
-            dir,
-            "wtable.seg",
-            &wtable,
-        )?);
+        write("wtable.seg", &wtable)?;
 
         let names = database.relation_names();
         let mut catalog = Vec::new();
@@ -1925,33 +1859,17 @@ impl ServingEngine {
             urel::segment::put_str(&mut catalog, name);
             urel::segment::put_u8(&mut catalog, u8::from(database.is_complete(name)));
         }
-        manifest.push(crate::storage::write_segment_file(
-            dir,
-            "catalog.seg",
-            &catalog,
-        )?);
+        write("catalog.seg", &catalog)?;
         for (i, name) in names.iter().enumerate() {
             let mut payload = Vec::new();
             urel::segment::put_relation(
                 &mut payload,
                 database.relation(name).expect("listed relation exists"),
             );
-            let file = format!("rel-{i}.seg");
-            manifest.push(crate::storage::write_segment_file(dir, &file, &payload)?);
+            write(&format!("rel-{i}.seg"), &payload)?;
         }
 
-        let base_digest = config_digest(&self.config);
-        let mut warm_index = 0usize;
-        for (fingerprint, entry) in entries {
-            // Re-prepare the entry's creator under the *base* configuration:
-            // a matching fingerprint proves the entry was pooled under it
-            // (override-config entries hash differently and are skipped).
-            let Ok((_, prepared)) = self.prepare(&entry.creator, self.config) else {
-                continue;
-            };
-            if prepared.profile.fingerprint != fingerprint {
-                continue;
-            }
+        for (i, (_, entry)) in entries.iter().enumerate() {
             let mut slots: Vec<((u64, u64), BTreeSet<String>, EvaluatedRelation)> = entry
                 .slots
                 .iter()
@@ -1961,17 +1879,17 @@ impl ServingEngine {
             let warm = crate::storage::WarmEntry {
                 creator: entry.creator.to_string(),
                 config_digest: base_digest,
-                var_counter: entry.var_counter as u64,
-                stats: entry.stats,
-                database: entry.database.clone(),
-                stateful_footprint: entry.stateful_footprint.clone(),
+                var_counter: entry.effects.var_counter as u64,
+                stats: entry.effects.stats,
+                introduced: match &entry.effects.wtable {
+                    Some(wtable) => wtable.introduced_over(database.wtable()),
+                    None => WTable::new(),
+                },
                 slots,
             };
             let mut payload = Vec::new();
             crate::storage::put_warm(&mut payload, &warm);
-            let file = format!("warm-{warm_index}.seg");
-            warm_index += 1;
-            manifest.push(crate::storage::write_segment_file(dir, &file, &payload)?);
+            write(&format!("warm-{i}.seg"), &payload)?;
         }
         crate::storage::write_manifest(dir, &manifest)
     }
@@ -1992,7 +1910,12 @@ impl ServingEngine {
     /// Everything is verified before any of it is served: a missing,
     /// truncated or bit-flipped manifest or segment — including warm
     /// segments — fails the restore with [`EngineError::Storage`], and the
-    /// caller falls back to constructing a cold engine.  Warm segments whose
+    /// caller falls back to constructing a cold engine — as it does for a
+    /// directory written under an older segment format version.  A warm
+    /// segment carries no relation content, only the variables its prefix
+    /// introduced on top of the restored W-table: they are decoded through
+    /// the validating W-table constructor and must not collide with a
+    /// restored base variable.  Warm segments whose
     /// recorded configuration digest differs from `config` verify but are
     /// skipped (their prefixes re-warm on demand); they are never coerced
     /// into a pool they were not computed under.
@@ -2003,31 +1926,9 @@ impl ServingEngine {
     ) -> Result<ServingEngine> {
         let dir = dir.as_ref();
         let manifest = crate::storage::read_manifest(dir)?;
-        let missing = |name: &str| {
-            EngineError::Storage(format!(
-                "{}: manifest lists no {name} segment",
-                dir.display()
-            ))
-        };
-        let decode_err =
-            |name: &str, e: urel::UrelError| EngineError::Storage(format!("{name}: {e}"));
-        let row = |name: &str| -> Result<&crate::storage::ManifestEntry> {
-            manifest
-                .iter()
-                .find(|e| e.name == name)
-                .ok_or_else(|| missing(name))
-        };
-
-        let wtable_payload = crate::storage::read_verified(dir, row("wtable.seg")?)?;
-        let mut cur = urel::segment::SegmentCursor::new(&wtable_payload);
-        let wtable = cur.take_wtable().map_err(|e| decode_err("wtable.seg", e))?;
-        if !cur.is_exhausted() {
-            return Err(EngineError::Storage("wtable.seg: trailing bytes".into()));
-        }
-
-        let catalog_payload = crate::storage::read_verified(dir, row("catalog.seg")?)?;
-        let mut cur = urel::segment::SegmentCursor::new(&catalog_payload);
-        let decode_catalog = |cur: &mut urel::segment::SegmentCursor<'_>| {
+        let wtable =
+            crate::storage::read_decoded(dir, &manifest, "wtable.seg", |cur| cur.take_wtable())?;
+        let names = crate::storage::read_decoded(dir, &manifest, "catalog.seg", |cur| {
             let count = cur.take_u32()? as usize;
             let mut names = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
@@ -2035,35 +1936,50 @@ impl ServingEngine {
                 let complete = cur.take_u8()? != 0;
                 names.push((name, complete));
             }
-            Ok::<_, urel::UrelError>(names)
-        };
-        let names = decode_catalog(&mut cur).map_err(|e| decode_err("catalog.seg", e))?;
-        if !cur.is_exhausted() {
-            return Err(EngineError::Storage("catalog.seg: trailing bytes".into()));
-        }
+            Ok(names)
+        })?;
 
         let mut database = UDatabase::new();
         *database.wtable_mut() = wtable;
-        for (i, (name, complete)) in names.iter().enumerate() {
+        for (i, (name, complete)) in names.into_iter().enumerate() {
             let file = format!("rel-{i}.seg");
-            let payload = crate::storage::read_verified(dir, row(&file)?)?;
-            let mut cur = urel::segment::SegmentCursor::new(&payload);
-            let rel = cur.take_relation().map_err(|e| decode_err(&file, e))?;
-            if !cur.is_exhausted() {
-                return Err(EngineError::Storage(format!("{file}: trailing bytes")));
-            }
-            database.set_relation(name.clone(), rel, *complete);
+            let rel =
+                crate::storage::read_decoded(dir, &manifest, &file, |cur| cur.take_relation())?;
+            database.set_relation(name, rel, complete);
         }
         database
             .validate()
             .map_err(|e| EngineError::Storage(format!("restored database: {e}")))?;
 
+        // Every warm segment is verified and decoded before the engine
+        // exists.  What a prefix introduced sits *on top of* the base
+        // W-table: a variable declared in both means the segment does not
+        // belong to this database.
+        let mut warm_entries = Vec::new();
+        for entry in manifest.iter().filter(|e| e.name.starts_with("warm-")) {
+            let warm = crate::storage::read_decoded(
+                dir,
+                &manifest,
+                &entry.name,
+                crate::storage::take_warm,
+            )?;
+            let base = database.wtable();
+            if let Some((var, _)) = warm.introduced.iter().find(|(var, _)| base.contains(var)) {
+                return Err(EngineError::Storage(format!(
+                    "{}: introduced variable {var} collides with the restored W-table",
+                    entry.name
+                )));
+            }
+            let mut wtable = base.clone();
+            wtable
+                .merge(&warm.introduced)
+                .expect("disjoint from the base");
+            warm_entries.push((warm, Arc::new(wtable)));
+        }
+
         let engine = ServingEngine::with_limits(config, database, limits)?;
         let base_digest = config_digest(&config);
-        for entry in manifest.iter().filter(|e| e.name.starts_with("warm-")) {
-            let payload = crate::storage::read_verified(dir, entry)?;
-            let warm =
-                crate::storage::take_warm(&payload).map_err(|e| decode_err(&entry.name, e))?;
+        for (warm, wtable) in warm_entries {
             if warm.config_digest != base_digest {
                 continue;
             }
@@ -2089,10 +2005,13 @@ impl ServingEngine {
                 .collect();
             let pooled = PoolEntry {
                 creator: key,
-                database: warm.database,
-                var_counter: warm.var_counter as usize,
-                stats: warm.stats,
-                spaces: SpaceCache::new(),
+                config_digest: base_digest,
+                effects: PrefixEffects {
+                    wtable: Some(wtable),
+                    var_counter: warm.var_counter as usize,
+                    stats: warm.stats,
+                    spaces: SpaceCache::new(),
+                },
                 slots,
                 stateful_footprint: prepared.profile.stateful_footprint.clone(),
             };
@@ -2341,6 +2260,163 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A database with a base variable `c` (an uncertain relation `Flip`
+    /// over it) beside the complete `Coins`, `Labels` and `Other`.
+    fn uncertain_db() -> UDatabase {
+        let mut db = two_relation_db();
+        let c = urel::Var::new("c");
+        db.add_variable(
+            c.clone(),
+            [(pdb::Value::Int(0), 0.5), (pdb::Value::Int(1), 0.5)],
+        )
+        .unwrap();
+        let mut flip = URelation::empty(schema!["Side"]);
+        for side in 0..2 {
+            let cond = urel::Condition::new([(c.clone(), pdb::Value::Int(side))]).unwrap();
+            flip.insert(cond, tuple![side]).unwrap();
+        }
+        db.set_relation("Flip", flip, false);
+        db
+    }
+
+    /// Number and total size of the files in `dir` whose name starts with
+    /// `prefix`.
+    fn segment_files(dir: &std::path::Path, prefix: &str) -> (usize, u64) {
+        let sizes: Vec<u64> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(prefix))
+            .map(|e| e.metadata().unwrap().len())
+            .collect();
+        (sizes.len(), sizes.iter().sum())
+    }
+
+    #[test]
+    fn checkpoints_are_read_only_and_hold_relation_content_once() {
+        // Three pooled spines (an exact `conf` root is part of its spine),
+        // one of them under a per-request accuracy override.
+        let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let spines = [
+            "conf(project[CoinType](repairkey[ @ Count](Coins)))",
+            "conf(project[Label](join(repairkey[ @ Count](Coins), Labels)))",
+            "conf(Flip)",
+        ];
+        for text in spines {
+            serving.evaluate(text, &mut rng).unwrap();
+        }
+        let budgeted = Request::new(spines[0]).with_accuracy(0.3, 0.1);
+        serving.evaluate_request(&budgeted, &mut rng).unwrap();
+        assert_eq!(serving.pooled_prefixes(), 4);
+
+        // A checkpoint only reads: no counter moves (it prepares nothing,
+        // so the plan cache sees no lookup) and nothing is re-prepared.
+        let before = (serving.stats(), serving.prepared_queries());
+        let dir = checkpoint_dir("once");
+        serving.checkpoint(&dir).unwrap();
+        assert_eq!((serving.stats(), serving.prepared_queries()), before);
+        // Only the three base-configuration spines are persisted.
+        let (warm_files, warm_bytes) = segment_files(&dir, "warm-");
+        assert_eq!(warm_files, 3);
+
+        // Relation content is written once, in the relation segments:
+        // growing a relation no pooled slot scans grows those and leaves
+        // the warm segments byte for byte as large as before.
+        let (_, rel_bytes) = segment_files(&dir, "rel-");
+        let mut grown = pdb::Relation::empty(pdb::Schema::new(["X"]).unwrap());
+        for i in 0..500 {
+            grown
+                .insert(pdb::Tuple::new(vec![pdb::Value::Int(i)]))
+                .unwrap();
+        }
+        serving
+            .update_relations([("Other", URelation::from_complete(&grown))])
+            .unwrap();
+        assert_eq!(serving.pooled_prefixes(), 4, "no spine scans Other");
+        let dir2 = checkpoint_dir("once-grown");
+        serving.checkpoint(&dir2).unwrap();
+        assert_eq!(segment_files(&dir2, "warm-"), (3, warm_bytes));
+        assert!(segment_files(&dir2, "rel-").1 > rel_bytes + 500);
+
+        // The restored engine serves all three spines warm, bit-identically
+        // to a cold engine over the same database.
+        let restored = ServingEngine::restore(EvalConfig::exact(), &dir2).unwrap();
+        assert_eq!(restored.pooled_prefixes(), 3);
+        let cold = ServingEngine::new(EvalConfig::exact(), serving.database().clone()).unwrap();
+        for (i, text) in spines.iter().enumerate() {
+            let mut warm_rng = ChaCha8Rng::seed_from_u64(60 + i as u64);
+            let mut cold_rng = ChaCha8Rng::seed_from_u64(60 + i as u64);
+            let warm = restored.evaluate(text, &mut warm_rng).unwrap();
+            let expect = cold.evaluate(text, &mut cold_rng).unwrap();
+            assert_eq!(warm.result.relation, expect.result.relation);
+            assert_eq!(warm.stats, expect.stats);
+            assert_eq!(warm.database, expect.database);
+        }
+        assert_eq!(restored.stats().warm_evaluations, 3);
+        assert_eq!(restored.stats().cold_evaluations, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn colliding_warm_variables_and_older_formats_fail_the_restore() {
+        use crate::storage::{self, MANIFEST, VERSION};
+        let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
+        let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        serving.evaluate(text, &mut rng).unwrap();
+        let dir = checkpoint_dir("collide");
+        serving.checkpoint(&dir).unwrap();
+        ServingEngine::restore(EvalConfig::exact(), &dir).unwrap();
+
+        // The warm segment holds the repair-key variable only — not the
+        // base variable `c`.  Re-frame it (segment and manifest row both
+        // digest-consistent) with `c` among its introduced variables: the
+        // segment no longer sits on top of this database's W-table.
+        let mut manifest = storage::read_manifest(&dir).unwrap();
+        let row = manifest
+            .iter()
+            .position(|e| e.name == "warm-0.seg")
+            .unwrap();
+        let mut warm =
+            storage::read_decoded(&dir, &manifest, "warm-0.seg", storage::take_warm).unwrap();
+        let c = urel::Var::new("c");
+        assert!(!warm.introduced.is_empty() && !warm.introduced.contains(&c));
+        warm.introduced
+            .add_variable(c, [(pdb::Value::Int(7), 1.0)])
+            .unwrap();
+        let mut payload = Vec::new();
+        storage::put_warm(&mut payload, &warm);
+        let pristine = std::fs::read(dir.join("warm-0.seg")).unwrap();
+        let pristine_row = manifest[row].clone();
+        manifest[row] = storage::write_segment_file(&dir, "warm-0.seg", &payload).unwrap();
+        storage::write_manifest(&dir, &manifest).unwrap();
+        match ServingEngine::restore(EvalConfig::exact(), &dir) {
+            Err(EngineError::Storage(msg)) => assert!(msg.contains("collides"), "{msg}"),
+            other => panic!("colliding warm segment not rejected: {:?}", other.is_ok()),
+        }
+        std::fs::write(dir.join("warm-0.seg"), pristine).unwrap();
+        manifest[row] = pristine_row;
+        storage::write_manifest(&dir, &manifest).unwrap();
+        ServingEngine::restore(EvalConfig::exact(), &dir).unwrap();
+
+        // A directory written under the previous format version — every
+        // frame stamped with it, payloads and digests intact — is rejected
+        // the same way; the caller falls back to a cold start.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&(VERSION - 1).to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+        }
+        assert!(dir.join(MANIFEST).exists());
+        match ServingEngine::restore(EvalConfig::exact(), &dir) {
+            Err(EngineError::Storage(msg)) => assert!(msg.contains("version"), "{msg}"),
+            other => panic!("older format not rejected: {:?}", other.is_ok()),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn warm_evaluations_match_cold_and_engine_results() {
         let db = coin_db();
@@ -2392,9 +2468,11 @@ mod tests {
                 .cloned()
                 .expect("pooled prefix")
         };
+        let wtable = entry.effects.wtable.as_ref().expect("post-spine W-table");
         let space = entry
+            .effects
             .spaces
-            .compiled(entry.database.wtable())
+            .compiled(wtable)
             .expect("compiled space");
         let len_before = space.lineage_len();
         let hits_before = space.lineage_hits();
@@ -2418,36 +2496,26 @@ mod tests {
     #[test]
     fn absorb_racing_an_update_is_dropped_not_pooled() {
         // The reviewed race, replayed deterministically: a cold session
-        // clones the database under the state read lock, executes, and only
-        // then absorbs into the pool.  If an update commits (and runs pool
+        // reads its start (database clone + epoch) under the state read
+        // lock, executes, and only then absorbs into the pool.  If an
+        // update commits (and runs pool
         // invalidation) in between, the absorb must drop the snapshot —
         // pooling it would serve pre-update answers to every later warm hit.
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let text = "poss(Coins)";
         let (key, prepared) = serving.prepare(text, EvalConfig::exact()).unwrap();
 
-        // Step 1 of the cold path: clone the database, record the epoch.
-        let (database, epoch) = {
-            let state = serving.state.read();
-            (
-                state.database.clone(),
-                serving.db_epoch.load(Ordering::Acquire),
-            )
-        };
+        // Step 1 of the request path: read the start — nothing is pooled,
+        // so it is a cold one — and run it, capturing.
+        let start = serving.start(&prepared, &key).unwrap();
+        assert!(start.resolved.is_none());
+        assert_eq!(start.epoch, serving.db_epoch.load(Ordering::Acquire));
+        let epoch = start.epoch;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut rng_ref: &mut ChaCha8Rng = &mut rng;
-        let dyn_rng: &mut dyn RngCore = &mut rng_ref;
-        let mut ctx = ExecContext {
-            config: EvalConfig::exact(),
-            database,
-            stats: EvalStats::default(),
-            var_counter: 0,
-            rng: dyn_rng,
-            spaces: SpaceCache::new(),
-            deadline: None,
-            sampler: None,
-        };
-        let (_, snapshot) = prepared.physical.execute_capturing(&mut ctx).unwrap();
+        let mut ctx = serving.context(EvalConfig::exact(), start.database, &mut rng, None);
+        let plan = &prepared.physical;
+        let (_, snapshot) = plan.resume(&mut ctx, plan.empty_snapshot(), true).unwrap();
+        let snapshot = snapshot.expect("a capturing run returns its snapshot");
 
         // Step 2: a concurrent update commits and invalidates the pool
         // before the session reaches its absorb.
@@ -2872,6 +2940,48 @@ mod tests {
             .unwrap();
         assert_eq!(warm.result.relation, direct.result.relation);
         assert_eq!(warm.stats, direct.stats);
+        // The request's database was composed from the served relations and
+        // the pooled spine's W-table: both halves match the one-shot run.
+        assert!(
+            warm.database.wtable().num_variables() > 0,
+            "spine variables"
+        );
+        assert_eq!(warm.database.wtable(), direct.database.wtable());
+        let served = serving.database().clone();
+        for name in served.relation_names() {
+            assert_eq!(
+                warm.database.relation(&name).unwrap(),
+                served.relation(&name).unwrap()
+            );
+        }
+        assert_eq!(warm.database, direct.database);
+    }
+
+    #[test]
+    fn commits_outside_an_entrys_footprint_reach_its_warm_requests() {
+        // `Other` is scanned by no pooled slot of the touching query; with
+        // relation content living once, in the served database, the next
+        // warm request still returns the committed `Other`, and a commit
+        // inside the footprint (`Labels`) patches slots and content alike.
+        let (serving, touching) = wide_labels_serving();
+        let grown = URelation::from_complete(&relation![schema!["X"]; [1], [2], [3]]);
+        serving
+            .update_relations([("Other", grown.clone())])
+            .unwrap();
+        assert_eq!(serving.stats().subplans_patched, 0);
+        assert_warm_matches_cold(&serving, touching, 34);
+        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let warm = serving.evaluate(touching, &mut rng).unwrap();
+        assert_eq!(warm.database.relation("Other").unwrap(), &grown);
+        assert_eq!(serving.stats().cold_evaluations, 1, "still warm");
+
+        let mut labels = serving.database().relation("Labels").unwrap().clone();
+        labels
+            .insert(urel::Condition::always(), pdb::tuple!["fair", 4242])
+            .unwrap();
+        serving.update_relations([("Labels", labels)]).unwrap();
+        assert_warm_matches_cold(&serving, touching, 36);
+        assert_eq!(serving.stats().cold_evaluations, 1, "still warm");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * the **checkpoint store** ([`crate::ServingEngine::checkpoint`] /
 //!   [`restore`](crate::ServingEngine::restore)) — a directory of segment
 //!   files (catalog, W-table, one segment per relation, one per warm pool
-//!   entry) plus a `MANIFEST` segment, written last, recording every
+//!   entry — what its prefix *added*: introduced variables, counters and
+//!   sub-plan results, never relation content, which lives once in the
+//!   relation segments) plus a `MANIFEST` segment, written last, recording every
 //!   segment's payload length and digest pair.  The shape follows the
 //!   state-layout/state-manager design of replicated-state systems: readers
 //!   trust nothing until the manifest digest *and* each segment's own framed
@@ -35,14 +37,18 @@ use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use urel::segment::{self, SegmentCursor};
-use urel::{UDatabase, URelation, WTable};
+use urel::{URelation, WTable};
 
 /// Segment file magic.
 const MAGIC: [u8; 4] = *b"USEG";
 /// Segment format version; bump on any wire-format change.
 /// Version 2 widened the warm-entry statistics block with the estimation
 /// backend counters (exact-compiled / sampled answers, shared block hits).
-const VERSION: u32 = 2;
+/// Version 3 replaced the warm entry's private database copy (and its
+/// stateful footprint) with the W-table variables its prefix introduced.
+/// Directories written under an older version fail to restore with
+/// [`EngineError::Storage`]; the caller falls back to a cold start.
+pub(crate) const VERSION: u32 = 3;
 /// Frame header: magic + version + payload length + digest pair.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 /// Seed separating the second digest's stream from the first.
@@ -207,6 +213,31 @@ pub(crate) fn read_verified(dir: &Path, entry: &ManifestEntry) -> Result<Vec<u8>
     Ok(payload)
 }
 
+/// Reads the segment the manifest lists under `name`, cross-checks it
+/// ([`read_verified`]) and decodes its whole payload with `decode`.  A
+/// missing manifest row, a decode failure and trailing bytes all fail with
+/// [`EngineError::Storage`].
+pub(crate) fn read_decoded<T>(
+    dir: &Path,
+    manifest: &[ManifestEntry],
+    name: &str,
+    decode: impl FnOnce(&mut SegmentCursor<'_>) -> urel::Result<T>,
+) -> Result<T> {
+    let entry = manifest.iter().find(|e| e.name == name).ok_or_else(|| {
+        corrupt(format!(
+            "{}: manifest lists no {name} segment",
+            dir.display()
+        ))
+    })?;
+    let payload = read_verified(dir, entry)?;
+    let mut cur = SegmentCursor::new(&payload);
+    let value = decode(&mut cur).map_err(|e| corrupt(format!("{name}: {e}")))?;
+    if !cur.is_exhausted() {
+        return Err(corrupt(format!("{name}: trailing bytes")));
+    }
+    Ok(value)
+}
+
 // ---------------------------------------------------------------------------
 // Spill tier
 // ---------------------------------------------------------------------------
@@ -301,39 +332,9 @@ fn take_string_set(cur: &mut SegmentCursor<'_>) -> urel::Result<BTreeSet<String>
     Ok(set)
 }
 
-/// Encodes a whole U-database: W-table, then each relation with its name
-/// and completeness flag, in catalog (`BTreeMap`) order.
-pub(crate) fn put_database(out: &mut Vec<u8>, db: &UDatabase) {
-    segment::put_wtable(out, db.wtable());
-    let names = db.relation_names();
-    segment::put_u32(out, names.len() as u32);
-    for name in names {
-        segment::put_str(out, &name);
-        segment::put_u8(out, u8::from(db.is_complete(&name)));
-        segment::put_relation(out, db.relation(&name).expect("listed relation exists"));
-    }
-}
-
-/// Decodes a U-database through its validating mutators and a final
-/// [`UDatabase::validate`], so undeclared variables or inconsistent flags in
-/// a tampered payload are rejected rather than installed.
-pub(crate) fn take_database(cur: &mut SegmentCursor<'_>) -> urel::Result<UDatabase> {
-    let wtable: WTable = cur.take_wtable()?;
-    let mut db = UDatabase::new();
-    *db.wtable_mut() = wtable;
-    let count = cur.take_u32()? as usize;
-    for _ in 0..count {
-        let name = cur.take_str()?;
-        let complete = cur.take_u8()? != 0;
-        let rel = cur.take_relation()?;
-        db.set_relation(name, rel, complete);
-    }
-    db.validate()?;
-    Ok(db)
-}
-
 /// One decoded warm pool entry: everything needed to re-seed a
-/// deterministic-prefix snapshot for `creator` without re-evaluating it.
+/// deterministic-prefix snapshot for `creator` without re-evaluating it,
+/// given the checkpoint's database.
 pub(crate) struct WarmEntry {
     /// Normalized text of the query whose evaluation created the entry.
     pub creator: String,
@@ -344,10 +345,10 @@ pub(crate) struct WarmEntry {
     pub var_counter: u64,
     /// Evaluation statistics after the prefix ran.
     pub stats: EvalStats,
-    /// Post-prefix database state (includes repair-key variables).
-    pub database: UDatabase,
-    /// Union of the relation names the entry's *stateful* prefix read.
-    pub stateful_footprint: BTreeSet<String>,
+    /// The W-table variables the prefix's repair-key operators introduced
+    /// (decoded through [`WTable::add_variable`], so distributions are
+    /// valid; the restore checks them against the base W-table).
+    pub introduced: WTable,
     /// Pooled pure sub-results: subplan digest, input footprint, value.
     pub slots: Vec<((u64, u64), BTreeSet<String>, EvaluatedRelation)>,
 }
@@ -370,8 +371,7 @@ pub(crate) fn put_warm(out: &mut Vec<u8>, warm: &WarmEntry) {
     ] {
         segment::put_u64(out, n);
     }
-    put_database(out, &warm.database);
-    put_string_set(out, &warm.stateful_footprint);
+    segment::put_wtable(out, &warm.introduced);
     segment::put_u32(out, warm.slots.len() as u32);
     for ((d1, d2), footprint, value) in &warm.slots {
         segment::put_u64(out, *d1);
@@ -387,9 +387,8 @@ pub(crate) fn put_warm(out: &mut Vec<u8>, warm: &WarmEntry) {
     }
 }
 
-/// Decodes a warm pool entry, rejecting trailing bytes.
-pub(crate) fn take_warm(payload: &[u8]) -> urel::Result<WarmEntry> {
-    let mut cur = SegmentCursor::new(payload);
+/// Decodes a warm pool entry.
+pub(crate) fn take_warm(cur: &mut SegmentCursor<'_>) -> urel::Result<WarmEntry> {
     let creator = cur.take_str()?;
     let config_digest = cur.take_u64()?;
     let var_counter = cur.take_u64()?;
@@ -404,14 +403,13 @@ pub(crate) fn take_warm(payload: &[u8]) -> urel::Result<WarmEntry> {
         sampled_answers: cur.take_u64()?,
         shared_block_hits: cur.take_u64()?,
     };
-    let database = take_database(&mut cur)?;
-    let stateful_footprint = take_string_set(&mut cur)?;
+    let introduced = cur.take_wtable()?;
     let slot_count = cur.take_u32()? as usize;
     let mut slots = Vec::with_capacity(slot_count.min(1024));
     for _ in 0..slot_count {
         let d1 = cur.take_u64()?;
         let d2 = cur.take_u64()?;
-        let footprint = take_string_set(&mut cur)?;
+        let footprint = take_string_set(cur)?;
         let relation = cur.take_relation()?;
         let complete = cur.take_u8()? != 0;
         let err_count = cur.take_u32()? as usize;
@@ -431,18 +429,12 @@ pub(crate) fn take_warm(payload: &[u8]) -> urel::Result<WarmEntry> {
             },
         ));
     }
-    if !cur.is_exhausted() {
-        return Err(urel::UrelError::Corrupt(
-            "warm entry: trailing bytes".into(),
-        ));
-    }
     Ok(WarmEntry {
         creator,
         config_digest,
         var_counter,
         stats,
-        database,
-        stateful_footprint,
+        introduced,
         slots,
     })
 }
@@ -451,7 +443,7 @@ pub(crate) fn take_warm(payload: &[u8]) -> urel::Result<WarmEntry> {
 mod tests {
     use super::*;
     use pdb::{schema, tuple};
-    use urel::{Condition, Var};
+    use urel::{Condition, UDatabase, Var};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -565,17 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn database_payload_round_trips() {
-        let db = sample_db();
-        let mut payload = Vec::new();
-        put_database(&mut payload, &db);
-        let mut cur = SegmentCursor::new(&payload);
-        let back = take_database(&mut cur).unwrap();
-        assert!(cur.is_exhausted());
-        assert_eq!(back, db);
-    }
-
-    #[test]
     fn warm_entry_round_trips() {
         let db = sample_db();
         let warm = WarmEntry {
@@ -593,8 +574,7 @@ mod tests {
                 sampled_answers: 5,
                 shared_block_hits: 2,
             },
-            database: db.clone(),
-            stateful_footprint: BTreeSet::from(["R".to_owned()]),
+            introduced: db.wtable().clone(),
             slots: vec![(
                 (7, 9),
                 BTreeSet::from(["R".to_owned(), "S".to_owned()]),
@@ -607,13 +587,14 @@ mod tests {
         };
         let mut payload = Vec::new();
         put_warm(&mut payload, &warm);
-        let back = take_warm(&payload).unwrap();
+        let mut cur = SegmentCursor::new(&payload);
+        let back = take_warm(&mut cur).unwrap();
+        assert!(cur.is_exhausted());
         assert_eq!(back.creator, warm.creator);
         assert_eq!(back.config_digest, warm.config_digest);
         assert_eq!(back.var_counter, warm.var_counter);
         assert_eq!(back.stats, warm.stats);
-        assert_eq!(back.database, warm.database);
-        assert_eq!(back.stateful_footprint, warm.stateful_footprint);
+        assert_eq!(back.introduced, warm.introduced);
         assert_eq!(back.slots.len(), 1);
         let ((d1, d2), footprint, value) = &back.slots[0];
         assert_eq!((*d1, *d2), (7, 9));
@@ -622,6 +603,7 @@ mod tests {
         assert_eq!(value.complete, warm.slots[0].2.complete);
         assert_eq!(value.errors, warm.slots[0].2.errors);
         // Tampered payloads are rejected, not mis-decoded.
-        assert!(take_warm(&payload[..payload.len() - 1]).is_err());
+        let mut cur = SegmentCursor::new(&payload[..payload.len() - 1]);
+        assert!(take_warm(&mut cur).is_err());
     }
 }

@@ -48,6 +48,18 @@ impl UDatabase {
         &mut self.wtable
     }
 
+    /// A database with this one's relations (and completeness
+    /// declarations) over another W-table — how an evaluation resumes from
+    /// a W-table state `repair-key` left behind without first copying the
+    /// table it replaces.
+    pub fn with_wtable(&self, wtable: WTable) -> UDatabase {
+        UDatabase {
+            wtable,
+            relations: self.relations.clone(),
+            complete: self.complete.clone(),
+        }
+    }
+
     /// Adds a complete relation (empty conditions, marked complete).
     pub fn add_complete_relation(&mut self, name: impl Into<String>, rel: &Relation) {
         let name = name.into();

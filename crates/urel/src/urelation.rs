@@ -153,10 +153,19 @@ impl URelation {
         }
     }
 
+    /// The canonical row edit turning `self` into `new`, as `(inserted,
+    /// deleted)`: one merge walk over both canonical row orders, with no
+    /// content hashing — the hot inner step of delta propagation.
+    pub fn row_edits(&self, new: &URelation) -> (BTreeSet<URow>, BTreeSet<URow>) {
+        self.rows
+            .symmetric_difference(&new.rows)
+            .cloned()
+            .partition(|row| new.rows.contains(row))
+    }
+
     /// Derives the [`RelationDelta`](crate::RelationDelta) that turns `self`
-    /// into `new`: one merge walk over both canonical row orders, yielding
-    /// the exact inserted/deleted row sets.  The schemas must be equal (a
-    /// content delta never changes the catalog).
+    /// into `new` from their [`row_edits`](URelation::row_edits).  The
+    /// schemas must be equal (a content delta never changes the catalog).
     pub fn diff(&self, new: &URelation) -> Result<crate::RelationDelta> {
         if self.schema != new.schema {
             return Err(crate::UrelError::SchemaMismatch {
@@ -165,8 +174,7 @@ impl URelation {
                 actual: new.schema.to_string(),
             });
         }
-        let deleted = self.rows.difference(&new.rows).cloned();
-        let inserted = new.rows.difference(&self.rows).cloned();
+        let (inserted, deleted) = self.row_edits(new);
         crate::RelationDelta::new(self, inserted, deleted)
     }
 

@@ -147,6 +147,15 @@ impl WTable {
         self.vars.values().map(|d| d.len() as u128).product()
     }
 
+    /// The variables this table declares and `base` does not, with their
+    /// distributions: what was introduced on top of `base`.
+    pub fn introduced_over(&self, base: &WTable) -> WTable {
+        let fresh = self.vars.iter().filter(|(var, _)| !base.contains(var));
+        WTable {
+            vars: fresh.map(|(v, d)| (v.clone(), d.clone())).collect(),
+        }
+    }
+
     /// Merges another W-table into this one; shared variables must carry the
     /// identical distribution (they represent the same source of randomness).
     pub fn merge(&mut self, other: &WTable) -> Result<()> {

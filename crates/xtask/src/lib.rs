@@ -24,6 +24,10 @@
 //!    has a probe call site, and every registered site is exercised by a
 //!    string literal in `tests/fault_storm.rs`.
 //!
+//! `cargo run -p xtask -- loc` prints the production lines of every file
+//! under `crates/*/src` and a per-crate total ([`production_lines`] is the
+//! counting rule), so "less code" criteria are not counted by hand.
+//!
 //! Findings are suppressed by `lint.allow` at the repository root; an
 //! allowlist entry that no longer matches anything is itself a finding
 //! (rule **`allowlist`**), so the list can only shrink as code is fixed.
@@ -631,9 +635,44 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
     Ok(findings)
 }
 
+/// Production lines of one source text, by the rule the "less code"
+/// criteria of the simplicity PRs count with: lines before the first
+/// `#[cfg(test)]`, minus blank lines and `//` comment lines (doc comments
+/// included).
+pub fn production_lines(text: &str) -> usize {
+    text.lines()
+        .map(str::trim_start)
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .filter(|line| !line.is_empty() && !line.starts_with("//"))
+        .count()
+}
+
+/// `loc`: the production lines of every file under `crates/*/src`, as
+/// `(repository-relative path, lines)` rows sorted by path.
+pub fn loc(root: &Path) -> Result<Vec<(String, usize)>, String> {
+    let mut rows = Vec::new();
+    for path in rust_files(root) {
+        let rel = rel(root, &path);
+        let mut parts = rel.split('/');
+        if (parts.next(), parts.nth(1)) != (Some("crates"), Some("src")) {
+            continue;
+        }
+        let text = fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
+        rows.push((rel, production_lines(&text)));
+    }
+    Ok(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn production_lines_stop_at_the_test_module_and_skip_comments() {
+        let src = "//! docs\n\nuse a::b;\n    // note\nfn f() {}\n  #[cfg(test)]\nmod tests {\n    fn g() {}\n}\n";
+        assert_eq!(production_lines(src), 2);
+        assert_eq!(production_lines(""), 0);
+    }
 
     #[test]
     fn comments_and_strings_are_blanked_for_identifier_matching() {

@@ -210,6 +210,20 @@ proptest! {
                     );
                     prop_assert_eq!(&warm.result.errors, &cold.result.errors);
                     prop_assert_eq!(warm.stats, cold.stats);
+                    // The returned database is composed per request from the
+                    // committed relations and the pooled spine's W-table:
+                    // the W-table (base and repair-key variables) equals the
+                    // cold run's, and the relation content is the served
+                    // one — whether the commit hit the entry's footprint
+                    // (`R` feeds the spines) or missed it (`S`).
+                    prop_assert_eq!(warm.database.wtable(), cold.database.wtable());
+                    let served = engine.database().clone();
+                    for name in ["R", "S"] {
+                        prop_assert_eq!(
+                            warm.database.relation(name).unwrap(),
+                            served.relation(name).unwrap()
+                        );
+                    }
                     prop_assert_eq!(&warm.database, &cold.database);
                     prop_assert_eq!(warm_rng.next_u64(), cold_rng.clone().next_u64());
                 }
