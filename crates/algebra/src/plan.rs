@@ -304,20 +304,6 @@ impl LogicalPlan {
         }
         footprints
     }
-
-    /// For every node, the number of plan nodes consuming it (the root
-    /// counts one extra consumer: the query output).  Physical engines use
-    /// this to move results instead of cloning at a node's last use.
-    pub fn consumer_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for &input in &node.inputs {
-                counts[input] += 1;
-            }
-        }
-        counts[self.root] += 1;
-        counts
-    }
 }
 
 impl fmt::Display for LogicalPlan {
@@ -789,15 +775,6 @@ mod tests {
                 assert_eq!(footprints[id].iter().collect::<Vec<_>>(), vec![relation]);
             }
         }
-    }
-
-    #[test]
-    fn consumer_counts_include_the_output() {
-        let q = parse_query("join(R, R)").unwrap();
-        let plan = LogicalPlan::lower(&q).unwrap();
-        let counts = plan.consumer_counts();
-        // R feeds the join twice; the join feeds the output once.
-        assert_eq!(counts, vec![2, 1]);
     }
 
     #[test]

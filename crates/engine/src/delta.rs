@@ -15,7 +15,7 @@
 //! * projection (and `poss`) are *not* injective: inserting images is
 //!   pointwise, but a deleted row's image survives while any other input
 //!   row still maps onto it.  Deletions therefore rescan the new input for
-//!   remaining support, with early exit once every candidate image is
+//!   surviving support, with early exit once every candidate image is
 //!   accounted for (`O(|Δ|)` when deleted images are re-inserted, up to one
 //!   input scan otherwise).
 //! * union removes a deleted row only when the *other* side no longer

@@ -68,7 +68,7 @@ pub struct EvalConfig {
     pub shards: usize,
     /// Let Monte Carlo `σ̂` modes decide candidates whose exact confidence
     /// bounds already determine the predicate, skipping their sampling
-    /// entirely.  Pruned decisions are exact (error 0) and the remaining
+    /// entirely.  Pruned decisions are exact (error 0) and the other
     /// candidates keep their per-candidate sub-RNGs, so disabling this only
     /// spends more samples — it cannot change an unpruned decision.
     pub prune_approx_select: bool,

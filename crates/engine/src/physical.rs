@@ -6,8 +6,9 @@
 //! against the engine's [`EvalConfig`] — `conf` becomes exact model counting
 //! or the Karp–Luby FPRAS, `σ̂` becomes exact decisions, the adaptive
 //! Figure 3 algorithm, or a fixed iteration budget.  [`PhysicalPlan::execute`]
-//! then schedules the nodes over value slots, moving each intermediate
-//! result to its last consumer instead of cloning.
+//! then schedules the nodes over value slots; a consumer takes a clone of
+//! its input's slot (a pointer copy: relation content is shared inside
+//! `urel`), and values stay in their slots until the run ends.
 //!
 //! Operator → paper section map:
 //!
@@ -47,8 +48,11 @@
 //!   reference).
 //!
 //! [`PhysicalPlan::resume`] runs the pipeline from an [`ExecSnapshot`] — the
-//! plan's [empty snapshot](PhysicalPlan::empty_snapshot) for a cold start —
-//! and can capture a new snapshot at the *sampling frontier*, just before
+//! plan's [empty snapshot](PhysicalPlan::empty_snapshot) for a cold start.
+//! What runs follows from which slot values the snapshot holds, by one
+//! reverse pass from the root: a node runs iff its result is wanted and
+//! absent, and its inputs are then wanted in turn.  A resume can capture a
+//! new snapshot at the *sampling frontier*, just before
 //! the first operator that consumes randomness; resuming from such a
 //! snapshot is how the serving layer makes the steady-state cost of a
 //! repeated query estimation-only.  A snapshot holds what its prefix
@@ -79,7 +83,6 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use urel::{Condition, UDatabase, URelation, Var, WTable};
 
 /// Minimum number of input rows before an operator is worth chunking.
@@ -206,30 +209,19 @@ pub trait PhysicalOperator: fmt::Debug {
 /// A lowered, executable plan.
 pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
-    consumer_counts: Vec<usize>,
     root: usize,
     /// Fingerprint of (node labels, operator shapes, lowering config); ties
     /// an [`ExecSnapshot`] to the plan that produced it.
     signature: u64,
 }
 
-/// The mutable slot state of one plan execution: which nodes have run, their
-/// results, and how many consumers each result still has.
+/// The mutable slot state of one plan execution: the results present, and
+/// which nodes still have to run to produce the root's
+/// ([`PhysicalPlan::slot_state`]).
 #[derive(Clone)]
 struct SlotState {
     slots: Vec<Option<EvaluatedRelation>>,
-    remaining: Vec<usize>,
-    done: Vec<bool>,
-}
-
-impl SlotState {
-    fn fresh(plan: &PhysicalPlan) -> SlotState {
-        SlotState {
-            slots: (0..plan.nodes.len()).map(|_| None).collect(),
-            remaining: plan.consumer_counts.clone(),
-            done: vec![false; plan.nodes.len()],
-        }
-    }
+    todo: Vec<bool>,
 }
 
 /// What the slot executor does on reaching the sampling frontier — the
@@ -244,8 +236,11 @@ enum AtFrontier {
     Stop,
 }
 
-/// A resumable snapshot of a partially executed plan, captured at the
-/// sampling frontier by a capturing [`PhysicalPlan::resume`].
+/// A resumable snapshot of a partially executed plan: captured at the
+/// sampling frontier by a capturing [`PhysicalPlan::resume`], or built from
+/// stored results by `PhysicalPlan::snapshot_from`.  It holds slot values
+/// (pointer copies of the results — cloning a snapshot copies no rows) and,
+/// derived from which of them are present, the nodes a resume still runs.
 ///
 /// Everything below the frontier is deterministic for a fixed database, so
 /// the serving layer evaluates a prepared query by resuming this snapshot
@@ -274,7 +269,7 @@ pub(crate) struct PrefixEffects {
     /// The W-table after the prefix: the base variables plus the ones its
     /// `repair-key` operators introduced.  `None` for the empty snapshot,
     /// which starts from whatever table the context's database holds.
-    pub wtable: Option<Arc<WTable>>,
+    pub wtable: Option<WTable>,
     /// The repair-key variable counter after the prefix.
     pub var_counter: usize,
     /// The statistics the prefix accumulated.
@@ -299,7 +294,7 @@ impl ExecSnapshot {
     /// True if the snapshot covers the whole plan (no sampling operator:
     /// resuming just returns the cached result).
     pub fn is_complete(&self) -> bool {
-        self.state.done.iter().all(|&d| d)
+        !self.state.todo.contains(&true)
     }
 
     /// What the snapshotted prefix added to its evaluation context.
@@ -307,17 +302,11 @@ impl ExecSnapshot {
         &self.effects
     }
 
-    /// Which nodes had executed when the snapshot was captured.
-    pub fn done_flags(&self) -> &[bool] {
-        &self.state.done
-    }
-
-    /// The retained slot values of the snapshot.  Capturing runs keep the
-    /// result of *every* prefix node alive (a phantom consumer per node), so
-    /// this iterates over the full deterministic prefix — including interior
-    /// results like a join under a projection — which is what the serving
-    /// layer's cross-query snapshot pool stores, content-addressed by
-    /// sub-plan digest.
+    /// The slot values of the snapshot.  Every value of a run stays in its
+    /// slot, so a captured snapshot holds the result of the full
+    /// deterministic prefix — including interior results like a join under
+    /// a projection — which is what the serving layer's cross-query
+    /// snapshot pool stores, content-addressed by sub-plan digest.
     pub fn live_slots(&self) -> impl Iterator<Item = (usize, &EvaluatedRelation)> {
         self.state
             .slots
@@ -329,10 +318,10 @@ impl ExecSnapshot {
 
 impl fmt::Debug for ExecSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let done = self.state.done.iter().filter(|&&d| d).count();
+        let todo = self.state.todo.iter().filter(|&&t| t).count();
         f.debug_struct("ExecSnapshot")
-            .field("nodes_done", &done)
-            .field("nodes_total", &self.state.done.len())
+            .field("nodes_todo", &todo)
+            .field("nodes_total", &self.state.todo.len())
             .finish()
     }
 }
@@ -456,7 +445,6 @@ impl PhysicalPlan {
         };
         Ok(PhysicalPlan {
             nodes,
-            consumer_counts: plan.consumer_counts(),
             root: plan.root(),
             signature,
         })
@@ -520,101 +508,70 @@ impl PhysicalPlan {
             .collect()
     }
 
-    /// For every node, its pending-consumer count once exactly the nodes
-    /// marked in `done` have executed.  A done node's count is the number of
-    /// its consumer occurrences among the undone nodes (plus one for the
-    /// root: the query output is taken only at the end of the run) — a
-    /// positive count means a resume from that state still needs the node's
-    /// result; an undone node's consumers are all undone, so the same sum
-    /// yields its full consumer count.
-    pub(crate) fn pending_consumers(&self, done: &[bool]) -> Vec<usize> {
-        let mut remaining = vec![0usize; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            if !done[id] {
-                for &input in &node.inputs {
-                    remaining[input] += 1;
+    /// The one need-pass: the slot state of a run over the results present
+    /// in `slots`.  Walking from the root down, a node has to run iff its
+    /// result is wanted — it is the root's, or an input of a node that has
+    /// to run — and absent.  A present result cuts the walk: nothing below
+    /// it runs on its account, whether or not results below it are present.
+    fn slot_state(&self, slots: Vec<Option<EvaluatedRelation>>) -> SlotState {
+        let mut wanted = vec![false; self.nodes.len()];
+        let mut todo = vec![false; self.nodes.len()];
+        wanted[self.root] = true;
+        for id in (0..self.nodes.len()).rev() {
+            if wanted[id] && slots[id].is_none() {
+                todo[id] = true;
+                for &input in &self.nodes[id].inputs {
+                    wanted[input] = true;
                 }
             }
         }
-        remaining[self.root] += 1;
-        remaining
+        SlotState { slots, todo }
     }
 
-    /// Rebuilds a resumable [`ExecSnapshot`] of this plan's deterministic
+    /// Builds a resumable [`ExecSnapshot`] of this plan's deterministic
     /// prefix from content-addressed parts (the serving layer's cross-query
-    /// snapshot pool stores them per sub-plan rather than per query).
+    /// snapshot pool stores them per sub-plan rather than per query):
+    /// `value_of(id)` is the stored result of prefix node `id`, if there is
+    /// one, and `effects` are those of the full stateful prefix.
     ///
-    /// `done` marks the nodes to restore as already executed.  It must keep
-    /// every stateful prefix node done (the supplied `effects` are those of
-    /// the full stateful prefix) but may mark *pure* prefix nodes undone, in
-    /// which case resuming recomputes them from the context's database: this
-    /// is how the serving layer re-warms exactly the sub-plans an update
-    /// invalidated.  `slots[i]` must be `Some` for every done node `i` whose
-    /// result an undone node (or the root of a complete prefix) still
-    /// consumes; pending-consumer counts are recomputed from the plan
-    /// structure, so the resulting snapshot is exactly what a capturing
-    /// [`resume`](PhysicalPlan::resume) would have captured given the same
-    /// prefix effects.
-    pub(crate) fn assemble_snapshot(
+    /// Resuming the snapshot recomputes, from the context's database, the
+    /// *pure* prefix results that are wanted and absent — this is how the
+    /// serving layer re-warms exactly the sub-plans an update invalidated —
+    /// and the second component says how many there are.  A wanted, absent
+    /// *stateful* result cannot be recomputed without re-running the whole
+    /// stateful prefix (the supplied effects already include it), so it
+    /// makes the parts unusable: `None`.
+    pub(crate) fn snapshot_from(
         &self,
-        done: Vec<bool>,
-        slots: Vec<Option<EvaluatedRelation>>,
+        value_of: impl Fn(usize) -> Option<EvaluatedRelation>,
         effects: PrefixEffects,
-    ) -> Result<ExecSnapshot> {
-        if slots.len() != self.nodes.len() || done.len() != self.nodes.len() {
-            return Err(EngineError::Invariant(format!(
-                "snapshot assembly got {} slots / {} done flags for a plan of {} nodes",
-                slots.len(),
-                done.len(),
-                self.nodes.len()
-            )));
-        }
+    ) -> Option<(ExecSnapshot, u64)> {
         let prefix = self.prefix_done_flags();
-        for id in 0..self.nodes.len() {
-            let class = self.nodes[id].operator.class();
-            if done[id] && !prefix[id] {
-                return Err(EngineError::Invariant(format!(
-                    "snapshot assembly marks node #{id} done outside the deterministic prefix"
-                )));
+        let stored = |id: usize| prefix[id].then(|| value_of(id)).flatten();
+        let state = self.slot_state((0..self.nodes.len()).map(stored).collect());
+        let mut recomputed = 0;
+        for id in (0..self.nodes.len()).filter(|&id| prefix[id] && state.todo[id]) {
+            if self.nodes[id].operator.class() != OpClass::Pure {
+                return None;
             }
-            if class != OpClass::Pure && done[id] != prefix[id] {
-                return Err(EngineError::Invariant(format!(
-                    "snapshot assembly must keep the stateful prefix intact, \
-                     but node #{id} ({}) deviates",
-                    self.nodes[id].operator.name()
-                )));
-            }
+            recomputed += 1;
         }
-        let remaining = self.pending_consumers(&done);
-        for id in 0..self.nodes.len() {
-            let needed = done[id] && remaining[id] > 0;
-            if needed && slots[id].is_none() {
-                return Err(EngineError::Invariant(format!(
-                    "snapshot assembly is missing the live result of prefix node #{id} ({})",
-                    self.nodes[id].operator.name()
-                )));
-            }
-        }
-        Ok(ExecSnapshot {
-            state: SlotState {
-                slots: slots
-                    .into_iter()
-                    .enumerate()
-                    .map(|(id, slot)| if done[id] { slot } else { None })
-                    .collect(),
-                remaining,
-                done,
-            },
+        let snapshot = ExecSnapshot {
+            state,
             plan_signature: self.signature,
             effects,
-        })
+        };
+        Some((snapshot, recomputed))
     }
 
     /// Executes the pipeline with the sharded slot executor; results are
     /// bit-identical to [`execute_sequential`](PhysicalPlan::execute_sequential)
-    /// for a fixed seed.
+    /// for a fixed seed.  Every intermediate result stays in its slot until
+    /// the run ends (as it always did on the serving layer's capturing
+    /// runs): consumers take pointer copies, so there is no last consumer to
+    /// move a value to.
     pub fn execute(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
-        let mut state = SlotState::fresh(self);
+        let mut state = self.slot_state(vec![None; self.nodes.len()]);
         self.run(ctx, &mut state, AtFrontier::Continue)?;
         Ok(self.take_root(state))
     }
@@ -623,26 +580,28 @@ impl PhysicalPlan {
     /// resuming it is a cold start.
     pub fn empty_snapshot(&self) -> ExecSnapshot {
         ExecSnapshot {
-            state: SlotState::fresh(self),
+            state: self.slot_state(vec![None; self.nodes.len()]),
             plan_signature: self.signature,
             effects: PrefixEffects::default(),
         }
     }
 
-    /// Runs the plan from `snapshot` — captured or assembled on this plan,
-    /// or its [`empty_snapshot`](PhysicalPlan::empty_snapshot) — to the end:
+    /// Runs the plan from `snapshot` — captured on this plan,
+    /// built from stored parts (`snapshot_from`), or its
+    /// [`empty_snapshot`](PhysicalPlan::empty_snapshot) — to the end:
     /// restores the snapshot's slot state and context effects and runs only
-    /// what is left.  `ctx.database` must be the database at the snapshot
-    /// point: the relations the prefix read, over the snapshot's W-table
-    /// (for the empty snapshot, the base table).
+    /// the nodes whose results are wanted and absent.  `ctx.database` must
+    /// be the database at the snapshot point: the relations the prefix
+    /// read, over the snapshot's W-table (for the empty snapshot, the base
+    /// table).
     ///
     /// With `capture` set, a snapshot is taken at the sampling frontier (of
     /// the whole plan, if it is deterministic) and returned.  The serving
-    /// layer captures on cold starts and when the snapshot was assembled
-    /// with *demoted* pure nodes (their pooled results were invalidated by
-    /// an update, or never computed by the query that pooled the prefix):
-    /// the demoted nodes recompute during the resume, and the re-captured
-    /// snapshot carries their fresh results back to the pool.
+    /// layer captures on cold starts and when the snapshot was built with
+    /// wanted pure results absent (invalidated by an update, or never
+    /// computed by the query that pooled the prefix): they are recomputed
+    /// during the resume, and the re-captured snapshot carries them back to
+    /// the pool.
     pub fn resume(
         &self,
         ctx: &mut ExecContext<'_>,
@@ -701,29 +660,18 @@ impl PhysicalPlan {
         // *every* exit path — a `?` return from a failing operator must not
         // leak `shards = 1` into the caller's subsequent evaluations.
         let mut ctx = ShardWidthOverride::new(ctx, 1);
-        let mut state = SlotState::fresh(self);
+        let mut state = self.slot_state(vec![None; self.nodes.len()]);
         for id in 0..self.nodes.len() {
-            let inputs = self.gather_inputs(id, &mut state);
+            let inputs = self.gather_inputs(id, &state);
             state.slots[id] = Some(self.nodes[id].operator.execute(inputs, &mut ctx)?);
-            state.done[id] = true;
         }
         Ok(self.take_root(state))
     }
 
-    /// Collects (moves or clones) a node's inputs out of the slots.
-    fn gather_inputs(&self, id: usize, state: &mut SlotState) -> Vec<EvaluatedRelation> {
-        let node = &self.nodes[id];
-        let mut inputs = Vec::with_capacity(node.inputs.len());
-        for &i in &node.inputs {
-            state.remaining[i] -= 1;
-            let value = if state.remaining[i] == 0 {
-                state.slots[i].take()
-            } else {
-                state.slots[i].clone()
-            };
-            inputs.push(value.expect("topological order: input evaluated before use"));
-        }
-        inputs
+    /// A node's inputs: clones (pointer copies) of its input slots.
+    fn gather_inputs(&self, id: usize, state: &SlotState) -> Vec<EvaluatedRelation> {
+        let value = |&i: &usize| state.slots[i].clone().expect("inputs run first");
+        self.nodes[id].inputs.iter().map(value).collect()
     }
 
     /// Runs every currently ready pure node (concurrently when there are
@@ -731,9 +679,9 @@ impl PhysicalPlan {
     fn run_pure_wave(&self, state: &mut SlotState, pctx: &PureCtx<'_>) -> Result<bool> {
         let ready: Vec<usize> = (0..self.nodes.len())
             .filter(|&id| {
-                !state.done[id]
+                state.todo[id]
                     && self.nodes[id].operator.class() == OpClass::Pure
-                    && self.nodes[id].inputs.iter().all(|&i| state.done[i])
+                    && self.nodes[id].inputs.iter().all(|&i| !state.todo[i])
             })
             .collect();
         if ready.is_empty() {
@@ -758,13 +706,13 @@ impl PhysicalPlan {
         };
         for (id, result) in results {
             state.slots[id] = Some(result);
-            state.done[id] = true;
+            state.todo[id] = false;
         }
         Ok(true)
     }
 
     /// The slot executor: pure waves to a fixpoint, then the next stateful
-    /// node in id order, until every node has run — or, under
+    /// node in id order, until every node of `state.todo` has run — or, under
     /// [`AtFrontier::Stop`], until the next node would draw randomness.
     /// Under [`AtFrontier::Capture`] the slot/context state is snapshotted
     /// at the sampling frontier and returned.
@@ -775,24 +723,6 @@ impl PhysicalPlan {
         at_frontier: AtFrontier,
     ) -> Result<Option<ExecSnapshot>> {
         let mut snapshot = None;
-        // A phantom consumer per not-yet-done prefix node keeps every
-        // deterministic intermediate result alive until the snapshot is
-        // taken: the serving layer's cross-query pool stores them all, so a
-        // later query sharing only an *interior* sub-plan (a hot join under
-        // a different projection) can still resume it.  `capture_snapshot`
-        // subtracts the phantoms again, so resuming sees the true
-        // pending-consumer counts.  (A capturing resume starts from a
-        // partially done state: already-done nodes carry true counts and
-        // must not be touched.)
-        let mut phantom = vec![false; self.nodes.len()];
-        if at_frontier == AtFrontier::Capture {
-            for (i, in_prefix) in self.prefix_done_flags().into_iter().enumerate() {
-                if in_prefix && !state.done[i] {
-                    state.remaining[i] += 1;
-                    phantom[i] = true;
-                }
-            }
-        }
         loop {
             loop {
                 let pctx = PureCtx {
@@ -808,55 +738,42 @@ impl PhysicalPlan {
             // pure nodes are at a fixpoint: any unexecuted input chain would
             // bottom out at a smaller-id unexecuted stateful node.
             let Some(id) = (0..self.nodes.len())
-                .find(|&id| !state.done[id] && self.nodes[id].operator.class() != OpClass::Pure)
+                .find(|&id| state.todo[id] && self.nodes[id].operator.class() != OpClass::Pure)
             else {
                 break;
             };
             debug_assert!(
-                self.nodes[id].inputs.iter().all(|&i| state.done[i]),
+                self.nodes[id].inputs.iter().all(|&i| !state.todo[i]),
                 "stateful node #{id} scheduled before its inputs"
             );
             if self.nodes[id].operator.class() == OpClass::Sampling {
                 match at_frontier {
                     AtFrontier::Stop => return Ok(None),
                     AtFrontier::Capture if snapshot.is_none() => {
-                        snapshot = Some(self.capture_snapshot(state, ctx, &phantom));
+                        snapshot = Some(self.capture_snapshot(state, ctx));
                     }
                     _ => {}
                 }
             }
             let inputs = self.gather_inputs(id, state);
             state.slots[id] = Some(self.nodes[id].operator.execute(inputs, ctx)?);
-            state.done[id] = true;
+            state.todo[id] = false;
         }
-        debug_assert!(state.done.iter().all(|&d| d), "executor left nodes unrun");
+        debug_assert!(!state.todo.contains(&true), "executor left nodes unrun");
         if at_frontier == AtFrontier::Capture && snapshot.is_none() {
             // Fully deterministic plan: the snapshot holds the final state,
             // including the root result.
-            snapshot = Some(self.capture_snapshot(state, ctx, &phantom));
+            snapshot = Some(self.capture_snapshot(state, ctx));
         }
         Ok(snapshot)
     }
 
-    fn capture_snapshot(
-        &self,
-        state: &SlotState,
-        ctx: &ExecContext<'_>,
-        phantom: &[bool],
-    ) -> ExecSnapshot {
-        // Undo the phantom consumers the capturing run added, so resuming
-        // sees the true pending-consumer counts.  Slots whose counts drop to
-        // zero keep their values — they are what the serving pool shares
-        // across queries; resumes simply never consume them.
-        let mut state = state.clone();
-        for (i, &is_phantom) in phantom.iter().enumerate() {
-            if is_phantom {
-                debug_assert!(state.done[i], "phantom node #{i} unrun at capture");
-                state.remaining[i] -= 1;
-            }
-        }
+    /// The run's state as a snapshot: every result so far (pointer copies;
+    /// the ones no resume wants are what the serving pool shares across
+    /// queries) and what is left to run.
+    fn capture_snapshot(&self, state: &SlotState, ctx: &ExecContext<'_>) -> ExecSnapshot {
         let effects = PrefixEffects {
-            wtable: Some(Arc::new(ctx.database.wtable().clone())),
+            wtable: Some(ctx.database.wtable().clone()),
             var_counter: ctx.var_counter,
             stats: ctx.stats,
             // The snapshot *shares* the capturing run's cache map (no fork):
@@ -869,7 +786,7 @@ impl PhysicalPlan {
             spaces: ctx.spaces.clone(),
         };
         ExecSnapshot {
-            state,
+            state: state.clone(),
             plan_signature: self.signature,
             effects,
         }
@@ -1877,13 +1794,14 @@ impl PhysicalOperator for ApproxSelectOp {
             .collect::<Result<_>>()?;
         let candidate_tuples: Vec<Tuple> = candidates.possible_tuples().iter().cloned().collect();
         ctx.stats.approx_select_decisions += candidate_tuples.len() as u64;
-        // The k events of candidate i occupy events[i*k .. (i+1)*k]: one flat
-        // vector shared by every decision mode, no per-candidate re-clone.
-        // Each projection's lineage batch is extracted and compiled once
-        // (memoised in the compiled space); candidates look their events —
-        // and their compiled-program handles, which the Monte Carlo modes
-        // sample through — up by key.  Candidates absent from a projection
-        // share one impossible-event program.
+        // The k events of candidate i are addressed by handles[i*k ..
+        // (i+1)*k]: one flat vector shared by every decision mode.  Each
+        // projection's lineage batch is extracted and compiled once
+        // (memoised in the compiled space); candidates look their events'
+        // handles — arena plus index, which the bounds read the event
+        // through, the exact mode its memoised probability, and the Monte
+        // Carlo modes sample through — up by key.  Candidates absent from a
+        // projection share one impossible-event program.
         let lineages = projections
             .iter()
             .map(|proj| compiled.relation_events(proj))
@@ -1892,30 +1810,21 @@ impl PhysicalOperator for ApproxSelectOp {
             confidence::LineagePrograms::compile(vec![DnfEvent::never()], compiled.space())
                 .map_err(EngineError::Confidence)?,
         );
-        let mut events: Vec<DnfEvent> =
-            Vec::with_capacity(candidate_tuples.len() * self.terms.len());
         let mut handles: Vec<CompiledEventHandle> =
             Vec::with_capacity(candidate_tuples.len() * self.terms.len());
         for candidate in &candidate_tuples {
             for (idx, lineage) in term_indices.iter().zip(&lineages) {
                 let key = candidate.project(idx);
-                match lineage.index_of(&key) {
-                    Some(i) => {
-                        events.push(lineage.events()[i].clone());
-                        handles.push((lineage.programs().clone(), i));
-                    }
-                    None => {
-                        events.push(DnfEvent::never());
-                        handles.push((never.clone(), 0));
-                    }
-                }
+                handles.push(match lineage.index_of(&key) {
+                    Some(i) => (lineage.programs().clone(), i),
+                    None => (never.clone(), 0),
+                });
             }
         }
 
         // Decide every candidate: (keep, decision error bound).
         let decisions = self.decide_candidates(
             candidate_tuples.len(),
-            &events,
             &handles,
             &compiled,
             &compiled_predicate,
@@ -1978,15 +1887,17 @@ impl ApproxSelectOp {
     fn prune_candidates(
         &self,
         num_candidates: usize,
-        events: &[DnfEvent],
+        handles: &[CompiledEventHandle],
         compiled: &CompiledSpace,
         predicate: &ApproxPredicate,
         pairwise_limit: usize,
     ) -> Result<Vec<Option<bool>>> {
         let k = self.terms.len();
-        let bounds = events
+        let bounds = handles
             .iter()
-            .map(|e| event_bounds_with_limit(e, compiled.space(), pairwise_limit))
+            .map(|(programs, i)| {
+                event_bounds_with_limit(&programs.events()[*i], compiled.space(), pairwise_limit)
+            })
             .collect::<confidence::Result<Vec<_>>>()
             .map_err(EngineError::Confidence)?;
         (0..num_candidates)
@@ -2008,7 +1919,7 @@ impl ApproxSelectOp {
     }
 
     /// Decides all `num_candidates` candidates under the operator's mode;
-    /// candidate `i`'s `k` events are `events[i*k .. (i+1)*k]` (`k` may be 0:
+    /// candidate `i`'s `k` events are `handles[i*k .. (i+1)*k]` (`k` may be 0:
     /// a term-less predicate is decided once per candidate on no values).
     /// Monte Carlo modes first prune candidates whose exact confidence
     /// bounds already decide the predicate (when the engine enables it),
@@ -2019,22 +1930,20 @@ impl ApproxSelectOp {
     fn decide_candidates(
         &self,
         num_candidates: usize,
-        events: &[DnfEvent],
         handles: &[CompiledEventHandle],
         compiled: &CompiledSpace,
         predicate: &ApproxPredicate,
         ctx: &mut ExecContext<'_>,
     ) -> Result<Vec<(bool, f64)>> {
         let k = self.terms.len();
-        debug_assert_eq!(events.len(), num_candidates * k);
-        debug_assert_eq!(handles.len(), events.len());
+        debug_assert_eq!(handles.len(), num_candidates * k);
         // Exact mode is the reference semantics and stays unpruned; the
         // Monte Carlo modes skip clear candidates entirely.
         let pruned: Vec<Option<bool>> =
             if ctx.config.prune_approx_select && self.mode != ApproxSelectMode::Exact {
                 self.prune_candidates(
                     num_candidates,
-                    events,
+                    handles,
                     compiled,
                     predicate,
                     ctx.config.pairwise_bound_limit,
@@ -2045,16 +1954,16 @@ impl ApproxSelectOp {
         ctx.stats.approx_select_pruned += pruned.iter().filter(|p| p.is_some()).count() as u64;
         match self.mode {
             ApproxSelectMode::Exact => {
-                let estimates = ExactEstimator
-                    .estimate_batch(events, compiled.space(), 0)
+                // The memoised path `conf`/`cert` use: each batch expands
+                // its events once, however many candidates share them.
+                let values = handles
+                    .iter()
+                    .map(|(programs, i)| Ok(programs.exact_probabilities()?[*i]))
+                    .collect::<confidence::Result<Vec<f64>>>()
                     .map_err(EngineError::Confidence)?;
-                ctx.stats.exact_confidence_calls += estimates.len() as u64;
+                ctx.stats.exact_confidence_calls += values.len() as u64;
                 (0..num_candidates)
-                    .map(|i| {
-                        let chunk = &estimates[i * k..(i + 1) * k];
-                        let values: Vec<f64> = chunk.iter().map(|e| e.estimate).collect();
-                        Ok((predicate.eval(&values)?, 0.0))
-                    })
+                    .map(|i| Ok((predicate.eval(&values[i * k..(i + 1) * k])?, 0.0)))
                     .collect()
             }
             ApproxSelectMode::FixedIterations(l) => {
@@ -2081,7 +1990,7 @@ impl ApproxSelectOp {
                     })
                     .collect::<Result<_>>()?;
                 let mut estimates: Vec<Option<confidence::EventEstimate>> =
-                    vec![None; events.len()];
+                    vec![None; handles.len()];
                 for (idx, estimate) in estimated {
                     ctx.stats.karp_luby_samples += estimate.samples;
                     let (programs, event) = &handles[idx];
@@ -2233,6 +2142,26 @@ mod tests {
         }
     }
 
+    /// `db` as a prefix leaves it: its relations over the prefix's W-table.
+    fn over_wtable(db: &UDatabase, wtable: &WTable) -> UDatabase {
+        let mut db = db.clone();
+        *db.wtable_mut() = wtable.clone();
+        db
+    }
+
+    /// The snapshot [`PhysicalPlan::snapshot_from`] builds from the values
+    /// `captured` holds at the nodes `keep` selects, and how many prefix
+    /// nodes resuming it recomputes.
+    fn rebuilt_from(
+        plan: &PhysicalPlan,
+        captured: &ExecSnapshot,
+        keep: impl Fn(usize) -> bool,
+    ) -> Option<(ExecSnapshot, u64)> {
+        let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
+        let value_of = |id: usize| held.get(&id).filter(|_| keep(id)).map(|&v| v.clone());
+        plan.snapshot_from(value_of, captured.effects().fork())
+    }
+
     /// A cold start that captures: resumes the plan's empty snapshot.
     fn capture_cold(
         plan: &PhysicalPlan,
@@ -2286,17 +2215,19 @@ mod tests {
         let mut ctx = ctx_for(&db, config, &mut rng);
         let (cold, snapshot) = capture_cold(&plan, &mut ctx);
         assert!(!snapshot.is_complete(), "σ̂ keeps the suffix live");
-        // The snapshot holds the W-table repair-key left behind, and no
-        // relation content.
+        // The snapshot holds the W-table repair-key left behind (the very
+        // allocation the run's database ended up with), and no relation
+        // content.
         let wtable = snapshot.effects().wtable.clone().expect("captured");
         assert!(wtable.num_variables() > 0);
-        assert_eq!(ctx.database.wtable(), wtable.as_ref());
-        assert!(format!("{snapshot:?}").contains("nodes_done"));
+        assert_eq!(ctx.database.wtable(), &wtable);
+        assert!(ctx.database.wtable().shares_content(&wtable));
+        assert!(format!("{snapshot:?}").contains("nodes_todo"));
 
         // Resume with a fresh RNG state S equals direct execution with S.
         // The resumed context holds the base relations over the snapshot's
         // W-table; over any other table the resume is rejected.
-        let at_snapshot = db.with_wtable((*wtable).clone());
+        let at_snapshot = over_wtable(&db, &wtable);
         let mut warm_rng = ChaCha8Rng::seed_from_u64(41);
         let mut base_ctx = ctx_for(&db, config, &mut warm_rng);
         assert!(plan.resume(&mut base_ctx, snapshot.clone(), false).is_err());
@@ -2367,10 +2298,14 @@ mod tests {
         let mut ctx = ctx_for(&db, config, &mut rng);
         let (_, captured) = capture_cold(&plan, &mut ctx);
 
-        // The statically computed prefix equals the captured done set, and
-        // every scan belongs to it.
-        assert_eq!(plan.prefix_done_flags(), captured.done_flags());
+        // The statically computed prefix is exactly the set of nodes whose
+        // results the capture holds, and every scan belongs to it.
         let done = plan.prefix_done_flags();
+        let mut held = vec![false; plan.nodes().len()];
+        for (id, _) in captured.live_slots() {
+            held[id] = true;
+        }
+        assert_eq!(done, held);
         for (id, node) in plan.nodes().iter().enumerate() {
             if node.operator.name() == "scan" {
                 assert!(done[id], "scan #{id} outside the prefix");
@@ -2384,18 +2319,14 @@ mod tests {
             assert_ne!(plan.nodes()[id].operator.class(), OpClass::Pure);
         }
 
-        // Disassemble into content-addressed parts and reassemble: resuming
-        // the rebuilt snapshot is bit-identical to resuming the original.
-        let mut slots: Vec<Option<EvaluatedRelation>> = vec![None; plan.nodes().len()];
-        for (id, value) in captured.live_slots() {
-            slots[id] = Some(value.clone());
-        }
-        let rebuilt = plan
-            .assemble_snapshot(plan.prefix_done_flags(), slots, captured.effects().fork())
-            .unwrap();
+        // Disassemble into content-addressed parts and reassemble: nothing
+        // is left to recompute, and resuming the rebuilt snapshot is
+        // bit-identical to resuming the original.
+        let (rebuilt, recomputed) = rebuilt_from(&plan, &captured, |_| true).unwrap();
+        assert_eq!(recomputed, 0);
 
         let wtable = captured.effects().wtable.clone().expect("captured");
-        let at_snapshot = db.with_wtable((*wtable).clone());
+        let at_snapshot = over_wtable(&db, &wtable);
         let mut rng_a = ChaCha8Rng::seed_from_u64(23);
         let mut ctx_a = ctx_for(&at_snapshot, config, &mut rng_a);
         let (from_captured, _) = plan.resume(&mut ctx_a, captured.clone(), false).unwrap();
@@ -2408,36 +2339,84 @@ mod tests {
         assert_eq!(ctx_a.database, ctx_b.database);
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
 
-        // Missing live slots are rejected, as are wrongly sized vectors and
-        // done sets that deviate from the stateful prefix.
-        assert!(plan
-            .assemble_snapshot(
-                plan.prefix_done_flags(),
-                vec![None; plan.nodes().len()],
-                captured.effects().fork(),
-            )
-            .is_err());
-        assert!(plan
-            .assemble_snapshot(
-                plan.prefix_done_flags(),
-                Vec::new(),
-                captured.effects().fork(),
-            )
-            .is_err());
-        let mut bad_done = plan.prefix_done_flags();
-        for (id, node) in plan.nodes().iter().enumerate() {
-            if bad_done[id] && node.operator.class() != OpClass::Pure {
-                bad_done[id] = false;
-                break;
-            }
-        }
-        let mut slots: Vec<Option<EvaluatedRelation>> = vec![None; plan.nodes().len()];
-        for (id, value) in captured.live_slots() {
-            slots[id] = Some(value.clone());
-        }
-        assert!(plan
-            .assemble_snapshot(bad_done, slots, captured.effects().fork(),)
-            .is_err());
+        // Parts that lack a wanted result of the stateful prefix are
+        // rejected: with no values at all, and with the values of one
+        // stateful prefix node and everything above it gone.  (A slot
+        // vector of the wrong length cannot be expressed any more: values
+        // are asked for by node id.)
+        assert!(rebuilt_from(&plan, &captured, |_| false).is_none());
+        assert!(rebuilt_from(&plan, &captured, |id| id < stateful[0]).is_none());
+    }
+
+    #[test]
+    fn the_need_pass_runs_exactly_what_is_wanted_and_absent() {
+        // scan(0) → repair-key(1) → select(2) → σ̂(3): a stateful node in
+        // the middle of the prefix, pure nodes on either side of it.
+        let workload = SensorWorkload {
+            num_sensors: 5,
+            readings_per_sensor: 3,
+            high_probability: 0.4,
+            seed: 13,
+        };
+        let db = workload.database();
+        let config = EvalConfig::default();
+        let plan = lowered(
+            &SensorWorkload::alarm_query(0.6, 0.05, 0.05).to_string(),
+            &db,
+            config,
+        );
+        let names: Vec<&str> = plan.nodes().iter().map(|n| n.operator.name()).collect();
+        assert_eq!(names, ["scan", "repair-key", "select", "approx-select"]);
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut ctx = ctx_for(&db, config, &mut rng);
+        let (_, captured) = capture_cold(&plan, &mut ctx);
+        let wtable = captured.effects().wtable.clone().expect("captured");
+        let at_snapshot = over_wtable(&db, &wtable);
+        let resumed = |snapshot: ExecSnapshot| {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let mut ctx = ctx_for(&at_snapshot, config, &mut rng);
+            let (result, recaptured) = plan.resume(&mut ctx, snapshot, true).unwrap();
+            (result, recaptured.unwrap(), ctx.stats, ctx.var_counter)
+        };
+        let (full, _, full_stats, full_counter) = resumed(captured.clone());
+
+        // A held consumer cuts the walk: with only the select's result held,
+        // neither the scan nor the repair-key under it is wanted — nothing
+        // of the prefix runs (in particular repair-key does not run again:
+        // same counter, same statistics), and the answer is the same.
+        let (only_select, recomputed) = rebuilt_from(&plan, &captured, |id| id == 2).unwrap();
+        assert_eq!(recomputed, 0);
+        let (result, recaptured, stats, counter) = resumed(only_select);
+        assert_eq!(
+            (result.relation, result.errors),
+            (full.relation.clone(), full.errors.clone())
+        );
+        assert_eq!((stats, counter), (full_stats, full_counter));
+        let held: Vec<usize> = recaptured.live_slots().map(|(id, _)| id).collect();
+        assert_eq!(held, [2], "nothing below the held consumer was recomputed");
+
+        // A wanted result of the stateful prefix that is absent is a miss,
+        // whatever is held below it.
+        assert!(rebuilt_from(&plan, &captured, |id| id == 0).is_none());
+        assert!(rebuilt_from(&plan, &captured, |id| id == 0 || id == 1)
+            .is_some_and(|(_, recomputed)| recomputed == 1));
+
+        // An absent pure result is recomputed together with exactly the
+        // absent results between it and the first held one: without the
+        // select, the select alone reruns over the held repair-key result.
+        let (no_select, recomputed) = rebuilt_from(&plan, &captured, |id| id != 2).unwrap();
+        assert_eq!(recomputed, 1);
+        let (result, recaptured, stats, counter) = resumed(no_select);
+        assert_eq!(
+            (result.relation, result.errors),
+            (full.relation, full.errors)
+        );
+        assert_eq!((stats, counter), (full_stats, full_counter));
+        assert_eq!(
+            recaptured.live_slots().count(),
+            3,
+            "the re-capture holds it again"
+        );
     }
 
     #[test]
@@ -2452,7 +2431,7 @@ mod tests {
         // No repair-key ran: the post-prefix W-table is the base table.
         assert!(ctx.database.wtable().num_variables() > 0);
         let wtable = snapshot.effects().wtable.clone().expect("captured");
-        assert_eq!(wtable.as_ref(), db.wtable());
+        assert_eq!(&wtable, db.wtable());
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let mut ctx = ctx_for(&db, config, &mut rng);
         let (warm, _) = plan.resume(&mut ctx, snapshot, false).unwrap();

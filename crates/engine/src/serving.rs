@@ -37,12 +37,15 @@
 //! (insert/delete row sets against a digest-pinned base) and
 //! [`ServingEngine::update_relations`] takes whole replacements and derives
 //! the net delta itself; both end in one commit routine.  A commit to
-//! relation `R` writes the new content once — into the served database,
-//! the only copy there is: pool entries hold what their spine *added* (the
-//! W-table `repair-key` left behind), never relation content — drops
-//! whole entries only when `R` feeds their stateful spine, and patches the
-//! pooled sub-plan results whose footprint contains `R` **in place**
-//! through the incremental operator rules of [`crate::delta`], so the
+//! relation `R` writes the new content once — into the served database, as
+//! a new row set: whoever shares the old rows keeps them.  Pool entries
+//! hold what their spine *added* (the W-table `repair-key` left behind),
+//! never relation content of their own; a pooled scan result is a pointer
+//! copy of the relation the capturing request scanned.  The commit drops
+//! whole entries only when `R` feeds their
+//! stateful spine, and patches the pooled sub-plan results whose footprint
+//! contains `R` **in place** through the incremental operator rules of
+//! [`crate::delta`], so the
 //! re-warm cost is proportional to the delta rather than to the sub-plans
 //! it touches; slots the rules cannot cover (and deltas large relative to
 //! their base — a replacement that rewrites most of a relation) are demoted
@@ -50,13 +53,25 @@
 //! stays at warm-path cost.  [`ServingEngine::set_database`] remains the
 //! full-swap path that drops everything (required for schema changes).
 //!
-//! Warm and cold requests are one path: both read the served relations,
+//! Warm and cold requests are one path: both read the served database,
 //! the content epoch and their spine's pool entry as one consistent cut and
 //! [resume](PhysicalPlan::resume) a snapshot over them — the pooled prefix,
-//! or the plan's empty snapshot on a cold start.  Warm results are
-//! bit-identical to what a cold evaluation with the same RNG state would
-//! produce: the request's database is composed from the served relations
-//! and the entry's W-table, the snapshot restores slots, variable counter
+//! or the plan's empty snapshot on a cold start.  Relation and W-table
+//! content is shared, copy-on-write, inside `urel`, so everything below the
+//! request's database is pointer copies: a scan, a slot hand-off, a pool
+//! absorb, and the pool → run hand-off, which gives the executor the
+//! entry's results for the plan's prefix nodes plus the entry's effects.
+//! The request's database itself is a clone of the served one with the
+//! entry's W-table assigned, and `UDatabase::clone` still copies content
+//! (deliberately, for now — see its rustdoc): the one per-request content
+//! copy left, made under the state read lock and freed by whoever drops
+//! the returned [`EvalOutput`].  The executor derives what is left to run
+//! from which
+//! results are present (`PhysicalPlan::snapshot_from`): a wanted pure
+//! result the entry lacks is recomputed (and re-absorbed), a wanted
+//! stateful one makes the lookup a miss, an unwanted one is not missed.
+//! Warm results are bit-identical to what a cold evaluation with the same
+//! RNG state would produce: the snapshot restores slots, variable counter
 //! and statistics, all exactly as the sequential schedule would have left
 //! them at the sampling frontier, and sampling operators derive all
 //! randomness from the caller's RNG as usual.  Sub-plan sharing preserves
@@ -69,12 +84,15 @@
 //! Every serving method takes `&self`: any number of sessions — see
 //! [`ServingEngine::session`] — evaluate concurrently over one shared
 //! engine.  The plan cache, the prepared map and the snapshot pool are
-//! **read-mostly**: lookups clone `Arc`-held entries under short read locks,
-//! all heavy work (parsing, lowering, prefix assembly, execution, estimation)
-//! runs with *no* engine lock held, and every mutation path —
+//! **read-mostly**: lookups clone `Arc`-held entries under short read locks
+//! (the state read lock of a request covers the database clone, an epoch
+//! load and an entry lookup), all other work
+//! (parsing, lowering, prefix resolution, execution, estimation) runs with
+//! *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
 //! [`apply_deltas`](ServingEngine::apply_deltas) commits, pool absorbs —
-//! rewrites shared entries **copy-on-write** (`Arc::make_mut`), so an
+//! rewrites shared entries **copy-on-write** (`Arc::make_mut` on the entry,
+//! whose slot values are themselves pointer copies), so an
 //! in-flight reader keeps the immutable entry it resolved.
 //!
 //! Admission control bounds how many requests execute at once
@@ -173,9 +191,17 @@ const PREPARED_CAP: usize = 1024;
 /// Upper bound on pooled prefix entries; each holds the post-spine W-table
 /// plus the live sub-plan results of one stateful spine.  Reaching it clears
 /// the pool — steady-state serving re-warms the hot entries on the next
-/// requests.  (Not one entry at a time: on a stream of never-repeated
-/// queries every cold request would then free one pooled prefix, which
-/// moves the median latency of `uabench`'s `cold_adhoc` past its bound.)
+/// requests.  Still not one entry at a time: oldest-inserted-first eviction
+/// was re-applied and measured in PR 17 on `uabench`'s `cold_adhoc` (a
+/// stream of never-repeated queries, so every cold request then frees one
+/// pooled prefix).  Its median latency went to 1.6–1.9× the parent's (five
+/// alternating triples, bound 1.25×) where this wipe gives 0.6×; even with
+/// request databases sharing the served rows, which makes an entry cheaper,
+/// it was 1.18×.  What an entry owns privately — intermediate sub-plan
+/// results, its compiled W-table space, lineage programs and exact caches,
+/// the scanned row sets of its capturing request's database — makes
+/// dropping one cost a few hundred µs, and a pool that is always full keeps
+/// the heap full of interleaved lifetimes, which slows every request.
 const POOL_CAP: usize = 256;
 
 /// Counters describing how the serving caches are performing.
@@ -331,11 +357,10 @@ struct PreparedQuery {
 }
 
 /// One pooled sub-plan result: the evaluated relation plus the base
-/// relations its sub-plan scans (the invalidation unit).  The value is
-/// `Arc`-held so copy-on-write clones of a pool entry stay shallow.
+/// relations its sub-plan scans (the invalidation unit).
 #[derive(Clone)]
 struct PooledSlot {
-    value: Arc<EvaluatedRelation>,
+    value: EvaluatedRelation,
     footprint: Arc<BTreeSet<String>>,
 }
 
@@ -358,16 +383,17 @@ fn patch_worthwhile(magnitude: usize, base_rows: usize) -> bool {
 }
 
 /// A pool lookup that succeeded: the snapshot to resume, how many pure
-/// sub-plans had to be demoted for recomputation, and whether the entry was
-/// created by a *different* query (genuine cross-query sharing).
+/// sub-plans the resume recomputes because the query wants their results
+/// and the entry does not hold them, and whether the entry was created by a
+/// *different* query (genuine cross-query sharing).
 struct ResolvedPrefix {
     snapshot: ExecSnapshot,
-    demoted: u64,
+    recomputed: u64,
     shared: bool,
 }
 
-/// What a request starts from ([`ServingEngine::start`]): its private
-/// database (the served relations over the resolved prefix's W-table — the
+/// What a request starts from ([`ServingEngine::start`]): its own database
+/// (a clone of the served one over the resolved prefix's W-table, or the
 /// base table on a cold start), the content epoch it was read at, and the
 /// pooled prefix of the query's spine when one resolved (`None` is a cold
 /// start).
@@ -396,8 +422,8 @@ struct PoolEntry {
 
 impl Clone for PoolEntry {
     /// The copy-on-write clone `Arc::make_mut` runs when a mutation hits an
-    /// entry a concurrent reader still holds.  Slot values are `Arc`-shared
-    /// (shallow); the effects are [forked](PrefixEffects::fork).
+    /// entry a concurrent reader still holds.  Slot values are pointer
+    /// copies; the effects are [forked](PrefixEffects::fork).
     fn clone(&self) -> PoolEntry {
         PoolEntry {
             creator: self.creator.clone(),
@@ -427,62 +453,35 @@ fn intersects(a: &BTreeSet<String>, b: &BTreeSet<String>) -> bool {
 impl SnapshotPool {
     /// The `Arc`-held entry for a prefix fingerprint, if pooled.  Callers
     /// clone the `Arc` under the pool's read lock and resolve against it
-    /// with [`resolve_prefix`] *after* dropping the lock — snapshot assembly
-    /// (slot clones) never blocks the pool.
+    /// with [`resolve_prefix`] *after* dropping the lock — resolution never
+    /// blocks the pool.
     fn entry(&self, fingerprint: &(u64, u64)) -> Option<Arc<PoolEntry>> {
         self.entries.get(fingerprint).cloned()
     }
 }
 
-/// Attempts to rebuild a resumable snapshot for a prepared query from one
-/// pool entry.
-///
-/// Pure prefix nodes whose pooled result is missing (never computed for
-/// this entry, or dropped by an update) are demoted to *undone* and will
-/// be recomputed from the served database during the resume — their
-/// inputs become needed in turn, to a fixpoint.  A missing
-/// *stateful* result cannot be recomputed without re-running the spine,
-/// so it turns the lookup into a miss.
+/// Hands the executor what one pool entry holds for a prepared query: the
+/// pooled results of the plan's prefix nodes (pointer copies) and the
+/// entry's effects.  The executor derives what is left to run
+/// ([`PhysicalPlan::snapshot_from`]): wanted pure results the entry lacks
+/// (never computed for it, or dropped by an update) are recomputed from the
+/// served database during the resume; a wanted *stateful* result it lacks
+/// turns the lookup into a miss.
 fn resolve_prefix(
     entry: &PoolEntry,
     prepared: &PreparedQuery,
     requester: &Arc<str>,
-) -> Result<Option<ResolvedPrefix>> {
-    let (profile, physical) = (&prepared.profile, &prepared.physical);
-    let n = profile.digests.len();
-    let available: Vec<bool> = (0..n)
-        .map(|i| entry.slots.contains_key(&profile.digests[i]))
-        .collect();
-    let mut done = profile.done.clone();
-    let mut demoted = 0u64;
-    loop {
-        let pending = physical.pending_consumers(&done);
-        let Some(missing) = (0..n).find(|&i| done[i] && pending[i] > 0 && !available[i]) else {
-            break;
-        };
-        if physical.nodes()[missing].operator.class() != OpClass::Pure {
-            return Ok(None);
-        }
-        done[missing] = false;
-        demoted += 1;
-    }
-    let pending = physical.pending_consumers(&done);
-    let mut slots: Vec<Option<EvaluatedRelation>> = (0..n).map(|_| None).collect();
-    for i in 0..n {
-        if done[i] && pending[i] > 0 {
-            let slot = entry
-                .slots
-                .get(&profile.digests[i])
-                .expect("fixpoint demoted every missing needed slot");
-            slots[i] = Some(slot.value.as_ref().clone());
-        }
-    }
-    let snapshot = physical.assemble_snapshot(done, slots, entry.effects.fork())?;
-    Ok(Some(ResolvedPrefix {
+) -> Option<ResolvedPrefix> {
+    let pooled = |id: usize| {
+        let slot = entry.slots.get(&prepared.profile.digests[id])?;
+        Some(slot.value.clone())
+    };
+    let (snapshot, recomputed) = (prepared.physical).snapshot_from(pooled, entry.effects.fork())?;
+    Some(ResolvedPrefix {
         snapshot,
-        demoted,
+        recomputed,
         shared: entry.creator.as_ref() != requester.as_ref(),
-    }))
+    })
 }
 
 impl SnapshotPool {
@@ -512,7 +511,7 @@ impl SnapshotPool {
                 .slots
                 .entry(profile.digests[id])
                 .or_insert_with(|| PooledSlot {
-                    value: Arc::new(value.clone()),
+                    value: value.clone(),
                     footprint: profile.footprints[id].clone(),
                 });
         }
@@ -596,7 +595,7 @@ fn patch_entry_slots(
                         .slots
                         .get_mut(&digest)
                         .expect("try_patch_slot read this slot");
-                    Arc::make_mut(&mut slot.value).relation = new;
+                    slot.value.relation = new;
                     patched += 1;
                     outcomes.insert(digest, SlotOutcome::Patched(inserted, deleted));
                 }
@@ -687,10 +686,10 @@ pub struct ServingLimits {
     /// requests queue (deadline-aware) until a slot frees.
     pub max_in_flight: usize,
     /// Upper bound on concurrently executing *cold* requests (first
-    /// evaluation of a prefix nobody pooled: full prefix execution plus a
-    /// database clone).  Cold requests take a cold permit **before** an
-    /// admission slot, so a cold burst queues behind this gate without
-    /// starving warm traffic of admission slots.  Clamped to
+    /// evaluation of a prefix nobody pooled: full prefix execution, lineage
+    /// extraction and compilation).  Cold requests take a cold permit
+    /// **before** an admission slot, so a cold burst queues behind this
+    /// gate without starving warm traffic of admission slots.  Clamped to
     /// `max_in_flight`.
     pub max_cold_in_flight: usize,
     /// Queue deadline, distinct from the request deadline: the longest a
@@ -1391,7 +1390,7 @@ impl ServingEngine {
         let mut cold_admitted = self.pool.read().entry(&profile.fingerprint).is_none();
         let mut _permits = self.admit(cold_admitted, deadline)?;
         let start = loop {
-            let start = self.start(&prepared, &key)?;
+            let start = self.start(&prepared, &key);
             if start.resolved.is_some() || cold_admitted {
                 break start;
             }
@@ -1423,12 +1422,12 @@ impl ServingEngine {
                 }
                 self.counters
                     .subplans_recomputed
-                    .fetch_add(resolved.demoted, Ordering::Relaxed);
-                // With demoted sub-plans, some pure nodes recompute during
-                // this resume; capture at the frontier again and pool their
-                // fresh results, so the next request (of any query sharing
-                // them) finds the prefix fully warm.
-                (resolved.snapshot, resolved.demoted > 0)
+                    .fetch_add(resolved.recomputed, Ordering::Relaxed);
+                // When pure nodes recompute during this resume, capture at
+                // the frontier again and pool their fresh results, so the
+                // next request (of any query sharing them) finds the prefix
+                // fully warm.
+                (resolved.snapshot, resolved.recomputed > 0)
             }
             None => {
                 self.counters
@@ -1495,32 +1494,35 @@ impl ServingEngine {
     }
 
     /// Reads what a request starts from as one consistent cut — the served
-    /// relations, the content epoch, and the pool entry of the query's
+    /// database, the content epoch, and the pool entry of the query's
     /// stateful spine — under the state → pool read-lock order commits and
-    /// checkpoints use (the pool lock is held for the lookup only), resolves
-    /// the entry into a resumable snapshot, and composes the request's
-    /// database: relations copied once, and one W-table — the resolved
-    /// prefix's, or the base table on a cold start.  Commits hold the state
-    /// write lock across the pool maintenance, so the entry's sub-plan
-    /// results always belong to the copied relations; if the guarded absorb
-    /// later sees the same epoch, no commit touched the pool in between.
-    fn start(&self, prepared: &PreparedQuery, requester: &Arc<str>) -> Result<Start> {
-        let state = self.state.read();
-        let entry = self.pool.read().entry(&prepared.profile.fingerprint);
-        let epoch = self.db_epoch.load(Ordering::Acquire);
-        let resolved = match entry {
-            Some(entry) => resolve_prefix(&entry, prepared, requester)?,
-            None => None,
+    /// checkpoints use.  The state lock is held for the database clone (a
+    /// content copy, see `UDatabase`'s `Clone`), the pool lock for an `Arc`
+    /// clone.  Outside them the entry is resolved into a resumable snapshot
+    /// (pointer copies) and the request's database takes the resolved
+    /// prefix's W-table, shared with the entry (a cold start keeps its copy
+    /// of the base table).
+    /// Commits hold the state write lock across the pool maintenance, so the
+    /// entry's sub-plan results always belong to the cloned relations; if
+    /// the guarded absorb later sees the same epoch, no commit touched the
+    /// pool in between.
+    fn start(&self, prepared: &PreparedQuery, requester: &Arc<str>) -> Start {
+        let (mut database, epoch, entry) = {
+            let state = self.state.read();
+            let entry = self.pool.read().entry(&prepared.profile.fingerprint);
+            let epoch = self.db_epoch.load(Ordering::Acquire);
+            (state.database.clone(), epoch, entry)
         };
-        let wtable = (resolved.as_ref())
-            .and_then(|r| r.snapshot.effects().wtable.as_deref())
-            .unwrap_or(state.database.wtable());
-        let database = state.database.with_wtable(wtable.clone());
-        Ok(Start {
+        let resolved = entry.and_then(|entry| resolve_prefix(&entry, prepared, requester));
+        if let Some(wtable) = (resolved.as_ref()).and_then(|r| r.snapshot.effects().wtable.as_ref())
+        {
+            *database.wtable_mut() = wtable.clone();
+        }
+        Start {
             database,
             epoch,
             resolved,
-        })
+        }
     }
 
     /// The execution context of one request over its start's database.
@@ -1622,7 +1624,7 @@ impl ServingEngine {
     ) -> Result<DegradedAnswer> {
         let config = request.effective_config(self.config);
         let (key, prepared) = self.prepare(request.text, config)?;
-        let start = self.start(&prepared, &key)?;
+        let start = self.start(&prepared, &key);
         let snapshot = match start.resolved {
             Some(resolved) => resolved.snapshot,
             None => prepared.physical.empty_snapshot(),
@@ -1873,7 +1875,7 @@ impl ServingEngine {
             let mut slots: Vec<((u64, u64), BTreeSet<String>, EvaluatedRelation)> = entry
                 .slots
                 .iter()
-                .map(|(digest, slot)| (*digest, (*slot.footprint).clone(), (*slot.value).clone()))
+                .map(|(digest, slot)| (*digest, (*slot.footprint).clone(), slot.value.clone()))
                 .collect();
             slots.sort_by_key(|a| a.0);
             let warm = crate::storage::WarmEntry {
@@ -1974,7 +1976,7 @@ impl ServingEngine {
             wtable
                 .merge(&warm.introduced)
                 .expect("disjoint from the base");
-            warm_entries.push((warm, Arc::new(wtable)));
+            warm_entries.push((warm, wtable));
         }
 
         let engine = ServingEngine::with_limits(config, database, limits)?;
@@ -1997,7 +1999,7 @@ impl ServingEngine {
                     (
                         digest,
                         PooledSlot {
-                            value: Arc::new(value),
+                            value,
                             footprint: Arc::new(footprint),
                         },
                     )
@@ -2142,6 +2144,15 @@ mod tests {
         )])
     }
 
+    /// Held by tests that assert on pool contents or warm/cold counters:
+    /// the failpoint registry is process-wide, so under `--features
+    /// failpoints` a sibling test's armed storm (dropped absorbs, injected
+    /// errors) reaches every engine of the test binary.
+    #[cfg(feature = "failpoints")]
+    use crate::faults::exclusive as storm_free;
+    #[cfg(not(feature = "failpoints"))]
+    fn storm_free() -> impl Sized {}
+
     fn checkpoint_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("uadb-serving-ckpt-{}-{tag}", std::process::id()));
@@ -2151,6 +2162,7 @@ mod tests {
 
     #[test]
     fn restored_engines_serve_warm_and_match_cold_answers() {
+        let _calm = storm_free();
         let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -2235,6 +2247,7 @@ mod tests {
 
     #[test]
     fn restores_under_a_different_config_skip_warm_segments() {
+        let _calm = storm_free();
         let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -2293,6 +2306,7 @@ mod tests {
 
     #[test]
     fn checkpoints_are_read_only_and_hold_relation_content_once() {
+        let _calm = storm_free();
         // Three pooled spines (an exact `conf` root is part of its spine),
         // one of them under a per-request accuracy override.
         let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
@@ -2419,6 +2433,7 @@ mod tests {
 
     #[test]
     fn warm_evaluations_match_cold_and_engine_results() {
+        let _calm = storm_free();
         let db = coin_db();
         let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::exact(), db.clone()).unwrap();
@@ -2450,6 +2465,7 @@ mod tests {
 
     #[test]
     fn warm_aconf_requests_reuse_compiled_estimator_state() {
+        let _calm = storm_free();
         // The pooled prefix retains the SpaceCache, whose compiled spaces
         // hold the extracted-and-compiled lineage programs: every warm
         // resume of a sampling query must hit that cache (sampling only) —
@@ -2495,6 +2511,7 @@ mod tests {
 
     #[test]
     fn absorb_racing_an_update_is_dropped_not_pooled() {
+        let _calm = storm_free();
         // The reviewed race, replayed deterministically: a cold session
         // reads its start (database clone + epoch) under the state read
         // lock, executes, and only then absorbs into the pool.  If an
@@ -2507,7 +2524,7 @@ mod tests {
 
         // Step 1 of the request path: read the start — nothing is pooled,
         // so it is a cold one — and run it, capturing.
-        let start = serving.start(&prepared, &key).unwrap();
+        let start = serving.start(&prepared, &key);
         assert!(start.resolved.is_none());
         assert_eq!(start.epoch, serving.db_epoch.load(Ordering::Acquire));
         let epoch = start.epoch;
@@ -2550,6 +2567,7 @@ mod tests {
 
     #[test]
     fn absorb_at_the_current_epoch_still_pools() {
+        let _calm = storm_free();
         // Counterpart to the race test: with no intervening commit the
         // guarded absorb behaves exactly like the unguarded one did.
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
@@ -2561,6 +2579,7 @@ mod tests {
 
     #[test]
     fn alternative_spellings_share_one_prepared_query() {
+        let _calm = storm_free();
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         serving.evaluate("poss(Coins)", &mut rng).unwrap();
@@ -2644,6 +2663,7 @@ mod tests {
 
     #[test]
     fn set_database_invalidates_caches() {
+        let _calm = storm_free();
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         serving.evaluate("poss(Coins)", &mut rng).unwrap();
@@ -2662,6 +2682,7 @@ mod tests {
 
     #[test]
     fn overlapping_queries_share_one_pooled_prefix() {
+        let _calm = storm_free();
         // Two queries over the same deterministic prefix (repair-key +
         // projection), differing only in their sampling suffix: the second
         // query's *first* evaluation must resume the pooled prefix.
@@ -2707,6 +2728,7 @@ mod tests {
 
     #[test]
     fn update_relations_touches_only_intersecting_state() {
+        let _calm = storm_free();
         let db = two_relation_db();
         let touching = "aconf[0.3, 0.1](project[Label](join(repairkey[ @ Count](Coins), Labels)))";
         let independent = "aconf[0.3, 0.1](project[X](Other))";
@@ -2760,6 +2782,7 @@ mod tests {
 
     #[test]
     fn update_to_a_spine_relation_drops_the_entry() {
+        let _calm = storm_free();
         let db = two_relation_db();
         let text = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
@@ -2796,6 +2819,7 @@ mod tests {
 
     #[test]
     fn no_op_updates_invalidate_nothing() {
+        let _calm = storm_free();
         let db = coin_db();
         let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::exact(), db.clone()).unwrap();
@@ -2837,6 +2861,7 @@ mod tests {
 
     #[test]
     fn apply_deltas_patches_pure_subplans_in_place() {
+        let _calm = storm_free();
         let db = two_relation_db();
         let touching = "aconf[0.3, 0.1](project[Label](join(repairkey[ @ Count](Coins), Labels)))";
         let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
@@ -2877,6 +2902,7 @@ mod tests {
 
     #[test]
     fn delta_to_a_spine_relation_still_drops_the_entry() {
+        let _calm = storm_free();
         let db = two_relation_db();
         let text = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
         let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
@@ -2959,6 +2985,7 @@ mod tests {
 
     #[test]
     fn commits_outside_an_entrys_footprint_reach_its_warm_requests() {
+        let _calm = storm_free();
         // `Other` is scanned by no pooled slot of the touching query; with
         // relation content living once, in the served database, the next
         // warm request still returns the committed `Other`, and a commit
@@ -2985,7 +3012,135 @@ mod tests {
     }
 
     #[test]
+    fn pooled_results_share_content_and_request_databases_are_private() {
+        // Below the request's database everything is pointer copies: a cold
+        // run's scan result *is* its database's row set, the pool absorbed
+        // it without copying, and a warm request's W-table is the pooled
+        // spine's.  The database itself is a private copy of the served one
+        // (`UDatabase`'s `Clone`, for now): equal to it, sharing nothing a
+        // commit could reach.
+        let _calm = storm_free();
+        let (serving, touching) = wide_labels_serving();
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let pooled_entry = |text: &str| {
+            let (_, prepared) = serving.prepare(text, *serving.config()).unwrap();
+            (serving.pool.read())
+                .entry(&prepared.profile.fingerprint)
+                .expect("pooled by the cold run")
+        };
+        let other = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
+        let cold = serving.evaluate(other, &mut rng).unwrap();
+        assert_eq!(serving.stats().cold_evaluations, 2);
+        let scanned = cold.database.relation("Coins").unwrap();
+        assert!(
+            (pooled_entry(other).slots.values())
+                .any(|slot| slot.value.relation.shares_content(scanned)),
+            "the pooled scan is the run's relation"
+        );
+
+        let warm = serving.evaluate(touching, &mut rng).unwrap();
+        assert_eq!(serving.stats().warm_evaluations, 1);
+        let entry = pooled_entry(touching);
+        let pooled_wtable = entry.effects.wtable.as_ref().expect("captured");
+        assert!(warm.database.wtable().shares_content(pooled_wtable));
+        let private_copy_of_served = |output: &EvalOutput, changed: Option<(&str, &URelation)>| {
+            let served = serving.database();
+            for name in served.relation_names() {
+                let returned = output.database.relation(&name).unwrap();
+                let current = served.relation(&name).unwrap();
+                assert!(!returned.shares_content(current), "{name}");
+                match changed {
+                    Some((changed, old)) if changed == name => assert_eq!(returned, old),
+                    _ => assert_eq!(returned, current, "{name}"),
+                }
+            }
+        };
+        private_copy_of_served(&warm, None);
+
+        // Snapshot isolation: an output obtained before a commit to
+        // `Labels` keeps the old rows, through either entry point.
+        for as_delta in [false, true] {
+            let before = serving.evaluate(touching, &mut rng).unwrap();
+            let old = serving.database().relation("Labels").unwrap().clone();
+            let mut new = old.clone();
+            let marker = 4242 + i64::from(as_delta);
+            new.insert(urel::Condition::always(), pdb::tuple!["fair", marker])
+                .unwrap();
+            if as_delta {
+                let delta = old.diff(&new).unwrap();
+                serving.apply_deltas([("Labels", delta)]).unwrap();
+            } else {
+                serving.update_relations([("Labels", new.clone())]).unwrap();
+            }
+            assert_eq!(serving.database().relation("Labels").unwrap(), &new);
+            private_copy_of_served(&before, Some(("Labels", &old)));
+            let after = serving.evaluate(touching, &mut rng).unwrap();
+            private_copy_of_served(&after, None);
+        }
+        assert_eq!(serving.stats().cold_evaluations, 2, "warm throughout");
+    }
+
+    /// Drops the pooled results of the named operators (`scan` means the
+    /// scan of `Labels`) from the touching query's pool entry.
+    fn drop_pooled(serving: &ServingEngine, touching: &str, operators: &[&str]) {
+        let (_, prepared) = serving.prepare(touching, *serving.config()).unwrap();
+        let profile = &prepared.profile;
+        let mut pool = serving.pool.write();
+        let entry = pool.entries.get_mut(&profile.fingerprint).expect("pooled");
+        for (id, node) in prepared.physical.nodes().iter().enumerate() {
+            let name = node.operator.name();
+            let other_scan = name == "scan" && !profile.footprints[id].contains("Labels");
+            if operators.contains(&name) && !other_scan {
+                let dropped = Arc::make_mut(entry).slots.remove(&profile.digests[id]);
+                assert!(dropped.is_some(), "{name} was pooled");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resume_recomputes_what_it_wants_and_the_pool_lacks_nothing_else() {
+        // scan(Coins) → repair-key ⋈ scan(Labels) → project → aconf.
+        let _calm = storm_free();
+        let (serving, touching) = wide_labels_serving();
+        let pooled = serving.pooled_subplans();
+
+        // A missing interior result under a pooled consumer is not wanted:
+        // nothing is recomputed, nothing re-pooled, the request is warm.
+        drop_pooled(&serving, touching, &["scan"]);
+        assert_warm_matches_cold(&serving, touching, 41);
+        let stats = serving.stats();
+        assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (1, 1));
+        assert_eq!(stats.subplans_recomputed, 0);
+        assert_eq!(serving.pooled_subplans(), pooled - 1);
+
+        // With its consumers pooled away as well, the scan is recomputed —
+        // exactly itself and them — and all three are pooled again.
+        drop_pooled(&serving, touching, &["join", "project"]);
+        assert_warm_matches_cold(&serving, touching, 42);
+        let stats = serving.stats();
+        assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (2, 1));
+        assert_eq!(stats.subplans_recomputed, 3, "scan + join + project");
+        assert_eq!(serving.pooled_subplans(), pooled);
+
+        // A missing stateful result nobody wants changes nothing …
+        drop_pooled(&serving, touching, &["repair-key"]);
+        assert_warm_matches_cold(&serving, touching, 43);
+        let stats = serving.stats();
+        assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (3, 1));
+        assert_eq!(stats.subplans_recomputed, 3);
+        // … but once a resume wants it, the lookup is a miss: the request
+        // runs cold and pools the spine's results afresh.
+        drop_pooled(&serving, touching, &["join", "project"]);
+        assert_warm_matches_cold(&serving, touching, 44);
+        let stats = serving.stats();
+        assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (3, 2));
+        assert_eq!(stats.subplans_recomputed, 3);
+        assert_eq!(serving.pooled_subplans(), pooled);
+    }
+
+    #[test]
     fn large_changes_demote_and_recompute_through_either_entry_point() {
+        let _calm = storm_free();
         // Rewriting most of the join side crosses the patch-worthiness
         // bound: the intersecting slots demote instead of patching, and the
         // next warm resume recomputes them — same bit-identical answers.
@@ -3045,6 +3200,7 @@ mod tests {
 
     #[test]
     fn one_row_replacements_patch_in_place() {
+        let _calm = storm_free();
         // A whole-relation replacement that differs from the stored content
         // in one row is committed as that one-row delta: the pooled scan,
         // join and projection are patched, nothing leaves the pool, and the
@@ -3159,6 +3315,7 @@ mod tests {
 
     #[test]
     fn concurrent_warm_hits_are_all_counted() {
+        let _calm = storm_free();
         // Satellite regression: ServingStats counters are atomics — N
         // sessions hammering the warm path concurrently must lose no
         // counts.
@@ -3233,6 +3390,7 @@ mod tests {
 
     #[test]
     fn tight_admission_limits_still_serve_every_request() {
+        let _calm = storm_free();
         // max_in_flight = 1 serializes execution; max_cold_in_flight = 1
         // serializes cold prepares of distinct queries.  Nothing may
         // deadlock, and all requests complete with correct counts.
@@ -3273,6 +3431,7 @@ mod tests {
 
     #[test]
     fn expired_deadlines_reject_instead_of_executing() {
+        let _calm = storm_free();
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let request = Request::new("poss(Coins)")
@@ -3293,6 +3452,7 @@ mod tests {
 
     #[test]
     fn per_request_accuracy_overrides_prepare_separately_and_deterministically() {
+        let _calm = storm_free();
         // The same text under an ε/δ override lowers against a distinct
         // effective configuration: its own prepared entry and pool prefix,
         // and answers bit-identical to an engine configured that way.
@@ -3331,6 +3491,7 @@ mod tests {
 
     #[test]
     fn shared_prefix_hits_require_a_different_creator() {
+        let _calm = storm_free();
         // A query resuming the prefix *it* pooled (here: after the prepared
         // map was rebuilt via set-style eviction we simulate by a fresh
         // evaluation cycle) is warm but not a cross-query sharing event.
@@ -3401,6 +3562,8 @@ mod tests {
 
     #[test]
     fn deadline_stage_tags_cover_the_request_lifecycle() {
+        // The "admission" stage below needs its prefix pooled.
+        let _calm = storm_free();
         let q = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
         // Stage "prepare": the deadline was already spent on arrival.
         {

@@ -9,6 +9,17 @@
 //! A tuple is in relation `R` of the possible world identified by a total
 //! assignment `f*` iff some row `⟨f, t⟩ ∈ U_R` has `f` consistent with `f*`.
 //!
+//! **Representation.**  Every positive-RA translation of Section 3 *reads*
+//! its inputs and builds a new relation; only `repair-key` appends to `W`.
+//! So a [`URelation`]'s row set and a [`WTable`]'s variable map are
+//! immutable once built and held shared, copy-on-write: `clone` is O(1),
+//! and a `&mut` method of a value that shares its content copies it once
+//! before editing — the holder of a clone never sees an edit made through
+//! another.  Only `urelation.rs` and `wtable.rs` know this; equality,
+//! order, hashing, content digests, `approx_bytes` and the [`segment`]
+//! bytes are functions of content alone.  (A [`UDatabase`]'s `clone`
+//! still copies its content, for now: see its `Clone`.)
+//!
 //! The module [`convert`] implements both directions of Theorem 3.1
 //! (completeness of the representation system): decoding a [`UDatabase`]
 //! into an explicit [`pdb::ProbabilisticDatabase`] and encoding any explicit

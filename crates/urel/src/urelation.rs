@@ -7,6 +7,7 @@ use crate::wtable::WTable;
 use pdb::{Relation, Schema, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Rough in-memory footprint of one value: a fixed 16-byte inline cost plus
 /// any heap payload (string bytes).  Deliberately coarse — the spill tier
@@ -49,38 +50,53 @@ impl URow {
 /// Tuple `t` is in relation `R` of possible world `f*` iff some row
 /// `⟨f, t⟩` has `f` consistent with `f*`.  A classical complete relation is
 /// the special case where every condition is empty.
+///
+/// The row set is shared, copy-on-write: `clone` copies a pointer, and the
+/// first edit through a `&mut` method of a relation that shares its rows
+/// copies them once.  Equality, order, hashing and every digest are those of
+/// the content, so sharing is invisible except to
+/// [`shares_content`](URelation::shares_content).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct URelation {
     schema: Schema,
-    rows: BTreeSet<URow>,
+    rows: Arc<BTreeSet<URow>>,
 }
 
 impl URelation {
     /// Creates an empty U-relation with the given data schema.
     pub fn empty(schema: Schema) -> Self {
-        URelation {
-            schema,
-            rows: BTreeSet::new(),
-        }
+        URelation::from_rows(schema, BTreeSet::new())
     }
 
     /// Creates a U-relation representing a complete relation: every tuple is
     /// paired with the empty condition.
     pub fn from_complete(rel: &Relation) -> Self {
-        let mut u = URelation::empty(rel.schema().clone());
-        for t in rel.iter() {
-            u.rows.insert(URow {
-                condition: Condition::always(),
-                tuple: t.clone(),
-            });
-        }
-        u
+        let rows = rel.iter().map(|t| URow {
+            condition: Condition::always(),
+            tuple: t.clone(),
+        });
+        URelation::from_rows(rel.schema().clone(), rows.collect())
     }
 
     /// Assembles a relation from rows already in canonical set form (crate
     /// internal: columnar chunks rebuild row form through this).
     pub(crate) fn from_rows(schema: Schema, rows: BTreeSet<URow>) -> Self {
-        URelation { schema, rows }
+        URelation {
+            schema,
+            rows: Arc::new(rows),
+        }
+    }
+
+    /// A copy that shares no rows with `self`.
+    pub(crate) fn unshared(&self) -> URelation {
+        URelation::from_rows(self.schema.clone(), BTreeSet::clone(&self.rows))
+    }
+
+    /// True if `self` and `other` hold the *same* row-set allocation — what
+    /// `clone` yields until either side is edited.  A test hook: content
+    /// equality is `==`.
+    pub fn shares_content(&self, other: &URelation) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows)
     }
 
     /// The data schema `A⃗` (conditions are not part of the schema).
@@ -114,7 +130,7 @@ impl URelation {
             }
             .into());
         }
-        Ok(self.rows.insert(URow { condition, tuple }))
+        Ok(Arc::make_mut(&mut self.rows).insert(URow { condition, tuple }))
     }
 
     /// Iterates over the rows in canonical order.
@@ -132,7 +148,7 @@ impl URelation {
     /// delta maintenance: incremental operators patch a previous output by
     /// removing and inserting individual rows.
     pub fn remove_row(&mut self, row: &URow) -> bool {
-        self.rows.remove(row)
+        Arc::make_mut(&mut self.rows).remove(row)
     }
 
     /// The relation with `deleted` rows removed and `inserted` rows added
@@ -142,15 +158,12 @@ impl URelation {
         inserted: &BTreeSet<URow>,
         deleted: &BTreeSet<URow>,
     ) -> URelation {
-        let mut rows = self.rows.clone();
+        let mut rows = BTreeSet::clone(&self.rows);
         for row in deleted {
             rows.remove(row);
         }
         rows.extend(inserted.iter().cloned());
-        URelation {
-            schema: self.schema.clone(),
-            rows,
-        }
+        URelation::from_rows(self.schema.clone(), rows)
     }
 
     /// The canonical row edit turning `self` into `new`, as `(inserted,
@@ -181,7 +194,7 @@ impl URelation {
     /// `poss(R)`: the distinct data tuples appearing in any row.
     pub fn possible_tuples(&self) -> Relation {
         let mut rel = Relation::empty(self.schema.clone());
-        for row in &self.rows {
+        for row in self.rows.iter() {
             // Arity already validated on insert.
             let _ = rel.insert(row.tuple.clone());
         }
@@ -208,7 +221,7 @@ impl URelation {
     pub fn tuple_events(&self) -> Vec<(Tuple, Vec<Condition>)> {
         let mut events: std::collections::BTreeMap<Tuple, Vec<Condition>> =
             std::collections::BTreeMap::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             events
                 .entry(row.tuple.clone())
                 .or_default()
@@ -239,25 +252,20 @@ impl URelation {
         let mut out = Vec::with_capacity(chunks);
         let mut current: BTreeSet<URow> = BTreeSet::new();
         let mut current_bytes = 0usize;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             current_bytes += row.approx_bytes();
             current.insert(row.clone());
             // Flushing at ≥ budget keeps every earlier chunk at least the
             // average weight, which bounds whatever remains for the final
             // chunk by that same average.
             if current_bytes >= budget && out.len() + 1 < chunks {
-                out.push(URelation {
-                    schema: self.schema.clone(),
-                    rows: std::mem::take(&mut current),
-                });
+                let rows = std::mem::take(&mut current);
+                out.push(URelation::from_rows(self.schema.clone(), rows));
                 current_bytes = 0;
             }
         }
         if !current.is_empty() || out.is_empty() {
-            out.push(URelation {
-                schema: self.schema.clone(),
-                rows: current,
-            });
+            out.push(URelation::from_rows(self.schema.clone(), current));
         }
         out
     }
@@ -275,7 +283,8 @@ impl URelation {
         if self.rows.is_empty() {
             self.rows = other.rows;
         } else {
-            self.rows.extend(other.rows);
+            // `other`'s rows move over when it is their only holder.
+            Arc::make_mut(&mut self.rows).extend(Arc::unwrap_or_clone(other.rows));
         }
     }
 
@@ -305,7 +314,7 @@ impl URelation {
 
     /// Checks that every condition only mentions declared variables/values.
     pub fn check_against(&self, w: &WTable) -> Result<()> {
-        for row in &self.rows {
+        for row in self.rows.iter() {
             row.condition.check_against(w)?;
         }
         Ok(())
@@ -316,7 +325,7 @@ impl URelation {
     /// relation mentions).
     pub fn instantiate(&self, world: &Condition) -> Relation {
         let mut rel = Relation::empty(self.schema.clone());
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if row.condition.satisfied_by(world) {
                 let _ = rel.insert(row.tuple.clone());
             }
@@ -328,7 +337,7 @@ impl URelation {
 impl fmt::Display for URelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "U{} [D | data]", self.schema)?;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             writeln!(f, "  {} | {}", row.condition, row.tuple)?;
         }
         Ok(())

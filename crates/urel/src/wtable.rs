@@ -6,6 +6,7 @@ use crate::variable::Var;
 use pdb::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Numerical slack accepted when checking that a variable's probabilities sum
 /// to 1.
@@ -13,9 +14,13 @@ pub const WTABLE_TOLERANCE: f64 = 1e-9;
 
 /// The W-table: for each variable `X`, a finite domain `Dom_X` with
 /// `Pr[X = x] > 0` for every `x ∈ Dom_X` and `Σ_x Pr[X = x] = 1`.
+///
+/// The variable map is shared, copy-on-write, like a
+/// [`URelation`](crate::URelation)'s rows: `clone` copies a pointer, and
+/// the first declaration into a table that shares its map copies it once.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct WTable {
-    vars: BTreeMap<Var, Vec<(Value, f64)>>,
+    vars: Arc<BTreeMap<Var, Vec<(Value, f64)>>>,
 }
 
 impl WTable {
@@ -23,6 +28,20 @@ impl WTable {
     /// world).
     pub fn new() -> Self {
         WTable::default()
+    }
+
+    /// A copy that shares no variables with `self`.
+    pub(crate) fn unshared(&self) -> WTable {
+        WTable {
+            vars: Arc::new(BTreeMap::clone(&self.vars)),
+        }
+    }
+
+    /// True if `self` and `other` hold the *same* variable-map allocation —
+    /// what `clone` yields until either side declares a variable.  A test
+    /// hook: content equality is `==`.
+    pub fn shares_content(&self, other: &WTable) -> bool {
+        Arc::ptr_eq(&self.vars, &other.vars)
     }
 
     /// Declares a variable with its distribution.
@@ -70,7 +89,7 @@ impl WTable {
                 reason: format!("probabilities sum to {total}, expected 1"),
             });
         }
-        self.vars.insert(var, dist);
+        Arc::make_mut(&mut self.vars).insert(var, dist);
         Ok(())
     }
 
@@ -152,17 +171,17 @@ impl WTable {
     pub fn introduced_over(&self, base: &WTable) -> WTable {
         let fresh = self.vars.iter().filter(|(var, _)| !base.contains(var));
         WTable {
-            vars: fresh.map(|(v, d)| (v.clone(), d.clone())).collect(),
+            vars: Arc::new(fresh.map(|(v, d)| (v.clone(), d.clone())).collect()),
         }
     }
 
     /// Merges another W-table into this one; shared variables must carry the
     /// identical distribution (they represent the same source of randomness).
     pub fn merge(&mut self, other: &WTable) -> Result<()> {
-        for (var, dist) in &other.vars {
+        for (var, dist) in other.vars.iter() {
             match self.vars.get(var) {
                 None => {
-                    self.vars.insert(var.clone(), dist.clone());
+                    Arc::make_mut(&mut self.vars).insert(var.clone(), dist.clone());
                 }
                 Some(existing) if existing == dist => {}
                 Some(_) => {
@@ -180,7 +199,7 @@ impl WTable {
 impl fmt::Display for WTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "W(Var, Dom, P)")?;
-        for (var, dist) in &self.vars {
+        for (var, dist) in self.vars.iter() {
             for (value, p) in dist {
                 writeln!(f, "  {var}  {value}  {p}")?;
             }

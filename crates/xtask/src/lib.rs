@@ -26,7 +26,10 @@
 //!
 //! `cargo run -p xtask -- loc` prints the production lines of every file
 //! under `crates/*/src` and a per-crate total ([`production_lines`] is the
-//! counting rule), so "less code" criteria are not counted by hand.
+//! counting rule), so "less code" criteria are not counted by hand.  With
+//! `--against <git-rev>` every row carries the count at that revision (read
+//! through `git show`), the count now, and the difference — the
+//! before/after table a simplicity PR owes its changelog entry.
 //!
 //! Findings are suppressed by `lint.allow` at the repository root; an
 //! allowlist entry that no longer matches anything is itself a finding
@@ -647,20 +650,58 @@ pub fn production_lines(text: &str) -> usize {
         .count()
 }
 
+/// True for the files `loc` counts: Rust sources under `crates/*/src`.
+fn counted(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    (parts.next(), parts.nth(1)) == (Some("crates"), Some("src")) && rel.ends_with(".rs")
+}
+
 /// `loc`: the production lines of every file under `crates/*/src`, as
 /// `(repository-relative path, lines)` rows sorted by path.
 pub fn loc(root: &Path) -> Result<Vec<(String, usize)>, String> {
     let mut rows = Vec::new();
     for path in rust_files(root) {
         let rel = rel(root, &path);
-        let mut parts = rel.split('/');
-        if (parts.next(), parts.nth(1)) != (Some("crates"), Some("src")) {
-            continue;
+        if counted(&rel) {
+            let text = fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
+            rows.push((rel, production_lines(&text)));
         }
-        let text = fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
-        rows.push((rel, production_lines(&text)));
     }
     Ok(rows)
+}
+
+/// Runs `git` in `root` and returns its standard output.
+fn git(root: &Path, args: &[&str]) -> Result<String, String> {
+    let run = std::process::Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(args)
+        .output();
+    let out = run.map_err(|e| format!("running git: {e}"))?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(format!("git {}: {}", args.join(" "), stderr.trim()));
+    }
+    String::from_utf8(out.stdout).map_err(|e| format!("git {}: {e}", args.join(" ")))
+}
+
+/// `loc --against <rev>`: for every file [`loc`] counts now or `rev` held,
+/// `(path, lines at rev, lines now)` sorted by path, a file missing on one
+/// side counting 0 there.  The old side is read from the object store
+/// (`git ls-tree` / `git show`), so the working tree is never touched.
+pub fn loc_against(root: &Path, rev: &str) -> Result<Vec<(String, usize, usize)>, String> {
+    let mut rows: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for path in git(root, &["ls-tree", "-r", "--name-only", rev, "--", "crates"])?.lines() {
+        if counted(path) {
+            let text = git(root, &["show", &format!("{rev}:{path}")])?;
+            rows.entry(path.to_owned()).or_default().0 = production_lines(&text);
+        }
+    }
+    for (path, now) in loc(root)? {
+        rows.entry(path).or_default().1 = now;
+    }
+    let flat = |(path, (before, now))| (path, before, now);
+    Ok(rows.into_iter().map(flat).collect())
 }
 
 #[cfg(test)]
