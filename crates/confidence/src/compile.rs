@@ -16,21 +16,30 @@
 //!   several events of the batch (common sub-events, e.g. lineages that
 //!   overlap after a projection) are compiled once and referenced by id;
 //! * every event becomes a **program**: its term ids in original DNF order
-//!   (the Karp–Luby estimator depends on the order) plus the cumulative term
-//!   weights, the total weight `M`, and the sampling plan of the variables it
-//!   mentions — per-variable cumulative fixed-point thresholds, so drawing an
+//!   (the Karp–Luby estimator depends on the order), the total weight `M`
+//!   of its terms, and the sampling plan of the variables it mentions —
+//!   per-variable cumulative fixed-point thresholds, so drawing an
 //!   alternative is one `u64` comparison chain with no floating point.
 //!
 //! Evaluating a program over a block of 64 sampled worlds is then a linear
-//! scan of the instruction buffer — one `AND` per literal, one `OR` per term
-//! — with no allocation and no pointer chasing; [`crate::bitworld`] provides
-//! the sampling kernels.  The batch also memoises **exact** probabilities
-//! ([`LineagePrograms::exact_probabilities`]): the Shannon-expansion triggers
-//! of the exact estimator run at most once per compiled batch, so a served
-//! (warm) request pays lookup only.
+//! scan — one `AND` per literal, one `OR` per term — with no allocation and
+//! no pointer chasing; [`crate::bitworld`] provides the sampling kernel.
+//!
+//! Beside the arena sit the **per-event memos**, each computed at most once
+//! per compiled batch and kept for its lifetime, so they ride the same
+//! content-addressed caching as the programs and a served (warm) request
+//! pays a lookup: the **exact** probabilities
+//! ([`LineagePrograms::exact_probabilities`], Shannon expansion), the d-DNNF
+//! size estimates and outcomes ([`LineagePrograms::dnnf_probability`]), and
+//! the kernel's **sampling tables** — per event, its terms as one flat
+//! stream of densely renumbered literals, a Walker alias table over the term
+//! weights, and its variables' thresholds — built by the first block drawn
+//! for the event ([`LineagePrograms::sampling_table_built`]) and so never
+//! for an event that is answered exactly.
 //!
 //! [`term_lits`]: LineagePrograms::num_distinct_terms
 
+use crate::bitworld::SamplingTable;
 use crate::error::{ConfidenceError, Result};
 use crate::event::{DnfEvent, ProbabilitySpace, VarId};
 use crate::{cost, dnnf, exact};
@@ -54,7 +63,7 @@ pub(crate) struct VarPlan {
 /// One compiled event: a view descriptor into the shared arena.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventProgram {
-    /// Range into `event_terms` / `event_cum` (terms in original DNF order).
+    /// Range into `event_terms` (terms in original DNF order).
     pub term_start: u32,
     /// Number of terms `|F|` (0 for the impossible event).
     pub term_len: u32,
@@ -98,10 +107,10 @@ pub struct LineagePrograms {
     pub(crate) term_lits: Vec<u32>,
     /// Distinct term id → `(start, len)` into `term_lits`.
     pub(crate) terms: Vec<(u32, u32)>,
+    /// Distinct term id → term weight `p_f`.
+    pub(crate) term_weights: Vec<f64>,
     /// Flat per-event term-id lists (original DNF order).
     pub(crate) event_terms: Vec<u32>,
-    /// Cumulative term weights, parallel to `event_terms`.
-    pub(crate) event_cum: Vec<f64>,
     /// Flat per-event variable lists (local ids, ascending).
     pub(crate) event_vars: Vec<u32>,
     /// The per-event programs.
@@ -118,6 +127,11 @@ pub struct LineagePrograms {
     /// the attempt runs at most once per compiled batch, so it rides the
     /// same content-addressed caching as the programs themselves.
     dnnf_results: Vec<OnceLock<Option<(f64, u32)>>>,
+    /// Per-event sampling tables of the bit-parallel kernel (alias columns,
+    /// flat literal stream, variable plan), built by the first block drawn
+    /// for the event and never for an event answered exactly — boxed, so an
+    /// event that is never sampled carries a pointer, not an empty table.
+    sampling_tables: Vec<OnceLock<Box<SamplingTable>>>,
     /// Memoised content fingerprint of the arena (see
     /// [`LineagePrograms::fingerprint`]).
     content_fingerprint: OnceLock<u64>,
@@ -153,7 +167,6 @@ impl LineagePrograms {
         let mut term_lits: Vec<u32> = Vec::new();
         let mut term_ids: HashMap<Vec<u32>, u32> = HashMap::new();
         let mut event_terms: Vec<u32> = Vec::new();
-        let mut event_cum: Vec<f64> = Vec::new();
         let mut event_vars: Vec<u32> = Vec::new();
         let mut programs: Vec<EventProgram> = Vec::with_capacity(events.len());
 
@@ -229,7 +242,6 @@ impl LineagePrograms {
                 };
                 total_weight += term_weights[term_id as usize];
                 event_terms.push(term_id);
-                event_cum.push(total_weight);
             }
             locals.sort_unstable();
             event_vars.extend_from_slice(&locals);
@@ -254,13 +266,14 @@ impl LineagePrograms {
             alt_slots,
             term_lits,
             terms,
+            term_weights,
             event_terms,
-            event_cum,
             event_vars,
             programs,
             exact_cache: OnceLock::new(),
             dnnf_estimates: (0..num_events).map(|_| OnceLock::new()).collect(),
             dnnf_results: (0..num_events).map(|_| OnceLock::new()).collect(),
+            sampling_tables: (0..num_events).map(|_| OnceLock::new()).collect(),
             content_fingerprint: OnceLock::new(),
         })
     }
@@ -349,9 +362,6 @@ impl LineagePrograms {
             for &t in &self.event_terms {
                 h = mix(h, u64::from(t));
             }
-            for &c in &self.event_cum {
-                h = mix(h, c.to_bits());
-            }
             for &v in &self.event_vars {
                 h = mix(h, u64::from(v));
             }
@@ -361,6 +371,9 @@ impl LineagePrograms {
             }
             for &l in &self.term_lits {
                 h = mix(h, u64::from(l));
+            }
+            for &w in &self.term_weights {
+                h = mix(h, w.to_bits());
             }
             for &s in &self.slot_var {
                 h = mix(h, u64::from(s));
@@ -377,6 +390,18 @@ impl LineagePrograms {
             }
             h
         })
+    }
+
+    /// The sampling table of event `index`, built on first use and kept with
+    /// the arena: a warm sampled request pays this lookup.
+    pub(crate) fn sampling_table(&self, index: usize) -> &SamplingTable {
+        self.sampling_tables[index].get_or_init(|| Box::new(SamplingTable::build(self, index)))
+    }
+
+    /// True once event `index` has been sampled by the bit-parallel kernel
+    /// (its sampling table exists); events answered exactly stay `false`.
+    pub fn sampling_table_built(&self, index: usize) -> bool {
+        self.sampling_tables[index].get().is_some()
     }
 
     /// Structural d-DNNF circuit-size estimate of event `index` — the

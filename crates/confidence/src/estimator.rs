@@ -320,8 +320,11 @@ impl BatchedIncrementalEstimator {
         self
     }
 
-    /// Attaches a cooperative deadline: the clock is probed between batches
-    /// and an expired deadline aborts the drive with
+    /// Attaches a cooperative deadline: the clock is probed when a batch
+    /// draws a block (every
+    /// [`DEADLINE_CHECK_BLOCKS`](crate::bitworld::DEADLINE_CHECK_BLOCKS)-th
+    /// one, the first included — a batch the lane bank serves costs no
+    /// clock read) and an expired deadline aborts the drive with
     /// [`crate::ConfidenceError::Interrupted`].  Runs that complete are
     /// bit-identical to the deadline-free estimator.
     pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
@@ -373,12 +376,7 @@ impl BatchedIncrementalEstimator {
         // the bit-parallel kernel underneath the incremental estimator.
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         for _ in 0..self.batches {
-            if let Some(d) = self.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(crate::ConfidenceError::Interrupted);
-                }
-            }
-            estimator.add_batch(&mut rng);
+            estimator.add_batch_until(&mut rng, self.deadline)?;
         }
         Ok(EventEstimate {
             estimate: estimator.estimate(),
@@ -545,6 +543,8 @@ mod tests {
             );
             assert!((got.estimate - want.estimate).abs() < 1e-9);
         }
+        // Nothing was sampled, so no event's sampling table was built.
+        assert!((0..programs.len()).all(|i| !programs.sampling_table_built(i)));
     }
 
     #[test]
@@ -559,12 +559,15 @@ mod tests {
         let out = backed.estimate_compiled_batch(&programs, 7).unwrap();
         assert_eq!(out, backed.estimate_compiled_batch(&programs, 9).unwrap());
         let mut resolved = 0;
-        for (got, want) in out.iter().zip(&reference) {
+        for (i, (got, want)) in out.iter().zip(&reference).enumerate() {
             if got.exact {
                 resolved += 1;
                 assert_eq!(got.samples, 0);
                 assert!((got.estimate - want.estimate).abs() < 1e-9);
             }
+            // A kernel is constructed before the backend resolves the
+            // event; only drawing a block builds the sampling table.
+            assert_eq!(programs.sampling_table_built(i), !got.exact);
         }
         assert!(resolved > 0, "the cost model never fired on small events");
     }

@@ -25,8 +25,9 @@
 //!   slots and AND-chain terms, fixed-point sampling thresholds, memoised
 //!   exact probabilities) — compiled once, evaluated allocation-free.
 //! * [`bitworld`] — bit-parallel Monte Carlo over compiled programs:
-//!   [`BitKarpLuby`] decides **64 sampled worlds per word** (one AND/OR per
-//!   instruction), with [`bitworld::bernoulli_block`] drawing 64 Bernoulli
+//!   [`BitKarpLuby`] decides **64 sampled worlds per word** in blocks of
+//!   1, 2 or 4 words (one AND/OR per literal and word, O(1) alias-table
+//!   term choice), with [`bitworld::bernoulli_block`] drawing 64 Bernoulli
 //!   lanes from ~7 words of randomness.
 //! * [`dnnf`] — smoothed d-DNNF knowledge compilation (Shannon expansion on
 //!   a min-fill order, hash-consing, hard node budget with

@@ -148,6 +148,68 @@ proptest! {
         }
     }
 
+    /// Mixed-arity events over Boolean and multi-valued variables, at every
+    /// width: a budget that ends in a partial block lands within the shared
+    /// tolerance, and an incremental schedule whose draws straddle the
+    /// bank's 64-lane word edges tallies — increment by increment — exactly
+    /// the prefix of the kernel's own block stream under the same seed: the
+    /// bank neither drops, double-counts nor reorders a lane.
+    #[test]
+    fn partial_blocks_and_bank_drains_are_exact_at_every_width(
+        (event, space) in arb_event(),
+        seed in 0u64..24,
+    ) {
+        let exact_p = exact::probability(&event, &space).unwrap();
+        prop_assume!(exact_p > 0.02 && !event.is_certain());
+        let m = chernoff::required_samples(0.5, 1e-3, event.num_terms()).unwrap();
+        let programs = Arc::new(LineagePrograms::compile(vec![event], &space).unwrap());
+        let total_weight = programs.total_weight(0);
+        for words in [1usize, 2, 4] {
+            let lanes = 64 * words;
+            // One lane short of a whole number of blocks past the budget.
+            let budget = m.next_multiple_of(lanes) + lanes - 1;
+            let mut kernel = BitKarpLuby::new_with_width(programs.clone(), 0, words).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let estimate = kernel.estimate(budget, &mut rng).unwrap();
+            prop_assert!(
+                (estimate - exact_p).abs() <= 0.5 * exact_p + 1e-9,
+                "width {words}: {estimate} vs exact {exact_p} (m = {budget})"
+            );
+
+            let mut estimator =
+                IncrementalEstimator::from_compiled_with_width(&programs, 0, words).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut twin = BitKarpLuby::new_with_width(programs.clone(), 0, words).unwrap();
+            let mut twin_rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut stream: Vec<bool> = Vec::new();
+            for n in [1usize, 63, 64, 65, 127, 129, 255, 200, 191, 65, 3, 256, 257, 511]
+                .iter()
+                .cycle()
+            {
+                estimator.add_samples(*n, &mut rng);
+                let drawn = estimator.samples() as usize;
+                while stream.len() < drawn {
+                    let mut block = [0u64; confidence::bitworld::MAX_BLOCK_WORDS];
+                    twin.sample_block_words(&mut twin_rng, &mut block);
+                    stream.extend((0..lanes).map(|lane| block[lane / 64] >> (lane % 64) & 1 == 1));
+                }
+                let successes = stream[..drawn].iter().filter(|&&hit| hit).count();
+                prop_assert_eq!(
+                    estimator.estimate(),
+                    successes as f64 * total_weight / drawn as f64,
+                    "width {}: the tally after {} samples is not the stream's prefix", words, drawn
+                );
+                if drawn >= m {
+                    break;
+                }
+            }
+            prop_assert!(
+                (estimator.estimate() - exact_p).abs() <= 0.5 * exact_p + 1e-9,
+                "width {words}: incremental {} vs exact {exact_p}", estimator.estimate()
+            );
+        }
+    }
+
     /// Repeated bit-parallel runs under one seed are bit-identical, and the
     /// compiled estimator layer is deterministic end to end.
     #[test]

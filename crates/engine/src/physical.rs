@@ -2195,6 +2195,63 @@ mod tests {
     }
 
     #[test]
+    fn sampling_tables_are_built_only_for_events_that_are_sampled() {
+        let db = TupleIndependentDb::default().database();
+        let config =
+            EvalConfig::default().with_exact_backend(confidence::cost::DEFAULT_NODE_BUDGET);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut ctx = ctx_for(&db, config, &mut rng);
+        // The lineage batch a confidence operator compiled over `input`,
+        // fetched back from the run's content-addressed cache.
+        let batch_of = |ctx: &mut ExecContext<'_>, input: &str| {
+            let relation = lowered(input, &db, config).execute(ctx).unwrap().relation;
+            let compiled = ctx.spaces.compiled(ctx.database.wtable()).unwrap();
+            let hits = compiled.lineage_hits();
+            let batch = compiled.relation_events(&relation).unwrap();
+            assert_eq!(
+                compiled.lineage_hits(),
+                hits + 1,
+                "the operator's own batch"
+            );
+            batch
+        };
+        let built = |batch: &crate::RelationEvents| {
+            (0..batch.len())
+                .filter(|&i| batch.programs().sampling_table_built(i))
+                .count()
+        };
+
+        // Exact conf and a d-DNNF-routed aconf answer without sampling: the
+        // arena they share carries no sampling table afterwards.
+        lowered("conf(project[A](T))", &db, config)
+            .execute(&mut ctx)
+            .unwrap();
+        lowered("aconf[0.05, 0.05](project[A](T))", &db, config)
+            .execute(&mut ctx)
+            .unwrap();
+        assert!(ctx.stats.exact_compiled_answers > 0 && ctx.stats.karp_luby_samples == 0);
+        assert_eq!(built(&batch_of(&mut ctx, "project[A](T)")), 0);
+
+        // With the backend off the same aconf samples, and every
+        // non-trivial event of the batch gets its table — once.
+        let sampled = EvalConfig::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut ctx = ctx_for(&db, sampled, &mut rng);
+        for _ in 0..2 {
+            lowered("aconf[0.05, 0.05](project[A](T))", &db, sampled)
+                .execute(&mut ctx)
+                .unwrap();
+        }
+        assert!(ctx.stats.karp_luby_samples > 0);
+        let batch = batch_of(&mut ctx, "project[A](T)");
+        let sampled_events = (0..batch.len())
+            .filter(|&i| batch.programs().trivial(i).is_none())
+            .count();
+        assert!(sampled_events > 0);
+        assert_eq!(built(&batch), sampled_events);
+    }
+
+    #[test]
     fn capture_and_resume_reproduce_direct_execution() {
         let workload = SensorWorkload {
             num_sensors: 6,
