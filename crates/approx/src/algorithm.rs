@@ -13,6 +13,11 @@
 //! error bound `min(0.5, Σ_i δ_i(ε))`.  Unless the true value vector is an
 //! ε₀-singularity, the decision is correct with probability at least `1 − δ`
 //! (Theorem 5.8).
+//!
+//! The stop rule is the only thing Theorem 6.7's whole-query driver changes:
+//! it runs this same loop for a fixed number `l` of outer iterations
+//! ([`ApproximationParams::fixed_iterations`]) and reads off the bound
+//! `Σ_i δ_i(ε) = Σ_i δ′(ε, l)` reached.
 
 use crate::error::{ApproxError, Result};
 use crate::predicate::ApproxPredicate;
@@ -26,7 +31,8 @@ pub struct ApproximationParams {
     /// refine to; values whose homogeneous ε falls below ε₀ are treated as
     /// boundary cases (possible singularities).
     pub epsilon0: f64,
-    /// The target error probability δ.
+    /// The target error probability δ (`0` under
+    /// [`fixed_iterations`](Self::fixed_iterations): no target).
     pub delta: f64,
     /// Hard cap on the number of outer-loop iterations, so that singular
     /// inputs terminate; `None` uses the iteration count that already drives
@@ -59,6 +65,20 @@ impl ApproximationParams {
             delta,
             max_iterations: None,
             deadline: None,
+        })
+    }
+
+    /// The fixed-`l` stop rule of the Theorem 6.7 driver: no error target,
+    /// the loop runs `iterations` outer iterations (at least one — Figure 3
+    /// decides on estimates) and reports the bound it reached.  With
+    /// `delta = 0` the error test can only end the loop early once the bound
+    /// is exactly 0, when further batches cannot change anything.
+    pub fn fixed_iterations(epsilon0: f64, iterations: usize) -> Result<Self> {
+        Ok(ApproximationParams {
+            delta: 0.0,
+            max_iterations: Some(iterations),
+            // Validates ε₀; the placeholder δ is overridden above.
+            ..ApproximationParams::new(epsilon0, 0.5)?
         })
     }
 
@@ -213,6 +233,29 @@ mod tests {
             .with_max_iterations(7);
         assert_eq!(p.max_iterations, Some(7));
         assert!(p.fallback_iterations(2) > 0);
+        let fixed = ApproximationParams::fixed_iterations(0.1, 7).unwrap();
+        assert_eq!((fixed.delta, fixed.max_iterations), (0.0, Some(7)));
+        assert!(ApproximationParams::fixed_iterations(1.0, 7).is_err());
+    }
+
+    #[test]
+    fn the_fixed_stop_rule_runs_exactly_l_iterations() {
+        // A clear margin the adaptive rule settles in a handful of
+        // iterations: the fixed rule keeps drawing to `l` regardless, and
+        // its bound is δ′(ε, l).
+        for l in [0usize, 1, 5, 40] {
+            let (mut est, _) = estimator(6, 0.175);
+            let phi = ApproxPredicate::threshold(1, 0, 0.3);
+            let params = ApproximationParams::fixed_iterations(0.05, l).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(42);
+            let d = approximate_predicate(&phi, std::slice::from_mut(&mut est), params, &mut rng)
+                .unwrap();
+            let ran = l.max(1);
+            assert_eq!(d.iterations, ran);
+            assert_eq!(d.samples, 6 * ran as u64);
+            let bound = confidence::chernoff::delta_prime(d.epsilon, ran).unwrap();
+            assert!((d.error_bound - bound.min(0.5)).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::error::Result;
 use crate::event::{DnfEvent, ProbabilitySpace};
 use rand::Rng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A Karp–Luby estimator that accumulates samples across calls.
 #[derive(Clone, Debug)]
@@ -137,23 +136,8 @@ impl IncrementalEstimator {
     /// Draws one batch of `|F_i|` samples (one outer-loop iteration of
     /// Figure 3).
     pub fn add_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.add_batch_until(rng, None)
-            .expect("only a deadline interrupts sampling");
-    }
-
-    /// [`add_batch`](Self::add_batch) under a cooperative deadline, probed
-    /// only when the batch has to draw a block — at the kernel's
-    /// [`DEADLINE_CHECK_BLOCKS`](crate::bitworld::DEADLINE_CHECK_BLOCKS)
-    /// cadence, first block included — never while the bank serves it.  An
-    /// interrupted batch is not counted; the samples it did draw are.
-    pub(crate) fn add_batch_until<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        deadline: Option<Instant>,
-    ) -> Result<()> {
-        self.add_samples_until(self.num_terms, rng, deadline)?;
+        self.add_samples(self.num_terms, rng);
         self.batches += 1;
-        Ok(())
     }
 
     /// Consumes up to `take` lanes from the bank, returning how many were
@@ -197,18 +181,8 @@ impl IncrementalEstimator {
 
     /// Draws `n` further samples (bank first, then whole blocks).
     pub fn add_samples<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) {
-        self.add_samples_until(n, rng, None)
-            .expect("only a deadline interrupts sampling");
-    }
-
-    fn add_samples_until<R: Rng + ?Sized>(
-        &mut self,
-        n: usize,
-        rng: &mut R,
-        deadline: Option<Instant>,
-    ) -> Result<()> {
         if self.kernel.is_none() {
-            return Ok(());
+            return;
         }
         // Serve from the bank of already-drawn lanes.
         let banked = u64::from(self.banked_len).min(n as u64) as u32;
@@ -218,24 +192,27 @@ impl IncrementalEstimator {
         let kernel = self.kernel.as_mut().expect("kernel checked above");
         let lanes = u64::from(kernel.lanes());
         let (successes, samples) = (&mut self.successes, &mut self.samples);
-        kernel.draw_blocks(remaining / lanes, rng, deadline, |words| {
-            *successes += u64::from(count_lanes(words, lanes as u32));
-            *samples += lanes;
-        })?;
+        kernel
+            .draw_blocks(remaining / lanes, rng, None, |words| {
+                *successes += u64::from(count_lanes(words, lanes as u32));
+                *samples += lanes;
+            })
+            .expect("only a deadline interrupts a block");
         remaining %= lanes;
         if remaining > 0 {
             // Draw one more block, consume `remaining` lanes, bank the rest.
             let bank = &mut self.banked_bits;
-            kernel.draw_blocks(1, rng, deadline, |words| {
-                *bank = [0; MAX_BLOCK_WORDS];
-                bank[..words.len()].copy_from_slice(words);
-            })?;
+            kernel
+                .draw_blocks(1, rng, None, |words| {
+                    *bank = [0; MAX_BLOCK_WORDS];
+                    bank[..words.len()].copy_from_slice(words);
+                })
+                .expect("only a deadline interrupts a block");
             self.banked_len = lanes as u32;
             let consumed = self.take_from_bank(remaining as u32);
             debug_assert_eq!(u64::from(consumed), remaining);
             self.samples += remaining;
         }
-        Ok(())
     }
 
     /// The current estimate `p̂ = X · M / m` (or the exact value for trivial
@@ -410,44 +387,6 @@ mod tests {
         }
         assert_eq!(est.samples(), drawn as u64);
         assert!((est.estimate() - exact_p).abs() < 0.02);
-    }
-
-    #[test]
-    fn deadlines_are_probed_only_when_a_batch_draws_a_block() {
-        use crate::bitworld::DEADLINE_CHECK_BLOCKS;
-        use crate::ConfidenceError;
-        let (f, s) = setup();
-        let past = Some(Instant::now() - std::time::Duration::from_millis(1));
-        // An expired deadline interrupts before the first draw.
-        let mut fresh = IncrementalEstimator::new(f.clone(), s.clone()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        assert_eq!(
-            fresh.add_batch_until(&mut rng, past),
-            Err(ConfidenceError::Interrupted)
-        );
-        assert_eq!((fresh.samples(), fresh.batches()), (0, 0));
-
-        // Once a block is banked, batches it serves read no clock: with
-        // |F| = 2 a 64-lane block serves 32 batches, and the expired
-        // deadline is only seen when block number DEADLINE_CHECK_BLOCKS + 1
-        // is due.  Up to there the run equals the deadline-free one.
-        let mut probed = IncrementalEstimator::new(f.clone(), s.clone()).unwrap();
-        let mut free = IncrementalEstimator::new(f, s).unwrap();
-        let (mut r1, mut r2) = (ChaCha8Rng::seed_from_u64(8), ChaCha8Rng::seed_from_u64(8));
-        probed.add_batch(&mut r1);
-        free.add_batch(&mut r2);
-        let served = u64::from(DEADLINE_CHECK_BLOCKS) * 32;
-        for _ in 1..served {
-            probed.add_batch_until(&mut r1, past).unwrap();
-            free.add_batch(&mut r2);
-        }
-        assert_eq!(probed.batches(), served);
-        assert_eq!(probed.estimate(), free.estimate());
-        assert_eq!(
-            probed.add_batch_until(&mut r1, past),
-            Err(ConfidenceError::Interrupted)
-        );
-        assert_eq!((probed.samples(), probed.batches()), (2 * served, served));
     }
 
     #[test]

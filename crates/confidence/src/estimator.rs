@@ -1,51 +1,63 @@
-//! The unified confidence-estimation layer: one trait, batched and parallel.
+//! The estimation seam the engine calls: compiled batches in, estimates out.
 //!
 //! Query operators that compute confidences (`conf`, `cert`, `σ̂`) never need
 //! a single probability — they need the probabilities of *all* tuple lineages
-//! of a relation at once.  [`ConfidenceEstimator`] is the seam between the
-//! engine's physical operators and the estimation machinery of Sections 4–5:
-//! it accepts a batch of DNF events and evaluates them **in parallel** (via
-//! rayon) while staying **deterministic under a fixed seed**, because every
-//! event of a batch derives its own sub-RNG from `(master seed, batch index)`
-//! — never from thread scheduling.
+//! of a relation at once.  The engine compiles such a batch once into
+//! [`LineagePrograms`] and hands it to a [`ConfidenceEstimator`], which
+//! evaluates the events **in parallel** (via rayon) while staying
+//! **deterministic under a fixed seed**: every event of a batch derives its
+//! own sub-RNG from `(master seed, batch index)` ([`event_seed`]) — never
+//! from thread scheduling.
 //!
-//! Three implementations cover the paper's estimation modes:
+//! A probability is computed in production in exactly three ways:
 //!
-//! * [`ExactEstimator`] — exact model counting by Shannon expansion
-//!   (Section 4's #P-hard baseline, [`crate::exact`]).
-//! * [`FprasEstimator`] — the Karp–Luby (ε, δ)-FPRAS of Proposition 4.2,
-//!   backed by [`crate::KarpLubyEstimator`].
-//! * [`BatchedIncrementalEstimator`] — a fixed number of anytime batches per
-//!   event, backed by [`crate::IncrementalEstimator`]; this is the inner step
-//!   of the Theorem 6.7 whole-query approximation.
+//! * [`ExactEstimator`] — a lookup into
+//!   [`LineagePrograms::exact_probabilities`], the memoised Shannon
+//!   expansion of the batch (`conf`, `cert`, exact `σ̂`);
+//! * [`FprasEstimator`] — the (ε, δ)-FPRAS of Proposition 4.2: the
+//!   [`crate::cost`] model sends an event to the d-DNNF backend or to the
+//!   bit-parallel block kernel ([`BitKarpLuby`]) with the Chernoff sample
+//!   count (`conf_{ε,δ}`);
+//! * `approx::approximate_predicate` over
+//!   [`crate::IncrementalEstimator::from_compiled`] states — Figure 3
+//!   (Monte Carlo `σ̂`), which lives in the `approx` crate.
+//!
+//! Everything else in this crate that computes a probability — the scalar
+//! [`crate::KarpLubyEstimator`], [`crate::approximate_confidence`],
+//! [`crate::exact::by_enumeration`], [`crate::exact::by_inclusion_exclusion`]
+//! — is a reference the differential and property suites compare the
+//! production paths against.
 //!
 //! ```
 //! use confidence::{Assignment, ConfidenceEstimator, DnfEvent, ExactEstimator,
-//!                  FprasEstimator, FprasParams, ProbabilitySpace};
+//!                  FprasEstimator, FprasParams, LineagePrograms, ProbabilitySpace};
+//! use std::sync::Arc;
 //!
 //! let mut space = ProbabilitySpace::new();
 //! let a = space.add_bool_variable(0.5).unwrap();
-//! let event = DnfEvent::new([Assignment::new([(a, 0)]).unwrap()]);
-//! let events = vec![event.clone(), event];
+//! let b = space.add_bool_variable(0.5).unwrap();
+//! let event = DnfEvent::new([
+//!     Assignment::new([(a, 0)]).unwrap(),
+//!     Assignment::new([(b, 0)]).unwrap(),
+//! ]);
+//! // Compile the batch once …
+//! let programs = Arc::new(LineagePrograms::compile(vec![event.clone(), event], &space).unwrap());
 //!
-//! let exact = ExactEstimator.estimate_batch(&events, &space, 7).unwrap();
-//! assert!((exact[0].estimate - 0.5).abs() < 1e-12);
+//! // … then estimate it as often as needed.
+//! let exact = ExactEstimator.estimate_compiled_batch(&programs, 7).unwrap();
+//! assert!((exact[0].estimate - 0.75).abs() < 1e-12);
 //!
 //! let fpras = FprasEstimator::new(FprasParams::new(0.2, 0.05).unwrap());
-//! let approx = fpras.estimate_batch(&events, &space, 7).unwrap();
+//! let approx = fpras.estimate_compiled_batch(&programs, 7).unwrap();
 //! // Same seed, same batch → identical estimates, regardless of thread count.
-//! assert_eq!(approx, fpras.estimate_batch(&events, &space, 7).unwrap());
+//! assert_eq!(approx, fpras.estimate_compiled_batch(&programs, 7).unwrap());
 //! ```
 
-use crate::adaptive::IncrementalEstimator;
 use crate::bitworld::BitKarpLuby;
 use crate::compile::LineagePrograms;
 use crate::error::Result;
-use crate::event::{DnfEvent, ProbabilitySpace};
-use crate::exact;
-use crate::fpras::{approximate_confidence, FprasParams};
+use crate::fpras::FprasParams;
 use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -73,62 +85,26 @@ pub fn event_seed(master: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A strategy for estimating the probabilities of DNF events, in batches.
+/// A strategy for estimating the probabilities of a compiled batch of DNF
+/// events.
 ///
-/// `estimate_batch` must equal mapping [`estimate_event`] over the batch with
-/// the per-index seeds of [`event_seed`] — implementations parallelise, but
-/// the result is defined sequentially.  The default implementation does
-/// exactly that via rayon.
-///
-/// [`estimate_event`]: ConfidenceEstimator::estimate_event
+/// `estimate_compiled_batch` must equal mapping
+/// [`estimate_compiled`](ConfidenceEstimator::estimate_compiled) over the
+/// batch with the per-index seeds of [`event_seed`] — implementations
+/// parallelise, but the result is defined sequentially.  The default
+/// implementation does exactly that via rayon.
 pub trait ConfidenceEstimator: Send + Sync {
-    /// A short name for statistics and plan rendering.
-    fn name(&self) -> &'static str;
-
-    /// Estimates a single event; all randomness is derived from `seed`.
-    fn estimate_event(
-        &self,
-        event: &DnfEvent,
-        space: &ProbabilitySpace,
-        seed: u64,
-    ) -> Result<EventEstimate>;
-
-    /// Estimates a batch of events in parallel, deterministically in
-    /// `master_seed`.
-    fn estimate_batch(
-        &self,
-        events: &[DnfEvent],
-        space: &ProbabilitySpace,
-        master_seed: u64,
-    ) -> Result<Vec<EventEstimate>> {
-        (0..events.len())
-            .into_par_iter()
-            .map(|i| self.estimate_event(&events[i], space, event_seed(master_seed, i)))
-            .collect()
-    }
-
-    /// Estimates event `index` of an already compiled batch; all randomness
-    /// is derived from `seed`.
-    ///
-    /// Monte Carlo implementations override this with the bit-parallel
-    /// [`crate::bitworld`] kernel (64 worlds per word, no per-sample
-    /// allocation); the default falls back to the scalar
-    /// [`estimate_event`](ConfidenceEstimator::estimate_event) on the
-    /// retained source event.  Compiled and scalar runs draw randomness
-    /// differently — seeds re-map — but each is deterministic per seed, and
-    /// their estimates agree statistically (property-tested).
+    /// Estimates event `index` of a compiled batch; all randomness is
+    /// derived from `seed`.
     fn estimate_compiled(
         &self,
         programs: &Arc<LineagePrograms>,
         index: usize,
         seed: u64,
-    ) -> Result<EventEstimate> {
-        self.estimate_event(&programs.events()[index], programs.space(), seed)
-    }
+    ) -> Result<EventEstimate>;
 
-    /// Estimates a whole compiled batch, deterministically in `master_seed`;
-    /// the batched analogue of
-    /// [`estimate_compiled`](ConfidenceEstimator::estimate_compiled).
+    /// Estimates a whole compiled batch in parallel, deterministically in
+    /// `master_seed`.
     fn estimate_compiled_batch(
         &self,
         programs: &Arc<LineagePrograms>,
@@ -146,23 +122,6 @@ pub trait ConfidenceEstimator: Send + Sync {
 pub struct ExactEstimator;
 
 impl ConfidenceEstimator for ExactEstimator {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn estimate_event(
-        &self,
-        event: &DnfEvent,
-        space: &ProbabilitySpace,
-        _seed: u64,
-    ) -> Result<EventEstimate> {
-        Ok(EventEstimate {
-            estimate: exact::probability(event, space)?,
-            samples: 0,
-            exact: true,
-        })
-    }
-
     fn estimate_compiled(
         &self,
         programs: &Arc<LineagePrograms>,
@@ -231,26 +190,6 @@ impl FprasEstimator {
 }
 
 impl ConfidenceEstimator for FprasEstimator {
-    fn name(&self) -> &'static str {
-        "karp-luby-fpras"
-    }
-
-    fn estimate_event(
-        &self,
-        event: &DnfEvent,
-        space: &ProbabilitySpace,
-        seed: u64,
-    ) -> Result<EventEstimate> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let outcome = approximate_confidence(event, space, self.params, &mut rng)?;
-        Ok(EventEstimate {
-            estimate: outcome.estimate,
-            samples: outcome.samples as u64,
-            // Trivial events are answered exactly without sampling.
-            exact: outcome.samples == 0,
-        })
-    }
-
     fn estimate_compiled(
         &self,
         programs: &Arc<LineagePrograms>,
@@ -290,109 +229,14 @@ impl ConfidenceEstimator for FprasEstimator {
     }
 }
 
-/// A fixed number of anytime Karp–Luby batches per event (the paper's
-/// outer-loop counter `l`), the inner step of the Theorem 6.7 driver.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchedIncrementalEstimator {
-    batches: usize,
-    deadline: Option<std::time::Instant>,
-    exact_backend: u32,
-}
-
-impl BatchedIncrementalEstimator {
-    /// Creates an estimator drawing `batches` batches of `|F_i|` samples per
-    /// event.
-    pub fn new(batches: usize) -> Self {
-        BatchedIncrementalEstimator {
-            batches,
-            deadline: None,
-            exact_backend: 0,
-        }
-    }
-
-    /// Enables the exact d-DNNF backend on the compiled path with a hard
-    /// circuit budget of `node_budget` nodes (0 disables it); the sample
-    /// bill side of the cost comparison is `l · |F|`, the total draws the
-    /// fixed batches would make.  See
-    /// [`FprasEstimator::with_exact_backend`].
-    pub fn with_exact_backend(mut self, node_budget: u32) -> Self {
-        self.exact_backend = node_budget;
-        self
-    }
-
-    /// Attaches a cooperative deadline: the clock is probed when a batch
-    /// draws a block (every
-    /// [`DEADLINE_CHECK_BLOCKS`](crate::bitworld::DEADLINE_CHECK_BLOCKS)-th
-    /// one, the first included — a batch the lane bank serves costs no
-    /// clock read) and an expired deadline aborts the drive with
-    /// [`crate::ConfidenceError::Interrupted`].  Runs that complete are
-    /// bit-identical to the deadline-free estimator.
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The batch count `l`.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-}
-
-impl ConfidenceEstimator for BatchedIncrementalEstimator {
-    fn name(&self) -> &'static str {
-        "incremental-fixed-l"
-    }
-
-    fn estimate_event(
-        &self,
-        event: &DnfEvent,
-        space: &ProbabilitySpace,
-        seed: u64,
-    ) -> Result<EventEstimate> {
-        let mut estimator = IncrementalEstimator::new(event.clone(), space.clone())?;
-        self.drive(&mut estimator, seed)
-    }
-
-    fn estimate_compiled(
-        &self,
-        programs: &Arc<LineagePrograms>,
-        index: usize,
-        seed: u64,
-    ) -> Result<EventEstimate> {
-        let mut estimator = IncrementalEstimator::from_compiled(programs, index)?;
-        if !estimator.is_trivial() {
-            let bill = (self.batches as u64).saturating_mul(programs.num_terms(index) as u64);
-            if let Some(p) = programs.exact_if_cheaper(index, bill, self.exact_backend) {
-                estimator.resolve_exactly(p);
-            }
-        }
-        self.drive(&mut estimator, seed)
-    }
-}
-
-impl BatchedIncrementalEstimator {
-    fn drive(&self, estimator: &mut IncrementalEstimator, seed: u64) -> Result<EventEstimate> {
-        // Like the FPRAS compiled path: a per-event xoshiro sub-RNG feeds
-        // the bit-parallel kernel underneath the incremental estimator.
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        for _ in 0..self.batches {
-            estimator.add_batch_until(&mut rng, self.deadline)?;
-        }
-        Ok(EventEstimate {
-            estimate: estimator.estimate(),
-            samples: estimator.samples(),
-            exact: estimator.is_trivial(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Assignment;
+    use crate::event::{Assignment, DnfEvent, ProbabilitySpace};
     use rand::Rng;
+    use rand_chacha::ChaCha8Rng;
 
-    fn batch_setup(n: usize) -> (Vec<DnfEvent>, ProbabilitySpace) {
+    fn batch_setup(n: usize) -> Arc<LineagePrograms> {
         let mut space = ProbabilitySpace::new();
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let vars: Vec<_> = (0..8)
@@ -414,57 +258,65 @@ mod tests {
                 events.push(DnfEvent::new(terms));
             }
         }
-        (events, space)
+        Arc::new(LineagePrograms::compile(events, &space).unwrap())
+    }
+
+    fn fpras(epsilon: f64, delta: f64) -> FprasEstimator {
+        FprasEstimator::new(FprasParams::new(epsilon, delta).unwrap())
     }
 
     #[test]
     fn parallel_batch_equals_sequential_map_for_every_estimator() {
-        let (events, space) = batch_setup(40);
-        let estimators: Vec<Box<dyn ConfidenceEstimator>> = vec![
-            Box::new(ExactEstimator),
-            Box::new(FprasEstimator::new(FprasParams::new(0.3, 0.1).unwrap())),
-            Box::new(BatchedIncrementalEstimator::new(16)),
+        let programs = batch_setup(40);
+        let estimators: Vec<(&str, Box<dyn ConfidenceEstimator>)> = vec![
+            ("exact", Box::new(ExactEstimator)),
+            ("fpras", Box::new(fpras(0.3, 0.1))),
         ];
-        for estimator in &estimators {
+        for (name, estimator) in &estimators {
             let master = 99u64;
-            let parallel = estimator.estimate_batch(&events, &space, master).unwrap();
-            let sequential: Vec<EventEstimate> = events
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
+            let parallel = estimator
+                .estimate_compiled_batch(&programs, master)
+                .unwrap();
+            let sequential: Vec<EventEstimate> = (0..programs.len())
+                .map(|i| {
                     estimator
-                        .estimate_event(e, &space, event_seed(master, i))
+                        .estimate_compiled(&programs, i, event_seed(master, i))
                         .unwrap()
                 })
                 .collect();
             assert_eq!(
-                parallel,
-                sequential,
-                "estimator {} must be schedule-independent",
-                estimator.name()
+                parallel, sequential,
+                "estimator {name} must be schedule-independent"
             );
         }
     }
 
     #[test]
     fn batches_are_deterministic_and_seed_sensitive() {
-        let (events, space) = batch_setup(12);
-        let fpras = FprasEstimator::new(FprasParams::new(0.25, 0.1).unwrap());
-        let a = fpras.estimate_batch(&events, &space, 1).unwrap();
-        let b = fpras.estimate_batch(&events, &space, 1).unwrap();
-        let c = fpras.estimate_batch(&events, &space, 2).unwrap();
+        let programs = batch_setup(12);
+        let fpras = fpras(0.25, 0.1);
+        let a = fpras.estimate_compiled_batch(&programs, 1).unwrap();
+        let b = fpras.estimate_compiled_batch(&programs, 1).unwrap();
+        let c = fpras.estimate_compiled_batch(&programs, 2).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c, "different master seeds must change some estimate");
     }
 
     #[test]
     fn estimators_agree_with_exact_within_their_guarantees() {
-        let (events, space) = batch_setup(10);
-        let exact = ExactEstimator.estimate_batch(&events, &space, 0).unwrap();
-        let fpras = FprasEstimator::new(FprasParams::new(0.2, 0.01).unwrap());
-        let approx = fpras.estimate_batch(&events, &space, 5).unwrap();
-        for (e, a) in exact.iter().zip(&approx) {
+        let programs = batch_setup(10);
+        let exact = ExactEstimator
+            .estimate_compiled_batch(&programs, 0)
+            .unwrap();
+        let approx = fpras(0.2, 0.01)
+            .estimate_compiled_batch(&programs, 5)
+            .unwrap();
+        for (i, (e, a)) in exact.iter().zip(&approx).enumerate() {
             assert!(e.exact && e.samples == 0);
+            // The memoised Shannon expansion is the scalar reference's value.
+            let reference =
+                crate::exact::probability(&programs.events()[i], programs.space()).unwrap();
+            assert!((e.estimate - reference).abs() < 1e-12);
             // ε = 0.2 at δ = 0.01 over 10 events: allow 1.5× the budget so a
             // single unlucky draw cannot flake the suite.
             assert!(
@@ -481,12 +333,12 @@ mod tests {
         let mut space = ProbabilitySpace::new();
         space.add_bool_variable(0.4).unwrap();
         let events = vec![DnfEvent::never(), DnfEvent::new([Assignment::always()])];
+        let programs = Arc::new(LineagePrograms::compile(events, &space).unwrap());
         for estimator in [
             Box::new(ExactEstimator) as Box<dyn ConfidenceEstimator>,
-            Box::new(FprasEstimator::new(FprasParams::new(0.2, 0.1).unwrap())),
-            Box::new(BatchedIncrementalEstimator::new(4)),
+            Box::new(fpras(0.2, 0.1)),
         ] {
-            let out = estimator.estimate_batch(&events, &space, 3).unwrap();
+            let out = estimator.estimate_compiled_batch(&programs, 3).unwrap();
             assert_eq!(out[0].estimate, 0.0);
             assert_eq!(out[1].estimate, 1.0);
             assert!(out.iter().all(|e| e.exact && e.samples == 0));
@@ -495,27 +347,20 @@ mod tests {
 
     #[test]
     fn deadlines_interrupt_or_leave_runs_bit_identical() {
-        let (events, space) = batch_setup(6);
-        let programs = Arc::new(LineagePrograms::compile(events, &space).unwrap());
+        let programs = batch_setup(6);
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let params = FprasParams::new(0.2, 0.1).unwrap();
         // An already expired deadline interrupts before sampling finishes.
-        let err = FprasEstimator::new(params)
-            .with_deadline(Some(past))
-            .estimate_compiled_batch(&programs, 7)
-            .unwrap_err();
-        assert_eq!(err, crate::ConfidenceError::Interrupted);
-        let err = BatchedIncrementalEstimator::new(4)
+        let err = fpras(0.2, 0.1)
             .with_deadline(Some(past))
             .estimate_compiled_batch(&programs, 7)
             .unwrap_err();
         assert_eq!(err, crate::ConfidenceError::Interrupted);
         // A generous deadline changes nothing: the probe draws no randomness.
         let future = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let free = FprasEstimator::new(params)
+        let free = fpras(0.2, 0.1)
             .estimate_compiled_batch(&programs, 7)
             .unwrap();
-        let budgeted = FprasEstimator::new(params)
+        let budgeted = fpras(0.2, 0.1)
             .with_deadline(Some(future))
             .estimate_compiled_batch(&programs, 7)
             .unwrap();
@@ -524,14 +369,11 @@ mod tests {
 
     #[test]
     fn the_exact_backend_answers_compiled_events_exactly() {
-        let (events, space) = batch_setup(12);
-        let programs = Arc::new(LineagePrograms::compile(events, &space).unwrap());
+        let programs = batch_setup(12);
         let reference = ExactEstimator
             .estimate_compiled_batch(&programs, 0)
             .unwrap();
-        let params = FprasParams::new(0.2, 0.05).unwrap();
-        let backed =
-            FprasEstimator::new(params).with_exact_backend(crate::cost::DEFAULT_NODE_BUDGET);
+        let backed = fpras(0.2, 0.05).with_exact_backend(crate::cost::DEFAULT_NODE_BUDGET);
         let a = backed.estimate_compiled_batch(&programs, 7).unwrap();
         let b = backed.estimate_compiled_batch(&programs, 8).unwrap();
         // Exact answers are seed-independent.
@@ -548,41 +390,14 @@ mod tests {
     }
 
     #[test]
-    fn the_incremental_estimator_resolves_exact_backend_answers() {
-        let (events, space) = batch_setup(10);
-        let programs = Arc::new(LineagePrograms::compile(events, &space).unwrap());
-        let reference = ExactEstimator
-            .estimate_compiled_batch(&programs, 0)
-            .unwrap();
-        let backed = BatchedIncrementalEstimator::new(64)
-            .with_exact_backend(crate::cost::DEFAULT_NODE_BUDGET);
-        let out = backed.estimate_compiled_batch(&programs, 7).unwrap();
-        assert_eq!(out, backed.estimate_compiled_batch(&programs, 9).unwrap());
-        let mut resolved = 0;
-        for (i, (got, want)) in out.iter().zip(&reference).enumerate() {
-            if got.exact {
-                resolved += 1;
-                assert_eq!(got.samples, 0);
-                assert!((got.estimate - want.estimate).abs() < 1e-9);
-            }
-            // A kernel is constructed before the backend resolves the
-            // event; only drawing a block builds the sampling table.
-            assert_eq!(programs.sampling_table_built(i), !got.exact);
-        }
-        assert!(resolved > 0, "the cost model never fired on small events");
-    }
-
-    #[test]
     fn an_unattainable_node_budget_is_bit_identical_to_no_backend() {
-        let (events, space) = batch_setup(12);
-        let programs = Arc::new(LineagePrograms::compile(events, &space).unwrap());
-        let params = FprasParams::new(0.25, 0.1).unwrap();
+        let programs = batch_setup(12);
         // Budget 2 rejects every non-trivial event at the estimate screen, so
         // the sampling path — including its RNG stream — is untouched.
-        let plain = FprasEstimator::new(params)
+        let plain = fpras(0.25, 0.1)
             .estimate_compiled_batch(&programs, 21)
             .unwrap();
-        let gated = FprasEstimator::new(params)
+        let gated = fpras(0.25, 0.1)
             .with_exact_backend(2)
             .estimate_compiled_batch(&programs, 21)
             .unwrap();

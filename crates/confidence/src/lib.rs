@@ -36,11 +36,16 @@
 //! * [`cost`] — the per-event compile-vs-sample decision ([`Backend`]):
 //!   a structural circuit-size estimate against the hard node budget and
 //!   the Chernoff-implied sample bill.
-//! * [`estimator`] — the unified [`ConfidenceEstimator`] layer: exact, FPRAS
-//!   and fixed-batch incremental estimation behind one trait that evaluates
-//!   *batches* of events in parallel (rayon), deterministically under a
-//!   fixed seed via per-event sub-RNGs; the `estimate_compiled*` methods run
-//!   the bit-parallel kernels over a [`LineagePrograms`] batch.
+//! * [`estimator`] — the seam the engine calls: [`ConfidenceEstimator`]
+//!   estimates a compiled [`LineagePrograms`] batch in parallel (rayon),
+//!   deterministically under a fixed seed via per-event sub-RNGs.
+//!   [`ExactEstimator`] (memoised Shannon expansion) and [`FprasEstimator`]
+//!   (cost model → d-DNNF or the block kernel) are, with Figure 3 over
+//!   [`IncrementalEstimator`] states, the only production paths to a
+//!   probability; the scalar [`KarpLubyEstimator`],
+//!   [`approximate_confidence`], [`exact::by_enumeration`] and
+//!   [`exact::by_inclusion_exclusion`] are the references the differential
+//!   and property suites compare them against.
 //!
 //! ```
 //! use confidence::{Assignment, DnfEvent, ProbabilitySpace, exact};
@@ -85,8 +90,7 @@ pub use cost::Backend;
 pub use dnnf::Dnnf;
 pub use error::{ConfidenceError, Result};
 pub use estimator::{
-    event_seed, BatchedIncrementalEstimator, ConfidenceEstimator, EventEstimate, ExactEstimator,
-    FprasEstimator,
+    event_seed, ConfidenceEstimator, EventEstimate, ExactEstimator, FprasEstimator,
 };
 pub use event::{AltId, Assignment, DnfEvent, ProbabilitySpace, VarId, DISTRIBUTION_TOLERANCE};
 pub use fpras::{approximate_confidence, ConfidenceEstimate, FprasParams};

@@ -25,17 +25,27 @@ use std::collections::BTreeMap;
 use urel::{UDatabase, URelation};
 
 /// How `σ̂` operators decide their predicates.
+///
+/// The two Monte Carlo modes are the *same* routine — prune by exact bounds,
+/// then one Figure 3 loop (`approx::approximate_predicate`) per remaining
+/// candidate on the sub-RNG of its candidate index — and differ only in the
+/// loop's stop rule, and with it the sampling bill the exact backend's cost
+/// model is asked to beat.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ApproxSelectMode {
     /// Decide on exactly computed confidences (the reference semantics; no
-    /// error is introduced).
+    /// error is introduced, no randomness consumed).
     Exact,
-    /// Run the adaptive algorithm of Figure 3 with the operator's own
-    /// (ε₀, δ).
+    /// Figure 3 with the operator's own (ε₀, δ): stop once `Σ δ_i(ε) ≤ δ`.
+    /// The bill is the Chernoff sample count at (ε₀, δ).
     Adaptive,
-    /// Draw exactly `l` batches per estimator, then decide once.  This is the
-    /// inner step of the Theorem 6.7 whole-query approximation, which doubles
-    /// `l` from the outside until the output error target is met.
+    /// Figure 3 for exactly `l` iterations — `l` batches of `|F_i|` samples
+    /// per value — reporting the bound reached, `min(0.5, Σ δ′(ε, l))` over
+    /// the sampled values.  This is the inner step of the Theorem 6.7
+    /// whole-query approximation, which doubles `l` from the outside until
+    /// the output error target is met.  The loop decides on estimates, so
+    /// `FixedIterations(0)` runs one iteration like `FixedIterations(1)`.
+    /// The bill is `l·|F_i|`.
     FixedIterations(usize),
 }
 
@@ -204,10 +214,12 @@ pub struct EvalStats {
     /// Number of σ̂ candidates decided by exact confidence bounds before any
     /// sampling (a subset of `approx_select_decisions`).
     pub approx_select_pruned: u64,
-    /// Approximate-confidence events answered exactly by the compiled
-    /// d-DNNF backend (or trivially) — zero samples drawn.
+    /// Non-trivial events of `conf_{ε,δ}` and Monte Carlo `σ̂` answered
+    /// exactly by the compiled d-DNNF backend — zero samples drawn.
     pub exact_compiled_answers: u64,
-    /// Approximate-confidence events answered by Karp–Luby sampling.
+    /// Non-trivial events of `conf_{ε,δ}` and Monte Carlo `σ̂` answered by
+    /// Karp–Luby sampling: with `exact_compiled_answers`, every such event
+    /// an unpruned candidate or a `conf` tuple estimated, counted once.
     pub sampled_answers: u64,
     /// Sampled events served from the shared block scheduler's tally
     /// instead of drawing fresh blocks (shared-sampling engines only).

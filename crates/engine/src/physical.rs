@@ -4,8 +4,8 @@
 //! [`PhysicalPlan::lower`] turns each logical node into a concrete
 //! [`PhysicalOperator`] implementation, resolving every accuracy annotation
 //! against the engine's [`EvalConfig`] — `conf` becomes exact model counting
-//! or the Karp–Luby FPRAS, `σ̂` becomes exact decisions, the adaptive
-//! Figure 3 algorithm, or a fixed iteration budget.  [`PhysicalPlan::execute`]
+//! or the Karp–Luby FPRAS, `σ̂` becomes exact decisions or the Figure 3
+//! loop under its adaptive or its fixed-`l` stop rule.  [`PhysicalPlan::execute`]
 //! then schedules the nodes over value slots; a consumer takes a clone of
 //! its input's slot (a pointer copy: relation content is shared inside
 //! `urel`), and values stay in their slots until the run ends.
@@ -24,7 +24,7 @@
 //! they collect the DNF lineages of all tuples via the memoised
 //! [`CompiledSpace::relation_events`] batch and hand it to the
 //! [`ConfidenceEstimator`] layer, which estimates every event in parallel
-//! with a deterministic per-event sub-RNG.  Adaptive `σ̂` decisions are
+//! with a deterministic per-event sub-RNG.  Monte Carlo `σ̂` decisions are
 //! likewise run concurrently across candidate tuples, one seeded RNG per
 //! candidate, so results are identical for a fixed seed no matter how many
 //! threads run.
@@ -73,9 +73,8 @@ use approx::{
     BoxVerdict, Interval, Orthotope,
 };
 use confidence::{
-    chernoff, event_bounds_with_limit, event_seed, BatchedIncrementalEstimator, ConfidenceError,
-    ConfidenceEstimator, DnfEvent, EventBounds, ExactEstimator, FprasEstimator, FprasParams,
-    IncrementalEstimator,
+    event_bounds_with_limit, event_seed, ConfidenceError, ConfidenceEstimator, DnfEvent,
+    EventBounds, EventEstimate, ExactEstimator, FprasEstimator, FprasParams, IncrementalEstimator,
 };
 use pdb::{Schema, Tuple, Value};
 use rand::RngCore;
@@ -1559,80 +1558,67 @@ impl PhysicalOperator for ConfOp {
                     .with_deadline(ctx.deadline),
             ),
         };
-        // The failpoint sits *before* the master-seed draw: a retried
-        // request that faulted here has consumed no caller randomness, so
-        // its successful attempt is still bit-identical to cold.
-        if self.params.is_some() {
-            crate::faults::fire("estimate", ctx.deadline)?;
-        }
-        // Exact estimation consumes no randomness; leave the caller's RNG
-        // stream untouched in that case.  Shared-sampling runs *draw* the
-        // seed (so the caller's stream advances exactly as it always has)
-        // but replace it with the arena's content fingerprint below.
-        let master_seed = if self.params.is_some() {
-            ctx.rng.next_u64()
-        } else {
-            0
-        };
         let programs = lineage.programs();
-        let estimates = match self.params {
-            Some(params) if ctx.config.shared_sampling => {
-                // Canonical streams: every per-event sub-RNG derives from
-                // the compiled arena's content fingerprint, so the answer is
-                // a pure function of (content, configuration, ε/δ) — the
-                // precondition for sharing drawn blocks across requests.
-                let canonical = programs.fingerprint();
-                let drawn: Vec<(confidence::EventEstimate, bool)> = (0..programs.len())
-                    .into_par_iter()
-                    .map(|i| -> Result<(confidence::EventEstimate, bool)> {
-                        let draw =
-                            || estimator.estimate_compiled(programs, i, event_seed(canonical, i));
-                        let routed = match (&ctx.sampler, programs.trivial(i)) {
-                            // Non-trivial events consult the shared block
-                            // scheduler; the tally key includes the Chernoff
-                            // bill so prepared queries with different (ε, δ)
-                            // never alias.
-                            (Some(sampler), None) => {
-                                let m = params
-                                    .samples_for(programs.num_terms(i))
-                                    .map_err(EngineError::Confidence)?;
-                                sampler
-                                    .estimate(canonical, i as u32, m as u64, draw)
-                                    .map_err(EngineError::Confidence)?
-                            }
-                            _ => (draw().map_err(EngineError::Confidence)?, false),
-                        };
-                        Ok(routed)
-                    })
-                    .collect::<Result<Vec<_>>>()
-                    .map_err(deadline_interrupt)?;
-                ctx.stats.shared_block_hits += drawn.iter().filter(|(_, hit)| *hit).count() as u64;
-                drawn.into_iter().map(|(estimate, _)| estimate).collect()
+        // The base every per-event sub-RNG seed derives from.  Exact
+        // estimation consumes no randomness and leaves the caller's RNG
+        // stream untouched.  Shared-sampling runs *draw* the master seed (so
+        // the caller's stream advances exactly as it always has) but derive
+        // their streams from the compiled arena's content fingerprint, so the
+        // answer is a pure function of (content, configuration, ε/δ) — the
+        // precondition for sharing drawn blocks across requests.
+        let shared = ctx.config.shared_sampling;
+        let seed_base = match self.params {
+            None => 0,
+            Some(_) => {
+                // The failpoint sits *before* the master-seed draw: a retried
+                // request that faulted here has consumed no caller
+                // randomness, so its successful attempt is still
+                // bit-identical to cold.
+                crate::faults::fire("estimate", ctx.deadline)?;
+                let master_seed = ctx.rng.next_u64();
+                if shared {
+                    programs.fingerprint()
+                } else {
+                    master_seed
+                }
             }
-            _ => estimator
-                .estimate_compiled_batch(programs, master_seed)
-                .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))?,
         };
+        // The tally cache is keyed by the seed base, which names the arena
+        // only when it is the content fingerprint.
+        let sampler = ctx.sampler.as_deref().filter(|_| shared);
+        let drawn: Vec<(EventEstimate, bool)> = (0..programs.len())
+            .into_par_iter()
+            .map(|i| {
+                let draw = || estimator.estimate_compiled(programs, i, event_seed(seed_base, i));
+                match (sampler, self.params, programs.trivial(i)) {
+                    // Non-trivial events consult the shared block scheduler;
+                    // the tally key includes the Chernoff bill so prepared
+                    // queries with different (ε, δ) never alias.
+                    (Some(sampler), Some(params), None) => {
+                        let m = params.samples_for(programs.num_terms(i))?;
+                        sampler.estimate(seed_base, i as u32, m as u64, draw)
+                    }
+                    _ => draw().map(|estimate| (estimate, false)),
+                }
+            })
+            .collect::<confidence::Result<_>>()
+            .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))?;
+        ctx.stats.shared_block_hits += drawn.iter().filter(|(_, hit)| *hit).count() as u64;
 
         let mut out = URelation::empty(schema);
         let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
-        for (i, (t, estimate)) in lineage.tuples().iter().zip(&estimates).enumerate() {
-            // Stats keep the pre-pipeline semantics: exact mode counts model-
-            // counting calls, FPRAS mode counts samples (0 for trivial
-            // events, which are answered without sampling).  Backend
-            // attribution is per non-trivial event: the d-DNNF path flags
-            // `exact` with zero samples, everything else was sampled.
+        for (i, (t, (estimate, _))) in lineage.tuples().iter().zip(&drawn).enumerate() {
+            // Exact mode counts model-counting calls, FPRAS mode samples and
+            // which backend answered.
             if self.params.is_none() {
                 ctx.stats.exact_confidence_calls += 1;
             } else {
-                ctx.stats.karp_luby_samples += estimate.samples;
-                if lineage.programs().trivial(i).is_none() {
-                    if estimate.exact {
-                        ctx.stats.exact_compiled_answers += 1;
-                    } else {
-                        ctx.stats.sampled_answers += 1;
-                    }
-                }
+                attribute_estimate(
+                    &mut ctx.stats,
+                    programs.trivial(i).is_some(),
+                    estimate.exact,
+                    estimate.samples,
+                );
             }
             let out_t = t.with_appended(Value::float(estimate.estimate));
             out.insert(Condition::always(), out_t.clone())?;
@@ -1868,11 +1854,25 @@ type CompiledEventHandle = (std::sync::Arc<confidence::LineagePrograms>, usize);
 fn deadline_interrupt(e: EngineError) -> EngineError {
     match e {
         EngineError::Confidence(ConfidenceError::Interrupted)
-        | EngineError::Approx(ApproxError::Interrupted)
-        | EngineError::Approx(ApproxError::Confidence(ConfidenceError::Interrupted)) => {
+        | EngineError::Approx(ApproxError::Interrupted) => {
             EngineError::DeadlineExceeded { stage: "estimate" }
         }
         e => e,
+    }
+}
+
+/// Books one event a Monte Carlo path (`conf_{ε,δ}`, Monte Carlo `σ̂`)
+/// estimated: its samples, and — for a non-trivial event — exactly one of
+/// the two backend counters: answered exactly by the d-DNNF backend, or by
+/// Karp–Luby sampling.  Trivial events move neither.
+fn attribute_estimate(stats: &mut EvalStats, trivial: bool, exact: bool, samples: u64) {
+    stats.karp_luby_samples += samples;
+    if !trivial {
+        if exact {
+            stats.exact_compiled_answers += 1;
+        } else {
+            stats.sampled_answers += 1;
+        }
     }
 }
 
@@ -1921,12 +1921,17 @@ impl ApproxSelectOp {
     /// Decides all `num_candidates` candidates under the operator's mode;
     /// candidate `i`'s `k` events are `handles[i*k .. (i+1)*k]` (`k` may be 0:
     /// a term-less predicate is decided once per candidate on no values).
-    /// Monte Carlo modes first prune candidates whose exact confidence
-    /// bounds already decide the predicate (when the engine enables it),
-    /// then run candidates/events concurrently with per-index sub-RNGs
-    /// derived from one master seed.  Every unpruned candidate keeps the
-    /// sub-RNG of its original index, so the outcome is deterministic per
-    /// seed *and* unchanged for the candidates pruning leaves alone.
+    ///
+    /// Exact mode looks the values up.  The Monte Carlo modes are one
+    /// routine: prune the candidates whose exact confidence bounds already
+    /// decide the predicate (when the engine enables it), then run Figure 3
+    /// ([`approximate_predicate`]) per remaining candidate, all candidates
+    /// concurrently, each on the sub-RNG of its *candidate* index under one
+    /// master seed — so the outcome is deterministic per seed *and* unchanged
+    /// for the candidates pruning leaves alone.  The mode only picks the
+    /// loop's stop rule (`Adaptive`: `Σ δ_i(ε) ≤ δ`; `FixedIterations(l)`:
+    /// `l` iterations) and with it the sampling bill the exact backend's
+    /// cost model is asked to beat.
     fn decide_candidates(
         &self,
         num_candidates: usize,
@@ -1937,177 +1942,103 @@ impl ApproxSelectOp {
     ) -> Result<Vec<(bool, f64)>> {
         let k = self.terms.len();
         debug_assert_eq!(handles.len(), num_candidates * k);
-        // Exact mode is the reference semantics and stays unpruned; the
-        // Monte Carlo modes skip clear candidates entirely.
-        let pruned: Vec<Option<bool>> =
-            if ctx.config.prune_approx_select && self.mode != ApproxSelectMode::Exact {
-                self.prune_candidates(
-                    num_candidates,
-                    handles,
-                    compiled,
-                    predicate,
-                    ctx.config.pairwise_bound_limit,
-                )?
-            } else {
-                vec![None; num_candidates]
-            };
-        ctx.stats.approx_select_pruned += pruned.iter().filter(|p| p.is_some()).count() as u64;
-        match self.mode {
+        let fixed_l = match self.mode {
             ApproxSelectMode::Exact => {
-                // The memoised path `conf`/`cert` use: each batch expands
-                // its events once, however many candidates share them.
+                // The reference semantics, unpruned: the memoised path
+                // `conf`/`cert` use — each batch expands its events once,
+                // however many candidates share them.
                 let values = handles
                     .iter()
                     .map(|(programs, i)| Ok(programs.exact_probabilities()?[*i]))
                     .collect::<confidence::Result<Vec<f64>>>()
                     .map_err(EngineError::Confidence)?;
                 ctx.stats.exact_confidence_calls += values.len() as u64;
-                (0..num_candidates)
+                return (0..num_candidates)
                     .map(|i| Ok((predicate.eval(&values[i * k..(i + 1) * k])?, 0.0)))
-                    .collect()
-            }
-            ApproxSelectMode::FixedIterations(l) => {
-                // Failpoint before the seed draw: see `ConfOp::execute`.
-                crate::faults::fire("estimate", ctx.deadline)?;
-                let master_seed = ctx.rng.next_u64();
-                let estimator = BatchedIncrementalEstimator::new(l)
-                    .with_exact_backend(ctx.config.exact_backend_node_budget)
-                    .with_deadline(ctx.deadline);
-                // Estimate only the events of unpruned candidates, each with
-                // the sub-RNG seed of its original flat index.
-                let needed: Vec<usize> = (0..num_candidates)
-                    .filter(|&i| pruned[i].is_none())
-                    .flat_map(|i| i * k..(i + 1) * k)
                     .collect();
-                let estimated: Vec<(usize, confidence::EventEstimate)> = needed
-                    .into_par_iter()
-                    .map(|idx| {
-                        let (programs, event) = &handles[idx];
-                        estimator
-                            .estimate_compiled(programs, *event, event_seed(master_seed, idx))
-                            .map(|e| (idx, e))
-                            .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))
-                    })
-                    .collect::<Result<_>>()?;
-                let mut estimates: Vec<Option<confidence::EventEstimate>> =
-                    vec![None; handles.len()];
-                for (idx, estimate) in estimated {
-                    ctx.stats.karp_luby_samples += estimate.samples;
-                    let (programs, event) = &handles[idx];
-                    if programs.trivial(*event).is_none() {
-                        if estimate.exact {
-                            ctx.stats.exact_compiled_answers += 1;
-                        } else {
-                            ctx.stats.sampled_answers += 1;
-                        }
-                    }
-                    estimates[idx] = Some(estimate);
-                }
-                (0..num_candidates)
-                    .map(|i| {
-                        if let Some(keep) = pruned[i] {
-                            return Ok((keep, 0.0));
-                        }
-                        let chunk: Vec<confidence::EventEstimate> = (i * k..(i + 1) * k)
-                            .map(|idx| estimates[idx].expect("unpruned event estimated"))
-                            .collect();
-                        let values: Vec<f64> = chunk.iter().map(|e| e.estimate).collect();
-                        let keep = predicate.eval(&values)?;
-                        let eps_psi = predicate.epsilon_homogeneous(&values)?;
-                        let eps = eps_psi.max(self.epsilon0).min(0.999_999);
-                        let mut bound = 0.0;
-                        for estimate in &chunk {
-                            bound += if estimate.exact {
-                                0.0
-                            } else {
-                                chernoff::delta_prime(eps, l)?
-                            };
-                        }
-                        Ok((keep, bound.min(0.5)))
-                    })
-                    .collect()
             }
-            ApproxSelectMode::Adaptive => {
-                let params = ApproximationParams::new(self.epsilon0, self.delta)?
-                    .with_deadline(ctx.deadline);
-                // Failpoint before the seed draw: see `ConfOp::execute`.
-                crate::faults::fire("estimate", ctx.deadline)?;
-                let master_seed = ctx.rng.next_u64();
-                // Cost-model inputs for the exact backend: the sample bill
-                // is the Chernoff count the Figure 3 driver would reach at
-                // its floor accuracy (ε₀, δ) — a conservative proxy for the
-                // run's total draws.
-                let node_budget = ctx.config.exact_backend_node_budget;
-                let bill_params = if node_budget > 0 {
-                    Some(
-                        FprasParams::new(self.epsilon0, self.delta)
-                            .map_err(EngineError::Confidence)?,
-                    )
-                } else {
-                    None
-                };
-                // One Figure 3 run per unpruned candidate, all candidates in
-                // parallel, each on its own seeded RNG.
-                let outcomes: Vec<(bool, f64, u64, u64)> = (0..num_candidates)
-                    .into_par_iter()
-                    .map(|i| {
-                        if let Some(keep) = pruned[i] {
-                            return Ok((keep, 0.0, 0, 0));
-                        }
-                        // Per-candidate xoshiro sub-RNG: the Figure 3 loop
-                        // below is bit-parallel-sampling-bound.
-                        let mut rng =
-                            rand::rngs::SmallRng::seed_from_u64(event_seed(master_seed, i));
-                        let mut estimators: Vec<IncrementalEstimator> = handles[i * k..(i + 1) * k]
-                            .iter()
-                            .map(|(programs, event)| {
-                                IncrementalEstimator::from_compiled(programs, *event)
-                                    .map_err(EngineError::Confidence)
-                            })
-                            .collect::<Result<_>>()?;
-                        // Resolve term estimators exactly where compilation
-                        // beats the sample bill: the Figure 3 loop then
-                        // treats them as zero-width, seed-independent inputs.
-                        let mut resolved = 0u64;
-                        if let Some(bill_params) = bill_params {
-                            for (state, (programs, event)) in
-                                estimators.iter_mut().zip(&handles[i * k..(i + 1) * k])
-                            {
-                                if state.is_trivial() {
-                                    continue;
-                                }
-                                let m = bill_params
-                                    .samples_for(programs.num_terms(*event))
-                                    .map_err(EngineError::Confidence)?;
-                                if let Some(p) =
-                                    programs.exact_if_cheaper(*event, m as u64, node_budget)
-                                {
-                                    state.resolve_exactly(p);
-                                    resolved += 1;
-                                }
+            ApproxSelectMode::Adaptive => None,
+            ApproxSelectMode::FixedIterations(l) => Some(l),
+        };
+        let pruned: Vec<Option<bool>> = if ctx.config.prune_approx_select {
+            self.prune_candidates(
+                num_candidates,
+                handles,
+                compiled,
+                predicate,
+                ctx.config.pairwise_bound_limit,
+            )?
+        } else {
+            vec![None; num_candidates]
+        };
+        ctx.stats.approx_select_pruned += pruned.iter().filter(|p| p.is_some()).count() as u64;
+
+        let params = match fixed_l {
+            None => ApproximationParams::new(self.epsilon0, self.delta)?,
+            Some(l) => ApproximationParams::fixed_iterations(self.epsilon0, l)?,
+        }
+        .with_deadline(ctx.deadline);
+        // The draws the stop rule implies for an event of `terms` terms, the
+        // cost model's sampling side: `l` batches of `|F|`, or the Chernoff
+        // count Figure 3 would reach at its floor accuracy (ε₀, δ) — a
+        // conservative proxy for an adaptive run's total.
+        let node_budget = ctx.config.exact_backend_node_budget;
+        let bill = |terms: usize| -> confidence::Result<u64> {
+            Ok(match fixed_l {
+                Some(l) => (l.max(1) as u64).saturating_mul(terms as u64),
+                None => FprasParams::new(self.epsilon0, self.delta)?.samples_for(terms)? as u64,
+            })
+        };
+        // Failpoint before the seed draw: see `ConfOp::execute`.
+        crate::faults::fire("estimate", ctx.deadline)?;
+        let master_seed = ctx.rng.next_u64();
+        let outcomes: Vec<(bool, f64, Vec<IncrementalEstimator>)> = (0..num_candidates)
+            .into_par_iter()
+            .map(|i| {
+                if let Some(keep) = pruned[i] {
+                    return Ok((keep, 0.0, Vec::new()));
+                }
+                // Resolve a term exactly where compilation beats the bill:
+                // the loop then treats it as a zero-width, seed-independent
+                // input.
+                let mut estimators = handles[i * k..(i + 1) * k]
+                    .iter()
+                    .map(|(programs, event)| {
+                        let mut state = IncrementalEstimator::from_compiled(programs, *event)?;
+                        if node_budget > 0 && !state.is_trivial() {
+                            let draws = bill(programs.num_terms(*event))?;
+                            if let Some(p) = programs.exact_if_cheaper(*event, draws, node_budget) {
+                                state.resolve_exactly(p);
                             }
                         }
-                        let decision =
-                            approximate_predicate(predicate, &mut estimators, params, &mut rng)
-                                .map_err(|e| deadline_interrupt(EngineError::Approx(e)))?;
-                        Ok((
-                            decision.value,
-                            decision.error_bound,
-                            decision.samples,
-                            resolved,
-                        ))
+                        Ok(state)
                     })
-                    .collect::<Result<_>>()?;
-                for &(_, _, samples, resolved) in &outcomes {
-                    ctx.stats.karp_luby_samples += samples;
-                    ctx.stats.exact_compiled_answers += resolved;
+                    .collect::<confidence::Result<Vec<_>>>()
+                    .map_err(EngineError::Confidence)?;
+                // Per-candidate xoshiro sub-RNG: the loop is
+                // bit-parallel-sampling-bound.
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(event_seed(master_seed, i));
+                let decision = approximate_predicate(predicate, &mut estimators, params, &mut rng)
+                    .map_err(|e| deadline_interrupt(EngineError::Approx(e)))?;
+                Ok((decision.value, decision.error_bound, estimators))
+            })
+            .collect::<Result<_>>()?;
+        Ok(outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, (keep, error, estimators))| {
+                // Pruned candidates estimated nothing.
+                for (state, (programs, event)) in estimators.iter().zip(&handles[i * k..]) {
+                    attribute_estimate(
+                        &mut ctx.stats,
+                        programs.trivial(*event).is_some(),
+                        state.is_trivial(),
+                        state.samples(),
+                    );
                 }
-                Ok(outcomes
-                    .into_iter()
-                    .map(|(value, error, _, _)| (value, error))
-                    .collect())
-            }
-        }
+                (keep, error)
+            })
+            .collect())
     }
 }
 

@@ -34,34 +34,18 @@ const LINEAGE_CACHE_CAP: usize = 1024;
 /// content-addressed cache of per-relation lineage batches.
 pub struct CompiledSpace {
     space: ProbabilitySpace,
-    var_ids: HashMap<Var, VarId>,
-    alt_ids: HashMap<(Var, Value), usize>,
-    /// Relation content digest → extracted event batch.  Content-addressed,
-    /// so the cache stays correct no matter who shares this compiled space;
-    /// keying by digest instead of a relation clone keeps the cache from
-    /// retaining copies of large relations.
-    lineage: OrderedMutex<HashMap<RelationDigest, Arc<RelationEvents>>>,
+    /// Variable name → its index and its domain values, sorted, each with
+    /// its alternative's index: one hash lookup and one binary search per
+    /// literal of a condition.
+    vars: HashMap<Var, (VarId, Vec<(Value, usize)>)>,
+    /// [`URelation::content_digest`] → extracted event batch.
+    /// Content-addressed, so the cache stays correct no matter who shares
+    /// this compiled space; keying by digest instead of a relation clone
+    /// keeps the cache from retaining copies of large relations.
+    lineage: OrderedMutex<HashMap<(u64, u64, usize), Arc<RelationEvents>>>,
     /// Number of lineage-cache hits: warm requests that reused an already
     /// extracted-and-compiled batch (so they paid estimation only).
     lineage_hits: std::sync::atomic::AtomicU64,
-}
-
-/// A 128-bit-plus-length content fingerprint of a relation: two
-/// independently seeded 64-bit hashes over all rows plus the row count.  A
-/// collision would require two distinct relations agreeing on both hashes
-/// *and* their size — vanishingly unlikely, and the probes never store the
-/// relation itself.
-type RelationDigest = (u64, u64, usize);
-
-fn relation_digest(relation: &URelation) -> RelationDigest {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h1 = DefaultHasher::new();
-    relation.hash(&mut h1);
-    let mut h2 = DefaultHasher::new();
-    0xA5A5_5A5A_F00D_CAFE_u64.hash(&mut h2);
-    relation.hash(&mut h2);
-    (h1.finish(), h2.finish(), relation.len())
 }
 
 impl fmt::Debug for CompiledSpace {
@@ -77,8 +61,7 @@ impl Clone for CompiledSpace {
     fn clone(&self) -> Self {
         CompiledSpace {
             space: self.space.clone(),
-            var_ids: self.var_ids.clone(),
-            alt_ids: self.alt_ids.clone(),
+            vars: self.vars.clone(),
             // The clone starts with an empty cache; entries are cheap to
             // rebuild and keeping them shared would need another Arc layer.
             lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
@@ -143,20 +126,21 @@ impl CompiledSpace {
     /// Compiles a W-table.
     pub fn compile(wtable: &WTable) -> Result<CompiledSpace> {
         let mut space = ProbabilitySpace::new();
-        let mut var_ids = HashMap::new();
-        let mut alt_ids = HashMap::new();
+        let mut vars = HashMap::new();
         for (var, dist) in wtable.iter() {
             let probs: Vec<f64> = dist.iter().map(|(_, p)| *p).collect();
             let id = space.add_variable(probs)?;
-            var_ids.insert(var.clone(), id);
-            for (alt, (value, _)) in dist.iter().enumerate() {
-                alt_ids.insert((var.clone(), value.clone()), alt);
-            }
+            let mut alts: Vec<(Value, usize)> = dist
+                .iter()
+                .map(|(value, _)| value.clone())
+                .zip(0..)
+                .collect();
+            alts.sort_unstable();
+            vars.insert(var.clone(), (id, alts));
         }
         Ok(CompiledSpace {
             space,
-            var_ids,
-            alt_ids,
+            vars,
             lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
             lineage_hits: std::sync::atomic::AtomicU64::new(0),
         })
@@ -172,7 +156,7 @@ impl CompiledSpace {
     /// programs — memoised by relation content, so a warm re-execution of a
     /// cached plan never re-extracts, re-translates, or re-compiles.
     pub fn relation_events(&self, relation: &URelation) -> Result<Arc<RelationEvents>> {
-        let digest = relation_digest(relation);
+        let digest = relation.content_digest();
         if let Some(hit) = self.lineage.lock().get(&digest) {
             self.lineage_hits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -223,19 +207,16 @@ impl CompiledSpace {
     pub fn assignment(&self, condition: &Condition) -> Result<Assignment> {
         let mut pairs = Vec::with_capacity(condition.len());
         for (var, value) in condition.iter() {
-            let var_id = *self.var_ids.get(var).ok_or_else(|| {
+            let (var_id, alts) = self.vars.get(var).ok_or_else(|| {
                 EngineError::Urel(urel::UrelError::UnknownVariable(var.name().to_owned()))
             })?;
-            let alt = *self
-                .alt_ids
-                .get(&(var.clone(), value.clone()))
-                .ok_or_else(|| {
-                    EngineError::Urel(urel::UrelError::UnknownDomainValue {
-                        var: var.name().to_owned(),
-                        value: value.to_string(),
-                    })
-                })?;
-            pairs.push((var_id, alt));
+            let at = alts.binary_search_by(|(v, _)| v.cmp(value)).map_err(|_| {
+                EngineError::Urel(urel::UrelError::UnknownDomainValue {
+                    var: var.name().to_owned(),
+                    value: value.to_string(),
+                })
+            })?;
+            pairs.push((*var_id, alts[at].1));
         }
         Assignment::new(pairs).map_err(Into::into)
     }

@@ -5,12 +5,13 @@
 //! path under a fixed seed.
 
 use algebra::{parse_query, LogicalPlan, Query};
-use confidence::{event_seed, ConfidenceEstimator, FprasEstimator, FprasParams};
+use confidence::{event_seed, ConfidenceEstimator, FprasEstimator, FprasParams, LineagePrograms};
 use engine::{evaluate_naive, CompiledSpace, EvalConfig, UEngine};
 use pdb::{Tuple, Value};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 use workloads::TupleIndependentDb;
 
 /// Value-wise tuple comparison with a small tolerance on numeric columns.
@@ -136,7 +137,10 @@ fn workload_queries_share_one_plan_shape() {
 fn batched_parallel_confidence_matches_the_sequential_path() {
     // The engine's `conf_{ε,δ}` operator estimates all tuple lineages as one
     // parallel batch seeded by a single master draw.  Reconstruct that
-    // computation sequentially and compare estimate for estimate.
+    // computation sequentially and compare estimate for estimate.  The
+    // projection gives multi-term lineages: a one-term event's Karp–Luby
+    // estimate is its weight whatever the randomness, which would make the
+    // comparison pass for any seed derivation.
     let gen = TupleIndependentDb {
         num_tuples: 12,
         domain_size: 4,
@@ -144,7 +148,7 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
         seed: 11,
     };
     let udb = gen.database();
-    let query = parse_query("aconf[0.2, 0.1](T)").unwrap();
+    let query = parse_query("aconf[0.2, 0.1](project[A](T))").unwrap();
 
     let engine = UEngine::new(EvalConfig::exact());
     let mut rng = ChaCha8Rng::seed_from_u64(42);
@@ -155,7 +159,15 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
     let master_seed = ChaCha8Rng::seed_from_u64(42).next_u64();
     let compiled = CompiledSpace::compile(udb.wtable()).unwrap();
     let estimator = FprasEstimator::new(FprasParams::new(0.2, 0.1).unwrap());
-    let relation = udb.relation("T").unwrap();
+    let relation = engine
+        .evaluate(
+            &udb,
+            &parse_query("project[A](T)").unwrap(),
+            &mut ChaCha8Rng::seed_from_u64(0),
+        )
+        .unwrap()
+        .result
+        .relation;
     let prob_idx = out.result.relation.schema().arity() - 1;
 
     let tuple_events = relation.tuple_events();
@@ -167,17 +179,38 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
         .cloned()
         .collect();
     assert_eq!(result_tuples.len(), tuple_events.len());
-    for (i, ((t, conditions), out_t)) in tuple_events.iter().zip(&result_tuples).enumerate() {
-        let event = compiled.event(conditions).unwrap();
-        let sequential = estimator
-            .estimate_event(&event, compiled.space(), event_seed(master_seed, i))
-            .unwrap();
+    let events: Vec<_> = tuple_events
+        .iter()
+        .map(|(_, conditions)| compiled.event(conditions).unwrap())
+        .collect();
+    assert!(
+        events.iter().any(|event| event.num_terms() >= 2),
+        "single-term lineages cannot tell seed derivations apart"
+    );
+    let programs = Arc::new(LineagePrograms::compile(events, compiled.space()).unwrap());
+    let sequential = |master: u64| -> Vec<f64> {
+        (0..programs.len())
+            .map(|i| {
+                estimator
+                    .estimate_compiled(&programs, i, event_seed(master, i))
+                    .unwrap()
+                    .estimate
+            })
+            .collect()
+    };
+    let estimates = sequential(master_seed);
+    for (((t, _), out_t), estimate) in tuple_events.iter().zip(&result_tuples).zip(&estimates) {
         assert_eq!(
             out_t[prob_idx],
-            Value::float(sequential.estimate),
+            Value::float(*estimate),
             "parallel batch and sequential estimation disagree on {t}"
         );
     }
+    assert_ne!(
+        estimates,
+        sequential(master_seed ^ 1),
+        "another master seed must change some estimate, or the comparison is vacuous"
+    );
 
     // And the whole evaluation is deterministic under the seed.
     let mut rng2 = ChaCha8Rng::seed_from_u64(42);
