@@ -4,7 +4,9 @@
 //! incremental Karp–Luby estimators) and a predicate φ over them, the
 //! algorithm repeatedly
 //!
-//! 1. draws one batch of `|F_i|` samples per estimator,
+//! 1. draws one batch of samples per estimator — `w_i` of them, the event's
+//!    sampling width `⌈M / max_f p_f⌉` (`confidence::chernoff`), of which the
+//!    paper's `|F_i|` is the equal-weights case,
 //! 2. evaluates φ at the current estimates `p̂`,
 //! 3. computes `ε := max(ε₀, ε_ψ(p̂))` where `ψ` is φ if `φ(p̂)` holds and
 //!    `¬φ` otherwise,

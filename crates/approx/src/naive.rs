@@ -18,7 +18,8 @@ use confidence::IncrementalEstimator;
 use rand::Rng;
 
 /// Decides `phi` with the naive fixed-sample procedure: every estimator
-/// draws `l₀ = ⌈3·ln(2·k/δ)/ε₀²⌉` batches (so `l₀·|F_i|` samples) up front,
+/// draws `l₀ = ⌈3·ln(2·k/δ)/ε₀²⌉` batches (so `l₀·w_i` samples, `w_i ≤ |F_i|`
+/// the event's sampling width where the quoted text has `|F|`) up front,
 /// then the predicate is evaluated once.
 ///
 /// The per-estimator δ is split evenly (δ/k) so that the summed error bound
@@ -119,7 +120,7 @@ mod tests {
         // Exactly l₀ batches were drawn.
         let l0 = chernoff::required_iterations(0.05, 0.05).unwrap();
         assert_eq!(d.iterations, l0);
-        assert_eq!(d.samples, (l0 * est.num_terms()) as u64);
+        assert_eq!(d.samples, (l0 * est.sample_width()) as u64);
         assert!(d.error_bound <= 0.05 + 1e-9);
     }
 

@@ -545,12 +545,15 @@ fn estimator_experiment(num_tuples: usize) -> EstimatorResult {
         engine::ops::project(relation, &[algebra::ProjItem::attr("A")]).expect("projection");
     let lineage = space.relation_events(&projected).expect("lineage batch");
     let programs = lineage.programs();
-    let params = confidence::FprasParams::new(0.2, 0.1).expect("params");
+    let fpras =
+        confidence::FprasEstimator::new(confidence::FprasParams::new(0.2, 0.1).expect("params"));
+    // The count the engine's FPRAS draw draws for event `index`.
+    let bill = |index: usize| fpras.bill(programs, index).expect("budget") as usize;
 
     let mut scalar_samples = 0usize;
     let start = Instant::now();
-    for event in lineage.events() {
-        let m = params.samples_for(event.num_terms()).expect("budget");
+    for (index, event) in lineage.events().iter().enumerate() {
+        let m = bill(index);
         let estimator =
             KarpLubyEstimator::new(event.clone(), space.space().clone()).expect("scalar estimator");
         let mut rng = ChaCha8Rng::seed_from_u64(17);
@@ -562,9 +565,7 @@ fn estimator_experiment(num_tuples: usize) -> EstimatorResult {
     let mut bit_samples = 0usize;
     let start = Instant::now();
     for index in 0..programs.len() {
-        let m = params
-            .samples_for(programs.num_terms(index))
-            .expect("budget");
+        let m = bill(index);
         let mut kernel = BitKarpLuby::new(programs.clone(), index).expect("bit kernel");
         let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
         let _ = kernel.estimate(m, &mut rng).expect("bit estimate");
@@ -625,14 +626,13 @@ fn estimator_backends_experiment(num_tuples: usize, smoke: bool) -> BackendsResu
 
     // Kernel throughput per block width on the serving workload's own
     // lineage: same Chernoff budget, same seed, 64/128/256 lanes per pass.
+    let fpras = confidence::FprasEstimator::new(params);
     let mut kernel = Vec::new();
     for words in [1usize, 2, 4] {
         let mut samples = 0usize;
         let start = Instant::now();
         for index in 0..programs.len() {
-            let m = params
-                .samples_for(programs.num_terms(index))
-                .expect("budget");
+            let m = fpras.bill(programs, index).expect("budget") as usize;
             let mut k =
                 BitKarpLuby::new_with_width(programs.clone(), index, words).expect("kernel");
             let mut rng = rand::rngs::SmallRng::seed_from_u64(17);

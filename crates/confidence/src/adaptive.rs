@@ -1,18 +1,20 @@
 //! Incremental (anytime) Karp–Luby estimation, bit-parallel.
 //!
 //! The predicate-approximation algorithm of Figure 3 interleaves estimation
-//! and decision making: in each outer-loop iteration it draws `|F_i|` further
-//! samples for every approximable value `p̂_i`, then re-checks whether the
-//! current estimates already support the predicate.  [`IncrementalEstimator`]
+//! and decision making: in each outer-loop iteration it draws one batch of
+//! further samples for every approximable value `p̂_i` — `w_i` of them, the
+//! event's sampling width (`⌈M / max_f p_f⌉`, see [`crate::chernoff`]; the
+//! paper states the loop with its weaker instance `|F_i|`) — then re-checks
+//! whether the current estimates already support the predicate.  [`IncrementalEstimator`]
 //! provides exactly that interface: an estimator whose sample count can grow
 //! batch by batch while keeping the running estimate and its Chernoff error
 //! bound available at all times.
 //!
 //! Since the bit-parallel rewrite the samples come from the
 //! [`crate::bitworld`] kernel, which decides `64·W` worlds per pass over the
-//! event's compiled program (`W ∈ {1, 2, 4}` words, chosen from the event's
-//! term count so wide events amortize the scan).  Because the adaptive
-//! driver asks for batches of `|F_i|` samples — often far fewer than a block
+//! event's compiled program (`W ∈ {1, 2, 4}` words, chosen from the batch
+//! size or by the caller from the run's sampling bill).  Because the adaptive
+//! driver asks for batches of `w_i` samples — often far fewer than a block
 //! — the estimator banks the unused lanes of the last drawn block and serves
 //! later batches from the bank first, so even fine-grained sampling
 //! schedules pay the blockwise price.  (Banked lanes are i.i.d. draws that
@@ -39,9 +41,8 @@ pub struct IncrementalEstimator {
     /// Exact value for trivial events (empty → 0, certain → 1) and for
     /// events answered exactly by the d-DNNF backend.
     trivial: Option<f64>,
-    /// Number of terms `|F_i|` (1 for trivial events so iteration counts stay
-    /// meaningful).
-    num_terms: usize,
+    /// The sampling width `w_i ≥ 1`: batch size and error-bound scale.
+    width: usize,
     /// Running sum `X = Σ X_i`.
     successes: u64,
     /// Number of samples drawn so far.
@@ -68,22 +69,24 @@ impl IncrementalEstimator {
 
     /// Prepares an incremental estimator over an already compiled program —
     /// the warm path: no event walking, no compilation, no space clone.
-    /// The kernel width follows the event's batch size `|F_i|` (the adaptive
-    /// driver draws `|F_i|` samples per iteration).
+    /// The kernel's block width follows the event's batch size `w_i`; a
+    /// caller that knows the run's total draws picks it from those instead
+    /// ([`from_compiled_with_width`](Self::from_compiled_with_width)) — the
+    /// lane bank makes a block's cost independent of the batch size.
     pub fn from_compiled(programs: &Arc<LineagePrograms>, index: usize) -> Result<Self> {
-        let words = block_words_for_samples(programs.num_terms(index));
+        let words = block_words_for_samples(programs.sample_width(index));
         IncrementalEstimator::from_compiled_with_width(programs, index, words)
     }
 
-    /// [`from_compiled`](Self::from_compiled) with an explicit kernel width
-    /// (`1`, `2` or `4` words).
+    /// [`from_compiled`](Self::from_compiled) with an explicit kernel block
+    /// width (`1`, `2` or `4` words).
     pub fn from_compiled_with_width(
         programs: &Arc<LineagePrograms>,
         index: usize,
         words: usize,
     ) -> Result<Self> {
         let trivial = programs.trivial(index);
-        let num_terms = programs.num_terms(index).max(1);
+        let width = programs.sample_width(index);
         let kernel = if trivial.is_none() {
             Some(BitKarpLuby::new_with_width(programs.clone(), index, words)?)
         } else {
@@ -92,7 +95,7 @@ impl IncrementalEstimator {
         Ok(IncrementalEstimator {
             kernel,
             trivial,
-            num_terms,
+            width,
             successes: 0,
             samples: 0,
             batches: 0,
@@ -118,9 +121,10 @@ impl IncrementalEstimator {
         self.trivial.is_some()
     }
 
-    /// The number of terms `|F_i|` of the underlying event.
-    pub fn num_terms(&self) -> usize {
-        self.num_terms
+    /// The sampling width `w_i` of the underlying event: the size of one
+    /// batch.
+    pub fn sample_width(&self) -> usize {
+        self.width
     }
 
     /// Number of samples drawn so far.
@@ -133,10 +137,10 @@ impl IncrementalEstimator {
         self.batches
     }
 
-    /// Draws one batch of `|F_i|` samples (one outer-loop iteration of
+    /// Draws one batch of `w_i` samples (one outer-loop iteration of
     /// Figure 3).
     pub fn add_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.add_samples(self.num_terms, rng);
+        self.add_samples(self.width, rng);
         self.batches += 1;
     }
 
@@ -228,14 +232,14 @@ impl IncrementalEstimator {
         self.successes as f64 * kernel.total_weight() / self.samples as f64
     }
 
-    /// The Chernoff bound `δ_i(ε) = 2·e^{−m·ε²/(3·|F_i|)}` on the probability
+    /// The Chernoff bound `δ_i(ε) = 2·e^{−m·ε²/(3·w_i)}` on the probability
     /// that the current estimate misses the true value by a relative error of
     /// ε or more; 0 for trivial events.
     pub fn error_bound(&self, epsilon: f64) -> Result<f64> {
         if self.trivial.is_some() {
             return Ok(0.0);
         }
-        error_bound(epsilon, self.samples as usize, self.num_terms)
+        error_bound(epsilon, self.samples as usize, self.width)
     }
 
     /// The balanced form `δ′(ε, l)` of the error bound, driven by the batch
@@ -316,9 +320,9 @@ mod tests {
         let d2 = est.error_bound(0.2).unwrap();
         assert!(d2 < d1);
         assert_eq!(est.batches(), 51);
-        assert_eq!(est.samples(), 51 * est.num_terms() as u64);
+        assert_eq!(est.samples(), 51 * est.sample_width() as u64);
         // The batch-driven bound matches the sample-driven bound because each
-        // batch draws exactly |F| samples.
+        // batch draws exactly w samples.
         assert!(
             (est.error_bound(0.2).unwrap() - est.error_bound_by_batches(0.2).unwrap()).abs()
                 < 1e-12
@@ -403,7 +407,7 @@ mod tests {
         // Same event, same seed: the shared-batch estimator and the
         // self-compiled one walk identical programs.
         assert_eq!(a.estimate(), b.estimate());
-        assert_eq!(a.num_terms(), b.num_terms());
+        assert_eq!(a.sample_width(), b.sample_width());
     }
 
     #[test]

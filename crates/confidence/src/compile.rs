@@ -42,7 +42,7 @@
 use crate::bitworld::SamplingTable;
 use crate::error::{ConfidenceError, Result};
 use crate::event::{DnfEvent, ProbabilitySpace, VarId};
-use crate::{cost, dnnf, exact};
+use crate::{chernoff, cost, dnnf, exact};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -73,6 +73,8 @@ pub(crate) struct EventProgram {
     pub var_len: u32,
     /// Total term weight `M = Σ_f p_f`.
     pub total_weight: f64,
+    /// Largest term weight `max_f p_f` (0 for the impossible event).
+    pub max_weight: f64,
     /// `Some(p)` when the probability is known without sampling (no terms →
     /// 0, an always-true term → 1).
     pub trivial: Option<f64>,
@@ -182,6 +184,7 @@ impl LineagePrograms {
             };
 
             let mut total_weight = 0.0f64;
+            let mut max_weight = 0.0f64;
             let mut locals: Vec<u32> = Vec::new();
             for term in event.terms() {
                 // Intern the variables and literals of the term.
@@ -241,6 +244,7 @@ impl LineagePrograms {
                     }
                 };
                 total_weight += term_weights[term_id as usize];
+                max_weight = max_weight.max(term_weights[term_id as usize]);
                 event_terms.push(term_id);
             }
             locals.sort_unstable();
@@ -252,6 +256,7 @@ impl LineagePrograms {
                 var_start,
                 var_len: locals.len() as u32,
                 total_weight,
+                max_weight,
                 trivial,
             });
         }
@@ -329,6 +334,14 @@ impl LineagePrograms {
     /// The total term weight `M` of event `index`.
     pub fn total_weight(&self, index: usize) -> f64 {
         self.programs[index].total_weight
+    }
+
+    /// The sampling width `w = ⌈M / max_f p_f⌉ ≤ |F|` of event `index`
+    /// ([`chernoff::sample_width`]): the scale of its sample counts, where
+    /// `num_terms` stays the scale of everything structural.
+    pub fn sample_width(&self, index: usize) -> usize {
+        let p = &self.programs[index];
+        chernoff::sample_width(p.total_weight, p.max_weight, p.term_len as usize)
     }
 
     pub(crate) fn program(&self, index: usize) -> &EventProgram {

@@ -4,7 +4,8 @@
 //! for a compiled event:
 //!
 //! * **sample** it with the Karp–Luby kernel, paying the Chernoff-implied
-//!   `m = ⌈3·|F|·ln(2/δ)/ε²⌉` world draws on *every* request, or
+//!   `m = ⌈3·w·ln(2/δ)/ε²⌉` world draws on *every* request (`w ≤ |F|` the
+//!   event's sampling width, [`crate::chernoff::sample_width`]), or
 //! * **compile** it once into a smoothed d-DNNF ([`crate::dnnf`]) and read
 //!   off the exact probability in linear time forever after.
 //!
@@ -60,7 +61,7 @@ pub fn estimated_nodes(event: &DnfEvent) -> u64 {
 ///
 /// `estimated` is the structural size proxy ([`estimated_nodes`], cached
 /// per event by `LineagePrograms`), `samples` the Chernoff-implied draw
-/// count for the request's ε/δ, and `node_budget` the hard circuit limit
+/// count for the request's ε/δ at the event's sampling width, and `node_budget` the hard circuit limit
 /// (0 disables the exact backend entirely).
 pub fn choose_backend(estimated: u64, samples: u64, node_budget: u32) -> Backend {
     if node_budget == 0 || estimated > node_budget as u64 || estimated > samples {

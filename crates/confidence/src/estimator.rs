@@ -17,7 +17,8 @@
 //! * [`FprasEstimator`] — the (ε, δ)-FPRAS of Proposition 4.2: the
 //!   [`crate::cost`] model sends an event to the d-DNNF backend or to the
 //!   bit-parallel block kernel ([`BitKarpLuby`]) with the Chernoff sample
-//!   count (`conf_{ε,δ}`);
+//!   count at the event's sampling width, [`FprasEstimator::bill`]
+//!   (`conf_{ε,δ}`);
 //! * `approx::approximate_predicate` over
 //!   [`crate::IncrementalEstimator::from_compiled`] states — Figure 3
 //!   (Monte Carlo `σ̂`), which lives in the `approx` crate.
@@ -187,6 +188,16 @@ impl FprasEstimator {
     pub fn params(&self) -> FprasParams {
         self.params
     }
+
+    /// The sampling bill of event `index`: the Chernoff count
+    /// `⌈3·w·ln(2/δ)/ε²⌉` at the event's sampling width `w`
+    /// ([`LineagePrograms::sample_width`]).  This is the number of samples
+    /// [`estimate_compiled`](ConfidenceEstimator::estimate_compiled) draws
+    /// when it samples, so whatever names a drawn count — the cost model's
+    /// sampling side, a shared tally's key — asks here.
+    pub fn bill(&self, programs: &LineagePrograms, index: usize) -> Result<u64> {
+        Ok(self.params.samples_for(programs.sample_width(index))? as u64)
+    }
 }
 
 impl ConfidenceEstimator for FprasEstimator {
@@ -203,10 +214,10 @@ impl ConfidenceEstimator for FprasEstimator {
                 exact: true,
             });
         }
-        let m = self.params.samples_for(programs.num_terms(index))?;
+        let bill = self.bill(programs, index)?;
         // Backend choice: compile to d-DNNF and answer exactly when the cost
         // model says the circuit is cheaper than the Chernoff sample bill.
-        if let Some(p) = programs.exact_if_cheaper(index, m as u64, self.exact_backend) {
+        if let Some(p) = programs.exact_if_cheaper(index, bill, self.exact_backend) {
             return Ok(EventEstimate {
                 estimate: p,
                 samples: 0,
@@ -215,6 +226,7 @@ impl ConfidenceEstimator for FprasEstimator {
         }
         // The block width follows the ε/δ-implied sample budget: Chernoff
         // budgets past 256 ride the 4-word (256-lane) block.
+        let m = bill as usize;
         let words = crate::bitworld::block_words_for_samples(m);
         let mut kernel = BitKarpLuby::new_with_width(programs.clone(), index, words)?;
         // The bit-parallel path is RNG-bound, so it derives its per-event
@@ -223,7 +235,7 @@ impl ConfidenceEstimator for FprasEstimator {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         Ok(EventEstimate {
             estimate: kernel.estimate_with_deadline(m, &mut rng, self.deadline)?,
-            samples: m as u64,
+            samples: bill,
             exact: false,
         })
     }

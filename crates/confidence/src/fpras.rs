@@ -1,6 +1,7 @@
 //! The (ε, δ) fully polynomial-time randomized approximation scheme for
 //! confidence computation (Proposition 4.2): Karp–Luby sampling with the
-//! Chernoff-bound sample count.
+//! Chernoff-bound sample count `⌈3·w·ln(2/δ)/ε²⌉` at the event's sampling
+//! width `w = ⌈M / max_f p_f⌉ ≤ |F|` (see [`crate::chernoff`]).
 
 use crate::chernoff::{check_delta, check_epsilon, required_samples};
 use crate::error::Result;
@@ -25,10 +26,11 @@ impl FprasParams {
         Ok(FprasParams { epsilon, delta })
     }
 
-    /// The number of Karp–Luby samples required for an event with
-    /// `num_terms` terms.
-    pub fn samples_for(&self, num_terms: usize) -> Result<usize> {
-        required_samples(self.epsilon, self.delta, num_terms)
+    /// The number of Karp–Luby samples required for an event of sampling
+    /// width `width` ([`crate::chernoff::sample_width`]; at most, and in the
+    /// paper's statement equal to, its term count).
+    pub fn samples_for(&self, width: usize) -> Result<usize> {
+        required_samples(self.epsilon, self.delta, width)
     }
 }
 
@@ -73,7 +75,7 @@ pub fn approximate_confidence<R: Rng + ?Sized>(
         });
     }
     let estimator = KarpLubyEstimator::new(event.clone(), space.clone())?;
-    let m = params.samples_for(event.num_terms())?;
+    let m = params.samples_for(estimator.sample_width())?;
     let estimate = estimator.estimate(m, rng)?;
     Ok(ConfidenceEstimate {
         estimate,
@@ -171,7 +173,8 @@ mod tests {
         let (event, space) = random_event(&mut rng, 6, 5, 2);
         let mut rng2 = ChaCha8Rng::seed_from_u64(6);
         let r = approximate_confidence(&event, &space, params, &mut rng2).unwrap();
-        assert_eq!(r.samples, params.samples_for(event.num_terms()).unwrap());
+        let width = KarpLubyEstimator::new(event, space).unwrap().sample_width();
+        assert_eq!(r.samples, params.samples_for(width).unwrap());
         assert!(r.samples > 0);
     }
 }

@@ -19,6 +19,8 @@ pub struct KarpLubyEstimator {
     cumulative_weights: Vec<f64>,
     /// Total term weight `M = Σ_f p_f`.
     total_weight: f64,
+    /// Largest term weight `max_f p_f`.
+    max_weight: f64,
     /// Variables mentioned anywhere in the event (only these matter for the
     /// consistency check of step 3).
     variables: Vec<VarId>,
@@ -33,8 +35,11 @@ impl KarpLubyEstimator {
         }
         let mut cumulative_weights = Vec::with_capacity(event.num_terms());
         let mut total_weight = 0.0;
+        let mut max_weight = 0.0f64;
         for term in event.terms() {
-            total_weight += term.weight(&space)?;
+            let weight = term.weight(&space)?;
+            total_weight += weight;
+            max_weight = max_weight.max(weight);
             cumulative_weights.push(total_weight);
         }
         let variables = event.variables();
@@ -47,6 +52,7 @@ impl KarpLubyEstimator {
             space,
             cumulative_weights,
             total_weight,
+            max_weight,
             variables,
         })
     }
@@ -59,6 +65,12 @@ impl KarpLubyEstimator {
     /// The number of terms `|F|`.
     pub fn num_terms(&self) -> usize {
         self.event.num_terms()
+    }
+
+    /// The sampling width `w = ⌈M / max_f p_f⌉ ≤ |F|`
+    /// ([`crate::chernoff::sample_width`]), the scale of the sample count.
+    pub fn sample_width(&self) -> usize {
+        crate::chernoff::sample_width(self.total_weight, self.max_weight, self.num_terms())
     }
 
     /// The event being estimated.

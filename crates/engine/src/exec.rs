@@ -39,13 +39,14 @@ pub enum ApproxSelectMode {
     /// Figure 3 with the operator's own (ε₀, δ): stop once `Σ δ_i(ε) ≤ δ`.
     /// The bill is the Chernoff sample count at (ε₀, δ).
     Adaptive,
-    /// Figure 3 for exactly `l` iterations — `l` batches of `|F_i|` samples
-    /// per value — reporting the bound reached, `min(0.5, Σ δ′(ε, l))` over
+    /// Figure 3 for exactly `l` iterations — `l` batches of `w_i` samples
+    /// per value, `w_i ≤ |F_i|` the event's sampling width
+    /// (`confidence::chernoff`) — reporting the bound reached, `min(0.5, Σ δ′(ε, l))` over
     /// the sampled values.  This is the inner step of the Theorem 6.7
     /// whole-query approximation, which doubles `l` from the outside until
     /// the output error target is met.  The loop decides on estimates, so
     /// `FixedIterations(0)` runs one iteration like `FixedIterations(1)`.
-    /// The bill is `l·|F_i|`.
+    /// The bill is `l·w_i`.
     FixedIterations(usize),
 }
 

@@ -75,6 +75,7 @@ use approx::{
 use confidence::{
     event_bounds_with_limit, event_seed, ConfidenceError, ConfidenceEstimator, DnfEvent,
     EventBounds, EventEstimate, ExactEstimator, FprasEstimator, FprasParams, IncrementalEstimator,
+    LineagePrograms,
 };
 use pdb::{Schema, Tuple, Value};
 use rand::RngCore;
@@ -1550,13 +1551,14 @@ impl PhysicalOperator for ConfOp {
         // resume both the lineage and its compiled programs come from the
         // retained snapshot caches, so the request pays sampling only.
         let lineage = compiled.relation_events(&input.relation)?;
-        let estimator: Box<dyn ConfidenceEstimator> = match self.params {
-            None => Box::new(ExactEstimator),
-            Some(params) => Box::new(
-                FprasEstimator::new(params)
-                    .with_exact_backend(ctx.config.exact_backend_node_budget)
-                    .with_deadline(ctx.deadline),
-            ),
+        let fpras = self.params.map(|params| {
+            FprasEstimator::new(params)
+                .with_exact_backend(ctx.config.exact_backend_node_budget)
+                .with_deadline(ctx.deadline)
+        });
+        let estimator: &dyn ConfidenceEstimator = match &fpras {
+            None => &ExactEstimator,
+            Some(fpras) => fpras,
         };
         let programs = lineage.programs();
         // The base every per-event sub-RNG seed derives from.  Exact
@@ -1590,13 +1592,14 @@ impl PhysicalOperator for ConfOp {
             .into_par_iter()
             .map(|i| {
                 let draw = || estimator.estimate_compiled(programs, i, event_seed(seed_base, i));
-                match (sampler, self.params, programs.trivial(i)) {
+                match (sampler, &fpras, programs.trivial(i)) {
                     // Non-trivial events consult the shared block scheduler;
-                    // the tally key includes the Chernoff bill so prepared
-                    // queries with different (ε, δ) never alias.
-                    (Some(sampler), Some(params), None) => {
-                        let m = params.samples_for(programs.num_terms(i))?;
-                        sampler.estimate(seed_base, i as u32, m as u64, draw)
+                    // the tally key includes the estimator's own bill — the
+                    // count `draw` draws — so prepared queries with
+                    // different (ε, δ) never alias.
+                    (Some(sampler), Some(fpras), None) => {
+                        let bill = fpras.bill(programs, i)?;
+                        sampler.estimate(seed_base, i as u32, bill, draw)
                     }
                     _ => draw().map(|estimate| (estimate, false)),
                 }
@@ -1978,16 +1981,18 @@ impl ApproxSelectOp {
             Some(l) => ApproximationParams::fixed_iterations(self.epsilon0, l)?,
         }
         .with_deadline(ctx.deadline);
-        // The draws the stop rule implies for an event of `terms` terms, the
-        // cost model's sampling side: `l` batches of `|F|`, or the Chernoff
-        // count Figure 3 would reach at its floor accuracy (ε₀, δ) — a
-        // conservative proxy for an adaptive run's total.
+        // The draws the stop rule implies for an event, the cost model's
+        // sampling side and the kernel's block-width choice: `l` batches of
+        // its sampling width, or the Chernoff count Figure 3 would reach at
+        // its floor accuracy (ε₀, δ) — a conservative proxy for an adaptive
+        // run's total.  (ε₀, δ) are validated above, so the floor bill can
+        // only fail by passing 2⁵³: dearer than any circuit, and a count the
+        // loop, which stops on its estimates, need never come near.
         let node_budget = ctx.config.exact_backend_node_budget;
-        let bill = |terms: usize| -> confidence::Result<u64> {
-            Ok(match fixed_l {
-                Some(l) => (l.max(1) as u64).saturating_mul(terms as u64),
-                None => FprasParams::new(self.epsilon0, self.delta)?.samples_for(terms)? as u64,
-            })
+        let floor = FprasEstimator::new(FprasParams::new(self.epsilon0, self.delta)?);
+        let bill = |programs: &LineagePrograms, event: usize| match fixed_l {
+            Some(l) => (l.max(1) as u64).saturating_mul(programs.sample_width(event) as u64),
+            None => floor.bill(programs, event).unwrap_or(u64::MAX),
         };
         // Failpoint before the seed draw: see `ConfOp::execute`.
         crate::faults::fire("estimate", ctx.deadline)?;
@@ -2004,9 +2009,15 @@ impl ApproxSelectOp {
                 let mut estimators = handles[i * k..(i + 1) * k]
                     .iter()
                     .map(|(programs, event)| {
-                        let mut state = IncrementalEstimator::from_compiled(programs, *event)?;
-                        if node_budget > 0 && !state.is_trivial() {
-                            let draws = bill(programs.num_terms(*event))?;
+                        // A batch is far smaller than a block: the block
+                        // width follows the bill, as the FPRAS draw's does.
+                        let draws = bill(programs, *event);
+                        let mut state = IncrementalEstimator::from_compiled_with_width(
+                            programs,
+                            *event,
+                            confidence::bitworld::block_words_for_samples(draws as usize),
+                        )?;
+                        if !state.is_trivial() {
                             if let Some(p) = programs.exact_if_cheaper(*event, draws, node_budget) {
                                 state.resolve_exactly(p);
                             }

@@ -25,9 +25,9 @@ use crate::sync::{LockRank, OrderedMutex};
 use confidence::EventEstimate;
 use std::collections::BTreeMap;
 
-/// Bound on retained tallies; past it the oldest key is evicted (eviction
-/// is invisible apart from the re-draw cost — values are pure functions of
-/// their keys).
+/// Bound on retained tallies; past it the smallest key — lowest arena
+/// fingerprint, not the oldest entry — is evicted (eviction is invisible
+/// apart from the re-draw cost — values are pure functions of their keys).
 const MAX_TALLIES: usize = 4096;
 
 /// Tally key: `(arena fingerprint, event index, sample count)`.  The sample

@@ -280,3 +280,46 @@ fn term_less_approx_select_decides_every_candidate() {
         );
     }
 }
+
+#[test]
+fn an_accuracy_no_run_could_draw_is_classified_not_served() {
+    // ε = 1e-10 asks for some 10²¹ samples per event.  The count used to
+    // saturate a cast and the request to sample until a deadline — or, with
+    // none, for ever; now the Chernoff count itself is a parameter error,
+    // which the serving layer returns at once, classified permanent.
+    use confidence::ConfidenceError;
+    use engine::{EngineError, Request, ServingEngine};
+    let db = TupleIndependentDb {
+        num_tuples: 12,
+        domain_size: 3,
+        tuple_probability: None,
+        seed: 9,
+    }
+    .database();
+    let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
+    let mut session = serving.session();
+    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let text = "conf(project[A](T))";
+    let hopeless = Request::new(text).with_accuracy(1e-10, 0.05);
+    for attempt in 0..2 {
+        let err = match attempt {
+            0 => session.evaluate_request(&hopeless, &mut rng).map(drop),
+            _ => session.evaluate_degradable(&hopeless, &mut rng).map(drop),
+        }
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Confidence(ConfidenceError::InvalidParameter(_))
+            ),
+            "{err:?}"
+        );
+        assert!(!err.is_transient());
+    }
+    assert_eq!(serving.stats().degraded_answers, 0);
+    // The engine is none the worse: the same text at a drawable accuracy.
+    let served = session
+        .evaluate_request(&Request::new(text).with_accuracy(0.2, 0.05), &mut rng)
+        .unwrap();
+    assert_eq!(served.result.relation.len(), 3);
+}

@@ -13,17 +13,21 @@
 //!   (θ equal to a true confidence, and within ε₀ of it) exact mode decides
 //!   by the true value, the Monte Carlo modes report an honest bound,
 //!   bounds pruning never decides a candidate whose interval straddles θ,
-//!   and an expired deadline is `DeadlineExceeded`, never a decision.
+//!   and an expired deadline is `DeadlineExceeded`, never a decision — also
+//!   through the serving layer's degradable entry point, where the `aconf`
+//!   form of the same question degrades to intervals that hold the truth.
 
 use algebra::{parse_query, ConfTerm, Expr, LogicalPlan, Predicate, Query};
 use approx::{approximate_predicate, ApproximationParams, Decision};
+use confidence::bitworld::block_words_for_samples;
 use confidence::{
-    chernoff, event_bounds_with_limit, event_seed, FprasParams, IncrementalEstimator,
-    LineagePrograms,
+    chernoff, event_bounds_with_limit, event_seed, FprasEstimator, FprasParams,
+    IncrementalEstimator, LineagePrograms,
 };
 use engine::{
-    catalog_of, compile_predicate, ApproxSelectMode, CompiledSpace, ConfidenceMode, EngineError,
-    EvalConfig, EvalOutput, EvalStats, ExecContext, PhysicalPlan, SpaceCache, UEngine,
+    catalog_of, compile_predicate, ApproxSelectMode, CompiledSpace, ConfidenceMode, DegradedReason,
+    EngineError, EvalConfig, EvalOutput, EvalStats, ExecContext, PhysicalPlan, Request,
+    ServingAnswer, ServingEngine, SpaceCache, UEngine,
 };
 use pdb::{Schema, Tuple, Value};
 use rand::rngs::SmallRng;
@@ -160,7 +164,8 @@ fn candidates(db: &UDatabase, query: &Query) -> Candidates {
 }
 
 /// Figure 3 by hand for candidate `i`: the engine's resolution rule (the
-/// exact backend against the bill the stop rule implies) and its sub-seed.
+/// exact backend against the bill the stop rule implies), its block width
+/// (from the same bill) and its sub-seed.
 fn by_hand(
     query: &Query,
     events: &[(Arc<LineagePrograms>, usize)],
@@ -183,19 +188,23 @@ fn by_hand(
         }
         _ => ApproximationParams::new(EPSILON0, DELTA).unwrap(),
     };
+    let floor = FprasEstimator::new(FprasParams::new(EPSILON0, DELTA).unwrap());
     let mut estimators: Vec<IncrementalEstimator> = events
         .iter()
         .map(|(programs, event)| {
-            let mut state = IncrementalEstimator::from_compiled(programs, *event).unwrap();
-            if node_budget > 0 && !state.is_trivial() {
-                let terms = programs.num_terms(*event);
-                let bill = match mode {
-                    ApproxSelectMode::FixedIterations(l) => (l.max(1) * terms) as u64,
-                    _ => FprasParams::new(EPSILON0, DELTA)
-                        .unwrap()
-                        .samples_for(terms)
-                        .unwrap() as u64,
-                };
+            let bill = match mode {
+                ApproxSelectMode::FixedIterations(l) => {
+                    (l.max(1) * programs.sample_width(*event)) as u64
+                }
+                _ => floor.bill(programs, *event).unwrap(),
+            };
+            let mut state = IncrementalEstimator::from_compiled_with_width(
+                programs,
+                *event,
+                block_words_for_samples(bill as usize),
+            )
+            .unwrap();
+            if !state.is_trivial() {
                 if let Some(p) = programs.exact_if_cheaper(*event, bill, node_budget) {
                     state.resolve_exactly(p);
                 }
@@ -255,7 +264,7 @@ fn fixed_iterations_is_figure_3_under_the_fixed_stop_rule() {
                             if state.is_trivial() {
                                 0
                             } else {
-                                (l * programs.num_terms(*event)) as u64
+                                (l * programs.sample_width(*event)) as u64
                             }
                         );
                         resolved_somewhere |= nontrivial && state.is_trivial();
@@ -557,4 +566,73 @@ fn an_expired_deadline_is_never_a_decision() {
         run(ApproxSelectMode::Exact, true, past).unwrap(),
         run(ApproxSelectMode::Exact, true, None).unwrap()
     );
+}
+
+#[test]
+fn a_deadline_at_a_singular_point_degrades_to_intervals_that_hold_the_truth() {
+    // The serving layer's half of the singular-point contract.  θ sits on a
+    // candidate's true confidence and ε₀ is far too small to reach, so
+    // Figure 3 is still sampling when the deadline passes.
+    let db = database();
+    let c = candidates(&db, &sigma_query(1, 0.5));
+    let truth: Vec<f64> = c
+        .handles
+        .iter()
+        .map(|events| events[0].0.exact_probabilities().unwrap()[events[0].1])
+        .collect();
+    // The candidate with the most terms: not trivial, and not one the
+    // bounds decide.
+    let singular = (0..c.tuples.len())
+        .max_by_key(|&i| c.handles[i][0].0.num_terms(c.handles[i][0].1))
+        .unwrap();
+    let theta = truth[singular];
+    let serving = ServingEngine::new(config(ApproxSelectMode::Adaptive, true, 0), db).unwrap();
+    let mut session = serving.session();
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let soon = || std::time::Instant::now() + std::time::Duration::from_millis(40);
+
+    // σ̂ itself: a selection has no interval form to degrade to, so the
+    // degradable entry point returns the classified deadline — no relation,
+    // hence no decision on any candidate.
+    let sigma = Query::table("T")
+        .approx_select(
+            vec![ConfTerm::new("P1", ["A"])],
+            Predicate::ge(Expr::attr("P1"), Expr::konst(theta)),
+            1e-4,
+            DELTA,
+        )
+        .to_string();
+    let request = Request::new(&sigma).with_deadline(soon());
+    match session.evaluate_degradable(&request, &mut rng) {
+        Err(EngineError::DeadlineExceeded { stage }) => assert_eq!(stage, "estimate"),
+        other => panic!("expected DeadlineExceeded(estimate), got {other:?}"),
+    }
+    assert_eq!(serving.stats().degraded_answers, 0);
+
+    // The same question as `aconf`, at an accuracy that would settle it:
+    // the deadline passes mid-sampling and the answer degrades to
+    // intervals.  Each holds its tuple's true confidence, and the singular
+    // one holds θ too — it decides nothing either.
+    let request = Request::new("conf(project[A](T))")
+        .with_accuracy(2e-4, 0.01)
+        .with_deadline(soon());
+    let answer = session.evaluate_degradable(&request, &mut rng).unwrap();
+    let ServingAnswer::Degraded(degraded) = answer else {
+        panic!("sampling at ε = 2e-4 must not finish within 40 ms")
+    };
+    assert_eq!(degraded.reason, DegradedReason::DeadlineExpired);
+    assert_eq!(degraded.bounds.len(), c.tuples.len());
+    for ((tuple, bounds), (candidate, p)) in degraded.bounds.iter().zip(c.tuples.iter().zip(&truth))
+    {
+        assert_eq!(tuple, candidate);
+        assert!(
+            bounds.lower <= *p && *p <= bounds.upper,
+            "{tuple}: true confidence {p} outside [{}, {}]",
+            bounds.lower,
+            bounds.upper
+        );
+    }
+    let (_, at_theta) = &degraded.bounds[singular];
+    assert!(at_theta.lower < theta && theta < at_theta.upper);
+    assert_eq!(serving.stats().degraded_answers, 1);
 }
