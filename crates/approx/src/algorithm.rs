@@ -98,7 +98,9 @@ impl ApproximationParams {
 
     /// The number of outer-loop iterations after which `δ′(ε₀, l) · k ≤ δ`,
     /// i.e. the iteration count of the naive procedure; no non-singular input
-    /// needs more.
+    /// needs more.  It is an iteration *cap*, not a sample count: the cast
+    /// saturates on purpose, so a tiny ε₀ yields `usize::MAX` ("never stop
+    /// on the count") rather than an error.
     pub fn fallback_iterations(&self, k: usize) -> usize {
         let k = k.max(1) as f64;
         (3.0 * (2.0 * k / self.delta).ln() / (self.epsilon0 * self.epsilon0)).ceil() as usize
@@ -238,6 +240,13 @@ mod tests {
         let fixed = ApproximationParams::fixed_iterations(0.1, 7).unwrap();
         assert_eq!((fixed.delta, fixed.max_iterations), (0.0, Some(7)));
         assert!(ApproximationParams::fixed_iterations(1.0, 7).is_err());
+    }
+
+    #[test]
+    fn the_fallback_cap_saturates_instead_of_panicking() {
+        let p = ApproximationParams::new(1e-10, 0.5).unwrap();
+        assert_eq!(p.fallback_iterations(1), usize::MAX);
+        assert_eq!(p.fallback_iterations(1000), usize::MAX);
     }
 
     #[test]
