@@ -379,7 +379,39 @@ pub fn e7_theorem_5_5_soundness() -> Report {
     report.push(format!(
         "single-occurrence predicates checked by dense sampling: {checked}, violations: {violations} (paper: 0)"
     ));
+
+    // Cost per call as the number k of approximated values grows: the
+    // Theorem 5.2 closed form is one pass over k coefficients, the Theorem
+    // 5.5 corner check visits 2^k corners per bisection step.
+    let mut costs = Vec::new();
+    for k in [2usize, 4, 8] {
+        let point: Vec<f64> = (0..k).map(|i| 0.4 + 0.01 * i as f64).collect();
+        let coeffs = (0..k).map(|i| if i % 2 == 0 { 1.0 } else { -0.25 });
+        let linear = LinearIneq::new(coeffs.collect(), 0.05);
+        // f(x) = x0·x1 + x2·x3 + … − c, single occurrence per variable.
+        let f = (0..k).step_by(2).fold(AlgExpr::konst(-0.05), |f, i| {
+            f + AlgExpr::var(i) * AlgExpr::var(i + 1)
+        });
+        let phi = AlgebraicIneq::new(f).expect("single occurrence");
+        let closed = mean_call_us(10_000, || linear.epsilon_max(&point).expect("epsilon"));
+        let corner = mean_call_us(200, || phi.epsilon_homogeneous(&point).expect("epsilon"));
+        costs.push(format!("k = {k}: {closed:.3} / {corner:.1}"));
+    }
+    report.push(format!(
+        "epsilon cost per call in us, Theorem 5.2 closed form / Theorem 5.5 corner check: {}",
+        costs.join(", ")
+    ));
     report
+}
+
+/// Mean wall time of `f` over `calls` calls after a warm-up call, in µs.
+fn mean_call_us<T>(calls: u32, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    let start = Instant::now();
+    for _ in 0..calls {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
 }
 
 /// E8: Figure 3 / Theorem 5.8 — decision error vs distance from the

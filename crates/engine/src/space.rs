@@ -57,19 +57,6 @@ impl fmt::Debug for CompiledSpace {
     }
 }
 
-impl Clone for CompiledSpace {
-    fn clone(&self) -> Self {
-        CompiledSpace {
-            space: self.space.clone(),
-            vars: self.vars.clone(),
-            // The clone starts with an empty cache; entries are cheap to
-            // rebuild and keeping them shared would need another Arc layer.
-            lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
-            lineage_hits: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
 /// The lineage batch of one relation: every distinct data tuple paired with
 /// its translated DNF event — already compiled into flat bit-parallel
 /// programs — in canonical tuple order.
@@ -410,11 +397,6 @@ mod tests {
         }
         assert_eq!(a.tuples().len(), a.events().len());
         assert!(a.event_of(&tuple!["3sided"]).is_none());
-
-        // Clones of the space start with an empty cache but equal mappings.
-        let cloned = cs.clone();
-        assert_eq!(cloned.lineage_len(), 0);
-        assert_eq!(cloned.space().num_variables(), cs.space().num_variables());
     }
 
     #[test]
