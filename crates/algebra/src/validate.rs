@@ -133,6 +133,7 @@ pub fn output_schema(query: &Query, catalog: &Catalog) -> Result<Schema> {
         } => {
             let s = output_schema(input, catalog)?;
             check_approx_params(*epsilon0, *delta)?;
+            check_conf_terms(terms, &s)?;
             let mut placeholder_names: Vec<String> = Vec::with_capacity(terms.len());
             // Output schema: the union of the terms' projection attributes,
             // in order of first appearance (the natural join of the
@@ -471,5 +472,19 @@ mod tests {
         )
         .is_err());
         assert!(check_conf_terms(&[ConfTerm::new("P", ["A"])], &s).is_err());
+    }
+
+    #[test]
+    fn placeholders_clashing_with_input_attributes_fail_validation() {
+        let mut cat = Catalog::new();
+        cat.add("T", schema!["A", "P1"], false);
+        let clash = crate::parse_query("aselect[P1 = conf(A); P1 >= 0.5](T)").unwrap();
+        assert!(matches!(
+            output_schema(&clash, &cat),
+            Err(AlgebraError::Invariant(_))
+        ));
+        assert!(crate::LogicalPlan::lower_validated(&clash, &cat).is_err());
+        let fresh = crate::parse_query("aselect[P2 = conf(A); P2 >= 0.5](T)").unwrap();
+        assert_eq!(output_schema(&fresh, &cat).unwrap(), schema!["A"]);
     }
 }

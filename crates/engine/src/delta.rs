@@ -30,7 +30,7 @@
 //!
 //! Operators without a profitable rule (cartesian product — every output
 //! pairs with every input row — and difference) decline by returning `None`
-//! from [`PhysicalOperator::execute_delta`](crate::physical::PhysicalOperator::execute_delta),
+//! from [`PhysicalOp::execute_delta`](crate::physical::PhysicalOp::execute_delta),
 //! which makes the serving layer fall back to demote-and-recompute for that
 //! sub-plan.
 

@@ -199,6 +199,17 @@ impl EvalConfig {
     }
 }
 
+/// The identity of a configuration: what keys prepared queries and pool
+/// fingerprints, is checkpointed with warm entries, and seeds a physical
+/// plan's signature.
+pub(crate) fn config_digest(config: &EvalConfig) -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    format!("{config:?}").hash(&mut h);
+    h.finish()
+}
+
 /// Evaluation statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalStats {

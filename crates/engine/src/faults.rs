@@ -43,6 +43,15 @@
 #[cfg(feature = "failpoints")]
 pub use imp::*;
 
+/// SplitMix64 step (Steele et al.): one multiply-xorshift cascade per draw,
+/// no state.  The failpoint dice and `RetryPolicy`'s backoff jitter.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// `true` iff this build compiled the failpoint registry.  The default
 /// build's CI guard asserts this is `false`, which proves no failpoint
 /// code (not even the disarmed atomic check) is present.
@@ -81,6 +90,7 @@ pub fn corrupt_bytes(_site: &'static str, _bytes: &mut [u8]) -> bool {
 
 #[cfg(feature = "failpoints")]
 mod imp {
+    use super::splitmix64;
     use crate::error::{EngineError, Result};
     use crate::sync::{LockRank, OrderedMutex, OrderedMutexGuard};
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -225,13 +235,6 @@ mod imp {
     /// Number of faults injected since the registry was last armed.
     pub fn injected_count() -> u64 {
         INJECTED.load(Ordering::Relaxed)
-    }
-
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
     }
 
     /// FNV-1a over the site name: stable per-site stream separation.

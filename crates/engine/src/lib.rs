@@ -65,7 +65,7 @@ pub use exec::{
     ApproxSelectMode, ConfidenceMode, EvalConfig, EvalOutput, EvalStats, EvaluatedRelation, UEngine,
 };
 pub use naive_engine::{evaluate_naive, evaluate_naive_plan, NaiveOutput};
-pub use physical::{ExecContext, ExecSnapshot, OpClass, PhysicalOperator, PhysicalPlan, PureCtx};
+pub use physical::{ExecContext, ExecSnapshot, OpClass, PhysicalPlan, PureCtx};
 pub use predicate_compile::compile_predicate;
 pub use sched::SampleScheduler;
 pub use serving::{

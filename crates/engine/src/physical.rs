@@ -1,24 +1,26 @@
 //! The physical operator pipeline: executing a [`LogicalPlan`] over a
 //! U-relational database.
 //!
-//! [`PhysicalPlan::lower`] turns each logical node into a concrete
-//! [`PhysicalOperator`] implementation, resolving every accuracy annotation
-//! against the engine's [`EvalConfig`] — `conf` becomes exact model counting
-//! or the Karp–Luby FPRAS, `σ̂` becomes exact decisions or the Figure 3
-//! loop under its adaptive or its fixed-`l` stop rule.  [`PhysicalPlan::execute`]
-//! then schedules the nodes over value slots; a consumer takes a clone of
-//! its input's slot (a pointer copy: relation content is shared inside
-//! `urel`), and values stay in their slots until the run ends.
+//! [`PhysicalPlan::lower`] turns each logical node into a [`PhysicalOp`]
+//! variant, resolving every accuracy annotation against the engine's
+//! [`EvalConfig`] — `conf` becomes exact model counting or the Karp–Luby
+//! FPRAS, `σ̂` becomes exact decisions or the Figure 3 loop under its
+//! adaptive or its fixed-`l` stop rule.  The operator set is closed, so
+//! naming, classing and running an operator are one `match` each.
+//! [`PhysicalPlan::execute`] then schedules the nodes over value slots; a
+//! consumer takes a clone of its input's slot (a pointer copy: relation
+//! content is shared inside `urel`), and values stay in their slots until
+//! the run ends.
 //!
 //! Operator → paper section map:
 //!
 //! | operator                                   | section             |
 //! |--------------------------------------------|---------------------|
-//! | [`ScanOp`], [`SelectOp`], [`ProjectOp`], [`ExtendOp`], [`RenameOp`], [`ProductOp`], [`NaturalJoinOp`], [`UnionOp`], [`DifferenceOp`] | §3 parsimonious translation |
-//! | [`RepairKeyOp`]                            | §2.2 / §3           |
-//! | [`PossOp`], [`CertOp`]                     | §2 (`cert` = the `conf = 1` test of Example 5.7) |
-//! | [`ConfOp`]                                 | §4 (exact / Prop. 4.2 FPRAS) |
-//! | [`ApproxSelectOp`]                         | §5 Figure 3, §6 error propagation (Lemma 6.4) |
+//! | [`Scan`](PhysicalOp::Scan), [`Select`](PhysicalOp::Select), [`Project`](PhysicalOp::Project), [`Extend`](PhysicalOp::Extend), [`Rename`](PhysicalOp::Rename), [`Product`](PhysicalOp::Product), [`NaturalJoin`](PhysicalOp::NaturalJoin), [`Union`](PhysicalOp::Union), [`Difference`](PhysicalOp::Difference) | §3 parsimonious translation |
+//! | [`RepairKey`](PhysicalOp::RepairKey)       | §2.2 / §3           |
+//! | [`Poss`](PhysicalOp::Poss), [`Cert`](PhysicalOp::Cert) | §2 (`cert` = the `conf = 1` test of Example 5.7) |
+//! | [`Conf`](PhysicalOp::Conf)                 | §4 (exact / Prop. 4.2 FPRAS) |
+//! | [`ApproxSelect`](PhysicalOp::ApproxSelect) | §5 Figure 3, §6 error propagation (Lemma 6.4) |
 //!
 //! The confidence-bearing operators (`conf`, `cert`, `σ̂`) are *batched*:
 //! they collect the DNF lineages of all tuples via the memoised
@@ -63,7 +65,9 @@
 
 use crate::delta::{self, DeltaInput};
 use crate::error::{EngineError, Result};
-use crate::exec::{ApproxSelectMode, ConfidenceMode, EvalConfig, EvalStats, EvaluatedRelation};
+use crate::exec::{
+    config_digest, ApproxSelectMode, ConfidenceMode, EvalConfig, EvalStats, EvaluatedRelation,
+};
 use crate::ops;
 use crate::predicate_compile::compile_predicate;
 use crate::space::{CompiledSpace, SpaceCache};
@@ -151,58 +155,301 @@ pub enum OpClass {
     Sampling,
 }
 
-/// One operator of a physical plan.
-pub trait PhysicalOperator: fmt::Debug {
+impl ExecContext<'_> {
+    /// The read-only view pure operators run on, at the configured width.
+    fn pure_ctx(&self) -> PureCtx<'_> {
+        PureCtx {
+            database: &self.database,
+            shards: self.config.shards,
+            spill_budget: self.config.spill_budget_bytes,
+        }
+    }
+}
+
+/// One operator of a physical plan: a [`LogicalOp`] with its accuracy
+/// annotation resolved against the engine's [`EvalConfig`].
+#[derive(Clone, Debug)]
+pub enum PhysicalOp {
+    /// Reads a base relation.
+    Scan {
+        /// Relation name.
+        relation: String,
+    },
+    /// Per-world selection `σ_φ`.
+    Select {
+        /// Selection predicate.
+        predicate: Predicate,
+    },
+    /// Generalised projection `π`.
+    Project {
+        /// Output items.
+        items: Vec<ProjItem>,
+    },
+    /// Extension by computed attributes.
+    Extend {
+        /// Appended items.
+        items: Vec<ProjItem>,
+    },
+    /// Attribute renaming `ρ`.
+    Rename {
+        /// Attribute to rename.
+        from: String,
+        /// New attribute name.
+        to: String,
+    },
+    /// Cartesian product `×`.
+    Product,
+    /// Natural join `⋈`.
+    NaturalJoin,
+    /// Union `∪`.
+    Union,
+    /// Difference; the unchecked `−` form verifies completeness at runtime
+    /// (unrestricted difference over uncertain inputs is outside positive UA).
+    Difference {
+        /// True for the `−c` form (Proposition 3.3).
+        checked: bool,
+    },
+    /// `poss`: the possible tuples, as a complete relation.
+    Poss,
+    /// `cert`: the `conf = 1` test — exactly the singularity of Example 5.7 —
+    /// so it is always answered by exact model counting (batched).
+    Cert,
+    /// `repair-key_{A⃗@B}`: uncertainty introduction on a complete input.
+    RepairKey {
+        /// Key attributes.
+        key: Vec<String>,
+        /// Weight attribute.
+        weight: String,
+    },
+    /// `conf` / `conf_{ε,δ}`: batched confidence computation over all tuple
+    /// lineages at once.
+    Conf {
+        /// Name of the appended probability attribute.
+        prob_attr: String,
+        /// `None` for exact model counting, `Some` for the Karp–Luby FPRAS.
+        params: Option<FprasParams>,
+    },
+    /// `σ̂_{φ(conf[A⃗₁], …, conf[A⃗_k])}` with its physical decision mode
+    /// baked in at lowering time.
+    ApproxSelect {
+        /// Confidence terms the predicate refers to.
+        terms: Vec<ConfTerm>,
+        /// Predicate over the term placeholders.
+        predicate: Predicate,
+        /// Smallest relative half-width refined to.
+        epsilon0: f64,
+        /// Per-operator error bound.
+        delta: f64,
+        /// The decision strategy chosen by the engine configuration.
+        mode: ApproxSelectMode,
+    },
+}
+
+impl PhysicalOp {
     /// Operator mnemonic for plan rendering.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            PhysicalOp::Scan { .. } => "scan",
+            PhysicalOp::Select { .. } => "select",
+            PhysicalOp::Project { .. } => "project",
+            PhysicalOp::Extend { .. } => "extend",
+            PhysicalOp::Rename { .. } => "rename",
+            PhysicalOp::Product => "product",
+            PhysicalOp::NaturalJoin => "join",
+            PhysicalOp::Union => "union",
+            PhysicalOp::Difference { checked: true } => "diffc",
+            PhysicalOp::Difference { checked: false } => "diff",
+            PhysicalOp::Poss => "poss",
+            PhysicalOp::Cert => "cert",
+            PhysicalOp::RepairKey { .. } => "repair-key",
+            PhysicalOp::Conf { .. } => "conf",
+            PhysicalOp::ApproxSelect { .. } => "approx-select",
+        }
+    }
 
     /// The operator's scheduling class.
-    fn class(&self) -> OpClass;
+    pub fn class(&self) -> OpClass {
+        match self {
+            PhysicalOp::Scan { .. }
+            | PhysicalOp::Select { .. }
+            | PhysicalOp::Project { .. }
+            | PhysicalOp::Extend { .. }
+            | PhysicalOp::Rename { .. }
+            | PhysicalOp::Product
+            | PhysicalOp::NaturalJoin
+            | PhysicalOp::Union
+            | PhysicalOp::Difference { .. }
+            | PhysicalOp::Poss => OpClass::Pure,
+            // Repair-key introduces variables (names drawn from the shared
+            // counter) but consumes no randomness, and neither do exact model
+            // counting and exact σ̂ decisions: deterministic, so they may sit
+            // below the serving layer's snapshot point.
+            PhysicalOp::RepairKey { .. }
+            | PhysicalOp::Cert
+            | PhysicalOp::Conf { params: None, .. }
+            | PhysicalOp::ApproxSelect {
+                mode: ApproxSelectMode::Exact,
+                ..
+            } => OpClass::Stateful,
+            // The FPRAS and the Monte Carlo σ̂ modes draw a master seed per
+            // execution.
+            PhysicalOp::Conf {
+                params: Some(_), ..
+            }
+            | PhysicalOp::ApproxSelect { .. } => OpClass::Sampling,
+        }
+    }
 
-    /// Executes a pure operator on its (already evaluated) inputs; pure
-    /// operators implement this and inherit
-    /// [`execute`](PhysicalOperator::execute), which delegates here.
+    /// Executes the operator on its (already evaluated) inputs.
+    pub fn execute(
+        &self,
+        inputs: Vec<EvaluatedRelation>,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<EvaluatedRelation> {
+        match self {
+            PhysicalOp::RepairKey { key, weight } => {
+                repair_key(unary_input(inputs), key, weight, ctx)
+            }
+            PhysicalOp::Conf { prob_attr, params } => {
+                conf(unary_input(inputs), prob_attr, *params, ctx)
+            }
+            PhysicalOp::Cert => cert(unary_input(inputs), ctx),
+            PhysicalOp::ApproxSelect {
+                terms,
+                predicate,
+                epsilon0,
+                delta,
+                mode,
+            } => {
+                let stop = (*epsilon0, *delta, *mode);
+                approx_select(unary_input(inputs), terms, predicate, stop, ctx)
+            }
+            _ => self.execute_pure(inputs, &ctx.pure_ctx()),
+        }
+    }
+
+    /// Executes a pure operator on its (already evaluated) inputs; the slot
+    /// executor runs a wave of them concurrently over one shared [`PureCtx`].
     fn execute_pure(
         &self,
         inputs: Vec<EvaluatedRelation>,
         pctx: &PureCtx<'_>,
     ) -> Result<EvaluatedRelation> {
-        let _ = (inputs, pctx);
-        Err(EngineError::Invariant(format!(
-            "operator {} is {:?} and must override execute",
-            self.name(),
-            self.class()
-        )))
-    }
-
-    /// Executes the operator on its (already evaluated) inputs.
-    fn execute(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let pctx = PureCtx {
-            database: &ctx.database,
-            shards: ctx.config.shards,
-            spill_budget: ctx.config.spill_budget_bytes,
+        // The row-local kernels run per chunk under the shard / spill gate.
+        let sharded = |input: &URelation, f: &(dyn Fn(&URelation) -> Result<URelation> + Sync)| {
+            sharded_unary(input, pctx.shards, pctx.spill_budget, f)
         };
-        self.execute_pure(inputs, &pctx)
+        match self {
+            PhysicalOp::Scan { relation } => Ok(EvaluatedRelation {
+                relation: pctx.database.relation(relation)?.clone(),
+                complete: pctx.database.is_complete(relation),
+                errors: BTreeMap::new(),
+            }),
+            PhysicalOp::Select { predicate } => {
+                let input = unary_input(inputs);
+                let relation = sharded(&input.relation, &|c| ops::select(c, predicate))?;
+                Ok(propagate_unary(relation, &input))
+            }
+            PhysicalOp::Project { items } => {
+                let input = unary_input(inputs);
+                let relation = sharded(&input.relation, &|c| ops::project(c, items))?;
+                propagate_projection(relation, &input, items)
+            }
+            PhysicalOp::Extend { items } => {
+                let input = unary_input(inputs);
+                let relation = sharded(&input.relation, &|c| ops::extend(c, items))?;
+                Ok(propagate_unary(relation, &input))
+            }
+            PhysicalOp::Rename { from, to } => {
+                let input = unary_input(inputs);
+                let relation = ops::rename(&input.relation, from, to)?;
+                Ok(propagate_unary(relation, &input))
+            }
+            PhysicalOp::Product => {
+                let (left, right) = binary_inputs(inputs);
+                let relation = sharded(&left.relation, &|c| ops::product(c, &right.relation))?;
+                Ok(propagate_binary(relation, &left, &right))
+            }
+            PhysicalOp::NaturalJoin => {
+                let (left, right) = binary_inputs(inputs);
+                // One kernel at every size: index the right side once, probe
+                // it with the left side — whole, or per chunk under the same
+                // shard / spill gate as every other row-local operator.
+                let index = ops::JoinIndex::build(left.relation.schema(), &right.relation)?;
+                let relation = sharded(&left.relation, &|c| index.probe(c))?;
+                Ok(propagate_binary(relation, &left, &right))
+            }
+            PhysicalOp::Union => {
+                let (left, right) = binary_inputs(inputs);
+                let relation = ops::union(&left.relation, &right.relation)?;
+                Ok(propagate_binary(relation, &left, &right))
+            }
+            PhysicalOp::Difference { checked } => {
+                let (left, right) = binary_inputs(inputs);
+                if !checked
+                    && (!left.relation.is_complete_representation()
+                        || !right.relation.is_complete_representation())
+                {
+                    return Err(EngineError::Unsupported(
+                        "difference over uncertain relations is outside positive UA; use −c on complete inputs"
+                            .into(),
+                    ));
+                }
+                let relation = ops::difference_complete(&left.relation, &right.relation)?;
+                Ok(propagate_binary(relation, &left, &right))
+            }
+            PhysicalOp::Poss => {
+                let input = unary_input(inputs);
+                let relation = URelation::from_complete(&input.relation.possible_tuples());
+                Ok(propagate_unary_complete(relation, &input))
+            }
+            PhysicalOp::RepairKey { .. }
+            | PhysicalOp::Cert
+            | PhysicalOp::Conf { .. }
+            | PhysicalOp::ApproxSelect { .. } => Err(EngineError::Invariant(format!(
+                "operator {} is {:?} and must run through execute",
+                self.name(),
+                self.class()
+            ))),
+        }
     }
 
     /// Incrementally re-evaluates a *pure* operator from its old output and
-    /// per-input row deltas, producing the same relation a fresh
-    /// [`execute_pure`](PhysicalOperator::execute_pure) over the new inputs
-    /// would (bit for bit — the rules of [`crate::delta`]).  Returns
-    /// `Ok(None)` when the operator has no incremental rule (stateful and
-    /// sampling operators, cartesian products, difference), in which case
-    /// the caller falls back to recomputation.
-    fn execute_delta(
+    /// per-input row deltas, producing the same relation a fresh execution
+    /// over the new inputs would (bit for bit — the rules of
+    /// [`crate::delta`]).  Returns `Ok(None)` when the operator has no
+    /// incremental rule (scans, stateful and sampling operators, cartesian
+    /// products, difference), in which case the caller falls back to
+    /// recomputation.
+    pub fn execute_delta(
         &self,
         old_output: &URelation,
         inputs: &[DeltaInput<'_>],
     ) -> Result<Option<URelation>> {
-        let _ = (old_output, inputs);
-        Ok(None)
+        match self {
+            PhysicalOp::Select { predicate } => {
+                delta::select_delta(old_output, &inputs[0], predicate).map(Some)
+            }
+            PhysicalOp::Project { items } => {
+                delta::project_delta(old_output, &inputs[0], items).map(Some)
+            }
+            PhysicalOp::Extend { items } => {
+                delta::extend_delta(old_output, &inputs[0], items).map(Some)
+            }
+            PhysicalOp::Rename { .. } => delta::rename_delta(old_output, &inputs[0]).map(Some),
+            PhysicalOp::NaturalJoin => {
+                delta::natural_join_delta(old_output, &inputs[0], &inputs[1])
+            }
+            PhysicalOp::Union => delta::union_delta(old_output, &inputs[0], &inputs[1]).map(Some),
+            PhysicalOp::Poss => delta::poss_delta(old_output, &inputs[0]).map(Some),
+            PhysicalOp::Scan { .. }
+            | PhysicalOp::Product
+            | PhysicalOp::Difference { .. }
+            | PhysicalOp::Cert
+            | PhysicalOp::RepairKey { .. }
+            | PhysicalOp::Conf { .. }
+            | PhysicalOp::ApproxSelect { .. } => Ok(None),
+        }
     }
 }
 
@@ -328,8 +575,8 @@ impl fmt::Debug for ExecSnapshot {
 
 /// One node of a [`PhysicalPlan`].
 pub struct PhysicalNode {
-    /// The operator implementation.
-    pub operator: Box<dyn PhysicalOperator + Send + Sync>,
+    /// The operator.
+    pub operator: PhysicalOp,
     /// Input slots (topologically earlier nodes).
     pub inputs: Vec<usize>,
     /// The subquery label inherited from the logical node.
@@ -359,33 +606,33 @@ impl PhysicalPlan {
     pub fn lower(plan: &LogicalPlan, config: EvalConfig) -> Result<PhysicalPlan> {
         let mut nodes = Vec::with_capacity(plan.len());
         for node in plan.nodes() {
-            let operator: Box<dyn PhysicalOperator + Send + Sync> = match &node.op {
-                LogicalOp::Scan { relation } => Box::new(ScanOp {
+            let operator = match &node.op {
+                LogicalOp::Scan { relation } => PhysicalOp::Scan {
                     relation: relation.clone(),
-                }),
-                LogicalOp::Select { predicate } => Box::new(SelectOp {
+                },
+                LogicalOp::Select { predicate } => PhysicalOp::Select {
                     predicate: predicate.clone(),
-                }),
-                LogicalOp::Project { items } => Box::new(ProjectOp {
+                },
+                LogicalOp::Project { items } => PhysicalOp::Project {
                     items: items.clone(),
-                }),
-                LogicalOp::Extend { items } => Box::new(ExtendOp {
+                },
+                LogicalOp::Extend { items } => PhysicalOp::Extend {
                     items: items.clone(),
-                }),
-                LogicalOp::Rename { from, to } => Box::new(RenameOp {
+                },
+                LogicalOp::Rename { from, to } => PhysicalOp::Rename {
                     from: from.clone(),
                     to: to.clone(),
-                }),
-                LogicalOp::Product => Box::new(ProductOp),
-                LogicalOp::NaturalJoin => Box::new(NaturalJoinOp),
-                LogicalOp::Union => Box::new(UnionOp),
-                LogicalOp::Difference { checked } => Box::new(DifferenceOp { checked: *checked }),
-                LogicalOp::Poss => Box::new(PossOp),
-                LogicalOp::Cert => Box::new(CertOp),
-                LogicalOp::RepairKey { key, weight } => Box::new(RepairKeyOp {
+                },
+                LogicalOp::Product => PhysicalOp::Product,
+                LogicalOp::NaturalJoin => PhysicalOp::NaturalJoin,
+                LogicalOp::Union => PhysicalOp::Union,
+                LogicalOp::Difference { checked } => PhysicalOp::Difference { checked: *checked },
+                LogicalOp::Poss => PhysicalOp::Poss,
+                LogicalOp::Cert => PhysicalOp::Cert,
+                LogicalOp::RepairKey { key, weight } => PhysicalOp::RepairKey {
                     key: key.clone(),
                     weight: weight.clone(),
-                }),
+                },
                 LogicalOp::Conf { prob_attr } => {
                     let params = match node.accuracy {
                         // An explicit `conf_{ε,δ}` always uses its own
@@ -402,10 +649,10 @@ impl PhysicalPlan {
                             ),
                         },
                     };
-                    Box::new(ConfOp {
+                    PhysicalOp::Conf {
                         prob_attr: prob_attr.clone(),
                         params,
-                    })
+                    }
                 }
                 LogicalOp::ApproxSelect { terms, predicate } => {
                     let (epsilon0, delta) = match node.accuracy {
@@ -417,13 +664,13 @@ impl PhysicalPlan {
                             )))
                         }
                     };
-                    Box::new(ApproxSelectOp {
+                    PhysicalOp::ApproxSelect {
                         terms: terms.clone(),
                         predicate: predicate.clone(),
                         epsilon0,
                         delta,
                         mode: config.approx_select,
-                    })
+                    }
                 }
             };
             nodes.push(PhysicalNode {
@@ -435,7 +682,7 @@ impl PhysicalPlan {
         let signature = {
             use std::hash::{Hash, Hasher};
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            format!("{config:?}").hash(&mut hasher);
+            config_digest(&config).hash(&mut hasher);
             for node in plan.nodes() {
                 node.label.hash(&mut hasher);
                 node.inputs.hash(&mut hasher);
@@ -656,14 +903,21 @@ impl PhysicalPlan {
     /// property-tested to produce bit-identical results; this stays as the
     /// differential baseline (and as documentation of the semantics).
     pub fn execute_sequential(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
-        // The single-batch override is restored by the guard's destructor on
-        // *every* exit path — a `?` return from a failing operator must not
-        // leak `shards = 1` into the caller's subsequent evaluations.
-        let mut ctx = ShardWidthOverride::new(ctx, 1);
         let mut state = self.slot_state(vec![None; self.nodes.len()]);
         for id in 0..self.nodes.len() {
             let inputs = self.gather_inputs(id, &state);
-            state.slots[id] = Some(self.nodes[id].operator.execute(inputs, &mut ctx)?);
+            let operator = &self.nodes[id].operator;
+            // Pure operators get a single-batch view of their own; the
+            // context's configuration is never touched.
+            state.slots[id] = Some(if operator.class() == OpClass::Pure {
+                let pctx = PureCtx {
+                    shards: 1,
+                    ..ctx.pure_ctx()
+                };
+                operator.execute_pure(inputs, &pctx)?
+            } else {
+                operator.execute(inputs, ctx)?
+            });
         }
         Ok(self.take_root(state))
     }
@@ -724,16 +978,7 @@ impl PhysicalPlan {
     ) -> Result<Option<ExecSnapshot>> {
         let mut snapshot = None;
         loop {
-            loop {
-                let pctx = PureCtx {
-                    database: &ctx.database,
-                    shards: ctx.config.shards,
-                    spill_budget: ctx.config.spill_budget_bytes,
-                };
-                if !self.run_pure_wave(state, &pctx)? {
-                    break;
-                }
-            }
+            while self.run_pure_wave(state, &ctx.pure_ctx())? {}
             // The smallest-id unexecuted stateful node is always ready once
             // pure nodes are at a fixpoint: any unexecuted input chain would
             // bottom out at a smaller-id unexecuted stateful node.
@@ -801,9 +1046,13 @@ impl PhysicalPlan {
     pub fn bounds_root(&self) -> bool {
         let prefix = self.prefix_done_flags();
         let root = &self.nodes[self.root];
-        root.operator.name() == "conf"
-            && root.operator.class() == OpClass::Sampling
-            && root.inputs.len() == 1
+        matches!(
+            root.operator,
+            PhysicalOp::Conf {
+                params: Some(_),
+                ..
+            }
+        ) && root.inputs.len() == 1
             && (0..self.nodes.len()).all(|id| id == self.root || prefix[id])
     }
 
@@ -854,43 +1103,6 @@ impl PhysicalPlan {
             ));
         }
         Ok(out)
-    }
-}
-
-/// A drop guard that overrides the execution context's shard width and
-/// restores the previous value when it goes out of scope, whether the
-/// enclosing computation returns normally or bails with `?`.  Derefs to the
-/// wrapped [`ExecContext`] so operator calls pass through unchanged.
-struct ShardWidthOverride<'g, 'a> {
-    ctx: &'g mut ExecContext<'a>,
-    saved: usize,
-}
-
-impl<'g, 'a> ShardWidthOverride<'g, 'a> {
-    fn new(ctx: &'g mut ExecContext<'a>, shards: usize) -> Self {
-        let saved = ctx.config.shards;
-        ctx.config.shards = shards;
-        ShardWidthOverride { ctx, saved }
-    }
-}
-
-impl Drop for ShardWidthOverride<'_, '_> {
-    fn drop(&mut self) {
-        self.ctx.config.shards = self.saved;
-    }
-}
-
-impl<'a> std::ops::Deref for ShardWidthOverride<'_, 'a> {
-    type Target = ExecContext<'a>;
-
-    fn deref(&self) -> &Self::Target {
-        self.ctx
-    }
-}
-
-impl std::ops::DerefMut for ShardWidthOverride<'_, '_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.ctx
     }
 }
 
@@ -1061,790 +1273,355 @@ fn propagate_binary(
     }
 }
 
-// ---- per-world relational operators (§3) -----------------------------------
-
-/// Reads a base relation.
-#[derive(Clone, Debug)]
-pub struct ScanOp {
-    /// Relation name.
-    pub relation: String,
-}
-
-impl PhysicalOperator for ScanOp {
-    fn name(&self) -> &'static str {
-        "scan"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        _inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let rel = pctx.database.relation(&self.relation)?.clone();
-        let complete = pctx.database.is_complete(&self.relation);
-        Ok(EvaluatedRelation {
-            relation: rel,
-            complete,
-            errors: BTreeMap::new(),
-        })
-    }
-}
-
-/// Per-world selection `σ_φ`.
-#[derive(Clone, Debug)]
-pub struct SelectOp {
-    /// Selection predicate.
-    pub predicate: Predicate,
-}
-
-impl PhysicalOperator for SelectOp {
-    fn name(&self) -> &'static str {
-        "select"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::select(chunk, &self.predicate)
-        })?;
-        Ok(propagate_unary(relation, &input))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::select_delta(old_output, &inputs[0], &self.predicate).map(Some)
-    }
-}
-
-/// Generalised projection `π`.
-#[derive(Clone, Debug)]
-pub struct ProjectOp {
-    /// Output items.
-    pub items: Vec<ProjItem>,
-}
-
-impl PhysicalOperator for ProjectOp {
-    fn name(&self) -> &'static str {
-        "project"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::project(chunk, &self.items)
-        })?;
-        propagate_projection(relation, &input, &self.items)
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::project_delta(old_output, &inputs[0], &self.items).map(Some)
-    }
-}
-
-/// Extension by computed attributes.
-#[derive(Clone, Debug)]
-pub struct ExtendOp {
-    /// Appended items.
-    pub items: Vec<ProjItem>,
-}
-
-impl PhysicalOperator for ExtendOp {
-    fn name(&self) -> &'static str {
-        "extend"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let relation = sharded_unary(&input.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::extend(chunk, &self.items)
-        })?;
-        Ok(propagate_unary(relation, &input))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::extend_delta(old_output, &inputs[0], &self.items).map(Some)
-    }
-}
-
-/// Attribute renaming `ρ`.
-#[derive(Clone, Debug)]
-pub struct RenameOp {
-    /// Attribute to rename.
-    pub from: String,
-    /// New attribute name.
-    pub to: String,
-}
-
-impl PhysicalOperator for RenameOp {
-    fn name(&self) -> &'static str {
-        "rename"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        _pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let relation = ops::rename(&input.relation, &self.from, &self.to)?;
-        Ok(propagate_unary(relation, &input))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::rename_delta(old_output, &inputs[0]).map(Some)
-    }
-}
-
-/// Cartesian product `×`.
-#[derive(Clone, Copy, Debug)]
-pub struct ProductOp;
-
-impl PhysicalOperator for ProductOp {
-    fn name(&self) -> &'static str {
-        "product"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let (left, right) = binary_inputs(inputs);
-        let relation = sharded_unary(&left.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            ops::product(chunk, &right.relation)
-        })?;
-        Ok(propagate_binary(relation, &left, &right))
-    }
-}
-
-/// Natural join `⋈`.
-#[derive(Clone, Copy, Debug)]
-pub struct NaturalJoinOp;
-
-impl PhysicalOperator for NaturalJoinOp {
-    fn name(&self) -> &'static str {
-        "join"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let (left, right) = binary_inputs(inputs);
-        // One kernel at every size: index the right side once, probe it
-        // with the left side — whole, or per chunk under the same shard /
-        // spill gate as every other row-local operator.
-        let index = ops::JoinIndex::build(left.relation.schema(), &right.relation)?;
-        let relation = sharded_unary(&left.relation, pctx.shards, pctx.spill_budget, |chunk| {
-            index.probe(chunk)
-        })?;
-        Ok(propagate_binary(relation, &left, &right))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::natural_join_delta(old_output, &inputs[0], &inputs[1])
-    }
-}
-
-/// Union `∪`.
-#[derive(Clone, Copy, Debug)]
-pub struct UnionOp;
-
-impl PhysicalOperator for UnionOp {
-    fn name(&self) -> &'static str {
-        "union"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        _pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let (left, right) = binary_inputs(inputs);
-        let relation = ops::union(&left.relation, &right.relation)?;
-        Ok(propagate_binary(relation, &left, &right))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::union_delta(old_output, &inputs[0], &inputs[1]).map(Some)
-    }
-}
-
-/// Difference; the unchecked `−` form verifies completeness at runtime
-/// (unrestricted difference over uncertain inputs is outside positive UA).
-#[derive(Clone, Copy, Debug)]
-pub struct DifferenceOp {
-    /// True for the `−c` form (Proposition 3.3).
-    pub checked: bool,
-}
-
-impl PhysicalOperator for DifferenceOp {
-    fn name(&self) -> &'static str {
-        if self.checked {
-            "diffc"
-        } else {
-            "diff"
-        }
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        _pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let (left, right) = binary_inputs(inputs);
-        if !self.checked
-            && (!left.relation.is_complete_representation()
-                || !right.relation.is_complete_representation())
-        {
-            return Err(EngineError::Unsupported(
-                "difference over uncertain relations is outside positive UA; use −c on complete inputs"
-                    .into(),
-            ));
-        }
-        let relation = ops::difference_complete(&left.relation, &right.relation)?;
-        Ok(propagate_binary(relation, &left, &right))
-    }
-}
-
-/// `poss`: the possible tuples, as a complete relation.
-#[derive(Clone, Copy, Debug)]
-pub struct PossOp;
-
-impl PhysicalOperator for PossOp {
-    fn name(&self) -> &'static str {
-        "poss"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Pure
-    }
-
-    fn execute_pure(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        _pctx: &PureCtx<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let relation = URelation::from_complete(&input.relation.possible_tuples());
-        Ok(propagate_unary_complete(relation, &input))
-    }
-
-    fn execute_delta(
-        &self,
-        old_output: &URelation,
-        inputs: &[DeltaInput<'_>],
-    ) -> Result<Option<URelation>> {
-        delta::poss_delta(old_output, &inputs[0]).map(Some)
-    }
-}
-
 // ---- repair-key (§2.2 / §3) ------------------------------------------------
 
-/// `repair-key_{A⃗@B}`: uncertainty introduction on a complete input.
-#[derive(Clone, Debug)]
-pub struct RepairKeyOp {
-    /// Key attributes.
-    pub key: Vec<String>,
-    /// Weight attribute.
-    pub weight: String,
-}
-
-impl PhysicalOperator for RepairKeyOp {
-    fn name(&self) -> &'static str {
-        "repair-key"
+/// `repair-key_{A⃗@B}` on a complete input: one fresh variable per key group
+/// of several tuples, its distribution the group's normalised weights.
+fn repair_key(
+    input: EvaluatedRelation,
+    key: &[String],
+    weight: &str,
+    ctx: &mut ExecContext<'_>,
+) -> Result<EvaluatedRelation> {
+    if !input.relation.is_complete_representation() {
+        return Err(EngineError::NotComplete(
+            "repair-key requires a complete input relation".into(),
+        ));
     }
+    let complete = input.relation.possible_tuples();
+    let key_refs: Vec<&str> = key.iter().map(String::as_str).collect();
+    let groups = complete.group_by(&key_refs).map_err(EngineError::Pdb)?;
 
-    fn class(&self) -> OpClass {
-        // Introduces variables (names drawn from the shared counter) but
-        // consumes no randomness: deterministic, so it may sit below the
-        // serving layer's snapshot point.
-        OpClass::Stateful
-    }
-
-    fn execute(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        if !input.relation.is_complete_representation() {
-            return Err(EngineError::NotComplete(
-                "repair-key requires a complete input relation".into(),
-            ));
+    let mut out = URelation::empty(complete.schema().clone());
+    for (key_tuple, members) in groups {
+        // Validate and normalise the weights.
+        let mut weights = Vec::with_capacity(members.len());
+        let mut total = 0.0;
+        for t in &members {
+            let w = complete
+                .numeric_value(t, weight)
+                .map_err(EngineError::Pdb)?;
+            if !w.is_finite() || w <= 0.0 {
+                return Err(EngineError::Pdb(pdb::PdbError::InvalidWeight(format!(
+                    "weight {w} of tuple {t} is not a positive finite number"
+                ))));
+            }
+            total += w;
+            weights.push(w);
         }
-        let complete = input.relation.possible_tuples();
-        let key_refs: Vec<&str> = self.key.iter().map(String::as_str).collect();
-        let groups = complete.group_by(&key_refs).map_err(EngineError::Pdb)?;
-
-        let mut out = URelation::empty(complete.schema().clone());
-        for (key_tuple, members) in groups {
-            // Validate and normalise the weights.
-            let mut weights = Vec::with_capacity(members.len());
-            let mut total = 0.0;
-            for t in &members {
-                let w = complete
-                    .numeric_value(t, &self.weight)
-                    .map_err(EngineError::Pdb)?;
-                if !w.is_finite() || w <= 0.0 {
-                    return Err(EngineError::Pdb(pdb::PdbError::InvalidWeight(format!(
-                        "weight {w} of tuple {t} is not a positive finite number"
-                    ))));
-                }
-                total += w;
-                weights.push(w);
-            }
-            if members.len() == 1 {
-                // A single candidate is chosen with probability 1; no random
-                // variable is needed.
-                out.insert(Condition::always(), members[0].clone())?;
-                continue;
-            }
-            // One fresh variable per key group (the Section 3 translation
-            // names it after the key values; we add a counter for global
-            // uniqueness across repeated repair-key applications).
-            ctx.var_counter += 1;
-            let var = Var::new(format!("rk{}:{}", ctx.var_counter, key_tuple));
-            let dist: Vec<(Value, f64)> = weights
-                .iter()
-                .enumerate()
-                .map(|(i, w)| (Value::Int(i as i64), w / total))
-                .collect();
-            ctx.database.wtable_mut().add_variable(var.clone(), dist)?;
-            for (i, t) in members.iter().enumerate() {
-                let cond = Condition::new([(var.clone(), Value::Int(i as i64))])?;
-                out.insert(cond, t.clone())?;
-            }
+        if members.len() == 1 {
+            // A single candidate is chosen with probability 1; no random
+            // variable is needed.
+            out.insert(Condition::always(), members[0].clone())?;
+            continue;
         }
-
-        let errors = if input.errors.is_empty() {
-            BTreeMap::new()
-        } else {
-            out.possible_tuples()
-                .iter()
-                .filter_map(|t| input.errors.get(t).map(|e| (t.clone(), *e)))
-                .collect()
-        };
-        Ok(EvaluatedRelation {
-            relation: out,
-            complete: false,
-            errors,
-        })
+        // One fresh variable per key group (the Section 3 translation
+        // names it after the key values; we add a counter for global
+        // uniqueness across repeated repair-key applications).
+        ctx.var_counter += 1;
+        let var = Var::new(format!("rk{}:{}", ctx.var_counter, key_tuple));
+        let dist: Vec<(Value, f64)> = weights
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (Value::Int(i as i64), w / total))
+            .collect();
+        ctx.database.wtable_mut().add_variable(var.clone(), dist)?;
+        for (i, t) in members.iter().enumerate() {
+            let cond = Condition::new([(var.clone(), Value::Int(i as i64))])?;
+            out.insert(cond, t.clone())?;
+        }
     }
+
+    let errors = if input.errors.is_empty() {
+        BTreeMap::new()
+    } else {
+        out.possible_tuples()
+            .iter()
+            .filter_map(|t| input.errors.get(t).map(|e| (t.clone(), *e)))
+            .collect()
+    };
+    Ok(EvaluatedRelation {
+        relation: out,
+        complete: false,
+        errors,
+    })
 }
 
 // ---- confidence computation (§4) -------------------------------------------
 
-/// `conf` / `conf_{ε,δ}`: batched confidence computation over all tuple
-/// lineages at once.
-#[derive(Clone, Debug)]
-pub struct ConfOp {
-    /// Name of the appended probability attribute.
-    pub prob_attr: String,
-    /// `None` for exact model counting, `Some` for the Karp–Luby FPRAS.
-    pub params: Option<FprasParams>,
-}
+/// `conf` / `conf_{ε,δ}` (`params` `None` / `Some`): batched confidence
+/// computation over all tuple lineages at once.
+fn conf(
+    input: EvaluatedRelation,
+    prob_attr: &str,
+    params: Option<FprasParams>,
+    ctx: &mut ExecContext<'_>,
+) -> Result<EvaluatedRelation> {
+    ctx.stats.conf_operators += 1;
+    let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
+    let schema = input
+        .relation
+        .schema()
+        .with_appended(prob_attr)
+        .map_err(EngineError::Pdb)?;
 
-impl PhysicalOperator for ConfOp {
-    fn name(&self) -> &'static str {
-        "conf"
-    }
+    // Batch: every tuple's DNF lineage in one memoised pass, compiled
+    // once into flat programs and estimated by the bit-parallel
+    // estimator layer (64 sampled worlds per word).  On a warm serving
+    // resume both the lineage and its compiled programs come from the
+    // retained snapshot caches, so the request pays sampling only.
+    let lineage = compiled.relation_events(&input.relation)?;
+    let fpras = params.map(|params| {
+        FprasEstimator::new(params)
+            .with_exact_backend(ctx.config.exact_backend_node_budget)
+            .with_deadline(ctx.deadline)
+    });
+    let estimator: &dyn ConfidenceEstimator = match &fpras {
+        None => &ExactEstimator,
+        Some(fpras) => fpras,
+    };
+    let programs = lineage.programs();
+    // The base every per-event sub-RNG seed derives from.  Exact
+    // estimation consumes no randomness and leaves the caller's RNG
+    // stream untouched.  Shared-sampling runs *draw* the master seed (so
+    // the caller's stream advances exactly as it always has) but derive
+    // their streams from the compiled arena's content fingerprint, so the
+    // answer is a pure function of (content, configuration, ε/δ) — the
+    // precondition for sharing drawn blocks across requests.
+    let shared = ctx.config.shared_sampling;
+    let seed_base = match params {
+        None => 0,
+        Some(_) => {
+            // The failpoint sits *before* the master-seed draw: a retried
+            // request that faulted here has consumed no caller
+            // randomness, so its successful attempt is still
+            // bit-identical to cold.
+            crate::faults::fire("estimate", ctx.deadline)?;
+            let master_seed = ctx.rng.next_u64();
+            if shared {
+                programs.fingerprint()
+            } else {
+                master_seed
+            }
+        }
+    };
+    // The tally cache is keyed by the seed base, which names the arena
+    // only when it is the content fingerprint.
+    let sampler = ctx.sampler.as_deref().filter(|_| shared);
+    let drawn: Vec<(EventEstimate, bool)> = (0..programs.len())
+        .into_par_iter()
+        .map(|i| {
+            let draw = || estimator.estimate_compiled(programs, i, event_seed(seed_base, i));
+            match (sampler, &fpras, programs.trivial(i)) {
+                // Non-trivial events consult the shared block scheduler;
+                // the tally key includes the estimator's own bill — the
+                // count `draw` draws — so prepared queries with
+                // different (ε, δ) never alias.
+                (Some(sampler), Some(fpras), None) => {
+                    let bill = fpras.bill(programs, i)?;
+                    sampler.estimate(seed_base, i as u32, bill, draw)
+                }
+                _ => draw().map(|estimate| (estimate, false)),
+            }
+        })
+        .collect::<confidence::Result<_>>()
+        .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))?;
+    ctx.stats.shared_block_hits += drawn.iter().filter(|(_, hit)| *hit).count() as u64;
 
-    fn class(&self) -> OpClass {
-        match self.params {
-            // Exact model counting is deterministic.
-            None => OpClass::Stateful,
-            // The FPRAS draws a master seed per execution.
-            Some(_) => OpClass::Sampling,
+    let mut out = URelation::empty(schema);
+    let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
+    for (i, (t, (estimate, _))) in lineage.tuples().iter().zip(&drawn).enumerate() {
+        // Exact mode counts model-counting calls, FPRAS mode samples and
+        // which backend answered.
+        if params.is_none() {
+            ctx.stats.exact_confidence_calls += 1;
+        } else {
+            attribute_estimate(
+                &mut ctx.stats,
+                programs.trivial(i).is_some(),
+                estimate.exact,
+                estimate.samples,
+            );
+        }
+        let out_t = t.with_appended(Value::float(estimate.estimate));
+        out.insert(Condition::always(), out_t.clone())?;
+        let e = input.error_of(t);
+        if e > 0.0 {
+            errors.insert(out_t, e);
         }
     }
+    Ok(EvaluatedRelation {
+        relation: out,
+        complete: true,
+        errors,
+    })
+}
 
-    fn execute(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        ctx.stats.conf_operators += 1;
-        let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
-        let schema = input
-            .relation
-            .schema()
-            .with_appended(&self.prob_attr)
-            .map_err(EngineError::Pdb)?;
+/// `cert`: the `conf = 1` test, answered by exact model counting (batched).
+fn cert(input: EvaluatedRelation, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
+    let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
+    let lineage = compiled.relation_events(&input.relation)?;
+    // The compiled path memoises the Shannon-expansion results inside
+    // the cached batch: repeated `cert` requests are lookups.
+    let estimates = ExactEstimator
+        .estimate_compiled_batch(lineage.programs(), 0)
+        .map_err(EngineError::Confidence)?;
 
-        // Batch: every tuple's DNF lineage in one memoised pass, compiled
-        // once into flat programs and estimated by the bit-parallel
-        // estimator layer (64 sampled worlds per word).  On a warm serving
-        // resume both the lineage and its compiled programs come from the
-        // retained snapshot caches, so the request pays sampling only.
-        let lineage = compiled.relation_events(&input.relation)?;
-        let fpras = self.params.map(|params| {
-            FprasEstimator::new(params)
-                .with_exact_backend(ctx.config.exact_backend_node_budget)
-                .with_deadline(ctx.deadline)
-        });
-        let estimator: &dyn ConfidenceEstimator = match &fpras {
-            None => &ExactEstimator,
-            Some(fpras) => fpras,
-        };
-        let programs = lineage.programs();
-        // The base every per-event sub-RNG seed derives from.  Exact
-        // estimation consumes no randomness and leaves the caller's RNG
-        // stream untouched.  Shared-sampling runs *draw* the master seed (so
-        // the caller's stream advances exactly as it always has) but derive
-        // their streams from the compiled arena's content fingerprint, so the
-        // answer is a pure function of (content, configuration, ε/δ) — the
-        // precondition for sharing drawn blocks across requests.
-        let shared = ctx.config.shared_sampling;
-        let seed_base = match self.params {
-            None => 0,
-            Some(_) => {
-                // The failpoint sits *before* the master-seed draw: a retried
-                // request that faulted here has consumed no caller
-                // randomness, so its successful attempt is still
-                // bit-identical to cold.
-                crate::faults::fire("estimate", ctx.deadline)?;
-                let master_seed = ctx.rng.next_u64();
-                if shared {
-                    programs.fingerprint()
-                } else {
-                    master_seed
-                }
-            }
-        };
-        // The tally cache is keyed by the seed base, which names the arena
-        // only when it is the content fingerprint.
-        let sampler = ctx.sampler.as_deref().filter(|_| shared);
-        let drawn: Vec<(EventEstimate, bool)> = (0..programs.len())
-            .into_par_iter()
-            .map(|i| {
-                let draw = || estimator.estimate_compiled(programs, i, event_seed(seed_base, i));
-                match (sampler, &fpras, programs.trivial(i)) {
-                    // Non-trivial events consult the shared block scheduler;
-                    // the tally key includes the estimator's own bill — the
-                    // count `draw` draws — so prepared queries with
-                    // different (ε, δ) never alias.
-                    (Some(sampler), Some(fpras), None) => {
-                        let bill = fpras.bill(programs, i)?;
-                        sampler.estimate(seed_base, i as u32, bill, draw)
-                    }
-                    _ => draw().map(|estimate| (estimate, false)),
-                }
-            })
-            .collect::<confidence::Result<_>>()
-            .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))?;
-        ctx.stats.shared_block_hits += drawn.iter().filter(|(_, hit)| *hit).count() as u64;
-
-        let mut out = URelation::empty(schema);
-        let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
-        for (i, (t, (estimate, _))) in lineage.tuples().iter().zip(&drawn).enumerate() {
-            // Exact mode counts model-counting calls, FPRAS mode samples and
-            // which backend answered.
-            if self.params.is_none() {
-                ctx.stats.exact_confidence_calls += 1;
-            } else {
-                attribute_estimate(
-                    &mut ctx.stats,
-                    programs.trivial(i).is_some(),
-                    estimate.exact,
-                    estimate.samples,
-                );
-            }
-            let out_t = t.with_appended(Value::float(estimate.estimate));
-            out.insert(Condition::always(), out_t.clone())?;
+    let mut out = URelation::empty(input.relation.schema().clone());
+    let mut errors = BTreeMap::new();
+    for (t, estimate) in lineage.tuples().iter().zip(&estimates) {
+        ctx.stats.exact_confidence_calls += 1;
+        if (estimate.estimate - 1.0).abs() < 1e-9 {
+            out.insert(Condition::always(), t.clone())?;
             let e = input.error_of(t);
             if e > 0.0 {
-                errors.insert(out_t, e);
+                errors.insert(t.clone(), e);
             }
         }
-        Ok(EvaluatedRelation {
-            relation: out,
-            complete: true,
-            errors,
-        })
     }
-}
-
-/// `cert`: the `conf = 1` test — exactly the singularity of Example 5.7 — so
-/// it is always answered by exact model counting (batched).
-#[derive(Clone, Copy, Debug)]
-pub struct CertOp;
-
-impl PhysicalOperator for CertOp {
-    fn name(&self) -> &'static str {
-        "cert"
-    }
-
-    fn class(&self) -> OpClass {
-        OpClass::Stateful
-    }
-
-    fn execute(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
-        let lineage = compiled.relation_events(&input.relation)?;
-        // The compiled path memoises the Shannon-expansion results inside
-        // the cached batch: repeated `cert` requests are lookups.
-        let estimates = ExactEstimator
-            .estimate_compiled_batch(lineage.programs(), 0)
-            .map_err(EngineError::Confidence)?;
-
-        let mut out = URelation::empty(input.relation.schema().clone());
-        let mut errors = BTreeMap::new();
-        for (t, estimate) in lineage.tuples().iter().zip(&estimates) {
-            ctx.stats.exact_confidence_calls += 1;
-            if (estimate.estimate - 1.0).abs() < 1e-9 {
-                out.insert(Condition::always(), t.clone())?;
-                let e = input.error_of(t);
-                if e > 0.0 {
-                    errors.insert(t.clone(), e);
-                }
-            }
-        }
-        Ok(EvaluatedRelation {
-            relation: out,
-            complete: true,
-            errors,
-        })
-    }
+    Ok(EvaluatedRelation {
+        relation: out,
+        complete: true,
+        errors,
+    })
 }
 
 // ---- approximate selection σ̂ (§5 Figure 3, §6) -----------------------------
 
-/// `σ̂_{φ(conf[A⃗₁], …, conf[A⃗_k])}` with its physical decision mode baked in
-/// at lowering time.
-#[derive(Clone, Debug)]
-pub struct ApproxSelectOp {
-    /// Confidence terms the predicate refers to.
-    pub terms: Vec<ConfTerm>,
-    /// Predicate over the term placeholders.
-    pub predicate: Predicate,
-    /// Smallest relative half-width refined to.
-    pub epsilon0: f64,
-    /// Per-operator error bound.
-    pub delta: f64,
-    /// The decision strategy chosen by the engine configuration.
-    pub mode: ApproxSelectMode,
-}
+/// The σ̂ accuracy lowering resolved: (ε₀, δ, decision mode).
+type SigmaStop = (f64, f64, ApproxSelectMode);
 
-impl PhysicalOperator for ApproxSelectOp {
-    fn name(&self) -> &'static str {
-        "approx-select"
+/// `σ̂_{φ(conf[A⃗₁], …, conf[A⃗_k])}` over `input`, deciding every candidate
+/// under `stop`.
+fn approx_select(
+    input: EvaluatedRelation,
+    terms: &[ConfTerm],
+    predicate: &Predicate,
+    stop: SigmaStop,
+    ctx: &mut ExecContext<'_>,
+) -> Result<EvaluatedRelation> {
+    ctx.stats.approx_select_operators += 1;
+    algebra::check_conf_terms(terms, input.relation.schema())?;
+    let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
+
+    // Projections π_{A⃗_i}(R), one per confidence term.
+    let mut projections = Vec::with_capacity(terms.len());
+    for term in terms {
+        let items: Vec<ProjItem> = term.attrs.iter().map(ProjItem::attr).collect();
+        projections.push(ops::project(&input.relation, &items)?);
     }
 
-    fn class(&self) -> OpClass {
-        match self.mode {
-            // Exact decisions consume no randomness.
-            ApproxSelectMode::Exact => OpClass::Stateful,
-            ApproxSelectMode::Adaptive | ApproxSelectMode::FixedIterations(_) => OpClass::Sampling,
-        }
-    }
-
-    fn execute(
-        &self,
-        inputs: Vec<EvaluatedRelation>,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<EvaluatedRelation> {
-        let input = unary_input(inputs);
-        ctx.stats.approx_select_operators += 1;
-        algebra::check_conf_terms(&self.terms, input.relation.schema())?;
-        let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
-
-        // Projections π_{A⃗_i}(R), one per confidence term.
-        let mut projections = Vec::with_capacity(self.terms.len());
-        for term in &self.terms {
-            let items: Vec<ProjItem> = term.attrs.iter().map(ProjItem::attr).collect();
-            projections.push(ops::project(&input.relation, &items)?);
-        }
-
-        // The candidate output tuples: the natural join of the possible
-        // tuples of the projections (over the union of the term attributes).
-        let out_attrs: Vec<String> = {
-            let mut attrs = Vec::new();
-            for term in &self.terms {
-                for a in &term.attrs {
-                    if !attrs.contains(a) {
-                        attrs.push(a.clone());
-                    }
+    // The candidate output tuples: the natural join of the possible
+    // tuples of the projections (over the union of the term attributes).
+    let out_attrs: Vec<String> = {
+        let mut attrs = Vec::new();
+        for term in terms {
+            for a in &term.attrs {
+                if !attrs.contains(a) {
+                    attrs.push(a.clone());
                 }
             }
-            attrs
-        };
-        let out_schema = Schema::new(out_attrs.clone()).map_err(EngineError::Pdb)?;
-        let mut candidates =
-            URelation::from_complete(&pdb::Relation::new(Schema::empty(), [Tuple::empty()])?);
-        for proj in &projections {
-            candidates = ops::natural_join(
-                &candidates,
-                &URelation::from_complete(&proj.possible_tuples()),
-            )?;
         }
-        // Reorder candidate columns to the declared output order.
-        let reorder: Vec<ProjItem> = out_attrs.iter().map(ProjItem::attr).collect();
-        let candidates = ops::project(&candidates, &reorder)?;
-
-        // Compile the predicate over the term placeholders.
-        let placeholders: Vec<String> = self.terms.iter().map(|t| t.name.clone()).collect();
-        let compiled_predicate = compile_predicate(&self.predicate, &placeholders)?;
-
-        // The input-error contribution: the confidence terms aggregate over
-        // the whole input relation, so every candidate depends on every
-        // input tuple (cf. Example 6.5).
-        let input_error: f64 = input.errors.values().sum::<f64>().min(1.0);
-
-        // The k events of every candidate, in candidate order.  The term
-        // attribute indices are hoisted out of the candidate loop.
-        let term_indices: Vec<Vec<usize>> = self
-            .terms
-            .iter()
-            .map(|term| {
-                candidates
-                    .schema()
-                    .indices_of(&term.attrs)
-                    .map_err(EngineError::Pdb)
-            })
-            .collect::<Result<_>>()?;
-        let candidate_tuples: Vec<Tuple> = candidates.possible_tuples().iter().cloned().collect();
-        ctx.stats.approx_select_decisions += candidate_tuples.len() as u64;
-        // The k events of candidate i are addressed by handles[i*k ..
-        // (i+1)*k]: one flat vector shared by every decision mode.  Each
-        // projection's lineage batch is extracted and compiled once
-        // (memoised in the compiled space); candidates look their events'
-        // handles — arena plus index, which the bounds read the event
-        // through, the exact mode its memoised probability, and the Monte
-        // Carlo modes sample through — up by key.  Candidates absent from a
-        // projection share one impossible-event program.
-        let lineages = projections
-            .iter()
-            .map(|proj| compiled.relation_events(proj))
-            .collect::<Result<Vec<_>>>()?;
-        let never = std::sync::Arc::new(
-            confidence::LineagePrograms::compile(vec![DnfEvent::never()], compiled.space())
-                .map_err(EngineError::Confidence)?,
-        );
-        let mut handles: Vec<CompiledEventHandle> =
-            Vec::with_capacity(candidate_tuples.len() * self.terms.len());
-        for candidate in &candidate_tuples {
-            for (idx, lineage) in term_indices.iter().zip(&lineages) {
-                let key = candidate.project(idx);
-                handles.push(match lineage.index_of(&key) {
-                    Some(i) => (lineage.programs().clone(), i),
-                    None => (never.clone(), 0),
-                });
-            }
-        }
-
-        // Decide every candidate: (keep, decision error bound).
-        let decisions = self.decide_candidates(
-            candidate_tuples.len(),
-            &handles,
-            &compiled,
-            &compiled_predicate,
-            ctx,
+        attrs
+    };
+    let out_schema = Schema::new(out_attrs.clone()).map_err(EngineError::Pdb)?;
+    let mut candidates =
+        URelation::from_complete(&pdb::Relation::new(Schema::empty(), [Tuple::empty()])?);
+    for proj in &projections {
+        candidates = ops::natural_join(
+            &candidates,
+            &URelation::from_complete(&proj.possible_tuples()),
         )?;
-        debug_assert_eq!(decisions.len(), candidate_tuples.len());
+    }
+    // Reorder candidate columns to the declared output order.
+    let reorder: Vec<ProjItem> = out_attrs.iter().map(ProjItem::attr).collect();
+    let candidates = ops::project(&candidates, &reorder)?;
 
-        let mut out = URelation::empty(out_schema);
-        let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
-        for (candidate, (keep, decision_error)) in candidate_tuples.iter().zip(decisions) {
-            let total_error = (decision_error + input_error).min(1.0);
-            if keep {
-                out.insert(Condition::always(), candidate.clone())?;
-                if total_error > 0.0 {
-                    errors.insert(candidate.clone(), total_error);
-                }
-            } else if total_error > 0.0 {
-                // Dropped tuples may also be wrongly dropped; their error is
-                // recorded so that downstream negation-free operators (and
-                // the adaptive driver) can still reason about them.  They
-                // are keyed by the candidate tuple even though it is absent.
+    // Compile the predicate over the term placeholders.
+    let placeholders: Vec<String> = terms.iter().map(|t| t.name.clone()).collect();
+    let compiled_predicate = compile_predicate(predicate, &placeholders)?;
+
+    // The input-error contribution: the confidence terms aggregate over
+    // the whole input relation, so every candidate depends on every
+    // input tuple (cf. Example 6.5).
+    let input_error: f64 = input.errors.values().sum::<f64>().min(1.0);
+
+    // The k events of every candidate, in candidate order.  The term
+    // attribute indices are hoisted out of the candidate loop.
+    let term_indices: Vec<Vec<usize>> = terms
+        .iter()
+        .map(|term| {
+            candidates
+                .schema()
+                .indices_of(&term.attrs)
+                .map_err(EngineError::Pdb)
+        })
+        .collect::<Result<_>>()?;
+    let candidate_tuples: Vec<Tuple> = candidates.possible_tuples().iter().cloned().collect();
+    ctx.stats.approx_select_decisions += candidate_tuples.len() as u64;
+    // The k events of candidate i are addressed by handles[i*k ..
+    // (i+1)*k]: one flat vector shared by every decision mode.  Each
+    // projection's lineage batch is extracted and compiled once
+    // (memoised in the compiled space); candidates look their events'
+    // handles — arena plus index, which the bounds read the event
+    // through, the exact mode its memoised probability, and the Monte
+    // Carlo modes sample through — up by key.  Candidates absent from a
+    // projection share one impossible-event program.
+    let lineages = projections
+        .iter()
+        .map(|proj| compiled.relation_events(proj))
+        .collect::<Result<Vec<_>>>()?;
+    let never = std::sync::Arc::new(
+        confidence::LineagePrograms::compile(vec![DnfEvent::never()], compiled.space())
+            .map_err(EngineError::Confidence)?,
+    );
+    let mut handles: Vec<CompiledEventHandle> =
+        Vec::with_capacity(candidate_tuples.len() * terms.len());
+    for candidate in &candidate_tuples {
+        for (idx, lineage) in term_indices.iter().zip(&lineages) {
+            let key = candidate.project(idx);
+            handles.push(match lineage.index_of(&key) {
+                Some(i) => (lineage.programs().clone(), i),
+                None => (never.clone(), 0),
+            });
+        }
+    }
+
+    // Decide every candidate: (keep, decision error bound).
+    let decisions = decide_candidates(
+        terms.len(),
+        candidate_tuples.len(),
+        &handles,
+        &compiled,
+        &compiled_predicate,
+        stop,
+        ctx,
+    )?;
+    debug_assert_eq!(decisions.len(), candidate_tuples.len());
+
+    let mut out = URelation::empty(out_schema);
+    let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
+    for (candidate, (keep, decision_error)) in candidate_tuples.iter().zip(decisions) {
+        let total_error = (decision_error + input_error).min(1.0);
+        if keep {
+            out.insert(Condition::always(), candidate.clone())?;
+            if total_error > 0.0 {
                 errors.insert(candidate.clone(), total_error);
             }
+        } else if total_error > 0.0 {
+            // Dropped tuples may also be wrongly dropped; their error is
+            // recorded so that downstream negation-free operators (and
+            // the adaptive driver) can still reason about them.  They
+            // are keyed by the candidate tuple even though it is absent.
+            errors.insert(candidate.clone(), total_error);
         }
-
-        Ok(EvaluatedRelation {
-            relation: out,
-            complete: false,
-            errors,
-        })
     }
+
+    Ok(EvaluatedRelation {
+        relation: out,
+        complete: false,
+        errors,
+    })
 }
 
 /// A compiled event of a lineage batch: the shared program arena plus the
@@ -1879,178 +1656,176 @@ fn attribute_estimate(stats: &mut EvalStats, trivial: bool, exact: bool, samples
     }
 }
 
-impl ApproxSelectOp {
-    /// Sampling-free candidate decisions from the exact confidence bounds of
-    /// [`confidence::bounds`] (max-term lower / union upper, refined by one
-    /// round of inclusion–exclusion — degree-two Bonferroni lower bound and
-    /// Hunter–Worsley spanning-tree upper bound): a candidate whose
-    /// predicate is constant over its `k`-dimensional bounds box is decided
-    /// with error 0 before any estimator runs.  `None` marks the ambiguous
-    /// band that falls through to Monte Carlo estimation.
-    fn prune_candidates(
-        &self,
-        num_candidates: usize,
-        handles: &[CompiledEventHandle],
-        compiled: &CompiledSpace,
-        predicate: &ApproxPredicate,
-        pairwise_limit: usize,
-    ) -> Result<Vec<Option<bool>>> {
-        let k = self.terms.len();
-        let bounds = handles
-            .iter()
-            .map(|(programs, i)| {
-                event_bounds_with_limit(&programs.events()[*i], compiled.space(), pairwise_limit)
-            })
-            .collect::<confidence::Result<Vec<_>>>()
-            .map_err(EngineError::Confidence)?;
-        (0..num_candidates)
-            .map(|i| {
-                let boxed = Orthotope::from_intervals(
-                    bounds[i * k..(i + 1) * k]
-                        .iter()
-                        .map(|b| Interval::new(b.lower, b.upper)),
-                );
-                Ok(
-                    match evaluate_over_box(predicate, &boxed).map_err(EngineError::Approx)? {
-                        BoxVerdict::AlwaysTrue => Some(true),
-                        BoxVerdict::AlwaysFalse => Some(false),
-                        BoxVerdict::Unknown => None,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Decides all `num_candidates` candidates under the operator's mode;
-    /// candidate `i`'s `k` events are `handles[i*k .. (i+1)*k]` (`k` may be 0:
-    /// a term-less predicate is decided once per candidate on no values).
-    ///
-    /// Exact mode looks the values up.  The Monte Carlo modes are one
-    /// routine: prune the candidates whose exact confidence bounds already
-    /// decide the predicate (when the engine enables it), then run Figure 3
-    /// ([`approximate_predicate`]) per remaining candidate, all candidates
-    /// concurrently, each on the sub-RNG of its *candidate* index under one
-    /// master seed — so the outcome is deterministic per seed *and* unchanged
-    /// for the candidates pruning leaves alone.  The mode only picks the
-    /// loop's stop rule (`Adaptive`: `Σ δ_i(ε) ≤ δ`; `FixedIterations(l)`:
-    /// `l` iterations) and with it the sampling bill the exact backend's
-    /// cost model is asked to beat.
-    fn decide_candidates(
-        &self,
-        num_candidates: usize,
-        handles: &[CompiledEventHandle],
-        compiled: &CompiledSpace,
-        predicate: &ApproxPredicate,
-        ctx: &mut ExecContext<'_>,
-    ) -> Result<Vec<(bool, f64)>> {
-        let k = self.terms.len();
-        debug_assert_eq!(handles.len(), num_candidates * k);
-        let fixed_l = match self.mode {
-            ApproxSelectMode::Exact => {
-                // The reference semantics, unpruned: the memoised path
-                // `conf`/`cert` use — each batch expands its events once,
-                // however many candidates share them.
-                let values = handles
+/// Sampling-free candidate decisions from the exact confidence bounds of
+/// [`confidence::bounds`] (max-term lower / union upper, refined by one
+/// round of inclusion–exclusion — degree-two Bonferroni lower bound and
+/// Hunter–Worsley spanning-tree upper bound): a candidate whose
+/// predicate is constant over its `k`-dimensional bounds box is decided
+/// with error 0 before any estimator runs.  `None` marks the ambiguous
+/// band that falls through to Monte Carlo estimation.
+fn prune_candidates(
+    k: usize,
+    num_candidates: usize,
+    handles: &[CompiledEventHandle],
+    compiled: &CompiledSpace,
+    predicate: &ApproxPredicate,
+    pairwise_limit: usize,
+) -> Result<Vec<Option<bool>>> {
+    let bounds = handles
+        .iter()
+        .map(|(programs, i)| {
+            event_bounds_with_limit(&programs.events()[*i], compiled.space(), pairwise_limit)
+        })
+        .collect::<confidence::Result<Vec<_>>>()
+        .map_err(EngineError::Confidence)?;
+    (0..num_candidates)
+        .map(|i| {
+            let boxed = Orthotope::from_intervals(
+                bounds[i * k..(i + 1) * k]
                     .iter()
-                    .map(|(programs, i)| Ok(programs.exact_probabilities()?[*i]))
-                    .collect::<confidence::Result<Vec<f64>>>()
-                    .map_err(EngineError::Confidence)?;
-                ctx.stats.exact_confidence_calls += values.len() as u64;
-                return (0..num_candidates)
-                    .map(|i| Ok((predicate.eval(&values[i * k..(i + 1) * k])?, 0.0)))
-                    .collect();
-            }
-            ApproxSelectMode::Adaptive => None,
-            ApproxSelectMode::FixedIterations(l) => Some(l),
-        };
-        let pruned: Vec<Option<bool>> = if ctx.config.prune_approx_select {
-            self.prune_candidates(
-                num_candidates,
-                handles,
-                compiled,
-                predicate,
-                ctx.config.pairwise_bound_limit,
-            )?
-        } else {
-            vec![None; num_candidates]
-        };
-        ctx.stats.approx_select_pruned += pruned.iter().filter(|p| p.is_some()).count() as u64;
+                    .map(|b| Interval::new(b.lower, b.upper)),
+            );
+            Ok(
+                match evaluate_over_box(predicate, &boxed).map_err(EngineError::Approx)? {
+                    BoxVerdict::AlwaysTrue => Some(true),
+                    BoxVerdict::AlwaysFalse => Some(false),
+                    BoxVerdict::Unknown => None,
+                },
+            )
+        })
+        .collect()
+}
 
-        let params = match fixed_l {
-            None => ApproximationParams::new(self.epsilon0, self.delta)?,
-            Some(l) => ApproximationParams::fixed_iterations(self.epsilon0, l)?,
+/// Decides all `num_candidates` candidates under `stop`'s mode;
+/// candidate `i`'s `k` events are `handles[i*k .. (i+1)*k]` (`k` may be 0:
+/// a term-less predicate is decided once per candidate on no values).
+///
+/// Exact mode looks the values up.  The Monte Carlo modes are one
+/// routine: prune the candidates whose exact confidence bounds already
+/// decide the predicate (when the engine enables it), then run Figure 3
+/// ([`approximate_predicate`]) per remaining candidate, all candidates
+/// concurrently, each on the sub-RNG of its *candidate* index under one
+/// master seed — so the outcome is deterministic per seed *and* unchanged
+/// for the candidates pruning leaves alone.  The mode only picks the
+/// loop's stop rule (`Adaptive`: `Σ δ_i(ε) ≤ δ`; `FixedIterations(l)`:
+/// `l` iterations) and with it the sampling bill the exact backend's
+/// cost model is asked to beat.
+fn decide_candidates(
+    k: usize,
+    num_candidates: usize,
+    handles: &[CompiledEventHandle],
+    compiled: &CompiledSpace,
+    predicate: &ApproxPredicate,
+    (epsilon0, delta, mode): SigmaStop,
+    ctx: &mut ExecContext<'_>,
+) -> Result<Vec<(bool, f64)>> {
+    debug_assert_eq!(handles.len(), num_candidates * k);
+    let fixed_l = match mode {
+        ApproxSelectMode::Exact => {
+            // The reference semantics, unpruned: the memoised path
+            // `conf`/`cert` use — each batch expands its events once,
+            // however many candidates share them.
+            let values = handles
+                .iter()
+                .map(|(programs, i)| Ok(programs.exact_probabilities()?[*i]))
+                .collect::<confidence::Result<Vec<f64>>>()
+                .map_err(EngineError::Confidence)?;
+            ctx.stats.exact_confidence_calls += values.len() as u64;
+            return (0..num_candidates)
+                .map(|i| Ok((predicate.eval(&values[i * k..(i + 1) * k])?, 0.0)))
+                .collect();
         }
-        .with_deadline(ctx.deadline);
-        // The draws the stop rule implies for an event, the cost model's
-        // sampling side and the kernel's block-width choice: `l` batches of
-        // its sampling width, or the Chernoff count Figure 3 would reach at
-        // its floor accuracy (ε₀, δ) — a conservative proxy for an adaptive
-        // run's total.  (ε₀, δ) are validated above, so the floor bill can
-        // only fail by passing 2⁵³: dearer than any circuit, and a count the
-        // loop, which stops on its estimates, need never come near.
-        let node_budget = ctx.config.exact_backend_node_budget;
-        let floor = FprasEstimator::new(FprasParams::new(self.epsilon0, self.delta)?);
-        let bill = |programs: &LineagePrograms, event: usize| match fixed_l {
-            Some(l) => (l.max(1) as u64).saturating_mul(programs.sample_width(event) as u64),
-            None => floor.bill(programs, event).unwrap_or(u64::MAX),
-        };
-        // Failpoint before the seed draw: see `ConfOp::execute`.
-        crate::faults::fire("estimate", ctx.deadline)?;
-        let master_seed = ctx.rng.next_u64();
-        let outcomes: Vec<(bool, f64, Vec<IncrementalEstimator>)> = (0..num_candidates)
-            .into_par_iter()
-            .map(|i| {
-                if let Some(keep) = pruned[i] {
-                    return Ok((keep, 0.0, Vec::new()));
-                }
-                // Resolve a term exactly where compilation beats the bill:
-                // the loop then treats it as a zero-width, seed-independent
-                // input.
-                let mut estimators = handles[i * k..(i + 1) * k]
-                    .iter()
-                    .map(|(programs, event)| {
-                        // A batch is far smaller than a block: the block
-                        // width follows the bill, as the FPRAS draw's does.
-                        let draws = bill(programs, *event);
-                        let mut state = IncrementalEstimator::from_compiled_with_width(
-                            programs,
-                            *event,
-                            confidence::bitworld::block_words_for_samples(draws as usize),
-                        )?;
-                        if !state.is_trivial() {
-                            if let Some(p) = programs.exact_if_cheaper(*event, draws, node_budget) {
-                                state.resolve_exactly(p);
-                            }
-                        }
-                        Ok(state)
-                    })
-                    .collect::<confidence::Result<Vec<_>>>()
-                    .map_err(EngineError::Confidence)?;
-                // Per-candidate xoshiro sub-RNG: the loop is
-                // bit-parallel-sampling-bound.
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(event_seed(master_seed, i));
-                let decision = approximate_predicate(predicate, &mut estimators, params, &mut rng)
-                    .map_err(|e| deadline_interrupt(EngineError::Approx(e)))?;
-                Ok((decision.value, decision.error_bound, estimators))
-            })
-            .collect::<Result<_>>()?;
-        Ok(outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, (keep, error, estimators))| {
-                // Pruned candidates estimated nothing.
-                for (state, (programs, event)) in estimators.iter().zip(&handles[i * k..]) {
-                    attribute_estimate(
-                        &mut ctx.stats,
-                        programs.trivial(*event).is_some(),
-                        state.is_trivial(),
-                        state.samples(),
-                    );
-                }
-                (keep, error)
-            })
-            .collect())
+        ApproxSelectMode::Adaptive => None,
+        ApproxSelectMode::FixedIterations(l) => Some(l),
+    };
+    let pruned: Vec<Option<bool>> = if ctx.config.prune_approx_select {
+        prune_candidates(
+            k,
+            num_candidates,
+            handles,
+            compiled,
+            predicate,
+            ctx.config.pairwise_bound_limit,
+        )?
+    } else {
+        vec![None; num_candidates]
+    };
+    ctx.stats.approx_select_pruned += pruned.iter().filter(|p| p.is_some()).count() as u64;
+
+    let params = match fixed_l {
+        None => ApproximationParams::new(epsilon0, delta)?,
+        Some(l) => ApproximationParams::fixed_iterations(epsilon0, l)?,
     }
+    .with_deadline(ctx.deadline);
+    // The draws the stop rule implies for an event, the cost model's
+    // sampling side and the kernel's block-width choice: `l` batches of
+    // its sampling width, or the Chernoff count Figure 3 would reach at
+    // its floor accuracy (ε₀, δ) — a conservative proxy for an adaptive
+    // run's total.  (ε₀, δ) are validated above, so the floor bill can
+    // only fail by passing 2⁵³: dearer than any circuit, and a count the
+    // loop, which stops on its estimates, need never come near.
+    let node_budget = ctx.config.exact_backend_node_budget;
+    let floor = FprasEstimator::new(FprasParams::new(epsilon0, delta)?);
+    let bill = |programs: &LineagePrograms, event: usize| match fixed_l {
+        Some(l) => (l.max(1) as u64).saturating_mul(programs.sample_width(event) as u64),
+        None => floor.bill(programs, event).unwrap_or(u64::MAX),
+    };
+    // Failpoint before the seed draw: see `conf`.
+    crate::faults::fire("estimate", ctx.deadline)?;
+    let master_seed = ctx.rng.next_u64();
+    let outcomes: Vec<(bool, f64, Vec<IncrementalEstimator>)> = (0..num_candidates)
+        .into_par_iter()
+        .map(|i| {
+            if let Some(keep) = pruned[i] {
+                return Ok((keep, 0.0, Vec::new()));
+            }
+            // Resolve a term exactly where compilation beats the bill:
+            // the loop then treats it as a zero-width, seed-independent
+            // input.
+            let mut estimators = handles[i * k..(i + 1) * k]
+                .iter()
+                .map(|(programs, event)| {
+                    // A batch is far smaller than a block: the block
+                    // width follows the bill, as the FPRAS draw's does.
+                    let draws = bill(programs, *event);
+                    let mut state = IncrementalEstimator::from_compiled_with_width(
+                        programs,
+                        *event,
+                        confidence::bitworld::block_words_for_samples(draws as usize),
+                    )?;
+                    if !state.is_trivial() {
+                        if let Some(p) = programs.exact_if_cheaper(*event, draws, node_budget) {
+                            state.resolve_exactly(p);
+                        }
+                    }
+                    Ok(state)
+                })
+                .collect::<confidence::Result<Vec<_>>>()
+                .map_err(EngineError::Confidence)?;
+            // Per-candidate xoshiro sub-RNG: the loop is
+            // bit-parallel-sampling-bound.
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(event_seed(master_seed, i));
+            let decision = approximate_predicate(predicate, &mut estimators, params, &mut rng)
+                .map_err(|e| deadline_interrupt(EngineError::Approx(e)))?;
+            Ok((decision.value, decision.error_bound, estimators))
+        })
+        .collect::<Result<_>>()?;
+    Ok(outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, (keep, error, estimators))| {
+            // Pruned candidates estimated nothing.
+            for (state, (programs, event)) in estimators.iter().zip(&handles[i * k..]) {
+                attribute_estimate(
+                    &mut ctx.stats,
+                    programs.trivial(*event).is_some(),
+                    state.is_trivial(),
+                    state.samples(),
+                );
+            }
+            (keep, error)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -2436,6 +2211,42 @@ mod tests {
         let (warm, _) = plan.resume(&mut ctx, snapshot, false).unwrap();
         assert_eq!(cold.relation, warm.relation);
         assert_eq!(ctx.database, db);
+    }
+
+    #[test]
+    fn only_an_approximate_conf_over_a_deterministic_prefix_has_a_bounds_form() {
+        let db = TupleIndependentDb::default().database();
+        // `conf` is exact and σ̂ Monte Carlo under the default configuration.
+        let config = EvalConfig::default();
+        let sigma = "aselect[P1 = conf(A); P1 >= 0.5](T)";
+        let table = [
+            ("aconf[0.3, 0.2](project[A](T))".to_string(), true),
+            ("conf(project[A](T))".to_string(), false),
+            ("cert(project[A](T))".to_string(), false),
+            ("poss(project[A](T))".to_string(), false),
+            (sigma.to_string(), false),
+            (format!("aconf[0.3, 0.2]({sigma})"), false),
+        ];
+        for (text, bounds_root) in table {
+            let plan = lowered(&text, &db, config);
+            assert_eq!(plan.bounds_root(), bounds_root, "{text}");
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let mut ctx = ctx_for(&db, config, &mut rng);
+            let limit = confidence::DEFAULT_PAIRWISE_TERM_LIMIT;
+            match plan.execute_bounds(&mut ctx, plan.empty_snapshot(), limit) {
+                Ok(bounds) if bounds_root => {
+                    assert!(!bounds.is_empty(), "{text}");
+                    for (_, b) in &bounds {
+                        assert!(0.0 <= b.lower && b.lower <= b.upper && b.upper <= 1.0);
+                    }
+                }
+                Err(EngineError::Unsupported(_)) if !bounds_root => {}
+                other => panic!(
+                    "{text}: unexpected bounds outcome {:?}",
+                    other.map(|b| b.len())
+                ),
+            }
+        }
     }
 
     #[test]

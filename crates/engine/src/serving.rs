@@ -168,7 +168,10 @@
 use crate::adaptive_query::catalog_of;
 use crate::delta::DeltaInput;
 use crate::error::{EngineError, Result};
-use crate::exec::{ConfidenceMode, EvalConfig, EvalOutput, EvalStats, EvaluatedRelation};
+use crate::exec::{
+    config_digest, ConfidenceMode, EvalConfig, EvalOutput, EvalStats, EvaluatedRelation,
+};
+use crate::faults::splitmix64;
 use crate::physical::{
     ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalPlan, PrefixEffects,
 };
@@ -937,15 +940,6 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 step (Steele et al.), the jitter generator of
-/// [`RetryPolicy`]: one multiply-xorshift cascade per draw, no state.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A counting semaphore with deadline-aware acquisition (standing in for an
 /// async admission queue: requests block, fairly woken, until a permit
 /// frees).
@@ -1086,14 +1080,6 @@ impl std::ops::Deref for DatabaseGuard<'_> {
 /// separately; the pool fingerprint hashes the same configuration, so their
 /// pooled prefixes separate consistently).
 type PreparedKey = (Arc<str>, u64);
-
-fn config_digest(config: &EvalConfig) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    format!("{config:?}").hash(&mut h);
-    h.finish()
-}
 
 /// A query server over one database: repeated queries cost estimation only,
 /// prefixes are shared across queries, content commits touch only what
@@ -1441,7 +1427,6 @@ impl ServingEngine {
         let config = request.effective_config(self.config);
         let (key, prepared) = self.prepare(request.text, config)?;
         crate::faults::fire("admission", deadline)?;
-        let first_evaluation = prepared.evaluations.fetch_add(1, Ordering::Relaxed) == 0;
         let profile = &prepared.profile;
 
         // Fair admission.  Classify warm/cold by peeking the pool (presence
@@ -1468,6 +1453,8 @@ impl ServingEngine {
             cold_admitted = true;
             _permits = self.admit(true, deadline)?;
         };
+        // Counted once admitted: a request shed at a gate never ran.
+        let first_evaluation = prepared.evaluations.fetch_add(1, Ordering::Relaxed) == 0;
 
         let warm = start.resolved.is_some();
         let (snapshot, capture) = match start.resolved {
@@ -3784,6 +3771,65 @@ mod tests {
             ServingAnswer::Degraded(_) => panic!("free engine must answer in full"),
         }
         assert_eq!(serving.stats().degraded_answers, 1);
+    }
+
+    #[test]
+    fn a_first_request_shed_at_admission_keeps_its_shared_prefix_hit() {
+        let _calm = storm_free();
+        let a = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
+        let b = "aconf[0.2, 0.05](project[CoinType](repairkey[ @ Count](Coins)))";
+        let serving = ServingEngine::with_limits(
+            EvalConfig::default(),
+            coin_db(),
+            ServingLimits {
+                max_in_flight: 1,
+                max_cold_in_flight: 1,
+                max_queue_wait: Some(Duration::from_millis(10)),
+            },
+        )
+        .unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        serving.evaluate(a, &mut rng).unwrap();
+        assert_eq!(serving.pooled_prefixes(), 1, "a pooled its spine");
+        // B shares that spine; its first request is shed while another
+        // thread holds the only admission slot.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        let holder = &serving;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _held = holder.admission.acquire(None, None, "admission").unwrap();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            held_rx.recv().unwrap();
+            let err = serving.evaluate(b, &mut rng).unwrap_err();
+            assert_eq!(err, EngineError::Overloaded { stage: "admission" });
+            release_tx.send(()).unwrap();
+        });
+        // The first evaluation of B that runs is its first one.
+        let before = serving.stats();
+        serving.evaluate(b, &mut rng).unwrap();
+        let after = serving.stats();
+        assert_eq!(after.warm_evaluations, before.warm_evaluations + 1);
+        assert_eq!(after.shared_prefix_hits, before.shared_prefix_hits + 1);
+    }
+
+    #[test]
+    fn clashing_placeholders_fail_before_anything_is_prepared_or_run() {
+        let _calm = storm_free();
+        let db = UDatabase::from_complete_relations([(
+            "T",
+            relation![schema!["A", "P1"]; [1, 0.5], [2, 0.7]],
+        )]);
+        let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let err = serving
+            .evaluate("aselect[P1 = conf(A); P1 >= 0.5](T)", &mut rng)
+            .unwrap_err();
+        assert!(err.to_string().contains("clashes"), "{err}");
+        assert_eq!(serving.stats().cold_evaluations, 0);
+        assert_eq!(serving.prepared_queries(), 0);
     }
 
     #[cfg(feature = "failpoints")]
