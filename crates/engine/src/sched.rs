@@ -9,8 +9,8 @@
 //! the same compiled event arena, the first to arrive draws the world
 //! blocks and every later (or concurrently waiting) request's tally is fed
 //! from the same drawn blocks — a lookup, not a re-run — while requests
-//! touching unshared events keep their own streams, bit-identical to a
-//! scheduler-free run of the same configuration.
+//! touching events no other request shares keep their own streams,
+//! bit-identical to a scheduler-free run of the same configuration.
 //!
 //! The scheduler is deliberately *not* a correctness layer: removing it (or
 //! evicting any entry) only re-draws the identical canonical blocks.  Its

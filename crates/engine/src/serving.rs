@@ -59,17 +59,13 @@
 //! the content epoch and their spine's pool entry as one consistent cut and
 //! [resume](PhysicalPlan::resume) a snapshot over them — the pooled prefix,
 //! or the plan's empty snapshot on a cold start.  Relation and W-table
-//! content is shared, copy-on-write, inside `urel`, so everything below the
-//! request's database is pointer copies: a scan, a slot hand-off, a pool
-//! absorb, and the pool → run hand-off, which gives the executor the
-//! entry's results for the plan's prefix nodes plus the entry's effects.
-//! The request's database itself is a clone of the served one with the
-//! entry's W-table assigned, and `UDatabase::clone` still copies content
-//! (deliberately, for now — see its rustdoc): the one per-request content
-//! copy left, made under the state read lock and freed by whoever drops
-//! the returned [`EvalOutput`].  The executor derives what is left to run
-//! from which
-//! results are present (`PhysicalPlan::snapshot_from`): a wanted pure
+//! content is shared, copy-on-write, inside `urel`, so a request starts
+//! without copying content: its database is a clone of the served one
+//! (pointer copies) with the entry's W-table assigned, and a scan, a slot
+//! hand-off, a pool absorb and the pool → run hand-off — which gives the
+//! executor the entry's results for the plan's prefix nodes plus the
+//! entry's effects — are pointer copies too.  The executor derives what is left to run from
+//! which results are present (`PhysicalPlan::snapshot_from`): a wanted pure
 //! result the entry lacks is recomputed (and re-absorbed), a wanted
 //! stateful one makes the lookup a miss, an unwanted one is not missed.
 //! Warm results are bit-identical to what a cold evaluation with the same
@@ -825,14 +821,20 @@ impl<'q> Request<'q> {
         self.text
     }
 
-    /// The engine configuration this request is lowered against.
-    fn effective_config(&self, base: EvalConfig) -> EvalConfig {
+    /// The engine configuration this request is lowered against, with its
+    /// [`config_digest`]: the engine's own pair `(base, base_digest)` unless
+    /// the request overrides accuracy — the one case that digests a
+    /// configuration per request.
+    fn effective_config(&self, base: EvalConfig, base_digest: u64) -> (EvalConfig, u64) {
         match self.accuracy {
-            None => base,
-            Some((epsilon, delta)) => EvalConfig {
-                confidence: ConfidenceMode::Fpras { epsilon, delta },
-                ..base
-            },
+            None => (base, base_digest),
+            Some((epsilon, delta)) => {
+                let config = EvalConfig {
+                    confidence: ConfidenceMode::Fpras { epsilon, delta },
+                    ..base
+                };
+                (config, config_digest(&config))
+            }
         }
     }
 }
@@ -1039,9 +1041,10 @@ impl Drop for GatePermit<'_> {
 }
 
 /// The database and its derived catalog — swapped together, read together.
+/// Readers take the catalog by `Arc`, so preparing a query copies none of it.
 struct CatalogState {
     database: UDatabase,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
 }
 
 /// Serving counters, updated lock-free by concurrent sessions.
@@ -1087,6 +1090,10 @@ type PreparedKey = (Arc<str>, u64);
 /// `&self` (see the module docs' concurrency section).
 pub struct ServingEngine {
     config: EvalConfig,
+    /// [`config_digest`] of `config`, computed once at construction: what
+    /// keys the prepared queries and pool entries of requests without an
+    /// accuracy override, and what checkpoints record.
+    config_digest: u64,
     limits: ServingLimits,
     state: OrderedRwLock<CatalogState>,
     /// Monotonic database-content version.  Bumped under the state write
@@ -1130,7 +1137,7 @@ impl ServingEngine {
         database: UDatabase,
         limits: ServingLimits,
     ) -> Result<ServingEngine> {
-        let catalog = catalog_of(&database)?;
+        let catalog = Arc::new(catalog_of(&database)?);
         let max_in_flight = limits.max_in_flight.max(1);
         let limits = ServingLimits {
             max_in_flight,
@@ -1139,6 +1146,7 @@ impl ServingEngine {
         };
         Ok(ServingEngine {
             config,
+            config_digest: config_digest(&config),
             limits,
             state: OrderedRwLock::new(
                 LockRank::State,
@@ -1201,7 +1209,7 @@ impl ServingEngine {
     /// [`update_relations`](ServingEngine::update_relations), which keeps
     /// warm caches warm.
     pub fn set_database(&self, database: UDatabase) -> Result<()> {
-        let catalog = catalog_of(&database)?;
+        let catalog = Arc::new(catalog_of(&database)?);
         let mut state = self.state.write();
         // Epochs first: once either bump is visible, every racing prepare
         // retries and every racing absorb drops, so the cache clears below
@@ -1424,8 +1432,8 @@ impl ServingEngine {
                 return Err(EngineError::DeadlineExceeded { stage: "prepare" });
             }
         }
-        let config = request.effective_config(self.config);
-        let (key, prepared) = self.prepare(request.text, config)?;
+        let (config, digest) = request.effective_config(self.config, self.config_digest);
+        let (key, prepared) = self.prepare(request.text, config, digest)?;
         crate::faults::fire("admission", deadline)?;
         let profile = &prepared.profile;
 
@@ -1543,12 +1551,15 @@ impl ServingEngine {
     /// Reads what a request starts from as one consistent cut — the served
     /// database, the content epoch, and the pool entry of the query's
     /// stateful spine — under the state → pool read-lock order commits and
-    /// checkpoints use.  The state lock is held for the database clone (a
-    /// content copy, see `UDatabase`'s `Clone`), the pool lock for an `Arc`
-    /// clone.  Outside them the entry is resolved into a resumable snapshot
-    /// (pointer copies) and the request's database takes the resolved
-    /// prefix's W-table, shared with the entry (a cold start keeps its copy
-    /// of the base table).
+    /// checkpoints use.  Both locks are held for pointer copies only: the
+    /// database clone shares every relation and the W-table with the served
+    /// one (`UDatabase`'s `Clone`), and the entry is an `Arc`.  Whatever the
+    /// database's size, a start copies no row.  Outside the locks the entry
+    /// is resolved into a resumable snapshot (pointer copies) and the
+    /// request's database takes the resolved prefix's W-table, shared with
+    /// the entry (a cold start keeps the served table).  An edit the
+    /// request makes — a `repair-key` declaring variables — copies the part
+    /// it edits, never reaching the served database.
     /// Commits hold the state write lock across the pool maintenance, so the
     /// entry's sub-plan results always belong to the cloned relations; if
     /// the guarded absorb later sees the same epoch, no commit touched the
@@ -1669,8 +1680,8 @@ impl ServingEngine {
         request: &Request<'_>,
         reason: DegradedReason,
     ) -> Result<DegradedAnswer> {
-        let config = request.effective_config(self.config);
-        let (key, prepared) = self.prepare(request.text, config)?;
+        let (config, digest) = request.effective_config(self.config, self.config_digest);
+        let (key, prepared) = self.prepare(request.text, config, digest)?;
         let start = self.start(&prepared, &key);
         let snapshot = match start.resolved {
             Some(resolved) => resolved.snapshot,
@@ -1749,18 +1760,19 @@ impl ServingEngine {
     /// clear cannot slip between the insert and the pin and leave a live
     /// prepared query whose plan is unpinned (or re-pin a key the cleared
     /// cache no longer holds).
-    fn prepare(&self, text: &str, config: EvalConfig) -> Result<(Arc<str>, Arc<PreparedQuery>)> {
+    ///
+    /// `digest` is `config`'s [`config_digest`], which the caller already
+    /// holds (see [`Request`]'s `effective_config`).
+    fn prepare(
+        &self,
+        text: &str,
+        config: EvalConfig,
+        digest: u64,
+    ) -> Result<(Arc<str>, Arc<PreparedQuery>)> {
         crate::faults::fire("prepare", None)?;
         loop {
-            let (catalog, epoch) = {
-                let state = self.state.read();
-                (
-                    state.catalog.clone(),
-                    self.catalog_epoch.load(Ordering::Acquire),
-                )
-            };
+            let (catalog, epoch) = self.catalog();
             let (key, plan) = self.plans.lock().get_or_lower(text, &catalog)?;
-            let digest = config_digest(&config);
             let pkey: PreparedKey = (key.clone(), digest);
             if let Some(hit) = self.prepared.read().get(&pkey).cloned() {
                 return Ok((key, hit));
@@ -1801,6 +1813,16 @@ impl ServingEngine {
             drop(map);
             return Ok((key, entry));
         }
+    }
+
+    /// The served catalog and its epoch, read together under the state
+    /// lock: what [`prepare`](ServingEngine::prepare) lowers against.  An
+    /// `Arc` clone: the catalog is replaced only by
+    /// [`set_database`](ServingEngine::set_database).
+    fn catalog(&self) -> (Arc<Catalog>, u64) {
+        let state = self.state.read();
+        let epoch = self.catalog_epoch.load(Ordering::Acquire);
+        (Arc::clone(&state.catalog), epoch)
     }
 
     /// Cache counters (a consistent-enough snapshot: counters are updated
@@ -1873,7 +1895,7 @@ impl ServingEngine {
         std::fs::create_dir_all(dir).map_err(|e| {
             EngineError::Storage(format!("creating checkpoint dir {}: {e}", dir.display()))
         })?;
-        let base_digest = config_digest(&self.config);
+        let base_digest = self.config_digest;
         let (database, mut entries) = {
             let state = self.state.read();
             let pool = self.pool.read();
@@ -2022,7 +2044,7 @@ impl ServingEngine {
         }
 
         let engine = ServingEngine::with_limits(config, database, limits)?;
-        let base_digest = config_digest(&config);
+        let base_digest = engine.config_digest;
         for (warm, wtable) in warm_entries {
             if warm.config_digest != base_digest {
                 continue;
@@ -2031,7 +2053,7 @@ impl ServingEngine {
             // freshly computed profile supplies the pool fingerprint and the
             // stateful footprint, so the pool key always matches what this
             // process would compute — nothing keyed is trusted from disk.
-            let Ok((key, prepared)) = engine.prepare(&warm.creator, config) else {
+            let Ok((key, prepared)) = engine.prepare(&warm.creator, config, base_digest) else {
                 continue;
             };
             let slots: HashMap<SubplanDigest, PooledSlot> = warm
@@ -2562,7 +2584,9 @@ mod tests {
         // pooling it would serve pre-update answers to every later warm hit.
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let text = "poss(Coins)";
-        let (key, prepared) = serving.prepare(text, EvalConfig::exact()).unwrap();
+        let (key, prepared) = serving
+            .prepare(text, EvalConfig::exact(), serving.config_digest)
+            .unwrap();
 
         // Step 1 of the request path: read the start — nothing is pooled,
         // so it is a cold one — and run it, capturing.
@@ -3054,23 +3078,32 @@ mod tests {
     }
 
     #[test]
-    fn pooled_results_share_content_and_request_databases_are_private() {
-        // Below the request's database everything is pointer copies: a cold
-        // run's scan result *is* its database's row set, the pool absorbed
-        // it without copying, and a warm request's W-table is the pooled
-        // spine's.  The database itself is a private copy of the served one
-        // (`UDatabase`'s `Clone`, for now): equal to it, sharing nothing a
-        // commit could reach.
+    fn pooled_results_and_request_databases_share_the_served_content() {
+        // A request's start is pointer copies throughout: its database
+        // shares every relation with the served one (and, cold, the
+        // W-table), a cold run's scan result *is* its database's row set,
+        // the pool absorbed it without copying, and a warm request's
+        // W-table is the pooled spine's.  Sharing is no aliasing: a commit
+        // replaces the served relation and leaves an output taken before
+        // it on the old rows.
         let _calm = storm_free();
         let (serving, touching) = wide_labels_serving();
         let mut rng = ChaCha8Rng::seed_from_u64(37);
         let pooled_entry = |text: &str| {
-            let (_, prepared) = serving.prepare(text, *serving.config()).unwrap();
+            let (_, prepared) = serving
+                .prepare(text, *serving.config(), serving.config_digest)
+                .unwrap();
             (serving.pool.read())
                 .entry(&prepared.profile.fingerprint)
                 .expect("pooled by the cold run")
         };
         let other = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
+        let (key, prepared) = serving
+            .prepare(other, *serving.config(), serving.config_digest)
+            .unwrap();
+        let cold_start = serving.start(&prepared, &key);
+        assert!(cold_start.resolved.is_none());
+        assert!((cold_start.database.wtable()).shares_content(serving.database().wtable()));
         let cold = serving.evaluate(other, &mut rng).unwrap();
         assert_eq!(serving.stats().cold_evaluations, 2);
         let scanned = cold.database.relation("Coins").unwrap();
@@ -3085,19 +3118,26 @@ mod tests {
         let entry = pooled_entry(touching);
         let pooled_wtable = entry.effects.wtable.as_ref().expect("captured");
         assert!(warm.database.wtable().shares_content(pooled_wtable));
-        let private_copy_of_served = |output: &EvalOutput, changed: Option<(&str, &URelation)>| {
+        let shares_served = |output: &EvalOutput, changed: Option<(&str, &URelation)>| {
             let served = serving.database();
             for name in served.relation_names() {
                 let returned = output.database.relation(&name).unwrap();
                 let current = served.relation(&name).unwrap();
-                assert!(!returned.shares_content(current), "{name}");
                 match changed {
-                    Some((changed, old)) if changed == name => assert_eq!(returned, old),
-                    _ => assert_eq!(returned, current, "{name}"),
+                    Some((changed, old)) if changed == name => {
+                        assert!(returned.shares_content(old), "{name}");
+                        assert!(!returned.shares_content(current), "{name}");
+                        assert_eq!(returned, old)
+                    }
+                    _ => {
+                        assert!(returned.shares_content(current), "{name}");
+                        assert_eq!(returned, current, "{name}")
+                    }
                 }
             }
         };
-        private_copy_of_served(&warm, None);
+        shares_served(&cold, None);
+        shares_served(&warm, None);
 
         // Snapshot isolation: an output obtained before a commit to
         // `Labels` keeps the old rows, through either entry point.
@@ -3115,17 +3155,79 @@ mod tests {
                 serving.update_relations([("Labels", new.clone())]).unwrap();
             }
             assert_eq!(serving.database().relation("Labels").unwrap(), &new);
-            private_copy_of_served(&before, Some(("Labels", &old)));
+            shares_served(&before, Some(("Labels", &old)));
             let after = serving.evaluate(touching, &mut rng).unwrap();
-            private_copy_of_served(&after, None);
+            shares_served(&after, None);
         }
         assert_eq!(serving.stats().cold_evaluations, 2, "warm throughout");
+    }
+
+    #[test]
+    fn a_start_copies_no_rows_and_a_prepare_no_catalog() {
+        // Over a 10 000-row relation, a start's database — cold or warm —
+        // shares every relation with the served one, and every prepare
+        // lowers against the one catalog allocation.  A commit between two
+        // starts ends only the sharing of the relation it replaced.
+        let _calm = storm_free();
+        let mut labels = pdb::Relation::empty(pdb::Schema::new(["CoinType", "Label"]).unwrap());
+        for i in 0..10_000 {
+            let coin = if i % 2 == 0 { "fair" } else { "2headed" };
+            (labels.insert(pdb::tuple![coin, i])).unwrap();
+        }
+        let mut db = two_relation_db();
+        db.set_relation("Labels", URelation::from_complete(&labels), true);
+        let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
+        let assert_shares_served = |start: &Start, except: Option<&str>| {
+            let served = serving.database();
+            for name in served.relation_names() {
+                let shares = (start.database.relation(&name).unwrap())
+                    .shares_content(served.relation(&name).unwrap());
+                assert_eq!(shares, except != Some(name.as_str()), "{name}");
+            }
+        };
+        let catalog = || serving.catalog().0;
+        let prepare = |text: &str| {
+            let before = catalog();
+            let (key, prepared) = serving
+                .prepare(text, *serving.config(), serving.config_digest)
+                .unwrap();
+            assert!(Arc::ptr_eq(&before, &catalog()), "{text}");
+            (before, key, prepared)
+        };
+
+        let text = "conf(project[CoinType](join(repairkey[ @ Count](Coins), Labels)))";
+        let (first, key, prepared) = prepare(text);
+        let cold = serving.start(&prepared, &key);
+        assert!(cold.resolved.is_none());
+        assert!((cold.database.wtable()).shares_content(serving.database().wtable()));
+        assert_shares_served(&cold, None);
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        serving.evaluate(text, &mut rng).unwrap();
+        let warm = serving.start(&prepared, &key);
+        assert!(warm.resolved.is_some());
+        assert_shares_served(&warm, None);
+
+        // A content commit to `Other` between two prepares of different
+        // texts: the catalog stays the same allocation, and only `Other`
+        // stops being shared with the start read before the commit.
+        let old = serving.database().relation("Other").unwrap().clone();
+        let mut new = old.clone();
+        (new.insert(urel::Condition::always(), pdb::tuple![3])).unwrap();
+        serving
+            .apply_deltas([("Other", old.diff(&new).unwrap())])
+            .unwrap();
+        let (after, key, prepared) = prepare("poss(Labels)");
+        assert!(Arc::ptr_eq(&first, &after));
+        assert_shares_served(&warm, Some("Other"));
+        assert_shares_served(&serving.start(&prepared, &key), None);
     }
 
     /// Drops the pooled results of the named operators (`scan` means the
     /// scan of `Labels`) from the touching query's pool entry.
     fn drop_pooled(serving: &ServingEngine, touching: &str, operators: &[&str]) {
-        let (_, prepared) = serving.prepare(touching, *serving.config()).unwrap();
+        let (_, prepared) = serving
+            .prepare(touching, *serving.config(), serving.config_digest)
+            .unwrap();
         let profile = &prepared.profile;
         let mut pool = serving.pool.write();
         let entry = pool.entries.get_mut(&profile.fingerprint).expect("pooled");

@@ -17,8 +17,8 @@
 //! before editing — the holder of a clone never sees an edit made through
 //! another.  Only `urelation.rs` and `wtable.rs` know this; equality,
 //! order, hashing, content digests, `approx_bytes` and the [`segment`]
-//! bytes are functions of content alone.  (A [`UDatabase`]'s `clone`
-//! still copies its content, for now: see its `Clone`.)
+//! bytes are functions of content alone.  A [`UDatabase`] is a map of such
+//! values, so its `clone` is pointer copies too.
 //!
 //! The module [`convert`] implements both directions of Theorem 3.1
 //! (completeness of the representation system): decoding a [`UDatabase`]

@@ -14,34 +14,16 @@ use std::fmt;
 /// This is the succinct, complete representation system over which the
 /// `engine` crate evaluates UA queries by parsimonious translation.
 ///
-/// Relation and W-table content is shared copy-on-write between the values
-/// taken *out of* a database (see [`URelation`] and [`WTable`]); a clone of
-/// the database itself is still a private copy — see its `Clone`.
-#[derive(Debug, PartialEq, Default)]
+/// A clone shares every relation's rows and the W-table's variables with
+/// the original, copy-on-write (see [`URelation`] and [`WTable`]): cloning
+/// copies a name and a pointer per relation, whatever the row count, and an
+/// edit through a `&mut` method of either side copies only the part it
+/// edits.
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct UDatabase {
     wtable: WTable,
     relations: BTreeMap<String, URelation>,
     complete: BTreeMap<String, bool>,
-}
-
-/// Cloning a database copies its content, every row and every variable, as
-/// it did before that content became shareable — so the database a serving
-/// request works on and hands back is its own, which is the one per-request
-/// content copy left.  Deliberate and temporary: with `#[derive(Clone)]`
-/// here (pointer copies) the warm serving path gets about eight times
-/// faster, and the repository's contract benchmark judges a change's
-/// run-to-run spread against a bound scaled to the *parent's* throughput,
-/// so it cannot resolve a jump of that size (CHANGES.md, PR 17).  Deriving
-/// `Clone` is the whole follow-up once the benchmark is re-baselined.
-impl Clone for UDatabase {
-    fn clone(&self) -> Self {
-        let unshared = |(name, rel): (&String, &URelation)| (name.clone(), rel.unshared());
-        UDatabase {
-            wtable: self.wtable.unshared(),
-            relations: self.relations.iter().map(unshared).collect(),
-            complete: self.complete.clone(),
-        }
-    }
 }
 
 impl UDatabase {

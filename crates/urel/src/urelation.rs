@@ -87,11 +87,6 @@ impl URelation {
         }
     }
 
-    /// A copy that shares no rows with `self`.
-    pub(crate) fn unshared(&self) -> URelation {
-        URelation::from_rows(self.schema.clone(), BTreeSet::clone(&self.rows))
-    }
-
     /// True if `self` and `other` hold the *same* row-set allocation — what
     /// `clone` yields until either side is edited.  A test hook: content
     /// equality is `==`.

@@ -30,13 +30,6 @@ impl WTable {
         WTable::default()
     }
 
-    /// A copy that shares no variables with `self`.
-    pub(crate) fn unshared(&self) -> WTable {
-        WTable {
-            vars: Arc::new(BTreeMap::clone(&self.vars)),
-        }
-    }
-
     /// True if `self` and `other` hold the *same* variable-map allocation —
     /// what `clone` yields until either side declares a variable.  A test
     /// hook: content equality is `==`.

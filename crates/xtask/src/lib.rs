@@ -2,7 +2,7 @@
 //! can only state in prose.
 //!
 //! `cargo run -p xtask -- lint` walks every Rust source file in the
-//! repository and enforces four rules:
+//! repository and enforces five rules:
 //!
 //! 1. **`raw-lock`** — no raw `std::sync` lock construction (`Mutex`,
 //!    `RwLock`, `Condvar`) outside the ranked wrappers in
@@ -23,6 +23,16 @@
 //!    every probe call site names a registered site, every registered site
 //!    has a probe call site, and every registered site is exercised by a
 //!    string literal in `tests/fault_storm.rs`.
+//! 5. **`pool-in-init`** — no worker-pool work (`par_iter`,
+//!    `into_par_iter`, `par_chunks`, `rayon::join`, `rayon::scope`, and the
+//!    `_mut` forms) inside the closure passed to `get_or_init(` in non-test
+//!    code.  A thread waiting for pool jobs helps run queued ones, which
+//!    may be sibling callers of the same cell, and re-entering
+//!    `get_or_init` from inside its own initialiser deadlocks.  The rule
+//!    is lexical: it sees the tokens written between the call's
+//!    parentheses, not the functions they call — pool work reached through
+//!    a called function is out of its reach, as is a `use rayon::join`
+//!    called bare.
 //!
 //! `cargo run -p xtask -- loc` prints the production lines of every file
 //! under `crates/*/src` and a per-crate total ([`production_lines`] is the
@@ -56,6 +66,8 @@ pub const RULE_SAFETY: &str = "unsafe-safety";
 pub const RULE_DETERMINISM: &str = "determinism";
 /// Rule name: failpoint registry and probe/test literals out of sync.
 pub const RULE_FAILPOINTS: &str = "failpoints";
+/// Rule name: worker-pool work inside a `OnceLock` initialiser.
+pub const RULE_POOL_IN_INIT: &str = "pool-in-init";
 /// Rule name: a `lint.allow` entry that matches nothing (or is malformed).
 pub const RULE_ALLOWLIST: &str = "allowlist";
 
@@ -77,6 +89,17 @@ const DETERMINISTIC_FILES: [&str; 7] = [
     "crates/engine/src/delta.rs",
     "crates/engine/src/sched.rs",
 ];
+
+/// Method tokens that submit work to the worker pool (`pool-in-init`).
+const POOL_METHODS: [&str; 5] = [
+    "par_iter",
+    "par_iter_mut",
+    "into_par_iter",
+    "par_chunks",
+    "par_chunks_mut",
+];
+/// Pool entry points the `pool-in-init` rule matches as `rayon::<name>`.
+const POOL_FUNCTIONS: [&str; 2] = ["join", "scope"];
 
 /// Where the failpoint registry lives and where every site must be
 /// exercised.
@@ -281,7 +304,15 @@ pub fn split_views(text: &str) -> Source {
 /// Yields every maximal identifier token (`[A-Za-z_][A-Za-z0-9_]*`) on a
 /// line, so `OrderedMutex` is one token and never matches `Mutex`.
 pub fn identifiers(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
+    identifier_spans(line)
+        .into_iter()
+        .map(|(_, id)| id)
+        .collect()
+}
+
+/// [`identifiers`] with the byte offset each token starts at.
+fn identifier_spans(text: &str) -> Vec<(usize, &str)> {
+    let bytes = text.as_bytes();
     let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut out = Vec::new();
     let mut i = 0;
@@ -292,13 +323,65 @@ pub fn identifiers(line: &str) -> Vec<&str> {
                 i += 1;
             }
             if !bytes[start].is_ascii_digit() {
-                out.push(&line[start..i]);
+                out.push((start, &text[start..i]));
             }
         } else {
             i += 1;
         }
     }
     out
+}
+
+/// The `pool-in-init` scan of one file's code view (comments and literals
+/// blanked): `(1-based line, token)` of every pool-work token between the
+/// parentheses of a `get_or_init(` call, once per line and token.  Lines
+/// from the first `#[cfg(test)]` on are test code and not scanned.
+fn pool_work_in_initialisers(code: &[String]) -> BTreeSet<(usize, String)> {
+    let production = code
+        .iter()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"));
+    let text = production.cloned().collect::<Vec<_>>().join("\n");
+    let spans = identifier_spans(&text);
+    let line_of = |at: usize| text[..at].matches('\n').count() + 1;
+    let mut found = BTreeSet::new();
+    for (at, _) in spans.iter().filter(|(_, id)| *id == "get_or_init") {
+        let after = at + "get_or_init".len();
+        let Some(open) = text[after..].find(|c: char| !c.is_whitespace()) else {
+            continue;
+        };
+        let open = after + open;
+        if !text[open..].starts_with('(') {
+            continue;
+        }
+        // The call's argument list: up to the parenthesis closing `open`.
+        let mut depth = 0usize;
+        let close = text[open..].char_indices().find_map(|(i, c)| {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(open + i)
+        });
+        let close = close.unwrap_or(text.len());
+        for (pos, id) in spans.iter().filter(|(pos, _)| (open..close).contains(pos)) {
+            let token = if POOL_METHODS.contains(id) {
+                id.to_string()
+            } else if POOL_FUNCTIONS.contains(id) && text[..*pos].trim_end().ends_with("rayon::") {
+                format!("rayon::{id}")
+            } else {
+                continue;
+            };
+            found.insert((line_of(*pos), token));
+        }
+    }
+    found
+}
+
+/// True for sources that are tests as a whole: integration tests, whose
+/// pool use inside an initialiser blocks only the test itself.
+fn is_test_path(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// One `lint.allow` entry: `rule path token`, with `#` comments.
@@ -535,6 +618,23 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
                         ),
                     });
                 }
+            }
+        }
+
+        if !is_test_path(&rel) {
+            for (line, token) in pool_work_in_initialisers(&views.code) {
+                findings.push(Finding {
+                    path: rel.clone(),
+                    line,
+                    rule: RULE_POOL_IN_INIT,
+                    message: format!(
+                        "`{token}` inside a `get_or_init` initialiser: a thread waiting for \
+                         pool jobs may run a sibling caller of the same cell, which \
+                         re-enters the initialiser and deadlocks — compute sequentially, \
+                         or outside the cell"
+                    ),
+                    token,
+                });
             }
         }
 

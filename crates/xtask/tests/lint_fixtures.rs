@@ -3,7 +3,10 @@
 //! must lint clean (this test is what keeps it that way).
 
 use std::path::PathBuf;
-use xtask::{lint, RULE_ALLOWLIST, RULE_DETERMINISM, RULE_FAILPOINTS, RULE_RAW_LOCK, RULE_SAFETY};
+use xtask::{
+    lint, RULE_ALLOWLIST, RULE_DETERMINISM, RULE_FAILPOINTS, RULE_POOL_IN_INIT, RULE_RAW_LOCK,
+    RULE_SAFETY,
+};
 
 fn fixture_tree() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tree")
@@ -45,6 +48,19 @@ fn every_rule_flags_its_fixture_violation() {
         // ...and a registered site that is neither probed nor exercised.
         (RULE_FAILPOINTS, "crates/engine/src/faults.rs", 1, "delta"),
         (RULE_FAILPOINTS, "crates/engine/src/faults.rs", 1, "delta"),
+        // Pool work inside two `get_or_init` initialisers.
+        (
+            RULE_POOL_IN_INIT,
+            "crates/engine/src/pool_init.rs",
+            3,
+            "par_iter",
+        ),
+        (
+            RULE_POOL_IN_INIT,
+            "crates/engine/src/pool_init.rs",
+            8,
+            "rayon::join",
+        ),
         // The decoy allowlist entry matches nothing.
         (RULE_ALLOWLIST, "lint.allow", 3, "Mutex"),
     ];
@@ -76,6 +92,28 @@ fn decoys_in_comments_strings_and_wrapper_names_stay_silent() {
             .iter()
             .any(|f| f.rule == RULE_SAFETY && f.line == 3),
         "the SAFETY-annotated block must not be flagged"
+    );
+}
+
+#[test]
+fn pool_work_is_flagged_only_where_it_is_written_inside_an_initialiser() {
+    // Negative cases: pool work beside an initialiser, pool-work names in a
+    // comment or a string inside one, a `join` that is not `rayon::join`,
+    // pool work reached through a called function (lexically invisible),
+    // and a test module.
+    let findings = lint(&fixture_tree()).expect("fixture tree is scannable");
+    let flagged: Vec<(&str, usize)> = findings
+        .iter()
+        .filter(|f| f.rule == RULE_POOL_IN_INIT)
+        .map(|f| (f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            ("crates/engine/src/pool_init.rs", 3),
+            ("crates/engine/src/pool_init.rs", 8)
+        ],
+        "{findings:#?}"
     );
 }
 
