@@ -39,9 +39,7 @@ pub mod validate;
 pub use error::{AlgebraError, Result};
 pub use expr::Expr;
 pub use parser::{parse_expr, parse_predicate, parse_query};
-pub use plan::{
-    subplan_digest, Accuracy, LogicalOp, LogicalPlan, NodeId, PlanCache, PlanNode, SubplanDigest,
-};
+pub use plan::{subplan_digest, Accuracy, LogicalOp, LogicalPlan, NodeId, PlanNode, SubplanDigest};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{ConfTerm, ProjItem, Query, DEFAULT_DELTA, DEFAULT_EPSILON0};
 pub use validate::{

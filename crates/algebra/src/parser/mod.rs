@@ -596,10 +596,10 @@ mod tests {
     }
 
     /// The display form of a parsed query must re-parse to the same display
-    /// (a closed normalization).  The serving layer keys its plan cache —
-    /// and the checkpoint store its persisted warm entries — by this
-    /// normalized text, so a display form the parser rejects would make a
-    /// query unpreparable from its own cache key.
+    /// (a closed normalization).  The serving layer's query cache names each
+    /// prepared query — and the checkpoint store its persisted warm entries
+    /// — by this normalized text, so a display form the parser rejects would
+    /// make a query unpreparable from its own cache key.
     #[test]
     fn display_forms_re_parse_to_a_fixpoint() {
         let texts = [

@@ -26,13 +26,11 @@
 //! same logical plan; they choose how each annotated node is computed.
 
 use crate::error::{AlgebraError, Result};
-use crate::parser::parse_query;
 use crate::predicate::Predicate;
 use crate::query::{ConfTerm, ProjItem, Query};
 use crate::validate::{output_schema, Catalog};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// Index of a node inside a [`LogicalPlan`] (also its topological position:
 /// every node's inputs have strictly smaller ids).
@@ -333,170 +331,6 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-/// Upper bound on cached plan entries (normalized keys plus raw-text
-/// aliases); reaching it triggers [`PlanCache`] eviction, so unbounded
-/// query-text variety cannot grow a long-running server forever.
-const PLAN_CACHE_CAP: usize = 4096;
-
-/// A serving-grade cache of validated logical plans, keyed by *normalized*
-/// query text.
-///
-/// Normalization is the canonical `Display` form of the parsed query (the
-/// parser round-trips it), so `conf( project[A]( R ) )` and
-/// `conf(project[A](R))` share one entry.  The raw request text is also
-/// remembered as an alias, which makes the steady-state lookup for a repeated
-/// query a single hash probe — no re-parse, no re-validation, no re-lowering.
-///
-/// Reaching the capacity evicts in two tiers: raw-text aliases go first
-/// (they are pure lookup accelerators — the normalized entry still answers
-/// any spelling after one re-parse), and only if the *normalized* entries
-/// alone exceed the capacity are unpinned ones dropped.  Entries
-/// [`pin`](PlanCache::pin)ned by the caller (e.g. the serving layer's
-/// currently-prepared queries) are never evicted, so a workload cycling
-/// through many spellings of few queries cannot thrash the plans it is
-/// actively serving.
-///
-/// Plans are handed out as [`Arc`]s so callers (e.g. the engine's serving
-/// layer) can hold them across evaluations without cloning node vectors.
-#[derive(Clone, Debug)]
-pub struct PlanCache {
-    /// Normalized text (and raw-text aliases) → shared plan.
-    plans: HashMap<String, (Arc<str>, Arc<LogicalPlan>)>,
-    /// Normalized keys exempt from eviction.
-    pinned: HashSet<Arc<str>>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
-}
-
-impl PlanCache {
-    /// Creates an empty cache with the default capacity.
-    pub fn new() -> Self {
-        PlanCache::with_capacity(PLAN_CACHE_CAP)
-    }
-
-    /// Creates an empty cache bounded to `cap` entries (normalized keys plus
-    /// raw-text aliases).  Pinned entries may exceed the bound — they are in
-    /// active use and dropping them would thrash, not bound, the cache.
-    pub fn with_capacity(cap: usize) -> Self {
-        PlanCache {
-            plans: HashMap::new(),
-            pinned: HashSet::new(),
-            cap: cap.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Exempts the normalized key from eviction until
-    /// [`unpin_all`](PlanCache::unpin_all) or [`clear`](PlanCache::clear).
-    /// Callers pin the queries they hold prepared state for, so cache
-    /// pressure from one-off spellings cannot drop a hot plan.
-    pub fn pin(&mut self, key: &Arc<str>) {
-        self.pinned.insert(key.clone());
-    }
-
-    /// Clears every pin (e.g. when the caller drops its prepared queries).
-    pub fn unpin_all(&mut self) {
-        self.pinned.clear();
-    }
-
-    /// Two-tier eviction at capacity: aliases first, then unpinned
-    /// normalized entries.
-    fn evict(&mut self) {
-        // Tier 1: drop raw-text aliases (entries stored under a key other
-        // than their normalized text).  Hot normalized entries survive, so
-        // spelling churn costs at most a re-parse per alias, never a
-        // re-validation or re-lowering.
-        self.plans
-            .retain(|text, (key, _)| text.as_str() == key.as_ref());
-        if self.plans.len() >= self.cap {
-            // Tier 2: normalized entries alone exceed the capacity; keep
-            // only the pinned ones (currently-prepared queries).
-            let pinned = &self.pinned;
-            self.plans.retain(|_, (key, _)| pinned.contains(key));
-        }
-    }
-
-    /// Returns the `(normalized key, plan)` for `text`, lowering and
-    /// validating against `catalog` on a miss.
-    ///
-    /// Validation runs only on misses, so the catalog must describe the same
-    /// database across calls; callers serving multiple databases should keep
-    /// one cache per catalog.
-    pub fn get_or_lower(
-        &mut self,
-        text: &str,
-        catalog: &Catalog,
-    ) -> Result<(Arc<str>, Arc<LogicalPlan>)> {
-        if let Some((key, plan)) = self.plans.get(text) {
-            self.hits += 1;
-            return Ok((key.clone(), plan.clone()));
-        }
-        // Bound the map before inserting anything new: machine-generated
-        // spellings (whitespace, drifting literals) must not grow a serving
-        // process forever.
-        if self.plans.len() >= self.cap {
-            self.evict();
-        }
-        let query = parse_query(text)?;
-        let normalized = query.to_string();
-        if let Some((key, plan)) = self.plans.get(&normalized) {
-            // Same query under different spelling: alias the raw text.
-            let entry = (key.clone(), plan.clone());
-            self.plans.insert(text.to_owned(), entry.clone());
-            self.hits += 1;
-            return Ok(entry);
-        }
-        self.misses += 1;
-        let plan = Arc::new(LogicalPlan::lower_validated(&query, catalog)?);
-        let key: Arc<str> = Arc::from(normalized.as_str());
-        let entry = (key.clone(), plan.clone());
-        self.plans.insert(normalized, entry.clone());
-        if text != key.as_ref() {
-            self.plans.insert(text.to_owned(), entry);
-        }
-        Ok((key, plan))
-    }
-
-    /// Number of distinct cached plans (aliases for alternative spellings do
-    /// not count).
-    pub fn len(&self) -> usize {
-        let mut distinct: Vec<*const LogicalPlan> =
-            self.plans.values().map(|(_, p)| Arc::as_ptr(p)).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.len()
-    }
-
-    /// True if no plan has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that had to lower a fresh plan.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops every cached plan and pin (e.g. after the catalog changed).
-    pub fn clear(&mut self) {
-        self.plans.clear();
-        self.pinned.clear();
-    }
-}
-
 struct Builder {
     nodes: Vec<PlanNode>,
     /// Common-subexpression elimination: textual subquery → node id.
@@ -785,92 +619,6 @@ mod tests {
         for name in ["scan", "repair-key", "project", "conf"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn plan_cache_normalizes_and_counts() {
-        let mut catalog = Catalog::new();
-        catalog.add("R", pdb::Schema::new(["A", "W"]).unwrap(), true);
-        let mut cache = PlanCache::new();
-        assert!(cache.is_empty());
-        let (k1, p1) = cache
-            .get_or_lower("conf(project[A](repairkey[ @ W](R)))", &catalog)
-            .unwrap();
-        assert_eq!(cache.misses(), 1);
-        // Exact repeat: pure hash hit.
-        let (k2, p2) = cache
-            .get_or_lower("conf(project[A](repairkey[ @ W](R)))", &catalog)
-            .unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(k1, k2);
-        // Different spelling of the same query: normalization aliases it.
-        let spaced = "conf( project[A]( repairkey[ @ W]( R ) ) )";
-        let (_, p3) = cache.get_or_lower(spaced, &catalog).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p3));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.len(), 1);
-        // A different query is a separate entry.
-        cache.get_or_lower("poss(R)", &catalog).unwrap();
-        assert_eq!(cache.len(), 2);
-        // Invalid queries are not cached.
-        assert!(cache.get_or_lower("project[Missing](R)", &catalog).is_err());
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn plan_cache_evicts_aliases_before_normalized_entries() {
-        // A workload with many spellings of few queries must not thrash:
-        // capacity pressure drops the raw-text aliases, never the hot
-        // normalized plans.
-        let mut catalog = Catalog::new();
-        catalog.add("R", pdb::Schema::new(["A", "W"]).unwrap(), true);
-        let mut cache = PlanCache::with_capacity(4);
-        let (key, hot) = cache.get_or_lower("poss(R)", &catalog).unwrap();
-        cache.pin(&key);
-        // Spelling churn: every variant aliases the one normalized entry,
-        // and crossing the capacity evicts aliases only.
-        for pad in 1..=10 {
-            let spelled = format!("poss({}R{})", " ".repeat(pad), " ".repeat(pad));
-            let (_, p) = cache.get_or_lower(&spelled, &catalog).unwrap();
-            assert!(Arc::ptr_eq(&hot, &p), "alias diverged at pad {pad}");
-        }
-        assert_eq!(cache.len(), 1, "one distinct plan throughout");
-        assert_eq!(
-            cache.misses(),
-            1,
-            "spelling churn never re-lowered the hot query"
-        );
-        assert_eq!(cache.hits(), 10);
-        // The normalized entry still answers its canonical spelling with a
-        // direct hit after any number of evictions.
-        cache.get_or_lower("poss(R)", &catalog).unwrap();
-        assert_eq!(cache.misses(), 1);
-
-        // Tier 2: distinct queries beyond the capacity evict unpinned
-        // normalized entries but keep the pinned one.
-        for i in 0..8 {
-            let q = format!("select[A = {i}](R)");
-            cache.get_or_lower(&q, &catalog).unwrap();
-        }
-        let misses = cache.misses();
-        let (_, still_hot) = cache.get_or_lower("poss(R)", &catalog).unwrap();
-        assert!(
-            Arc::ptr_eq(&hot, &still_hot),
-            "pinned entry survived tier-2 eviction"
-        );
-        assert_eq!(cache.misses(), misses, "pinned lookup stayed a hit");
-        // Unpinning releases the exemption: the entry may now be evicted.
-        cache.unpin_all();
-        for i in 8..20 {
-            let q = format!("select[A = {i}](R)");
-            cache.get_or_lower(&q, &catalog).unwrap();
-        }
-        let misses = cache.misses();
-        cache.get_or_lower("poss(R)", &catalog).unwrap();
-        assert_eq!(cache.misses(), misses + 1, "unpinned entry was evicted");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | site        | location                                   | faults        |
 //! |-------------|--------------------------------------------|---------------|
 //! | `admission` | before the admission gate                  | error/latency/burn |
-//! | `prepare`   | top of plan lowering + pinning             | error/latency/burn |
+//! | `prepare`   | top of the query-cache lookup              | error/latency/burn |
 //! | `cold-eval` | before a capturing cold execution          | error/latency/burn/panic |
 //! | `estimate`  | top of `conf` sampling (before seed draw)  | error/latency/burn/panic |
 //! | `absorb`    | before a snapshot is absorbed into the pool| drop/latency  |

@@ -2,15 +2,17 @@
 //! estimation cost.
 //!
 //! A [`ServingEngine`] binds a [`UEngine`](crate::UEngine) configuration to
-//! one database and serves query *text*.  Four caches stack up:
+//! one database and serves query *text*.  Three caches stack up:
 //!
-//! 1. a [`PlanCache`] keyed by normalized query text — a repeated query is
-//!    never re-parsed, re-validated or re-lowered;
-//! 2. a prepared [`PhysicalPlan`] per plan — lowering against the engine
-//!    configuration happens once, together with the query's *prefix
+//! 1. one **query cache** mapping request text, per effective
+//!    configuration, straight to a prepared query: its [`PhysicalPlan`],
+//!    lowered against the engine configuration, together with its *prefix
 //!    profile* (sub-plan digests, relation footprints, the deterministic
-//!    prefix and its stateful spine);
-//! 3. a cross-query **snapshot pool**: the deterministic prefix of every
+//!    prefix and its stateful spine).  A query's normalized text (its
+//!    canonical `Display` form) is its identity and every other spelling is
+//!    an alias of the same entry, so a repeated query, however spelled, is
+//!    parsed, validated and lowered once;
+//! 2. a cross-query **snapshot pool**: the deterministic prefix of every
 //!    prepared query (relational operators, repair-key, exact confidence,
 //!    lineage extraction, W-table compilation) is executed once and its
 //!    results stored *per sub-plan*, content-addressed by
@@ -20,7 +22,7 @@
 //!    already warmed never runs cold (past an eager budget the pool admits
 //!    only prefixes and results it has seen before, so never-repeated
 //!    queries stop filling it);
-//! 4. inside each pooled prefix, the memoised [`SpaceCache`] /
+//! 3. inside each pooled prefix, the memoised [`SpaceCache`] /
 //!    lineage-batch caches of the `space` module, shared by every resume —
 //!    including the **compiled lineage programs**
 //!    ([`confidence::LineagePrograms`]) the bit-parallel Monte Carlo
@@ -81,10 +83,11 @@
 //!
 //! Every serving method takes `&self`: any number of sessions — see
 //! [`ServingEngine::session`] — evaluate concurrently over one shared
-//! engine.  The plan cache, the prepared map and the snapshot pool are
-//! **read-mostly**: lookups clone `Arc`-held entries under short read locks
-//! (the state read lock of a request covers the database clone, an epoch
-//! load and an entry lookup), all other work
+//! engine.  The query cache and the snapshot pool are **read-mostly**:
+//! lookups clone `Arc`-held entries under short read locks (a warm
+//! `prepare` is one read lock of the query cache and one hash of the text;
+//! the state read lock of a request's start covers the database clone, an
+//! epoch load and an entry lookup), all other work
 //! (parsing, lowering, prefix resolution, execution, estimation) runs with
 //! *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
@@ -119,10 +122,12 @@
 //! its snapshot instead of pooling it
 //! ([`ServingStats::stale_absorbs_dropped`]) — results computed from
 //! pre-commit content can never re-enter the pool behind the commit's
-//! maintenance pass.  A second epoch guards the catalog: `prepare` re-checks it before
-//! installing a prepared query, so a plan lowered against a catalog that
-//! [`set_database`](ServingEngine::set_database) replaced mid-prepare is
-//! re-lowered rather than served.
+//! maintenance pass.  The catalog needs no epoch of its own: the query
+//! cache holds the catalog its entries were validated against, a cold
+//! `prepare` lowers against that `Arc` with no lock held and installs its
+//! entry only while the cache still holds the same `Arc`, so a plan lowered
+//! against a catalog that [`set_database`](ServingEngine::set_database)
+//! replaced mid-prepare is lowered again rather than served.
 //!
 //! # Checkpoints
 //!
@@ -173,7 +178,7 @@ use crate::physical::{
 };
 use crate::space::SpaceCache;
 use crate::sync::{HeldRank, LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
-use algebra::{Catalog, LogicalPlan, PlanCache, SubplanDigest};
+use algebra::{Catalog, LogicalPlan, SubplanDigest};
 use confidence::EventBounds;
 use pdb::Tuple;
 use rand::{Rng, RngCore, SeedableRng};
@@ -185,8 +190,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urel::{RelationDelta, UDatabase, URelation, URow, WTable};
 
-/// Upper bound on prepared queries a server retains (each holds a lowered
-/// physical plan and a prefix profile; prefix state lives in the pool).
+/// Upper bound on query-cache entries — normalized texts plus raw-text
+/// aliases, over every configuration.  Each prepared query holds a lowered
+/// physical plan and a prefix profile (prefix state lives in the pool).  At
+/// the bound the aliases go first — they only spare a re-parse — and only
+/// if the prepared queries alone still fill it is the cache cleared;
+/// evicted queries re-prepare and find their prefix still pooled.
 const PREPARED_CAP: usize = 1024;
 
 /// Upper bound on pooled prefix entries; each holds the post-spine W-table
@@ -236,9 +245,14 @@ pub struct ServingStats {
     /// Evaluations resumed from the snapshot pool (estimation-only cost,
     /// plus recomputation of any sub-plans an update invalidated).
     pub warm_evaluations: u64,
-    /// Plan-cache hits (lookups answered without parsing + lowering).
+    /// Query-cache hits: requests answered by an already prepared query,
+    /// found by their text or, after a parse, by its normalized form (an
+    /// alternative spelling).  A prepared query is specific to its
+    /// effective configuration, so the first request of a known text under
+    /// a new accuracy override is a miss.
     pub plan_cache_hits: u64,
-    /// Plan-cache misses.
+    /// Query-cache misses: requests whose text had to be validated and
+    /// lowered (those that then fail validation included).
     pub plan_cache_misses: u64,
     /// First evaluations of a query served warm because another prepared
     /// query had already pooled the shared prefix (a subset of
@@ -369,13 +383,16 @@ impl PrefixProfile {
     }
 }
 
-/// One prepared query: its lowered physical plan, the logical plan it came
-/// from, its prefix profile, and how often it has been evaluated.  Prepared
-/// entries are `Arc`-shared across sessions; the evaluation counter is the
-/// only mutable part.
+/// One prepared query: its normalized text, its lowered physical plan, its
+/// prefix profile, and how often it has been evaluated.  Prepared entries
+/// are `Arc`-shared across sessions; the evaluation counter is the only
+/// mutable part.
 struct PreparedQuery {
-    physical: Arc<PhysicalPlan>,
-    profile: Arc<PrefixProfile>,
+    /// The normalized text: the query's identity in the query cache, and
+    /// the creator its pool entries and their checkpoint segments record.
+    key: Arc<str>,
+    physical: PhysicalPlan,
+    profile: PrefixProfile,
     evaluations: AtomicU64,
 }
 
@@ -494,11 +511,7 @@ impl SnapshotPool {
 /// (never computed for it, or dropped by an update) are recomputed from the
 /// served database during the resume; a wanted *stateful* result it lacks
 /// turns the lookup into a miss.
-fn resolve_prefix(
-    entry: &PoolEntry,
-    prepared: &PreparedQuery,
-    requester: &Arc<str>,
-) -> Option<ResolvedPrefix> {
+fn resolve_prefix(entry: &PoolEntry, prepared: &PreparedQuery) -> Option<ResolvedPrefix> {
     let pooled = |id: usize| {
         let slot = entry.slots.get(&prepared.profile.digests[id])?;
         Some(slot.value.clone())
@@ -507,7 +520,7 @@ fn resolve_prefix(
     Some(ResolvedPrefix {
         snapshot,
         recomputed,
-        shared: entry.creator.as_ref() != requester.as_ref(),
+        shared: entry.creator != prepared.key,
     })
 }
 
@@ -526,7 +539,8 @@ impl SnapshotPool {
     /// changes: the next request of that prefix runs (or recomputes) it
     /// again.  Admitted digests stay sighted, so a slot a commit demoted
     /// re-absorbs on its first recompute.
-    fn absorb(&mut self, profile: &PrefixProfile, snapshot: &ExecSnapshot, creator: &Arc<str>) {
+    fn absorb(&mut self, prepared: &PreparedQuery, snapshot: &ExecSnapshot) {
+        let profile = &prepared.profile;
         let eager = self.subplans() < EAGER_SUBPLANS;
         if self.sightings.len() >= SIGHTINGS_CAP {
             self.sightings.clear();
@@ -549,7 +563,7 @@ impl SnapshotPool {
         }
         let entry = self.entries.entry(profile.fingerprint).or_insert_with(|| {
             Arc::new(PoolEntry {
-                creator: creator.clone(),
+                creator: prepared.key.clone(),
                 config_digest: profile.config_digest,
                 effects: snapshot.effects().fork(),
                 slots: HashMap::new(),
@@ -584,11 +598,7 @@ impl SnapshotPool {
     /// update carries a row delta and a rule applies, and demoted (dropped,
     /// recomputed lazily on the next warm resume) everywhere else.  Returns
     /// `(entries_dropped, slots_patched, slots_demoted)`.
-    fn patch(
-        &mut self,
-        updates: &[DeltaUpdate],
-        plans: &[(Arc<PhysicalPlan>, Arc<PrefixProfile>)],
-    ) -> (u64, u64, u64) {
+    fn patch(&mut self, updates: &[DeltaUpdate], plans: &[Arc<PreparedQuery>]) -> (u64, u64, u64) {
         let changed: &BTreeSet<String> = &updates.iter().map(|u| u.name.clone()).collect();
         let mut entries_dropped = 0;
         let mut slots_patched = 0;
@@ -630,17 +640,18 @@ fn patch_entry_slots(
     fingerprint: &(u64, u64),
     changed: &BTreeSet<String>,
     updates: &[DeltaUpdate],
-    plans: &[(Arc<PhysicalPlan>, Arc<PrefixProfile>)],
+    plans: &[Arc<PreparedQuery>],
 ) -> (u64, u64) {
     let mut outcomes: HashMap<SubplanDigest, SlotOutcome> = HashMap::new();
     let mut patched = 0u64;
     let mut demoted = 0u64;
     let no_rows: BTreeSet<URow> = BTreeSet::new();
-    for (physical, profile) in plans {
+    for prepared in plans {
+        let profile = &prepared.profile;
         if profile.fingerprint != *fingerprint {
             continue;
         }
-        for (id, node) in physical.nodes().iter().enumerate() {
+        for (id, node) in prepared.physical.nodes().iter().enumerate() {
             if !profile.done[id] || !intersects(&profile.footprints[id], changed) {
                 continue;
             }
@@ -668,7 +679,7 @@ fn patch_entry_slots(
         }
     }
     // Intersecting slots no prepared plan covers (their query was evicted
-    // from the prepared map) cannot be patched: demote them.
+    // from the query cache) cannot be patched: demote them.
     entry.slots.retain(|digest, slot| {
         let keep = outcomes.contains_key(digest) || !intersects(&slot.footprint, changed);
         if !keep {
@@ -1040,18 +1051,13 @@ impl Drop for GatePermit<'_> {
     }
 }
 
-/// The database and its derived catalog — swapped together, read together.
-/// Readers take the catalog by `Arc`, so preparing a query copies none of it.
-struct CatalogState {
-    database: UDatabase,
-    catalog: Arc<Catalog>,
-}
-
 /// Serving counters, updated lock-free by concurrent sessions.
 #[derive(Default)]
 struct Counters {
     cold_evaluations: AtomicU64,
     warm_evaluations: AtomicU64,
+    plan_cache_hits: AtomicU64,
+    plan_cache_misses: AtomicU64,
     shared_prefix_hits: AtomicU64,
     snapshots_invalidated: AtomicU64,
     subplans_invalidated: AtomicU64,
@@ -1069,20 +1075,81 @@ struct Counters {
 }
 
 /// A read guard over the served database (see [`ServingEngine::database`]).
-pub struct DatabaseGuard<'a>(crate::sync::OrderedReadGuard<'a, CatalogState>);
+pub struct DatabaseGuard<'a>(crate::sync::OrderedReadGuard<'a, UDatabase>);
 
 impl std::ops::Deref for DatabaseGuard<'_> {
     type Target = UDatabase;
     fn deref(&self) -> &UDatabase {
-        &self.0.database
+        &self.0
     }
 }
 
-/// Key of one prepared query: the normalized text key plus a digest of the
-/// effective lowering configuration (per-request accuracy overrides prepare
+/// The query cache: request text → prepared query, per effective lowering
+/// configuration, for one catalog.  Per-request accuracy overrides prepare
 /// separately; the pool fingerprint hashes the same configuration, so their
-/// pooled prefixes separate consistently).
-type PreparedKey = (Arc<str>, u64);
+/// pooled prefixes separate consistently.
+struct QueryCache {
+    /// The catalog every cached query was validated against; replaced, with
+    /// the entries, only by [`set_database`](ServingEngine::set_database).
+    catalog: Arc<Catalog>,
+    /// Config digest → request text → prepared query.  Each query is stored
+    /// under its normalized text; other spellings are aliases of its `Arc`.
+    queries: HashMap<u64, HashMap<Box<str>, Arc<PreparedQuery>>>,
+}
+
+impl QueryCache {
+    fn new(catalog: Arc<Catalog>) -> QueryCache {
+        QueryCache {
+            catalog,
+            queries: HashMap::new(),
+        }
+    }
+
+    fn get(&self, text: &str, digest: u64) -> Option<Arc<PreparedQuery>> {
+        self.queries.get(&digest)?.get(text).cloned()
+    }
+
+    /// Caches `prepared` under its normalized text — unless a racing
+    /// session did first, whose entry then wins — and `text` as its alias,
+    /// returning the cached entry.  `None` when `catalog`, which `prepared`
+    /// was validated against, is no longer the cache's.
+    fn install(
+        &mut self,
+        text: &str,
+        catalog: &Arc<Catalog>,
+        prepared: Arc<PreparedQuery>,
+    ) -> Option<Arc<PreparedQuery>> {
+        if !Arc::ptr_eq(&self.catalog, catalog) {
+            return None;
+        }
+        // Room for a normalized entry and an alias: the aliases go first,
+        // then everything.
+        if self.len() + 2 > PREPARED_CAP {
+            (self.queries.values_mut()).for_each(|texts| texts.retain(|text, q| **text == *q.key));
+        }
+        if self.len() + 2 > PREPARED_CAP {
+            self.queries.clear();
+        }
+        let digest = prepared.profile.config_digest;
+        let queries = self.queries.entry(digest).or_default();
+        let entry = Arc::clone(queries.entry(Box::from(&*prepared.key)).or_insert(prepared));
+        if text != &*entry.key {
+            queries.insert(text.into(), Arc::clone(&entry));
+        }
+        Some(entry)
+    }
+
+    /// Entries, aliases included.
+    fn len(&self) -> usize {
+        self.queries.values().map(HashMap::len).sum()
+    }
+
+    /// Every prepared query once: the entries under their normalized text.
+    fn prepared(&self) -> impl Iterator<Item = &Arc<PreparedQuery>> {
+        let queries = self.queries.values().flatten();
+        queries.filter_map(|(text, query)| (**text == *query.key).then_some(query))
+    }
+}
 
 /// A query server over one database: repeated queries cost estimation only,
 /// prefixes are shared across queries, content commits touch only what
@@ -1095,7 +1162,7 @@ pub struct ServingEngine {
     /// accuracy override, and what checkpoints record.
     config_digest: u64,
     limits: ServingLimits,
-    state: OrderedRwLock<CatalogState>,
+    state: OrderedRwLock<UDatabase>,
     /// Monotonic database-content version.  Bumped under the state write
     /// lock *before* the matching pool maintenance runs, and compared by
     /// [`absorb_if_current`](ServingEngine::absorb_if_current) under the
@@ -1104,14 +1171,7 @@ pub struct ServingEngine {
     /// between a session's database clone and its pool insert can never
     /// re-pool pre-commit answers after the commit's pool pass already ran.
     db_epoch: AtomicU64,
-    /// Monotonic catalog/schema version: bumped only by
-    /// [`set_database`](ServingEngine::set_database) (content-only updates
-    /// keep catalog identity).  [`prepare`](ServingEngine::prepare)
-    /// re-checks it under the prepared write lock so a plan lowered against
-    /// a replaced catalog is never installed.
-    catalog_epoch: AtomicU64,
-    plans: OrderedMutex<PlanCache>,
-    prepared: OrderedRwLock<HashMap<PreparedKey, Arc<PreparedQuery>>>,
+    queries: OrderedRwLock<QueryCache>,
     pool: OrderedRwLock<SnapshotPool>,
     admission: Gate,
     cold_admission: Gate,
@@ -1148,15 +1208,13 @@ impl ServingEngine {
             config,
             config_digest: config_digest(&config),
             limits,
-            state: OrderedRwLock::new(
-                LockRank::State,
-                "serving.state",
-                CatalogState { database, catalog },
-            ),
+            state: OrderedRwLock::new(LockRank::State, "serving.state", database),
             db_epoch: AtomicU64::new(0),
-            catalog_epoch: AtomicU64::new(0),
-            plans: OrderedMutex::new(LockRank::Plans, "serving.plans", PlanCache::new()),
-            prepared: OrderedRwLock::new(LockRank::Prepared, "serving.prepared", HashMap::new()),
+            queries: OrderedRwLock::new(
+                LockRank::Prepared,
+                "serving.queries",
+                QueryCache::new(catalog),
+            ),
             pool: OrderedRwLock::new(LockRank::Pool, "serving.pool", SnapshotPool::default()),
             admission: Gate::new(
                 limits.max_in_flight,
@@ -1202,24 +1260,22 @@ impl ServingEngine {
         DatabaseGuard(self.state.read())
     }
 
-    /// Replaces the whole database and drops every cache: plans (they
-    /// validate against the catalog, which may change schemas), prepared
-    /// queries and the snapshot pool.  This is the schema-evolution path;
+    /// Replaces the whole database and drops every cache: prepared queries
+    /// (they validate against the catalog, which may change schemas) and the
+    /// snapshot pool.  This is the schema-evolution path;
     /// content-only changes should use
     /// [`update_relations`](ServingEngine::update_relations), which keeps
     /// warm caches warm.
     pub fn set_database(&self, database: UDatabase) -> Result<()> {
         let catalog = Arc::new(catalog_of(&database)?);
         let mut state = self.state.write();
-        // Epochs first: once either bump is visible, every racing prepare
-        // retries and every racing absorb drops, so the cache clears below
-        // cannot be undone by in-flight sessions.
+        // The epoch first: once the bump is visible every racing absorb
+        // drops, so the pool reset below cannot be undone by an in-flight
+        // session.  A racing prepare lowered against the old catalog fails
+        // its install once the new cache is in place, and lowers again.
         self.db_epoch.fetch_add(1, Ordering::Release);
-        self.catalog_epoch.fetch_add(1, Ordering::Release);
-        state.database = database;
-        state.catalog = catalog;
-        self.plans.lock().clear();
-        self.prepared.write().clear();
+        *state = database;
+        *self.queries.write() = QueryCache::new(catalog);
         *self.pool.write() = SnapshotPool::default();
         Ok(())
     }
@@ -1268,7 +1324,7 @@ impl ServingEngine {
             finals.insert(name.into(), rel);
         }
         for (name, rel) in &finals {
-            state.database.check_replacement(name, rel)?;
+            state.check_replacement(name, rel)?;
         }
         let finals = finals.into_iter().map(|(name, new)| (name, new, None));
         self.commit(&mut state, finals, &self.counters.subplans_invalidated);
@@ -1325,12 +1381,12 @@ impl ServingEngine {
             match finals.get_mut(&name) {
                 Some((current, single)) => {
                     let new = delta.apply_to(current)?;
-                    state.database.check_replacement(&name, &new)?;
+                    state.check_replacement(&name, &new)?;
                     *current = new;
                     *single = None;
                 }
                 None => {
-                    let new = state.database.check_delta(&name, &delta)?;
+                    let new = state.check_delta(&name, &delta)?;
                     finals.insert(name, (new, Some(delta)));
                 }
             }
@@ -1356,13 +1412,13 @@ impl ServingEngine {
     /// only thing that differs between the two public entry points.
     fn commit(
         &self,
-        state: &mut CatalogState,
+        state: &mut UDatabase,
         finals: impl IntoIterator<Item = (String, URelation, Option<RelationDelta>)>,
         demoted_counter: &AtomicU64,
     ) {
         let mut updates = Vec::new();
         for (name, new, delta) in finals {
-            let old = state.database.relation(&name).expect("validated by caller");
+            let old = state.relation(&name).expect("validated by caller");
             let delta = match delta {
                 Some(delta) => delta,
                 None => old.diff(&new).expect("replacement schema validated"),
@@ -1374,8 +1430,8 @@ impl ServingEngine {
             // The batch was fully validated by the caller; apply without
             // re-running the catalog checks, preserving the completeness
             // declaration.
-            let complete = state.database.is_complete(&name);
-            state.database.set_relation(name.clone(), new, complete);
+            let complete = state.is_complete(&name);
+            state.set_relation(name.clone(), new, complete);
             updates.push(DeltaUpdate { name, patch });
         }
         if updates.is_empty() {
@@ -1386,12 +1442,7 @@ impl ServingEngine {
         // its snapshot once this commit is visible.  (Readers see content
         // and epoch together, under the state lock this commit holds.)
         self.db_epoch.fetch_add(1, Ordering::Release);
-        let plans: Vec<(Arc<PhysicalPlan>, Arc<PrefixProfile>)> = self
-            .prepared
-            .read()
-            .values()
-            .map(|p| (p.physical.clone(), p.profile.clone()))
-            .collect();
+        let plans: Vec<Arc<PreparedQuery>> = self.queries.read().prepared().cloned().collect();
         let (entries_dropped, patched, demoted) = self.pool.write().patch(&updates, &plans);
         let counters = &self.counters;
         for (counter, by) in [
@@ -1433,7 +1484,7 @@ impl ServingEngine {
             }
         }
         let (config, digest) = request.effective_config(self.config, self.config_digest);
-        let (key, prepared) = self.prepare(request.text, config, digest)?;
+        let prepared = self.prepare(request.text, config, digest)?;
         crate::faults::fire("admission", deadline)?;
         let profile = &prepared.profile;
 
@@ -1443,7 +1494,7 @@ impl ServingEngine {
         let mut cold_admitted = self.pool.read().entry(&profile.fingerprint).is_none();
         let mut _permits = self.admit(cold_admitted, deadline)?;
         let start = loop {
-            let start = self.start(&prepared, &key);
+            let start = self.start(&prepared);
             if start.resolved.is_some() || cold_admitted {
                 break start;
             }
@@ -1515,7 +1566,7 @@ impl ServingEngine {
             }
         };
         if let Some(captured) = captured {
-            self.absorb_if_current(start.epoch, profile, &captured, &key);
+            self.absorb_if_current(start.epoch, &prepared, &captured);
         }
         self.absorb_estimation_stats(&ctx.stats);
         Ok(EvalOutput {
@@ -1564,14 +1615,14 @@ impl ServingEngine {
     /// entry's sub-plan results always belong to the cloned relations; if
     /// the guarded absorb later sees the same epoch, no commit touched the
     /// pool in between.
-    fn start(&self, prepared: &PreparedQuery, requester: &Arc<str>) -> Start {
+    fn start(&self, prepared: &PreparedQuery) -> Start {
         let (mut database, epoch, entry) = {
             let state = self.state.read();
             let entry = self.pool.read().entry(&prepared.profile.fingerprint);
             let epoch = self.db_epoch.load(Ordering::Acquire);
-            (state.database.clone(), epoch, entry)
+            (state.clone(), epoch, entry)
         };
-        let resolved = entry.and_then(|entry| resolve_prefix(&entry, prepared, requester));
+        let resolved = entry.and_then(|entry| resolve_prefix(&entry, prepared));
         if let Some(wtable) = (resolved.as_ref()).and_then(|r| r.snapshot.effects().wtable.as_ref())
         {
             *database.wtable_mut() = wtable.clone();
@@ -1681,8 +1732,8 @@ impl ServingEngine {
         reason: DegradedReason,
     ) -> Result<DegradedAnswer> {
         let (config, digest) = request.effective_config(self.config, self.config_digest);
-        let (key, prepared) = self.prepare(request.text, config, digest)?;
-        let start = self.start(&prepared, &key);
+        let prepared = self.prepare(request.text, config, digest)?;
+        let start = self.start(&prepared);
         let snapshot = match start.resolved {
             Some(resolved) => resolved.snapshot,
             None => prepared.physical.empty_snapshot(),
@@ -1719,13 +1770,7 @@ impl ServingEngine {
     /// and inserting would serve pre-commit answers to every later warm
     /// hit; the snapshot is dropped instead (the module-doc invariant:
     /// races change cost, never answers).
-    fn absorb_if_current(
-        &self,
-        epoch: u64,
-        profile: &PrefixProfile,
-        snapshot: &ExecSnapshot,
-        creator: &Arc<str>,
-    ) {
+    fn absorb_if_current(&self, epoch: u64, prepared: &PreparedQuery, snapshot: &ExecSnapshot) {
         // Failpoint: skipping an absorb is a legal opportunistic miss — the
         // answer was already computed; only the pool stays cold.
         if crate::faults::fire_cost_only("absorb") {
@@ -1736,7 +1781,7 @@ impl ServingEngine {
         }
         let mut pool = self.pool.write();
         if self.db_epoch.load(Ordering::Acquire) == epoch {
-            pool.absorb(profile, snapshot, creator);
+            pool.absorb(prepared, snapshot);
         } else {
             self.counters
                 .stale_absorbs_dropped
@@ -1744,99 +1789,73 @@ impl ServingEngine {
         }
     }
 
-    /// Plan-cache lookup plus prepared-entry lookup/creation for one request
-    /// under its effective configuration.  Lowering runs outside every lock;
-    /// when two sessions race to prepare the same query, the first insert
-    /// wins and the loser's work is discarded.
+    /// The prepared query for one request under its effective
+    /// configuration.  A hit is one read lock of the query cache and one
+    /// hash of the text.  A miss parses the text with no lock held and
+    /// looks the normalized text up (another spelling of a prepared query
+    /// is a hit and only adds an alias); otherwise it validates and lowers
+    /// against the cache's catalog, still with no lock held.  When two
+    /// sessions race to prepare the same query, the first install wins and
+    /// the loser's work is discarded.
     ///
-    /// A racing [`set_database`](ServingEngine::set_database) is detected by
-    /// the catalog epoch, re-checked under the prepared write lock before
-    /// the entry is installed: the epoch is bumped (under the state write
-    /// lock) before `set_database` clears any cache, so a passed check
-    /// proves the clears have not started — they will then run after this
-    /// insert and wipe it like any other entry — while a failed check means
-    /// the plan was lowered against a replaced catalog and must be redone.
-    /// The plan-cache pin happens under the same prepared write lock, so the
-    /// clear cannot slip between the insert and the pin and leave a live
-    /// prepared query whose plan is unpinned (or re-pin a key the cleared
-    /// cache no longer holds).
+    /// A racing [`set_database`](ServingEngine::set_database) is detected
+    /// by catalog identity: the install checks, under the cache's write
+    /// lock, that the cache still holds the catalog `Arc` the miss read.
+    /// `set_database` swaps in a fresh cache with the new catalog, so a
+    /// passed check proves the swap has not happened yet — it will then
+    /// drop this entry like any other — while a failed one means the plan
+    /// was validated against a replaced catalog and must be redone.
+    /// Invalid texts are never cached.
     ///
     /// `digest` is `config`'s [`config_digest`], which the caller already
     /// holds (see [`Request`]'s `effective_config`).
-    fn prepare(
-        &self,
-        text: &str,
-        config: EvalConfig,
-        digest: u64,
-    ) -> Result<(Arc<str>, Arc<PreparedQuery>)> {
+    fn prepare(&self, text: &str, config: EvalConfig, digest: u64) -> Result<Arc<PreparedQuery>> {
         crate::faults::fire("prepare", None)?;
+        let counters = &self.counters;
         loop {
-            let (catalog, epoch) = self.catalog();
-            let (key, plan) = self.plans.lock().get_or_lower(text, &catalog)?;
-            let pkey: PreparedKey = (key.clone(), digest);
-            if let Some(hit) = self.prepared.read().get(&pkey).cloned() {
-                return Ok((key, hit));
+            let catalog = {
+                let cache = self.queries.read();
+                if let Some(hit) = cache.get(text, digest) {
+                    counters.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(hit);
+                }
+                Arc::clone(&cache.catalog)
+            };
+            let query = algebra::parse_query(text)?;
+            let key = query.to_string();
+            let known = self.queries.read().get(&key, digest);
+            let prepared = match known {
+                Some(known) => {
+                    counters.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+                    known
+                }
+                None => {
+                    counters.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+                    let plan = LogicalPlan::lower_validated(&query, &catalog)?;
+                    let physical = PhysicalPlan::lower(&plan, config)?;
+                    let profile = PrefixProfile::new(&plan, &physical, digest);
+                    Arc::new(PreparedQuery {
+                        key: key.into(),
+                        physical,
+                        profile,
+                        evaluations: AtomicU64::new(0),
+                    })
+                }
+            };
+            if let Some(prepared) = self.queries.write().install(text, &catalog, prepared) {
+                return Ok(prepared);
             }
-            let physical = Arc::new(PhysicalPlan::lower(&plan, config)?);
-            let profile = Arc::new(PrefixProfile::new(&plan, &physical, digest));
-            let fresh = Arc::new(PreparedQuery {
-                physical,
-                profile,
-                evaluations: AtomicU64::new(0),
-            });
-            let mut map = self.prepared.write();
-            if self.catalog_epoch.load(Ordering::Acquire) != epoch {
-                // The catalog this plan was lowered against was replaced
-                // mid-prepare; retry against the new one (the state read
-                // above blocks until the replacement finishes).
-                drop(map);
-                continue;
-            }
-            // Prepared queries are bounded; evicted ones re-prepare and
-            // find their prefix still pooled.
-            let evicted = map.len() >= PREPARED_CAP && !map.contains_key(&pkey);
-            if evicted {
-                map.clear();
-            }
-            let entry = map.entry(pkey).or_insert_with(|| fresh).clone();
-            // The plans mutex nests inside the prepared write lock here and
-            // nowhere else; every other path takes the plans mutex alone.
-            let mut plans = self.plans.lock();
-            if evicted {
-                plans.unpin_all();
-            }
-            // Pin the prepared query's plan: plan-cache pressure from
-            // one-off spellings must never evict a plan whose prepared
-            // state is live.
-            plans.pin(&key);
-            drop(plans);
-            drop(map);
-            return Ok((key, entry));
         }
-    }
-
-    /// The served catalog and its epoch, read together under the state
-    /// lock: what [`prepare`](ServingEngine::prepare) lowers against.  An
-    /// `Arc` clone: the catalog is replaced only by
-    /// [`set_database`](ServingEngine::set_database).
-    fn catalog(&self) -> (Arc<Catalog>, u64) {
-        let state = self.state.read();
-        let epoch = self.catalog_epoch.load(Ordering::Acquire);
-        (Arc::clone(&state.catalog), epoch)
     }
 
     /// Cache counters (a consistent-enough snapshot: counters are updated
     /// lock-free by concurrent sessions).
     pub fn stats(&self) -> ServingStats {
-        let (plan_cache_hits, plan_cache_misses) = {
-            let plans = self.plans.lock();
-            (plans.hits(), plans.misses())
-        };
         ServingStats {
             cold_evaluations: self.counters.cold_evaluations.load(Ordering::Relaxed),
             warm_evaluations: self.counters.warm_evaluations.load(Ordering::Relaxed),
-            plan_cache_hits,
-            plan_cache_misses,
+            plan_cache_hits: self.counters.plan_cache_hits.load(Ordering::Relaxed),
+            plan_cache_misses: self.counters.plan_cache_misses.load(Ordering::Relaxed),
             shared_prefix_hits: self.counters.shared_prefix_hits.load(Ordering::Relaxed),
             snapshots_invalidated: self.counters.snapshots_invalidated.load(Ordering::Relaxed),
             subplans_invalidated: self.counters.subplans_invalidated.load(Ordering::Relaxed),
@@ -1854,9 +1873,10 @@ impl ServingEngine {
         }
     }
 
-    /// Number of prepared queries.
+    /// Number of prepared queries (aliases for alternative spellings do not
+    /// count).
     pub fn prepared_queries(&self) -> usize {
-        self.prepared.read().len()
+        self.queries.read().prepared().count()
     }
 
     /// Number of pooled prefix entries (distinct stateful spines).  Smaller
@@ -1905,7 +1925,7 @@ impl ServingEngine {
                 .filter(|(_, entry)| entry.config_digest == base_digest)
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            (state.database.clone(), entries)
+            (state.clone(), entries)
         };
         entries.sort_by_key(|(k, _)| *k);
         let mut manifest = Vec::new();
@@ -2053,7 +2073,7 @@ impl ServingEngine {
             // freshly computed profile supplies the pool fingerprint and the
             // stateful footprint, so the pool key always matches what this
             // process would compute — nothing keyed is trusted from disk.
-            let Ok((key, prepared)) = engine.prepare(&warm.creator, config, base_digest) else {
+            let Ok(prepared) = engine.prepare(&warm.creator, config, base_digest) else {
                 continue;
             };
             let slots: HashMap<SubplanDigest, PooledSlot> = warm
@@ -2070,7 +2090,7 @@ impl ServingEngine {
                 })
                 .collect();
             let pooled = PoolEntry {
-                creator: key,
+                creator: prepared.key.clone(),
                 config_digest: base_digest,
                 effects: PrefixEffects {
                     wtable: Some(wtable),
@@ -2388,7 +2408,7 @@ mod tests {
         assert_eq!(serving.pooled_prefixes(), 4);
 
         // A checkpoint only reads: no counter moves (it prepares nothing,
-        // so the plan cache sees no lookup) and nothing is re-prepared.
+        // so the query cache sees no lookup) and nothing is re-prepared.
         let before = (serving.stats(), serving.prepared_queries());
         let dir = checkpoint_dir("once");
         serving.checkpoint(&dir).unwrap();
@@ -2584,13 +2604,13 @@ mod tests {
         // pooling it would serve pre-update answers to every later warm hit.
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let text = "poss(Coins)";
-        let (key, prepared) = serving
+        let prepared = serving
             .prepare(text, EvalConfig::exact(), serving.config_digest)
             .unwrap();
 
         // Step 1 of the request path: read the start — nothing is pooled,
         // so it is a cold one — and run it, capturing.
-        let start = serving.start(&prepared, &key);
+        let start = serving.start(&prepared);
         assert!(start.resolved.is_none());
         assert_eq!(start.epoch, serving.db_epoch.load(Ordering::Acquire));
         let epoch = start.epoch;
@@ -2609,7 +2629,7 @@ mod tests {
             .unwrap();
 
         // Step 3: the late absorb must detect the epoch change and drop.
-        serving.absorb_if_current(epoch, &prepared.profile, &snapshot, &key);
+        serving.absorb_if_current(epoch, &prepared, &snapshot);
         assert_eq!(
             serving.pooled_prefixes(),
             0,
@@ -2648,10 +2668,182 @@ mod tests {
         let _calm = storm_free();
         let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let counts = || {
+            let stats = serving.stats();
+            (stats.plan_cache_hits, stats.plan_cache_misses)
+        };
+        // A first request lowers; an exact repeat and a respelling are hits.
+        serving.evaluate("poss(Coins)", &mut rng).unwrap();
+        assert_eq!(counts(), (0, 1));
         serving.evaluate("poss(Coins)", &mut rng).unwrap();
         serving.evaluate("poss( Coins )", &mut rng).unwrap();
+        assert_eq!(counts(), (2, 1));
+        assert_eq!(serving.stats().warm_evaluations, 2);
+        // Prepared queries count once, however many spellings alias them.
         assert_eq!(serving.prepared_queries(), 1);
-        assert_eq!(serving.stats().warm_evaluations, 1);
+        serving
+            .evaluate("poss(select[Count = 1](Coins))", &mut rng)
+            .unwrap();
+        assert_eq!(serving.prepared_queries(), 2);
+    }
+
+    #[test]
+    fn query_cache_skips_invalid_texts_and_clears_on_set_database() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let counts = || {
+            let stats = serving.stats();
+            (stats.plan_cache_hits, stats.plan_cache_misses)
+        };
+        serving.evaluate("poss(Coins)", &mut rng).unwrap();
+        serving
+            .evaluate("poss(select[Count = 1](Coins))", &mut rng)
+            .unwrap();
+        assert_eq!(serving.prepared_queries(), 2);
+
+        // Invalid texts are never cached, and the warm path is untouched.
+        assert!(serving
+            .evaluate("project[Missing](Coins)", &mut rng)
+            .is_err());
+        assert!(serving.evaluate("poss(Coins", &mut rng).is_err());
+        assert_eq!(serving.prepared_queries(), 2);
+        let (hits, misses) = counts();
+        let warm = serving.stats().warm_evaluations;
+        serving.evaluate("poss( Coins )", &mut rng).unwrap();
+        assert_eq!(counts(), (hits + 1, misses));
+        assert_eq!(serving.stats().warm_evaluations, warm + 1);
+
+        // Replacing the database empties the cache.
+        serving.set_database(coin_db()).unwrap();
+        assert_eq!(serving.prepared_queries(), 0);
+        assert_eq!(serving.queries.read().len(), 0);
+    }
+
+    #[test]
+    fn spelling_churn_evicts_aliases_never_the_hot_query() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        serving.evaluate("poss(Coins)", &mut rng).unwrap();
+        serving
+            .evaluate("poss(select[Count = 1](Coins))", &mut rng)
+            .unwrap();
+        let misses = serving.stats().plan_cache_misses;
+        // Spelling churn past the bound drops aliases, never the hot query:
+        // it is never lowered again, and the cache never outgrows the bound.
+        for pad in 1..=PREPARED_CAP + 100 {
+            let spelled = format!("poss({}Coins)", " ".repeat(pad));
+            serving.evaluate(&spelled, &mut rng).unwrap();
+            assert!(serving.queries.read().len() <= PREPARED_CAP, "pad {pad}");
+        }
+        let stats = serving.stats();
+        assert_eq!(
+            stats.plan_cache_misses, misses,
+            "spelling churn never re-lowered"
+        );
+        assert_eq!(stats.plan_cache_hits, PREPARED_CAP as u64 + 100);
+        assert_eq!(serving.prepared_queries(), 2);
+    }
+
+    #[test]
+    fn prepares_racing_set_database_never_cache_a_replaced_catalog() {
+        // Two databases whose catalogs disagree: the join's shared attribute
+        // is `X` in one and `Y` in the other, and each projection validates
+        // under one catalog only.  A plan validated against one catalog and
+        // cached under the other would answer a projection the fresh engine
+        // rejects: its selection is empty, so execution never reaches the
+        // missing attribute.
+        let _calm = storm_free();
+        let a = UDatabase::from_complete_relations([
+            ("R", relation![schema!["K", "X"]; [1, 10], [2, 20]]),
+            ("S", relation![schema!["X", "V"]; [10, "a"], [20, "b"]]),
+        ]);
+        let b = UDatabase::from_complete_relations([
+            ("R", relation![schema!["K", "Y"]; [1, 20], [3, 30]]),
+            ("S", relation![schema!["Y", "V"]; [20, "c"], [30, "d"]]),
+        ]);
+        let texts = [
+            "poss(join(R, S))",
+            "conf(project[K](join(R, S)))",
+            "poss(project[X](select[K = 5](R)))",
+            "poss(project[Y](select[K = 5](R)))",
+        ];
+        let answer = |result: Result<EvalOutput>| {
+            result
+                .map(|out| out.result.relation)
+                .map_err(|e| e.to_string())
+        };
+        let fresh = |db: &UDatabase, text: &str| {
+            let query = algebra::parse_query(text).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            answer(UEngine::new(EvalConfig::exact()).evaluate(db, &query, &mut rng))
+        };
+        let expected: Vec<[std::result::Result<URelation, String>; 2]> = texts
+            .iter()
+            .map(|text| [fresh(&a, text), fresh(&b, text)])
+            .collect();
+        let serving = ServingEngine::new(EvalConfig::exact(), a.clone()).unwrap();
+
+        // The race replayed deterministically: a query lowered against the
+        // catalog of `a` reaches its install after `set_database(b)`.
+        let stale = Arc::clone(&serving.queries.read().catalog);
+        let (text, digest) = (texts[2], serving.config_digest);
+        let lowered = serving.prepare(text, EvalConfig::exact(), digest).unwrap();
+        serving.set_database(b.clone()).unwrap();
+        assert!(serving
+            .queries
+            .write()
+            .install(text, &stale, lowered)
+            .is_none());
+        assert_eq!(serving.prepared_queries(), 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        assert_eq!(answer(serving.evaluate(text, &mut rng)), expected[2][1]);
+        serving.set_database(a.clone()).unwrap();
+
+        // The race itself, many times over.
+        for round in 0..100 {
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                for reader in 0..3 {
+                    let (serving, stop, expected) = (&serving, &stop, &expected);
+                    scope.spawn(move || {
+                        while !stop.load(Ordering::Acquire) {
+                            for (text, expected) in texts.iter().zip(expected) {
+                                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                                let got = answer(serving.evaluate(text, &mut rng));
+                                if got.is_ok() {
+                                    assert!(
+                                        expected.contains(&got),
+                                        "round {round} reader {reader}: {text} gave {got:?}"
+                                    );
+                                }
+                            }
+                        }
+                    });
+                }
+                for switch in 0..40 {
+                    let db = if switch % 2 == 0 { &b } else { &a };
+                    serving.set_database(db.clone()).unwrap();
+                    // Let the readers start lowering against the new catalog.
+                    std::thread::yield_now();
+                }
+                // The last switch installs `b` on odd rounds, `a` on even.
+                if round % 2 == 1 {
+                    serving.set_database(b.clone()).unwrap();
+                }
+                stop.store(true, Ordering::Release);
+            });
+            let last = usize::from(round % 2 == 1);
+            for (text, expected) in texts.iter().zip(&expected) {
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                let got = answer(serving.evaluate(text, &mut rng));
+                assert_eq!(
+                    got, expected[last],
+                    "round {round}, after the writer: {text}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -3090,7 +3282,7 @@ mod tests {
         let (serving, touching) = wide_labels_serving();
         let mut rng = ChaCha8Rng::seed_from_u64(37);
         let pooled_entry = |text: &str| {
-            let (_, prepared) = serving
+            let prepared = serving
                 .prepare(text, *serving.config(), serving.config_digest)
                 .unwrap();
             (serving.pool.read())
@@ -3098,10 +3290,10 @@ mod tests {
                 .expect("pooled by the cold run")
         };
         let other = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
-        let (key, prepared) = serving
+        let prepared = serving
             .prepare(other, *serving.config(), serving.config_digest)
             .unwrap();
-        let cold_start = serving.start(&prepared, &key);
+        let cold_start = serving.start(&prepared);
         assert!(cold_start.resolved.is_none());
         assert!((cold_start.database.wtable()).shares_content(serving.database().wtable()));
         let cold = serving.evaluate(other, &mut rng).unwrap();
@@ -3185,25 +3377,25 @@ mod tests {
                 assert_eq!(shares, except != Some(name.as_str()), "{name}");
             }
         };
-        let catalog = || serving.catalog().0;
+        let catalog = || Arc::clone(&serving.queries.read().catalog);
         let prepare = |text: &str| {
             let before = catalog();
-            let (key, prepared) = serving
+            let prepared = serving
                 .prepare(text, *serving.config(), serving.config_digest)
                 .unwrap();
             assert!(Arc::ptr_eq(&before, &catalog()), "{text}");
-            (before, key, prepared)
+            (before, prepared)
         };
 
         let text = "conf(project[CoinType](join(repairkey[ @ Count](Coins), Labels)))";
-        let (first, key, prepared) = prepare(text);
-        let cold = serving.start(&prepared, &key);
+        let (first, prepared) = prepare(text);
+        let cold = serving.start(&prepared);
         assert!(cold.resolved.is_none());
         assert!((cold.database.wtable()).shares_content(serving.database().wtable()));
         assert_shares_served(&cold, None);
         let mut rng = ChaCha8Rng::seed_from_u64(41);
         serving.evaluate(text, &mut rng).unwrap();
-        let warm = serving.start(&prepared, &key);
+        let warm = serving.start(&prepared);
         assert!(warm.resolved.is_some());
         assert_shares_served(&warm, None);
 
@@ -3216,16 +3408,16 @@ mod tests {
         serving
             .apply_deltas([("Other", old.diff(&new).unwrap())])
             .unwrap();
-        let (after, key, prepared) = prepare("poss(Labels)");
+        let (after, prepared) = prepare("poss(Labels)");
         assert!(Arc::ptr_eq(&first, &after));
         assert_shares_served(&warm, Some("Other"));
-        assert_shares_served(&serving.start(&prepared, &key), None);
+        assert_shares_served(&serving.start(&prepared), None);
     }
 
     /// Drops the pooled results of the named operators (`scan` means the
     /// scan of `Labels`) from the touching query's pool entry.
     fn drop_pooled(serving: &ServingEngine, touching: &str, operators: &[&str]) {
-        let (_, prepared) = serving
+        let prepared = serving
             .prepare(touching, *serving.config(), serving.config_digest)
             .unwrap();
         let profile = &prepared.profile;
@@ -3636,9 +3828,9 @@ mod tests {
     #[test]
     fn shared_prefix_hits_require_a_different_creator() {
         let _calm = storm_free();
-        // A query resuming the prefix *it* pooled (here: after the prepared
-        // map was rebuilt via set-style eviction we simulate by a fresh
-        // evaluation cycle) is warm but not a cross-query sharing event.
+        // A query resuming the prefix *it* pooled (here: after the query
+        // cache was cleared, as eviction at its bound does) is warm but not
+        // a cross-query sharing event.
         let serving = ServingEngine::new(EvalConfig::default(), coin_db()).unwrap();
         let q = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
         let mut rng = ChaCha8Rng::seed_from_u64(12);
@@ -3646,7 +3838,7 @@ mod tests {
         // Simulate prepared-cache eviction: the pool survives, the prepared
         // entry is rebuilt, and the first evaluation of the re-prepared
         // query is warm — but not counted as shared.
-        serving.prepared.write().clear();
+        serving.queries.write().queries.clear();
         serving.evaluate(q, &mut rng).unwrap();
         let stats = serving.stats();
         assert_eq!(stats.warm_evaluations, 1);

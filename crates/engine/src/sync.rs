@@ -6,8 +6,7 @@
 //! already holds.  Because ranks totally order the lock graph, any
 //! execution that respects them is deadlock-free by construction; the
 //! prose invariant from the serving module ("lock order is state →
-//! prepared → plans → pool, nested once in `prepare`") becomes a runtime
-//! check instead of a review item.
+//! query cache → pool") becomes a runtime check instead of a review item.
 //!
 //! The held-rank stack itself is thread-local and process-wide, shared
 //! with the vendored worker pool (`rayon::lockcheck`), so engine locks and
@@ -79,13 +78,11 @@ pub enum LockRank {
     /// A [`Gate`](../serving/index.html)'s internal permit counter; held
     /// only for counter arithmetic and condvar waits.
     GateInternal = 40,
-    /// The catalog state: database content, derived catalog, epochs.
+    /// The served database.
     State = 50,
-    /// The prepared-query map.
+    /// The query cache: request text → prepared query, plus the catalog the
+    /// prepared queries were validated against.
     Prepared = 60,
-    /// The plan cache (nests inside [`LockRank::Prepared`] in `prepare`,
-    /// and nowhere else).
-    Plans = 70,
     /// The snapshot pool.
     Pool = 80,
     /// The per-database compiled-space cache (forked under the pool write
@@ -111,14 +108,13 @@ pub enum LockRank {
 impl LockRank {
     /// Every rank, lowest first — the doc table and the cross-crate pin
     /// test iterate this.
-    pub const ALL: [LockRank; 15] = [
+    pub const ALL: [LockRank; 14] = [
         LockRank::TestExclusive,
         LockRank::GateCold,
         LockRank::GateAdmission,
         LockRank::GateInternal,
         LockRank::State,
         LockRank::Prepared,
-        LockRank::Plans,
         LockRank::Pool,
         LockRank::SpaceCache,
         LockRank::LineageCache,
@@ -144,7 +140,6 @@ impl LockRank {
             LockRank::GateInternal => "GateInternal",
             LockRank::State => "State",
             LockRank::Prepared => "Prepared",
-            LockRank::Plans => "Plans",
             LockRank::Pool => "Pool",
             LockRank::SpaceCache => "SpaceCache",
             LockRank::LineageCache => "LineageCache",
@@ -166,9 +161,10 @@ impl LockRank {
             LockRank::GateCold => "a held cold-admission permit (RAII token, not a mutex)",
             LockRank::GateAdmission => "a held admission permit (RAII token, not a mutex)",
             LockRank::GateInternal => "a gate's permit counter + wakeup condvar",
-            LockRank::State => "`CatalogState`: database content, derived catalog, epochs",
-            LockRank::Prepared => "the prepared-query map",
-            LockRank::Plans => "the plan cache (nests inside `Prepared` in `prepare`, only)",
+            LockRank::State => "the served database",
+            LockRank::Prepared => {
+                "the query cache: request text → prepared query, and the catalog it was validated against"
+            }
             LockRank::Pool => "the snapshot pool",
             LockRank::SpaceCache => {
                 "the compiled-space cache (forked under the `Pool` write lock on COW)"
@@ -551,12 +547,12 @@ mod tests {
     #[test]
     fn in_order_acquisition_is_clean_in_every_build() {
         let state = OrderedRwLock::new(LockRank::State, "test.state", 1u32);
-        let plans = OrderedMutex::new(LockRank::Plans, "test.plans", 2u32);
+        let queries = OrderedMutex::new(LockRank::Prepared, "test.queries", 2u32);
         let pool = OrderedRwLock::new(LockRank::Pool, "test.pool", 3u32);
         let balance = rayon::lockcheck::held_ranks();
         {
             let s = state.read();
-            let p = plans.lock();
+            let p = queries.lock();
             let q = pool.write();
             assert_eq!(*s + *p + *q, 6);
         }

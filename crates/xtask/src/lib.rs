@@ -2,7 +2,7 @@
 //! can only state in prose.
 //!
 //! `cargo run -p xtask -- lint` walks every Rust source file in the
-//! repository and enforces five rules:
+//! repository and enforces six rules:
 //!
 //! 1. **`raw-lock`** — no raw `std::sync` lock construction (`Mutex`,
 //!    `RwLock`, `Condvar`) outside the ranked wrappers in
@@ -33,6 +33,12 @@
 //!    parentheses, not the functions they call — pool work reached through
 //!    a called function is out of its reach, as is a `use rayon::join`
 //!    called bare.
+//! 6. **`lock-ranks`** — every `LockRank` variant below 200 declared in
+//!    `crates/engine/src/sync.rs` is named as `LockRank::<Variant>` in the
+//!    non-test code of some other file under `crates/`: a rank that guards
+//!    nothing leaves the enum.  Ranks from 200 up mirror the vendored
+//!    pool's locks and are pinned to `vendor/rayon` by a cross-crate test
+//!    instead.
 //!
 //! `cargo run -p xtask -- loc` prints the production lines of every file
 //! under `crates/*/src` and a per-crate total ([`production_lines`] is the
@@ -68,6 +74,8 @@ pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_FAILPOINTS: &str = "failpoints";
 /// Rule name: worker-pool work inside a `OnceLock` initialiser.
 pub const RULE_POOL_IN_INIT: &str = "pool-in-init";
+/// Rule name: a lock rank that no production code outside `sync.rs` uses.
+pub const RULE_LOCK_RANKS: &str = "lock-ranks";
 /// Rule name: a `lint.allow` entry that matches nothing (or is malformed).
 pub const RULE_ALLOWLIST: &str = "allowlist";
 
@@ -100,6 +108,11 @@ const POOL_METHODS: [&str; 5] = [
 ];
 /// Pool entry points the `pool-in-init` rule matches as `rayon::<name>`.
 const POOL_FUNCTIONS: [&str; 2] = ["join", "scope"];
+
+/// Where `LockRank` is declared, and the rank from which its variants
+/// mirror the vendored pool's locks (exempt from `lock-ranks`).
+const LOCK_RANKS: &str = "crates/engine/src/sync.rs";
+const VENDORED_RANKS: u16 = 200;
 
 /// Where the failpoint registry lives and where every site must be
 /// exercised.
@@ -332,15 +345,21 @@ fn identifier_spans(text: &str) -> Vec<(usize, &str)> {
     out
 }
 
+/// The production part of a code view, as one text: the lines before the
+/// first `#[cfg(test)]`.
+fn production(code: &[String]) -> String {
+    let lines = code
+        .iter()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"));
+    lines.cloned().collect::<Vec<_>>().join("\n")
+}
+
 /// The `pool-in-init` scan of one file's code view (comments and literals
 /// blanked): `(1-based line, token)` of every pool-work token between the
 /// parentheses of a `get_or_init(` call, once per line and token.  Lines
 /// from the first `#[cfg(test)]` on are test code and not scanned.
 fn pool_work_in_initialisers(code: &[String]) -> BTreeSet<(usize, String)> {
-    let production = code
-        .iter()
-        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"));
-    let text = production.cloned().collect::<Vec<_>>().join("\n");
+    let text = production(code);
     let spans = identifier_spans(&text);
     let line_of = |at: usize| text[..at].matches('\n').count() + 1;
     let mut found = BTreeSet::new();
@@ -376,6 +395,47 @@ fn pool_work_in_initialisers(code: &[String]) -> BTreeSet<(usize, String)> {
         }
     }
     found
+}
+
+/// The `LockRank` variants below [`VENDORED_RANKS`] that the enum in one
+/// code view declares, as `(1-based line, variant)`.
+fn declared_ranks(code: &[String]) -> Vec<(usize, String)> {
+    let is_enum = |line: &String| {
+        identifiers(line)
+            .windows(2)
+            .any(|w| w == ["enum", "LockRank"])
+    };
+    let Some(start) = code.iter().position(is_enum) else {
+        return Vec::new();
+    };
+    let mut ranks = Vec::new();
+    for (idx, line) in code.iter().enumerate().skip(start + 1) {
+        let line = line.trim();
+        if line.starts_with('}') {
+            break;
+        }
+        let Some((name, rank)) = line.trim_end_matches(',').split_once('=') else {
+            continue;
+        };
+        let name = name.trim();
+        let rank = rank.trim().parse::<u16>();
+        if rank.is_ok_and(|rank| rank < VENDORED_RANKS) && identifiers(name) == [name] {
+            ranks.push((idx + 1, name.to_owned()));
+        }
+    }
+    ranks
+}
+
+/// Every variant a text names as `LockRank::<Variant>`.
+fn ranks_named(text: &str) -> Vec<&str> {
+    let spans = identifier_spans(text);
+    let pairs = spans.windows(2).filter_map(|w| {
+        let [(at, first), (next, variant)] = w else {
+            return None;
+        };
+        (*first == "LockRank" && &text[at + first.len()..*next] == "::").then_some(*variant)
+    });
+    pairs.collect()
 }
 
 /// True for sources that are tests as a whole: integration tests, whose
@@ -555,6 +615,10 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
     let mut probe_findings: Vec<(String, usize, String)> = Vec::new();
     let mut registry_text = None;
     let mut storm_text = None;
+    // Lock ranks declared in `sync.rs`, and the ones production code
+    // elsewhere under `crates/` names.
+    let mut declared = Vec::new();
+    let mut ranks_used: BTreeSet<String> = BTreeSet::new();
 
     for path in rust_files(root) {
         let rel = rel(root, &path);
@@ -638,6 +702,13 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
             }
         }
 
+        if rel == LOCK_RANKS {
+            declared = declared_ranks(&views.code);
+        } else if rel.starts_with("crates/") && !is_test_path(&rel) {
+            let text = production(&views.code);
+            ranks_used.extend(ranks_named(&text).into_iter().map(str::to_owned));
+        }
+
         if rel == FAULTS_REGISTRY {
             registry_text = Some(views.code_with_strings.join("\n"));
             continue; // its own tests probe synthetic sites
@@ -655,6 +726,21 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
                 probed.entry(site.clone()).or_insert((rel.clone(), idx + 1));
                 probe_findings.push((rel.clone(), idx + 1, site));
             }
+        }
+    }
+
+    for (line, variant) in declared {
+        if !ranks_used.contains(&variant) {
+            findings.push(Finding {
+                path: LOCK_RANKS.to_owned(),
+                line,
+                rule: RULE_LOCK_RANKS,
+                message: format!(
+                    "lock rank `{variant}` guards nothing: no production code outside \
+                     {LOCK_RANKS} names `LockRank::{variant}` — remove the rank"
+                ),
+                token: variant,
+            });
         }
     }
 

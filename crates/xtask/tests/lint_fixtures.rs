@@ -4,8 +4,8 @@
 
 use std::path::PathBuf;
 use xtask::{
-    lint, RULE_ALLOWLIST, RULE_DETERMINISM, RULE_FAILPOINTS, RULE_POOL_IN_INIT, RULE_RAW_LOCK,
-    RULE_SAFETY,
+    lint, RULE_ALLOWLIST, RULE_DETERMINISM, RULE_FAILPOINTS, RULE_LOCK_RANKS, RULE_POOL_IN_INIT,
+    RULE_RAW_LOCK, RULE_SAFETY,
 };
 
 fn fixture_tree() -> PathBuf {
@@ -61,6 +61,8 @@ fn every_rule_flags_its_fixture_violation() {
             8,
             "rayon::join",
         ),
+        // A lock rank no production code outside `sync.rs` names.
+        (RULE_LOCK_RANKS, "crates/engine/src/sync.rs", 7, "Unused"),
         // The decoy allowlist entry matches nothing.
         (RULE_ALLOWLIST, "lint.allow", 3, "Mutex"),
     ];
@@ -113,6 +115,25 @@ fn pool_work_is_flagged_only_where_it_is_written_inside_an_initialiser() {
             ("crates/engine/src/pool_init.rs", 3),
             ("crates/engine/src/pool_init.rs", 8)
         ],
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn lock_ranks_count_only_production_uses_outside_sync() {
+    // Negative cases: a rank taken in another file's production code, and
+    // a rank from 200 up that mirrors the vendored pool.  A use in
+    // `sync.rs` itself, in a comment, in a string or in a test module does
+    // not save the unused rank.
+    let findings = lint(&fixture_tree()).expect("fixture tree is scannable");
+    let flagged: Vec<(&str, usize, &str)> = findings
+        .iter()
+        .filter(|f| f.rule == RULE_LOCK_RANKS)
+        .map(|f| (f.path.as_str(), f.line, f.token.as_str()))
+        .collect();
+    assert_eq!(
+        flagged,
+        [("crates/engine/src/sync.rs", 7, "Unused")],
         "{findings:#?}"
     );
 }
