@@ -1444,11 +1444,11 @@ fn conf(
             );
         }
         let out_t = t.with_appended(Value::float(estimate.estimate));
-        out.insert(Condition::always(), out_t.clone())?;
         let e = input.error_of(t);
         if e > 0.0 {
-            errors.insert(out_t, e);
+            errors.insert(out_t.clone(), e);
         }
+        out.insert(Condition::always(), out_t)?;
     }
     Ok(EvaluatedRelation {
         relation: out,

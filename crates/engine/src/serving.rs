@@ -29,7 +29,11 @@
 //!    estimators sample through and the exact probabilities the exact
 //!    estimator memoises inside them, so a warm `aconf` request pays
 //!    sampling only (and a warm `conf`/`cert` request pays lookups only):
-//!    event trees are never re-walked or re-compiled per request.
+//!    event trees are never re-walked or re-compiled per request.  The
+//!    cache key is the input relation's content digest, which the pooled
+//!    result memoises with its content, so with shared sampling on (tallies
+//!    reused across requests) a warm `aconf` hashes nothing either — it is
+//!    a lookup, like a warm `conf`.
 //!
 //! Snapshot identity is "sub-plan × relation footprint", not "query":
 //! pool entries are keyed by the *stateful spine* of the prefix (the ordered
@@ -2577,6 +2581,16 @@ mod tests {
         let len_before = space.lineage_len();
         let hits_before = space.lineage_hits();
         assert!(len_before > 0, "the cold run must populate the cache");
+        // The pooled result feeding the `aconf` root carries the content
+        // digest the lineage cache is keyed by, so a warm request's cache
+        // lookup hashes nothing.
+        let input = algebra::parse_query("project[CoinType](repairkey[ @ Count](Coins))").unwrap();
+        let input = algebra::LogicalPlan::lower(&input).unwrap();
+        let input = entry.slots[&input.subplan_digests()[input.root()]]
+            .value
+            .relation
+            .clone();
+        assert!(input.digest_is_memoised(), "the cold run must memoise it");
 
         for _ in 0..3 {
             serving.evaluate(text, &mut rng).unwrap();
@@ -2591,6 +2605,19 @@ mod tests {
             hits_before + 3,
             "every warm request must be served from the compiled cache"
         );
+        assert!(input.digest_is_memoised(), "warm requests keep the memo");
+
+        // A commit to the relation feeding that result: the next warm
+        // answer is the cold one over the committed content.
+        let old = serving.database().relation("Coins").unwrap().clone();
+        let mut new = old.clone();
+        new.insert(urel::Condition::always(), pdb::tuple!["weighted", 5])
+            .unwrap();
+        serving
+            .apply_deltas([("Coins", old.diff(&new).unwrap())])
+            .unwrap();
+        serving.evaluate(text, &mut rng).unwrap();
+        assert_warm_matches_cold(&serving, text, 8);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   repeated evaluations of a cached plan pay for estimation only — never
 //!   for re-walking rows, re-translating conditions, or re-compiling event
 //!   trees (the programs, and the exact probabilities the exact estimator
-//!   memoises inside them, are the serving layer's warm estimator state);
+//!   memoises inside them, are the serving layer's warm estimator state).
+//!   The key, [`URelation::content_digest`], is hashed once per content and
+//!   memoised with it, so a lookup on shared content (a pooled result and
+//!   every request resuming it) is O(1) rather than a pass over the rows;
 //! * a **[`SpaceCache`]** memoising compilation of W-table states, so the
 //!   confidence-bearing operators of one pipeline (and warm re-executions of
 //!   a prepared query) share one compiled space instead of recompiling per
@@ -141,7 +144,9 @@ impl CompiledSpace {
     /// The whole lineage batch of a relation — [`URelation::tuple_events`]
     /// plus condition translation plus compilation into bit-parallel lineage
     /// programs — memoised by relation content, so a warm re-execution of a
-    /// cached plan never re-extracts, re-translates, or re-compiles.
+    /// cached plan never re-extracts, re-translates, or re-compiles.  The
+    /// cache key is the relation's memoised content digest: hashed once per
+    /// content, then O(1) for every clone that shares it.
     pub fn relation_events(&self, relation: &URelation) -> Result<Arc<RelationEvents>> {
         let digest = relation.content_digest();
         if let Some(hit) = self.lineage.lock().get(&digest) {

@@ -67,7 +67,8 @@ impl Tuple {
 
     /// Returns a copy of the tuple with `value` appended.
     pub fn with_appended(&self, value: Value) -> Tuple {
-        let mut v = self.0.clone();
+        let mut v = Vec::with_capacity(self.0.len() + 1);
+        v.extend_from_slice(&self.0);
         v.push(value);
         Tuple(v)
     }

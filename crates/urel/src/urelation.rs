@@ -7,7 +7,8 @@ use crate::wtable::WTable;
 use pdb::{Relation, Schema, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Rough in-memory footprint of one value: a fixed 16-byte inline cost plus
 /// any heap payload (string bytes).  Deliberately coarse — the spill tier
@@ -51,15 +52,73 @@ impl URow {
 /// `⟨f, t⟩` has `f` consistent with `f*`.  A classical complete relation is
 /// the special case where every condition is empty.
 ///
-/// The row set is shared, copy-on-write: `clone` copies a pointer, and the
-/// first edit through a `&mut` method of a relation that shares its rows
-/// copies them once.  Equality, order, hashing and every digest are those of
-/// the content, so sharing is invisible except to
-/// [`shares_content`](URelation::shares_content).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The content — schema, rows and a memoised content digest — is one
+/// shared, copy-on-write allocation: `clone` bumps a reference count, and
+/// the first edit through a `&mut` method of a relation that shares its
+/// content copies it once.  The [`content_digest`](URelation::content_digest)
+/// is computed at most once per content and shared by every clone; every
+/// edit clears it.  Equality, order, hashing and every digest are those of
+/// the schema and rows, so sharing is invisible except to
+/// [`shares_content`](URelation::shares_content) and
+/// [`digest_is_memoised`](URelation::digest_is_memoised).
+#[derive(Clone)]
 pub struct URelation {
+    content: Arc<Content>,
+}
+
+/// What a [`URelation`] shares between its clones.
+struct Content {
     schema: Schema,
-    rows: Arc<BTreeSet<URow>>,
+    rows: BTreeSet<URow>,
+    /// [`pdb::content_fingerprint`] of schema and rows, filled on first use.
+    digest: OnceLock<(u64, u64, usize)>,
+}
+
+impl Clone for Content {
+    /// The copy an edit of shared content makes: the memo starts empty,
+    /// since the edit is about to change what it would hash.
+    fn clone(&self) -> Content {
+        Content {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            digest: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for URelation {
+    fn eq(&self, other: &URelation) -> bool {
+        Arc::ptr_eq(&self.content, &other.content) || self.key() == other.key()
+    }
+}
+
+impl Eq for URelation {}
+
+impl PartialOrd for URelation {
+    fn partial_cmp(&self, other: &URelation) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for URelation {
+    fn cmp(&self, other: &URelation) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl Hash for URelation {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl fmt::Debug for URelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("URelation")
+            .field("schema", &self.content.schema)
+            .field("rows", &self.content.rows)
+            .finish()
+    }
 }
 
 impl URelation {
@@ -82,60 +141,85 @@ impl URelation {
     /// internal: columnar chunks rebuild row form through this).
     pub(crate) fn from_rows(schema: Schema, rows: BTreeSet<URow>) -> Self {
         URelation {
-            schema,
-            rows: Arc::new(rows),
+            content: Arc::new(Content {
+                schema,
+                rows,
+                digest: OnceLock::new(),
+            }),
         }
     }
 
-    /// True if `self` and `other` hold the *same* row-set allocation — what
+    /// What equality, order and hashing see: schema, then rows (the memo
+    /// is derived from them).
+    fn key(&self) -> (&Schema, &BTreeSet<URow>) {
+        (&self.content.schema, &self.content.rows)
+    }
+
+    /// The content for an edit: copied first if another relation shares
+    /// it, with the digest memo cleared.  Every `&mut` method goes through
+    /// here, so no edit can leave a stale digest behind.
+    fn content_mut(&mut self) -> &mut Content {
+        let content = Arc::make_mut(&mut self.content);
+        content.digest.take();
+        content
+    }
+
+    /// True if `self` and `other` hold the *same* content allocation — what
     /// `clone` yields until either side is edited.  A test hook: content
     /// equality is `==`.
     pub fn shares_content(&self, other: &URelation) -> bool {
-        Arc::ptr_eq(&self.rows, &other.rows)
+        Arc::ptr_eq(&self.content, &other.content)
+    }
+
+    /// True if the [`content_digest`](URelation::content_digest) of this
+    /// content has been computed and not cleared by an edit since.  A test
+    /// hook: the digest's value does not depend on it.
+    pub fn digest_is_memoised(&self) -> bool {
+        self.content.digest.get().is_some()
     }
 
     /// The data schema `A⃗` (conditions are not part of the schema).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.content.schema
     }
 
     /// Deterministic approximate in-memory size of all rows in bytes (the
     /// sum of [`URow::approx_bytes`]).  Partitioning and the engine's spill
     /// tier use this as the relation's weight.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.iter().map(URow::approx_bytes).sum()
+        self.iter().map(URow::approx_bytes).sum()
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.content.rows.len()
     }
 
     /// True if the U-relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.content.rows.is_empty()
     }
 
     /// Inserts a row; duplicate rows are kept only once.
     pub fn insert(&mut self, condition: Condition, tuple: Tuple) -> Result<bool> {
-        if tuple.arity() != self.schema.arity() {
+        if tuple.arity() != self.schema().arity() {
             return Err(pdb::PdbError::ArityMismatch {
-                expected: self.schema.arity(),
+                expected: self.schema().arity(),
                 actual: tuple.arity(),
             }
             .into());
         }
-        Ok(Arc::make_mut(&mut self.rows).insert(URow { condition, tuple }))
+        Ok(self.content_mut().rows.insert(URow { condition, tuple }))
     }
 
     /// Iterates over the rows in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = &URow> {
-        self.rows.iter()
+        self.content.rows.iter()
     }
 
     /// True if the exact row (condition *and* tuple) is present.
     pub fn contains_row(&self, row: &URow) -> bool {
-        self.rows.contains(row)
+        self.content.rows.contains(row)
     }
 
     /// Removes the exact row, returning whether it was present.  Together
@@ -143,7 +227,7 @@ impl URelation {
     /// delta maintenance: incremental operators patch a previous output by
     /// removing and inserting individual rows.
     pub fn remove_row(&mut self, row: &URow) -> bool {
-        Arc::make_mut(&mut self.rows).remove(row)
+        self.content_mut().rows.remove(row)
     }
 
     /// The relation with `deleted` rows removed and `inserted` rows added
@@ -153,33 +237,34 @@ impl URelation {
         inserted: &BTreeSet<URow>,
         deleted: &BTreeSet<URow>,
     ) -> URelation {
-        let mut rows = BTreeSet::clone(&self.rows);
+        let mut rows = self.content.rows.clone();
         for row in deleted {
             rows.remove(row);
         }
         rows.extend(inserted.iter().cloned());
-        URelation::from_rows(self.schema.clone(), rows)
+        URelation::from_rows(self.schema().clone(), rows)
     }
 
     /// The canonical row edit turning `self` into `new`, as `(inserted,
     /// deleted)`: one merge walk over both canonical row orders, with no
     /// content hashing — the hot inner step of delta propagation.
     pub fn row_edits(&self, new: &URelation) -> (BTreeSet<URow>, BTreeSet<URow>) {
-        self.rows
-            .symmetric_difference(&new.rows)
+        self.content
+            .rows
+            .symmetric_difference(&new.content.rows)
             .cloned()
-            .partition(|row| new.rows.contains(row))
+            .partition(|row| new.content.rows.contains(row))
     }
 
     /// Derives the [`RelationDelta`](crate::RelationDelta) that turns `self`
     /// into `new` from their [`row_edits`](URelation::row_edits).  The
     /// schemas must be equal (a content delta never changes the catalog).
     pub fn diff(&self, new: &URelation) -> Result<crate::RelationDelta> {
-        if self.schema != new.schema {
+        if self.schema() != new.schema() {
             return Err(crate::UrelError::SchemaMismatch {
                 relation: "<diff>".to_owned(),
-                expected: self.schema.to_string(),
-                actual: new.schema.to_string(),
+                expected: self.schema().to_string(),
+                actual: new.schema().to_string(),
             });
         }
         let (inserted, deleted) = self.row_edits(new);
@@ -188,8 +273,8 @@ impl URelation {
 
     /// `poss(R)`: the distinct data tuples appearing in any row.
     pub fn possible_tuples(&self) -> Relation {
-        let mut rel = Relation::empty(self.schema.clone());
-        for row in self.rows.iter() {
+        let mut rel = Relation::empty(self.schema().clone());
+        for row in self.iter() {
             // Arity already validated on insert.
             let _ = rel.insert(row.tuple.clone());
         }
@@ -200,8 +285,7 @@ impl URelation {
     /// conditions under which `t` appears.  This is the DNF whose probability
     /// is the tuple's confidence (Section 4).
     pub fn conditions_for(&self, t: &Tuple) -> Vec<Condition> {
-        self.rows
-            .iter()
+        self.iter()
             .filter(|r| &r.tuple == t)
             .map(|r| r.condition.clone())
             .collect()
@@ -216,7 +300,7 @@ impl URelation {
     pub fn tuple_events(&self) -> Vec<(Tuple, Vec<Condition>)> {
         let mut events: std::collections::BTreeMap<Tuple, Vec<Condition>> =
             std::collections::BTreeMap::new();
-        for row in self.rows.iter() {
+        for row in self.iter() {
             events
                 .entry(row.tuple.clone())
                 .or_default()
@@ -241,13 +325,13 @@ impl URelation {
     /// engine's spill budget.  Every chunk's weight is bounded by
     /// `⌈total_bytes/chunks⌉ + max_row_bytes`.
     pub fn partition(&self, chunks: usize) -> Vec<URelation> {
-        let n = self.rows.len();
+        let n = self.len();
         let chunks = chunks.clamp(1, n.max(1));
         let budget = self.approx_bytes().div_ceil(chunks).max(1);
         let mut out = Vec::with_capacity(chunks);
         let mut current: BTreeSet<URow> = BTreeSet::new();
         let mut current_bytes = 0usize;
-        for row in self.rows.iter() {
+        for row in self.iter() {
             current_bytes += row.approx_bytes();
             current.insert(row.clone());
             // Flushing at ≥ budget keeps every earlier chunk at least the
@@ -255,12 +339,12 @@ impl URelation {
             // chunk by that same average.
             if current_bytes >= budget && out.len() + 1 < chunks {
                 let rows = std::mem::take(&mut current);
-                out.push(URelation::from_rows(self.schema.clone(), rows));
+                out.push(URelation::from_rows(self.schema().clone(), rows));
                 current_bytes = 0;
             }
         }
         if !current.is_empty() || out.is_empty() {
-            out.push(URelation::from_rows(self.schema.clone(), current));
+            out.push(URelation::from_rows(self.schema().clone(), current));
         }
         out
     }
@@ -268,24 +352,30 @@ impl URelation {
     /// Merges another relation's rows into this one (set union; duplicate
     /// rows collapse).  The schemas must have equal arity — chunked operator
     /// execution always merges outputs of the same operator, which share a
-    /// schema by construction.
+    /// schema by construction.  An empty relation takes `other`'s content
+    /// whole when the schemas are equal; the result always keeps `self`'s
+    /// schema.
     pub fn absorb(&mut self, other: URelation) {
         debug_assert_eq!(
-            self.schema.arity(),
-            other.schema.arity(),
+            self.schema().arity(),
+            other.schema().arity(),
             "absorb merges chunks of one operator output"
         );
-        if self.rows.is_empty() {
-            self.rows = other.rows;
-        } else {
-            // `other`'s rows move over when it is their only holder.
-            Arc::make_mut(&mut self.rows).extend(Arc::unwrap_or_clone(other.rows));
+        if self.is_empty() && self.schema() == other.schema() {
+            self.content = other.content;
+            return;
         }
+        // `other`'s rows move over when it is their only holder.
+        let rows = match Arc::try_unwrap(other.content) {
+            Ok(content) => content.rows,
+            Err(shared) => shared.rows.clone(),
+        };
+        self.content_mut().rows.extend(rows);
     }
 
     /// True if the U-relation is purely complete (all conditions empty).
     pub fn is_complete_representation(&self) -> bool {
-        self.rows.iter().all(|r| r.condition.is_empty())
+        self.iter().all(|r| r.condition.is_empty())
     }
 
     /// A 128-bit-plus-length content fingerprint of the relation
@@ -295,21 +385,26 @@ impl URelation {
     /// layers use the digest as the relation's *identity* across updates: a
     /// replacement whose digest matches the stored one is a no-op and need
     /// not invalidate anything.
+    ///
+    /// Computed at most once per content: every clone sharing the content
+    /// reads the memo, and every edit clears it.
     pub fn content_digest(&self) -> (u64, u64, usize) {
-        pdb::content_fingerprint(self, self.rows.len())
+        *self
+            .content
+            .digest
+            .get_or_init(|| pdb::content_fingerprint(self, self.len()))
     }
 
     /// The set of random variables mentioned anywhere in the relation.
     pub fn mentioned_variables(&self) -> BTreeSet<crate::Var> {
-        self.rows
-            .iter()
+        self.iter()
             .flat_map(|r| r.condition.variables().cloned())
             .collect()
     }
 
     /// Checks that every condition only mentions declared variables/values.
     pub fn check_against(&self, w: &WTable) -> Result<()> {
-        for row in self.rows.iter() {
+        for row in self.iter() {
             row.condition.check_against(w)?;
         }
         Ok(())
@@ -319,8 +414,8 @@ impl URelation {
     /// the total assignment `world` (a condition defined on all variables the
     /// relation mentions).
     pub fn instantiate(&self, world: &Condition) -> Relation {
-        let mut rel = Relation::empty(self.schema.clone());
-        for row in self.rows.iter() {
+        let mut rel = Relation::empty(self.schema().clone());
+        for row in self.iter() {
             if row.condition.satisfied_by(world) {
                 let _ = rel.insert(row.tuple.clone());
             }
@@ -331,8 +426,8 @@ impl URelation {
 
 impl fmt::Display for URelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "U{} [D | data]", self.schema)?;
-        for row in self.rows.iter() {
+        writeln!(f, "U{} [D | data]", self.schema())?;
+        for row in self.iter() {
             writeln!(f, "  {} | {}", row.condition, row.tuple)?;
         }
         Ok(())
@@ -359,6 +454,50 @@ mod tests {
         )
         .unwrap();
         u
+    }
+
+    #[test]
+    fn content_digests_and_debug_output_are_pinned() {
+        // Delta bases and lineage-cache keys compare digests of relations
+        // built at different times (and checkpoints outlive a process), so
+        // memoising the digest must not change what it hashes.  The values
+        // are those of the unmemoised schema-then-rows fingerprint.
+        let complete =
+            URelation::from_complete(&relation![schema!["A", "B"]; [1, "x"], [2, "y"], [3, "z"]]);
+        let coin = ur_coin();
+        for _ in 0..2 {
+            assert_eq!(
+                complete.content_digest(),
+                (17211643380184322257, 16136217999475491856, 3)
+            );
+            assert_eq!(
+                coin.content_digest(),
+                (8527225604208276348, 15829370233631027353, 2)
+            );
+        }
+        assert_eq!(
+            format!("{coin:?}"),
+            "URelation { schema: Schema { attrs: [\"CoinType\"] }, rows: {\
+             URow { condition: Condition { assignments: {Var(\"c\"): Str(\"2headed\")} }, \
+             tuple: Tuple([Str(\"2headed\")]) }, \
+             URow { condition: Condition { assignments: {Var(\"c\"): Str(\"fair\")} }, \
+             tuple: Tuple([Str(\"fair\")]) }} }"
+        );
+    }
+
+    #[test]
+    fn absorb_into_an_empty_relation_keeps_its_schema() {
+        let mut u = URelation::empty(schema!["A"]);
+        let other = URelation::from_complete(&relation![schema!["B"]; [1], [2]]);
+        u.absorb(other.clone());
+        assert_eq!(u.schema(), &schema!["A"]);
+        assert!(!u.shares_content(&other));
+        assert_eq!(u.len(), 2);
+        // Equal schemas: the content moves over whole, memo included.
+        let mut v = URelation::empty(schema!["B"]);
+        other.content_digest();
+        v.absorb(other.clone());
+        assert!(v.shares_content(&other) && v.digest_is_memoised());
     }
 
     #[test]

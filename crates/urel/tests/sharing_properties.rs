@@ -68,6 +68,15 @@ fn apply(rel: &mut URelation, edit: &Edit) {
     }
 }
 
+/// The digest of a relation built row by row from `rel`'s rows: never
+/// memoised before, so computed from scratch.
+fn fresh_digest(rel: &URelation) -> (u64, u64, usize) {
+    let rows: Vec<URow> = rel.iter().cloned().collect();
+    let fresh = built(&rows);
+    assert!(!fresh.digest_is_memoised());
+    fresh.content_digest()
+}
+
 fn hash_of(value: &impl Hash) -> u64 {
     let mut hasher = DefaultHasher::new();
     value.hash(&mut hasher);
@@ -216,7 +225,9 @@ proptest! {
 
     /// Editing a clone through every `&mut` method leaves the original equal
     /// to an independently rebuilt copy, and the clone equal to the same
-    /// edits applied to an independently built relation.
+    /// edits applied to an independently built relation.  Every digest is
+    /// read before and after every edit, so each edit meets a memoised one,
+    /// and each must equal the digest of a freshly built relation.
     #[test]
     fn relation_edits_through_a_clone_never_reach_the_original(
         rows in proptest::collection::vec(arb_row(), 0..12),
@@ -227,17 +238,46 @@ proptest! {
         prop_assert!(clone.shares_content(&original));
         let mut independent = built(&rows);
         prop_assert!(!independent.shares_content(&original));
+        let original_digest = built(&rows).content_digest();
         for (i, edit) in edits.iter().enumerate() {
+            for rel in [&clone, &independent] {
+                prop_assert_eq!(rel.content_digest(), fresh_digest(rel), "before edit {}: {:?}", i, edit);
+            }
+            prop_assert_eq!(original.content_digest(), original_digest);
             apply(&mut clone, edit);
             apply(&mut independent, edit);
-            // The first write copied the shared rows (an empty relation
-            // absorbing another takes *its* rows instead).
+            // The first write copied the shared content (an empty relation
+            // absorbing another takes *its* content instead).
             prop_assert!(!clone.shares_content(&original), "edit {i}: {edit:?}");
             prop_assert_eq!(&clone, &independent);
+            for rel in [&clone, &independent] {
+                prop_assert_eq!(rel.content_digest(), fresh_digest(rel), "after edit {}: {:?}", i, edit);
+            }
+            prop_assert_eq!(original.content_digest(), original_digest);
         }
         prop_assert_eq!(&original, &built(&rows));
         prop_assert_eq!(original.content_digest(), built(&rows).content_digest());
         prop_assert_eq!(relation_bytes(&clone), relation_bytes(&independent));
+
+        // Four threads racing to take the first digest of one shared
+        // content all read the same value.
+        let shared = built(&rows);
+        prop_assert!(!shared.digest_is_memoised());
+        let barrier = std::sync::Barrier::new(4);
+        let digests: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let (rel, barrier) = (shared.clone(), &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        rel.content_digest()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        prop_assert!(shared.digest_is_memoised());
+        prop_assert!(digests.iter().all(|d| *d == original_digest), "{:?}", digests);
     }
 
     /// A shared relation and its row-by-row rebuild agree on everything
