@@ -7,7 +7,7 @@ use crate::error::{EngineError, Result};
 use algebra::{Predicate, ProjItem};
 use pdb::{Schema, Tuple, Value};
 use std::collections::HashMap;
-use urel::{Condition, URelation};
+use urel::{Condition, URelation, URow};
 
 /// Merges per-chunk operator outputs; set semantics make the merged relation
 /// identical to the single-batch result, whatever the chunking.
@@ -23,28 +23,31 @@ pub(crate) fn merge_chunks(outs: Vec<URelation>) -> URelation {
 /// `σ_φ`: keeps rows whose data tuple satisfies the predicate.
 pub fn select(rel: &URelation, predicate: &Predicate) -> Result<URelation> {
     predicate.check(rel.schema())?;
-    let mut out = URelation::empty(rel.schema().clone());
+    let mut rows = Vec::new();
     for row in rel.iter() {
         if predicate.eval(rel.schema(), &row.tuple)? {
-            out.insert(row.condition.clone(), row.tuple.clone())?;
+            rows.push(row.clone());
         }
     }
-    Ok(out)
+    Ok(URelation::from_row_vec(rel.schema().clone(), rows)?)
 }
 
 /// Generalised projection `π_items`: each output attribute is computed from
 /// the input tuple; conditions are carried over unchanged.
 pub fn project(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
     let out_schema = Schema::new(items.iter().map(|i| i.name.clone())).map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
+    let mut rows = Vec::with_capacity(rel.len());
     for row in rel.iter() {
         let mut values: Vec<Value> = Vec::with_capacity(items.len());
         for item in items {
             values.push(item.expr.eval(rel.schema(), &row.tuple)?);
         }
-        out.insert(row.condition.clone(), Tuple::new(values))?;
+        rows.push(URow {
+            condition: row.condition.clone(),
+            tuple: Tuple::new(values),
+        });
     }
-    Ok(out)
+    Ok(URelation::from_row_vec(out_schema, rows)?)
 }
 
 /// Extension: keeps all input attributes and appends the computed items.
@@ -52,25 +55,25 @@ pub fn extend(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
     let mut names: Vec<String> = rel.schema().attrs().to_vec();
     names.extend(items.iter().map(|i| i.name.clone()));
     let out_schema = Schema::new(names).map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
+    let mut rows = Vec::with_capacity(rel.len());
     for row in rel.iter() {
         let mut values: Vec<Value> = row.tuple.clone().into_values();
         for item in items {
             values.push(item.expr.eval(rel.schema(), &row.tuple)?);
         }
-        out.insert(row.condition.clone(), Tuple::new(values))?;
+        rows.push(URow {
+            condition: row.condition.clone(),
+            tuple: Tuple::new(values),
+        });
     }
-    Ok(out)
+    Ok(URelation::from_row_vec(out_schema, rows)?)
 }
 
 /// `ρ_{from→to}`: renames an attribute.
 pub fn rename(rel: &URelation, from: &str, to: &str) -> Result<URelation> {
     let out_schema = rel.schema().rename(from, to).map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
-    for row in rel.iter() {
-        out.insert(row.condition.clone(), row.tuple.clone())?;
-    }
-    Ok(out)
+    let rows = rel.iter().cloned().collect();
+    Ok(URelation::from_row_vec(out_schema, rows)?)
 }
 
 /// `×`: pairs of rows with consistent conditions; their conditions are merged
@@ -80,16 +83,19 @@ pub fn product(left: &URelation, right: &URelation) -> Result<URelation> {
         .schema()
         .concat(right.schema(), "rhs")
         .map_err(EngineError::Pdb)?;
-    let mut out = URelation::empty(out_schema);
+    let mut rows = Vec::new();
     for l in left.iter() {
         for r in right.iter() {
-            let Some(cond) = l.condition.merge(&r.condition) else {
+            let Some(condition) = l.condition.merge(&r.condition) else {
                 continue;
             };
-            out.insert(cond, l.tuple.concat(&r.tuple))?;
+            rows.push(URow {
+                condition,
+                tuple: l.tuple.concat(&r.tuple),
+            });
         }
     }
-    Ok(out)
+    Ok(URelation::from_row_vec(out_schema, rows)?)
 }
 
 /// How the two schemas of a `⋈` line up: where the shared (join-key)
@@ -129,7 +135,7 @@ impl JoinShape {
 pub(crate) struct JoinIndex<'r> {
     shape: JoinShape,
     /// Join key → the matching right rows' conditions and projected
-    /// rest-tuples.  Lookup only; output order comes from the set insert.
+    /// rest-tuples.  Lookup only; output order comes from the set build.
     index: HashMap<Tuple, Vec<(&'r Condition, Tuple)>>,
 }
 
@@ -149,19 +155,25 @@ impl<'r> JoinIndex<'r> {
     /// Joins `left` (the whole left side or one chunk of it) against the
     /// indexed right side, merging conditions and dropping conflicts.
     pub(crate) fn probe(&self, left: &URelation) -> Result<URelation> {
-        let mut out = URelation::empty(self.shape.out_schema.clone());
+        let mut rows = Vec::new();
         for l in left.iter() {
             let Some(matches) = self.index.get(&l.tuple.project(&self.shape.left_key)) else {
                 continue;
             };
             for &(r_cond, ref r_rest) in matches {
-                let Some(cond) = l.condition.merge(r_cond) else {
+                let Some(condition) = l.condition.merge(r_cond) else {
                     continue;
                 };
-                out.insert(cond, l.tuple.concat(r_rest))?;
+                rows.push(URow {
+                    condition,
+                    tuple: l.tuple.concat(r_rest),
+                });
             }
         }
-        Ok(out)
+        Ok(URelation::from_row_vec(
+            self.shape.out_schema.clone(),
+            rows,
+        )?)
     }
 }
 
@@ -193,11 +205,8 @@ pub fn union(left: &URelation, right: &URelation) -> Result<URelation> {
             right.schema()
         ))));
     }
-    let mut out = URelation::empty(left.schema().clone());
-    for row in left.iter().chain(right.iter()) {
-        out.insert(row.condition.clone(), row.tuple.clone())?;
-    }
-    Ok(out)
+    let rows = left.iter().chain(right.iter()).cloned().collect();
+    Ok(URelation::from_row_vec(left.schema().clone(), rows)?)
 }
 
 /// `−c`: set difference of two *complete* relations (Proposition 3.3 keeps
@@ -217,13 +226,12 @@ pub fn difference_complete(left: &URelation, right: &URelation) -> Result<URelat
         ))));
     }
     let right_tuples = right.possible_tuples();
-    let mut out = URelation::empty(left.schema().clone());
-    for row in left.iter() {
-        if !right_tuples.contains(&row.tuple) {
-            out.insert(row.condition.clone(), row.tuple.clone())?;
-        }
-    }
-    Ok(out)
+    let rows = left
+        .iter()
+        .filter(|row| !right_tuples.contains(&row.tuple))
+        .cloned()
+        .collect();
+    Ok(URelation::from_row_vec(left.schema().clone(), rows)?)
 }
 
 /// The nested-loop `⋈` straight from the Section 3 translation: the

@@ -87,7 +87,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use urel::{Condition, UDatabase, URelation, Var, WTable};
+use urel::{Condition, UDatabase, URelation, URow, Var, WTable};
 
 /// Minimum number of input rows before an operator is worth chunking.
 const SHARD_MIN_ROWS: usize = 128;
@@ -1292,7 +1292,7 @@ fn repair_key(
     let key_refs: Vec<&str> = key.iter().map(String::as_str).collect();
     let groups = complete.group_by(&key_refs).map_err(EngineError::Pdb)?;
 
-    let mut out = URelation::empty(complete.schema().clone());
+    let mut rows = Vec::with_capacity(complete.len());
     for (key_tuple, members) in groups {
         // Validate and normalise the weights.
         let mut weights = Vec::with_capacity(members.len());
@@ -1312,7 +1312,10 @@ fn repair_key(
         if members.len() == 1 {
             // A single candidate is chosen with probability 1; no random
             // variable is needed.
-            out.insert(Condition::always(), members[0].clone())?;
+            rows.push(URow {
+                condition: Condition::always(),
+                tuple: members[0].clone(),
+            });
             continue;
         }
         // One fresh variable per key group (the Section 3 translation
@@ -1327,10 +1330,13 @@ fn repair_key(
             .collect();
         ctx.database.wtable_mut().add_variable(var.clone(), dist)?;
         for (i, t) in members.iter().enumerate() {
-            let cond = Condition::new([(var.clone(), Value::Int(i as i64))])?;
-            out.insert(cond, t.clone())?;
+            rows.push(URow {
+                condition: Condition::new([(var.clone(), Value::Int(i as i64))])?,
+                tuple: t.clone(),
+            });
         }
     }
+    let out = URelation::from_row_vec(complete.schema().clone(), rows)?;
 
     let errors = if input.errors.is_empty() {
         BTreeMap::new()
@@ -1428,7 +1434,7 @@ fn conf(
         .map_err(|e| deadline_interrupt(EngineError::Confidence(e)))?;
     ctx.stats.shared_block_hits += drawn.iter().filter(|(_, hit)| *hit).count() as u64;
 
-    let mut out = URelation::empty(schema);
+    let mut rows = Vec::with_capacity(drawn.len());
     let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
     for (i, (t, (estimate, _))) in lineage.tuples().iter().zip(&drawn).enumerate() {
         // Exact mode counts model-counting calls, FPRAS mode samples and
@@ -1448,10 +1454,13 @@ fn conf(
         if e > 0.0 {
             errors.insert(out_t.clone(), e);
         }
-        out.insert(Condition::always(), out_t)?;
+        rows.push(URow {
+            condition: Condition::always(),
+            tuple: out_t,
+        });
     }
     Ok(EvaluatedRelation {
-        relation: out,
+        relation: URelation::from_row_vec(schema, rows)?,
         complete: true,
         errors,
     })
@@ -1467,12 +1476,15 @@ fn cert(input: EvaluatedRelation, ctx: &mut ExecContext<'_>) -> Result<Evaluated
         .estimate_compiled_batch(lineage.programs(), 0)
         .map_err(EngineError::Confidence)?;
 
-    let mut out = URelation::empty(input.relation.schema().clone());
+    let mut rows = Vec::new();
     let mut errors = BTreeMap::new();
     for (t, estimate) in lineage.tuples().iter().zip(&estimates) {
         ctx.stats.exact_confidence_calls += 1;
         if (estimate.estimate - 1.0).abs() < 1e-9 {
-            out.insert(Condition::always(), t.clone())?;
+            rows.push(URow {
+                condition: Condition::always(),
+                tuple: t.clone(),
+            });
             let e = input.error_of(t);
             if e > 0.0 {
                 errors.insert(t.clone(), e);
@@ -1480,7 +1492,7 @@ fn cert(input: EvaluatedRelation, ctx: &mut ExecContext<'_>) -> Result<Evaluated
         }
     }
     Ok(EvaluatedRelation {
-        relation: out,
+        relation: URelation::from_row_vec(input.relation.schema().clone(), rows)?,
         complete: true,
         errors,
     })
@@ -1599,12 +1611,15 @@ fn approx_select(
     )?;
     debug_assert_eq!(decisions.len(), candidate_tuples.len());
 
-    let mut out = URelation::empty(out_schema);
+    let mut rows = Vec::new();
     let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
     for (candidate, (keep, decision_error)) in candidate_tuples.iter().zip(decisions) {
         let total_error = (decision_error + input_error).min(1.0);
         if keep {
-            out.insert(Condition::always(), candidate.clone())?;
+            rows.push(URow {
+                condition: Condition::always(),
+                tuple: candidate.clone(),
+            });
             if total_error > 0.0 {
                 errors.insert(candidate.clone(), total_error);
             }
@@ -1618,7 +1633,7 @@ fn approx_select(
     }
 
     Ok(EvaluatedRelation {
-        relation: out,
+        relation: URelation::from_row_vec(out_schema, rows)?,
         complete: false,
         errors,
     })

@@ -268,9 +268,10 @@ impl Drop for SpillFiles {
 /// fully resident fast path ([`crate::ops::merge_chunks`]).  Otherwise each
 /// output heavier than `budget` bytes is written to a framed temporary
 /// segment and dropped; the light outputs merge in memory first, then each
-/// spilled segment is digest-verified and streamed row-by-row into the
-/// accumulator.  Rows live in a set, so the split/merge schedule cannot
-/// change the result — spilled ≡ resident, bit for bit.
+/// spilled segment is digest-verified, decoded with one bulk build and
+/// absorbed into the accumulator, one segment at a time.  Rows live in a
+/// set, so the split/merge schedule cannot change the result — spilled ≡
+/// resident, bit for bit.
 pub(crate) fn merge_spilling(outs: Vec<URelation>, budget: usize) -> Result<URelation> {
     if budget == 0 {
         return Ok(crate::ops::merge_chunks(outs));
@@ -297,16 +298,15 @@ pub(crate) fn merge_spilling(outs: Vec<URelation>, budget: usize) -> Result<URel
         let payload = read_segment(&path)?;
         let _ = std::fs::remove_file(&path);
         let mut cur = SegmentCursor::new(&payload);
-        let streamed = |e: urel::UrelError| corrupt(format!("{}: {e}", path.display()));
-        let (schema, rows) = cur.take_relation_header().map_err(streamed)?;
-        let m = merged.get_or_insert_with(|| URelation::empty(schema));
-        for _ in 0..rows {
-            let row = cur.take_row().map_err(streamed)?;
-            m.insert(row.condition, row.tuple)
-                .map_err(|e| corrupt(format!("{}: {e}", path.display())))?;
-        }
+        let out = cur
+            .take_relation()
+            .map_err(|e| corrupt(format!("{}: {e}", path.display())))?;
         if !cur.is_exhausted() {
             return Err(corrupt(format!("{}: trailing bytes", path.display())));
+        }
+        match merged.as_mut() {
+            None => merged = Some(out),
+            Some(m) => m.absorb(out),
         }
     }
     Ok(merged.expect("partition yields at least one chunk"))

@@ -27,13 +27,21 @@ impl Relation {
         }
     }
 
-    /// Creates a relation from a schema and tuples, validating arities.
+    /// Creates a relation from a schema and tuples, validating arities (the
+    /// first mismatching tuple is reported).  Duplicates collapse; the set
+    /// is built in one sort and one pass rather than one insert per tuple.
     pub fn new(schema: Schema, tuples: impl IntoIterator<Item = Tuple>) -> Result<Self> {
-        let mut r = Relation::empty(schema);
-        for t in tuples {
-            r.insert(t)?;
+        let tuples: Vec<Tuple> = tuples.into_iter().collect();
+        if let Some(t) = tuples.iter().find(|t| t.arity() != schema.arity()) {
+            return Err(PdbError::ArityMismatch {
+                expected: schema.arity(),
+                actual: t.arity(),
+            });
         }
-        Ok(r)
+        Ok(Relation {
+            schema,
+            tuples: tuples.into_iter().collect(),
+        })
     }
 
     /// The relation's schema.

@@ -22,7 +22,6 @@ use crate::condition::Condition;
 use crate::urelation::{URelation, URow};
 use crate::variable::Var;
 use pdb::{Schema, Tuple, Value};
-use std::collections::BTreeSet;
 
 /// A columnar view of one partition chunk: `columns[a][i]` is the value of
 /// attribute `a` in the chunk's `i`-th row (canonical order), and row `i`'s
@@ -74,14 +73,12 @@ impl ColumnarChunk {
     /// Rebuilds the row-form relation (the exact inverse of
     /// [`from_relation`](ColumnarChunk::from_relation)).
     pub fn to_relation(&self) -> URelation {
-        let mut rows = BTreeSet::new();
-        for i in 0..self.len {
-            rows.insert(URow {
-                condition: self.condition_at(i),
-                tuple: self.tuple_at(i),
-            });
-        }
-        URelation::from_rows(self.schema.clone(), rows)
+        // Canonical order in, so the set is one bulk build of a sorted run.
+        let rows = (0..self.len).map(|i| URow {
+            condition: self.condition_at(i),
+            tuple: self.tuple_at(i),
+        });
+        URelation::from_rows(self.schema.clone(), rows.collect())
     }
 
     /// The data schema.

@@ -5,16 +5,22 @@ use crate::error::{Result, UrelError};
 use crate::variable::Var;
 use crate::wtable::WTable;
 use pdb::Value;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A condition is a finite partial function from random variables to domain
-/// values, represented as a sorted map.  A row `⟨f, t⟩` of a U-relation means
-/// "tuple `t` is present in every world whose total assignment is consistent
-/// with `f`".
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// values, stored as one vector of `(variable, value)` pairs sorted by
+/// variable, each variable at most once.  A row `⟨f, t⟩` of a U-relation
+/// means "tuple `t` is present in every world whose total assignment is
+/// consistent with `f`".
+///
+/// The derived equality, order and hash are those of a sorted map with the
+/// same pairs (lexicographic, length-prefixed), so the canonical row order
+/// and every content digest do not depend on the representation.  A one- or
+/// two-literal condition is one small allocation.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Condition {
-    assignments: BTreeMap<Var, Value>,
+    assignments: Vec<(Var, Value)>,
 }
 
 impl Condition {
@@ -27,22 +33,32 @@ impl Condition {
     /// Creates a condition from `(variable, value)` pairs; assigning two
     /// different values to the same variable is an error.
     pub fn new(pairs: impl IntoIterator<Item = (Var, Value)>) -> Result<Self> {
-        let mut c = Condition::always();
+        let pairs = pairs.into_iter();
+        let mut c = Condition {
+            assignments: Vec::with_capacity(pairs.size_hint().0),
+        };
         for (var, value) in pairs {
             c.assign(var, value)?;
         }
         Ok(c)
     }
 
+    /// Where `var` sits in the sorted pairs: `Ok(index)` if assigned, else
+    /// `Err(insertion point)`.
+    fn position(&self, var: &Var) -> std::result::Result<usize, usize> {
+        self.assignments.binary_search_by(|(v, _)| v.cmp(var))
+    }
+
     /// Adds the assignment `var ↦ value`.  Re-assigning the same value is a
     /// no-op; a conflicting value is an error.
     pub fn assign(&mut self, var: Var, value: Value) -> Result<()> {
-        match self.assignments.get(&var) {
-            Some(existing) if *existing != value => {
+        match self.position(&var) {
+            Ok(i) if self.assignments[i].1 != value => {
                 Err(UrelError::InconsistentCondition(var.name().to_owned()))
             }
-            _ => {
-                self.assignments.insert(var, value);
+            Ok(_) => Ok(()),
+            Err(i) => {
+                self.assignments.insert(i, (var, value));
                 Ok(())
             }
         }
@@ -60,46 +76,67 @@ impl Condition {
 
     /// The value assigned to `var`, if any.
     pub fn get(&self, var: &Var) -> Option<&Value> {
-        self.assignments.get(var)
+        self.position(var).ok().map(|i| &self.assignments[i].1)
     }
 
     /// The variables mentioned by the condition, in order.
     pub fn variables(&self) -> impl Iterator<Item = &Var> {
-        self.assignments.keys()
+        self.assignments.iter().map(|(var, _)| var)
     }
 
     /// Iterates over `(variable, value)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
-        self.assignments.iter()
+        self.assignments.iter().map(|(var, value)| (var, value))
     }
 
     /// Two partial functions are consistent if they agree on every variable
     /// on which both are defined.
     pub fn consistent_with(&self, other: &Condition) -> bool {
-        // Iterate over the smaller condition for speed.
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .assignments
-            .iter()
-            .all(|(var, value)| large.get(var).is_none_or(|v| v == value))
+        self.walk(other, |_| {})
     }
 
     /// The union `f ∪ g` of two consistent conditions, or `None` if they
     /// conflict.  This is the condition attached to product/join results in
     /// the parsimonious translation.
     pub fn merge(&self, other: &Condition) -> Option<Condition> {
-        if !self.consistent_with(other) {
-            return None;
+        if other.is_empty() {
+            return Some(self.clone());
         }
-        let mut assignments = self.assignments.clone();
-        for (var, value) in &other.assignments {
-            assignments.insert(var.clone(), value.clone());
+        if self.is_empty() {
+            return Some(other.clone());
         }
-        Some(Condition { assignments })
+        let mut assignments = Vec::with_capacity(self.len() + other.len());
+        self.walk(other, |pair| assignments.push(pair.clone()))
+            .then_some(Condition { assignments })
+    }
+
+    /// One merge walk over both sorted pair lists, handing every pair of
+    /// the union to `emit` in variable order (a shared variable once).
+    /// Stops at the first variable the two assign different values, and
+    /// returns whether none did.
+    fn walk<'a>(&'a self, other: &'a Condition, mut emit: impl FnMut(&'a (Var, Value))) -> bool {
+        let (a, b) = (&self.assignments, &other.assignments);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    emit(&a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    emit(&b[j]);
+                    j += 1;
+                }
+                Ordering::Equal if a[i].1 != b[j].1 => return false,
+                Ordering::Equal => {
+                    emit(&a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        a[i..].iter().chain(&b[j..]).for_each(emit);
+        true
     }
 
     /// The weight `p_f = Π_{X ∈ dom(f)} Pr[X = f(X)]` (Equation 2).
@@ -126,6 +163,23 @@ impl Condition {
             w.probability(var, value)?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Condition {
+    /// Prints the pairs as a map, as a map-backed condition would.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Pairs<'a>(&'a [(Var, Value)]);
+        impl fmt::Debug for Pairs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(var, value)| (var, value)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Condition")
+            .field("assignments", &Pairs(&self.assignments))
+            .finish()
     }
 }
 

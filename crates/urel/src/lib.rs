@@ -20,6 +20,12 @@
 //! bytes are functions of content alone.  A [`UDatabase`] is a map of such
 //! values, so its `clone` is pointer copies too.
 //!
+//! Rows are cheap to build: a [`Condition`] is one vector of
+//! `(variable, value)` pairs sorted by variable, ordered, compared and
+//! hashed exactly as the sorted map with the same pairs, and
+//! [`URelation::from_row_vec`] builds an operator's whole output with one
+//! sort and one bulk build of the row set.
+//!
 //! The module [`convert`] implements both directions of Theorem 3.1
 //! (completeness of the representation system): decoding a [`UDatabase`]
 //! into an explicit [`pdb::ProbabilisticDatabase`] and encoding any explicit

@@ -254,17 +254,15 @@ impl<'a> SegmentCursor<'a> {
     }
 
     /// Decodes one U-row.
-    pub fn take_row(&mut self) -> Result<URow> {
+    fn take_row(&mut self) -> Result<URow> {
         let condition = self.take_condition()?;
         let tuple = self.take_tuple()?;
         Ok(URow { condition, tuple })
     }
 
     /// Decodes a relation's schema header and row count, leaving the cursor
-    /// positioned at the first row — streaming consumers pair this with
-    /// [`take_row`](SegmentCursor::take_row) to merge rows without
-    /// materialising a second copy of the relation.
-    pub fn take_relation_header(&mut self) -> Result<(Schema, u64)> {
+    /// positioned at the first row.
+    fn take_relation_header(&mut self) -> Result<(Schema, u64)> {
         let arity = self.take_u32()? as usize;
         let mut attrs = Vec::with_capacity(arity.min(self.remaining()));
         for _ in 0..arity {
@@ -275,15 +273,18 @@ impl<'a> SegmentCursor<'a> {
         Ok((schema, rows))
     }
 
-    /// Decodes a whole relation through [`URelation::insert`], so arity
-    /// mismatches are rejected.
+    /// Decodes a whole relation through [`URelation::from_row_vec`], so
+    /// arity mismatches are rejected, and so is a row the header counted
+    /// twice.
     pub fn take_relation(&mut self) -> Result<URelation> {
         let (schema, rows) = self.take_relation_header()?;
-        let mut rel = URelation::empty(schema);
+        // Every row takes at least one byte: the remaining bytes bound what
+        // a corrupt header can make us reserve.
+        let mut decoded = Vec::with_capacity(rows.min(self.remaining() as u64) as usize);
         for _ in 0..rows {
-            let row = self.take_row()?;
-            rel.insert(row.condition, row.tuple)?;
+            decoded.push(self.take_row()?);
         }
+        let rel = URelation::from_row_vec(schema, decoded)?;
         if rel.len() as u64 != rows {
             return Err(corrupt(format!(
                 "relation header promised {rows} distinct rows, decoded {}",

@@ -137,6 +137,24 @@ impl URelation {
         URelation::from_rows(rel.schema().clone(), rows.collect())
     }
 
+    /// Builds a relation from rows in any order, duplicates allowed: the
+    /// bulk form of [`insert`](URelation::insert), with the same arity check
+    /// (the first mismatching row is reported) and the same resulting set.
+    /// The rows are sorted once and the row set is built in one pass, instead
+    /// of one tree walk per row — how every operator kernel assembles its
+    /// output.
+    pub fn from_row_vec(schema: Schema, rows: Vec<URow>) -> Result<URelation> {
+        let arity = schema.arity();
+        if let Some(row) = rows.iter().find(|row| row.tuple.arity() != arity) {
+            return Err(pdb::PdbError::ArityMismatch {
+                expected: arity,
+                actual: row.tuple.arity(),
+            }
+            .into());
+        }
+        Ok(URelation::from_rows(schema, rows.into_iter().collect()))
+    }
+
     /// Assembles a relation from rows already in canonical set form (crate
     /// internal: columnar chunks rebuild row form through this).
     pub(crate) fn from_rows(schema: Schema, rows: BTreeSet<URow>) -> Self {
@@ -273,12 +291,11 @@ impl URelation {
 
     /// `poss(R)`: the distinct data tuples appearing in any row.
     pub fn possible_tuples(&self) -> Relation {
-        let mut rel = Relation::empty(self.schema().clone());
-        for row in self.iter() {
-            // Arity already validated on insert.
-            let _ = rel.insert(row.tuple.clone());
-        }
-        rel
+        let mut tuples: Vec<&Tuple> = self.iter().map(|row| &row.tuple).collect();
+        tuples.sort_unstable();
+        tuples.dedup();
+        Relation::new(self.schema().clone(), tuples.into_iter().cloned())
+            .expect("row arity was validated when the row was added")
     }
 
     /// The event `F = {f | ⟨f, t⟩ ∈ U_R}` for tuple `t`: the set of
@@ -295,18 +312,19 @@ impl URelation {
     /// distinct data tuple paired with its DNF, in canonical tuple order (the
     /// same order as [`possible_tuples`](URelation::possible_tuples)).
     ///
-    /// One pass over the rows instead of one pass per tuple, which is what
-    /// the engine's batched confidence operators consume.
+    /// One stable sort of the rows by tuple instead of one pass per tuple,
+    /// which is what the engine's batched confidence operators consume.  A
+    /// tuple's conditions keep canonical row order, and each distinct tuple
+    /// is cloned once.
     pub fn tuple_events(&self) -> Vec<(Tuple, Vec<Condition>)> {
-        let mut events: std::collections::BTreeMap<Tuple, Vec<Condition>> =
-            std::collections::BTreeMap::new();
-        for row in self.iter() {
-            events
-                .entry(row.tuple.clone())
-                .or_default()
-                .push(row.condition.clone());
-        }
-        events.into_iter().collect()
+        let mut rows: Vec<&URow> = self.iter().collect();
+        rows.sort_by(|a, b| a.tuple.cmp(&b.tuple));
+        rows.chunk_by(|a, b| a.tuple == b.tuple)
+            .map(|group| {
+                let conditions = group.iter().map(|row| row.condition.clone()).collect();
+                (group[0].tuple.clone(), conditions)
+            })
+            .collect()
     }
 
     /// Splits the relation into at most `chunks` partitions of near-equal
@@ -329,22 +347,25 @@ impl URelation {
         let chunks = chunks.clamp(1, n.max(1));
         let budget = self.approx_bytes().div_ceil(chunks).max(1);
         let mut out = Vec::with_capacity(chunks);
-        let mut current: BTreeSet<URow> = BTreeSet::new();
+        // Rows arrive in canonical order, so each chunk's set is one bulk
+        // build of an already sorted run.
+        let mut current: Vec<URow> = Vec::new();
         let mut current_bytes = 0usize;
         for row in self.iter() {
             current_bytes += row.approx_bytes();
-            current.insert(row.clone());
+            current.push(row.clone());
             // Flushing at ≥ budget keeps every earlier chunk at least the
             // average weight, which bounds whatever remains for the final
             // chunk by that same average.
             if current_bytes >= budget && out.len() + 1 < chunks {
-                let rows = std::mem::take(&mut current);
+                let rows = std::mem::take(&mut current).into_iter().collect();
                 out.push(URelation::from_rows(self.schema().clone(), rows));
                 current_bytes = 0;
             }
         }
         if !current.is_empty() || out.is_empty() {
-            out.push(URelation::from_rows(self.schema().clone(), current));
+            let rows = current.into_iter().collect();
+            out.push(URelation::from_rows(self.schema().clone(), rows));
         }
         out
     }
