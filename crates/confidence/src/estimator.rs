@@ -233,8 +233,12 @@ impl ConfidenceEstimator for FprasEstimator {
         // sub-RNG as a xoshiro256** small RNG (simulation-grade, several
         // times the throughput of ChaCha) from the same per-event seed.
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        // The Karp–Luby estimate `M · successes / m` overshoots 1 when `p`
+        // is near 1; clamping it into `[0, 1]` only moves it toward `p`, so
+        // the (ε, δ) guarantee holds a fortiori.
+        let estimate = kernel.estimate_with_deadline(m, &mut rng, self.deadline)?;
         Ok(EventEstimate {
-            estimate: kernel.estimate_with_deadline(m, &mut rng, self.deadline)?,
+            estimate: estimate.min(1.0),
             samples: bill,
             exact: false,
         })
@@ -275,6 +279,32 @@ mod tests {
 
     fn fpras(epsilon: f64, delta: f64) -> FprasEstimator {
         FprasEstimator::new(FprasParams::new(epsilon, delta).unwrap())
+    }
+
+    /// Two independent 0.9 coins: `p = 0.99` and `M = 1.8`, so a Karp–Luby
+    /// run whose success share passes 1/1.8 overshoots 1.  Seed 2 draws
+    /// such a run; the estimator answers 1.
+    #[test]
+    fn estimates_above_one_are_clamped() {
+        let mut space = ProbabilitySpace::new();
+        let a = space.add_bool_variable(0.9).unwrap();
+        let b = space.add_bool_variable(0.9).unwrap();
+        let terms = [(a, 0), (b, 0)].map(|literal| Assignment::new([literal]).unwrap());
+        let programs =
+            Arc::new(LineagePrograms::compile(vec![DnfEvent::new(terms)], &space).unwrap());
+        let fpras = fpras(0.3, 0.2);
+        let m = fpras.bill(&programs, 0).unwrap();
+        let words = crate::bitworld::block_words_for_samples(m as usize);
+        let mut kernel = BitKarpLuby::new_with_width(programs.clone(), 0, words).unwrap();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
+        let raw = kernel
+            .estimate_with_deadline(m as usize, &mut rng, None)
+            .unwrap();
+        assert!(raw > 1.0, "seed 2 overshoots: {raw}");
+
+        let clamped = fpras.estimate_compiled(&programs, 0, 2).unwrap();
+        assert_eq!(clamped.estimate, 1.0);
+        assert_eq!((clamped.samples, clamped.exact), (m, false));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! estimator on randomly generated events.
 
 use confidence::{
-    chernoff, dnnf, exact, Assignment, DnfEvent, KarpLubyEstimator, ProbabilitySpace,
+    chernoff, dnnf, exact, Assignment, ConfidenceEstimator, DnfEvent, FprasEstimator, FprasParams,
+    KarpLubyEstimator, LineagePrograms, ProbabilitySpace,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn arb_event() -> impl Strategy<Value = (DnfEvent, ProbabilitySpace)> {
     (
@@ -161,5 +163,15 @@ proptest! {
             (estimate - exact_p).abs() <= 0.5 * exact_p + 1e-9,
             "estimate {estimate} vs exact {exact_p} with m = {m}"
         );
+    }
+
+    /// A `conf_{ε,δ}` estimate is a probability, however few samples its
+    /// (ε, δ) asks for (the raw Karp–Luby ratio overshoots 1 near `p = 1`).
+    #[test]
+    fn fpras_estimates_are_probabilities((event, space) in arb_event(), seed in 0u64..64) {
+        let programs = Arc::new(LineagePrograms::compile(vec![event], &space).unwrap());
+        let fpras = FprasEstimator::new(FprasParams::new(0.5, 0.5).unwrap());
+        let estimate = fpras.estimate_compiled(&programs, 0, seed).unwrap().estimate;
+        prop_assert!((0.0..=1.0).contains(&estimate), "estimate {estimate}");
     }
 }

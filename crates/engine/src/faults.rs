@@ -26,8 +26,8 @@
 //! | `storage`   | checkpoint segment writes                  | flip one byte |
 //! | pool-steal  | `rayon::faults` (vendored pool)            | latency only  |
 //!
-//! `absorb` and `patch` run under the pool write lock where an unwind or
-//! error return is not acceptable; their probe ([`fire_cost_only`]) only
+//! `absorb` and `patch` run under the served-state write lock, where an
+//! unwind or error return is not acceptable; their probe ([`fire_cost_only`]) only
 //! adds latency or asks the caller to *drop* the work (skip the absorb,
 //! demote instead of patch) — both of which the serving path already
 //! treats as legal cache misses.  Panics are only ever injected at
@@ -110,7 +110,7 @@ mod imp {
     /// The fallible failpoint sites, in registry order.
     pub const SITES: [&str; 4] = ["admission", "prepare", "cold-eval", "estimate"];
     /// The cost-only failpoint sites (latency or drop-the-work, never
-    /// error/panic — they run under the pool write lock).
+    /// error/panic — they run under the served-state write lock).
     pub const COST_SITES: [&str; 2] = ["absorb", "patch"];
     /// The corruption failpoint sites ([`corrupt_bytes`]): a fault flips one
     /// bit of the bytes about to hit disk instead of erroring.
@@ -316,8 +316,8 @@ mod imp {
         true
     }
 
-    /// The cost-only probe for sites that run under the pool write lock.
-    /// Never errors or panics: a fault either sleeps for the plan latency
+    /// The cost-only probe for sites that run under the served-state write
+    /// lock.  Never errors or panics: a fault either sleeps for the plan latency
     /// (returning `false`) or returns `true`, asking the caller to drop
     /// the work — skip the absorb, or demote instead of patching.
     pub fn fire_cost_only(site: &'static str) -> bool {

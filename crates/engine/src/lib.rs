@@ -69,8 +69,8 @@ pub use physical::{ExecContext, ExecSnapshot, OpClass, PhysicalPlan, PureCtx};
 pub use predicate_compile::compile_predicate;
 pub use sched::SampleScheduler;
 pub use serving::{
-    DatabaseGuard, DegradedAnswer, DegradedReason, Request, RetryPolicy, ServingAnswer,
-    ServingEngine, ServingLimits, ServingSession, ServingStats,
+    DegradedAnswer, DegradedReason, Request, RetryPolicy, ServingAnswer, ServingEngine,
+    ServingLimits, ServingSession, ServingStats,
 };
 pub use space::{CompiledSpace, RelationEvents, SpaceCache};
 pub use sync::{LockRank, OrderedMutex, OrderedRwLock};

@@ -521,20 +521,10 @@ pub(crate) struct PrefixEffects {
     pub var_counter: usize,
     /// The statistics the prefix accumulated.
     pub stats: EvalStats,
-    /// The memoised W-table compilations of the prefix.
+    /// The memoised W-table compilations of the prefix, shared with every
+    /// run that resumes it (a [`SpaceCache`] hit is checked against the
+    /// table's content, so sharing is safe).
     pub spaces: SpaceCache,
-}
-
-impl PrefixEffects {
-    /// A copy with a [forked](SpaceCache::fork) space cache: compiled spaces
-    /// stay shared, but states compiled after the split never leak between
-    /// the copies.
-    pub fn fork(&self) -> PrefixEffects {
-        PrefixEffects {
-            spaces: self.spaces.fork(),
-            ..self.clone()
-        }
-    }
 }
 
 impl ExecSnapshot {
@@ -866,9 +856,8 @@ impl PhysicalPlan {
     }
 
     /// Moves a snapshot's context effects into `ctx` and returns its slot
-    /// state for the run.  The space cache is still forked: a snapshot
-    /// obtained by `clone` shares its cache map with the original, and
-    /// states compiled during this resume must not leak back.
+    /// state for the run.  The run shares the snapshot's space cache: what
+    /// it compiles lands there, and the next resume finds it.
     fn restore(&self, ctx: &mut ExecContext<'_>, snapshot: ExecSnapshot) -> Result<SlotState> {
         if snapshot.plan_signature != self.signature {
             return Err(EngineError::Invariant(
@@ -878,17 +867,19 @@ impl PhysicalPlan {
             ));
         }
         let effects = snapshot.effects;
-        // The compiled-space cache is keyed by variable count, so a context
-        // over any other W-table must not see this snapshot's spaces.
-        let variables = ctx.database.wtable().num_variables();
-        if (effects.wtable.as_ref()).is_some_and(|w| w.num_variables() != variables) {
+        // The snapshot's slot results were computed over its W-table: a
+        // context over any other table would read them under other
+        // probabilities.  A resume normally holds the very table (a
+        // pointer comparison); an equal one is as good.
+        let current = ctx.database.wtable();
+        if (effects.wtable.as_ref()).is_some_and(|w| !w.shares_content(current) && w != current) {
             return Err(EngineError::Invariant(
                 "snapshot resumed over a database that does not hold its W-table".into(),
             ));
         }
         ctx.var_counter = effects.var_counter;
         ctx.stats = effects.stats;
-        ctx.spaces = effects.spaces.fork();
+        ctx.spaces = effects.spaces;
         Ok(snapshot.state)
     }
 
@@ -1021,13 +1012,11 @@ impl PhysicalPlan {
             wtable: Some(ctx.database.wtable().clone()),
             var_counter: ctx.var_counter,
             stats: ctx.stats,
-            // The snapshot *shares* the capturing run's cache map (no fork):
-            // the sampling suffix still to run after this capture compiles
-            // the post-frontier W-table state and extracts/compiles the
-            // lineage programs it estimates over, and those must land in the
-            // retained snapshot so warm resumes pay sampling only.  Resuming
-            // forks (see `restore`), so per-request compilations never leak
-            // back into the snapshot.
+            // The snapshot *shares* the capturing run's cache map: the
+            // sampling suffix still to run after this capture compiles the
+            // post-frontier W-table state and extracts/compiles the lineage
+            // programs it estimates over, and those must land in the
+            // retained snapshot so warm resumes pay sampling only.
             spaces: ctx.spaces.clone(),
         };
         ExecSnapshot {
@@ -1891,7 +1880,7 @@ mod tests {
     ) -> Option<(ExecSnapshot, u64)> {
         let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
         let value_of = |id: usize| held.get(&id).filter(|_| keep(id)).map(|&v| v.clone());
-        plan.snapshot_from(value_of, captured.effects().fork())
+        plan.snapshot_from(value_of, captured.effects().clone())
     }
 
     /// A cold start that captures: resumes the plan's empty snapshot.
@@ -2020,6 +2009,20 @@ mod tests {
         let mut warm_rng = ChaCha8Rng::seed_from_u64(41);
         let mut base_ctx = ctx_for(&db, config, &mut warm_rng);
         assert!(plan.resume(&mut base_ctx, snapshot.clone(), false).is_err());
+        // …and so is one with the snapshot's variable count but other
+        // probabilities.
+        let mut reweighted = WTable::new();
+        for (var, dist) in wtable.iter() {
+            let values = dist.iter().map(|(value, _)| value.clone());
+            let flipped = values.zip(dist.iter().rev().map(|(_, p)| *p));
+            reweighted.add_variable(var.clone(), flipped).unwrap();
+        }
+        assert_eq!(reweighted.num_variables(), wtable.num_variables());
+        assert_ne!(reweighted, wtable);
+        let mut reweighted_ctx = ctx_for(&over_wtable(&db, &reweighted), config, &mut warm_rng);
+        assert!(plan
+            .resume(&mut reweighted_ctx, snapshot.clone(), false)
+            .is_err());
         let mut warm_ctx = ctx_for(&at_snapshot, config, &mut warm_rng);
         let (warm, recaptured) = plan.resume(&mut warm_ctx, snapshot.clone(), false).unwrap();
         assert!(recaptured.is_none(), "capture was not asked for");

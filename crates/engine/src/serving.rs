@@ -23,7 +23,8 @@
 //!    only prefixes and results it has seen before, so never-repeated
 //!    queries stop filling it);
 //! 3. inside each pooled prefix, the memoised [`SpaceCache`] /
-//!    lineage-batch caches of the `space` module, shared by every resume —
+//!    lineage-batch caches of the `space` module, shared by every resume
+//!    (a compiled space is found by its W-table's content) —
 //!    including the **compiled lineage programs**
 //!    ([`confidence::LineagePrograms`]) the bit-parallel Monte Carlo
 //!    estimators sample through and the exact probabilities the exact
@@ -62,7 +63,8 @@
 //! full-swap path that drops everything (required for schema changes).
 //!
 //! Warm and cold requests are one path: both read the served database,
-//! the content epoch and their spine's pool entry as one consistent cut and
+//! the content epoch and their spine's pool entry as one consistent cut
+//! (one read lock of the served state, which holds all three) and
 //! [resume](PhysicalPlan::resume) a snapshot over them — the pooled prefix,
 //! or the plan's empty snapshot on a cold start.  Relation and W-table
 //! content is shared, copy-on-write, inside `urel`, so a request starts
@@ -87,11 +89,13 @@
 //!
 //! Every serving method takes `&self`: any number of sessions — see
 //! [`ServingEngine::session`] — evaluate concurrently over one shared
-//! engine.  The query cache and the snapshot pool are **read-mostly**:
-//! lookups clone `Arc`-held entries under short read locks (a warm
-//! `prepare` is one read lock of the query cache and one hash of the text;
-//! the state read lock of a request's start covers the database clone, an
-//! epoch load and an entry lookup), all other work
+//! engine.  Two locks guard everything shared, both **read-mostly**: the
+//! query cache, and the served state — the database, its content epoch and
+//! the snapshot pool, behind one lock.  Lookups clone `Arc`-held entries
+//! under short read locks (a warm `prepare` is one read lock of the query
+//! cache and one hash of the text; a request's admission peek and its
+//! start are one read lock of the served state each, the start covering the
+//! database clone, the epoch and an entry lookup), all other work
 //! (parsing, lowering, prefix resolution, execution, estimation) runs with
 //! *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
@@ -120,10 +124,10 @@
 //! Races over pool contents can change *cost* (a resolve may miss state a
 //! concurrent request is still absorbing), not *answers*.  Commits enforce
 //! this against in-flight evaluations with a database **epoch**: every
-//! content commit bumps it (under the state write lock, before maintaining
-//! the pool), every capturing evaluation records it when it reads its
-//! inputs, and an absorb whose recorded epoch is no longer current drops
-//! its snapshot instead of pooling it
+//! content commit bumps it in the same write of the served state that
+//! maintains the pool, every capturing evaluation records it when it reads
+//! its inputs, and an absorb whose recorded epoch is no longer current
+//! drops its snapshot instead of pooling it
 //! ([`ServingStats::stale_absorbs_dropped`]) — results computed from
 //! pre-commit content can never re-enter the pool behind the commit's
 //! maintenance pass.  The catalog needs no epoch of its own: the query
@@ -451,7 +455,10 @@ struct Start {
 /// context effects of executing that spine — what it *added* to the
 /// database it ran over, never that database's content — plus the
 /// content-addressed live results of the prefix sub-plans (of *all* queries
-/// that share the spine).
+/// that share the spine).  Its `Clone` is the copy-on-write clone
+/// `Arc::make_mut` runs when a mutation hits an entry a concurrent reader
+/// still holds: pointer copies throughout, the space cache included.
+#[derive(Clone)]
 struct PoolEntry {
     /// Normalized key of the query whose cold execution created the entry;
     /// used to tell genuine cross-query sharing apart from a query finding
@@ -464,24 +471,9 @@ struct PoolEntry {
     stateful_footprint: BTreeSet<String>,
 }
 
-impl Clone for PoolEntry {
-    /// The copy-on-write clone `Arc::make_mut` runs when a mutation hits an
-    /// entry a concurrent reader still holds.  Slot values are pointer
-    /// copies; the effects are [forked](PrefixEffects::fork).
-    fn clone(&self) -> PoolEntry {
-        PoolEntry {
-            creator: self.creator.clone(),
-            config_digest: self.config_digest,
-            effects: self.effects.fork(),
-            slots: self.slots.clone(),
-            stateful_footprint: self.stateful_footprint.clone(),
-        }
-    }
-}
-
 /// The cross-query snapshot pool.  Entries are `Arc`-held: readers resolve
-/// against an entry clone taken under a short read lock, mutators rewrite
-/// entries copy-on-write.  What it keeps is decided by
+/// against an entry clone taken under the served state's read lock,
+/// mutators rewrite entries copy-on-write.  What it keeps is decided by
 /// [`absorb`](SnapshotPool::absorb) from the sighting set: the spine
 /// fingerprints and slot digests of every capture absorbed since the last
 /// clear.
@@ -500,17 +492,18 @@ fn intersects(a: &BTreeSet<String>, b: &BTreeSet<String>) -> bool {
 
 impl SnapshotPool {
     /// The `Arc`-held entry for a prefix fingerprint, if pooled.  Callers
-    /// clone the `Arc` under the pool's read lock and resolve against it
-    /// with [`resolve_prefix`] *after* dropping the lock — resolution never
-    /// blocks the pool.
+    /// clone the `Arc` under the served state's read lock and resolve
+    /// against it with [`resolve_prefix`] *after* dropping the lock —
+    /// resolution never blocks the pool.
     fn entry(&self, fingerprint: &(u64, u64)) -> Option<Arc<PoolEntry>> {
         self.entries.get(fingerprint).cloned()
     }
 }
 
 /// Hands the executor what one pool entry holds for a prepared query: the
-/// pooled results of the plan's prefix nodes (pointer copies) and the
-/// entry's effects.  The executor derives what is left to run
+/// pooled results of the plan's prefix nodes and the entry's effects, all
+/// pointer copies — the resume shares the entry's space cache.  The
+/// executor derives what is left to run
 /// ([`PhysicalPlan::snapshot_from`]): wanted pure results the entry lacks
 /// (never computed for it, or dropped by an update) are recomputed from the
 /// served database during the resume; a wanted *stateful* result it lacks
@@ -520,7 +513,8 @@ fn resolve_prefix(entry: &PoolEntry, prepared: &PreparedQuery) -> Option<Resolve
         let slot = entry.slots.get(&prepared.profile.digests[id])?;
         Some(slot.value.clone())
     };
-    let (snapshot, recomputed) = (prepared.physical).snapshot_from(pooled, entry.effects.fork())?;
+    let (snapshot, recomputed) =
+        (prepared.physical).snapshot_from(pooled, entry.effects.clone())?;
     Some(ResolvedPrefix {
         snapshot,
         recomputed,
@@ -569,7 +563,7 @@ impl SnapshotPool {
             Arc::new(PoolEntry {
                 creator: prepared.key.clone(),
                 config_digest: profile.config_digest,
-                effects: snapshot.effects().fork(),
+                effects: snapshot.effects().clone(),
                 slots: HashMap::new(),
                 stateful_footprint: profile.stateful_footprint.clone(),
             })
@@ -1078,14 +1072,20 @@ struct Counters {
     shared_block_hits: AtomicU64,
 }
 
-/// A read guard over the served database (see [`ServingEngine::database`]).
-pub struct DatabaseGuard<'a>(crate::sync::OrderedReadGuard<'a, UDatabase>);
-
-impl std::ops::Deref for DatabaseGuard<'_> {
-    type Target = UDatabase;
-    fn deref(&self) -> &UDatabase {
-        &self.0
-    }
+/// The served state, behind one lock: the database, its content epoch and
+/// the snapshot pool.  A request's start reads the three as one cut, and
+/// every commit writes them together, so a reader never pairs a database
+/// with pool state of another version.
+struct Served {
+    database: UDatabase,
+    /// Monotonic database-content version, bumped by every commit.  A
+    /// capturing evaluation records it at its start, and its absorb
+    /// ([`absorb_if_current`](ServingEngine::absorb_if_current)) drops the
+    /// snapshot once the epoch moved: a commit landing between a session's
+    /// start and its absorb can never re-pool pre-commit answers after the
+    /// commit's pool pass.
+    epoch: u64,
+    pool: SnapshotPool,
 }
 
 /// The query cache: request text → prepared query, per effective lowering
@@ -1166,17 +1166,8 @@ pub struct ServingEngine {
     /// accuracy override, and what checkpoints record.
     config_digest: u64,
     limits: ServingLimits,
-    state: OrderedRwLock<UDatabase>,
-    /// Monotonic database-content version.  Bumped under the state write
-    /// lock *before* the matching pool maintenance runs, and compared by
-    /// [`absorb_if_current`](ServingEngine::absorb_if_current) under the
-    /// pool write lock: a snapshot captured from an epoch the pool has
-    /// moved past is dropped instead of absorbed, so a commit landing
-    /// between a session's database clone and its pool insert can never
-    /// re-pool pre-commit answers after the commit's pool pass already ran.
-    db_epoch: AtomicU64,
+    state: OrderedRwLock<Served>,
     queries: OrderedRwLock<QueryCache>,
-    pool: OrderedRwLock<SnapshotPool>,
     admission: Gate,
     cold_admission: Gate,
     counters: Counters,
@@ -1212,14 +1203,20 @@ impl ServingEngine {
             config,
             config_digest: config_digest(&config),
             limits,
-            state: OrderedRwLock::new(LockRank::State, "serving.state", database),
-            db_epoch: AtomicU64::new(0),
+            state: OrderedRwLock::new(
+                LockRank::State,
+                "serving.state",
+                Served {
+                    database,
+                    epoch: 0,
+                    pool: SnapshotPool::default(),
+                },
+            ),
             queries: OrderedRwLock::new(
                 LockRank::Prepared,
                 "serving.queries",
                 QueryCache::new(catalog),
             ),
-            pool: OrderedRwLock::new(LockRank::Pool, "serving.pool", SnapshotPool::default()),
             admission: Gate::new(
                 limits.max_in_flight,
                 LockRank::GateAdmission,
@@ -1257,11 +1254,10 @@ impl ServingEngine {
         }
     }
 
-    /// The database being served.  The returned guard holds a read lock:
-    /// drop it before calling methods of this engine from the same thread
-    /// while writers may be queued.
-    pub fn database(&self) -> DatabaseGuard<'_> {
-        DatabaseGuard(self.state.read())
+    /// The database being served: a pointer copy (relations and W-table
+    /// are shared copy-on-write), so it costs O(1) and holds no lock.
+    pub fn database(&self) -> UDatabase {
+        self.state.read().database.clone()
     }
 
     /// Replaces the whole database and drops every cache: prepared queries
@@ -1272,15 +1268,17 @@ impl ServingEngine {
     /// warm caches warm.
     pub fn set_database(&self, database: UDatabase) -> Result<()> {
         let catalog = Arc::new(catalog_of(&database)?);
-        let mut state = self.state.write();
-        // The epoch first: once the bump is visible every racing absorb
-        // drops, so the pool reset below cannot be undone by an in-flight
-        // session.  A racing prepare lowered against the old catalog fails
-        // its install once the new cache is in place, and lowers again.
-        self.db_epoch.fetch_add(1, Ordering::Release);
-        *state = database;
+        let mut served = self.state.write();
+        // The epoch moves with the pool reset, so an in-flight session's
+        // absorb drops instead of undoing it.  A racing prepare lowered
+        // against the old catalog fails its install once the new cache is
+        // in place, and lowers again.
+        *served = Served {
+            database,
+            epoch: served.epoch + 1,
+            pool: SnapshotPool::default(),
+        };
         *self.queries.write() = QueryCache::new(catalog);
-        *self.pool.write() = SnapshotPool::default();
         Ok(())
     }
 
@@ -1319,7 +1317,7 @@ impl ServingEngine {
     ) -> Result<()> {
         // The state write lock is held across validate + commit, so
         // concurrent sessions see either the whole batch or none of it.
-        let mut state = self.state.write();
+        let mut served = self.state.write();
         // Collapse the batch to its net content first (last replacement per
         // name wins), then validate only that net content — atomically,
         // before anything is applied.
@@ -1328,10 +1326,10 @@ impl ServingEngine {
             finals.insert(name.into(), rel);
         }
         for (name, rel) in &finals {
-            state.check_replacement(name, rel)?;
+            served.database.check_replacement(name, rel)?;
         }
         let finals = finals.into_iter().map(|(name, new)| (name, new, None));
-        self.commit(&mut state, finals, &self.counters.subplans_invalidated);
+        self.commit(&mut served, finals, &self.counters.subplans_invalidated);
         Ok(())
     }
 
@@ -1371,7 +1369,8 @@ impl ServingEngine {
     ) -> Result<()> {
         // Like `update_relations`, the state write lock spans validate +
         // commit.
-        let mut state = self.state.write();
+        let mut served = self.state.write();
+        let state = &served.database;
         // Validate the whole batch before applying any of it.  Deltas to
         // one name chain: each must apply against the content the previous
         // one produced (digest-checked), and the final content must pass
@@ -1398,7 +1397,7 @@ impl ServingEngine {
         let finals = finals
             .into_iter()
             .map(|(name, (new, single))| (name, new, single));
-        self.commit(&mut state, finals, &self.counters.subplans_demoted);
+        self.commit(&mut served, finals, &self.counters.subplans_demoted);
         Ok(())
     }
 
@@ -1412,14 +1411,16 @@ impl ServingEngine {
     /// the only copy of relation content — and the observed edit size decides
     /// patch-vs-demote ([`patch_worthwhile`]).  Then the commit bumps the
     /// content epoch, maintains the pool ([`SnapshotPool::patch`]) and
-    /// counts.  Demoted slots are charged to `demoted_counter`, which is the
+    /// counts — all under the one write lock, so no reader sees part of
+    /// it.  Demoted slots are charged to `demoted_counter`, which is the
     /// only thing that differs between the two public entry points.
     fn commit(
         &self,
-        state: &mut UDatabase,
+        served: &mut Served,
         finals: impl IntoIterator<Item = (String, URelation, Option<RelationDelta>)>,
         demoted_counter: &AtomicU64,
     ) {
+        let state = &mut served.database;
         let mut updates = Vec::new();
         for (name, new, delta) in finals {
             let old = state.relation(&name).expect("validated by caller");
@@ -1441,13 +1442,9 @@ impl ServingEngine {
         if updates.is_empty() {
             return;
         }
-        // Bump the content epoch before the pool maintenance below: a
-        // session that cloned the pre-commit database can no longer absorb
-        // its snapshot once this commit is visible.  (Readers see content
-        // and epoch together, under the state lock this commit holds.)
-        self.db_epoch.fetch_add(1, Ordering::Release);
+        served.epoch += 1;
         let plans: Vec<Arc<PreparedQuery>> = self.queries.read().prepared().cloned().collect();
-        let (entries_dropped, patched, demoted) = self.pool.write().patch(&updates, &plans);
+        let (entries_dropped, patched, demoted) = served.pool.patch(&updates, &plans);
         let counters = &self.counters;
         for (counter, by) in [
             (&counters.relation_updates, updates.len() as u64),
@@ -1495,7 +1492,8 @@ impl ServingEngine {
         // Fair admission.  Classify warm/cold by peeking the pool (presence
         // of the prefix entry).  The classification is best-effort —
         // authoritative resolution happens after admission.
-        let mut cold_admitted = self.pool.read().entry(&profile.fingerprint).is_none();
+        let mut cold_admitted =
+            !(self.state.read().pool.entries).contains_key(&profile.fingerprint);
         let mut _permits = self.admit(cold_admitted, deadline)?;
         let start = loop {
             let start = self.start(&prepared);
@@ -1605,26 +1603,25 @@ impl ServingEngine {
 
     /// Reads what a request starts from as one consistent cut — the served
     /// database, the content epoch, and the pool entry of the query's
-    /// stateful spine — under the state → pool read-lock order commits and
-    /// checkpoints use.  Both locks are held for pointer copies only: the
-    /// database clone shares every relation and the W-table with the served
-    /// one (`UDatabase`'s `Clone`), and the entry is an `Arc`.  Whatever the
-    /// database's size, a start copies no row.  Outside the locks the entry
-    /// is resolved into a resumable snapshot (pointer copies) and the
+    /// stateful spine — under one read lock of the served state.  The lock
+    /// is held for pointer copies only: the database clone shares every
+    /// relation and the W-table with the served one (`UDatabase`'s
+    /// `Clone`), and the entry is an `Arc`.  Whatever the database's size,
+    /// a start copies no row.  Outside the lock the entry is resolved into
+    /// a resumable snapshot (pointer copies) and the
     /// request's database takes the resolved prefix's W-table, shared with
     /// the entry (a cold start keeps the served table).  An edit the
     /// request makes — a `repair-key` declaring variables — copies the part
     /// it edits, never reaching the served database.
-    /// Commits hold the state write lock across the pool maintenance, so the
+    /// Commits write database, epoch and pool under the same lock, so the
     /// entry's sub-plan results always belong to the cloned relations; if
     /// the guarded absorb later sees the same epoch, no commit touched the
     /// pool in between.
     fn start(&self, prepared: &PreparedQuery) -> Start {
         let (mut database, epoch, entry) = {
-            let state = self.state.read();
-            let entry = self.pool.read().entry(&prepared.profile.fingerprint);
-            let epoch = self.db_epoch.load(Ordering::Acquire);
-            (state.clone(), epoch, entry)
+            let served = self.state.read();
+            let entry = served.pool.entry(&prepared.profile.fingerprint);
+            (served.database.clone(), served.epoch, entry)
         };
         let resolved = entry.and_then(|entry| resolve_prefix(&entry, prepared));
         if let Some(wtable) = (resolved.as_ref()).and_then(|r| r.snapshot.effects().wtable.as_ref())
@@ -1755,7 +1752,8 @@ impl ServingEngine {
     /// (or was about to populate) it, counting the removal.  The engine
     /// stays serviceable: the next request of the prefix re-warms it.
     fn quarantine(&self, fingerprint: &(u64, u64)) {
-        if self.pool.write().entries.remove(fingerprint).is_some() {
+        let removed = self.state.write().pool.entries.remove(fingerprint);
+        if removed.is_some() {
             self.counters
                 .entries_quarantined
                 .fetch_add(1, Ordering::Relaxed);
@@ -1765,15 +1763,13 @@ impl ServingEngine {
     /// Pools a captured snapshot unless the database has moved on since the
     /// snapshot's inputs were read (at `epoch`).
     ///
-    /// Commits bump [`db_epoch`](ServingEngine::db_epoch) under the state
-    /// write lock *before* taking the pool write lock to invalidate, so
-    /// checking the epoch under the pool write lock is exact: a matching
-    /// epoch means any in-flight commit has not yet started invalidating —
-    /// its pass will then run after this insert and maintain it like any
-    /// other entry.  A mismatch means invalidation may already have run,
-    /// and inserting would serve pre-commit answers to every later warm
-    /// hit; the snapshot is dropped instead (the module-doc invariant:
-    /// races change cost, never answers).
+    /// Commits bump the epoch and maintain the pool under the same write
+    /// lock this absorb takes, so the check is exact: a matching epoch
+    /// means no commit ran since the start — a later one will maintain
+    /// this insert like any other entry.  A mismatch means invalidation
+    /// already ran, and inserting would serve pre-commit answers to every
+    /// later warm hit; the snapshot is dropped instead (the module-doc
+    /// invariant: races change cost, never answers).
     fn absorb_if_current(&self, epoch: u64, prepared: &PreparedQuery, snapshot: &ExecSnapshot) {
         // Failpoint: skipping an absorb is a legal opportunistic miss — the
         // answer was already computed; only the pool stays cold.
@@ -1783,9 +1779,9 @@ impl ServingEngine {
                 .fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut pool = self.pool.write();
-        if self.db_epoch.load(Ordering::Acquire) == epoch {
-            pool.absorb(prepared, snapshot);
+        let mut served = self.state.write();
+        if served.epoch == epoch {
+            served.pool.absorb(prepared, snapshot);
         } else {
             self.counters
                 .stale_absorbs_dropped
@@ -1887,13 +1883,13 @@ impl ServingEngine {
     /// than [`prepared_queries`](ServingEngine::prepared_queries) when
     /// prepared queries share prefixes.
     pub fn pooled_prefixes(&self) -> usize {
-        self.pool.read().entries.len()
+        self.state.read().pool.entries.len()
     }
 
     /// Total number of sub-plan results currently pooled across all
     /// entries.
     pub fn pooled_subplans(&self) -> usize {
-        self.pool.read().subplans()
+        self.state.read().pool.subplans()
     }
 
     /// Writes a checkpoint of the served state into `dir` (created if
@@ -1907,9 +1903,10 @@ impl ServingEngine {
     /// pooled sub-plan results — so relation content (and the base W-table)
     /// is written once, in the segments of its own.
     ///
-    /// The database and the pool are cloned under the same lock order every
-    /// commit uses (state before pool), so a checkpoint is a consistent cut:
-    /// it never pairs a post-commit database with pre-commit warm state.
+    /// The database and the pool entries are cloned under one read lock of
+    /// the served state, which every commit writes whole, so a checkpoint is
+    /// a consistent cut: it never pairs a post-commit database with
+    /// pre-commit warm state.
     /// Only pool entries created under the engine's own base configuration
     /// are persisted (per-request accuracy overrides prepare — and pool —
     /// separately; their entries are rebuilt on demand after a restore).
@@ -1921,15 +1918,14 @@ impl ServingEngine {
         })?;
         let base_digest = self.config_digest;
         let (database, mut entries) = {
-            let state = self.state.read();
-            let pool = self.pool.read();
-            let entries: Vec<((u64, u64), Arc<PoolEntry>)> = pool
+            let served = self.state.read();
+            let entries: Vec<((u64, u64), Arc<PoolEntry>)> = (served.pool)
                 .entries
                 .iter()
                 .filter(|(_, entry)| entry.config_digest == base_digest)
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            (state.clone(), entries)
+            (served.database.clone(), entries)
         };
         entries.sort_by_key(|(k, _)| *k);
         let mut manifest = Vec::new();
@@ -2105,10 +2101,7 @@ impl ServingEngine {
                 slots,
                 stateful_footprint: prepared.profile.stateful_footprint.clone(),
             };
-            engine
-                .pool
-                .write()
-                .entries
+            (engine.state.write().pool.entries)
                 .insert(prepared.profile.fingerprint, Arc::new(pooled));
         }
         Ok(engine)
@@ -2565,8 +2558,10 @@ mod tests {
         serving.evaluate(text, &mut rng).unwrap();
 
         let entry = {
-            let pool = serving.pool.read();
-            pool.entries
+            let served = serving.state.read();
+            served
+                .pool
+                .entries
                 .values()
                 .next()
                 .cloned()
@@ -2639,7 +2634,7 @@ mod tests {
         // so it is a cold one — and run it, capturing.
         let start = serving.start(&prepared);
         assert!(start.resolved.is_none());
-        assert_eq!(start.epoch, serving.db_epoch.load(Ordering::Acquire));
+        assert_eq!(start.epoch, serving.state.read().epoch);
         let epoch = start.epoch;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut ctx = serving.context(EvalConfig::exact(), start.database, &mut rng, None);
@@ -3110,15 +3105,12 @@ mod tests {
         let serving = ServingEngine::new(EvalConfig::exact(), db.clone()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         serving.evaluate(text, &mut rng).unwrap();
-        let before = (serving.stats(), serving.db_epoch.load(Ordering::Acquire));
+        let before = (serving.stats(), serving.state.read().epoch);
         let same = db.relation("Coins").unwrap().clone();
         serving.update_relations([("Coins", same)]).unwrap();
         // A content-identical replacement is an empty delta: no epoch bump,
         // no counter moves, nothing leaves the pool.
-        assert_eq!(
-            (serving.stats(), serving.db_epoch.load(Ordering::Acquire)),
-            before
-        );
+        assert_eq!((serving.stats(), serving.state.read().epoch), before);
         assert_eq!(serving.pooled_prefixes(), 1);
         serving.evaluate(text, &mut rng).unwrap();
         assert_eq!(serving.stats().warm_evaluations, 1);
@@ -3312,7 +3304,7 @@ mod tests {
             let prepared = serving
                 .prepare(text, *serving.config(), serving.config_digest)
                 .unwrap();
-            (serving.pool.read())
+            (serving.state.read().pool)
                 .entry(&prepared.profile.fingerprint)
                 .expect("pooled by the cold run")
         };
@@ -3448,8 +3440,10 @@ mod tests {
             .prepare(touching, *serving.config(), serving.config_digest)
             .unwrap();
         let profile = &prepared.profile;
-        let mut pool = serving.pool.write();
-        let entry = pool.entries.get_mut(&profile.fingerprint).expect("pooled");
+        let mut served = serving.state.write();
+        let entry = (served.pool.entries)
+            .get_mut(&profile.fingerprint)
+            .expect("pooled");
         for (id, node) in prepared.physical.nodes().iter().enumerate() {
             let name = node.operator.name();
             let other_scan = name == "scan" && !profile.footprints[id].contains("Labels");

@@ -13,16 +13,16 @@
 //!   The key, [`URelation::content_digest`], is hashed once per content and
 //!   memoised with it, so a lookup on shared content (a pooled result and
 //!   every request resuming it) is O(1) rather than a pass over the rows;
-//! * a **[`SpaceCache`]** memoising compilation of W-table states, so the
-//!   confidence-bearing operators of one pipeline (and warm re-executions of
-//!   a prepared query) share one compiled space instead of recompiling per
-//!   operator.
+//! * a **[`SpaceCache`]** memoising compilation of W-table states by their
+//!   content, so the confidence-bearing operators of one pipeline (and every
+//!   warm resume of a pooled prefix) share one compiled space instead of
+//!   recompiling per operator.
 
 use crate::error::{EngineError, Result};
 use crate::sync::{LockRank, OrderedMutex};
 use confidence::{Assignment, DnfEvent, LineagePrograms, ProbabilitySpace, VarId};
 use pdb::{Tuple, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use urel::{Condition, URelation, Var, WTable};
@@ -32,10 +32,19 @@ use urel::{Condition, URelation, Var, WTable};
 /// entries immediately).
 const LINEAGE_CACHE_CAP: usize = 1024;
 
+/// Upper bound on distinct W-table states memoised per [`SpaceCache`];
+/// reaching it clears the cache, like [`LINEAGE_CACHE_CAP`].  A cache only
+/// keeps growing under a `repair-key` above a sampled operator, whose
+/// variables then follow the sampled result.
+const SPACE_CACHE_CAP: usize = 64;
+
 /// A compiled view of a W-table: the probability space plus the name/value →
 /// index mappings needed to translate conditions into assignments, plus a
 /// content-addressed cache of per-relation lineage batches.
 pub struct CompiledSpace {
+    /// The table this space was compiled from (a pointer copy): what a
+    /// [`SpaceCache`] hit is checked against.
+    wtable: WTable,
     space: ProbabilitySpace,
     /// Variable name → its index and its domain values, sorted, each with
     /// its alternative's index: one hash lookup and one binary search per
@@ -65,9 +74,10 @@ impl fmt::Debug for CompiledSpace {
 /// programs — in canonical tuple order.
 #[derive(Clone, Debug)]
 pub struct RelationEvents {
+    /// Distinct and sorted ([`URelation::tuple_events`]'s order), so a
+    /// tuple's index is one binary search.
     tuples: Vec<Tuple>,
     programs: Arc<LineagePrograms>,
-    index: BTreeMap<Tuple, usize>,
 }
 
 impl RelationEvents {
@@ -92,7 +102,7 @@ impl RelationEvents {
     /// The batch index of one tuple (`None` if the tuple is not in the
     /// relation; its event is then the impossible event).
     pub fn index_of(&self, t: &Tuple) -> Option<usize> {
-        self.index.get(t).copied()
+        self.tuples.binary_search(t).ok()
     }
 
     /// The event of one tuple (`None` if the tuple is not in the relation;
@@ -129,6 +139,7 @@ impl CompiledSpace {
             vars.insert(var.clone(), (id, alts));
         }
         Ok(CompiledSpace {
+            wtable: wtable.clone(),
             space,
             vars,
             lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
@@ -157,20 +168,14 @@ impl CompiledSpace {
         let batch = relation.tuple_events();
         let mut tuples = Vec::with_capacity(batch.len());
         let mut events = Vec::with_capacity(batch.len());
-        let mut index = BTreeMap::new();
-        for (i, (t, conditions)) in batch.into_iter().enumerate() {
+        for (t, conditions) in batch {
             events.push(self.event(&conditions)?);
-            index.insert(t.clone(), i);
             tuples.push(t);
         }
         let programs = Arc::new(
             LineagePrograms::compile(events, &self.space).map_err(EngineError::Confidence)?,
         );
-        let entry = Arc::new(RelationEvents {
-            tuples,
-            programs,
-            index,
-        });
+        let entry = Arc::new(RelationEvents { tuples, programs });
         let mut guard = self.lineage.lock();
         // A shared space can outlive many evaluations (serving); bound the
         // cache so varying post-sampling relations cannot grow it forever.
@@ -225,19 +230,18 @@ impl CompiledSpace {
 }
 
 /// A cache of compiled W-table states, shared by every confidence-bearing
-/// operator of one evaluation (and, through the serving layer's prepared
-/// snapshots, by warm re-executions of the same query).
+/// operator of one evaluation and, through the serving layer's pooled
+/// snapshots, by every warm resume of the same prefix.
 ///
-/// States are keyed by the variable count.  The W-table of one evaluation
-/// lineage only ever *grows* (repair-key introduces variables, nothing
-/// removes them) and executes deterministically, so within one evaluation —
-/// or across evaluations that fork from the same snapshot via
-/// [`SpaceCache::fork`] — equal counts imply equal tables.  The cache must
-/// not be shared across unrelated databases; the engine creates one per
-/// evaluation and the serving layer one per prepared query.
+/// A compiled space is a function of its W-table's content (Section 3's
+/// `W(Var, Dom, P)` is a relation), so a hit requires that content: the
+/// very table the space was compiled from — a pointer comparison, which is
+/// what every resume over a pooled prefix's table finds — or, failing that,
+/// an equal one.  The cache is therefore safe to share with anyone, across
+/// evaluations and databases alike.
 #[derive(Clone, Debug)]
 pub struct SpaceCache {
-    inner: Arc<OrderedMutex<HashMap<usize, Arc<CompiledSpace>>>>,
+    inner: Arc<OrderedMutex<Vec<Arc<CompiledSpace>>>>,
 }
 
 impl Default for SpaceCache {
@@ -246,7 +250,7 @@ impl Default for SpaceCache {
             inner: Arc::new(OrderedMutex::new(
                 LockRank::SpaceCache,
                 "space.cache",
-                HashMap::new(),
+                Vec::new(),
             )),
         }
     }
@@ -258,31 +262,24 @@ impl SpaceCache {
         SpaceCache::default()
     }
 
-    /// The compiled space for the W-table's current state, compiling at most
-    /// once per state.
+    /// The compiled space for the W-table's current content, compiling at
+    /// most once per content while it stays cached.
     pub fn compiled(&self, wtable: &WTable) -> Result<Arc<CompiledSpace>> {
-        let key = wtable.num_variables();
-        if let Some(hit) = self.inner.lock().get(&key) {
-            return Ok(hit.clone());
+        if let Some(hit) = find(&self.inner.lock(), wtable) {
+            return Ok(hit);
         }
         let compiled = Arc::new(CompiledSpace::compile(wtable)?);
-        self.inner.lock().insert(key, compiled.clone());
-        Ok(compiled)
-    }
-
-    /// A detached copy: shares the already-compiled spaces (and their
-    /// content-addressed lineage caches, which are safe to share) but gets
-    /// its own map, so states compiled after the fork never leak between
-    /// evaluation branches whose W-tables diverge at equal counts.
-    pub fn fork(&self) -> SpaceCache {
-        let snapshot = self.inner.lock().clone();
-        SpaceCache {
-            inner: Arc::new(OrderedMutex::new(
-                LockRank::SpaceCache,
-                "space.cache",
-                snapshot,
-            )),
+        let mut spaces = self.inner.lock();
+        // A racing evaluation may have compiled the same content meanwhile:
+        // keep the first, so every sharer sees one lineage cache.
+        if let Some(hit) = find(&spaces, wtable) {
+            return Ok(hit);
         }
+        if spaces.len() >= SPACE_CACHE_CAP {
+            spaces.clear();
+        }
+        spaces.push(compiled.clone());
+        Ok(compiled)
     }
 
     /// Number of cached W-table states.
@@ -294,6 +291,14 @@ impl SpaceCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// The cached space compiled from `wtable`'s content: pointer matches
+/// first, content comparisons only when none matches.
+fn find(spaces: &[Arc<CompiledSpace>], wtable: &WTable) -> Option<Arc<CompiledSpace>> {
+    (spaces.iter().find(|s| s.wtable.shares_content(wtable)))
+        .or_else(|| spaces.iter().find(|s| s.wtable == *wtable))
+        .cloned()
 }
 
 #[cfg(test)]
@@ -405,8 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn space_cache_compiles_once_per_state_and_forks_detached() {
-        let mut w = coin_wtable();
+    fn space_cache_compiles_once_per_table_content() {
+        let w = coin_wtable();
         let cache = SpaceCache::new();
         assert!(cache.is_empty());
         let a = cache.compiled(&w).unwrap();
@@ -414,14 +419,40 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
 
-        let fork = cache.fork();
-        // The fork shares already-compiled states…
-        assert!(Arc::ptr_eq(&a, &fork.compiled(&w).unwrap()));
-        // …but states compiled after the fork stay private.
-        w.add_bool_variable(Var::new("extra"), 0.5).unwrap();
-        fork.compiled(&w).unwrap();
-        assert_eq!(fork.len(), 2);
-        assert_eq!(cache.len(), 1);
+        // A separately built table with the same content hits; a clone of
+        // the cache shares its map.
+        let shared = cache.clone();
+        assert!(Arc::ptr_eq(&a, &shared.compiled(&coin_wtable()).unwrap()));
+
+        // The same variable count over other probabilities is another
+        // space, and so is a grown table.
+        let mut reweighted = WTable::new();
+        for (var, dist) in w.iter() {
+            let flipped = dist
+                .iter()
+                .map(|(v, _)| v.clone())
+                .zip(dist.iter().rev().map(|(_, p)| *p));
+            reweighted.add_variable(var.clone(), flipped).unwrap();
+        }
+        assert_eq!(reweighted.num_variables(), w.num_variables());
+        assert_ne!(reweighted, w);
+        let c = shared.compiled(&reweighted).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c));
+        let mut grown = w.clone();
+        grown.add_bool_variable(Var::new("extra"), 0.5).unwrap();
+        shared.compiled(&grown).unwrap();
+        assert_eq!(cache.len(), 3);
+        assert!(Arc::ptr_eq(&a, &cache.compiled(&w).unwrap()));
+
+        // Bounded: past the cap the cache starts over.
+        for i in 0..SPACE_CACHE_CAP {
+            let mut fresh = WTable::new();
+            fresh
+                .add_bool_variable(Var::new(format!("x{i}")), 0.5)
+                .unwrap();
+            cache.compiled(&fresh).unwrap();
+        }
+        assert!(cache.len() <= SPACE_CACHE_CAP);
     }
 
     #[test]

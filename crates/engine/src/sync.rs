@@ -5,14 +5,14 @@
 //! acquire a lock whose rank is **strictly greater** than every rank it
 //! already holds.  Because ranks totally order the lock graph, any
 //! execution that respects them is deadlock-free by construction; the
-//! prose invariant from the serving module ("lock order is state →
-//! query cache → pool") becomes a runtime check instead of a review item.
+//! prose invariant from the serving module ("lock order is served state →
+//! query cache") becomes a runtime check instead of a review item.
 //!
 //! The held-rank stack itself is thread-local and process-wide, shared
 //! with the vendored worker pool (`rayon::lockcheck`), so engine locks and
 //! pool-internal locks are checked against each other on the same thread —
-//! a submitter that helps drain pool deques while holding the snapshot
-//! pool lock is still covered.  This module is the workspace's **single
+//! a submitter that helps drain pool deques while holding the served-state
+//! lock is still covered.  This module is the workspace's **single
 //! source of truth for rank values**; `rayon::lockcheck` mirrors the pool
 //! ranks as numeric constants and a unit test pins the two in sync.
 //!
@@ -78,15 +78,14 @@ pub enum LockRank {
     /// A [`Gate`](../serving/index.html)'s internal permit counter; held
     /// only for counter arithmetic and condvar waits.
     GateInternal = 40,
-    /// The served database.
+    /// The served state: the database, its content epoch and the snapshot
+    /// pool, read and written together.
     State = 50,
     /// The query cache: request text → prepared query, plus the catalog the
     /// prepared queries were validated against.
     Prepared = 60,
-    /// The snapshot pool.
-    Pool = 80,
-    /// The per-database compiled-space cache (forked under the pool write
-    /// lock on copy-on-write, hence above [`LockRank::Pool`]).
+    /// A compiled-space cache: W-table content → compiled space, shared by
+    /// a pooled prefix and every resume of it.
     SpaceCache = 90,
     /// A compiled space's lineage-event cache.
     LineageCache = 100,
@@ -108,14 +107,13 @@ pub enum LockRank {
 impl LockRank {
     /// Every rank, lowest first — the doc table and the cross-crate pin
     /// test iterate this.
-    pub const ALL: [LockRank; 14] = [
+    pub const ALL: [LockRank; 13] = [
         LockRank::TestExclusive,
         LockRank::GateCold,
         LockRank::GateAdmission,
         LockRank::GateInternal,
         LockRank::State,
         LockRank::Prepared,
-        LockRank::Pool,
         LockRank::SpaceCache,
         LockRank::LineageCache,
         LockRank::SharedSampler,
@@ -140,7 +138,6 @@ impl LockRank {
             LockRank::GateInternal => "GateInternal",
             LockRank::State => "State",
             LockRank::Prepared => "Prepared",
-            LockRank::Pool => "Pool",
             LockRank::SpaceCache => "SpaceCache",
             LockRank::LineageCache => "LineageCache",
             LockRank::SharedSampler => "SharedSampler",
@@ -161,13 +158,12 @@ impl LockRank {
             LockRank::GateCold => "a held cold-admission permit (RAII token, not a mutex)",
             LockRank::GateAdmission => "a held admission permit (RAII token, not a mutex)",
             LockRank::GateInternal => "a gate's permit counter + wakeup condvar",
-            LockRank::State => "the served database",
+            LockRank::State => "the served state: database, content epoch and snapshot pool",
             LockRank::Prepared => {
                 "the query cache: request text → prepared query, and the catalog it was validated against"
             }
-            LockRank::Pool => "the snapshot pool",
             LockRank::SpaceCache => {
-                "the compiled-space cache (forked under the `Pool` write lock on COW)"
+                "a compiled-space cache: W-table content → compiled space (shared by a pooled prefix and its resumes)"
             }
             LockRank::LineageCache => "a compiled space's lineage-event cache",
             LockRank::SharedSampler => {
@@ -548,12 +544,12 @@ mod tests {
     fn in_order_acquisition_is_clean_in_every_build() {
         let state = OrderedRwLock::new(LockRank::State, "test.state", 1u32);
         let queries = OrderedMutex::new(LockRank::Prepared, "test.queries", 2u32);
-        let pool = OrderedRwLock::new(LockRank::Pool, "test.pool", 3u32);
+        let spaces = OrderedRwLock::new(LockRank::SpaceCache, "test.spaces", 3u32);
         let balance = rayon::lockcheck::held_ranks();
         {
             let s = state.read();
             let p = queries.lock();
-            let q = pool.write();
+            let q = spaces.write();
             assert_eq!(*s + *p + *q, 6);
         }
         assert_eq!(rayon::lockcheck::held_ranks(), balance);
@@ -562,20 +558,20 @@ mod tests {
     #[test]
     fn rank_inversion_panics_when_checked_and_is_free_otherwise() {
         let state = OrderedRwLock::new(LockRank::State, "test.state", ());
-        let pool = OrderedRwLock::new(LockRank::Pool, "test.pool", ());
-        let held = pool.write();
+        let spaces = OrderedRwLock::new(LockRank::SpaceCache, "test.spaces", ());
+        let held = spaces.write();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _inverted = state.read();
         }));
         drop(held);
         if CHECKED {
-            let payload = result.expect_err("acquiring State under Pool must panic");
+            let payload = result.expect_err("acquiring State under SpaceCache must panic");
             let message = payload
                 .downcast_ref::<String>()
                 .cloned()
                 .unwrap_or_default();
             assert!(
-                message.contains("test.state") && message.contains("test.pool"),
+                message.contains("test.state") && message.contains("test.spaces"),
                 "violation must name both sites: {message}"
             );
             assert!(message.contains("rank violation"), "{message}");
@@ -586,16 +582,16 @@ mod tests {
         // locks stay usable in rank order.
         let _s = state.read();
         drop(_s);
-        let _q = pool.write();
+        let _q = spaces.write();
     }
 
     #[test]
     fn guards_can_be_released_out_of_order() {
         let state = OrderedRwLock::new(LockRank::State, "test.state", ());
-        let pool = OrderedRwLock::new(LockRank::Pool, "test.pool", ());
+        let spaces = OrderedRwLock::new(LockRank::SpaceCache, "test.spaces", ());
         let balance = rayon::lockcheck::held_ranks();
         let s = state.read();
-        let q = pool.read();
+        let q = spaces.read();
         drop(s); // release the *lower* rank first
         drop(q);
         assert_eq!(rayon::lockcheck::held_ranks(), balance);

@@ -517,3 +517,99 @@ fn update_storm_under_concurrent_sessions_leaves_no_stale_pool_state() {
         assert_eq!(cold_rng.next_u64(), warm_rng.next_u64());
     }
 }
+
+/// The stress test of the one served-state lock: four readers answer
+/// *during* a storm of commits (each reader at least 24 times, and until
+/// the last commit landed), and every answer must equal a one-shot
+/// evaluation over one committed version at the reader's RNG state —
+/// result, error bounds, statistics, database and RNG position — never a
+/// database of one version paired with pooled results of another.  Per
+/// reader the matched versions never go backwards: a reader that saw a
+/// commit never answers from before it again.
+#[test]
+fn answers_during_an_update_storm_match_one_committed_version_in_order() {
+    let config = EvalConfig::default();
+    let queries = workload_queries();
+    let parsed: Vec<Query> = (queries.iter())
+        .map(|q| algebra::parse_query(q).unwrap())
+        .collect();
+    let s0 = [(0, 1), (1, 4), (2, 2)];
+    // Version 0 is the initial `R`; version v ≥ 1 is the writer's v-th
+    // commit, alternating replacements and the deltas they amount to.
+    // Key 3's weight makes every version's content distinct.
+    let versions: Vec<Vec<(i64, i64)>> = std::iter::once(vec![(0, 2), (1, 3)])
+        .chain((0..16).map(|round| {
+            let rows = (0..3).map(|k| (k, 1 + (round + k) % 5));
+            rows.chain([(3, 1 + round)]).collect()
+        }))
+        .collect();
+    let shared = ServingEngine::new(config, database(&versions[0], &s0)).unwrap();
+    let start = std::sync::Barrier::new(5);
+    let done = std::sync::atomic::AtomicBool::new(false);
+
+    let answers: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4usize)
+            .map(|s| {
+                let (shared, queries, start, done) = (&shared, &queries, &start, &done);
+                scope.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(300 + s as u64);
+                    let mut answers = Vec::new();
+                    start.wait();
+                    let mut last = false;
+                    while answers.len() < 24 || !last {
+                        last = done.load(std::sync::atomic::Ordering::Acquire);
+                        let q = (s + answers.len()) % queries.len();
+                        let before = rng.clone();
+                        let out = shared.evaluate(&queries[q], &mut rng).unwrap();
+                        answers.push((q, before, out, rng.next_u64()));
+                    }
+                    answers
+                })
+            })
+            .collect();
+        start.wait();
+        for (v, pair) in versions.windows(2).enumerate() {
+            let (old, new) = (relation_r(&pair[0]), relation_r(&pair[1]));
+            if v.is_multiple_of(2) {
+                shared.update_relations([("R", new)]).unwrap();
+            } else {
+                shared
+                    .apply_deltas([("R", old.diff(&new).unwrap())])
+                    .unwrap();
+            }
+            std::thread::yield_now();
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        readers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let databases: Vec<UDatabase> = versions.iter().map(|r| database(r, &s0)).collect();
+    for (reader, answers) in answers.iter().enumerate() {
+        let mut floor = 0;
+        for (round, (q, before, out, tap)) in answers.iter().enumerate() {
+            let one_shot = |v: usize| {
+                let mut rng = before.clone();
+                let direct = engine::UEngine::new(config)
+                    .evaluate(&databases[v], &parsed[*q], &mut rng)
+                    .unwrap();
+                direct.result.relation == out.result.relation
+                    && direct.result.errors == out.result.errors
+                    && direct.stats == out.stats
+                    && direct.database == out.database
+                    && rng.next_u64() == *tap
+            };
+            // The earliest matching version not before the last one: a
+            // greedy choice, so a non-decreasing assignment exists iff
+            // every answer finds one.
+            floor = (floor..versions.len())
+                .find(|&v| one_shot(v))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "reader {reader} round {round} (`{}`) matches no committed \
+                     version from {floor} on",
+                        queries[*q]
+                    )
+                });
+        }
+    }
+}
