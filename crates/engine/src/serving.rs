@@ -50,8 +50,9 @@
 //! a new row set: whoever shares the old rows keeps them.  Pool entries
 //! hold what their spine *added* (the W-table `repair-key` left behind),
 //! never relation content of their own; a pooled scan result is a pointer
-//! copy of the relation the capturing request scanned.  The commit drops
-//! whole entries only when `R` feeds their
+//! copy of the relation the capturing request scanned, and a commit that
+//! patches it gives it a pointer copy of the relation it wrote.  The
+//! commit drops whole entries only when `R` feeds their
 //! stateful spine, and patches the pooled sub-plan results whose footprint
 //! contains `R` **in place** through the incremental operator rules of
 //! [`crate::delta`], so the
@@ -93,9 +94,10 @@
 //! query cache, and the served state — the database, its content epoch and
 //! the snapshot pool, behind one lock.  Lookups clone `Arc`-held entries
 //! under short read locks (a warm `prepare` is one read lock of the query
-//! cache and one hash of the text; a request's admission peek and its
-//! start are one read lock of the served state each, the start covering the
-//! database clone, the epoch and an entry lookup), all other work
+//! cache and one hash of the text; a request's start is one read lock of
+//! the served state, covering the database clone, the epoch and an entry
+//! lookup, taken once by a warm request and again after admission by a
+//! cold one), all other work
 //! (parsing, lowering, prefix resolution, execution, estimation) runs with
 //! *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
@@ -104,19 +106,22 @@
 //! whose slot values are themselves pointer copies), so an
 //! in-flight reader keeps the immutable entry it resolved.
 //!
-//! Admission control bounds how many requests execute at once
-//! ([`ServingLimits::max_in_flight`]), and a separate, tighter gate bounds
-//! *cold* prepares ([`ServingLimits::max_cold_in_flight`]).  A cold request
-//! acquires its cold permit **before** the admission permit, so a burst of
-//! never-seen queries queues behind the cold gate without occupying
-//! admission slots — warm traffic keeps flowing.  A request admitted as
-//! warm whose pool entry vanishes before resolution (an invalidation just
-//! dropped a hot prefix) re-enters through the cold gate — releasing its
-//! admission slot first, to keep the cold-before-admission permit order —
-//! so even an invalidation stampede stays bounded by the cold gate.
-//! Per-request ε/δ and deadline budgets ride on [`Request`]; a deadline is
-//! checked while queued and again before execution, failing fast with
-//! [`EngineError::DeadlineExceeded`].
+//! Admission decides only *when* a request runs, never what it answers.  A
+//! request starts first — its one read of the served state — and then
+//! takes one permit from one gate, as a cold request when its start found
+//! no pooled prefix.  The gate counts requests in flight
+//! ([`ServingLimits::max_in_flight`]) and, among them, cold ones (at most
+//! half the in-flight limit, and at least one) under one mutex, and grants
+//! a permit only when both limits allow it: a burst of never-seen queries
+//! queues without occupying a slot warm traffic needs, and after an
+//! invalidation drops a hot prefix the next starts find no entry and queue
+//! under the cold limit.  A request that started cold starts again once
+//! admitted, so it runs warm if a request ahead of it pooled the prefix:
+//! such a stampede makes about one cold evaluation per prefix, not one per
+//! request.  A request that started warm keeps its resolved snapshot while
+//! it waits, so it cannot turn cold in line.  Per-request ε/δ and deadline budgets ride on
+//! [`Request`]; a deadline is checked while queued and again before
+//! execution, failing fast with [`EngineError::DeadlineExceeded`].
 //!
 //! Determinism survives concurrency because warm ≡ cold: a request's answer
 //! depends only on its text, the database content, and its own RNG state —
@@ -143,9 +148,10 @@
 //! digest-verified segment files (see `engine::storage` for the framing):
 //! the W-table, the relation catalog, one segment per relation, and one
 //! *warm* segment per poolable deterministic-prefix snapshot (its introduced
-//! variables, counters and sub-plan results — relation content is written
-//! once, in the relation segments), all recorded — length and digest pair —
-//! in a `MANIFEST` segment written last.
+//! variables, counters and sub-plan results — every pooled result is
+//! encoded in full, so a pooled scan writes its relation's rows a second
+//! time), all recorded — length and digest pair — in a `MANIFEST` segment
+//! written last.
 //! [`ServingEngine::restore`] rebuilds a server from such a directory and
 //! re-seeds the snapshot pool from the warm segments, so the restarted
 //! process answers its first requests at warm cost without re-preparing.
@@ -317,7 +323,7 @@ pub struct ServingStats {
     pub entries_quarantined: u64,
     /// Requests answered in degraded mode — guaranteed `[lower, upper]`
     /// confidence bounds instead of an (ε, δ) estimate — because their
-    /// deadline expired mid-sampling or the cold gate was saturated (see
+    /// deadline expired mid-sampling or the admission gate was saturated (see
     /// [`ServingEngine::evaluate_degradable`]).
     pub degraded_answers: u64,
     /// Approximate-confidence events answered *exactly* by the compiled
@@ -413,11 +419,13 @@ struct PooledSlot {
 }
 
 /// One committed relation-content change as the pool maintenance consumes
-/// it: the relation's name, plus the net row delta when it is small enough
+/// it: the relation's name, the content the commit wrote (a pointer copy
+/// of the served relation), plus the net row delta when it is small enough
 /// to patch pooled results in place (`None` demotes every intersecting slot
 /// for recomputation on the next warm resume).
 struct DeltaUpdate {
     name: String,
+    content: URelation,
     patch: Option<RelationDelta>,
 }
 
@@ -715,14 +723,18 @@ fn try_patch_slot(
     }
     if node.inputs.is_empty() {
         // A scan of a changed relation: the relation's net delta *is* the
-        // output delta.  `apply_to` digest-checks the stored value, so a
-        // slot that somehow drifted out of sync demotes instead of
-        // corrupting downstream patches.
+        // output delta, and the content the commit wrote *is* the new
+        // output, shared rather than rebuilt.  A stored value that is not
+        // the delta's base (the slot drifted out of sync) demotes instead
+        // of corrupting downstream patches.
         let name = profile.footprints[id].iter().next()?;
         let update = updates.iter().find(|u| &u.name == name)?;
         let patch = update.patch.as_ref()?;
-        let new = patch.apply_to(&slot.value.relation).ok()?;
-        return Some((new, patch.inserted().clone(), patch.deleted().clone()));
+        if slot.value.relation.content_digest() != patch.base_digest() {
+            return None;
+        }
+        let (inserted, deleted) = (patch.inserted().clone(), patch.deleted().clone());
+        return Some((update.content.clone(), inserted, deleted));
     }
     let mut inputs: Vec<DeltaInput<'_>> = Vec::with_capacity(node.inputs.len());
     for &i in &node.inputs {
@@ -747,21 +759,18 @@ fn try_patch_slot(
 }
 
 /// Admission limits of a [`ServingEngine`]: how many requests may execute
-/// concurrently, and how many of those may be cold prepares.
+/// concurrently, and how long one may queue for a slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServingLimits {
     /// Requests admitted to execute at once across all sessions.  Further
-    /// requests queue (deadline-aware) until a slot frees.
+    /// requests queue (deadline-aware) until a slot frees.  Half of them
+    /// (at least one) may be *cold* — the first evaluation of a prefix
+    /// nobody pooled: full prefix execution, lineage extraction and
+    /// compilation — so a cold burst queues without starving warm traffic
+    /// of slots.
     pub max_in_flight: usize,
-    /// Upper bound on concurrently executing *cold* requests (first
-    /// evaluation of a prefix nobody pooled: full prefix execution, lineage
-    /// extraction and compilation).  Cold requests take a cold permit
-    /// **before** an admission slot, so a cold burst queues behind this
-    /// gate without starving warm traffic of admission slots.  Clamped to
-    /// `max_in_flight`.
-    pub max_cold_in_flight: usize,
     /// Queue deadline, distinct from the request deadline: the longest a
-    /// request may wait at either gate before the engine sheds it with
+    /// request may wait at the gate before the engine sheds it with
     /// [`EngineError::Overloaded`].  A saturated gate then fails fast —
     /// after `max_queue_wait` — instead of burning the whole request budget
     /// in line (and [`ServingEngine::evaluate_degradable`] turns the shed
@@ -772,15 +781,13 @@ pub struct ServingLimits {
 
 impl Default for ServingLimits {
     /// Twice the hardware parallelism of admitted requests (estimation-bound
-    /// warm requests overlap well), half of them allowed to be cold.
+    /// warm requests overlap well).
     fn default() -> Self {
         let hw = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let max_in_flight = (hw * 2).clamp(4, 64);
         ServingLimits {
-            max_in_flight,
-            max_cold_in_flight: (max_in_flight / 2).max(1),
+            max_in_flight: (hw * 2).clamp(4, 64),
             max_queue_wait: None,
         }
     }
@@ -855,7 +862,7 @@ pub enum DegradedReason {
     /// The request's deadline expired while sampling was underway
     /// ([`EngineError::DeadlineExceeded`] in the `estimate` stage).
     DeadlineExpired,
-    /// An admission gate stayed saturated past the engine's
+    /// The admission gate stayed saturated past the engine's
     /// [`ServingLimits::max_queue_wait`] and the request was shed
     /// ([`EngineError::Overloaded`]).
     QueueSaturated,
@@ -951,69 +958,90 @@ impl RetryPolicy {
     }
 }
 
-/// A counting semaphore with deadline-aware acquisition (standing in for an
-/// async admission queue: requests block, fairly woken, until a permit
-/// frees).
+/// The admission gate: a counting semaphore over the requests in flight
+/// that also counts the cold ones among them, with deadline-aware
+/// acquisition (standing in for an async admission queue: requests block
+/// until both limits allow them).  One mutex holds both counts, so a
+/// request takes one permit, and a cold request that waits holds nothing.
 #[derive(Debug)]
 struct Gate {
-    permits: OrderedMutex<usize>,
+    counts: OrderedMutex<InFlight>,
     freed: OrderedCondvar,
-    /// Rank a held permit occupies on the holder's rank stack
-    /// ([`LockRank::GateCold`] or [`LockRank::GateAdmission`]): both sit
-    /// below the internal counter and below every engine lock, which is
-    /// what machine-checks the cold-before-admission permit order.
-    permit_rank: LockRank,
-    permit_name: &'static str,
+    max_in_flight: usize,
+    /// Half of `max_in_flight`, at least one.
+    max_cold: usize,
+}
+
+/// Requests holding a [`Gate`] permit, and the cold ones among them.
+#[derive(Debug, Default)]
+struct InFlight {
+    all: usize,
+    cold: usize,
 }
 
 /// A held [`Gate`] permit; released on drop.
 #[derive(Debug)]
 struct GatePermit<'a> {
     gate: &'a Gate,
+    cold: bool,
+    /// The permit on the holder's rank stack ([`LockRank::GateAdmission`]):
+    /// below the gate's counter and every engine lock, so a thread that
+    /// holds a permit and queues for a second one is a checked violation.
     _token: HeldRank,
 }
 
 impl Gate {
-    fn new(
-        capacity: usize,
-        permit_rank: LockRank,
-        permit_name: &'static str,
-        counter_name: &'static str,
-    ) -> Gate {
+    /// A gate admitting `max_in_flight` (at least one) requests at once,
+    /// half of them (at least one) cold.
+    fn new(max_in_flight: usize) -> Gate {
+        let max_in_flight = max_in_flight.max(1);
         Gate {
-            permits: OrderedMutex::new(LockRank::GateInternal, counter_name, capacity.max(1)),
+            counts: OrderedMutex::new(
+                LockRank::GateInternal,
+                "gate.admission.counter",
+                InFlight::default(),
+            ),
             freed: OrderedCondvar::new(),
-            permit_rank,
-            permit_name,
+            max_in_flight,
+            max_cold: (max_in_flight / 2).max(1),
         }
     }
 
-    /// Blocks until a permit is free, or until `deadline` passes (failing
-    /// with [`EngineError::DeadlineExceeded`] tagged `stage`), or — when
+    /// Blocks until both limits admit the request, or until `deadline`
+    /// passes (failing with [`EngineError::DeadlineExceeded`]), or — when
     /// `max_wait` is set — until the request has queued for `max_wait`
     /// (failing with [`EngineError::Overloaded`]: the gate is saturated and
     /// the engine sheds the request early instead of burning the rest of
-    /// its budget in line).
+    /// its budget in line).  A failure is tagged `"cold admission"` when
+    /// the cold limit binds the request, else `"admission"`.
     fn acquire(
         &self,
+        cold: bool,
         deadline: Option<Instant>,
         max_wait: Option<Duration>,
-        stage: &'static str,
     ) -> Result<GatePermit<'_>> {
         let queue_deadline = max_wait.map(|w| Instant::now() + w);
-        let mut permits = self.permits.lock();
+        let mut counts = self.counts.lock();
         loop {
-            if *permits > 0 {
-                *permits -= 1;
+            let cold_bound = cold && counts.cold >= self.max_cold;
+            if counts.all < self.max_in_flight && !cold_bound {
+                counts.all += 1;
+                counts.cold += usize::from(cold);
                 // The internal counter (GateInternal) outranks the permit
                 // token about to be issued, so the counter guard must die
                 // first — the held-rank stack only ever grows upward.
-                drop(permits);
+                drop(counts);
                 return Ok(GatePermit {
                     gate: self,
-                    _token: HeldRank::acquire(self.permit_rank, self.permit_name),
+                    cold,
+                    _token: HeldRank::acquire(LockRank::GateAdmission, "gate.admission.permit"),
                 });
             }
+            let stage = if cold_bound {
+                "cold admission"
+            } else {
+                "admission"
+            };
             let now = Instant::now();
             if let Some(deadline) = deadline {
                 if now >= deadline {
@@ -1031,9 +1059,9 @@ impl Gate {
                 (None, Some(q)) => Some(q),
                 (Some(d), Some(q)) => Some(d.min(q)),
             };
-            permits = match wake {
-                None => self.freed.wait(permits),
-                Some(wake) => self.freed.wait_timeout(permits, wake - now).0,
+            counts = match wake {
+                None => self.freed.wait(counts),
+                Some(wake) => self.freed.wait_timeout(counts, wake - now).0,
             };
         }
     }
@@ -1043,9 +1071,12 @@ impl Drop for GatePermit<'_> {
     fn drop(&mut self) {
         // Fine rank-wise: the counter (GateInternal) outranks the permit
         // token this drop still holds (`_token` dies after this body).
-        let mut permits = self.gate.permits.lock();
-        *permits += 1;
-        self.gate.freed.notify_one();
+        let mut counts = self.gate.counts.lock();
+        counts.all -= 1;
+        counts.cold -= usize::from(self.cold);
+        // Every waiter re-checks: a freed slot a queued cold request cannot
+        // use (the cold limit still binds) must still reach a warm waiter.
+        self.gate.freed.notify_all();
     }
 }
 
@@ -1169,7 +1200,6 @@ pub struct ServingEngine {
     state: OrderedRwLock<Served>,
     queries: OrderedRwLock<QueryCache>,
     admission: Gate,
-    cold_admission: Gate,
     counters: Counters,
     /// The cross-request shared block scheduler, consulted by estimation
     /// only when the effective configuration enables
@@ -1193,11 +1223,9 @@ impl ServingEngine {
         limits: ServingLimits,
     ) -> Result<ServingEngine> {
         let catalog = Arc::new(catalog_of(&database)?);
-        let max_in_flight = limits.max_in_flight.max(1);
         let limits = ServingLimits {
-            max_in_flight,
-            max_cold_in_flight: limits.max_cold_in_flight.clamp(1, max_in_flight),
-            max_queue_wait: limits.max_queue_wait,
+            max_in_flight: limits.max_in_flight.max(1),
+            ..limits
         };
         Ok(ServingEngine {
             config,
@@ -1217,18 +1245,7 @@ impl ServingEngine {
                 "serving.queries",
                 QueryCache::new(catalog),
             ),
-            admission: Gate::new(
-                limits.max_in_flight,
-                LockRank::GateAdmission,
-                "gate.admission.permit",
-                "gate.admission.counter",
-            ),
-            cold_admission: Gate::new(
-                limits.max_cold_in_flight,
-                LockRank::GateCold,
-                "gate.cold.permit",
-                "gate.cold.counter",
-            ),
+            admission: Gate::new(limits.max_in_flight),
             counters: Counters::default(),
             sampler: Arc::new(crate::sched::SampleScheduler::new()),
         })
@@ -1436,8 +1453,12 @@ impl ServingEngine {
             // re-running the catalog checks, preserving the completeness
             // declaration.
             let complete = state.is_complete(&name);
-            state.set_relation(name.clone(), new, complete);
-            updates.push(DeltaUpdate { name, patch });
+            state.set_relation(name.clone(), new.clone(), complete);
+            updates.push(DeltaUpdate {
+                name,
+                content: new,
+                patch,
+            });
         }
         if updates.is_empty() {
             return;
@@ -1489,35 +1510,31 @@ impl ServingEngine {
         crate::faults::fire("admission", deadline)?;
         let profile = &prepared.profile;
 
-        // Fair admission.  Classify warm/cold by peeking the pool (presence
-        // of the prefix entry).  The classification is best-effort —
-        // authoritative resolution happens after admission.
-        let mut cold_admitted =
-            !(self.state.read().pool.entries).contains_key(&profile.fingerprint);
-        let mut _permits = self.admit(cold_admitted, deadline)?;
-        let start = loop {
-            let start = self.start(&prepared);
-            if start.resolved.is_some() || cold_admitted {
-                break start;
-            }
-            // A warm-classified request lands here when the pool entry
-            // vanished (or resolved as a miss) between the admission peek
-            // and resolution — typically right after an invalidation
-            // dropped a hot prefix.  It is a cold request now: route it
-            // through the cold gate so the resulting stampede stays bounded
-            // by `max_cold_in_flight`.  The admission slot is released
-            // first — permits are ordered cold-before-admission everywhere,
-            // and waiting on the cold gate while holding an admission slot
-            // could deadlock the two gates against each other — and so is
-            // the start, which is read again once the request is through.
-            drop((start, _permits));
-            cold_admitted = true;
-            _permits = self.admit(true, deadline)?;
-        };
-        // Counted once admitted: a request shed at a gate never ran.
+        // One read of the served state, then one permit: the start decides
+        // whether the request queues as cold, and a warm start keeps its
+        // resolved snapshot while it waits.  A cold start reads again once
+        // admitted: a request ahead of it in the queue may have pooled the
+        // prefix (a burst for one unpooled prefix then runs about one cold
+        // evaluation, not one per request), and a commit may have moved the
+        // epoch its capture is checked against.
+        let mut start = self.start(&prepared);
+        let _permit = (self.admission).acquire(
+            start.resolved.is_none(),
+            deadline,
+            self.limits.max_queue_wait,
+        )?;
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(EngineError::DeadlineExceeded {
+                stage: "pre-execution",
+            });
+        }
+        if start.resolved.is_none() {
+            start = self.start(&prepared);
+        }
+        let cold = start.resolved.is_none();
+        // Counted once admitted: a request shed at the gate never ran.
         let first_evaluation = prepared.evaluations.fetch_add(1, Ordering::Relaxed) == 0;
 
-        let warm = start.resolved.is_some();
         let (snapshot, capture) = match start.resolved {
             Some(resolved) => {
                 self.counters
@@ -1554,7 +1571,7 @@ impl ServingEngine {
         // any caller randomness, so a retried request still evaluates
         // bit-identically to cold.
         let run = catch_unwind(AssertUnwindSafe(|| {
-            if !warm {
+            if cold {
                 crate::faults::fire("cold-eval", deadline)?;
             }
             prepared.physical.resume(&mut ctx, snapshot, capture)
@@ -1563,7 +1580,7 @@ impl ServingEngine {
             Ok(output) => output?,
             Err(_) => {
                 self.quarantine(&profile.fingerprint);
-                let stage = if warm { "warm-eval" } else { "cold-eval" };
+                let stage = if cold { "cold-eval" } else { "warm-eval" };
                 return Err(EngineError::Panicked { stage });
             }
         };
@@ -1576,29 +1593,6 @@ impl ServingEngine {
             database: ctx.database,
             stats: ctx.stats,
         })
-    }
-
-    /// Fair admission: a cold request waits on the cold gate *before*
-    /// taking an admission slot, so a cold burst cannot occupy the slots
-    /// warm traffic needs.  Fails with the stage-tagged deadline or overload
-    /// error of whichever gate (or the final pre-execution check) gave up.
-    fn admit(
-        &self,
-        cold: bool,
-        deadline: Option<Instant>,
-    ) -> Result<(GatePermit<'_>, Option<GatePermit<'_>>)> {
-        let queue_wait = self.limits.max_queue_wait;
-        let cold_gate = cold.then_some(&self.cold_admission);
-        let cold_permit = cold_gate
-            .map(|gate| gate.acquire(deadline, queue_wait, "cold admission"))
-            .transpose()?;
-        let permit = self.admission.acquire(deadline, queue_wait, "admission")?;
-        match deadline {
-            Some(deadline) if Instant::now() >= deadline => Err(EngineError::DeadlineExceeded {
-                stage: "pre-execution",
-            }),
-            _ => Ok((permit, cold_permit)),
-        }
     }
 
     /// Reads what a request starts from as one consistent cut — the served
@@ -1674,7 +1668,7 @@ impl ServingEngine {
     ///
     /// The request first runs normally.  If it fails because its deadline
     /// expired *mid-sampling* ([`EngineError::DeadlineExceeded`] in the
-    /// `estimate` stage) or because an admission gate was saturated past
+    /// `estimate` stage) or because the admission gate was saturated past
     /// [`ServingLimits::max_queue_wait`] ([`EngineError::Overloaded`]), and
     /// the query is an approximate `conf` over a deterministic prefix
     /// ([`PhysicalPlan::bounds_root`]), the engine answers with
@@ -1723,7 +1717,7 @@ impl ServingEngine {
     /// a full evaluation takes — the pooled prefix when there is one, so a
     /// request shed on a warm prefix re-runs nothing — and answers the root
     /// `conf` from exact interval bounds.  Deliberately bypasses the
-    /// admission gates — it is the shed path's fallback, so re-queueing it
+    /// admission gate — it is the shed path's fallback, so re-queueing it
     /// behind the very gate that shed the request would defeat the point —
     /// and uses a fixed dummy RNG, which [`PhysicalPlan::execute_bounds`]
     /// never draws from.
@@ -1900,8 +1894,10 @@ impl ServingEngine {
     /// which [`restore`](ServingEngine::restore) rejects as a whole.  A warm
     /// segment holds what its prefix added — the variables it introduced on
     /// top of the base W-table, the variable counter, statistics and the
-    /// pooled sub-plan results — so relation content (and the base W-table)
-    /// is written once, in the segments of its own.
+    /// pooled sub-plan results — so the base W-table is written once, in a
+    /// segment of its own.  Relation content is not: a relation is written
+    /// in its relation segment and again, in full, in the warm segment of
+    /// every entry that pooled a scan of it.
     ///
     /// The database and the pool entries are cloned under one read lock of
     /// the served state, which every commit writes whole, so a checkpoint is
@@ -2414,9 +2410,9 @@ mod tests {
         let (warm_files, warm_bytes) = segment_files(&dir, "warm-");
         assert_eq!(warm_files, 3);
 
-        // Relation content is written once, in the relation segments:
-        // growing a relation no pooled slot scans grows those and leaves
-        // the warm segments byte for byte as large as before.
+        // A relation no pooled slot scans is written once, in its relation
+        // segment: growing it grows that and leaves the warm segments byte
+        // for byte as large as before.
         let (_, rel_bytes) = segment_files(&dir, "rel-");
         let mut grown = pdb::Relation::empty(pdb::Schema::new(["X"]).unwrap());
         for i in 0..500 {
@@ -3366,6 +3362,19 @@ mod tests {
                 serving.update_relations([("Labels", new.clone())]).unwrap();
             }
             assert_eq!(serving.database().relation("Labels").unwrap(), &new);
+            // The commit hands the pooled scans of `Labels` the relation it
+            // wrote: a pointer copy, not a row set rebuilt per entry.
+            {
+                let served = serving.database().relation("Labels").unwrap().clone();
+                let state = serving.state.read();
+                let scans: Vec<&URelation> = (state.pool.entries.values())
+                    .flat_map(|entry| entry.slots.values())
+                    .map(|slot| &slot.value.relation)
+                    .filter(|relation| **relation == served)
+                    .collect();
+                assert!(!scans.is_empty(), "a pooled scan of Labels was patched");
+                assert!(scans.iter().all(|scan| scan.shares_content(&served)));
+            }
             shares_served(&before, Some(("Labels", &old)));
             let after = serving.evaluate(touching, &mut rng).unwrap();
             shares_served(&after, None);
@@ -3748,15 +3757,14 @@ mod tests {
     #[test]
     fn tight_admission_limits_still_serve_every_request() {
         let _calm = storm_free();
-        // max_in_flight = 1 serializes execution; max_cold_in_flight = 1
-        // serializes cold prepares of distinct queries.  Nothing may
-        // deadlock, and all requests complete with correct counts.
+        // max_in_flight = 1 serializes execution, and with it the cold
+        // prepares of distinct queries (the cold limit is 1 too).  Nothing
+        // may deadlock, and all requests complete with correct counts.
         let serving = ServingEngine::with_limits(
             EvalConfig::default(),
             two_relation_db(),
             ServingLimits {
                 max_in_flight: 1,
-                max_cold_in_flight: 1,
                 max_queue_wait: None,
             },
         )
@@ -3784,6 +3792,28 @@ mod tests {
             stats.cold_evaluations + stats.warm_evaluations,
             (queries.len() * 3) as u64
         );
+    }
+
+    #[test]
+    fn a_warm_exact_request_reads_the_served_state_once() {
+        // Lock acquisitions on the request's thread, counted by the rank
+        // checker (checked builds only): the query-cache read, the
+        // served-state read of the start, and the gate — its counter on
+        // admission and on release, plus the permit's rank token.
+        if !crate::sync::CHECKED {
+            return;
+        }
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), coin_db()).unwrap();
+        let q = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        serving.evaluate(q, &mut rng).unwrap();
+        let count = rayon::lockcheck::acquisitions;
+        let (all, state) = (count(None), count(Some("serving.state")));
+        serving.evaluate(q, &mut rng).unwrap();
+        assert_eq!(serving.stats().warm_evaluations, 1);
+        assert_eq!(count(Some("serving.state")) - state, 1);
+        assert_eq!(count(None) - all, 5);
     }
 
     #[test]
@@ -3889,18 +3919,26 @@ mod tests {
 
     #[test]
     fn gates_tag_deadline_and_overload_errors_with_their_stage() {
-        // Table-driven over both gate stages: a drained gate fails a
-        // deadline wait with `DeadlineExceeded { stage }` and a queue-
-        // deadline wait with `Overloaded { stage }`, tagged verbatim.
-        for stage in ["cold admission", "admission"] {
-            let gate = Gate::new(1, LockRank::GateCold, "test.permit", "test.counter");
-            let _held = gate.acquire(None, None, stage).unwrap();
+        // Table-driven over both gate stages: a gate whose binding limit
+        // is drained fails a cold request's deadline wait with
+        // `DeadlineExceeded { stage }` and its queue-deadline wait with
+        // `Overloaded { stage }`, tagged verbatim.  A held cold permit
+        // binds the cold limit (1) of a two-slot gate, and of a one-slot
+        // gate, whose in-flight limit binds too: the cold limit names the
+        // stage.  A held warm permit binds only the in-flight limit.
+        for (stage, slots, held_cold) in [
+            ("cold admission", 2, true),
+            ("cold admission", 1, true),
+            ("admission", 1, false),
+        ] {
+            let gate = Gate::new(slots);
+            let _held = gate.acquire(held_cold, None, None).unwrap();
             let soon = Some(Instant::now() + Duration::from_millis(5));
-            match gate.acquire(soon, None, stage) {
+            match gate.acquire(true, soon, None) {
                 Err(EngineError::DeadlineExceeded { stage: tag }) => assert_eq!(tag, stage),
                 other => panic!("expected DeadlineExceeded({stage}), got {other:?}"),
             }
-            match gate.acquire(None, Some(Duration::from_millis(5)), stage) {
+            match gate.acquire(true, None, Some(Duration::from_millis(5))) {
                 Err(err @ EngineError::Overloaded { .. }) => {
                     assert_eq!(err, EngineError::Overloaded { stage });
                     assert!(err.is_transient(), "sheds must be retryable");
@@ -3910,11 +3948,117 @@ mod tests {
             // With both budgets pending, whichever expires first decides
             // the classification: the request deadline outranks the queue.
             let d = Some(Instant::now() + Duration::from_millis(5));
-            match gate.acquire(d, Some(Duration::from_secs(60)), stage) {
+            match gate.acquire(true, d, Some(Duration::from_secs(60))) {
                 Err(EngineError::DeadlineExceeded { stage: tag }) => assert_eq!(tag, stage),
                 other => panic!("expected DeadlineExceeded({stage}), got {other:?}"),
             };
         }
+    }
+
+    #[test]
+    fn a_same_prefix_burst_makes_one_cold_evaluation() {
+        let _calm = storm_free();
+        // Two slots, so the cold limit is 1, and its one cold permit is
+        // held while three requests for one unpooled prefix start cold and
+        // queue.  Once it goes, the first admitted runs cold and pools the
+        // prefix; the others start again when admitted and run warm.  The
+        // sleep only lets all three queue before the release: a request
+        // that starts later finds the prefix pooled, so the counts hold
+        // under any interleaving.
+        let serving = ServingEngine::with_limits(
+            EvalConfig::exact(),
+            coin_db(),
+            ServingLimits {
+                max_in_flight: 2,
+                max_queue_wait: None,
+            },
+        )
+        .unwrap();
+        let q = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
+        let held = serving.admission.acquire(true, None, None).unwrap();
+        std::thread::scope(|scope| {
+            let burst: Vec<_> = (0..3)
+                .map(|t| {
+                    let serving = &serving;
+                    scope.spawn(move || {
+                        let mut rng = ChaCha8Rng::seed_from_u64(t);
+                        serving.evaluate(q, &mut rng).map(drop)
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(50));
+            drop(held);
+            for request in burst {
+                request.join().unwrap().unwrap();
+            }
+        });
+        let stats = serving.stats();
+        assert_eq!(stats.cold_evaluations, 1);
+        assert_eq!(stats.warm_evaluations, 2);
+    }
+
+    #[test]
+    fn a_freed_slot_admits_a_warm_waiter_queued_behind_a_blocked_cold_one() {
+        // Two slots, so the cold limit is 1.  One request holds the cold
+        // permit, another a warm one; then a cold and a warm request queue,
+        // the cold one first.  Releasing the warm permit frees a slot only
+        // the warm waiter can use: it must be admitted at once, while the
+        // cold permit is still held, not at its deadline.  The sleeps only
+        // order the queue (cold first, both before the release): correct
+        // wakeups pass under any interleaving.
+        let serving = ServingEngine::with_limits(
+            EvalConfig::default(),
+            coin_db(),
+            ServingLimits {
+                max_in_flight: 2,
+                max_queue_wait: None,
+            },
+        )
+        .unwrap();
+        let gate = &serving.admission;
+        let patience = Duration::from_secs(3);
+        std::thread::scope(|scope| {
+            // Created in the scope, so a failing assertion drops the
+            // senders and the holders give up instead of hanging the join.
+            let (cold_tx, cold_rx) = std::sync::mpsc::channel::<()>();
+            let (warm_tx, warm_rx) = std::sync::mpsc::channel::<()>();
+            let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+            let (admitted_tx, admitted_rx) = std::sync::mpsc::channel::<Instant>();
+            for (cold, release) in [(true, cold_rx), (false, warm_rx)] {
+                let held_tx = held_tx.clone();
+                scope.spawn(move || {
+                    let _permit = gate.acquire(cold, None, None).unwrap();
+                    held_tx.send(()).unwrap();
+                    release.recv().unwrap();
+                });
+            }
+            held_rx.recv().unwrap();
+            held_rx.recv().unwrap();
+            let queued_cold = scope.spawn(move || {
+                let deadline = Instant::now() + patience;
+                gate.acquire(true, Some(deadline), None).map(drop)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            let queued_warm = scope.spawn(move || {
+                let deadline = Instant::now() + patience;
+                let permit = gate.acquire(false, Some(deadline), None);
+                admitted_tx.send(Instant::now()).unwrap();
+                permit.map(drop)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            let released = Instant::now();
+            warm_tx.send(()).unwrap();
+            let admitted = admitted_rx.recv().unwrap();
+            queued_warm.join().unwrap().unwrap();
+            assert!(
+                admitted - released < patience / 3,
+                "the warm waiter slept {:?} behind the blocked cold one",
+                admitted - released
+            );
+            // Only now the cold permit goes, and the cold waiter follows.
+            cold_tx.send(()).unwrap();
+            queued_cold.join().unwrap().unwrap();
+        });
     }
 
     #[test]
@@ -3932,23 +4076,20 @@ mod tests {
                 other => panic!("expected DeadlineExceeded(prepare), got {other:?}"),
             }
         }
-        // Stage "cold admission": the cold gate is held and the prefix is
-        // not pooled, so the request queues there until its deadline.
+        // Stage "cold admission": the one cold permit of a two-slot gate is
+        // held and the prefix is not pooled, so the request queues under
+        // the cold limit until its deadline.
         {
             let serving = ServingEngine::with_limits(
                 EvalConfig::default(),
                 coin_db(),
                 ServingLimits {
-                    max_in_flight: 4,
-                    max_cold_in_flight: 1,
+                    max_in_flight: 2,
                     max_queue_wait: None,
                 },
             )
             .unwrap();
-            let _cold = serving
-                .cold_admission
-                .acquire(None, None, "cold admission")
-                .unwrap();
+            let _cold = serving.admission.acquire(true, None, None).unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(2);
             let request = Request::new(q).with_deadline(Instant::now() + Duration::from_millis(10));
             match serving.evaluate_request(&request, &mut rng) {
@@ -3958,22 +4099,21 @@ mod tests {
                 other => panic!("expected DeadlineExceeded(cold admission), got {other:?}"),
             }
         }
-        // Stage "admission": the prefix is pooled (warm classification
-        // skips the cold gate) and the admission gate is held.
+        // Stage "admission": the prefix is pooled (a warm start is not
+        // held by the cold limit) and the gate's only slot is held.
         {
             let serving = ServingEngine::with_limits(
                 EvalConfig::default(),
                 coin_db(),
                 ServingLimits {
                     max_in_flight: 1,
-                    max_cold_in_flight: 1,
                     max_queue_wait: None,
                 },
             )
             .unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             serving.evaluate(q, &mut rng).unwrap();
-            let _held = serving.admission.acquire(None, None, "admission").unwrap();
+            let _held = serving.admission.acquire(false, None, None).unwrap();
             let request = Request::new(q).with_deadline(Instant::now() + Duration::from_millis(10));
             match serving.evaluate_request(&request, &mut rng) {
                 Err(EngineError::DeadlineExceeded { stage }) => assert_eq!(stage, "admission"),
@@ -4034,23 +4174,21 @@ mod tests {
             coin_db(),
             ServingLimits {
                 max_in_flight: 1,
-                max_cold_in_flight: 1,
                 max_queue_wait: Some(Duration::from_millis(10)),
             },
         )
         .unwrap();
         // Hold the only admission slot — from a separate thread, as a real
-        // competing request would.  Holding it on this thread and then
-        // evaluating a cold request here would acquire the cold permit
-        // under the admission permit, which the rank discipline (rightly)
-        // rejects as the gate-to-gate deadlock order.
+        // competing request would.  A thread that holds a permit and is
+        // granted a second one breaks the rank discipline, which (rightly)
+        // rejects it as the order that deadlocks a full gate.
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let holder = &serving;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let _held = holder.admission.acquire(None, None, "admission").unwrap();
+                let _held = holder.admission.acquire(false, None, None).unwrap();
                 held_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
             });
@@ -4098,7 +4236,6 @@ mod tests {
             coin_db(),
             ServingLimits {
                 max_in_flight: 1,
-                max_cold_in_flight: 1,
                 max_queue_wait: Some(Duration::from_millis(10)),
             },
         )
@@ -4113,7 +4250,7 @@ mod tests {
         let holder = &serving;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let _held = holder.admission.acquire(None, None, "admission").unwrap();
+                let _held = holder.admission.acquire(false, None, None).unwrap();
                 held_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
             });

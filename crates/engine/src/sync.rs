@@ -59,24 +59,20 @@ pub const CHECKED: bool = rayon::lockcheck::CHECKED;
 /// The total order over every lock in the process, lowest first.
 ///
 /// A thread may acquire a lock only if its rank is strictly greater than
-/// every rank the thread already holds.  Gate *permits* (not mutexes, but
-/// held resources a thread can block on) get ranks too, which is what
-/// machine-checks the serving door's cold-permit-before-admission-permit
-/// rule.
+/// every rank the thread already holds.  The serving door's *permit* (not
+/// a mutex, but a held resource a thread can block on) gets a rank too,
+/// which machine-checks that a permit holder never queues for a second
+/// permit and never waits at the door while holding an engine lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum LockRank {
     /// `faults::exclusive()`, serializing fault-injection tests
     /// process-wide.  Lowest: a test holds it across whole evaluations.
     TestExclusive = 10,
-    /// A held cold-admission permit (RAII token).  Below
-    /// [`LockRank::GateAdmission`]: cold requests must take their cold
-    /// permit *before* an admission slot.
-    GateCold = 20,
-    /// A held admission permit (RAII token).
+    /// A held admission permit (RAII token); one per request, cold or warm.
     GateAdmission = 30,
-    /// A [`Gate`](../serving/index.html)'s internal permit counter; held
-    /// only for counter arithmetic and condvar waits.
+    /// The admission gate's counts of requests in flight and cold ones;
+    /// held only for counter arithmetic and condvar waits.
     GateInternal = 40,
     /// The served state: the database, its content epoch and the snapshot
     /// pool, read and written together.
@@ -107,9 +103,8 @@ pub enum LockRank {
 impl LockRank {
     /// Every rank, lowest first — the doc table and the cross-crate pin
     /// test iterate this.
-    pub const ALL: [LockRank; 13] = [
+    pub const ALL: [LockRank; 12] = [
         LockRank::TestExclusive,
-        LockRank::GateCold,
         LockRank::GateAdmission,
         LockRank::GateInternal,
         LockRank::State,
@@ -133,7 +128,6 @@ impl LockRank {
     pub const fn name(self) -> &'static str {
         match self {
             LockRank::TestExclusive => "TestExclusive",
-            LockRank::GateCold => "GateCold",
             LockRank::GateAdmission => "GateAdmission",
             LockRank::GateInternal => "GateInternal",
             LockRank::State => "State",
@@ -155,9 +149,10 @@ impl LockRank {
             LockRank::TestExclusive => {
                 "`faults::exclusive()` — serializes fault-injection tests process-wide"
             }
-            LockRank::GateCold => "a held cold-admission permit (RAII token, not a mutex)",
             LockRank::GateAdmission => "a held admission permit (RAII token, not a mutex)",
-            LockRank::GateInternal => "a gate's permit counter + wakeup condvar",
+            LockRank::GateInternal => {
+                "the admission gate's in-flight and cold counts + wakeup condvar"
+            }
             LockRank::State => "the served state: database, content epoch and snapshot pool",
             LockRank::Prepared => {
                 "the query cache: request text → prepared query, and the catalog it was validated against"
@@ -466,9 +461,10 @@ impl fmt::Debug for OrderedCondvar {
 }
 
 /// An RAII rank token for held resources that are not mutexes but that a
-/// thread can block on — gate permits.  Holding the token subjects every
-/// later acquisition to the same strictly-increasing-rank rule, which is
-/// how the cold-permit-before-admission-permit order is machine-checked.
+/// thread can block on — the admission permit.  Holding the token subjects
+/// every later acquisition to the same strictly-increasing-rank rule, which
+/// is how "no second permit, no permit under an engine lock" is
+/// machine-checked.
 #[derive(Debug)]
 pub struct HeldRank {
     rank: LockRank,
@@ -599,18 +595,13 @@ mod tests {
         let _s = state.read();
     }
 
-    /// The serving door's permit protocol as a table: cold permits must be
-    /// taken before admission permits (both before any engine lock), and
-    /// the inverse order is a checked violation.  This is satellite proof
-    /// that the two-gate hardening from the concurrent-serving PR is
-    /// *expressible* under the ranks — the gates sit below `State`.
+    /// The serving door's permit rule as a table: the admission permit is
+    /// taken before any engine lock, and taking it under one — or taking a
+    /// second permit — is a checked violation.  The gate sits below
+    /// `State`.
     #[test]
     fn gate_permit_order_table() {
-        let ok_orders: [&[LockRank]; 3] = [
-            &[LockRank::GateCold, LockRank::GateAdmission],
-            &[LockRank::GateCold, LockRank::GateAdmission, LockRank::State],
-            &[LockRank::GateAdmission, LockRank::State],
-        ];
+        let ok_orders: [&[LockRank]; 1] = [&[LockRank::GateAdmission, LockRank::State]];
         for order in ok_orders {
             let tokens: Vec<HeldRank> = order
                 .iter()
@@ -622,7 +613,7 @@ mod tests {
             return;
         }
         let violations: [&[LockRank]; 2] = [
-            &[LockRank::GateAdmission, LockRank::GateCold],
+            &[LockRank::GateAdmission, LockRank::GateAdmission],
             &[LockRank::State, LockRank::GateAdmission],
         ];
         for order in violations {
