@@ -53,7 +53,7 @@
 //! pin their statistical agreement and the per-seed bit-determinism of every
 //! width.
 
-use crate::compile::{LineagePrograms, SLOT_NONE};
+use crate::compile::{LineagePrograms, SamplingArena, SLOT_NONE};
 use crate::error::{ConfidenceError, Result};
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
@@ -161,8 +161,8 @@ pub(crate) struct SamplingTable {
 }
 
 impl SamplingTable {
-    pub(crate) fn build(arena: &LineagePrograms, event: usize) -> Self {
-        let p = arena.program(event);
+    pub(crate) fn build(arena: &SamplingArena, event: usize) -> Self {
+        let p = &arena.programs[event];
         let event_terms = &arena.event_terms[p.term_start as usize..][..p.term_len as usize];
         let event_vars = &arena.event_vars[p.var_start as usize..][..p.var_len as usize];
         let slots_of = |term: u32| {

@@ -25,11 +25,20 @@
 //! scan — one `AND` per literal, one `OR` per term — with no allocation and
 //! no pointer chasing; [`crate::bitworld`] provides the sampling kernel.
 //!
+//! Compilation itself only validates the events against the space and notes
+//! which are trivial (no terms, or an always-true term).  The arena is built
+//! on **first sampled use** — a sampling table, the fingerprint, a sampling
+//! width or total weight, an [`IncrementalEstimator`](crate::IncrementalEstimator)
+//! — once, behind a `OnceLock` whose initialiser is sequential; a batch
+//! answered only exactly (`conf`, `cert`, exact `σ̂`) never builds it
+//! ([`LineagePrograms::arena_built`]).
+//!
 //! Beside the arena sit the **per-event memos**, each computed at most once
 //! per compiled batch and kept for its lifetime, so they ride the same
 //! content-addressed caching as the programs and a served (warm) request
 //! pays a lookup: the **exact** probabilities
-//! ([`LineagePrograms::exact_probabilities`], Shannon expansion), the d-DNNF
+//! ([`LineagePrograms::exact_probabilities`], Shannon expansion over the
+//! batch's interned terms, see [`crate::exact`]), the d-DNNF
 //! size estimates and outcomes ([`LineagePrograms::dnnf_probability`]), and
 //! the kernel's **sampling tables** — per event, its terms as one flat
 //! stream of densely renumbered literals, a Walker alias table over the term
@@ -75,25 +84,11 @@ pub(crate) struct EventProgram {
     pub total_weight: f64,
     /// Largest term weight `max_f p_f` (0 for the impossible event).
     pub max_weight: f64,
-    /// `Some(p)` when the probability is known without sampling (no terms →
-    /// 0, an always-true term → 1).
-    pub trivial: Option<f64>,
 }
 
-/// A batch of DNF events compiled into flat programs over one shared arena.
-///
-/// The compiled form is immutable and self-contained: it retains the source
-/// events (for the exact estimator and for scalar reference runs) and a clone
-/// of the probability space, so a single `Arc<LineagePrograms>` is everything
-/// an estimator needs.  Construction cost is linear in the total literal
-/// count; per-sample cost afterwards is branch-free bit arithmetic.
-pub struct LineagePrograms {
-    /// The source events, parallel to the programs.
-    events: Vec<DnfEvent>,
-    /// The probability space the batch was compiled against.
-    space: ProbabilitySpace,
-
-    // ---- shared arena ------------------------------------------------------
+/// The sampling arena of a batch: everything the block kernel and the
+/// sample counts read, built from the events on first sampled use.
+pub(crate) struct SamplingArena {
     /// Slot id → local variable id (for forced-assignment bookkeeping).
     pub(crate) slot_var: Vec<u32>,
     /// Local variable id → sampling plan.
@@ -117,6 +112,123 @@ pub struct LineagePrograms {
     pub(crate) event_vars: Vec<u32>,
     /// The per-event programs.
     pub(crate) programs: Vec<EventProgram>,
+}
+
+impl SamplingArena {
+    /// Builds the arena of events that [`LineagePrograms::compile`] has
+    /// validated against `space`.
+    fn build(events: &[DnfEvent], space: &ProbabilitySpace) -> Self {
+        let mut var_local: HashMap<VarId, u32> = HashMap::new();
+        let mut arena = SamplingArena {
+            slot_var: Vec::new(),
+            vars: Vec::new(),
+            alt_thresholds: Vec::new(),
+            alt_slots: Vec::new(),
+            term_lits: Vec::new(),
+            terms: Vec::new(),
+            term_weights: Vec::new(),
+            event_terms: Vec::new(),
+            event_vars: Vec::new(),
+            programs: Vec::with_capacity(events.len()),
+        };
+        let mut term_ids: HashMap<Vec<u32>, u32> = HashMap::new();
+
+        for event in events {
+            let term_start = arena.event_terms.len() as u32;
+            let var_start = arena.event_vars.len() as u32;
+            let mut total_weight = 0.0f64;
+            let mut max_weight = 0.0f64;
+            let mut locals: Vec<u32> = Vec::new();
+            for term in event.terms() {
+                // Intern the variables and literals of the term.
+                let mut slots: Vec<u32> = Vec::with_capacity(term.len());
+                for (var, alt) in term.iter() {
+                    let local = *var_local.entry(var).or_insert_with(|| {
+                        let dist = space.distribution(var).expect("validated by compile");
+                        let alt_start = arena.alt_thresholds.len() as u32;
+                        let mut acc = 0.0f64;
+                        for &p in dist {
+                            acc += p;
+                            // 64-bit fixed point; the final threshold is
+                            // saturated so every draw lands somewhere.
+                            let t = (acc * 1.8446744073709552e19).min(u64::MAX as f64);
+                            arena.alt_thresholds.push(t as u64);
+                            arena.alt_slots.push(SLOT_NONE);
+                        }
+                        *arena.alt_thresholds.last_mut().expect("non-empty dist") = u64::MAX;
+                        arena.vars.push(VarPlan {
+                            alt_start,
+                            alt_len: dist.len() as u32,
+                        });
+                        arena.vars.len() as u32 - 1
+                    });
+                    let cell = arena.vars[local as usize].alt_start as usize + alt;
+                    if arena.alt_slots[cell] == SLOT_NONE {
+                        arena.alt_slots[cell] = arena.slot_var.len() as u32;
+                        arena.slot_var.push(local);
+                    }
+                    slots.push(arena.alt_slots[cell]);
+                    if !locals.contains(&local) {
+                        locals.push(local);
+                    }
+                }
+                // Intern the term (AND-chain) itself; identical terms across
+                // the batch share one instruction range.
+                slots.sort_unstable();
+                let term_id = match term_ids.get(&slots) {
+                    Some(&id) => id,
+                    None => {
+                        let id = arena.terms.len() as u32;
+                        let start = arena.term_lits.len() as u32;
+                        arena.term_lits.extend_from_slice(&slots);
+                        arena.terms.push((start, slots.len() as u32));
+                        arena
+                            .term_weights
+                            .push(term.weight(space).expect("validated by compile"));
+                        term_ids.insert(slots, id);
+                        id
+                    }
+                };
+                total_weight += arena.term_weights[term_id as usize];
+                max_weight = max_weight.max(arena.term_weights[term_id as usize]);
+                arena.event_terms.push(term_id);
+            }
+            locals.sort_unstable();
+            arena.event_vars.extend_from_slice(&locals);
+
+            arena.programs.push(EventProgram {
+                term_start,
+                term_len: event.num_terms() as u32,
+                var_start,
+                var_len: locals.len() as u32,
+                total_weight,
+                max_weight,
+            });
+        }
+        arena
+    }
+}
+
+/// A batch of DNF events compiled into flat programs over one shared arena.
+///
+/// The compiled form is immutable and self-contained: it retains the source
+/// events (for the exact estimator and for scalar reference runs) and a clone
+/// of the probability space, so a single `Arc<LineagePrograms>` is everything
+/// an estimator needs.  Compilation validates the events and notes which are
+/// trivial; the sampling arena is built, linear in the total literal count,
+/// by the first sampled use, and per-sample cost afterwards is branch-free
+/// bit arithmetic.
+pub struct LineagePrograms {
+    /// The source events, parallel to the programs.
+    events: Vec<DnfEvent>,
+    /// The probability space the batch was compiled against.
+    space: ProbabilitySpace,
+    /// Per event, `Some(p)` when the probability is known without sampling
+    /// (no terms → 0, an always-true term → 1).
+    trivial: Vec<Option<f64>>,
+    /// The sampling arena, built by the first sampled use and never for a
+    /// batch that is only answered exactly.  Its initialiser is sequential.
+    arena: OnceLock<SamplingArena>,
 
     /// Warm exact-confidence state: Shannon expansion runs at most once per
     /// batch, after which exact requests are lookups.
@@ -140,12 +252,14 @@ pub struct LineagePrograms {
 }
 
 impl std::fmt::Debug for LineagePrograms {
+    /// Reports the arena's sizes once it is built; printing never builds it.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let arena = self.arena.get();
         f.debug_struct("LineagePrograms")
             .field("events", &self.events.len())
-            .field("slots", &self.slot_var.len())
-            .field("vars", &self.vars.len())
-            .field("distinct_terms", &self.terms.len())
+            .field("slots", &arena.map(|a| a.slot_var.len()))
+            .field("vars", &arena.map(|a| a.vars.len()))
+            .field("distinct_terms", &arena.map(|a| a.terms.len()))
             .field("exact_cached", &self.exact_cache.get().is_some())
             .finish()
     }
@@ -158,123 +272,33 @@ impl LineagePrograms {
     /// not declare (the same validation the scalar estimators perform, done
     /// once here instead of per construction).
     pub fn compile(events: Vec<DnfEvent>, space: &ProbabilitySpace) -> Result<Self> {
-        let mut var_local: HashMap<VarId, u32> = HashMap::new();
-        let mut vars: Vec<VarPlan> = Vec::new();
-        let mut var_global: Vec<VarId> = Vec::new();
-        let mut alt_thresholds: Vec<u64> = Vec::new();
-        let mut alt_slots: Vec<u32> = Vec::new();
-        let mut slot_var: Vec<u32> = Vec::new();
-        let mut terms: Vec<(u32, u32)> = Vec::new();
-        let mut term_weights: Vec<f64> = Vec::new();
-        let mut term_lits: Vec<u32> = Vec::new();
-        let mut term_ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut event_terms: Vec<u32> = Vec::new();
-        let mut event_vars: Vec<u32> = Vec::new();
-        let mut programs: Vec<EventProgram> = Vec::with_capacity(events.len());
-
-        for event in &events {
-            let term_start = event_terms.len() as u32;
-            let var_start = event_vars.len() as u32;
-            let trivial = if event.is_never() {
-                Some(0.0)
-            } else if event.is_certain() {
-                Some(1.0)
-            } else {
-                None
-            };
-
-            let mut total_weight = 0.0f64;
-            let mut max_weight = 0.0f64;
-            let mut locals: Vec<u32> = Vec::new();
-            for term in event.terms() {
-                // Intern the variables and literals of the term.
-                let mut slots: Vec<u32> = Vec::with_capacity(term.len());
-                for (var, alt) in term.iter() {
-                    let local = match var_local.get(&var) {
-                        Some(&l) => l,
-                        None => {
-                            let dist = space.distribution(var)?;
-                            let l = vars.len() as u32;
-                            let alt_start = alt_thresholds.len() as u32;
-                            let mut acc = 0.0f64;
-                            for &p in dist {
-                                acc += p;
-                                // 64-bit fixed point; the final threshold is
-                                // saturated so every draw lands somewhere.
-                                let t = (acc * 1.8446744073709552e19).min(u64::MAX as f64);
-                                alt_thresholds.push(t as u64);
-                                alt_slots.push(SLOT_NONE);
-                            }
-                            *alt_thresholds.last_mut().expect("non-empty dist") = u64::MAX;
-                            vars.push(VarPlan {
-                                alt_start,
-                                alt_len: dist.len() as u32,
-                            });
-                            var_global.push(var);
-                            var_local.insert(var, l);
-                            l
-                        }
-                    };
-                    if alt >= vars[local as usize].alt_len as usize {
-                        return Err(ConfidenceError::UnknownAlternative { var, alt });
-                    }
-                    let cell = vars[local as usize].alt_start as usize + alt;
-                    if alt_slots[cell] == SLOT_NONE {
-                        alt_slots[cell] = slot_var.len() as u32;
-                        slot_var.push(local);
-                    }
-                    slots.push(alt_slots[cell]);
-                    if !locals.contains(&local) {
-                        locals.push(local);
-                    }
-                }
-                // Intern the term (AND-chain) itself; identical terms across
-                // the batch share one instruction range.
-                slots.sort_unstable();
-                let term_id = match term_ids.get(&slots) {
-                    Some(&id) => id,
-                    None => {
-                        let id = terms.len() as u32;
-                        let start = term_lits.len() as u32;
-                        term_lits.extend_from_slice(&slots);
-                        terms.push((start, slots.len() as u32));
-                        term_weights.push(term.weight(space)?);
-                        term_ids.insert(slots, id);
-                        id
-                    }
-                };
-                total_weight += term_weights[term_id as usize];
-                max_weight = max_weight.max(term_weights[term_id as usize]);
-                event_terms.push(term_id);
+        for (var, alt) in events
+            .iter()
+            .flat_map(DnfEvent::terms)
+            .flat_map(|t| t.iter())
+        {
+            if alt >= space.num_alternatives(var)? {
+                return Err(ConfidenceError::UnknownAlternative { var, alt });
             }
-            locals.sort_unstable();
-            event_vars.extend_from_slice(&locals);
-
-            programs.push(EventProgram {
-                term_start,
-                term_len: event.num_terms() as u32,
-                var_start,
-                var_len: locals.len() as u32,
-                total_weight,
-                max_weight,
-                trivial,
-            });
         }
-
+        let trivial = events
+            .iter()
+            .map(|event| {
+                if event.is_never() {
+                    Some(0.0)
+                } else if event.is_certain() {
+                    Some(1.0)
+                } else {
+                    None
+                }
+            })
+            .collect();
         let num_events = events.len();
         Ok(LineagePrograms {
             events,
             space: space.clone(),
-            slot_var,
-            vars,
-            alt_thresholds,
-            alt_slots,
-            term_lits,
-            terms,
-            term_weights,
-            event_terms,
-            event_vars,
-            programs,
+            trivial,
+            arena: OnceLock::new(),
             exact_cache: OnceLock::new(),
             dnnf_estimates: (0..num_events).map(|_| OnceLock::new()).collect(),
             dnnf_results: (0..num_events).map(|_| OnceLock::new()).collect(),
@@ -283,14 +307,27 @@ impl LineagePrograms {
         })
     }
 
+    /// The sampling arena, built on first use.
+    pub(crate) fn arena(&self) -> &SamplingArena {
+        self.arena
+            .get_or_init(|| SamplingArena::build(&self.events, &self.space))
+    }
+
+    /// True once the sampling arena exists: something has sampled the batch
+    /// or asked for a sampling quantity (a width, a weight, the
+    /// fingerprint).  A batch answered only exactly stays `false`.
+    pub fn arena_built(&self) -> bool {
+        self.arena.get().is_some()
+    }
+
     /// Number of compiled events.
     pub fn len(&self) -> usize {
-        self.programs.len()
+        self.events.len()
     }
 
     /// True if the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
+        self.events.is_empty()
     }
 
     /// The source events, parallel to the programs.
@@ -303,49 +340,46 @@ impl LineagePrograms {
         &self.space
     }
 
-    /// Number of literal slots in the shared arena.
+    /// Number of literal slots in the shared arena (builds the arena).
     pub fn num_slots(&self) -> usize {
-        self.slot_var.len()
+        self.arena().slot_var.len()
     }
 
-    /// Number of distinct variables the batch mentions.
+    /// Number of distinct variables the batch mentions (builds the arena).
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.arena().vars.len()
     }
 
     /// Number of distinct terms (shared AND-chains) in the arena; at most —
     /// and for batches with overlapping lineages, well below — the sum of
-    /// the events' term counts.
+    /// the events' term counts (builds the arena).
     pub fn num_distinct_terms(&self) -> usize {
-        self.terms.len()
+        self.arena().terms.len()
     }
 
     /// The number of terms `|F|` of event `index`.
     pub fn num_terms(&self, index: usize) -> usize {
-        self.programs[index].term_len as usize
+        self.events[index].num_terms()
     }
 
     /// `Some(p)` when event `index` needs no sampling (impossible or
-    /// certain).
+    /// certain); known from compilation, so it never builds the arena.
     pub fn trivial(&self, index: usize) -> Option<f64> {
-        self.programs[index].trivial
+        self.trivial[index]
     }
 
-    /// The total term weight `M` of event `index`.
+    /// The total term weight `M` of event `index` (builds the arena).
     pub fn total_weight(&self, index: usize) -> f64 {
-        self.programs[index].total_weight
+        self.arena().programs[index].total_weight
     }
 
     /// The sampling width `w = ⌈M / max_f p_f⌉ ≤ |F|` of event `index`
     /// ([`chernoff::sample_width`]): the scale of its sample counts, where
-    /// `num_terms` stays the scale of everything structural.
+    /// `num_terms` stays the scale of everything structural (builds the
+    /// arena).
     pub fn sample_width(&self, index: usize) -> usize {
-        let p = &self.programs[index];
+        let p = &self.arena().programs[index];
         chernoff::sample_width(p.total_weight, p.max_weight, p.term_len as usize)
-    }
-
-    pub(crate) fn program(&self, index: usize) -> &EventProgram {
-        &self.programs[index]
     }
 
     /// Content fingerprint of the compiled arena: FNV-1a over every flat
@@ -353,9 +387,11 @@ impl LineagePrograms {
     /// batches fingerprint equal exactly when their compiled content —
     /// events *and* probabilities — is identical.  This is what derives the
     /// canonical per-event sampling streams of shared-sampling engines and
-    /// keys their shared block tallies; computed once and memoised.
+    /// keys their shared block tallies; computed once and memoised (builds
+    /// the arena).
     pub fn fingerprint(&self) -> u64 {
         *self.content_fingerprint.get_or_init(|| {
+            let arena = self.arena();
             fn mix(mut h: u64, x: u64) -> u64 {
                 for b in x.to_le_bytes() {
                     h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
@@ -363,52 +399,54 @@ impl LineagePrograms {
                 h
             }
             let mut h = 0xCBF2_9CE4_8422_2325u64;
-            h = mix(h, self.programs.len() as u64);
-            for p in &self.programs {
+            h = mix(h, arena.programs.len() as u64);
+            for (p, trivial) in arena.programs.iter().zip(&self.trivial) {
                 h = mix(h, u64::from(p.term_start));
                 h = mix(h, u64::from(p.term_len));
                 h = mix(h, u64::from(p.var_start));
                 h = mix(h, u64::from(p.var_len));
                 h = mix(h, p.total_weight.to_bits());
-                h = mix(h, p.trivial.map_or(u64::MAX, |t| t.to_bits()));
+                h = mix(h, trivial.map_or(u64::MAX, |t| t.to_bits()));
             }
-            for &t in &self.event_terms {
+            for &t in &arena.event_terms {
                 h = mix(h, u64::from(t));
             }
-            for &v in &self.event_vars {
+            for &v in &arena.event_vars {
                 h = mix(h, u64::from(v));
             }
-            for &(start, len) in &self.terms {
+            for &(start, len) in &arena.terms {
                 h = mix(h, u64::from(start));
                 h = mix(h, u64::from(len));
             }
-            for &l in &self.term_lits {
+            for &l in &arena.term_lits {
                 h = mix(h, u64::from(l));
             }
-            for &w in &self.term_weights {
+            for &w in &arena.term_weights {
                 h = mix(h, w.to_bits());
             }
-            for &s in &self.slot_var {
+            for &s in &arena.slot_var {
                 h = mix(h, u64::from(s));
             }
-            for v in &self.vars {
+            for v in &arena.vars {
                 h = mix(h, u64::from(v.alt_start));
                 h = mix(h, u64::from(v.alt_len));
             }
-            for &t in &self.alt_thresholds {
+            for &t in &arena.alt_thresholds {
                 h = mix(h, t);
             }
-            for &s in &self.alt_slots {
+            for &s in &arena.alt_slots {
                 h = mix(h, u64::from(s));
             }
             h
         })
     }
 
-    /// The sampling table of event `index`, built on first use and kept with
-    /// the arena: a warm sampled request pays this lookup.
+    /// The sampling table of event `index`, built on first use (with the
+    /// arena, if it is the batch's first) and kept with the arena: a warm
+    /// sampled request pays this lookup.
     pub(crate) fn sampling_table(&self, index: usize) -> &SamplingTable {
-        self.sampling_tables[index].get_or_init(|| Box::new(SamplingTable::build(self, index)))
+        self.sampling_tables[index]
+            .get_or_init(|| Box::new(SamplingTable::build(self.arena(), index)))
     }
 
     /// True once event `index` has been sampled by the bit-parallel kernel
@@ -486,10 +524,12 @@ impl LineagePrograms {
         // `ExactEstimator` path fans out before it gets here) — and
         // re-entering `get_or_init` from inside its own initialiser
         // deadlocks.  Concurrent callers block on the one computation.
+        // One kernel serves the batch, so its events share one term arena.
         let cached = self.exact_cache.get_or_init(|| {
+            let mut kernel = exact::Shannon::new(&self.space);
             self.events
                 .iter()
-                .map(|event| exact::probability(event, &self.space))
+                .map(|event| kernel.probability(event))
                 .collect::<Result<Vec<f64>>>()
         });
         match cached {
@@ -503,6 +543,7 @@ impl LineagePrograms {
 mod tests {
     use super::*;
     use crate::event::Assignment;
+    use std::sync::Arc;
 
     fn space() -> ProbabilitySpace {
         let mut s = ProbabilitySpace::new();
@@ -559,14 +600,66 @@ mod tests {
         let s = space();
         let events = vec![DnfEvent::new([a(&[(2, 0)])])];
         let programs = LineagePrograms::compile(events, &s).unwrap();
-        let plan = programs.vars[0];
+        let plan = programs.arena().vars[0];
         assert_eq!(plan.alt_len, 3);
-        let t: Vec<u64> = programs.alt_thresholds
+        let t: Vec<u64> = programs.arena().alt_thresholds
             [plan.alt_start as usize..(plan.alt_start + plan.alt_len) as usize]
             .to_vec();
         assert!(t[0] < t[1] && t[1] < t[2]);
         assert_eq!(t[2], u64::MAX);
         assert!((t[0] as f64 / u64::MAX as f64 - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exact_answers_never_build_the_sampling_arena() {
+        let s = space();
+        let events = vec![
+            DnfEvent::never(),
+            DnfEvent::new([Assignment::always()]),
+            DnfEvent::new([a(&[(0, 0), (1, 0)]), a(&[(2, 1)])]),
+        ];
+        let programs = LineagePrograms::compile(events, &s).unwrap();
+        // What the exact `conf` operator reads: flags, counts, the answers.
+        assert_eq!(programs.trivial(0), Some(0.0));
+        assert_eq!(programs.trivial(1), Some(1.0));
+        assert_eq!(programs.trivial(2), None);
+        assert_eq!(programs.num_terms(2), 2);
+        assert_eq!(programs.len(), 3);
+        programs.exact_probabilities().unwrap();
+        let printed = format!("{programs:?}");
+        assert!(printed.contains("distinct_terms: None"), "{printed}");
+        assert!(!programs.arena_built());
+        // The first sampling quantity builds it.
+        assert_eq!(programs.sample_width(2), 2);
+        assert!(programs.arena_built());
+        assert!(format!("{programs:?}").contains("distinct_terms: Some(3)"));
+    }
+
+    #[test]
+    fn the_arena_is_built_once_under_concurrent_first_use() {
+        let s = space();
+        let events = vec![DnfEvent::new([a(&[(0, 0), (1, 0)]), a(&[(2, 1)])]); 8];
+        let programs = Arc::new(LineagePrograms::compile(events, &s).unwrap());
+        let barrier = std::sync::Barrier::new(2);
+        let seen: Vec<(usize, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let estimator = crate::IncrementalEstimator::from_compiled(&programs, 0);
+                        assert!(estimator.is_ok());
+                        let arena: *const SamplingArena = programs.arena();
+                        (arena as usize, programs.fingerprint())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(seen[0], seen[1], "both threads read the one arena");
+        assert!(std::ptr::eq(
+            programs.arena(),
+            seen[0].0 as *const SamplingArena
+        ));
     }
 
     #[test]

@@ -127,23 +127,35 @@ impl Assignment {
     }
 
     /// Creates an assignment from pairs; duplicate variables must agree.
+    ///
+    /// Pairs already strictly sorted by variable are taken as they are;
+    /// otherwise one stable sort and one linear pass drop repeats and find
+    /// conflicts, and the error names the first pair, in input order, that
+    /// contradicts an earlier one.
     pub fn new(pairs: impl IntoIterator<Item = (VarId, AltId)>) -> Result<Self> {
-        let mut map: BTreeMap<VarId, AltId> = BTreeMap::new();
-        for (var, alt) in pairs {
-            match map.get(&var) {
-                Some(&existing) if existing != alt => {
-                    return Err(ConfidenceError::InvalidDistribution(format!(
-                        "assignment maps variable {var} to both {existing} and {alt}"
-                    )))
-                }
-                _ => {
-                    map.insert(var, alt);
-                }
-            }
+        let pairs: Vec<(VarId, AltId)> = pairs.into_iter().collect();
+        if strictly_sorted(&pairs) {
+            return Ok(Assignment { pairs });
         }
-        Ok(Assignment {
-            pairs: map.into_iter().collect(),
-        })
+        let mut sorted = pairs.clone();
+        sorted.sort_by_key(|&(var, _)| var);
+        sorted.dedup();
+        if strictly_sorted(&sorted) {
+            return Ok(Assignment { pairs: sorted });
+        }
+        // The stable sort keeps each variable's first pair at the head of
+        // its run, so the first input pair that differs from its head is
+        // the first conflict.
+        let (var, existing, alt) = pairs
+            .iter()
+            .find_map(|&(var, alt)| {
+                let head = sorted[sorted.partition_point(|&(v, _)| v < var)].1;
+                (head != alt).then_some((var, head, alt))
+            })
+            .expect("an unsorted run after dedup holds a conflict");
+        Err(ConfidenceError::InvalidDistribution(format!(
+            "assignment maps variable {var} to both {existing} and {alt}"
+        )))
     }
 
     /// Number of constrained variables.
@@ -202,14 +214,32 @@ impl Assignment {
 
     /// The union of two consistent assignments, or `None` if they conflict.
     pub fn merge(&self, other: &Assignment) -> Option<Assignment> {
-        if !self.consistent_with(other) {
-            return None;
+        let (a, b) = (&self.pairs, &other.pairs);
+        let mut pairs = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    pairs.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    pairs.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if a[i].1 != b[j].1 {
+                        return None;
+                    }
+                    pairs.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        let mut map: BTreeMap<VarId, AltId> = self.pairs.iter().copied().collect();
-        map.extend(other.pairs.iter().copied());
-        Some(Assignment {
-            pairs: map.into_iter().collect(),
-        })
+        pairs.extend_from_slice(&a[i..]);
+        pairs.extend_from_slice(&b[j..]);
+        Some(Assignment { pairs })
     }
 
     /// True if the total assignment `total` extends this partial assignment
@@ -238,6 +268,11 @@ impl Assignment {
             Err(_) => (None, Assignment { pairs }),
         }
     }
+}
+
+/// True if the pairs' variables strictly increase (sorted, no repeats).
+fn strictly_sorted(pairs: &[(VarId, AltId)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 /// A DNF event: a disjunction `F = f₁ ∨ … ∨ f_m` of partial assignments.
