@@ -22,7 +22,8 @@
 //! estimator's distribution unchanged.)
 //!
 //! Events whose probability is already known exactly — trivial events, and
-//! events the d-DNNF backend of [`crate::dnnf`] compiled within budget —
+//! events the exact backend ([`LineagePrograms::dnnf_probability`]) answered
+//! within budget —
 //! short-circuit sampling entirely: their estimate is the exact value, their
 //! error bound is 0, and they consume no randomness.
 
@@ -39,7 +40,7 @@ use std::sync::Arc;
 pub struct IncrementalEstimator {
     kernel: Option<BitKarpLuby>,
     /// Exact value for trivial events (empty → 0, certain → 1) and for
-    /// events answered exactly by the d-DNNF backend.
+    /// events answered by the exact backend.
     trivial: Option<f64>,
     /// The sampling width `w_i ≥ 1`: batch size and error-bound scale.
     width: usize,
@@ -105,7 +106,7 @@ impl IncrementalEstimator {
     }
 
     /// Replaces the estimator with the exactly known probability `p` (the
-    /// d-DNNF backend's hand-off): sampling stops, the estimate is `p`, and
+    /// exact backend's hand-off): sampling stops, the estimate is `p`, and
     /// the error bound drops to 0.  Samples already drawn are discarded —
     /// the exact value supersedes them.
     pub fn resolve_exactly(&mut self, p: f64) {

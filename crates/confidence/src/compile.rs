@@ -38,8 +38,9 @@
 //! content-addressed caching as the programs and a served (warm) request
 //! pays a lookup: the **exact** probabilities
 //! ([`LineagePrograms::exact_probabilities`], Shannon expansion over the
-//! batch's interned terms, see [`crate::exact`]), the d-DNNF
-//! size estimates and outcomes ([`LineagePrograms::dnnf_probability`]), and
+//! batch's interned terms, see [`crate::exact`]), the exact backend's
+//! size estimates and outcomes ([`LineagePrograms::dnnf_probability`], the
+//! same kernel per event under a node budget), and
 //! the kernel's **sampling tables** — per event, its terms as one flat
 //! stream of densely renumbered literals, a Walker alias table over the term
 //! weights, and its variables' thresholds — built by the first block drawn
@@ -51,7 +52,7 @@
 use crate::bitworld::SamplingTable;
 use crate::error::{ConfidenceError, Result};
 use crate::event::{DnfEvent, ProbabilitySpace, VarId};
-use crate::{chernoff, cost, dnnf, exact};
+use crate::{chernoff, cost, exact};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -213,7 +214,8 @@ impl SamplingArena {
 ///
 /// The compiled form is immutable and self-contained: it retains the source
 /// events (for the exact estimator and for scalar reference runs) and a clone
-/// of the probability space, so a single `Arc<LineagePrograms>` is everything
+/// of the probability space (a pointer copy: [`ProbabilitySpace`] shares its
+/// distributions), so a single `Arc<LineagePrograms>` is everything
 /// an estimator needs.  Compilation validates the events and notes which are
 /// trivial; the sampling arena is built, linear in the total literal count,
 /// by the first sampled use, and per-sample cost afterwards is branch-free
@@ -233,11 +235,11 @@ pub struct LineagePrograms {
     /// Warm exact-confidence state: Shannon expansion runs at most once per
     /// batch, after which exact requests are lookups.
     exact_cache: OnceLock<std::result::Result<Vec<f64>, ConfidenceError>>,
-    /// Per-event structural d-DNNF size estimates (cost-model input),
+    /// Per-event structural circuit-size estimates (cost-model input),
     /// computed lazily and memoised.
     dnnf_estimates: Vec<OnceLock<u64>>,
-    /// Per-event d-DNNF backend outcomes: `Some((probability, nodes))` when
-    /// compilation fit the node budget, `None` when it aborted.  Sticky —
+    /// Per-event exact-backend outcomes: `Some((probability, steps))` when
+    /// the expansion fit the node budget, `None` when it aborted.  Sticky —
     /// the attempt runs at most once per compiled batch, so it rides the
     /// same content-addressed caching as the programs themselves.
     dnnf_results: Vec<OnceLock<Option<(f64, u32)>>>,
@@ -455,17 +457,21 @@ impl LineagePrograms {
         self.sampling_tables[index].get().is_some()
     }
 
-    /// Structural d-DNNF circuit-size estimate of event `index` — the
+    /// Structural circuit-size estimate of event `index` — the
     /// cost-model input ([`cost::estimated_nodes`]) — computed lazily and
     /// memoised per event.
     pub fn dnnf_estimate(&self, index: usize) -> u64 {
         *self.dnnf_estimates[index].get_or_init(|| cost::estimated_nodes(&self.events[index]))
     }
 
-    /// The exact probability of event `index` via the d-DNNF backend, or
-    /// `None` when compilation exceeded `budget` nodes.
+    /// The exact probability of event `index` via the exact backend, or
+    /// `None` when the expansion would take more than `budget` steps.
     ///
-    /// The attempt runs at most once per compiled batch and the outcome —
+    /// The backend is the exact kernel of [`Self::exact_probabilities`]
+    /// under a budget on its expansion steps — the internal nodes of the
+    /// decision-DNNF [`crate::Dnnf::compile`] records from the same run — so
+    /// an event it answers gets exactly the bits `exact_probabilities` gives
+    /// it.  The attempt runs at most once per compiled batch and the outcome —
     /// success *or* abort — is memoised next to the programs, so warm
     /// requests pay a lookup.  The budget is engine-configuration, constant
     /// across the batch's lifetime, which keeps the outcome a pure function
@@ -476,17 +482,15 @@ impl LineagePrograms {
         }
         self.dnnf_results[index]
             .get_or_init(|| {
-                dnnf::Dnnf::compile(&self.events[index], &self.space, budget)
-                    .and_then(|circuit| {
-                        Ok((circuit.wmc(&self.space)?, circuit.node_count() as u32))
-                    })
-                    .ok()
+                let mut kernel = exact::Shannon::new(&self.space).with_budget(budget);
+                let p = kernel.probability(&self.events[index]).ok()?;
+                Some((p, kernel.steps() as u32))
             })
             .map(|(p, _)| p)
     }
 
     /// The compile-vs-sample decision for event `index`, in one place: its
-    /// exact probability via the d-DNNF backend when the backend is enabled
+    /// exact probability via the exact backend when the backend is enabled
     /// (`node_budget > 0`) and the cost model
     /// ([`cost::choose_backend`]) prices the circuit below a sampling bill
     /// of `sample_bill` draws; `None` means *sample* — backend off, circuit
@@ -506,8 +510,9 @@ impl LineagePrograms {
         self.dnnf_probability(index, node_budget)
     }
 
-    /// Circuit node count of event `index` when the d-DNNF backend has
-    /// compiled it (`None` before the first attempt or after an abort).
+    /// The expansion steps — the decision-DNNF's internal nodes — the exact
+    /// backend took for event `index` (`None` before the first attempt,
+    /// after an abort, or for a trivial event).
     pub fn dnnf_nodes(&self, index: usize) -> Option<u32> {
         self.dnnf_results[index]
             .get()

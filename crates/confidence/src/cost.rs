@@ -6,20 +6,23 @@
 //! * **sample** it with the Karp–Luby kernel, paying the Chernoff-implied
 //!   `m = ⌈3·w·ln(2/δ)/ε²⌉` world draws on *every* request (`w ≤ |F|` the
 //!   event's sampling width, [`crate::chernoff::sample_width`]), or
-//! * **compile** it once into a smoothed d-DNNF ([`crate::dnnf`]) and read
-//!   off the exact probability in linear time forever after.
+//! * **answer it exactly** once with the Shannon kernel of exact `conf`
+//!   ([`crate::LineagePrograms::dnnf_probability`]) and read the memoised
+//!   probability forever after.
 //!
-//! Compilation is worst-case exponential, so it runs under a hard node
-//! budget with abort-and-fallback; the question this module answers is
-//! whether the attempt is worth making.  The decision compares a cheap
-//! structural **size estimate** of the circuit against both the budget and
-//! the sample bill.  The estimate sums `terms · variables` over the event's
-//! independent components — Shannon expansion touches at most every term
-//! per decision level and the components compile separately, so the sum is
-//! a serviceable proxy for the node count (circuit nodes and kernel samples
-//! both cost a handful of instructions each).  Compilation cost is paid
-//! once per content hash while sampling recurs per request, so when the two
-//! look comparable the tie deliberately goes to compiling.
+//! Exact expansion is worst-case exponential, so it runs under a hard node
+//! budget — its expansion steps, the internal nodes of the decision-DNNF
+//! [`crate::dnnf`] records from the same run — with abort-and-fallback;
+//! the question this module answers is whether the attempt is worth
+//! making.  The decision compares a cheap structural **size estimate** of
+//! the circuit against both the budget and the sample bill.  The estimate
+//! sums `terms · variables` over the event's independent components —
+//! Shannon expansion touches at most every term per decision level and the
+//! components expand separately, so the sum is a serviceable proxy for the
+//! step count (expansion steps and kernel samples both cost a handful of
+//! instructions each).  The expansion is paid once per content hash while
+//! sampling recurs per request, so when the two look comparable the tie
+//! deliberately goes to the exact answer.
 //!
 //! The decision is a pure function of the event's structure and the
 //! request's sample budget — never of clocks, caches, or request history —
@@ -27,15 +30,16 @@
 
 use crate::event::DnfEvent;
 
-/// Default hard budget on d-DNNF circuit nodes per event.  Generous enough
-/// for every moderate-width lineage in the test corpora while bounding the
-/// abort cost of a failed attempt to well under a millisecond.
+/// Default hard budget on exact expansion steps (decision-DNNF internal
+/// nodes) per event.  Generous enough for every moderate-width lineage in
+/// the test corpora while bounding the abort cost of a failed attempt to
+/// well under a millisecond.
 pub const DEFAULT_NODE_BUDGET: u32 = 1 << 13;
 
 /// Which backend should answer an approximate confidence request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Attempt d-DNNF compilation (falling back to sampling if the hard
+    /// Attempt the exact expansion (falling back to sampling if the hard
     /// node budget aborts it).
     Exact,
     /// Draw Chernoff-many samples with the bit-parallel kernel.
@@ -53,7 +57,7 @@ pub fn estimated_nodes(event: &DnfEvent) -> u64 {
         let vars = c.variables().len() as u64;
         total = total.saturating_add(terms.saturating_mul(vars.max(1)));
     }
-    // ¬(⋀ ¬C_i) costs two negations per component plus the product node.
+    // The split into components: two per component plus one.
     total.saturating_add(2 * components.len() as u64 + 1)
 }
 
@@ -61,8 +65,9 @@ pub fn estimated_nodes(event: &DnfEvent) -> u64 {
 ///
 /// `estimated` is the structural size proxy ([`estimated_nodes`], cached
 /// per event by `LineagePrograms`), `samples` the Chernoff-implied draw
-/// count for the request's ε/δ at the event's sampling width, and `node_budget` the hard circuit limit
-/// (0 disables the exact backend entirely).
+/// count for the request's ε/δ at the event's sampling width, and
+/// `node_budget` the hard limit on expansion steps (0 disables the exact
+/// backend entirely).
 pub fn choose_backend(estimated: u64, samples: u64, node_budget: u32) -> Backend {
     if node_budget == 0 || estimated > node_budget as u64 || estimated > samples {
         Backend::Sample

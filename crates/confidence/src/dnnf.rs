@@ -1,57 +1,44 @@
-//! Smoothed d-DNNF knowledge compilation: the exact backend of the
-//! estimation layer.
+//! Decision-DNNF: the exact kernel's computation, recorded.
 //!
 //! Exact confidence computation is #P-complete (Theorem 3.4), but events of
 //! moderate *width* — few interacting variables per independent component —
-//! compile into a polynomial-size circuit on which weighted model counting
-//! is linear.  This module compiles a [`DnfEvent`] bottom-up into a
-//! **deterministic, decomposable negation normal form** (d-DNNF):
+//! take few Shannon expansion steps.  [`Dnnf::compile`] runs the exact
+//! kernel of [`crate::exact`] once, under a budget on its expansion steps,
+//! and writes down what it computes as a **deterministic, decomposable
+//! negation normal form** (decision-DNNF):
 //!
-//! * **deterministic OR** arises from Shannon expansion: a `Decision` node
-//!   on variable `X` branches per alternative, and the branches are mutually
-//!   exclusive by construction (`X` takes exactly one value);
-//! * **decomposable AND** arises from independence factorisation: the
-//!   components of [`DnfEvent::independent_components`] mention disjoint
-//!   variables, so `¬F = ⋀ ¬C_i` is a `Product` node whose children share
-//!   no variable;
-//! * **negation** stays sound for probability-weighted counting because every
-//!   node's count *is* the probability of its sub-event — per-variable
-//!   weights sum to 1, so unmentioned variables marginalise away implicitly
-//!   (the weighted form of smoothing) and `wmc(¬n) = 1 − wmc(n)`.
+//! * a **decision** node per branch on a variable `X`: one child per
+//!   alternative, weighted by `Pr[X = a]` (deterministic OR — `X` takes
+//!   exactly one value);
+//! * a **complement-of-product** node per split into independent
+//!   components: `1 − Π (1 − child)`, where the children mention disjoint
+//!   variables (decomposable AND under negation, sound because every node's
+//!   count is the probability of its sub-event — unmentioned variables
+//!   marginalise away, the weighted form of smoothing);
+//! * a **leaf** per single term, counted by the kernel's right fold over its
+//!   literals, and a constant leaf for the impossible and the certain
+//!   event;
+//! * a sub-event the kernel finds in its memo is the node it recorded the
+//!   first time: shared, not recomputed.
 //!
-//! Shannon expansion follows a **min-fill variable order** computed once per
-//! event on its primal graph (variables adjacent iff they co-occur in a
-//! term): eliminating low-fill variables first keeps the residual sub-events
-//! narrow, which is what bounds the circuit size in practice.  Structurally
-//! identical sub-circuits are **hash-consed** (node-level deduplication) and
-//! sub-events are memoised by their sorted term list, so shared cofactors
-//! compile once.
+//! [`Dnnf::wmc`] replays the kernel's operations in recorded order, so its
+//! count is [`exact::probability`] bit for bit.  The budget counts the
+//! internal (decision and complement-of-product) nodes: the instant the
+//! kernel would take one step more, compilation fails with
+//! [`ConfidenceError::TooLarge`] — the abort costs at most the budget,
+//! never an exponential blow-up.  The engine's exact backend runs the same
+//! kernel under the same budget without recording
+//! ([`crate::LineagePrograms::dnnf_probability`]); the [`crate::cost`] model
+//! decides per event whether the attempt is worth making.
 //!
-//! Compilation carries a hard **node budget**: the instant the arena would
-//! exceed it, compilation aborts with [`ConfidenceError::TooLarge`] and the
-//! caller falls back to sampling — the abort costs at most the budget, never
-//! an exponential blow-up.  The [`crate::cost`] model decides per event
-//! whether attempting compilation beats the Chernoff-implied sample bill;
-//! [`crate::LineagePrograms`] memoises outcomes content-addressed next to
-//! the compiled lineage so a serving engine compiles each event at most
-//! once.
-//!
-//! This module is part of the deterministic core: no `HashMap` iteration
-//! order, no clocks — compilation is a pure function of the event, the
-//! space, and the budget.
+//! [`ConfidenceError::TooLarge`]: crate::ConfidenceError::TooLarge
 
-use crate::error::{ConfidenceError, Result};
-use crate::event::{Assignment, DnfEvent, ProbabilitySpace, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::error::Result;
+use crate::event::{DnfEvent, ProbabilitySpace, VarId};
+use crate::exact::{self, Shannon};
+use std::collections::BTreeMap;
 
-/// Above this many distinct variables the min-fill computation (quadratic
-/// per elimination step) would dominate compilation; wider events fall back
-/// to the natural ascending order.  Components this wide rarely fit a node
-/// budget unless they factor into independent pieces, which the
-/// factorisation step exploits regardless of the order.
-const MIN_FILL_VAR_LIMIT: usize = 400;
-
-/// One node of the compiled circuit.  Children always precede parents in
+/// One node of the recorded circuit.  Children always precede parents in
 /// the arena, so a single forward pass evaluates the circuit.
 #[derive(Clone, Debug, PartialEq)]
 enum Node {
@@ -59,9 +46,13 @@ enum Node {
     True,
     /// The impossible event.
     False,
-    /// `1 − child`: sound because node counts are probabilities (see module
-    /// docs).
-    Not { child: u32 },
+    /// One term: the product of its literals' probabilities.
+    Term {
+        /// Range into the flat literal buffer.
+        lit_start: u32,
+        /// Number of literals.
+        lit_len: u32,
+    },
     /// Shannon decision on `var`: child `a` is the cofactor under
     /// `X_var = a`, weighted by `Pr[X_var = a]` during counting
     /// (deterministic OR — the branches are mutually exclusive).
@@ -73,8 +64,9 @@ enum Node {
         /// Number of alternatives.
         child_len: u32,
     },
-    /// Conjunction of variable-disjoint children (decomposable AND).
-    Product {
+    /// `1 − Π (1 − child)` over variable-disjoint children: the union of
+    /// independent components.
+    Components {
         /// Range into the flat child buffer.
         child_start: u32,
         /// Number of children.
@@ -82,263 +74,204 @@ enum Node {
     },
 }
 
-/// A compiled event: a smoothed d-DNNF circuit plus its weighted model
-/// count, produced by [`Dnnf::compile`].
+/// A compiled event: the decision-DNNF of its exact computation, produced
+/// by [`Dnnf::compile`].
 #[derive(Clone, Debug)]
 pub struct Dnnf {
     nodes: Vec<Node>,
     children: Vec<u32>,
+    lits: Vec<(u32, u32)>,
     root: u32,
 }
 
-/// Hash-consing key: `(tag, decision variable, children)`.
-type ConsKey = (u8, VarId, Vec<u32>);
-
-struct Compiler<'a> {
-    space: &'a ProbabilitySpace,
-    /// Shannon branch order: lower rank expands first.
-    rank: BTreeMap<VarId, u32>,
+/// The circuit under construction while the exact kernel runs: the kernel
+/// hands it every answer as it computes it ([`exact`]'s `Shannon::trace`).
+#[derive(Default)]
+pub(crate) struct Recorder {
     nodes: Vec<Node>,
     children: Vec<u32>,
-    /// Node-level deduplication (`BTreeMap`: deterministic, lint-clean).
-    cons: BTreeMap<ConsKey, u32>,
-    /// Sub-event memo keyed by sorted terms, like the Shannon reference.
-    memo: BTreeMap<Vec<Assignment>, u32>,
-    max_nodes: u32,
+    lits: Vec<(u32, u32)>,
+    /// The nodes of the answered sub-events their parent has not taken yet,
+    /// innermost last.
+    results: Vec<u32>,
+    /// Per interned term id, its leaf once recorded.
+    term_leaves: Vec<Option<u32>>,
+    /// The impossible and the certain leaf, once recorded.
+    constants: [Option<u32>; 2],
+    /// Per sub-event in the kernel's memo (its sorted term ids), its node.
+    memo: BTreeMap<Box<[u32]>, u32>,
 }
 
-impl<'a> Compiler<'a> {
-    fn intern(&mut self, tag: u8, var: VarId, child_ids: Vec<u32>) -> Result<u32> {
-        let key = (tag, var, child_ids);
-        if let Some(&id) = self.cons.get(&key) {
-            return Ok(id);
-        }
-        if self.nodes.len() as u32 >= self.max_nodes {
-            return Err(ConfidenceError::TooLarge {
-                what: "d-DNNF compilation".into(),
-                limit: self.max_nodes as u128,
-            });
-        }
-        let (tag, var, child_ids) = (key.0, key.1, key.2.clone());
-        let node = match tag {
-            0 => Node::True,
-            1 => Node::False,
-            2 => Node::Not {
-                child: child_ids[0],
-            },
-            3 => {
-                let child_start = self.children.len() as u32;
-                self.children.extend_from_slice(&child_ids);
-                Node::Decision {
-                    var,
-                    child_start,
-                    child_len: child_ids.len() as u32,
-                }
-            }
-            _ => {
-                let child_start = self.children.len() as u32;
-                self.children.extend_from_slice(&child_ids);
-                Node::Product {
-                    child_start,
-                    child_len: child_ids.len() as u32,
-                }
-            }
-        };
-        let id = self.nodes.len() as u32;
+impl Recorder {
+    fn add(&mut self, node: Node) -> u32 {
         self.nodes.push(node);
-        self.cons.insert((tag, var, child_ids), id);
-        Ok(id)
+        self.nodes.len() as u32 - 1
     }
 
-    fn compile(&mut self, event: &DnfEvent) -> Result<u32> {
-        if event.is_never() {
-            return self.intern(1, 0, Vec::new());
-        }
-        if event.is_certain() {
-            return self.intern(0, 0, Vec::new());
-        }
-
-        let key: Vec<Assignment> = {
-            let mut terms = event.terms().to_vec();
-            terms.sort();
-            terms
+    /// The answer `0` (`certain` false) or `1`.
+    pub(crate) fn constant(&mut self, certain: bool) {
+        let leaf = match self.constants[usize::from(certain)] {
+            Some(leaf) => leaf,
+            None => {
+                let leaf = self.add(if certain { Node::True } else { Node::False });
+                self.constants[usize::from(certain)] = Some(leaf);
+                leaf
+            }
         };
-        if let Some(&id) = self.memo.get(&key) {
-            return Ok(id);
-        }
+        self.results.push(leaf);
+    }
 
-        // Factor into independent components first: ¬F = ⋀ ¬C_i is a
-        // decomposable AND (the components share no variables).
-        let components = event.independent_components();
-        let id = if components.len() > 1 {
-            let mut negated = Vec::with_capacity(components.len());
-            for c in components {
-                let child = self.compile(&c)?;
-                negated.push(self.intern(2, 0, vec![child])?);
+    /// The answer for the single term `term` (an interned id) of literals
+    /// `lits`.
+    pub(crate) fn term(&mut self, term: u32, lits: &[(u32, u32)]) {
+        let at = term as usize;
+        if at >= self.term_leaves.len() {
+            self.term_leaves.resize(at + 1, None);
+        }
+        let leaf = match self.term_leaves[at] {
+            Some(leaf) => leaf,
+            None => {
+                let lit_start = self.lits.len() as u32;
+                self.lits.extend_from_slice(lits);
+                let leaf = self.add(Node::Term {
+                    lit_start,
+                    lit_len: lits.len() as u32,
+                });
+                self.term_leaves[at] = Some(leaf);
+                leaf
             }
-            let product = self.intern(4, 0, negated)?;
-            self.intern(2, 0, vec![product])?
-        } else {
-            // Shannon expansion on the lowest-ranked mentioned variable.
-            let var = event
-                .variables()
-                .into_iter()
-                .min_by_key(|v| (self.rank.get(v).copied().unwrap_or(u32::MAX), *v))
-                .expect("non-trivial event mentions a variable");
-            let alternatives = self.space.num_alternatives(var)?;
-            let mut child_ids = Vec::with_capacity(alternatives);
-            for alt in 0..alternatives {
-                // Condition the DNF on X_var = alt: terms requiring another
-                // alternative disappear; the variable is removed elsewhere.
-                let mut restricted = Vec::new();
-                for term in event.terms() {
-                    let (assigned, rest) = term.without(var);
-                    match assigned {
-                        Some(a) if a != alt => continue,
-                        _ => restricted.push(rest),
-                    }
-                }
-                let sub = DnfEvent::new(restricted).simplified();
-                child_ids.push(self.compile(&sub)?);
-            }
-            self.intern(3, var, child_ids)?
         };
+        self.results.push(leaf);
+    }
 
-        self.memo.insert(key, id);
-        Ok(id)
+    /// The latest answer is the sub-event `key`'s, which the kernel
+    /// memoises.
+    pub(crate) fn remember(&mut self, key: &[u32]) {
+        self.memo.insert(key.into(), self.last());
     }
-}
 
-/// Greedy min-fill elimination order over the event's primal graph; ties
-/// break toward the smaller variable id so the order is deterministic.
-fn min_fill_order(event: &DnfEvent) -> BTreeMap<VarId, u32> {
-    let vars = event.variables();
-    let mut rank = BTreeMap::new();
-    if vars.len() > MIN_FILL_VAR_LIMIT {
-        for (i, v) in vars.into_iter().enumerate() {
-            rank.insert(v, i as u32);
-        }
-        return rank;
+    /// A memo hit on the sub-event `key`: the answer is its node again.
+    pub(crate) fn shared(&mut self, key: &[u32]) {
+        self.results.push(self.memo[key]);
     }
-    let mut adjacency: BTreeMap<VarId, BTreeSet<VarId>> =
-        vars.iter().map(|&v| (v, BTreeSet::new())).collect();
-    for term in event.terms() {
-        let mentioned: Vec<VarId> = term.variables().collect();
-        for (i, &a) in mentioned.iter().enumerate() {
-            for &b in &mentioned[i + 1..] {
-                adjacency.get_mut(&a).expect("known var").insert(b);
-                adjacency.get_mut(&b).expect("known var").insert(a);
-            }
+
+    /// Where the next expansion step's children will start.
+    pub(crate) fn mark(&self) -> usize {
+        self.results.len()
+    }
+
+    /// The node of the latest answer.
+    fn last(&self) -> u32 {
+        self.results.last().copied().unwrap_or_default()
+    }
+
+    /// A branch on `var`: the answers since `mark`, one per alternative.
+    pub(crate) fn decision(&mut self, var: VarId, mark: usize) {
+        self.close(mark, |child_start, child_len| Node::Decision {
+            var,
+            child_start,
+            child_len,
+        });
+    }
+
+    /// A split into the independent components answered since `mark`.
+    pub(crate) fn components(&mut self, mark: usize) {
+        self.close(mark, |child_start, child_len| Node::Components {
+            child_start,
+            child_len,
+        });
+    }
+
+    /// Answers with the node `make` builds over the answers since `mark`.
+    fn close(&mut self, mark: usize, make: impl FnOnce(u32, u32) -> Node) {
+        let start = self.children.len() as u32;
+        self.children.extend(self.results.drain(mark..));
+        let node = self.add(make(start, self.children.len() as u32 - start));
+        self.results.push(node);
+    }
+
+    /// The circuit whose root is the latest answer.
+    fn finish(self) -> Dnnf {
+        Dnnf {
+            root: self.last(),
+            nodes: self.nodes,
+            children: self.children,
+            lits: self.lits,
         }
     }
-    let mut next = 0u32;
-    while !adjacency.is_empty() {
-        // Fill count of v: neighbor pairs not already adjacent.
-        let (&best, _) = adjacency
-            .iter()
-            .min_by_key(|(&v, neighbors)| {
-                let ns: Vec<VarId> = neighbors.iter().copied().collect();
-                let mut fill = 0usize;
-                for (i, &a) in ns.iter().enumerate() {
-                    for &b in &ns[i + 1..] {
-                        if !adjacency[&a].contains(&b) {
-                            fill += 1;
-                        }
-                    }
-                }
-                (fill, v)
-            })
-            .expect("non-empty adjacency");
-        let neighbors: Vec<VarId> = adjacency[&best].iter().copied().collect();
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                adjacency.get_mut(&a).expect("known var").insert(b);
-                adjacency.get_mut(&b).expect("known var").insert(a);
-            }
-        }
-        for &n in &neighbors {
-            adjacency.get_mut(&n).expect("known var").remove(&best);
-        }
-        adjacency.remove(&best);
-        rank.insert(best, next);
-        next += 1;
-    }
-    rank
 }
 
 impl Dnnf {
-    /// Compiles an event into a d-DNNF circuit of at most `max_nodes` nodes.
+    /// Compiles an event into a decision-DNNF of at most `max_nodes`
+    /// internal nodes — the exact kernel's expansion steps.
     ///
-    /// Fails with [`ConfidenceError::TooLarge`] the moment the budget would
-    /// be exceeded (abort-and-fallback: the caller samples instead), and
-    /// with the space's own errors when the event mentions undeclared
-    /// variables or alternatives.
+    /// Fails with [`ConfidenceError::TooLarge`] the moment the kernel would
+    /// take a step past the budget (abort-and-fallback: the caller samples
+    /// instead), and with the space's own errors when the event mentions
+    /// undeclared variables where the expansion reaches them.
+    ///
+    /// [`ConfidenceError::TooLarge`]: crate::ConfidenceError::TooLarge
     pub fn compile(event: &DnfEvent, space: &ProbabilitySpace, max_nodes: u32) -> Result<Dnnf> {
-        let simplified = event.simplified();
-        let mut compiler = Compiler {
-            space,
-            rank: min_fill_order(&simplified),
-            nodes: Vec::new(),
-            children: Vec::new(),
-            cons: BTreeMap::new(),
-            memo: BTreeMap::new(),
-            max_nodes: max_nodes.max(2),
-        };
-        let root = compiler.compile(&simplified)?;
-        Ok(Dnnf {
-            nodes: compiler.nodes,
-            children: compiler.children,
-            root,
-        })
+        Ok(Shannon::new(space)
+            .with_budget(max_nodes)
+            .trace(event)?
+            .finish())
     }
 
-    /// Number of circuit nodes (after hash-consing).
+    /// Number of circuit nodes: leaves, once per distinct term, and one
+    /// internal node per expansion step.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Weighted model counting: one forward pass over the arena (children
-    /// precede parents), each node's value being the probability of its
-    /// sub-event.  Linear in the circuit size.
+    /// precede parents) that repeats the exact kernel's arithmetic node by
+    /// node, so the count equals [`exact::probability`] bit for bit.
+    /// Linear in the circuit size.
     pub fn wmc(&self, space: &ProbabilitySpace) -> Result<f64> {
-        let mut value = vec![0.0f64; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            value[i] = match node {
+        let mut value = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let v = match *node {
                 Node::True => 1.0,
                 Node::False => 0.0,
-                Node::Not { child } => 1.0 - value[*child as usize],
+                Node::Term { lit_start, lit_len } => exact::term_probability(
+                    space,
+                    &self.lits[lit_start as usize..][..lit_len as usize],
+                )?,
                 Node::Decision {
                     var,
                     child_start,
                     child_len,
                 } => {
                     let mut acc = 0.0;
-                    for alt in 0..*child_len as usize {
-                        let child = self.children[*child_start as usize + alt];
-                        acc += space.probability(*var, alt)? * value[child as usize];
+                    let children = &self.children[child_start as usize..][..child_len as usize];
+                    for (alt, &child) in children.iter().enumerate() {
+                        acc += space.probability(var, alt)? * value[child as usize];
                     }
                     acc
                 }
-                Node::Product {
+                Node::Components {
                     child_start,
                     child_len,
                 } => {
-                    let mut acc = 1.0;
-                    for k in 0..*child_len as usize {
-                        let child = self.children[*child_start as usize + k];
-                        acc *= value[child as usize];
+                    let mut q = 1.0;
+                    for &child in &self.children[child_start as usize..][..child_len as usize] {
+                        q *= 1.0 - value[child as usize];
                     }
-                    acc
+                    1.0 - q
                 }
             };
+            value.push(v);
         }
-        Ok(value[self.root as usize].clamp(0.0, 1.0))
+        Ok(value[self.root as usize])
     }
 }
 
 /// Compiles and counts in one call: the exact probability of the event via
-/// the d-DNNF backend, or [`ConfidenceError::TooLarge`] when the circuit
-/// exceeds `max_nodes`.
+/// the recorded circuit, or [`ConfidenceError::TooLarge`] past `max_nodes`
+/// expansion steps.
+///
+/// [`ConfidenceError::TooLarge`]: crate::ConfidenceError::TooLarge
 pub fn probability(event: &DnfEvent, space: &ProbabilitySpace, max_nodes: u32) -> Result<f64> {
     Dnnf::compile(event, space, max_nodes)?.wmc(space)
 }
@@ -346,7 +279,8 @@ pub fn probability(event: &DnfEvent, space: &ProbabilitySpace, max_nodes: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact;
+    use crate::error::ConfidenceError;
+    use crate::event::Assignment;
 
     fn a(pairs: &[(usize, usize)]) -> Assignment {
         Assignment::new(pairs.iter().copied()).unwrap()
@@ -447,9 +381,35 @@ mod tests {
         let circuit = Dnnf::compile(&f, &s, 256).unwrap();
         let expected = exact::probability(&f, &s).unwrap();
         assert!((circuit.wmc(&s).unwrap() - expected).abs() < 1e-12);
-        // y=0 ∨ z=0 appears under both x branches; consing keeps the arena
-        // strictly smaller than the un-shared expansion would be.
+        // y=0 appears under both x branches; sharing its leaf keeps the
+        // arena strictly smaller than the un-shared expansion would be.
         assert!(circuit.node_count() <= 12, "{}", circuit.node_count());
+    }
+
+    /// Both branches on `x` reach the sub-event `{y, z}`: the kernel's memo
+    /// answers the second, and the circuit shares the first one's node.
+    #[test]
+    fn memo_hits_are_shared_nodes() {
+        let mut s = ProbabilitySpace::new();
+        let x = s.add_bool_variable(0.3).unwrap();
+        let y = s.add_bool_variable(0.6).unwrap();
+        let z = s.add_bool_variable(0.2).unwrap();
+        let f = DnfEvent::new([
+            a(&[(x, 0), (y, 0)]),
+            a(&[(x, 1), (y, 0)]),
+            a(&[(x, 0), (z, 0)]),
+            a(&[(x, 1), (z, 0)]),
+        ]);
+        let circuit = Dnnf::compile(&f, &s, 256).unwrap();
+        assert_eq!(
+            circuit.wmc(&s).unwrap().to_bits(),
+            exact::probability(&f, &s).unwrap().to_bits()
+        );
+        // Leaves y and z, one split of {y, z}, the decision on x.
+        assert_eq!(circuit.node_count(), 4);
+        // Two expansion steps: the second branch is a memo hit.
+        assert!(Dnnf::compile(&f, &s, 2).is_ok());
+        assert!(Dnnf::compile(&f, &s, 1).is_err());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   [`LineagePrograms::exact_probabilities`], the memoised Shannon
 //!   expansion of the batch (`conf`, `cert`, exact `σ̂`);
 //! * [`FprasEstimator`] — the (ε, δ)-FPRAS of Proposition 4.2: the
-//!   [`crate::cost`] model sends an event to the d-DNNF backend or to the
+//!   [`crate::cost`] model sends an event to the exact backend (the same
+//!   Shannon kernel under a node budget,
+//!   [`LineagePrograms::dnnf_probability`]) or to the
 //!   bit-parallel block kernel ([`BitKarpLuby`]) with the Chernoff sample
 //!   count at the event's sampling width, [`FprasEstimator::bill`]
 //!   (`conf_{ε,δ}`);
@@ -149,7 +151,7 @@ pub struct FprasEstimator {
 
 impl FprasEstimator {
     /// Creates an estimator drawing the Chernoff-bound sample count for the
-    /// given (ε, δ).  The d-DNNF backend starts disabled; see
+    /// given (ε, δ).  The exact backend starts disabled; see
     /// [`with_exact_backend`](FprasEstimator::with_exact_backend).
     pub fn new(params: FprasParams) -> Self {
         FprasEstimator {
@@ -159,16 +161,17 @@ impl FprasEstimator {
         }
     }
 
-    /// Enables the exact d-DNNF backend on the compiled path with a hard
-    /// circuit budget of `node_budget` nodes (0 disables it).
+    /// Enables the exact backend on the compiled path with a hard budget
+    /// of `node_budget` expansion steps (0 disables it).
     ///
     /// When the [`crate::cost`] model judges an event's estimated circuit
     /// smaller than both the budget and the Chernoff sample bill, the event
-    /// is compiled ([`crate::dnnf`]) and answered **exactly** — the estimate
-    /// is seed-independent, flagged `exact`, and still within every (ε, δ)
-    /// guarantee (an exact answer trivially is).  Oversized circuits abort
-    /// at the budget and fall back to sampling, bit-identical to a
-    /// backend-free run of the same seed.
+    /// is answered **exactly** by the Shannon kernel of exact `conf`
+    /// ([`LineagePrograms::dnnf_probability`]) — the estimate is exact
+    /// `conf`'s to the bit, seed-independent, flagged `exact`, and still
+    /// within every (ε, δ) guarantee (an exact answer trivially is).  An
+    /// expansion that outgrows the budget aborts and falls back to
+    /// sampling, bit-identical to a backend-free run of the same seed.
     pub fn with_exact_backend(mut self, node_budget: u32) -> Self {
         self.exact_backend = node_budget;
         self
@@ -215,8 +218,8 @@ impl ConfidenceEstimator for FprasEstimator {
             });
         }
         let bill = self.bill(programs, index)?;
-        // Backend choice: compile to d-DNNF and answer exactly when the cost
-        // model says the circuit is cheaper than the Chernoff sample bill.
+        // Backend choice: answer exactly when the cost model says the
+        // expansion is cheaper than the Chernoff sample bill.
         if let Some(p) = programs.exact_if_cheaper(index, bill, self.exact_backend) {
             return Ok(EventEstimate {
                 estimate: p,

@@ -8,6 +8,7 @@
 
 use crate::error::{ConfidenceError, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Index of a random variable within a [`ProbabilitySpace`].
 pub type VarId = usize;
@@ -20,10 +21,14 @@ pub const DISTRIBUTION_TOLERANCE: f64 = 1e-9;
 
 /// A finite set of independent discrete random variables, each with a
 /// probability per alternative.
+///
+/// The distributions sit behind one [`Arc`], so a clone — every compiled
+/// batch keeps one — is a pointer copy; [`ProbabilitySpace::add_variable`]
+/// copies them first only while a clone shares them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProbabilitySpace {
     /// `dists[v][a]` is `Pr[X_v = a]`.
-    dists: Vec<Vec<f64>>,
+    dists: Arc<Vec<Vec<f64>>>,
 }
 
 impl ProbabilitySpace {
@@ -54,8 +59,9 @@ impl ProbabilitySpace {
                 "probabilities sum to {total}, expected 1"
             )));
         }
-        self.dists.push(probabilities);
-        Ok(self.dists.len() - 1)
+        let dists = Arc::make_mut(&mut self.dists);
+        dists.push(probabilities);
+        Ok(dists.len() - 1)
     }
 
     /// Adds a Boolean variable: alternative 0 is "true" with probability `p`,

@@ -25,7 +25,14 @@
 //! hits in the same places — so its answers are bit-identical to it; the
 //! `exact_kernel_differential` suite keeps that recursion as the reference
 //! and compares with `to_bits()`.
+//!
+//! The same kernel is the exact backend of the estimators: under a node
+//! budget it counts its expansion steps and gives up with
+//! [`ConfidenceError::TooLarge`] past the budget
+//! ([`crate::LineagePrograms::dnnf_probability`]), and with a recorder it
+//! writes down what it computes as a decision-DNNF ([`crate::Dnnf`]).
 
+use crate::dnnf::Recorder;
 use crate::error::{ConfidenceError, Result};
 use crate::event::{Assignment, DnfEvent, ProbabilitySpace, VarId};
 use std::collections::HashMap;
@@ -339,6 +346,20 @@ fn simplify(terms: &Terms, stack: &mut Vec<u32>, lo: usize) -> (usize, usize) {
     (base, stack.len())
 }
 
+/// `p₁·(p₂·(…·p_k))` over a term's literals in variable order: what the
+/// expansion computes for a single term (every other branch adds `+0.0`).
+/// A literal naming no alternative of its variable is never satisfied.
+pub(crate) fn term_probability(space: &ProbabilitySpace, lits: &[(u32, u32)]) -> Result<f64> {
+    for &(var, alt) in lits {
+        if alt as usize >= space.num_alternatives(var as usize)? {
+            return Ok(0.0);
+        }
+    }
+    lits.iter().rev().try_fold(1.0, |acc, &(var, alt)| {
+        Ok(space.probability(var as usize, alt as usize)? * acc)
+    })
+}
+
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         parent[x as usize] = parent[parent[x as usize] as usize];
@@ -358,13 +379,25 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 /// union-find root, the same unions in the same order); one component
 /// branches on its most frequent variable (ties to the smallest id) over the
 /// alternatives in order; and the memo is keyed by the set of terms, so it
-/// hits exactly where the old one did.  A single term is answered by the
-/// right fold `p₁·(p₂·(…·p_k))` of its literals in variable order, which is
-/// what the expansion computes for it (every other branch adds `+0.0`).
+/// hits exactly where the old one did.  A single term is answered by
+/// [`term_probability`].
+///
+/// Every memo miss of two or more terms is one expansion step — a split
+/// into components or a branch — and a kernel with a budget
+/// ([`Shannon::with_budget`]) fails with [`ConfidenceError::TooLarge`] at
+/// the step past it.  A recording kernel ([`Shannon::trace`]) also hands
+/// every answer to a [`Recorder`]: a constant or single-term leaf, a
+/// decision per branch, a complement-of-product per split, and the node of
+/// the first computation on a memo hit — one internal node per step.
 pub(crate) struct Shannon<'a> {
     space: &'a ProbabilitySpace,
     terms: Terms,
     memo: HashMap<Box<[u32]>, f64, BuildHasherDefault<IdHasher>>,
+    /// The most expansion steps one event may take.
+    budget: u64,
+    /// The expansion steps of the current event.
+    steps: u64,
+    recorder: Option<Recorder>,
     /// The open sub-events, innermost last: each one's term ids, then its
     /// sorted memo key, then its components or its restricted terms.
     stack: Vec<u32>,
@@ -376,8 +409,6 @@ pub(crate) struct Shannon<'a> {
     parent: Vec<u32>,
     /// `(root, term)`: the component order.
     groups: Vec<(u32, u32)>,
-    /// One term's literal probabilities.
-    factors: Vec<f64>,
 }
 
 impl<'a> Shannon<'a> {
@@ -386,19 +417,42 @@ impl<'a> Shannon<'a> {
             space,
             terms: Terms::default(),
             memo: HashMap::default(),
+            budget: u64::MAX,
+            steps: 0,
+            recorder: None,
             stack: Vec::new(),
             occurrences: Vec::new(),
             first: Vec::new(),
             parent: Vec::new(),
             groups: Vec::new(),
-            factors: Vec::new(),
         }
+    }
+
+    /// The kernel that gives up on an event past `budget` expansion steps.
+    pub(crate) fn with_budget(mut self, budget: u32) -> Self {
+        self.budget = u64::from(budget);
+        self
+    }
+
+    /// The expansion steps the last event took (all of them, if it was
+    /// answered).
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Computes the probability of `event` and returns the recorded
+    /// decision-DNNF of that computation.
+    pub(crate) fn trace(mut self, event: &DnfEvent) -> Result<Recorder> {
+        self.recorder = Some(Recorder::default());
+        self.probability(event)?;
+        Ok(self.recorder.unwrap_or_default())
     }
 
     /// The exact probability of `event`.
     pub(crate) fn probability(&mut self, event: &DnfEvent) -> Result<f64> {
         self.memo.clear();
         self.stack.clear();
+        self.steps = 0;
         for term in event.terms() {
             let id = self.terms.intern(term)?;
             self.stack.push(id);
@@ -410,48 +464,55 @@ impl<'a> Shannon<'a> {
     /// The probability of the simplified sub-event `stack[lo..hi]`; leaves
     /// the stack as it found it.
     fn solve(&mut self, lo: usize, hi: usize) -> Result<f64> {
-        match hi - lo {
-            0 => return Ok(0.0),
-            _ if self.stack[lo..hi]
-                .iter()
-                .any(|&t| self.terms.is_empty_term(t)) =>
-            {
-                return Ok(1.0)
+        let certain = self.stack[lo..hi]
+            .iter()
+            .any(|&t| self.terms.is_empty_term(t));
+        if hi - lo == 0 || certain {
+            if let Some(r) = &mut self.recorder {
+                r.constant(certain);
             }
-            1 => return self.single_term(self.stack[lo]),
-            _ => {}
+            return Ok(if certain { 1.0 } else { 0.0 });
+        }
+        if hi - lo == 1 {
+            let term = self.stack[lo];
+            let lits = self.terms.lits(term);
+            let p = term_probability(self.space, lits)?;
+            if let Some(r) = &mut self.recorder {
+                r.term(term, lits);
+            }
+            return Ok(p);
         }
         let key = self.stack.len();
         self.stack.extend_from_within(lo..hi);
         self.stack[key..].sort_unstable();
         if let Some(&p) = self.memo.get(&self.stack[key..]) {
+            if let Some(r) = &mut self.recorder {
+                r.shared(&self.stack[key..]);
+            }
             self.stack.truncate(key);
             return Ok(p);
         }
         let body = self.stack.len();
         let p = self.expand(lo, hi)?;
+        if let Some(r) = &mut self.recorder {
+            r.remember(&self.stack[key..body]);
+        }
         self.memo.insert(self.stack[key..body].into(), p);
         self.stack.truncate(key);
         Ok(p)
     }
 
-    /// `p₁·(p₂·(…·p_k))` over the term's literals; a literal naming no
-    /// alternative of its variable is never satisfied.
-    fn single_term(&mut self, term: u32) -> Result<f64> {
-        self.factors.clear();
-        for &(var, alt) in self.terms.lits(term) {
-            if alt as usize >= self.space.num_alternatives(var as usize)? {
-                return Ok(0.0);
-            }
-            self.factors
-                .push(self.space.probability(var as usize, alt as usize)?);
-        }
-        Ok(self.factors.iter().rev().fold(1.0, |acc, &p| p * acc))
-    }
-
     /// One expansion step of a sub-event with at least two terms, none of
     /// them empty: split into independent components, or branch.
     fn expand(&mut self, lo: usize, hi: usize) -> Result<f64> {
+        self.steps += 1;
+        if self.steps > self.budget {
+            return Err(ConfidenceError::TooLarge {
+                what: "Shannon expansion".into(),
+                limit: u128::from(self.budget),
+            });
+        }
+        let mark = self.recorder.as_ref().map_or(0, Recorder::mark);
         let n = hi - lo;
         // Every literal occurrence, sorted by variable: a variable's run
         // starts at the first term that mentions it, and its length is the
@@ -518,6 +579,9 @@ impl<'a> Shannon<'a> {
                 start += len;
             }
             self.stack.truncate(sizes);
+            if let Some(r) = &mut self.recorder {
+                r.components(mark);
+            }
             return Ok(1.0 - q);
         }
 
@@ -548,6 +612,9 @@ impl<'a> Shannon<'a> {
             self.stack.truncate(top);
         }
         self.stack.truncate(restricted);
+        if let Some(r) = &mut self.recorder {
+            r.decision(var, mark);
+        }
         Ok(acc)
     }
 }

@@ -9,7 +9,9 @@
 //! * the event model — [`ProbabilitySpace`], [`Assignment`] (partial
 //!   functions `Var → Dom`) and [`DnfEvent`].
 //! * [`exact`] — world enumeration, inclusion–exclusion and Shannon
-//!   expansion with memoisation/independence factorisation.
+//!   expansion with memoisation/independence factorisation: the one exact
+//!   algorithm of `conf`, `cert`, exact σ̂ and, under a node budget, the
+//!   exact backend of `conf_{ε,δ}` and σ̂.
 //! * [`KarpLubyEstimator`] — the unbiased estimator of Definition 4.1.
 //! * [`chernoff`] — the sample-size bounds of Section 4 and the δ′(ε, l)
 //!   form used by the predicate-approximation algorithm.
@@ -29,10 +31,11 @@
 //!   1, 2 or 4 words (one AND/OR per literal and word, O(1) alias-table
 //!   term choice), with [`bitworld::bernoulli_block`] drawing 64 Bernoulli
 //!   lanes from ~7 words of randomness.
-//! * [`dnnf`] — smoothed d-DNNF knowledge compilation (Shannon expansion on
-//!   a min-fill order, hash-consing, hard node budget with
-//!   abort-and-fallback) plus linear-time weighted model counting: the
-//!   exact, seed-independent backend for moderate-width events.
+//! * [`dnnf`] — the exact kernel's computation recorded as a
+//!   decision-DNNF (a decision per branch, a complement-of-product per
+//!   component split, shared memo hits; hard node budget with
+//!   abort-and-fallback) plus linear-time weighted model counting that
+//!   replays the kernel's arithmetic bit for bit.
 //! * [`cost`] — the per-event compile-vs-sample decision ([`Backend`]):
 //!   a structural circuit-size estimate against the hard node budget and
 //!   the Chernoff-implied sample bill.
@@ -40,9 +43,9 @@
 //!   estimates a compiled [`LineagePrograms`] batch in parallel (rayon),
 //!   deterministically under a fixed seed via per-event sub-RNGs.
 //!   [`ExactEstimator`] (memoised Shannon expansion) and [`FprasEstimator`]
-//!   (cost model → d-DNNF or the block kernel) are, with Figure 3 over
-//!   [`IncrementalEstimator`] states, the only production paths to a
-//!   probability; the scalar [`KarpLubyEstimator`],
+//!   (cost model → the budgeted exact kernel or the block kernel) are,
+//!   with Figure 3 over [`IncrementalEstimator`] states, the only
+//!   production paths to a probability; the scalar [`KarpLubyEstimator`],
 //!   [`approximate_confidence`], [`exact::by_enumeration`] and
 //!   [`exact::by_inclusion_exclusion`] are the references the differential
 //!   and property suites compare them against.

@@ -3,9 +3,14 @@
 //! over boxed [`DnfEvent`]s that the kernel over interned terms replaced,
 //! kept here as the reference.  Answers are compared with `to_bits()`: a
 //! kernel that reorders one addition or misses one memo hit fails, not
-//! just one that computes a different probability.
+//! just one that computes a different probability.  The exact backend of
+//! the estimators — the same kernel under a node budget — and the
+//! decision-DNNF it records are held to the kernel's bits the same way.
 
-use confidence::{exact, Assignment, DnfEvent, LineagePrograms, ProbabilitySpace, VarId};
+use confidence::{
+    cost, dnnf, exact, Assignment, ConfidenceError, DnfEvent, Dnnf, LineagePrograms,
+    ProbabilitySpace, VarId,
+};
 use proptest::prelude::*;
 
 mod reference {
@@ -325,4 +330,80 @@ fn the_memo_hits_where_the_reference_hits() {
     let batch = programs.exact_probabilities().unwrap();
     assert_eq!(batch[0].to_bits(), rotated.to_bits());
     assert_eq!(batch[1].to_bits(), expected.to_bits());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+    /// The exact backend is the kernel under a node budget: an event it
+    /// answers gets the bits `exact_probabilities` gives it.
+    #[test]
+    fn the_exact_backend_answers_with_the_kernels_bits(
+        shape in arb_space(),
+        batch in proptest::collection::vec(arb_terms(8), 1..6),
+    ) {
+        let space = space_of(&shape);
+        let mut pool = Vec::new();
+        let events: Vec<DnfEvent> =
+            batch.iter().map(|plans| event_of(&space, &mut pool, plans)).collect();
+        let programs = LineagePrograms::compile(events.clone(), &space).unwrap();
+        let exact = programs.exact_probabilities().unwrap();
+        for (i, event) in events.iter().enumerate() {
+            if let Some(p) = programs.dnnf_probability(i, cost::DEFAULT_NODE_BUDGET) {
+                assert_bits(p, exact[i], event)?;
+            }
+        }
+    }
+
+    /// The recorded circuit counts what the kernel computed, bit for bit.
+    #[test]
+    fn the_recorded_circuit_counts_the_kernels_bits(
+        shape in arb_space(),
+        plans in arb_terms(12),
+    ) {
+        let space = space_of(&shape);
+        let event = event_of(&space, &mut Vec::new(), &plans);
+        let circuit = Dnnf::compile(&event, &space, cost::DEFAULT_NODE_BUDGET).unwrap();
+        let expected = exact::probability(&event, &space).unwrap();
+        assert_bits(circuit.wmc(&space).unwrap(), expected, &event)?;
+        assert_bits(
+            dnnf::probability(&event, &space, cost::DEFAULT_NODE_BUDGET).unwrap(),
+            expected,
+            &event,
+        )?;
+    }
+
+    /// Both the recording and the backend kernel succeed exactly when the
+    /// expansion takes no more steps than the budget, and an abort stays.
+    #[test]
+    fn the_budget_admits_exactly_the_expansion_count(
+        shape in arb_space(),
+        plans in arb_terms(12),
+    ) {
+        let space = space_of(&shape);
+        let event = event_of(&space, &mut Vec::new(), &plans);
+        let fresh = || LineagePrograms::compile(vec![event.clone()], &space).unwrap();
+        let measured = fresh();
+        prop_assert!(measured.dnnf_probability(0, u32::MAX).is_some());
+        let Some(steps) = measured.dnnf_nodes(0) else {
+            // Trivial events take no step and never reach the kernel.
+            prop_assert!(measured.trivial(0).is_some());
+            return Ok(());
+        };
+        let circuit = Dnnf::compile(&event, &space, steps).unwrap();
+        prop_assert!(circuit.node_count() > steps as usize);
+        let at = fresh();
+        prop_assert!(at.dnnf_probability(0, steps).is_some());
+        prop_assert_eq!(at.dnnf_nodes(0), Some(steps));
+        if steps > 0 {
+            prop_assert!(matches!(
+                Dnnf::compile(&event, &space, steps - 1),
+                Err(ConfidenceError::TooLarge { .. })
+            ));
+            let below = fresh();
+            prop_assert_eq!(below.dnnf_probability(0, steps - 1), None);
+            prop_assert_eq!(below.dnnf_probability(0, u32::MAX), None, "the abort is sticky");
+            prop_assert_eq!(below.dnnf_nodes(0), None);
+        }
+    }
 }

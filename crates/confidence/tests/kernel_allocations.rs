@@ -2,7 +2,8 @@
 //! event's first block has built its sampling table and sized the thread's
 //! scratchpad, further blocks — and further kernels over the same event, the
 //! one-kernel-per-tuple pattern of the batched estimators — never reach the
-//! allocator.  Counted with a global allocator that tallies per thread, so
+//! allocator; and compiling a batch shares the probability space instead of
+//! copying it.  Counted with a global allocator that tallies per thread, so
 //! the harness's own threads cannot disturb the count.
 
 use confidence::{
@@ -112,4 +113,29 @@ fn warm_blocks_and_kernel_constructions_allocate_nothing() {
         "300 constructions, 3 000 blocks and 6 000 batches on a warm thread allocated"
     );
     assert!(successes > 0);
+}
+
+/// A compiled batch keeps a clone of its space, and the clone shares the
+/// distributions: compiling one event against 100 or 1 600 variables costs
+/// the same allocations, none of them per variable.
+#[test]
+fn compiling_a_batch_allocates_nothing_per_space_variable() {
+    let compile_allocations = |vars: usize| {
+        let mut space = ProbabilitySpace::new();
+        for _ in 0..vars {
+            space.add_bool_variable(0.5).unwrap();
+        }
+        let events = vec![DnfEvent::new([
+            Assignment::new([(0, 0), (1, 1)]).unwrap(),
+            Assignment::new([(vars - 1, 0)]).unwrap(),
+        ])];
+        let before = allocations();
+        let programs = LineagePrograms::compile(events, &space).unwrap();
+        let spent = allocations() - before;
+        assert_eq!(programs.space(), &space);
+        spent
+    };
+    let small = compile_allocations(100);
+    assert_eq!(small, compile_allocations(1_600));
+    assert!(small < 100, "{small} allocations for one event");
 }

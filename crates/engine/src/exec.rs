@@ -99,12 +99,14 @@ pub struct EvalConfig {
     /// at roughly one chunk.  Results are bit-identical for any value; this
     /// is purely a memory/scale knob.
     pub spill_budget_bytes: usize,
-    /// Hard circuit budget (nodes) of the exact d-DNNF backend on the
-    /// approximate-confidence path; `0` (the default) disables the backend.
-    /// When enabled, the per-event cost model compiles moderate-width
-    /// lineages and answers them **exactly** — seed-independent, zero
-    /// samples, trivially within every (ε, δ) guarantee — while oversized
-    /// circuits abort at the budget and sample exactly as before
+    /// Hard budget of the exact backend on the approximate-confidence
+    /// path, in expansion steps of the Shannon kernel that exact `conf`
+    /// runs (the internal nodes of the decision-DNNF it would record); `0`
+    /// (the default) disables the backend.  When enabled, the per-event
+    /// cost model sends moderate-width lineages to that kernel and answers
+    /// them **exactly** — exact `conf`'s bits, seed-independent, zero
+    /// samples, trivially within every (ε, δ) guarantee — while expansions
+    /// that outgrow the budget abort and sample exactly as before
     /// (bit-identical to a backend-free run).
     /// `confidence::cost::DEFAULT_NODE_BUDGET` is the recommended setting
     /// for serving.
@@ -184,7 +186,7 @@ impl EvalConfig {
         self
     }
 
-    /// Sets the exact d-DNNF backend's hard node budget (`0` disables the
+    /// Sets the exact backend's hard node budget (`0` disables the
     /// backend; `confidence::cost::DEFAULT_NODE_BUDGET` is the recommended
     /// serving setting).
     pub fn with_exact_backend(mut self, node_budget: u32) -> Self {
@@ -227,7 +229,8 @@ pub struct EvalStats {
     /// sampling (a subset of `approx_select_decisions`).
     pub approx_select_pruned: u64,
     /// Non-trivial events of `conf_{ε,δ}` and Monte Carlo `σ̂` answered
-    /// exactly by the compiled d-DNNF backend — zero samples drawn.
+    /// exactly by the exact backend (the budgeted Shannon kernel of exact
+    /// `conf`) — zero samples drawn.
     pub exact_compiled_answers: u64,
     /// Non-trivial events of `conf_{ε,δ}` and Monte Carlo `σ̂` answered by
     /// Karp–Luby sampling: with `exact_compiled_answers`, every such event

@@ -1647,7 +1647,7 @@ fn deadline_interrupt(e: EngineError) -> EngineError {
 
 /// Books one event a Monte Carlo path (`conf_{ε,δ}`, Monte Carlo `σ̂`)
 /// estimated: its samples, and — for a non-trivial event — exactly one of
-/// the two backend counters: answered exactly by the d-DNNF backend, or by
+/// the two backend counters: answered by the exact backend, or by
 /// Karp–Luby sampling.  Trivial events move neither.
 fn attribute_estimate(stats: &mut EvalStats, trivial: bool, exact: bool, samples: u64) {
     stats.karp_luby_samples += samples;
@@ -1942,7 +1942,7 @@ mod tests {
                 .count()
         };
 
-        // Exact conf and a d-DNNF-routed aconf answer without sampling: the
+        // Exact conf and a backend-routed aconf answer without sampling: the
         // arena they share carries no sampling table afterwards.
         lowered("conf(project[A](T))", &db, config)
             .execute(&mut ctx)

@@ -326,10 +326,11 @@ pub struct ServingStats {
     /// deadline expired mid-sampling or the admission gate was saturated (see
     /// [`ServingEngine::evaluate_degradable`]).
     pub degraded_answers: u64,
-    /// Approximate-confidence events answered *exactly* by the compiled
-    /// d-DNNF backend (seed-independent, zero samples drawn) because the
-    /// cost model priced compilation below the Chernoff sampling bill (see
-    /// [`EvalConfig::exact_backend_node_budget`]).
+    /// Approximate-confidence events answered *exactly* by the exact
+    /// backend — the Shannon kernel of exact `conf` under its node budget,
+    /// so with exact `conf`'s bits, seed-independent and with zero samples
+    /// drawn — because the cost model priced the expansion below the
+    /// Chernoff sampling bill (see [`EvalConfig::exact_backend_node_budget`]).
     pub exact_compiled_answers: u64,
     /// Approximate-confidence events answered by Karp–Luby sampling —
     /// the complement of `exact_compiled_answers` among non-trivial

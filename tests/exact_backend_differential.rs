@@ -154,3 +154,43 @@ fn shared_sampling_answers_are_seed_independent_but_streams_still_advance() {
         "shared sampling must not change how much caller randomness is consumed"
     );
 }
+
+/// Beyond the coins: on the sensor and cleaning databases, an `aconf` whose
+/// every event goes to the exact backend answers with exact `conf`'s bits,
+/// whatever the seed — the backend is the exact kernel under a budget.
+#[test]
+fn backed_aconf_equals_exact_conf_bit_for_bit_on_sensors_and_cleaning() {
+    let bodies = [
+        (
+            "sensors",
+            "project[Sensor](select[Temp >= 30](repairkey[Sensor @ Weight](Readings)))",
+        ),
+        (
+            "cleaning",
+            "project[City](repairkey[RecId @ Weight](Dirty))",
+        ),
+    ];
+    let suites = sigma_suites();
+    for (name, body) in bodies {
+        let db = &suites.iter().find(|(n, _, _)| *n == name).unwrap().1;
+        let exact = algebra::parse_query(&format!("conf({body})")).unwrap();
+        let approximate = algebra::parse_query(&format!("aconf[0.05, 0.05]({body})")).unwrap();
+        let reference = UEngine::new(EvalConfig::exact())
+            .evaluate(db, &exact, &mut ChaCha8Rng::seed_from_u64(0))
+            .unwrap();
+        assert!(reference.result.relation.len() > 1, "{name}: a real batch");
+        let engine = UEngine::new(EvalConfig::default().with_exact_backend(NODE_BUDGET));
+        for seed in [7u64, 31337, 0] {
+            let out = engine
+                .evaluate(db, &approximate, &mut ChaCha8Rng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(
+                out.result.relation, reference.result.relation,
+                "{name}, seed {seed}: a backed aconf answer must be exact conf's"
+            );
+            assert_eq!(out.stats.sampled_answers, 0, "{name}: every event compiled");
+            assert_eq!(out.stats.karp_luby_samples, 0, "{name}");
+            assert!(out.stats.exact_compiled_answers > 0, "{name}");
+        }
+    }
+}
