@@ -340,11 +340,7 @@ impl PhysicalOp {
             sharded_unary(input, pctx.shards, pctx.spill_budget, f)
         };
         match self {
-            PhysicalOp::Scan { relation } => Ok(EvaluatedRelation {
-                relation: pctx.database.relation(relation)?.clone(),
-                complete: pctx.database.is_complete(relation),
-                errors: BTreeMap::new(),
-            }),
+            PhysicalOp::Scan { relation } => scan(pctx.database, relation),
             PhysicalOp::Select { predicate } => {
                 let input = unary_input(inputs);
                 let relation = sharded(&input.relation, &|c| ops::select(c, predicate))?;
@@ -745,17 +741,26 @@ impl PhysicalPlan {
             .collect()
     }
 
-    /// The one need-pass: the slot state of a run over the results present
-    /// in `slots`.  Walking from the root down, a node has to run iff its
-    /// result is wanted — it is the root's, or an input of a node that has
-    /// to run — and absent.  A present result cuts the walk: nothing below
-    /// it runs on its account, whether or not results below it are present.
-    fn slot_state(&self, slots: Vec<Option<EvaluatedRelation>>) -> SlotState {
+    /// The one need-pass: the slot state of a run over the stored results
+    /// `value_of` supplies.  Walking from the root down, a node's result is
+    /// asked for only if it is wanted — it is the root's, or an input of a
+    /// node that has to run — and a node has to run iff it is wanted and
+    /// `value_of` has no result for it.  A present result cuts the walk:
+    /// nothing below it is asked for, or runs, on its account.
+    fn slot_state(
+        &self,
+        mut value_of: impl FnMut(usize) -> Option<EvaluatedRelation>,
+    ) -> SlotState {
         let mut wanted = vec![false; self.nodes.len()];
+        let mut slots = vec![None; self.nodes.len()];
         let mut todo = vec![false; self.nodes.len()];
         wanted[self.root] = true;
         for id in (0..self.nodes.len()).rev() {
-            if wanted[id] && slots[id].is_none() {
+            if !wanted[id] {
+                continue;
+            }
+            slots[id] = value_of(id);
+            if slots[id].is_none() {
                 todo[id] = true;
                 for &input in &self.nodes[id].inputs {
                     wanted[input] = true;
@@ -766,10 +771,11 @@ impl PhysicalPlan {
     }
 
     /// Builds a resumable [`ExecSnapshot`] of this plan's deterministic
-    /// prefix from content-addressed parts (the serving layer's cross-query
-    /// snapshot pool stores them per sub-plan rather than per query):
-    /// `value_of(id)` is the stored result of prefix node `id`, if there is
-    /// one, and `effects` are those of the full stateful prefix.
+    /// prefix from content-addressed parts (the serving layer stores them
+    /// per sub-plan rather than per query): `value_of(id)` is the stored
+    /// result of prefix node `id`, if there is one — asked for only when the
+    /// need-pass wants it — and `effects` are those of the full stateful
+    /// prefix the parts were computed under.
     ///
     /// Resuming the snapshot recomputes, from the context's database, the
     /// *pure* prefix results that are wanted and absent — this is how the
@@ -777,26 +783,29 @@ impl PhysicalPlan {
     /// and the second component says how many there are.  A wanted, absent
     /// *stateful* result cannot be recomputed without re-running the whole
     /// stateful prefix (the supplied effects already include it), so it
-    /// makes the parts unusable: `None`.
+    /// makes the parts unusable: `None`.  With `effects` `None` nothing of
+    /// the stateful prefix has run yet — a cold start, which runs every
+    /// wanted stateful node and never misses — so `value_of` may supply only
+    /// results no stateful node feeds.
     pub(crate) fn snapshot_from(
         &self,
-        value_of: impl Fn(usize) -> Option<EvaluatedRelation>,
-        effects: PrefixEffects,
+        mut value_of: impl FnMut(usize) -> Option<EvaluatedRelation>,
+        effects: Option<PrefixEffects>,
     ) -> Option<(ExecSnapshot, u64)> {
         let prefix = self.prefix_done_flags();
-        let stored = |id: usize| prefix[id].then(|| value_of(id)).flatten();
-        let state = self.slot_state((0..self.nodes.len()).map(stored).collect());
+        let state = self.slot_state(|id| prefix[id].then(|| value_of(id)).flatten());
         let mut recomputed = 0;
         for id in (0..self.nodes.len()).filter(|&id| prefix[id] && state.todo[id]) {
-            if self.nodes[id].operator.class() != OpClass::Pure {
+            if self.nodes[id].operator.class() == OpClass::Pure {
+                recomputed += 1;
+            } else if effects.is_some() {
                 return None;
             }
-            recomputed += 1;
         }
         let snapshot = ExecSnapshot {
             state,
             plan_signature: self.signature,
-            effects,
+            effects: effects.unwrap_or_default(),
         };
         Some((snapshot, recomputed))
     }
@@ -808,19 +817,18 @@ impl PhysicalPlan {
     /// runs): consumers take pointer copies, so there is no last consumer to
     /// move a value to.
     pub fn execute(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
-        let mut state = self.slot_state(vec![None; self.nodes.len()]);
+        let mut state = self.slot_state(|_| None);
         self.run(ctx, &mut state, AtFrontier::Continue)?;
         Ok(self.take_root(state))
     }
 
-    /// The snapshot of this plan with nothing executed and nothing added:
-    /// resuming it is a cold start.
+    /// The snapshot of this plan with nothing executed and nothing added —
+    /// `snapshot_from` with no stored results and no effects: resuming it is
+    /// a cold start.
     pub fn empty_snapshot(&self) -> ExecSnapshot {
-        ExecSnapshot {
-            state: self.slot_state(vec![None; self.nodes.len()]),
-            plan_signature: self.signature,
-            effects: PrefixEffects::default(),
-        }
+        let (snapshot, _) =
+            (self.snapshot_from(|_| None, None)).expect("a cold start never misses");
+        snapshot
     }
 
     /// Runs the plan from `snapshot` — captured on this plan,
@@ -894,7 +902,7 @@ impl PhysicalPlan {
     /// property-tested to produce bit-identical results; this stays as the
     /// differential baseline (and as documentation of the semantics).
     pub fn execute_sequential(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
-        let mut state = self.slot_state(vec![None; self.nodes.len()]);
+        let mut state = self.slot_state(|_| None);
         for id in 0..self.nodes.len() {
             let inputs = self.gather_inputs(id, &state);
             let operator = &self.nodes[id].operator;
@@ -1093,6 +1101,17 @@ impl PhysicalPlan {
         }
         Ok(out)
     }
+}
+
+/// A scan's result: a pointer copy of the database's relation.  The serving
+/// layer takes scan results straight from a request's database with it and
+/// never stores them.
+pub(crate) fn scan(database: &UDatabase, relation: &str) -> Result<EvaluatedRelation> {
+    Ok(EvaluatedRelation {
+        relation: database.relation(relation)?.clone(),
+        complete: database.is_complete(relation),
+        errors: BTreeMap::new(),
+    })
 }
 
 fn unary_input(mut inputs: Vec<EvaluatedRelation>) -> EvaluatedRelation {
@@ -1880,7 +1899,7 @@ mod tests {
     ) -> Option<(ExecSnapshot, u64)> {
         let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
         let value_of = |id: usize| held.get(&id).filter(|_| keep(id)).map(|&v| v.clone());
-        plan.snapshot_from(value_of, captured.effects().clone())
+        plan.snapshot_from(value_of, Some(captured.effects().clone()))
     }
 
     /// A cold start that captures: resumes the plan's empty snapshot.
@@ -2204,11 +2223,48 @@ mod tests {
             (full.relation, full.errors)
         );
         assert_eq!((stats, counter), (full_stats, full_counter));
+        let held: Vec<usize> = recaptured.live_slots().map(|(id, _)| id).collect();
         assert_eq!(
-            recaptured.live_slots().count(),
-            3,
-            "the re-capture holds it again"
+            held,
+            [1, 2],
+            "the re-capture holds it again, beside the held result it read"
         );
+    }
+
+    #[test]
+    fn a_supplied_root_is_the_only_result_asked_for() {
+        // An exact `conf` plan is deterministic: its root is in the prefix.
+        let db = TupleIndependentDb::default().database();
+        let config = EvalConfig::exact();
+        let plan = lowered("conf(project[A](T))", &db, config);
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut ctx = ctx_for(&db, config, &mut rng);
+        let (_, captured) = capture_cold(&plan, &mut ctx);
+        let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
+        assert_eq!(held.len(), plan.nodes().len());
+
+        // Every result is stored, but only the root's is wanted.
+        let mut asked = Vec::new();
+        let value_of = |id: usize| {
+            asked.push(id);
+            held.get(&id).map(|&value| value.clone())
+        };
+        let (snapshot, recomputed) = plan
+            .snapshot_from(value_of, Some(captured.effects().clone()))
+            .unwrap();
+        assert_eq!(asked, [plan.root()]);
+        assert_eq!(recomputed, 0);
+        assert!(snapshot.is_complete());
+
+        // With nothing stored, the walk asks for every node once, root down.
+        let mut asked = Vec::new();
+        let value_of = |id: usize| {
+            asked.push(id);
+            None
+        };
+        plan.snapshot_from(value_of, None).unwrap();
+        let every: Vec<usize> = (0..plan.nodes().len()).rev().collect();
+        assert_eq!(asked, every);
     }
 
     #[test]

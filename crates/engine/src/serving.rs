@@ -16,12 +16,18 @@
 //!    prepared query (relational operators, repair-key, exact confidence,
 //!    lineage extraction, W-table compilation) is executed once and its
 //!    results stored *per sub-plan*, content-addressed by
-//!    [`SubplanDigest`] — so a hot join shared by
-//!    many prepared queries is executed once and resumed by all of them,
-//!    and the first evaluation of a new query whose prefix another query
-//!    already warmed never runs cold (past an eager budget the pool admits
-//!    only prefixes and results it has seen before, so never-repeated
-//!    queries stop filling it);
+//!    [`SubplanDigest`], in one of two homes.  A *spine-free* result — a
+//!    pure operator with no stateful node below it, a function of the base
+//!    relations it reads and nothing else (Section 3's translation) — lives
+//!    in one **store** every spine shares, beside pointer copies of the
+//!    relations it read; any other result lives in the entry of its
+//!    stateful spine.  So a hot join is executed once and resumed by every
+//!    query that reads it, including the *cold* start of a never-seen
+//!    spine, and the first evaluation of a new query whose prefix another
+//!    query already warmed never runs cold (past an eager budget the pool
+//!    admits only prefixes and results it has seen before, so
+//!    never-repeated queries stop filling it).  Scans are never stored: a
+//!    scan's result is the request database's relation itself;
 //! 3. inside each pooled prefix, the memoised [`SpaceCache`] /
 //!    lineage-batch caches of the `space` module, shared by every resume
 //!    (a compiled space is found by its W-table's content) —
@@ -39,9 +45,12 @@
 //! Snapshot identity is "sub-plan × relation footprint", not "query":
 //! pool entries are keyed by the *stateful spine* of the prefix (the ordered
 //! repair-key / exact-confidence nodes, which determine every context
-//! effect — introduced variables, statistics, compiled spaces), and each
-//! stored sub-plan result records the set of base relations it scans.
-//! Content commits exploit both.  Every content change is a *delta*:
+//! effect — introduced variables, statistics, compiled spaces), a stored
+//! spine-free result by its sub-plan digest alone, and each pooled result
+//! records the set of base relations it scans.  A stored result also keeps
+//! pointer copies of those relations, and a lookup hits only while the
+//! request's database holds that very content, so no hit rests on a hash.
+//! Content commits exploit all of it.  Every content change is a *delta*:
 //! [`ServingEngine::apply_deltas`] takes [`urel::RelationDelta`]s
 //! (insert/delete row sets against a digest-pinned base) and
 //! [`ServingEngine::update_relations`] takes whole replacements and derives
@@ -49,10 +58,12 @@
 //! relation `R` writes the new content once — into the served database, as
 //! a new row set: whoever shares the old rows keeps them.  Pool entries
 //! hold what their spine *added* (the W-table `repair-key` left behind),
-//! never relation content of their own; a pooled scan result is a pointer
-//! copy of the relation the capturing request scanned, and a commit that
-//! patches it gives it a pointer copy of the relation it wrote.  The
-//! commit drops whole entries only when `R` feeds their
+//! never relation content of their own, and no scan is pooled: a patch
+//! reads a scan's new content and row delta from the commit itself.  The
+//! commit patches each stored result that read `R` once, for every spine,
+//! and re-stores it against the content it wrote (or drops it), so no
+//! stored result outlives the content it was computed from.  It drops
+//! whole entries only when `R` feeds their
 //! stateful spine, and patches the pooled sub-plan results whose footprint
 //! contains `R` **in place** through the incremental operator rules of
 //! [`crate::delta`], so the
@@ -64,19 +75,22 @@
 //! full-swap path that drops everything (required for schema changes).
 //!
 //! Warm and cold requests are one path: both read the served database,
-//! the content epoch and their spine's pool entry as one consistent cut
-//! (one read lock of the served state, which holds all three) and
-//! [resume](PhysicalPlan::resume) a snapshot over them — the pooled prefix,
-//! or the plan's empty snapshot on a cold start.  Relation and W-table
+//! the content epoch and the pooled results their query wants as one
+//! consistent cut (one read lock of the served state, which holds all
+//! three) and [resume](PhysicalPlan::resume) a snapshot over them — the
+//! pooled prefix of their spine, or on a cold start the plan's nothing-run
+//! snapshot seeded with the store's results.  Relation and W-table
 //! content is shared, copy-on-write, inside `urel`, so a request starts
 //! without copying content: its database is a clone of the served one
 //! (pointer copies) with the entry's W-table assigned, and a scan, a slot
 //! hand-off, a pool absorb and the pool → run hand-off — which gives the
-//! executor the entry's results for the plan's prefix nodes plus the
-//! entry's effects — are pointer copies too.  The executor derives what is left to run from
-//! which results are present (`PhysicalPlan::snapshot_from`): a wanted pure
-//! result the entry lacks is recomputed (and re-absorbed), a wanted
-//! stateful one makes the lookup a miss, an unwanted one is not missed.
+//! executor the wanted results from both homes plus the entry's effects —
+//! are pointer copies too.  One need-pass (`PhysicalPlan::snapshot_from`)
+//! walks down from the root and asks the homes only for wanted results,
+//! so a warm request whose root is pooled makes one lookup: a wanted pure
+//! result neither home holds is recomputed (and re-absorbed), a wanted
+//! stateful one the entry lacks makes the start cold, an unwanted one is
+//! not asked for.
 //! Warm results are bit-identical to what a cold evaluation with the same
 //! RNG state would produce: the snapshot restores slots, variable counter
 //! and statistics, all exactly as the sequential schedule would have left
@@ -92,19 +106,18 @@
 //! [`ServingEngine::session`] — evaluate concurrently over one shared
 //! engine.  Two locks guard everything shared, both **read-mostly**: the
 //! query cache, and the served state — the database, its content epoch and
-//! the snapshot pool, behind one lock.  Lookups clone `Arc`-held entries
-//! under short read locks (a warm `prepare` is one read lock of the query
-//! cache and one hash of the text; a request's start is one read lock of
-//! the served state, covering the database clone, the epoch and an entry
-//! lookup, taken once by a warm request and again after admission by a
-//! cold one), all other work
-//! (parsing, lowering, prefix resolution, execution, estimation) runs with
+//! the snapshot pool, behind one lock.  Lookups take pointer copies under
+//! short read locks (a warm `prepare` is one read lock of the query cache
+//! and one hash of the text; a request's start is one read lock of the
+//! served state, covering the database clone, the epoch and the lookups of
+//! the results its query wants, taken once by a warm request and again
+//! after admission by a cold one), all other work
+//! (parsing, lowering, execution, estimation) runs with
 //! *no* engine lock held, and every mutation path —
 //! [`update_relations`](ServingEngine::update_relations) /
 //! [`apply_deltas`](ServingEngine::apply_deltas) commits, pool absorbs —
-//! rewrites shared entries **copy-on-write** (`Arc::make_mut` on the entry,
-//! whose slot values are themselves pointer copies), so an
-//! in-flight reader keeps the immutable entry it resolved.
+//! rewrites the pool under the write lock, which no start holds: an
+//! in-flight reader keeps the pointer copies it resolved.
 //!
 //! Admission decides only *when* a request runs, never what it answers.  A
 //! request starts first — its one read of the served state — and then
@@ -148,10 +161,10 @@
 //! digest-verified segment files (see `engine::storage` for the framing):
 //! the W-table, the relation catalog, one segment per relation, and one
 //! *warm* segment per poolable deterministic-prefix snapshot (its introduced
-//! variables, counters and sub-plan results — every pooled result is
-//! encoded in full, so a pooled scan writes its relation's rows a second
-//! time), all recorded — length and digest pair — in a `MANIFEST` segment
-//! written last.
+//! variables, counters and the sub-plan results that depend on its spine)
+//! and one *store* segment holding each spine-free result once, all
+//! recorded — length and digest pair — in a `MANIFEST` segment written
+//! last.
 //! [`ServingEngine::restore`] rebuilds a server from such a directory and
 //! re-seeds the snapshot pool from the warm segments, so the restarted
 //! process answers its first requests at warm cost without re-preparing.
@@ -188,7 +201,7 @@ use crate::exec::{
 };
 use crate::faults::splitmix64;
 use crate::physical::{
-    ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalPlan, PrefixEffects,
+    ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalOp, PhysicalPlan, PrefixEffects,
 };
 use crate::space::SpaceCache;
 use crate::sync::{HeldRank, LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
@@ -214,9 +227,10 @@ const PREPARED_CAP: usize = 1024;
 
 /// Upper bound on pooled prefix entries; each holds the post-spine W-table
 /// plus the live sub-plan results of one stateful spine.  Reaching it clears
-/// the pool — steady-state serving re-warms the hot entries on the next
-/// requests.  Since [admission](SnapshotPool::absorb) turned selective the
-/// wipe is only the hard bound on *repeated* spines: a stream of
+/// the entries — steady-state serving re-warms the hot entries on the next
+/// requests.  The store of spine-free results is cleared the same way when
+/// it holds this many.  Since [admission](SnapshotPool::absorb) turned
+/// selective the wipe is only the hard bound on *repeated* spines: a stream of
 /// never-repeated texts no longer reaches it.  Still not one entry at a
 /// time: oldest-inserted-first eviction was re-applied and measured on
 /// `uabench`'s `cold_adhoc` (a stream of never-repeated queries, so every
@@ -225,14 +239,15 @@ const PREPARED_CAP: usize = 1024;
 /// wipe gives 0.6×; even with request databases sharing the served rows,
 /// which makes an entry cheaper, it was 1.18×.  What an entry owns
 /// privately — intermediate sub-plan results, its compiled W-table space,
-/// lineage programs and exact caches, the scanned row sets of its capturing
-/// request's database — makes dropping one cost a few hundred µs, and a
+/// lineage programs and exact caches — makes dropping one cost a few
+/// hundred µs, and a
 /// pool that is always full keeps the heap full of interleaved lifetimes,
 /// which slows every request.
 const POOL_CAP: usize = 256;
 
-/// Pooled sub-plan results below which the pool admits a new spine entry or
-/// a new slot on its first sighting; at or past it, only on its second (see
+/// Pooled sub-plan results below which the pool admits a new spine entry, a
+/// new slot or a new stored result on its first sighting; at or past it,
+/// only on its second (see
 /// [`SnapshotPool::absorb`]).  Small repeated mixes never reach it, so they
 /// are warm from their first repeat exactly as with unconditional pooling.
 /// Measured on `uabench`'s `cold_adhoc` (ten alternating pairs, seeds
@@ -277,7 +292,8 @@ pub struct ServingStats {
     /// [`ServingEngine::apply_deltas`]) because a changed relation fed
     /// their stateful spine.
     pub snapshots_invalidated: u64,
-    /// Pooled sub-plan results (inside surviving entries) demoted by a
+    /// Pooled sub-plan results (inside surviving entries, or in the store of
+    /// spine-free results) demoted by a
     /// commit that arrived through [`ServingEngine::update_relations`]: the
     /// replacement's net delta was too large to patch, or no incremental
     /// rule applied.  The `apply_deltas` counterpart is
@@ -297,7 +313,8 @@ pub struct ServingStats {
     /// Pooled sub-plan results *patched in place* by a content commit
     /// (through either entry point) by the incremental operator rules of
     /// [`crate::delta`] — their entries stayed warm without any
-    /// recomputation.
+    /// recomputation.  A stored spine-free result counts once, however
+    /// many spines read it.
     pub subplans_patched: u64,
     /// Pooled sub-plan results a commit that arrived through
     /// [`ServingEngine::apply_deltas`] had to demote (drop for
@@ -359,6 +376,8 @@ struct PrefixProfile {
     footprints: Vec<Arc<BTreeSet<String>>>,
     /// The deterministic prefix ([`PhysicalPlan::prefix_done_flags`]).
     done: Vec<bool>,
+    /// Per node, where its result is kept between requests.
+    homes: Vec<Home>,
     /// Union footprint of the stateful spine: an update touching it makes
     /// the pooled effects stale, so the whole entry must go.
     stateful_footprint: BTreeSet<String>,
@@ -375,6 +394,16 @@ impl PrefixProfile {
             .map(Arc::new)
             .collect();
         let done = physical.prefix_done_flags();
+        let mut homes: Vec<Home> = Vec::with_capacity(done.len());
+        for node in physical.nodes() {
+            let spine_free = node.operator.class() == OpClass::Pure
+                && node.inputs.iter().all(|&i| homes[i] != Home::Entry);
+            homes.push(match node.operator {
+                PhysicalOp::Scan { .. } => Home::Scan,
+                _ if spine_free => Home::Store,
+                _ => Home::Entry,
+            });
+        }
         let spine = physical.stateful_prefix();
         let mut h1 = DefaultHasher::new();
         let mut h2 = DefaultHasher::new();
@@ -393,6 +422,7 @@ impl PrefixProfile {
             digests,
             footprints,
             done,
+            homes,
             stateful_footprint,
         }
     }
@@ -411,12 +441,62 @@ struct PreparedQuery {
     evaluations: AtomicU64,
 }
 
+/// Where a prefix node's result is kept between requests, decided once per
+/// prepared query.  Section 3's translation makes every pure operator a
+/// function of its input relations' content alone, so a pure result with no
+/// stateful node below it depends only on the base relations it reads —
+/// not on the spine that happens to share its plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Home {
+    /// A scan: a pointer copy of the request database's relation, taken
+    /// from that database whenever wanted and never kept.
+    Scan,
+    /// A *spine-free* pure result (no stateful node below it): the pool's
+    /// one store, shared by every spine.
+    Store,
+    /// A stateful result, or a pure one above a stateful node (its variable
+    /// names depend on the spine): the spine's pool entry.
+    Entry,
+}
+
 /// One pooled sub-plan result: the evaluated relation plus the base
 /// relations its sub-plan scans (the invalidation unit).
 #[derive(Clone)]
 struct PooledSlot {
     value: EvaluatedRelation,
     footprint: Arc<BTreeSet<String>>,
+}
+
+/// One spine-free result in the pool's store: the evaluated relation plus
+/// pointer copies of the base relations it was computed from, by name.  A
+/// lookup hits only while the request's database holds that very content
+/// ([`reads`](StoredResult::reads)), so no hit rests on a hash.
+#[derive(Clone)]
+struct StoredResult {
+    value: EvaluatedRelation,
+    read: Vec<(String, URelation)>,
+}
+
+impl StoredResult {
+    /// Stores `value`, computed from `footprint`'s relations of `database`.
+    fn new(value: EvaluatedRelation, footprint: &BTreeSet<String>, database: &UDatabase) -> Self {
+        let read = footprint.iter().map(|name| {
+            let relation = database.relation(name).expect("a scanned relation exists");
+            (name.clone(), relation.clone())
+        });
+        StoredResult {
+            value,
+            read: read.collect(),
+        }
+    }
+
+    /// Whether `database` holds the very content the result was computed
+    /// from (a pointer comparison per relation read).
+    fn reads(&self, database: &UDatabase) -> bool {
+        self.read.iter().all(|(name, relation)| {
+            (database.relation(name)).is_ok_and(|current| current.shares_content(relation))
+        })
+    }
 }
 
 /// One committed relation-content change as the pool maintenance consumes
@@ -439,34 +519,32 @@ fn patch_worthwhile(magnitude: usize, base_rows: usize) -> bool {
     magnitude <= 8 || magnitude * 2 <= base_rows
 }
 
-/// A pool lookup that succeeded: the snapshot to resume, how many pure
+/// How a warm start resumes its spine's pool entry: how many pure
 /// sub-plans the resume recomputes because the query wants their results
-/// and the entry does not hold them, and whether the entry was created by a
+/// and neither home holds them, and whether the entry was created by a
 /// *different* query (genuine cross-query sharing).
-struct ResolvedPrefix {
-    snapshot: ExecSnapshot,
+struct Warm {
     recomputed: u64,
     shared: bool,
 }
 
 /// What a request starts from ([`ServingEngine::start`]): its own database
-/// (a clone of the served one over the resolved prefix's W-table, or the
-/// base table on a cold start), the content epoch it was read at, and the
-/// pooled prefix of the query's spine when one resolved (`None` is a cold
-/// start).
+/// (a clone of the served one over the pooled prefix's W-table, or the
+/// base table on a cold start), the content epoch it was read at, the
+/// snapshot it resumes, and how it resumes it (`None` is a cold start).
 struct Start {
     database: UDatabase,
     epoch: u64,
-    resolved: Option<ResolvedPrefix>,
+    snapshot: ExecSnapshot,
+    warm: Option<Warm>,
 }
 
 /// The shared prefix of every prepared query with one stateful spine: the
 /// context effects of executing that spine — what it *added* to the
 /// database it ran over, never that database's content — plus the
-/// content-addressed live results of the prefix sub-plans (of *all* queries
-/// that share the spine).  Its `Clone` is the copy-on-write clone
-/// `Arc::make_mut` runs when a mutation hits an entry a concurrent reader
-/// still holds: pointer copies throughout, the space cache included.
+/// content-addressed live results of the prefix sub-plans that depend on
+/// the spine (of *all* queries that share it).  Its `Clone` (a checkpoint's
+/// copy) is pointer copies throughout, the space cache included.
 #[derive(Clone)]
 struct PoolEntry {
     /// Normalized key of the query whose cold execution created the entry;
@@ -480,15 +558,16 @@ struct PoolEntry {
     stateful_footprint: BTreeSet<String>,
 }
 
-/// The cross-query snapshot pool.  Entries are `Arc`-held: readers resolve
-/// against an entry clone taken under the served state's read lock,
-/// mutators rewrite entries copy-on-write.  What it keeps is decided by
-/// [`absorb`](SnapshotPool::absorb) from the sighting set: the spine
-/// fingerprints and slot digests of every capture absorbed since the last
-/// clear.
+/// The cross-query snapshot pool: the spine entries and the one store of
+/// spine-free results they all share.  Readers copy out what they resolve
+/// under the served state's read lock, so mutators edit in place.  What it
+/// keeps is decided by [`absorb`](SnapshotPool::absorb) from the
+/// sighting set: the spine fingerprints and result digests of every capture
+/// absorbed since the last clear.
 #[derive(Default)]
 struct SnapshotPool {
-    entries: HashMap<(u64, u64), Arc<PoolEntry>>,
+    entries: HashMap<(u64, u64), PoolEntry>,
+    store: HashMap<SubplanDigest, StoredResult>,
     sightings: HashSet<(u64, u64)>,
 }
 
@@ -499,54 +578,71 @@ fn intersects(a: &BTreeSet<String>, b: &BTreeSet<String>) -> bool {
     a.iter().any(|x| b.contains(x))
 }
 
+/// The relation a scan node of `profile` reads: its one-name footprint.
+fn scanned(profile: &PrefixProfile, id: usize) -> &str {
+    let name = profile.footprints[id].iter().next();
+    name.expect("a scan's footprint is its relation")
+}
+
 impl SnapshotPool {
-    /// The `Arc`-held entry for a prefix fingerprint, if pooled.  Callers
-    /// clone the `Arc` under the served state's read lock and resolve
-    /// against it with [`resolve_prefix`] *after* dropping the lock —
-    /// resolution never blocks the pool.
-    fn entry(&self, fingerprint: &(u64, u64)) -> Option<Arc<PoolEntry>> {
-        self.entries.get(fingerprint).cloned()
+    /// The snapshot a request for `prepared` starts from over `database`
+    /// (the served one, read under the same lock as the pool), resolved
+    /// from both homes by the plan's need-pass
+    /// ([`PhysicalPlan::snapshot_from`]), which asks only for wanted
+    /// results: a scan is the database's relation, a spine-free result the
+    /// store's while it reads `database`'s content, any other the spine
+    /// entry's.  With the spine pooled, the resume gets the entry's effects
+    /// (pointer copies — it shares the entry's space cache) and recomputes
+    /// the wanted pure results neither home holds; a wanted *stateful*
+    /// result the entry lacks makes the start cold.  A cold start resumes
+    /// the plan's nothing-run snapshot seeded with the store's results, so
+    /// the need-pass cuts at a stored join exactly as at a pooled one.
+    fn resolve(
+        &self,
+        prepared: &PreparedQuery,
+        database: &UDatabase,
+    ) -> (ExecSnapshot, Option<Warm>) {
+        let profile = &prepared.profile;
+        let value_of = |entry: Option<&PoolEntry>, id: usize| match profile.homes[id] {
+            Home::Scan => crate::physical::scan(database, scanned(profile, id)).ok(),
+            Home::Store => (self.store.get(&profile.digests[id]))
+                .filter(|stored| stored.reads(database))
+                .map(|stored| stored.value.clone()),
+            Home::Entry => Some(entry?.slots.get(&profile.digests[id])?.value.clone()),
+        };
+        let physical = &prepared.physical;
+        if let Some(entry) = self.entries.get(&profile.fingerprint) {
+            let effects = Some(entry.effects.clone());
+            if let Some((snapshot, recomputed)) =
+                physical.snapshot_from(|id| value_of(Some(entry), id), effects)
+            {
+                let shared = entry.creator != prepared.key;
+                return (snapshot, Some(Warm { recomputed, shared }));
+            }
+        }
+        let cold = physical.snapshot_from(|id| value_of(None, id), None);
+        (cold.expect("a cold start never misses").0, None)
     }
-}
 
-/// Hands the executor what one pool entry holds for a prepared query: the
-/// pooled results of the plan's prefix nodes and the entry's effects, all
-/// pointer copies — the resume shares the entry's space cache.  The
-/// executor derives what is left to run
-/// ([`PhysicalPlan::snapshot_from`]): wanted pure results the entry lacks
-/// (never computed for it, or dropped by an update) are recomputed from the
-/// served database during the resume; a wanted *stateful* result it lacks
-/// turns the lookup into a miss.
-fn resolve_prefix(entry: &PoolEntry, prepared: &PreparedQuery) -> Option<ResolvedPrefix> {
-    let pooled = |id: usize| {
-        let slot = entry.slots.get(&prepared.profile.digests[id])?;
-        Some(slot.value.clone())
-    };
-    let (snapshot, recomputed) =
-        (prepared.physical).snapshot_from(pooled, entry.effects.clone())?;
-    Some(ResolvedPrefix {
-        snapshot,
-        recomputed,
-        shared: entry.creator != prepared.key,
-    })
-}
-
-impl SnapshotPool {
-    /// Stores the live sub-plan results of a freshly captured prefix
-    /// snapshot, creating the spine's entry if this is the first query to
-    /// execute it.  Results already present are kept (they are equal by
-    /// construction: same spine, same database).
+    /// Offers the live results of a freshly captured prefix snapshot, read
+    /// from `database` (the served one: the absorb runs at the capture's
+    /// epoch), to their homes: a spine-free result to the store, any other
+    /// to the spine's entry, created if this is the first query to execute
+    /// the spine.  Scans go nowhere.  Results already present are kept (they
+    /// are equal by construction: same sub-plan, same content).
     ///
-    /// One admission rule covers both units stored — a new spine entry and
-    /// a new slot in an existing entry: while the pool holds fewer than
-    /// [`EAGER_SUBPLANS`] sub-plan results it is admitted on its first
-    /// sighting, past that only on its second.  Every digest of the capture
-    /// is sighted, admitted or not; a declined spine drops the whole
-    /// capture, a declined slot is simply not stored.  Either way only cost
-    /// changes: the next request of that prefix runs (or recomputes) it
-    /// again.  Admitted digests stay sighted, so a slot a commit demoted
-    /// re-absorbs on its first recompute.
-    fn absorb(&mut self, prepared: &PreparedQuery, snapshot: &ExecSnapshot) {
+    /// One admission rule covers every unit stored — a new spine entry, a
+    /// new slot in an entry, a new result in the store: while the pool
+    /// holds fewer than [`EAGER_SUBPLANS`] sub-plan results it is admitted
+    /// on its first sighting, past that only on its second.  Every digest
+    /// of the capture is sighted, admitted or not; a declined spine drops
+    /// the capture's entry slots, a declined result is simply not stored,
+    /// and a spine-free result is stored whatever its spine's fate — so a
+    /// join every one-off spine reads is stored on its second sighting.
+    /// Either way only cost changes: the next request of that prefix runs
+    /// (or recomputes) it again.  Admitted digests stay sighted, so a slot
+    /// a commit demoted re-absorbs on its first recompute.
+    fn absorb(&mut self, prepared: &PreparedQuery, snapshot: &ExecSnapshot, database: &UDatabase) {
         let profile = &prepared.profile;
         let eager = self.subplans() < EAGER_SUBPLANS;
         if self.sightings.len() >= SIGHTINGS_CAP {
@@ -558,29 +654,42 @@ impl SnapshotPool {
         let mut admit = |digest| !sightings.insert(digest) || eager;
         let pooled = self.entries.contains_key(&profile.fingerprint);
         let spine = admit(profile.fingerprint) || pooled;
-        let slots: Vec<(usize, &EvaluatedRelation)> = snapshot
-            .live_slots()
-            .filter(|&(id, _)| admit(profile.digests[id]))
-            .collect();
+        let mut slots = Vec::new();
+        for (id, value) in snapshot.live_slots() {
+            let digest = profile.digests[id];
+            match profile.homes[id] {
+                Home::Scan => {}
+                _ if !admit(digest) => {}
+                Home::Entry => slots.push((id, value)),
+                Home::Store => {
+                    if self.store.get(&digest).is_some_and(|s| s.reads(database)) {
+                        continue;
+                    }
+                    if self.store.len() >= POOL_CAP {
+                        self.store.clear();
+                    }
+                    let stored =
+                        StoredResult::new(value.clone(), &profile.footprints[id], database);
+                    self.store.insert(digest, stored);
+                }
+            }
+        }
         if !spine {
             return;
         }
         if !pooled && self.entries.len() >= POOL_CAP {
             self.entries.clear();
         }
-        let entry = self.entries.entry(profile.fingerprint).or_insert_with(|| {
-            Arc::new(PoolEntry {
+        let entry = self
+            .entries
+            .entry(profile.fingerprint)
+            .or_insert_with(|| PoolEntry {
                 creator: prepared.key.clone(),
                 config_digest: profile.config_digest,
                 effects: snapshot.effects().clone(),
                 slots: HashMap::new(),
                 stateful_footprint: profile.stateful_footprint.clone(),
-            })
-        });
-        // Copy-on-write: a fresh entry is mutated in place (`make_mut` is a
-        // no-op on a unique Arc); an entry a concurrent reader holds is
-        // cloned shallowly first, leaving the reader's view intact.
-        let entry = Arc::make_mut(entry);
+            });
         for (id, value) in slots {
             entry
                 .slots
@@ -592,36 +701,113 @@ impl SnapshotPool {
         }
     }
 
-    /// Sub-plan results pooled across all entries.
+    /// Sub-plan results pooled: every entry's slots and the store's results.
     fn subplans(&self) -> usize {
-        self.entries.values().map(|e| e.slots.len()).sum()
+        let slots: usize = self.entries.values().map(|e| e.slots.len()).sum();
+        slots + self.store.len()
     }
 
-    /// Applies committed relation-content changes: entries whose stateful
-    /// spine scans a changed relation drop (their context effects are
-    /// stale); in surviving entries the
-    /// footprint-intersecting sub-plan results are *patched in place* by
-    /// the incremental operator rules of [`crate::delta`] wherever an
-    /// update carries a row delta and a rule applies, and demoted (dropped,
-    /// recomputed lazily on the next warm resume) everywhere else.  Returns
-    /// `(entries_dropped, slots_patched, slots_demoted)`.
-    fn patch(&mut self, updates: &[DeltaUpdate], plans: &[Arc<PreparedQuery>]) -> (u64, u64, u64) {
+    /// Applies committed relation-content changes.  The store goes first:
+    /// each stored result that read a changed relation is *patched in
+    /// place* once, by the incremental operator rules of [`crate::delta`],
+    /// and re-stored against the new content, or dropped.  Then entries
+    /// whose stateful spine scans a changed relation drop (their context
+    /// effects are stale), and in surviving entries the
+    /// footprint-intersecting results are patched in place the same way —
+    /// reading spine-free inputs from the store just maintained — wherever
+    /// an update carries a row delta and a rule applies, and demoted
+    /// (dropped, recomputed lazily on the next warm resume) everywhere
+    /// else.  `database` is the served database after the commit.  Returns
+    /// `(entries_dropped, results_patched, results_demoted)`.
+    fn patch(
+        &mut self,
+        updates: &[DeltaUpdate],
+        plans: &[Arc<PreparedQuery>],
+        database: &UDatabase,
+    ) -> (u64, u64, u64) {
         let changed: &BTreeSet<String> = &updates.iter().map(|u| u.name.clone()).collect();
+        let no_rows = BTreeSet::new();
+        let commit = Commit {
+            updates,
+            database,
+            changed,
+            no_rows: &no_rows,
+        };
+        let (stored, mut patched, mut demoted) =
+            patch_home(&mut self.store, Home::Store, plans.iter(), &commit, None);
         let mut entries_dropped = 0;
-        let mut slots_patched = 0;
-        let mut slots_demoted = 0;
+        let other = Some((&self.store, &stored));
         self.entries.retain(|fingerprint, entry| {
             if intersects(&entry.stateful_footprint, changed) {
                 entries_dropped += 1;
                 return false;
             }
-            let entry = Arc::make_mut(entry);
-            let (patched, demoted) = patch_entry_slots(entry, fingerprint, changed, updates, plans);
-            slots_patched += patched;
-            slots_demoted += demoted;
+            let spine = plans
+                .iter()
+                .filter(|p| p.profile.fingerprint == *fingerprint);
+            let slots = &mut entry.slots;
+            let (_, p, d) = patch_home(slots, Home::Entry, spine, &commit, other);
+            patched += p;
+            demoted += d;
             true
         });
-        (entries_dropped, slots_patched, slots_demoted)
+        (entries_dropped, patched, demoted)
+    }
+}
+
+/// One commit as the pool maintenance reads it: the changes, the served
+/// database after them, the changed names, and an empty row set.
+struct Commit<'a> {
+    updates: &'a [DeltaUpdate],
+    database: &'a UDatabase,
+    changed: &'a BTreeSet<String>,
+    no_rows: &'a BTreeSet<URow>,
+}
+
+impl<'a> Commit<'a> {
+    /// A scan of `name` as a patch input: the content the commit wrote and
+    /// its net row edit, or the unchanged served relation and no edit;
+    /// `None` when the change was too large to patch.
+    fn scan(&self, name: &str) -> Option<DeltaInput<'a>> {
+        let Some(update) = self.updates.iter().find(|u| u.name == name) else {
+            let new = self.database.relation(name).ok()?;
+            return Some(self.unchanged(new));
+        };
+        let patch = update.patch.as_ref()?;
+        Some(DeltaInput {
+            new: &update.content,
+            inserted: patch.inserted(),
+            deleted: patch.deleted(),
+        })
+    }
+
+    /// A pooled result as a patch input: its value (as patched, if this
+    /// pass patched it) and the row edit the pass gave it — none if the
+    /// pass did not visit it, since its footprint then misses the change.
+    /// `None` when the result is not pooled or the pass demoted it.
+    fn pooled(
+        &self,
+        value: Option<&'a URelation>,
+        outcome: Option<&'a SlotOutcome>,
+    ) -> Option<DeltaInput<'a>> {
+        let new = value?;
+        match outcome {
+            None => Some(self.unchanged(new)),
+            Some(SlotOutcome::Patched(inserted, deleted)) => Some(DeltaInput {
+                new,
+                inserted,
+                deleted,
+            }),
+            Some(SlotOutcome::Demoted) => None,
+        }
+    }
+
+    fn unchanged(&self, new: &'a URelation) -> DeltaInput<'a> {
+        DeltaInput {
+            new,
+            inserted: self.no_rows,
+            deleted: self.no_rows,
+        }
     }
 }
 
@@ -636,48 +822,108 @@ enum SlotOutcome {
     Demoted,
 }
 
-/// Patches (or demotes) every footprint-intersecting sub-plan result of one
-/// surviving pool entry, driving the incremental rules along the prepared
-/// plans that share the entry's stateful spine.  Nodes are visited in
+/// What the commit pass did to each pooled result it visited, by digest.
+type Outcomes = HashMap<SubplanDigest, SlotOutcome>;
+
+/// A pooled result as the commit pass patches it: an entry's slot, or a
+/// stored spine-free result.
+trait Patchable {
+    fn value(&self) -> &EvaluatedRelation;
+    /// Whether the result read a relation in `changed`.
+    fn reads_any(&self, changed: &BTreeSet<String>) -> bool;
+    /// Takes the patched relation (a stored result also re-points what it
+    /// read at the content `commit` wrote).
+    fn patched(&mut self, relation: URelation, commit: &Commit<'_>);
+}
+
+impl Patchable for PooledSlot {
+    fn value(&self) -> &EvaluatedRelation {
+        &self.value
+    }
+
+    fn reads_any(&self, changed: &BTreeSet<String>) -> bool {
+        intersects(&self.footprint, changed)
+    }
+
+    fn patched(&mut self, relation: URelation, _: &Commit<'_>) {
+        self.value.relation = relation;
+    }
+}
+
+impl Patchable for StoredResult {
+    fn value(&self) -> &EvaluatedRelation {
+        &self.value
+    }
+
+    fn reads_any(&self, changed: &BTreeSet<String>) -> bool {
+        self.read.iter().any(|(name, _)| changed.contains(name))
+    }
+
+    fn patched(&mut self, relation: URelation, commit: &Commit<'_>) {
+        self.value.relation = relation;
+        for (name, read) in &mut self.read {
+            if let Some(update) = commit.updates.iter().find(|u| &u.name == name) {
+                *read = update.content.clone();
+            }
+        }
+    }
+}
+
+/// Patches (or demotes) every result of one home — the store, or one
+/// surviving entry's slots — that read a changed relation, driving the
+/// incremental rules along `plans` (every prepared plan for the store, the
+/// ones sharing the entry's spine for an entry).  Nodes are visited in
 /// topological order, so each node's input deltas are resolved before the
 /// node itself; sub-plans shared by several prepared queries are
-/// content-addressed and therefore processed once.
-fn patch_entry_slots(
-    entry: &mut PoolEntry,
-    fingerprint: &(u64, u64),
-    changed: &BTreeSet<String>,
-    updates: &[DeltaUpdate],
-    plans: &[Arc<PreparedQuery>],
-) -> (u64, u64) {
-    let mut outcomes: HashMap<SubplanDigest, SlotOutcome> = HashMap::new();
-    let mut patched = 0u64;
-    let mut demoted = 0u64;
-    let no_rows: BTreeSet<URow> = BTreeSet::new();
+/// content-addressed and therefore processed once — a stored result once
+/// for every spine.  A scan input is read from the commit, an input of
+/// the other home from `other` (the maintained store and its outcomes,
+/// for an entry's pass).  Returns the outcome per visited digest and the
+/// patched and demoted counts.
+fn patch_home<'p, T: Patchable>(
+    results: &mut HashMap<SubplanDigest, T>,
+    home: Home,
+    plans: impl Iterator<Item = &'p Arc<PreparedQuery>>,
+    commit: &Commit<'_>,
+    other: Option<(&HashMap<SubplanDigest, StoredResult>, &Outcomes)>,
+) -> (Outcomes, u64, u64) {
+    let mut outcomes = Outcomes::new();
+    let (mut patched, mut demoted) = (0u64, 0u64);
     for prepared in plans {
         let profile = &prepared.profile;
-        if profile.fingerprint != *fingerprint {
-            continue;
-        }
         for (id, node) in prepared.physical.nodes().iter().enumerate() {
-            if !profile.done[id] || !intersects(&profile.footprints[id], changed) {
-                continue;
-            }
             let digest = profile.digests[id];
-            if outcomes.contains_key(&digest) {
+            if !profile.done[id]
+                || profile.homes[id] != home
+                || !intersects(&profile.footprints[id], commit.changed)
+                || outcomes.contains_key(&digest)
+            {
                 continue;
             }
-            match try_patch_slot(entry, node, id, profile, updates, &outcomes, &no_rows) {
+            let input = |i: usize| {
+                let digest = profile.digests[i];
+                let (value, outcome) = match profile.homes[i] {
+                    Home::Scan => return commit.scan(scanned(profile, i)),
+                    input if input == home => {
+                        (results.get(&digest).map(T::value), outcomes.get(&digest))
+                    }
+                    _ => {
+                        let (store, stored) = other?;
+                        (store.get(&digest).map(|s| &s.value), stored.get(&digest))
+                    }
+                };
+                commit.pooled(value.map(|v| &v.relation), outcome)
+            };
+            let patch = (results.get(&digest)).and_then(|r| try_patch_slot(node, r.value(), input));
+            match patch {
                 Some((new, inserted, deleted)) => {
-                    let slot = entry
-                        .slots
-                        .get_mut(&digest)
-                        .expect("try_patch_slot read this slot");
-                    slot.value.relation = new;
+                    let result = results.get_mut(&digest).expect("try_patch_slot read it");
+                    result.patched(new, commit);
                     patched += 1;
                     outcomes.insert(digest, SlotOutcome::Patched(inserted, deleted));
                 }
                 None => {
-                    if entry.slots.remove(&digest).is_some() {
+                    if results.remove(&digest).is_some() {
                         demoted += 1;
                     }
                     outcomes.insert(digest, SlotOutcome::Demoted);
@@ -685,77 +931,47 @@ fn patch_entry_slots(
             }
         }
     }
-    // Intersecting slots no prepared plan covers (their query was evicted
-    // from the query cache) cannot be patched: demote them.
-    entry.slots.retain(|digest, slot| {
-        let keep = outcomes.contains_key(digest) || !intersects(&slot.footprint, changed);
+    // Intersecting results no prepared plan covers (their queries were
+    // evicted from the query cache) cannot be patched: demote them, so no
+    // stored result outlives the content it was computed from.
+    results.retain(|digest, result| {
+        let keep = outcomes.contains_key(digest) || !result.reads_any(commit.changed);
         if !keep {
             demoted += 1;
         }
         keep
     });
-    (patched, demoted)
+    (outcomes, patched, demoted)
 }
 
-/// Attempts to patch one sub-plan result in place, returning the new
-/// relation and its output row edit (inserted, deleted), or `None` when the
-/// slot must be demoted instead.  Every `None` is safe by construction:
-/// demotion falls back to the recompute-on-resume path whose correctness
-/// the pool already guarantees.
-fn try_patch_slot(
-    entry: &PoolEntry,
+/// Attempts to patch one pure sub-plan result `old` in place, returning the
+/// new relation and its output row edit (inserted, deleted), or `None` when
+/// the result must be demoted instead.  `input(i)` is input node `i`'s
+/// current value and row edit, `None` when unknown.  Every `None` is safe
+/// by construction: demotion falls back to the recompute-on-resume path
+/// whose correctness the pool already guarantees.
+fn try_patch_slot<'a>(
     node: &PhysicalNode,
-    id: usize,
-    profile: &PrefixProfile,
-    updates: &[DeltaUpdate],
-    outcomes: &HashMap<SubplanDigest, SlotOutcome>,
-    no_rows: &BTreeSet<URow>,
+    old: &EvaluatedRelation,
+    input: impl Fn(usize) -> Option<DeltaInput<'a>>,
 ) -> Option<(URelation, BTreeSet<URow>, BTreeSet<URow>)> {
     // Failpoint: a dropped patch is a legal outcome of this function — the
     // slot demotes and the next warm resume recomputes it.
     if crate::faults::fire_cost_only("patch") {
         return None;
     }
-    let slot = entry.slots.get(&profile.digests[id])?;
-    if node.operator.class() != OpClass::Pure || !slot.value.errors.is_empty() {
+    if node.operator.class() != OpClass::Pure || !old.errors.is_empty() {
         // Stateful nodes never reach here (their entry dropped), and pure
         // prefix results carry no error bounds; both checks are defensive.
         return None;
     }
-    if node.inputs.is_empty() {
-        // A scan of a changed relation: the relation's net delta *is* the
-        // output delta, and the content the commit wrote *is* the new
-        // output, shared rather than rebuilt.  A stored value that is not
-        // the delta's base (the slot drifted out of sync) demotes instead
-        // of corrupting downstream patches.
-        let name = profile.footprints[id].iter().next()?;
-        let update = updates.iter().find(|u| &u.name == name)?;
-        let patch = update.patch.as_ref()?;
-        if slot.value.relation.content_digest() != patch.base_digest() {
-            return None;
-        }
-        let (inserted, deleted) = (patch.inserted().clone(), patch.deleted().clone());
-        return Some((update.content.clone(), inserted, deleted));
-    }
-    let mut inputs: Vec<DeltaInput<'_>> = Vec::with_capacity(node.inputs.len());
-    for &i in &node.inputs {
-        let value = &entry.slots.get(&profile.digests[i])?.value.relation;
-        let (inserted, deleted) = match outcomes.get(&profile.digests[i]) {
-            // Never visited: the input's footprint misses the change, so its
-            // value is current and its delta empty.
-            None => (no_rows, no_rows),
-            Some(SlotOutcome::Patched(inserted, deleted)) => (inserted, deleted),
-            Some(SlotOutcome::Demoted) => return None,
-        };
-        inputs.push(DeltaInput {
-            new: value,
-            inserted,
-            deleted,
-        });
-    }
-    let old = &slot.value.relation;
-    let new = node.operator.execute_delta(old, &inputs).ok()??;
-    let (inserted, deleted) = old.row_edits(&new);
+    let inputs: Vec<DeltaInput<'_>> = node
+        .inputs
+        .iter()
+        .map(|&i| input(i))
+        .collect::<Option<_>>()?;
+    let new = node.operator.execute_delta(&old.relation, &inputs).ok()??;
+    let (inserted, deleted) = old.relation.row_edits(&new);
     Some((new, inserted, deleted))
 }
 
@@ -1363,10 +1579,11 @@ impl ServingEngine {
     /// The commit — shared with `update_relations` — then maintains the
     /// pool at *row* granularity: entries whose stateful spine scans a
     /// changed relation drop (their repair-key variables or statistics
-    /// would be stale), and in the surviving entries — which hold no
-    /// relation content of their own, so the commit writes the new content
-    /// exactly once — every footprint-intersecting pure
-    /// sub-plan result is patched in place by the incremental operator
+    /// would be stale), and in the store and the surviving entries — which
+    /// hold no relation content of their own, so the commit writes the new
+    /// content exactly once — every footprint-intersecting pure
+    /// sub-plan result is patched in place, a stored one once for every
+    /// spine, by the incremental operator
     /// rules of [`crate::delta`] — selections, projections, unions and
     /// renames map the row edits pointwise, joins re-derive only the
     /// affected join keys — producing bit-for-bit the relation a recompute
@@ -1466,7 +1683,8 @@ impl ServingEngine {
         }
         served.epoch += 1;
         let plans: Vec<Arc<PreparedQuery>> = self.queries.read().prepared().cloned().collect();
-        let (entries_dropped, patched, demoted) = served.pool.patch(&updates, &plans);
+        let (entries_dropped, patched, demoted) =
+            (served.pool).patch(&updates, &plans, &served.database);
         let counters = &self.counters;
         for (counter, by) in [
             (&counters.relation_updates, updates.len() as u64),
@@ -1519,49 +1737,47 @@ impl ServingEngine {
         // evaluation, not one per request), and a commit may have moved the
         // epoch its capture is checked against.
         let mut start = self.start(&prepared);
-        let _permit = (self.admission).acquire(
-            start.resolved.is_none(),
-            deadline,
-            self.limits.max_queue_wait,
-        )?;
+        let _permit =
+            (self.admission).acquire(start.warm.is_none(), deadline, self.limits.max_queue_wait)?;
         if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             return Err(EngineError::DeadlineExceeded {
                 stage: "pre-execution",
             });
         }
-        if start.resolved.is_none() {
+        if start.warm.is_none() {
             start = self.start(&prepared);
         }
-        let cold = start.resolved.is_none();
+        let cold = start.warm.is_none();
         // Counted once admitted: a request shed at the gate never ran.
         let first_evaluation = prepared.evaluations.fetch_add(1, Ordering::Relaxed) == 0;
 
-        let (snapshot, capture) = match start.resolved {
-            Some(resolved) => {
+        let capture = match &start.warm {
+            Some(warm) => {
                 self.counters
                     .warm_evaluations
                     .fetch_add(1, Ordering::Relaxed);
-                if first_evaluation && resolved.shared {
+                if first_evaluation && warm.shared {
                     self.counters
                         .shared_prefix_hits
                         .fetch_add(1, Ordering::Relaxed);
                 }
                 self.counters
                     .subplans_recomputed
-                    .fetch_add(resolved.recomputed, Ordering::Relaxed);
+                    .fetch_add(warm.recomputed, Ordering::Relaxed);
                 // When pure nodes recompute during this resume, capture at
                 // the frontier again and pool their fresh results, so the
                 // next request (of any query sharing them) finds the prefix
                 // fully warm.
-                (resolved.snapshot, resolved.recomputed > 0)
+                warm.recomputed > 0
             }
             None => {
                 self.counters
                     .cold_evaluations
                     .fetch_add(1, Ordering::Relaxed);
-                (prepared.physical.empty_snapshot(), true)
+                true
             }
         };
+        let snapshot = start.snapshot;
         let mut rng_ref: &mut R = rng;
         let mut ctx = self.context(config, start.database, &mut rng_ref, deadline);
         // Quarantine region: a panicking run (an operator bug, or an
@@ -1597,36 +1813,35 @@ impl ServingEngine {
     }
 
     /// Reads what a request starts from as one consistent cut — the served
-    /// database, the content epoch, and the pool entry of the query's
-    /// stateful spine — under one read lock of the served state.  The lock
-    /// is held for pointer copies only: the database clone shares every
-    /// relation and the W-table with the served one (`UDatabase`'s
-    /// `Clone`), and the entry is an `Arc`.  Whatever the database's size,
-    /// a start copies no row.  Outside the lock the entry is resolved into
-    /// a resumable snapshot (pointer copies) and the
-    /// request's database takes the resolved prefix's W-table, shared with
-    /// the entry (a cold start keeps the served table).  An edit the
-    /// request makes — a `repair-key` declaring variables — copies the part
-    /// it edits, never reaching the served database.
-    /// Commits write database, epoch and pool under the same lock, so the
-    /// entry's sub-plan results always belong to the cloned relations; if
-    /// the guarded absorb later sees the same epoch, no commit touched the
-    /// pool in between.
+    /// database, the content epoch, and the snapshot resolved from the
+    /// query's spine entry and the store ([`SnapshotPool::resolve`]) —
+    /// under one read lock of the served state.  The lock is held for
+    /// lookups of the results the query wants and pointer copies only: the
+    /// database clone shares every relation and the W-table with the served
+    /// one (`UDatabase`'s `Clone`), and every resolved result and the
+    /// entry's effects are pointer copies.  Whatever the database's size, a
+    /// start copies no row.  The request's database then takes the pooled
+    /// prefix's W-table, shared with the entry (a cold start keeps the
+    /// served table).  An edit the request makes — a `repair-key` declaring
+    /// variables — copies the part it edits, never reaching the served
+    /// database.  Commits write database, epoch and pool under the same
+    /// lock, so the resolved results always belong to the cloned relations;
+    /// if the guarded absorb later sees the same epoch, no commit touched
+    /// the pool in between.
     fn start(&self, prepared: &PreparedQuery) -> Start {
-        let (mut database, epoch, entry) = {
+        let (mut database, epoch, (snapshot, warm)) = {
             let served = self.state.read();
-            let entry = served.pool.entry(&prepared.profile.fingerprint);
-            (served.database.clone(), served.epoch, entry)
+            let resolved = served.pool.resolve(prepared, &served.database);
+            (served.database.clone(), served.epoch, resolved)
         };
-        let resolved = entry.and_then(|entry| resolve_prefix(&entry, prepared));
-        if let Some(wtable) = (resolved.as_ref()).and_then(|r| r.snapshot.effects().wtable.as_ref())
-        {
+        if let Some(wtable) = snapshot.effects().wtable.as_ref() {
             *database.wtable_mut() = wtable.clone();
         }
         Start {
             database,
             epoch,
-            resolved,
+            snapshot,
+            warm,
         }
     }
 
@@ -1730,16 +1945,12 @@ impl ServingEngine {
         let (config, digest) = request.effective_config(self.config, self.config_digest);
         let prepared = self.prepare(request.text, config, digest)?;
         let start = self.start(&prepared);
-        let snapshot = match start.resolved {
-            Some(resolved) => resolved.snapshot,
-            None => prepared.physical.empty_snapshot(),
-        };
         let mut dummy = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut ctx = self.context(config, start.database, &mut dummy, None);
         let limit = config.pairwise_bound_limit;
         let bounds = prepared
             .physical
-            .execute_bounds(&mut ctx, snapshot, limit)?;
+            .execute_bounds(&mut ctx, start.snapshot, limit)?;
         Ok(DegradedAnswer { bounds, reason })
     }
 
@@ -1776,7 +1987,8 @@ impl ServingEngine {
         }
         let mut served = self.state.write();
         if served.epoch == epoch {
-            served.pool.absorb(prepared, snapshot);
+            let served = &mut *served;
+            served.pool.absorb(prepared, snapshot, &served.database);
         } else {
             self.counters
                 .stale_absorbs_dropped
@@ -1881,28 +2093,31 @@ impl ServingEngine {
         self.state.read().pool.entries.len()
     }
 
-    /// Total number of sub-plan results currently pooled across all
-    /// entries.
+    /// Total number of sub-plan results currently pooled: the results in
+    /// every entry plus the spine-free results in the shared store (scans
+    /// are never pooled).
     pub fn pooled_subplans(&self) -> usize {
         self.state.read().pool.subplans()
     }
 
     /// Writes a checkpoint of the served state into `dir` (created if
     /// missing): the W-table, the relation catalog, one digest-framed
-    /// segment per relation, and one *warm* segment per poolable
-    /// deterministic-prefix snapshot, all recorded in a `MANIFEST` segment
-    /// written last — a crash mid-checkpoint leaves no complete manifest,
-    /// which [`restore`](ServingEngine::restore) rejects as a whole.  A warm
+    /// segment per relation, one *warm* segment per poolable
+    /// deterministic-prefix snapshot and one `store.seg` segment for the
+    /// pool's store, all recorded in a `MANIFEST` segment written last — a
+    /// crash mid-checkpoint leaves no complete manifest, which
+    /// [`restore`](ServingEngine::restore) rejects as a whole.  A warm
     /// segment holds what its prefix added — the variables it introduced on
     /// top of the base W-table, the variable counter, statistics and the
-    /// pooled sub-plan results — so the base W-table is written once, in a
-    /// segment of its own.  Relation content is not: a relation is written
-    /// in its relation segment and again, in full, in the warm segment of
-    /// every entry that pooled a scan of it.
+    /// pooled results that depend on its spine — so the base W-table is
+    /// written once, in a segment of its own.  Each spine-free result is
+    /// written once, in the store segment (digest, footprint, value),
+    /// however many spines read it, and no scan is written anywhere but in
+    /// its relation segment.
     ///
-    /// The database and the pool entries are cloned under one read lock of
-    /// the served state, which every commit writes whole, so a checkpoint is
-    /// a consistent cut: it never pairs a post-commit database with
+    /// The database and the pool are cloned under one read lock of the
+    /// served state, which every commit writes whole, so a checkpoint is a
+    /// consistent cut: it never pairs a post-commit database with
     /// pre-commit warm state.
     /// Only pool entries created under the engine's own base configuration
     /// are persisted (per-request accuracy overrides prepare — and pool —
@@ -1914,17 +2129,24 @@ impl ServingEngine {
             EngineError::Storage(format!("creating checkpoint dir {}: {e}", dir.display()))
         })?;
         let base_digest = self.config_digest;
-        let (database, mut entries) = {
+        let (database, mut entries, mut store) = {
             let served = self.state.read();
-            let entries: Vec<((u64, u64), Arc<PoolEntry>)> = (served.pool)
+            let entries: Vec<((u64, u64), PoolEntry)> = (served.pool)
                 .entries
                 .iter()
                 .filter(|(_, entry)| entry.config_digest == base_digest)
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            (served.database.clone(), entries)
+            let store: Vec<crate::storage::Slot> = (served.pool.store.iter())
+                .map(|(digest, stored)| {
+                    let footprint = stored.read.iter().map(|(name, _)| name.clone());
+                    (*digest, footprint.collect(), stored.value.clone())
+                })
+                .collect();
+            (served.database.clone(), entries, store)
         };
         entries.sort_by_key(|(k, _)| *k);
+        store.sort_by_key(|slot| slot.0);
         let mut manifest = Vec::new();
         let mut write = |name: &str, payload: &[u8]| -> Result<()> {
             manifest.push(crate::storage::write_segment_file(dir, name, payload)?);
@@ -1953,7 +2175,7 @@ impl ServingEngine {
         }
 
         for (i, (_, entry)) in entries.iter().enumerate() {
-            let mut slots: Vec<((u64, u64), BTreeSet<String>, EvaluatedRelation)> = entry
+            let mut slots: Vec<crate::storage::Slot> = entry
                 .slots
                 .iter()
                 .map(|(digest, slot)| (*digest, (*slot.footprint).clone(), slot.value.clone()))
@@ -1974,6 +2196,9 @@ impl ServingEngine {
             crate::storage::put_warm(&mut payload, &warm);
             write(&format!("warm-{i}.seg"), &payload)?;
         }
+        let mut payload = Vec::new();
+        crate::storage::put_slots(&mut payload, &store);
+        write("store.seg", &payload)?;
         crate::storage::write_manifest(dir, &manifest)
     }
 
@@ -1992,13 +2217,17 @@ impl ServingEngine {
     ///
     /// Everything is verified before any of it is served: a missing,
     /// truncated or bit-flipped manifest or segment — including warm
-    /// segments — fails the restore with [`EngineError::Storage`], and the
-    /// caller falls back to constructing a cold engine — as it does for a
-    /// directory written under an older segment format version.  A warm
-    /// segment carries no relation content, only the variables its prefix
-    /// introduced on top of the restored W-table: they are decoded through
-    /// the validating W-table constructor and must not collide with a
-    /// restored base variable.  Warm segments whose
+    /// segments and the store segment — fails the restore with
+    /// [`EngineError::Storage`], and the caller falls back to constructing
+    /// a cold engine — as it does for a directory written under an older
+    /// segment format version.  A warm segment carries no relation content,
+    /// only the variables its prefix introduced on top of the restored
+    /// W-table: they are decoded through the validating W-table constructor
+    /// and must not collide with a restored base variable.  Each stored
+    /// result is re-attached to the restored relations its footprint names
+    /// (pointer copies, as a live absorb takes them), so its key is this
+    /// process's content, not a hash read from disk; one naming a relation
+    /// the restored catalog lacks is dropped.  Warm segments whose
     /// recorded configuration digest differs from `config` verify but are
     /// skipped (their prefixes re-warm on demand); they are never coerced
     /// into a pool they were not computed under.
@@ -2059,8 +2288,17 @@ impl ServingEngine {
                 .expect("disjoint from the base");
             warm_entries.push((warm, wtable));
         }
+        let store =
+            crate::storage::read_decoded(dir, &manifest, "store.seg", crate::storage::take_slots)?;
+        let store: HashMap<SubplanDigest, StoredResult> = (store.into_iter())
+            .filter(|(_, footprint, _)| footprint.iter().all(|name| database.has_relation(name)))
+            .map(|(digest, footprint, value)| {
+                (digest, StoredResult::new(value, &footprint, &database))
+            })
+            .collect();
 
         let engine = ServingEngine::with_limits(config, database, limits)?;
+        engine.state.write().pool.store = store;
         let base_digest = engine.config_digest;
         for (warm, wtable) in warm_entries {
             if warm.config_digest != base_digest {
@@ -2098,8 +2336,7 @@ impl ServingEngine {
                 slots,
                 stateful_footprint: prepared.profile.stateful_footprint.clone(),
             };
-            (engine.state.write().pool.entries)
-                .insert(prepared.profile.fingerprint, Arc::new(pooled));
+            (engine.state.write().pool.entries).insert(prepared.profile.fingerprint, pooled);
         }
         Ok(engine)
     }
@@ -2451,6 +2688,68 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_write_each_stored_result_once_and_no_scan() {
+        let _calm = storm_free();
+        // Two spines and a spine-free query read `join(Coins, Labels)`; one
+        // spine also reads `Labels` beside its repair-key.
+        let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        for text in [
+            "conf(project[Label](join(repairkey[ @ Count](Coins), Labels)))",
+            "conf(project[CoinType](join(Coins, Labels)))",
+            "conf(project[Label](join(Coins, Labels)))",
+            "poss(project[Label](join(Coins, Labels)))",
+        ] {
+            serving.evaluate(text, &mut rng).unwrap();
+        }
+        let dir = checkpoint_dir("store");
+        serving.checkpoint(&dir).unwrap();
+
+        // Every persisted result, decoded from the warm segments and the
+        // store segment, against the digests of every prepared plan's scans
+        // and of the shared join.
+        let manifest = crate::storage::read_manifest(&dir).unwrap();
+        let mut persisted = Vec::new();
+        for row in manifest.iter().filter(|row| row.name.starts_with("warm-")) {
+            let take = crate::storage::take_warm;
+            let warm = crate::storage::read_decoded(&dir, &manifest, &row.name, take).unwrap();
+            persisted.extend(warm.slots.into_iter().map(|slot| slot.0));
+        }
+        let take = crate::storage::take_slots;
+        let store = crate::storage::read_decoded(&dir, &manifest, "store.seg", take).unwrap();
+        persisted.extend(store.iter().map(|slot| slot.0));
+        let scans: HashSet<SubplanDigest> = (serving.queries.read().prepared())
+            .flat_map(|prepared| {
+                let profile = &prepared.profile;
+                let scans =
+                    (0..profile.digests.len()).filter(|&id| profile.homes[id] == Home::Scan);
+                scans.map(|id| profile.digests[id]).collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(scans.len(), 2, "Coins and Labels");
+        assert!(persisted.iter().all(|digest| !scans.contains(digest)));
+        let join = algebra::subplan_digest("join(Coins, Labels)");
+        assert_eq!(persisted.iter().filter(|&&d| d == join).count(), 1);
+        let distinct: HashSet<&SubplanDigest> = persisted.iter().collect();
+        assert_eq!(distinct.len(), persisted.len(), "each result written once");
+        assert_eq!(persisted.len(), serving.pooled_subplans());
+
+        // The restored store serves the next spine over the join.
+        let restored = ServingEngine::restore(EvalConfig::exact(), &dir).unwrap();
+        assert_eq!(restored.pooled_subplans(), serving.pooled_subplans());
+        let text = "conf(project[Label, CoinType](join(Coins, Labels)))";
+        let mut restored_rng = ChaCha8Rng::seed_from_u64(13);
+        let warm = restored.evaluate(text, &mut restored_rng).unwrap();
+        let fresh = ServingEngine::new(EvalConfig::exact(), serving.database()).unwrap();
+        let mut cold_rng = ChaCha8Rng::seed_from_u64(13);
+        let cold = fresh.evaluate(text, &mut cold_rng).unwrap();
+        assert_eq!(warm.result.relation, cold.result.relation);
+        assert_eq!(warm.stats, cold.stats);
+        assert_eq!(warm.database, cold.database);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn colliding_warm_variables_and_older_formats_fail_the_restore() {
         use crate::storage::{self, MANIFEST, VERSION};
         let text = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
@@ -2630,7 +2929,7 @@ mod tests {
         // Step 1 of the request path: read the start — nothing is pooled,
         // so it is a cold one — and run it, capturing.
         let start = serving.start(&prepared);
-        assert!(start.resolved.is_none());
+        assert!(start.warm.is_none());
         assert_eq!(start.epoch, serving.state.read().epoch);
         let epoch = start.epoch;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -3022,7 +3321,8 @@ mod tests {
         // its pooled state.  The replacement amounts to a four-row delta,
         // small enough that the Labels-scanning sub-plans are patched in
         // place rather than dropped — exactly what the equivalent
-        // `apply_deltas` call does.
+        // `apply_deltas` call does.  (The scan of `Labels` is the served
+        // relation itself, never pooled.)
         let new_labels = URelation::from_complete(
             &relation![schema!["CoinType", "Label"]; ["fair", "good"], ["2headed", "evil"]],
         );
@@ -3030,7 +3330,7 @@ mod tests {
         let stats = serving.stats();
         assert_eq!(stats.relation_updates, 1);
         assert_eq!(stats.snapshots_invalidated, 0, "no spine scans Labels");
-        assert_eq!(stats.subplans_patched, 3, "scan + join + project");
+        assert_eq!(stats.subplans_patched, 2, "join + project");
         assert_eq!(stats.subplans_invalidated, 0);
         assert_eq!(stats.subplans_demoted, 0);
         assert_eq!(serving.pooled_subplans(), pooled);
@@ -3142,8 +3442,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         serving.evaluate(touching, &mut rng).unwrap();
 
-        // A single-row delta to the pure join side: the Labels scan, the
-        // join and the projection above it are patched in place — nothing
+        // A single-row delta to the pure join side: the join over the Labels
+        // scan and the projection above it are patched in place — nothing
         // is demoted, so the next resume recomputes nothing.
         let old = serving.database().relation("Labels").unwrap().clone();
         let mut new = old.clone();
@@ -3154,7 +3454,7 @@ mod tests {
         let stats = serving.stats();
         assert_eq!(stats.relation_updates, 1);
         assert_eq!(stats.snapshots_invalidated, 0, "no spine scans Labels");
-        assert_eq!(stats.subplans_patched, 3, "scan + join + project");
+        assert_eq!(stats.subplans_patched, 2, "join + project");
         assert_eq!(stats.subplans_demoted, 0);
         assert_eq!(stats.subplans_invalidated, 0);
 
@@ -3208,9 +3508,8 @@ mod tests {
         assert_eq!(re_cold.result.relation, direct.result.relation);
     }
 
-    /// A server over a 40-row `Labels` join side with the touching query
-    /// pooled, plus that query's text.
-    fn wide_labels_serving() -> (ServingEngine, &'static str) {
+    /// [`two_relation_db`] with a 40-row `Labels` join side.
+    fn wide_labels_db() -> UDatabase {
         let mut labels = pdb::Relation::empty(pdb::Schema::new(["CoinType", "Label"]).unwrap());
         for i in 0..40 {
             labels
@@ -3222,8 +3521,14 @@ mod tests {
         }
         let mut db = two_relation_db();
         db.set_relation("Labels", URelation::from_complete(&labels), true);
+        db
+    }
+
+    /// A server over [`wide_labels_db`] with the touching query pooled,
+    /// plus that query's text.
+    fn wide_labels_serving() -> (ServingEngine, &'static str) {
         let touching = "aconf[0.3, 0.1](project[Label](join(repairkey[ @ Count](Coins), Labels)))";
-        let serving = ServingEngine::new(EvalConfig::default(), db).unwrap();
+        let serving = ServingEngine::new(EvalConfig::default(), wide_labels_db()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         serving.evaluate(touching, &mut rng).unwrap();
         (serving, touching)
@@ -3289,11 +3594,11 @@ mod tests {
     fn pooled_results_and_request_databases_share_the_served_content() {
         // A request's start is pointer copies throughout: its database
         // shares every relation with the served one (and, cold, the
-        // W-table), a cold run's scan result *is* its database's row set,
-        // the pool absorbed it without copying, and a warm request's
-        // W-table is the pooled spine's.  Sharing is no aliasing: a commit
-        // replaces the served relation and leaves an output taken before
-        // it on the old rows.
+        // W-table), a scan result *is* its database's row set and is never
+        // pooled, a stored spine-free result holds pointer copies of the
+        // relations it read, and a warm request's W-table is the pooled
+        // spine's.  Sharing is no aliasing: a commit replaces the served
+        // relation and leaves an output taken before it on the old rows.
         let _calm = storm_free();
         let (serving, touching) = wide_labels_serving();
         let mut rng = ChaCha8Rng::seed_from_u64(37);
@@ -3301,8 +3606,9 @@ mod tests {
             let prepared = serving
                 .prepare(text, *serving.config(), serving.config_digest)
                 .unwrap();
-            (serving.state.read().pool)
-                .entry(&prepared.profile.fingerprint)
+            (serving.state.read().pool.entries)
+                .get(&prepared.profile.fingerprint)
+                .cloned()
                 .expect("pooled by the cold run")
         };
         let other = "conf(project[CoinType](repairkey[ @ Count](Coins)))";
@@ -3310,16 +3616,30 @@ mod tests {
             .prepare(other, *serving.config(), serving.config_digest)
             .unwrap();
         let cold_start = serving.start(&prepared);
-        assert!(cold_start.resolved.is_none());
+        assert!(cold_start.warm.is_none());
         assert!((cold_start.database.wtable()).shares_content(serving.database().wtable()));
         let cold = serving.evaluate(other, &mut rng).unwrap();
         assert_eq!(serving.stats().cold_evaluations, 2);
         let scanned = cold.database.relation("Coins").unwrap();
         assert!(
-            (pooled_entry(other).slots.values())
+            !(pooled_entry(other).slots.values())
                 .any(|slot| slot.value.relation.shares_content(scanned)),
-            "the pooled scan is the run's relation"
+            "no scan is pooled"
         );
+        // A spine-free query's results go to the store, which keeps the
+        // run's relations beside them, uncopied.
+        let spine_free = "poss(project[Label](Labels))";
+        let stored = serving.evaluate(spine_free, &mut rng).unwrap();
+        assert_eq!(serving.stats().cold_evaluations, 3);
+        let read_labels = |served: &Served| -> Vec<URelation> {
+            let read = served.pool.store.values().flat_map(|stored| &stored.read);
+            let labels = read.filter(|(name, _)| name == "Labels");
+            labels.map(|(_, relation)| relation.clone()).collect()
+        };
+        let labels = stored.database.relation("Labels").unwrap();
+        let reads = read_labels(&serving.state.read());
+        assert_eq!(reads.len(), 2, "project + poss");
+        assert!(reads.iter().all(|read| read.shares_content(labels)));
 
         let warm = serving.evaluate(touching, &mut rng).unwrap();
         assert_eq!(serving.stats().warm_evaluations, 1);
@@ -3346,6 +3666,7 @@ mod tests {
         };
         shares_served(&cold, None);
         shares_served(&warm, None);
+        shares_served(&stored, None);
 
         // Snapshot isolation: an output obtained before a commit to
         // `Labels` keeps the old rows, through either entry point.
@@ -3363,24 +3684,78 @@ mod tests {
                 serving.update_relations([("Labels", new.clone())]).unwrap();
             }
             assert_eq!(serving.database().relation("Labels").unwrap(), &new);
-            // The commit hands the pooled scans of `Labels` the relation it
-            // wrote: a pointer copy, not a row set rebuilt per entry.
+            // The commit patches the stored results that read `Labels` and
+            // re-stores them against the relation it wrote — a pointer
+            // copy, not a row set rebuilt — and no entry holds its rows.
             {
                 let served = serving.database().relation("Labels").unwrap().clone();
                 let state = serving.state.read();
-                let scans: Vec<&URelation> = (state.pool.entries.values())
-                    .flat_map(|entry| entry.slots.values())
-                    .map(|slot| &slot.value.relation)
-                    .filter(|relation| **relation == served)
-                    .collect();
-                assert!(!scans.is_empty(), "a pooled scan of Labels was patched");
-                assert!(scans.iter().all(|scan| scan.shares_content(&served)));
+                let reads = read_labels(&state);
+                assert_eq!(reads.len(), 2, "patched, not dropped");
+                assert!(reads.iter().all(|read| read.shares_content(&served)));
+                let mut slots = (state.pool.entries.values()).flat_map(|e| e.slots.values());
+                assert!(!slots.any(|slot| slot.value.relation == served));
             }
             shares_served(&before, Some(("Labels", &old)));
             let after = serving.evaluate(touching, &mut rng).unwrap();
             shares_served(&after, None);
         }
-        assert_eq!(serving.stats().cold_evaluations, 2, "warm throughout");
+        assert_eq!(serving.stats().cold_evaluations, 3, "warm throughout");
+    }
+
+    #[test]
+    fn a_cold_start_is_seeded_with_the_stored_results_of_the_served_content() {
+        // Two exact `conf` spines over one spine-free join: the second
+        // spine's cold start holds the stored join and nothing below it —
+        // after a row delta to `Labels` too, which re-stored the join
+        // against the relation it wrote — and once a replacement dropped
+        // the join, the join's inputs instead.
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::default(), wide_labels_db()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(51);
+        let first = "conf(project[CoinType](join(Coins, Labels)))";
+        serving.evaluate(first, &mut rng).unwrap();
+        let text = "conf(project[Label](join(Coins, Labels)))";
+        let prepared = serving
+            .prepare(text, *serving.config(), serving.config_digest)
+            .unwrap();
+        let held = || -> Vec<&str> {
+            let start = serving.start(&prepared);
+            assert!(start.warm.is_none());
+            let held = start.snapshot.live_slots().map(|(id, _)| id);
+            held.map(|id| prepared.physical.nodes()[id].operator.name())
+                .collect()
+        };
+        assert_eq!(held(), ["join"]);
+
+        let old = serving.database().relation("Labels").unwrap().clone();
+        let mut new = old.clone();
+        (new.insert(urel::Condition::always(), pdb::tuple!["fair", 4242])).unwrap();
+        serving
+            .apply_deltas([("Labels", old.diff(&new).unwrap())])
+            .unwrap();
+        assert_eq!(
+            serving.stats().subplans_patched,
+            2,
+            "the join and `first`'s projection"
+        );
+        assert_eq!(held(), ["join"]);
+
+        let mut rewired = pdb::Relation::empty(pdb::Schema::new(["CoinType", "Label"]).unwrap());
+        for i in 0..40 {
+            (rewired.insert(pdb::tuple!["fair", 1000 + i])).unwrap();
+        }
+        let rewired = URelation::from_complete(&rewired);
+        serving.update_relations([("Labels", rewired)]).unwrap();
+        assert_eq!(held(), ["scan", "scan"]);
+
+        let mut served_rng = ChaCha8Rng::seed_from_u64(52);
+        let served = serving.evaluate(text, &mut served_rng).unwrap();
+        let fresh = ServingEngine::new(EvalConfig::default(), serving.database()).unwrap();
+        let mut fresh_rng = ChaCha8Rng::seed_from_u64(52);
+        let expect = fresh.evaluate(text, &mut fresh_rng).unwrap();
+        assert_eq!(served.result.relation, expect.result.relation);
+        assert_eq!(served.stats, expect.stats);
     }
 
     #[test]
@@ -3419,13 +3794,13 @@ mod tests {
         let text = "conf(project[CoinType](join(repairkey[ @ Count](Coins), Labels)))";
         let (first, prepared) = prepare(text);
         let cold = serving.start(&prepared);
-        assert!(cold.resolved.is_none());
+        assert!(cold.warm.is_none());
         assert!((cold.database.wtable()).shares_content(serving.database().wtable()));
         assert_shares_served(&cold, None);
         let mut rng = ChaCha8Rng::seed_from_u64(41);
         serving.evaluate(text, &mut rng).unwrap();
         let warm = serving.start(&prepared);
-        assert!(warm.resolved.is_some());
+        assert!(warm.warm.is_some());
         assert_shares_served(&warm, None);
 
         // A content commit to `Other` between two prepares of different
@@ -3443,8 +3818,8 @@ mod tests {
         assert_shares_served(&serving.start(&prepared), None);
     }
 
-    /// Drops the pooled results of the named operators (`scan` means the
-    /// scan of `Labels`) from the touching query's pool entry.
+    /// Drops the pooled results of the named operators from the touching
+    /// query's pool entry.
     fn drop_pooled(serving: &ServingEngine, touching: &str, operators: &[&str]) {
         let prepared = serving
             .prepare(touching, *serving.config(), serving.config_digest)
@@ -3456,9 +3831,8 @@ mod tests {
             .expect("pooled");
         for (id, node) in prepared.physical.nodes().iter().enumerate() {
             let name = node.operator.name();
-            let other_scan = name == "scan" && !profile.footprints[id].contains("Labels");
-            if operators.contains(&name) && !other_scan {
-                let dropped = Arc::make_mut(entry).slots.remove(&profile.digests[id]);
+            if operators.contains(&name) {
+                let dropped = entry.slots.remove(&profile.digests[id]);
                 assert!(dropped.is_some(), "{name} was pooled");
             }
         }
@@ -3470,23 +3844,26 @@ mod tests {
         let _calm = storm_free();
         let (serving, touching) = wide_labels_serving();
         let pooled = serving.pooled_subplans();
+        assert_eq!(pooled, 3, "repair-key, join, project: no scan is pooled");
 
         // A missing interior result under a pooled consumer is not wanted:
         // nothing is recomputed, nothing re-pooled, the request is warm.
-        drop_pooled(&serving, touching, &["scan"]);
+        drop_pooled(&serving, touching, &["join"]);
         assert_warm_matches_cold(&serving, touching, 41);
         let stats = serving.stats();
         assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (1, 1));
         assert_eq!(stats.subplans_recomputed, 0);
         assert_eq!(serving.pooled_subplans(), pooled - 1);
 
-        // With its consumers pooled away as well, the scan is recomputed —
-        // exactly itself and them — and all three are pooled again.
-        drop_pooled(&serving, touching, &["join", "project"]);
+        // With its consumer pooled away as well, the join is recomputed —
+        // exactly itself and the projection, over the pooled repair-key
+        // result and the request database's `Labels` — and both are pooled
+        // again.
+        drop_pooled(&serving, touching, &["project"]);
         assert_warm_matches_cold(&serving, touching, 42);
         let stats = serving.stats();
         assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (2, 1));
-        assert_eq!(stats.subplans_recomputed, 3, "scan + join + project");
+        assert_eq!(stats.subplans_recomputed, 2, "join + project");
         assert_eq!(serving.pooled_subplans(), pooled);
 
         // A missing stateful result nobody wants changes nothing …
@@ -3494,14 +3871,14 @@ mod tests {
         assert_warm_matches_cold(&serving, touching, 43);
         let stats = serving.stats();
         assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (3, 1));
-        assert_eq!(stats.subplans_recomputed, 3);
+        assert_eq!(stats.subplans_recomputed, 2);
         // … but once a resume wants it, the lookup is a miss: the request
         // runs cold and pools the spine's results afresh.
         drop_pooled(&serving, touching, &["join", "project"]);
         assert_warm_matches_cold(&serving, touching, 44);
         let stats = serving.stats();
         assert_eq!((stats.warm_evaluations, stats.cold_evaluations), (3, 2));
-        assert_eq!(stats.subplans_recomputed, 3);
+        assert_eq!(stats.subplans_recomputed, 2);
         assert_eq!(serving.pooled_subplans(), pooled);
     }
 
@@ -3546,9 +3923,9 @@ mod tests {
             } else {
                 (stats.subplans_invalidated, stats.subplans_demoted)
             };
-            assert_eq!(charged, 3, "scan + join + project");
+            assert_eq!(charged, 2, "join + project");
             assert_eq!(other, 0);
-            assert_eq!(serving.pooled_subplans(), pooled - 3);
+            assert_eq!(serving.pooled_subplans(), pooled - 2);
 
             assert_warm_matches_cold(&serving, touching, 32);
 
@@ -3569,9 +3946,9 @@ mod tests {
     fn one_row_replacements_patch_in_place() {
         let _calm = storm_free();
         // A whole-relation replacement that differs from the stored content
-        // in one row is committed as that one-row delta: the pooled scan,
-        // join and projection are patched, nothing leaves the pool, and the
-        // next resume recomputes nothing.
+        // in one row is committed as that one-row delta: the pooled join
+        // and projection are patched, nothing leaves the pool, and the next
+        // resume recomputes nothing.
         let (serving, touching) = wide_labels_serving();
         let pooled = serving.pooled_subplans();
         let mut new = serving.database().relation("Labels").unwrap().clone();
@@ -3580,7 +3957,7 @@ mod tests {
         serving.update_relations([("Labels", new)]).unwrap();
         let stats = serving.stats();
         assert_eq!(stats.relation_updates, 1);
-        assert_eq!(stats.subplans_patched, 3, "scan + join + project");
+        assert_eq!(stats.subplans_patched, 2, "join + project");
         assert_eq!(stats.subplans_invalidated, 0);
         assert_eq!(stats.snapshots_invalidated, 0);
         assert_eq!(serving.pooled_subplans(), pooled);

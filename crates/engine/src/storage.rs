@@ -14,8 +14,10 @@
 //!   [`restore`](crate::ServingEngine::restore)) — a directory of segment
 //!   files (catalog, W-table, one segment per relation, one per warm pool
 //!   entry — what its prefix *added*: introduced variables, counters and
-//!   sub-plan results, never relation content, which lives once in the
-//!   relation segments) plus a `MANIFEST` segment, written last, recording every
+//!   the sub-plan results that depend on its spine — and one for the
+//!   pool's store of spine-free results, each written once; never a scan,
+//!   whose content lives once in its relation segment) plus a `MANIFEST`
+//!   segment, written last, recording every
 //!   segment's payload length and digest pair.  The shape follows the
 //!   state-layout/state-manager design of replicated-state systems: readers
 //!   trust nothing until the manifest digest *and* each segment's own framed
@@ -46,9 +48,11 @@ const MAGIC: [u8; 4] = *b"USEG";
 /// backend counters (exact-compiled / sampled answers, shared block hits).
 /// Version 3 replaced the warm entry's private database copy (and its
 /// stateful footprint) with the W-table variables its prefix introduced.
+/// Version 4 moved every spine-free sub-plan result out of the warm
+/// entries into one `store.seg` segment, and persists no scan result.
 /// Directories written under an older version fail to restore with
 /// [`EngineError::Storage`]; the caller falls back to a cold start.
-pub(crate) const VERSION: u32 = 3;
+pub(crate) const VERSION: u32 = 4;
 /// Frame header: magic + version + payload length + digest pair.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 /// Seed separating the second digest's stream from the first.
@@ -349,8 +353,56 @@ pub(crate) struct WarmEntry {
     /// (decoded through [`WTable::add_variable`], so distributions are
     /// valid; the restore checks them against the base W-table).
     pub introduced: WTable,
-    /// Pooled pure sub-results: subplan digest, input footprint, value.
-    pub slots: Vec<((u64, u64), BTreeSet<String>, EvaluatedRelation)>,
+    /// Pooled sub-results: subplan digest, input footprint, value.
+    pub slots: Vec<Slot>,
+}
+
+/// One persisted sub-plan result: its subplan digest, the base relations
+/// it reads (its footprint), and its value.
+pub(crate) type Slot = ((u64, u64), BTreeSet<String>, EvaluatedRelation);
+
+/// Encodes a list of sub-plan results (a warm entry's slots, or the store).
+pub(crate) fn put_slots(out: &mut Vec<u8>, slots: &[Slot]) {
+    segment::put_u32(out, slots.len() as u32);
+    for ((d1, d2), footprint, value) in slots {
+        segment::put_u64(out, *d1);
+        segment::put_u64(out, *d2);
+        put_string_set(out, footprint);
+        segment::put_relation(out, &value.relation);
+        segment::put_u8(out, u8::from(value.complete));
+        segment::put_u32(out, value.errors.len() as u32);
+        for (tuple, err) in &value.errors {
+            segment::put_tuple(out, tuple);
+            segment::put_f64(out, *err);
+        }
+    }
+}
+
+/// Decodes a list of sub-plan results written by [`put_slots`].
+pub(crate) fn take_slots(cur: &mut SegmentCursor<'_>) -> urel::Result<Vec<Slot>> {
+    let slot_count = cur.take_u32()? as usize;
+    let mut slots = Vec::with_capacity(slot_count.min(1024));
+    for _ in 0..slot_count {
+        let d1 = cur.take_u64()?;
+        let d2 = cur.take_u64()?;
+        let footprint = take_string_set(cur)?;
+        let relation = cur.take_relation()?;
+        let complete = cur.take_u8()? != 0;
+        let err_count = cur.take_u32()? as usize;
+        let mut errors = std::collections::BTreeMap::new();
+        for _ in 0..err_count {
+            let tuple = cur.take_tuple()?;
+            let err = cur.take_f64()?;
+            errors.insert(tuple, err);
+        }
+        let value = EvaluatedRelation {
+            relation,
+            complete,
+            errors,
+        };
+        slots.push(((d1, d2), footprint, value));
+    }
+    Ok(slots)
 }
 
 /// Encodes a warm pool entry.
@@ -372,19 +424,7 @@ pub(crate) fn put_warm(out: &mut Vec<u8>, warm: &WarmEntry) {
         segment::put_u64(out, n);
     }
     segment::put_wtable(out, &warm.introduced);
-    segment::put_u32(out, warm.slots.len() as u32);
-    for ((d1, d2), footprint, value) in &warm.slots {
-        segment::put_u64(out, *d1);
-        segment::put_u64(out, *d2);
-        put_string_set(out, footprint);
-        segment::put_relation(out, &value.relation);
-        segment::put_u8(out, u8::from(value.complete));
-        segment::put_u32(out, value.errors.len() as u32);
-        for (tuple, err) in &value.errors {
-            segment::put_tuple(out, tuple);
-            segment::put_f64(out, *err);
-        }
-    }
+    put_slots(out, &warm.slots);
 }
 
 /// Decodes a warm pool entry.
@@ -404,31 +444,7 @@ pub(crate) fn take_warm(cur: &mut SegmentCursor<'_>) -> urel::Result<WarmEntry> 
         shared_block_hits: cur.take_u64()?,
     };
     let introduced = cur.take_wtable()?;
-    let slot_count = cur.take_u32()? as usize;
-    let mut slots = Vec::with_capacity(slot_count.min(1024));
-    for _ in 0..slot_count {
-        let d1 = cur.take_u64()?;
-        let d2 = cur.take_u64()?;
-        let footprint = take_string_set(cur)?;
-        let relation = cur.take_relation()?;
-        let complete = cur.take_u8()? != 0;
-        let err_count = cur.take_u32()? as usize;
-        let mut errors = std::collections::BTreeMap::new();
-        for _ in 0..err_count {
-            let tuple = cur.take_tuple()?;
-            let err = cur.take_f64()?;
-            errors.insert(tuple, err);
-        }
-        slots.push((
-            (d1, d2),
-            footprint,
-            EvaluatedRelation {
-                relation,
-                complete,
-                errors,
-            },
-        ));
-    }
+    let slots = take_slots(cur)?;
     Ok(WarmEntry {
         creator,
         config_digest,

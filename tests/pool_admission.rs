@@ -1,17 +1,20 @@
 //! Snapshot-pool admission: while the pool holds fewer than its eager
 //! budget of sub-plan results it pools every capture, past the budget only
-//! spines and slots seen before.  A stream of never-repeated texts
+//! spines and results seen before.  A stream of never-repeated texts
 //! therefore stops growing the pool (and never wipes it), a repeated text
 //! is pooled on its second sighting, a shared spine stays pooled while its
 //! one-off pure tails are not, and a slot a commit demoted re-absorbs on
-//! its first recompute.  Pooling changes cost only: every warm answer here
-//! is also checked bit-for-bit against a one-shot `UEngine` run.
+//! its first recompute.  A spine-free result — a pure one with no stateful
+//! node below it — lives in one store every spine shares: a cold start of
+//! a new spine resumes from it, and a commit patches it once or drops it.
+//! Pooling changes cost only: every warm answer here is also checked
+//! bit-for-bit against a one-shot `UEngine` run.
 
 use engine::{EvalConfig, ServingEngine, UEngine};
 use pdb::{Schema, Tuple, Value};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use urel::{UDatabase, URelation};
+use urel::{Condition, UDatabase, URelation, Var};
 
 /// The engine's `POOL_CAP`: pooled prefix entries at which the pool is
 /// wiped wholesale.
@@ -50,6 +53,56 @@ fn one_off(i: usize) -> String {
 fn shared_tail(i: usize) -> String {
     format!("aconf[0.3, 0.2](project[B](select[K >= 2.{i:08}](join(repairkey[K @ W](R), S))))")
 }
+
+/// A never-repeated tail with no stateful node at all: `join(S, L)` is
+/// stored once, the selection and `poss` above it are new per text, and
+/// every such text shares the one empty spine.
+fn spine_free_tail(i: usize) -> String {
+    format!("poss(select[L >= 2.{i:08}](join(S, L)))")
+}
+
+/// `T(Id, A, B)`: twelve edges over six nodes, edge `i` present with its own
+/// Boolean variable `t{i}` — `cold_adhoc`'s path relation in small.  Each
+/// edge runs `shift + i / 6` nodes ahead (mod 6), never to its own node.
+fn edges(shift: i64) -> URelation {
+    let mut t = URelation::empty(Schema::new(["Id", "A", "B"]).unwrap());
+    for i in 0..12i64 {
+        let (a, b) = (i % 6, (i % 6 + shift + i / 6) % 6);
+        let cond = Condition::new([(Var::new(format!("t{i}")), Value::Bool(true))]).unwrap();
+        let tuple = Tuple::new(vec![Value::Int(i), Value::Int(a), Value::Int(b)]);
+        t.insert(cond, tuple).unwrap();
+    }
+    t
+}
+
+/// A server over `edges(1)`.
+fn path_serving() -> ServingEngine {
+    let mut db = UDatabase::new();
+    for i in 0..12 {
+        let p = 0.1 + 0.07 * f64::from(i);
+        (db.wtable_mut()
+            .add_bool_variable(Var::new(format!("t{i}")), p))
+        .unwrap();
+    }
+    db.set_relation("T", edges(1), false);
+    ServingEngine::new(EvalConfig::default(), db).unwrap()
+}
+
+/// The two-step path join over `T`: spine-free, so one stored result
+/// serves every spine above it.
+const PATH: &str = "join(project[A, B](T), project[B, C](rename[A -> B](rename[B -> C](T))))";
+
+/// An exact `conf` over a selected path join (`cold_adhoc`'s shape-2
+/// form): the constant is part of the exact `conf` root, so every `c`
+/// makes a new stateful spine — and a cold start.
+fn path_conf(c: usize) -> String {
+    format!("conf(project[A, B](select[C >= {c}]({PATH})))")
+}
+
+/// Sub-plan results one `path_conf` adds to an empty pool: the join, the
+/// four nodes below it, the selection and projection (the store), and the
+/// `conf` (its entry).
+const PATH_CONF_RESULTS: usize = 8;
 
 fn eval(serving: &ServingEngine, text: &str, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -91,26 +144,36 @@ fn never_repeated_texts_stop_at_the_budget_and_never_wipe_the_pool() {
     eval(&serving, &one_off(0), 0);
     let per_entry = serving.pooled_subplans();
     assert!(per_entry > 0);
+    // The spine-free tail stores its join, selection and `poss`, and pools
+    // the empty spine they share.
+    eval(&serving, &spine_free_tail(0), 0);
+    let per_tail = serving.pooled_subplans() - per_entry;
+    assert_eq!(per_tail, 3);
     let mut prefixes = serving.pooled_prefixes();
     for i in 1..2 * POOL_CAP {
-        eval(&serving, &one_off(i), i as u64);
-        let now = serving.pooled_prefixes();
-        assert!(now >= prefixes, "request {i} wiped the pool");
-        prefixes = now;
-        let pooled = serving.pooled_subplans();
-        assert!(
-            pooled <= EAGER_SUBPLANS + per_entry,
-            "{pooled} pooled results after {i} one-off requests"
-        );
+        for text in [one_off(i), spine_free_tail(i)] {
+            eval(&serving, &text, i as u64);
+            let now = serving.pooled_prefixes();
+            assert!(now >= prefixes, "request {i} wiped the pool");
+            prefixes = now;
+            let pooled = serving.pooled_subplans();
+            assert!(
+                pooled <= EAGER_SUBPLANS + per_entry.max(per_tail),
+                "{pooled} pooled results after {i} rounds of one-off requests"
+            );
+        }
     }
     println!(
         "one-off stream: pooled_prefixes {} pooled_subplans {}",
         serving.pooled_prefixes(),
         serving.pooled_subplans()
     );
+    // Every spine-free tail after the first resumes the pooled empty spine
+    // and the stored join, and runs its own selection and `poss`.
     let stats = serving.stats();
-    assert_eq!(stats.cold_evaluations, 2 * POOL_CAP as u64);
-    assert_eq!(stats.warm_evaluations, 0);
+    assert_eq!(stats.cold_evaluations, 2 * POOL_CAP as u64 + 1);
+    assert_eq!(stats.warm_evaluations, 2 * POOL_CAP as u64 - 1);
+    assert_matches_one_shot(&serving, &spine_free_tail(2 * POOL_CAP), 0);
 }
 
 #[test]
@@ -164,8 +227,9 @@ fn a_demoted_slot_reabsorbs_on_its_first_recompute() {
     let pooled = serving.pooled_subplans();
     assert!(pooled >= EAGER_SUBPLANS);
 
-    // Rewriting most of `L` crosses the patch-worthiness bound: the scan,
-    // join and projection over it are demoted, the entry survives.
+    // Rewriting most of `L` crosses the patch-worthiness bound: the join
+    // and projection over it are demoted (the scan is the served relation,
+    // never pooled), the entry survives.
     let cold = serving.stats().cold_evaluations;
     let old = serving.database().relation("L").unwrap().clone();
     let new = complete(["K", "L"], (0..40).map(|i| (i % 6, 1000 + i)));
@@ -173,18 +237,77 @@ fn a_demoted_slot_reabsorbs_on_its_first_recompute() {
     serving.apply_deltas([("L", delta)]).unwrap();
     let stats = serving.stats();
     assert_eq!(stats.snapshots_invalidated, 0);
-    assert_eq!(stats.subplans_demoted, 3, "scan + join + project");
-    assert_eq!(serving.pooled_subplans(), pooled - 3);
+    assert_eq!(stats.subplans_demoted, 2, "join + project");
+    assert_eq!(serving.pooled_subplans(), pooled - 2);
 
     // The first warm resume recomputes them and — sighted when first
     // pooled — they are admitted again although the pool is past its
     // budget: the next resume recomputes nothing.
     assert_matches_one_shot(&serving, text, 2);
     let recomputed = serving.stats().subplans_recomputed;
-    assert_eq!(recomputed, 3);
+    assert_eq!(recomputed, 2);
     assert_eq!(serving.pooled_subplans(), pooled);
     assert_matches_one_shot(&serving, text, 3);
     let stats = serving.stats();
     assert_eq!(stats.subplans_recomputed, recomputed);
     assert_eq!(stats.cold_evaluations, cold, "warm throughout");
+}
+
+#[test]
+fn a_cold_start_resumes_the_join_another_spine_stored() {
+    let serving = path_serving();
+    eval(&serving, &path_conf(1), 1);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS);
+    // A second constant is a second spine, so a cold start — which finds
+    // the join stored: it adds its own selection, projection and `conf`,
+    // and no second copy of the join or anything below it.
+    assert_matches_one_shot(&serving, &path_conf(2), 2);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS + 3);
+    let stats = serving.stats();
+    assert_eq!((stats.cold_evaluations, stats.warm_evaluations), (2, 0));
+}
+
+#[test]
+fn a_row_delta_patches_the_stored_join_once_and_the_next_spine_resumes_it() {
+    let serving = path_serving();
+    eval(&serving, &path_conf(1), 1);
+    let old = serving.database().relation("T").unwrap().clone();
+    let mut new = old.clone();
+    assert!(new.remove_row(&old.iter().next().unwrap().clone()));
+    serving
+        .apply_deltas([("T", old.diff(&new).unwrap())])
+        .unwrap();
+    // The first text's `conf` reads `T`: its entry drops.  Its stored
+    // results — the join, the four nodes below it, the selection and the
+    // projection — are patched once each and re-stored against the new `T`.
+    let stats = serving.stats();
+    assert_eq!(stats.snapshots_invalidated, 1);
+    assert_eq!(stats.subplans_patched, PATH_CONF_RESULTS as u64 - 1);
+    assert_eq!(stats.subplans_demoted, 0);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS - 1);
+
+    assert_matches_one_shot(&serving, &path_conf(2), 2);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS - 1 + 3);
+    let stats = serving.stats();
+    assert_eq!((stats.cold_evaluations, stats.warm_evaluations), (2, 0));
+}
+
+#[test]
+fn a_replacement_drops_the_stored_join_and_the_next_spine_recomputes_it() {
+    let serving = path_serving();
+    eval(&serving, &path_conf(1), 1);
+    // Every edge rewired: the net delta rewrites all of `T`, past the
+    // patch-worthiness bound, so every stored result over `T` drops.
+    serving.update_relations([("T", edges(2))]).unwrap();
+    let stats = serving.stats();
+    assert_eq!(stats.snapshots_invalidated, 1);
+    assert_eq!(stats.subplans_patched, 0);
+    assert_eq!(stats.subplans_invalidated, PATH_CONF_RESULTS as u64 - 1);
+    assert_eq!(serving.pooled_subplans(), 0);
+
+    // The second text recomputes the join from the new `T` and stores it.
+    assert_matches_one_shot(&serving, &path_conf(2), 2);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS);
+    let stats = serving.stats();
+    assert_eq!((stats.cold_evaluations, stats.warm_evaluations), (2, 0));
 }
