@@ -865,7 +865,11 @@ impl PhysicalPlan {
 
     /// Moves a snapshot's context effects into `ctx` and returns its slot
     /// state for the run.  The run shares the snapshot's space cache: what
-    /// it compiles lands there, and the next resume finds it.
+    /// it compiles lands there, and the next resume finds it.  A snapshot
+    /// no stateful node has run in (the empty one, or a cold start built
+    /// from stored results) compiled nothing, so the run keeps the
+    /// context's own cache — which a serving cold start seeds with the
+    /// served W-table's compiled index.
     fn restore(&self, ctx: &mut ExecContext<'_>, snapshot: ExecSnapshot) -> Result<SlotState> {
         if snapshot.plan_signature != self.signature {
             return Err(EngineError::Invariant(
@@ -887,7 +891,9 @@ impl PhysicalPlan {
         }
         ctx.var_counter = effects.var_counter;
         ctx.stats = effects.stats;
-        ctx.spaces = effects.spaces;
+        if effects.wtable.is_some() {
+            ctx.spaces = effects.spaces;
+        }
         Ok(snapshot.state)
     }
 

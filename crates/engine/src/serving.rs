@@ -30,7 +30,9 @@
 //!    scan's result is the request database's relation itself;
 //! 3. inside each pooled prefix, the memoised [`SpaceCache`] /
 //!    lineage-batch caches of the `space` module, shared by every resume
-//!    (a compiled space is found by its W-table's content) —
+//!    (a compiled space is found by its W-table's content; a cold start's
+//!    cache begins with the served W-table's `SpaceIndex`, compiled once
+//!    per served table, and an empty lineage cache of its own) —
 //!    including the **compiled lineage programs**
 //!    ([`confidence::LineagePrograms`]) the bit-parallel Monte Carlo
 //!    estimators sample through and the exact probabilities the exact
@@ -203,7 +205,7 @@ use crate::faults::splitmix64;
 use crate::physical::{
     ExecContext, ExecSnapshot, OpClass, PhysicalNode, PhysicalOp, PhysicalPlan, PrefixEffects,
 };
-use crate::space::SpaceCache;
+use crate::space::{SpaceCache, SpaceIndex};
 use crate::sync::{HeldRank, LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use algebra::{Catalog, LogicalPlan, SubplanDigest};
 use confidence::EventBounds;
@@ -532,11 +534,14 @@ struct Warm {
 /// (a clone of the served one over the pooled prefix's W-table, or the
 /// base table on a cold start), the content epoch it was read at, the
 /// snapshot it resumes, and how it resumes it (`None` is a cold start).
+/// A cold start also carries the served table's compiled index, which its
+/// context's space cache starts from.
 struct Start {
     database: UDatabase,
     epoch: u64,
     snapshot: ExecSnapshot,
     warm: Option<Warm>,
+    index: Option<Arc<SpaceIndex>>,
 }
 
 /// The shared prefix of every prepared query with one stateful spine: the
@@ -1320,12 +1325,19 @@ struct Counters {
     shared_block_hits: AtomicU64,
 }
 
-/// The served state, behind one lock: the database, its content epoch and
-/// the snapshot pool.  A request's start reads the three as one cut, and
-/// every commit writes them together, so a reader never pairs a database
-/// with pool state of another version.
+/// The served state, behind one lock: the database, its content epoch, the
+/// snapshot pool and the compiled index of the database's W-table.  A
+/// request's start reads them as one cut, and every commit writes them
+/// together, so a reader never pairs a database with pool state of another
+/// version.
 struct Served {
     database: UDatabase,
+    /// The served W-table compiled once ([`SpaceIndex::compile`]), and
+    /// replaced with the table: every cold start seeds its space cache with
+    /// it, so a cold `conf` over the served table compiles only the
+    /// lineage it reads.  `None` if the table does not compile — each
+    /// request then compiles, and fails, on its own.
+    index: Option<Arc<SpaceIndex>>,
     /// Monotonic database-content version, bumped by every commit.  A
     /// capturing evaluation records it at its start, and its absorb
     /// ([`absorb_if_current`](ServingEngine::absorb_if_current)) drops the
@@ -1334,6 +1346,19 @@ struct Served {
     /// commit's pool pass.
     epoch: u64,
     pool: SnapshotPool,
+}
+
+impl Served {
+    /// The state of a freshly served database at `epoch`: its W-table
+    /// compiled, an empty pool.
+    fn new(database: UDatabase, epoch: u64) -> Served {
+        Served {
+            index: SpaceIndex::compile(database.wtable()).ok().map(Arc::new),
+            database,
+            epoch,
+            pool: SnapshotPool::default(),
+        }
+    }
 }
 
 /// The query cache: request text → prepared query, per effective lowering
@@ -1448,15 +1473,7 @@ impl ServingEngine {
             config,
             config_digest: config_digest(&config),
             limits,
-            state: OrderedRwLock::new(
-                LockRank::State,
-                "serving.state",
-                Served {
-                    database,
-                    epoch: 0,
-                    pool: SnapshotPool::default(),
-                },
-            ),
+            state: OrderedRwLock::new(LockRank::State, "serving.state", Served::new(database, 0)),
             queries: OrderedRwLock::new(
                 LockRank::Prepared,
                 "serving.queries",
@@ -1502,16 +1519,16 @@ impl ServingEngine {
     /// warm caches warm.
     pub fn set_database(&self, database: UDatabase) -> Result<()> {
         let catalog = Arc::new(catalog_of(&database)?);
+        // Compiled before the write lock, which readers then wait out only
+        // for the swap.
+        let mut fresh = Served::new(database, 0);
         let mut served = self.state.write();
         // The epoch moves with the pool reset, so an in-flight session's
         // absorb drops instead of undoing it.  A racing prepare lowered
         // against the old catalog fails its install once the new cache is
         // in place, and lowers again.
-        *served = Served {
-            database,
-            epoch: served.epoch + 1,
-            pool: SnapshotPool::default(),
-        };
+        fresh.epoch = served.epoch + 1;
+        *served = fresh;
         *self.queries.write() = QueryCache::new(catalog);
         Ok(())
     }
@@ -1779,7 +1796,7 @@ impl ServingEngine {
         };
         let snapshot = start.snapshot;
         let mut rng_ref: &mut R = rng;
-        let mut ctx = self.context(config, start.database, &mut rng_ref, deadline);
+        let mut ctx = self.context(config, start.database, start.index, &mut rng_ref, deadline);
         // Quarantine region: a panicking run (an operator bug, or an
         // injected fault) drops only this run's pool entry — the engine
         // stays serviceable and the next request of this prefix re-warms
@@ -1827,12 +1844,18 @@ impl ServingEngine {
     /// database.  Commits write database, epoch and pool under the same
     /// lock, so the resolved results always belong to the cloned relations;
     /// if the guarded absorb later sees the same epoch, no commit touched
-    /// the pool in between.
+    /// the pool in between.  A cold start also takes the served table's
+    /// compiled index (a pointer copy); a warm one resumes its entry's
+    /// space cache instead and takes nothing.
     fn start(&self, prepared: &PreparedQuery) -> Start {
-        let (mut database, epoch, (snapshot, warm)) = {
+        let (mut database, epoch, (snapshot, warm), index) = {
             let served = self.state.read();
             let resolved = served.pool.resolve(prepared, &served.database);
-            (served.database.clone(), served.epoch, resolved)
+            let index = match resolved.1 {
+                None => served.index.clone(),
+                Some(_) => None,
+            };
+            (served.database.clone(), served.epoch, resolved, index)
         };
         if let Some(wtable) = snapshot.effects().wtable.as_ref() {
             *database.wtable_mut() = wtable.clone();
@@ -1842,14 +1865,19 @@ impl ServingEngine {
             epoch,
             snapshot,
             warm,
+            index,
         }
     }
 
-    /// The execution context of one request over its start's database.
+    /// The execution context of one request over its start's database.  A
+    /// cold start's space cache is seeded with the served table's index
+    /// and an empty lineage cache of its own; a warm start's is replaced by
+    /// its entry's when the run restores the snapshot.
     fn context<'a>(
         &self,
         config: EvalConfig,
         database: UDatabase,
+        index: Option<Arc<SpaceIndex>>,
         rng: &'a mut dyn RngCore,
         deadline: Option<Instant>,
     ) -> ExecContext<'a> {
@@ -1859,7 +1887,7 @@ impl ServingEngine {
             stats: EvalStats::default(),
             var_counter: 0,
             rng,
-            spaces: SpaceCache::new(),
+            spaces: index.map_or_else(SpaceCache::new, SpaceCache::seeded),
             deadline,
             sampler: config.shared_sampling.then(|| Arc::clone(&self.sampler)),
         }
@@ -1946,7 +1974,7 @@ impl ServingEngine {
         let prepared = self.prepare(request.text, config, digest)?;
         let start = self.start(&prepared);
         let mut dummy = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut ctx = self.context(config, start.database, &mut dummy, None);
+        let mut ctx = self.context(config, start.database, start.index, &mut dummy, None);
         let limit = config.pairwise_bound_limit;
         let bounds = prepared
             .physical
@@ -2933,7 +2961,13 @@ mod tests {
         assert_eq!(start.epoch, serving.state.read().epoch);
         let epoch = start.epoch;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut ctx = serving.context(EvalConfig::exact(), start.database, &mut rng, None);
+        let mut ctx = serving.context(
+            EvalConfig::exact(),
+            start.database,
+            start.index,
+            &mut rng,
+            None,
+        );
         let plan = &prepared.physical;
         let (_, snapshot) = plan.resume(&mut ctx, plan.empty_snapshot(), true).unwrap();
         let snapshot = snapshot.expect("a capturing run returns its snapshot");
@@ -4192,6 +4226,158 @@ mod tests {
         assert_eq!(serving.stats().warm_evaluations, 1);
         assert_eq!(count(Some("serving.state")) - state, 1);
         assert_eq!(count(None) - all, 5);
+    }
+
+    /// The served answer to `text` against the one-shot engine's over the
+    /// served database at the same seed: result, statistics and final
+    /// database bit for bit.
+    fn assert_matches_one_shot(serving: &ServingEngine, text: &str, seed: u64) {
+        let served = (serving.evaluate(text, &mut ChaCha8Rng::seed_from_u64(seed))).unwrap();
+        let query = algebra::parse_query(text).unwrap();
+        let direct = UEngine::new(*serving.config())
+            .evaluate(
+                &serving.database(),
+                &query,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            )
+            .unwrap();
+        assert_eq!(served.result.relation, direct.result.relation);
+        assert_eq!(served.result.errors, direct.result.errors);
+        assert_eq!(served.stats, direct.stats);
+        assert_eq!(served.database, direct.database);
+    }
+
+    /// The space cache `text`'s pooled spine entry captured.
+    fn entry_spaces(serving: &ServingEngine, text: &str) -> SpaceCache {
+        let prepared = (serving.prepare(text, serving.config, serving.config_digest)).unwrap();
+        let served = serving.state.read();
+        let entry = served.pool.entries.get(&prepared.profile.fingerprint);
+        entry.expect("pooled spine").effects.spaces.clone()
+    }
+
+    fn served_index(serving: &ServingEngine) -> Arc<SpaceIndex> {
+        let index = serving.state.read().index.clone();
+        index.expect("the served W-table compiles")
+    }
+
+    /// Holders of the served index besides the served state and `index`
+    /// itself: the compiled spaces that share it.
+    fn sharers(index: &Arc<SpaceIndex>) -> usize {
+        Arc::strong_count(index) - 2
+    }
+
+    #[test]
+    fn cold_requests_share_the_served_tables_compiled_index() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
+        let index = served_index(&serving);
+        let table = serving.database().wtable().clone();
+
+        // Two never-seen exact `conf`s over the served table: both cold
+        // starts compile nothing — each pooled entry's space shares the
+        // served index — and each keeps its lineage batch in a cache of its
+        // own.
+        assert_eq!(sharers(&index), 0);
+        let texts = ["conf(Flip)", "conf(select[Side >= 1](Flip))"];
+        let mut spaces = Vec::new();
+        for (seed, text) in texts.into_iter().enumerate() {
+            serving
+                .evaluate(text, &mut ChaCha8Rng::seed_from_u64(seed as u64))
+                .unwrap();
+            let cache = entry_spaces(&serving, text);
+            assert_eq!(cache.len(), 1, "nothing compiled beside the seed");
+            spaces.push(cache.compiled(&table).unwrap());
+        }
+        assert_eq!(serving.stats().cold_evaluations, 2);
+        assert_eq!(sharers(&index), 2);
+        assert!(!Arc::ptr_eq(&spaces[0], &spaces[1]));
+        assert!(spaces.iter().all(|space| space.lineage_len() == 1));
+        // The shared index retains no batch: a cold start over it begins
+        // with an empty lineage cache.
+        let fresh = SpaceCache::seeded(Arc::clone(&index));
+        assert_eq!(fresh.compiled(&table).unwrap().lineage_len(), 0);
+        for text in texts {
+            assert_matches_one_shot(&serving, text, 5);
+        }
+
+        // A content commit keeps the table, and so the index.
+        let old = serving.database().relation("Other").unwrap().clone();
+        let mut new = old.clone();
+        new.insert(urel::Condition::always(), tuple![3]).unwrap();
+        serving
+            .apply_deltas([("Other", old.diff(&new).unwrap())])
+            .unwrap();
+        assert!(Arc::ptr_eq(&served_index(&serving), &index));
+
+        // A database with another W-table replaces the index: the next
+        // cold request compiles against the new content.
+        let mut db = uncertain_db();
+        db.add_variable(
+            urel::Var::new("d"),
+            [(pdb::Value::Int(0), 0.25), (pdb::Value::Int(1), 0.75)],
+        )
+        .unwrap();
+        serving.set_database(db.clone()).unwrap();
+        let replaced = served_index(&serving);
+        assert!(!Arc::ptr_eq(&replaced, &index));
+        let text = "conf(select[Side >= 0](Flip))";
+        serving
+            .evaluate(text, &mut ChaCha8Rng::seed_from_u64(2))
+            .unwrap();
+        let cache = entry_spaces(&serving, text);
+        assert_eq!(cache.len(), 1, "nothing compiled beside the seed");
+        assert_eq!(
+            cache.compiled(db.wtable()).unwrap().space().num_variables(),
+            2
+        );
+        assert_eq!(sharers(&replaced), 1);
+        assert_matches_one_shot(&serving, text, 6);
+
+        // So does a restore: its cold requests use the restored table's.
+        let dir = checkpoint_dir("served-index");
+        serving.checkpoint(&dir).unwrap();
+        let restored = ServingEngine::restore(EvalConfig::exact(), &dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let restored_index = served_index(&restored);
+        assert!(!Arc::ptr_eq(&restored_index, &replaced));
+        let text = "conf(select[Side <= 0](Flip))";
+        restored
+            .evaluate(text, &mut ChaCha8Rng::seed_from_u64(3))
+            .unwrap();
+        assert_eq!(entry_spaces(&restored, text).len(), 1);
+        assert_eq!(sharers(&restored_index), 1);
+        assert_matches_one_shot(&restored, text, 7);
+    }
+
+    #[test]
+    fn a_spine_resume_over_the_post_repair_key_table_compiles_nothing() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
+        let index = served_index(&serving);
+        // One `repair-key` spine under a sampling root, then another text
+        // over the same spine with a new selection above it: a warm start
+        // over the table the spine extended.
+        let first = "aconf[0.3, 0.1](project[CoinType](repairkey[ @ Count](Coins)))";
+        let second =
+            "aconf[0.3, 0.1](project[CoinType](select[Count >= 2](repairkey[ @ Count](Coins))))";
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        serving.evaluate(first, &mut rng).unwrap();
+        let cache = entry_spaces(&serving, first);
+        let extended = serving.evaluate(first, &mut rng).unwrap().database;
+        let extended = extended.wtable().clone();
+        assert!(extended.num_variables() > index.space().num_variables());
+        let space = cache.compiled(&extended).unwrap();
+        // The cold start's seed (the served index, shared, not copied) and
+        // the extended table's space.
+        assert_eq!(cache.len(), 2);
+        assert_eq!(sharers(&index), 1);
+
+        let cold = serving.stats().cold_evaluations;
+        serving.evaluate(second, &mut rng).unwrap();
+        assert_eq!(serving.stats().cold_evaluations, cold, "a spine resume");
+        assert_eq!(cache.len(), 2, "the resume compiled nothing new");
+        assert!(Arc::ptr_eq(&cache.compiled(&extended).unwrap(), &space));
+        assert_matches_one_shot(&serving, second, 8);
     }
 
     #[test]

@@ -2,8 +2,17 @@
 //! index-based probability space the `confidence` crate estimates over,
 //! with two serving-grade caches layered on top:
 //!
-//! * a **lineage/event cache inside [`CompiledSpace`]**: the batch of DNF
-//!   events of a whole relation ([`RelationEvents`]) is extracted once,
+//! * a **[`SpaceIndex`]**, the immutable part of a compiled W-table — the
+//!   probability space and the name/value → index mappings that translate
+//!   conditions into assignments.  It is a function of the table's content
+//!   alone (Section 3's `W(Var, Dom, P)` is a relation), so it is shared
+//!   behind an `Arc`: the serving layer compiles its served table once and
+//!   seeds every cold request with it, so a cold `conf` over the served
+//!   table compiles nothing;
+//! * a **lineage/event cache inside [`CompiledSpace`]** (an index plus a
+//!   memo of its own): the batch of DNF events of a whole relation
+//!   ([`RelationEvents`]) is extracted once — from the relation's rows,
+//!   borrowed, each condition translated straight into an assignment —
 //!   **compiled into flat bit-parallel lineage programs**
 //!   ([`confidence::LineagePrograms`]) and memoised by relation content, so
 //!   repeated evaluations of a cached plan pay for estimation only — never
@@ -13,7 +22,7 @@
 //!   The key, [`URelation::content_digest`], is hashed once per content and
 //!   memoised with it, so a lookup on shared content (a pooled result and
 //!   every request resuming it) is O(1) rather than a pass over the rows;
-//! * a **[`SpaceCache`]** memoising compilation of W-table states by their
+//! * a **[`SpaceCache`]** memoising compiled spaces by their W-table's
 //!   content, so the confidence-bearing operators of one pipeline (and every
 //!   warm resume of a pooled prefix) share one compiled space instead of
 //!   recompiling per operator.
@@ -24,6 +33,7 @@ use confidence::{Assignment, DnfEvent, LineagePrograms, ProbabilitySpace, VarId}
 use pdb::{Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use urel::{Condition, URelation, Var, WTable};
 
@@ -38,18 +48,55 @@ const LINEAGE_CACHE_CAP: usize = 1024;
 /// variables then follow the sampled result.
 const SPACE_CACHE_CAP: usize = 64;
 
-/// A compiled view of a W-table: the probability space plus the name/value →
-/// index mappings needed to translate conditions into assignments, plus a
-/// content-addressed cache of per-relation lineage batches.
-pub struct CompiledSpace {
-    /// The table this space was compiled from (a pointer copy): what a
+/// The immutable part of a compiled W-table: the probability space plus
+/// the name/value → index mappings needed to translate conditions into
+/// assignments.  Variable ids follow the table's variable order.
+pub(crate) struct SpaceIndex {
+    /// The table this index was compiled from (a pointer copy): what a
     /// [`SpaceCache`] hit is checked against.
     wtable: WTable,
     space: ProbabilitySpace,
-    /// Variable name → its index and its domain values, sorted, each with
-    /// its alternative's index: one hash lookup and one binary search per
-    /// literal of a condition.
-    vars: HashMap<Var, (VarId, Vec<(Value, usize)>)>,
+    /// Variable name → its index and the range of its domain in `alts`:
+    /// one hash lookup and one binary search per literal of a condition.
+    vars: HashMap<Var, (VarId, Range<usize>)>,
+    /// Every variable's domain values, each variable's run sorted, with
+    /// the alternative's index: one buffer for the whole table.
+    alts: Vec<(Value, usize)>,
+}
+
+impl SpaceIndex {
+    /// Compiles a W-table in one pass over its variables.
+    pub(crate) fn compile(wtable: &WTable) -> Result<SpaceIndex> {
+        let mut space = ProbabilitySpace::new();
+        let mut vars = HashMap::with_capacity(wtable.num_variables());
+        let mut alts = Vec::with_capacity(2 * wtable.num_variables());
+        for (var, dist) in wtable.iter() {
+            let id = space.add_variable(dist.iter().map(|(_, p)| *p).collect())?;
+            let start = alts.len();
+            alts.extend(dist.iter().map(|(value, _)| value.clone()).zip(0..));
+            alts[start..].sort_unstable();
+            vars.insert(var.clone(), (id, start..alts.len()));
+        }
+        Ok(SpaceIndex {
+            wtable: wtable.clone(),
+            space,
+            vars,
+            alts,
+        })
+    }
+
+    /// The index-based probability space.
+    pub(crate) fn space(&self) -> &ProbabilitySpace {
+        &self.space
+    }
+}
+
+/// A compiled view of a W-table: its immutable part (probability space and
+/// translation maps), shared behind an `Arc` by every compiled space over
+/// the same table content, plus a content-addressed cache of per-relation
+/// lineage batches of its own.
+pub struct CompiledSpace {
+    index: Arc<SpaceIndex>,
     /// [`URelation::content_digest`] → extracted event batch.
     /// Content-addressed, so the cache stays correct no matter who shares
     /// this compiled space; keying by digest instead of a relation clone
@@ -63,7 +110,7 @@ pub struct CompiledSpace {
 impl fmt::Debug for CompiledSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledSpace")
-            .field("space", &self.space)
+            .field("space", self.space())
             .field("cached_relations", &self.lineage_len())
             .finish()
     }
@@ -125,31 +172,22 @@ impl RelationEvents {
 impl CompiledSpace {
     /// Compiles a W-table.
     pub fn compile(wtable: &WTable) -> Result<CompiledSpace> {
-        let mut space = ProbabilitySpace::new();
-        let mut vars = HashMap::new();
-        for (var, dist) in wtable.iter() {
-            let probs: Vec<f64> = dist.iter().map(|(_, p)| *p).collect();
-            let id = space.add_variable(probs)?;
-            let mut alts: Vec<(Value, usize)> = dist
-                .iter()
-                .map(|(value, _)| value.clone())
-                .zip(0..)
-                .collect();
-            alts.sort_unstable();
-            vars.insert(var.clone(), (id, alts));
-        }
-        Ok(CompiledSpace {
-            wtable: wtable.clone(),
-            space,
-            vars,
+        Ok(CompiledSpace::over(Arc::new(SpaceIndex::compile(wtable)?)))
+    }
+
+    /// A compiled space over an already compiled index, with an empty
+    /// lineage cache of its own.
+    pub(crate) fn over(index: Arc<SpaceIndex>) -> CompiledSpace {
+        CompiledSpace {
+            index,
             lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
             lineage_hits: std::sync::atomic::AtomicU64::new(0),
-        })
+        }
     }
 
     /// The index-based probability space.
     pub fn space(&self) -> &ProbabilitySpace {
-        &self.space
+        self.index.space()
     }
 
     /// The whole lineage batch of a relation — [`URelation::tuple_events`]
@@ -157,7 +195,9 @@ impl CompiledSpace {
     /// programs — memoised by relation content, so a warm re-execution of a
     /// cached plan never re-extracts, re-translates, or re-compiles.  The
     /// cache key is the relation's memoised content digest: hashed once per
-    /// content, then O(1) for every clone that shares it.
+    /// content, then O(1) for every clone that shares it.  Extraction
+    /// borrows the rows: each condition is translated where it lies, and
+    /// each distinct tuple is cloned once, into the batch.
     pub fn relation_events(&self, relation: &URelation) -> Result<Arc<RelationEvents>> {
         let digest = relation.content_digest();
         if let Some(hit) = self.lineage.lock().get(&digest) {
@@ -168,12 +208,12 @@ impl CompiledSpace {
         let batch = relation.tuple_events();
         let mut tuples = Vec::with_capacity(batch.len());
         let mut events = Vec::with_capacity(batch.len());
-        for (t, conditions) in batch {
-            events.push(self.event(&conditions)?);
-            tuples.push(t);
+        for (t, conditions) in batch.iter() {
+            events.push(self.event(conditions)?);
+            tuples.push(t.clone());
         }
         let programs = Arc::new(
-            LineagePrograms::compile(events, &self.space).map_err(EngineError::Confidence)?,
+            LineagePrograms::compile(events, self.space()).map_err(EngineError::Confidence)?,
         );
         let entry = Arc::new(RelationEvents { tuples, programs });
         let mut guard = self.lineage.lock();
@@ -204,9 +244,10 @@ impl CompiledSpace {
     pub fn assignment(&self, condition: &Condition) -> Result<Assignment> {
         let mut pairs = Vec::with_capacity(condition.len());
         for (var, value) in condition.iter() {
-            let (var_id, alts) = self.vars.get(var).ok_or_else(|| {
+            let (var_id, range) = self.index.vars.get(var).ok_or_else(|| {
                 EngineError::Urel(urel::UrelError::UnknownVariable(var.name().to_owned()))
             })?;
+            let alts = &self.index.alts[range.clone()];
             let at = alts.binary_search_by(|(v, _)| v.cmp(value)).map_err(|_| {
                 EngineError::Urel(urel::UrelError::UnknownDomainValue {
                     var: var.name().to_owned(),
@@ -219,9 +260,14 @@ impl CompiledSpace {
     }
 
     /// Translates a DNF of conditions (the event under which a tuple belongs
-    /// to a relation) into an index-based [`DnfEvent`].
-    pub fn event(&self, conditions: &[Condition]) -> Result<DnfEvent> {
-        let mut terms = Vec::with_capacity(conditions.len());
+    /// to a relation) into an index-based [`DnfEvent`], one term per
+    /// condition, in order.
+    pub fn event<'c>(
+        &self,
+        conditions: impl IntoIterator<Item = &'c Condition>,
+    ) -> Result<DnfEvent> {
+        let conditions = conditions.into_iter();
+        let mut terms = Vec::with_capacity(conditions.size_hint().0);
         for c in conditions {
             terms.push(self.assignment(c)?);
         }
@@ -246,13 +292,7 @@ pub struct SpaceCache {
 
 impl Default for SpaceCache {
     fn default() -> Self {
-        SpaceCache {
-            inner: Arc::new(OrderedMutex::new(
-                LockRank::SpaceCache,
-                "space.cache",
-                Vec::new(),
-            )),
-        }
+        SpaceCache::from_spaces(Vec::new())
     }
 }
 
@@ -260,6 +300,23 @@ impl SpaceCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         SpaceCache::default()
+    }
+
+    /// A cache holding one compiled space over `index` with an empty
+    /// lineage cache: a lookup of the index's table compiles nothing, and
+    /// the batches extracted through it stay this cache's own.
+    pub(crate) fn seeded(index: Arc<SpaceIndex>) -> Self {
+        SpaceCache::from_spaces(vec![Arc::new(CompiledSpace::over(index))])
+    }
+
+    fn from_spaces(spaces: Vec<Arc<CompiledSpace>>) -> Self {
+        SpaceCache {
+            inner: Arc::new(OrderedMutex::new(
+                LockRank::SpaceCache,
+                "space.cache",
+                spaces,
+            )),
+        }
     }
 
     /// The compiled space for the W-table's current content, compiling at
@@ -296,9 +353,10 @@ impl SpaceCache {
 /// The cached space compiled from `wtable`'s content: pointer matches
 /// first, content comparisons only when none matches.
 fn find(spaces: &[Arc<CompiledSpace>], wtable: &WTable) -> Option<Arc<CompiledSpace>> {
-    (spaces.iter().find(|s| s.wtable.shares_content(wtable)))
-        .or_else(|| spaces.iter().find(|s| s.wtable == *wtable))
-        .cloned()
+    let by_pointer = spaces
+        .iter()
+        .find(|s| s.index.wtable.shares_content(wtable));
+    (by_pointer.or_else(|| spaces.iter().find(|s| s.index.wtable == *wtable))).cloned()
 }
 
 #[cfg(test)]
@@ -401,9 +459,9 @@ mod tests {
         // The batch matches the per-tuple extraction.
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
-        for (t, conditions) in rel.tuple_events() {
-            let expected = cs.event(&conditions).unwrap();
-            assert_eq!(a.event_of(&t), Some(&expected));
+        for (t, conditions) in rel.tuple_events().iter() {
+            let expected = cs.event(conditions).unwrap();
+            assert_eq!(a.event_of(t), Some(&expected));
         }
         assert_eq!(a.tuples().len(), a.events().len());
         assert!(a.event_of(&tuple!["3sided"]).is_none());
@@ -453,6 +511,153 @@ mod tests {
             cache.compiled(&fresh).unwrap();
         }
         assert!(cache.len() <= SPACE_CACHE_CAP);
+    }
+
+    /// The extraction [`CompiledSpace::relation_events`] replaced, kept as
+    /// the bit-identity reference: the space compiled with one sorted
+    /// alternative `Vec` per variable, and every row's tuple and condition
+    /// cloned into per-tuple vectors before translation.
+    fn cloned_reference(
+        wtable: &WTable,
+        relation: &URelation,
+    ) -> (ProbabilitySpace, Vec<Tuple>, Vec<DnfEvent>) {
+        let mut space = ProbabilitySpace::new();
+        let mut vars = HashMap::new();
+        for (var, dist) in wtable.iter() {
+            let id = (space.add_variable(dist.iter().map(|(_, p)| *p).collect())).unwrap();
+            let mut alts: Vec<(Value, usize)> = dist
+                .iter()
+                .map(|(value, _)| value.clone())
+                .zip(0..)
+                .collect();
+            alts.sort_unstable();
+            vars.insert(var.clone(), (id, alts));
+        }
+        let mut rows: Vec<&urel::URow> = relation.iter().collect();
+        rows.sort_by(|a, b| a.tuple.cmp(&b.tuple));
+        let batch: Vec<(Tuple, Vec<Condition>)> = (rows.chunk_by(|a, b| a.tuple == b.tuple))
+            .map(|group| {
+                let conditions = group.iter().map(|row| row.condition.clone()).collect();
+                (group[0].tuple.clone(), conditions)
+            })
+            .collect();
+        let (mut tuples, mut events) = (Vec::new(), Vec::new());
+        for (t, conditions) in batch {
+            let terms = conditions.iter().map(|c| {
+                let pairs = c.iter().map(|(var, value)| {
+                    let (id, alts) = &vars[var];
+                    let at = alts.binary_search_by(|(v, _)| v.cmp(value)).unwrap();
+                    (*id, alts[at].1)
+                });
+                Assignment::new(pairs).unwrap()
+            });
+            events.push(DnfEvent::new(terms.collect::<Vec<_>>()));
+            tuples.push(t);
+        }
+        (space, tuples, events)
+    }
+
+    /// Domain values across variants, so a variable's sorted alternatives
+    /// differ from its declaration order.
+    fn domain_value(i: usize) -> Value {
+        [
+            Value::Int(3),
+            Value::str("H"),
+            Value::Int(-1),
+            Value::float(0.5),
+        ][i % 4]
+            .clone()
+    }
+
+    /// Variable names whose byte order differs from their declaration order.
+    const NAMES: [&str; 5] = ["x2", "x10", "a", "x1", "b0"];
+
+    /// A W-table with one variable per weight list (alternative
+    /// probabilities proportional to the weights), and a relation over it:
+    /// each row a tuple with the literals `(variable, alternative)` that
+    /// name a variable not named before in the row.
+    fn build_case(weights: &[Vec<u8>], rows: &[(Vec<(usize, usize)>, i64)]) -> (WTable, URelation) {
+        use pdb::{schema, tuple};
+        let mut w = WTable::new();
+        for (name, alts) in NAMES.iter().zip(weights) {
+            let total: f64 = alts.iter().map(|&x| f64::from(x)).sum();
+            let dist =
+                (alts.iter().enumerate()).map(|(i, &x)| (domain_value(i), f64::from(x) / total));
+            w.add_variable(Var::new(name), dist).unwrap();
+        }
+        let mut rel = URelation::empty(schema!["T"]);
+        for (literals, t) in rows {
+            let mut pairs: Vec<(Var, Value)> = Vec::new();
+            for &(v, a) in literals {
+                let v = v % weights.len();
+                if pairs.iter().all(|(var, _)| var.name() != NAMES[v]) {
+                    pairs.push((Var::new(NAMES[v]), domain_value(a % weights[v].len())));
+                }
+            }
+            rel.insert(Condition::new(pairs).unwrap(), tuple![*t])
+                .unwrap();
+        }
+        (w, rel)
+    }
+
+    /// `relation_events` against [`cloned_reference`]: equal tuples, equal
+    /// events, and exact probabilities equal bit for bit.
+    fn assert_matches_reference(
+        wtable: &WTable,
+        relation: &URelation,
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prop_assert_eq;
+        let cs = CompiledSpace::compile(wtable).unwrap();
+        let batch = cs.relation_events(relation).unwrap();
+        let (space, tuples, events) = cloned_reference(wtable, relation);
+        prop_assert_eq!(cs.space(), &space);
+        prop_assert_eq!(batch.tuples(), &tuples[..]);
+        prop_assert_eq!(batch.events(), &events[..]);
+        let reference = LineagePrograms::compile(events, &space).unwrap();
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(batch.programs().exact_probabilities().unwrap()),
+            bits(reference.exact_probabilities().unwrap())
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Random relations — 1–5 variables of 1–4 alternatives, rows of
+        /// 0–3 literals over tuples from a domain of four, so tuples repeat
+        /// under several conditions — over a random table and over the
+        /// table a `repair-key` extended it to.
+        #[test]
+        fn relation_events_match_the_cloning_reference(
+            weights in proptest::collection::vec(proptest::collection::vec(1u8..10, 1..5), 1..6),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec((0usize..5, 0usize..4), 0..4), 0i64..4),
+                0..24,
+            ),
+            keyed in proptest::collection::vec((0i64..3, 0i64..4, 1i64..5), 1..10),
+        ) {
+            use pdb::{schema, tuple, Relation};
+            use rand::SeedableRng;
+            let (wtable, rel) = build_case(&weights, &rows);
+            assert_matches_reference(&wtable, &rel)?;
+
+            // `project[V](repairkey[K @ W](R))`: one variable per key,
+            // and tuples of V that several keys' alternatives produce.
+            let keyed = keyed.iter().map(|&(k, v, w)| tuple![k, v, w]);
+            let r = Relation::new(schema!["K", "V", "W"], keyed).unwrap();
+            let mut db = urel::UDatabase::from_complete_relations([("R", r)]);
+            *db.wtable_mut() = wtable;
+            let query = algebra::parse_query("project[V](repairkey[K @ W](R))").unwrap();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+            let out = crate::UEngine::new(crate::EvalConfig::exact())
+                .evaluate(&db, &query, &mut rng)
+                .unwrap();
+            let extended = out.database.wtable();
+            assert_matches_reference(extended, &out.result.relation)?;
+            assert_matches_reference(extended, &rel)?;
+        }
     }
 
     #[test]

@@ -74,6 +74,6 @@ pub use convert::{
 pub use delta::RelationDelta;
 pub use error::{Result, UrelError};
 pub use udb::UDatabase;
-pub use urelation::{URelation, URow};
+pub use urelation::{TupleEvents, URelation, URow};
 pub use variable::Var;
 pub use wtable::{WTable, WTABLE_TOLERANCE};

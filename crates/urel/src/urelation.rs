@@ -309,22 +309,20 @@ impl URelation {
     }
 
     /// Batch form of [`conditions_for`](URelation::conditions_for): every
-    /// distinct data tuple paired with its DNF, in canonical tuple order (the
-    /// same order as [`possible_tuples`](URelation::possible_tuples)).
+    /// distinct data tuple with the conditions of its rows, in canonical
+    /// tuple order (the same order as
+    /// [`possible_tuples`](URelation::possible_tuples)), all borrowed from
+    /// the relation.
     ///
-    /// One stable sort of the rows by tuple instead of one pass per tuple,
-    /// which is what the engine's batched confidence operators consume.  A
-    /// tuple's conditions keep canonical row order, and each distinct tuple
-    /// is cloned once.
-    pub fn tuple_events(&self) -> Vec<(Tuple, Vec<Condition>)> {
+    /// One stable sort of row references by tuple instead of one pass per
+    /// tuple, which is what the engine's batched confidence operators
+    /// consume.  A tuple's conditions keep canonical row order, and nothing
+    /// is cloned: a caller that keeps a tuple clones it once.
+    pub fn tuple_events(&self) -> TupleEvents<'_> {
         let mut rows: Vec<&URow> = self.iter().collect();
         rows.sort_by(|a, b| a.tuple.cmp(&b.tuple));
-        rows.chunk_by(|a, b| a.tuple == b.tuple)
-            .map(|group| {
-                let conditions = group.iter().map(|row| row.condition.clone()).collect();
-                (group[0].tuple.clone(), conditions)
-            })
-            .collect()
+        let tuples = rows.chunk_by(|a, b| a.tuple == b.tuple).count();
+        TupleEvents { rows, tuples }
     }
 
     /// Splits the relation into at most `chunks` partitions of near-equal
@@ -445,6 +443,38 @@ impl URelation {
     }
 }
 
+/// The rows of a [`URelation`] grouped by data tuple: what
+/// [`URelation::tuple_events`] returns.
+pub struct TupleEvents<'a> {
+    /// Row references, stably sorted by tuple.
+    rows: Vec<&'a URow>,
+    /// Number of distinct tuples.
+    tuples: usize,
+}
+
+impl<'a> TupleEvents<'a> {
+    /// Every distinct tuple with the conditions of its rows — the DNF of
+    /// its event — in canonical tuple order; each tuple's conditions in
+    /// canonical row order.
+    pub fn iter(
+        &self,
+    ) -> impl Iterator<Item = (&'a Tuple, impl ExactSizeIterator<Item = &'a Condition> + '_)> + '_
+    {
+        (self.rows.chunk_by(|a, b| a.tuple == b.tuple))
+            .map(|group| (&group[0].tuple, group.iter().map(|row| &row.condition)))
+    }
+
+    /// Number of distinct tuples.
+    pub fn len(&self) -> usize {
+        self.tuples
+    }
+
+    /// True if the relation has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.tuples == 0
+    }
+}
+
 impl fmt::Display for URelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "U{} [D | data]", self.schema())?;
@@ -562,11 +592,20 @@ mod tests {
         let batch = u.tuple_events();
         let poss = u.possible_tuples();
         assert_eq!(batch.len(), poss.len());
+        assert_eq!(batch.iter().count(), poss.len());
         for ((t, conditions), expected) in batch.iter().zip(poss.iter()) {
             assert_eq!(t, expected, "batch order must match possible_tuples");
-            assert_eq!(conditions, &u.conditions_for(t));
+            assert!(conditions.eq(&u.conditions_for(t)));
         }
         assert!(batch.iter().any(|(_, c)| c.len() == 2));
+        // The grouping borrows: every tuple and condition is a row's own.
+        for (t, mut conditions) in batch.iter() {
+            assert!(u.iter().any(|row| std::ptr::eq(&row.tuple, t)));
+            assert!(conditions.all(|c| u.iter().any(|row| std::ptr::eq(&row.condition, c))));
+        }
+        let empty = URelation::empty(schema!["CoinType"]);
+        assert!(empty.tuple_events().is_empty());
+        assert_eq!(empty.tuple_events().iter().count(), 0);
     }
 
     #[test]

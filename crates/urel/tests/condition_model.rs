@@ -225,7 +225,11 @@ proptest! {
                 prop_assert_eq!(relation_bytes(&bulk), relation_bytes(&reference));
                 let events = expected_events(&reference);
                 prop_assert!(bulk.possible_tuples().iter().eq(events.iter().map(|(t, _)| t)));
-                prop_assert_eq!(bulk.tuple_events(), events);
+                let grouped: Vec<(Tuple, Vec<Condition>)> = (bulk.tuple_events().iter())
+                    .map(|(t, conditions)| (t.clone(), conditions.cloned().collect()))
+                    .collect();
+                prop_assert_eq!(bulk.tuple_events().len(), events.len());
+                prop_assert_eq!(grouped, events);
             }
             Err(e) => prop_assert_eq!(bulk.err(), Some(e)),
         }

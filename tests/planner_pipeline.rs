@@ -170,7 +170,7 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
         .relation;
     let prob_idx = out.result.relation.schema().arity() - 1;
 
-    let tuple_events = relation.tuple_events();
+    let batch = relation.tuple_events();
     let result_tuples: Vec<Tuple> = out
         .result
         .relation
@@ -178,9 +178,8 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
         .iter()
         .cloned()
         .collect();
-    assert_eq!(result_tuples.len(), tuple_events.len());
-    let events: Vec<_> = tuple_events
-        .iter()
+    assert_eq!(result_tuples.len(), batch.len());
+    let events: Vec<_> = (batch.iter())
         .map(|(_, conditions)| compiled.event(conditions).unwrap())
         .collect();
     assert!(
@@ -199,7 +198,7 @@ fn batched_parallel_confidence_matches_the_sequential_path() {
             .collect()
     };
     let estimates = sequential(master_seed);
-    for (((t, _), out_t), estimate) in tuple_events.iter().zip(&result_tuples).zip(&estimates) {
+    for (((t, _), out_t), estimate) in batch.iter().zip(&result_tuples).zip(&estimates) {
         assert_eq!(
             out_t[prob_idx],
             Value::float(*estimate),
