@@ -22,13 +22,23 @@ pub const DISTRIBUTION_TOLERANCE: f64 = 1e-9;
 /// A finite set of independent discrete random variables, each with a
 /// probability per alternative.
 ///
-/// The distributions sit behind one [`Arc`], so a clone — every compiled
-/// batch keeps one — is a pointer copy; [`ProbabilitySpace::add_variable`]
-/// copies them first only while a clone shares them.
+/// The distributions are one flat buffer — every variable's run of
+/// alternative probabilities, in id order — behind one [`Arc`], so a clone
+/// (every compiled batch keeps one) is a pointer copy, and declaring a
+/// variable allocates nothing of its own;
+/// [`ProbabilitySpace::add_variable`] copies the buffer first only while a
+/// clone shares it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProbabilitySpace {
-    /// `dists[v][a]` is `Pr[X_v = a]`.
-    dists: Arc<Vec<Vec<f64>>>,
+    dists: Arc<Distributions>,
+}
+
+/// The distributions of a [`ProbabilitySpace`]: `Pr[X_v = a]` is
+/// `probabilities[ends[v - 1] + a]` (`ends[-1]` read as 0).
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Distributions {
+    probabilities: Vec<f64>,
+    ends: Vec<usize>,
 }
 
 impl ProbabilitySpace {
@@ -37,31 +47,36 @@ impl ProbabilitySpace {
         ProbabilitySpace::default()
     }
 
+    /// An empty space with room for `variables` variables of
+    /// `alternatives` alternatives in total.
+    pub fn with_capacity(variables: usize, alternatives: usize) -> Self {
+        ProbabilitySpace {
+            dists: Arc::new(Distributions {
+                probabilities: Vec::with_capacity(alternatives),
+                ends: Vec::with_capacity(variables),
+            }),
+        }
+    }
+
     /// Adds a variable with the given per-alternative probabilities, which
     /// must be strictly positive and sum to 1.
     pub fn add_variable(&mut self, probabilities: Vec<f64>) -> Result<VarId> {
-        if probabilities.is_empty() {
-            return Err(ConfidenceError::InvalidDistribution(
-                "a variable needs at least one alternative".into(),
-            ));
-        }
-        let mut total = 0.0;
-        for &p in &probabilities {
-            if !p.is_finite() || p <= 0.0 {
-                return Err(ConfidenceError::InvalidDistribution(format!(
-                    "probability {p} is not in (0, 1]"
-                )));
-            }
-            total += p;
-        }
-        if (total - 1.0).abs() > DISTRIBUTION_TOLERANCE {
-            return Err(ConfidenceError::InvalidDistribution(format!(
-                "probabilities sum to {total}, expected 1"
-            )));
-        }
+        self.push_variable(probabilities)
+    }
+
+    /// [`add_variable`](ProbabilitySpace::add_variable) from any sequence
+    /// of probabilities, appended straight to the space's buffer: same
+    /// checks, same errors, and nothing added on error.
+    pub fn push_variable(&mut self, probabilities: impl IntoIterator<Item = f64>) -> Result<VarId> {
         let dists = Arc::make_mut(&mut self.dists);
-        dists.push(probabilities);
-        Ok(dists.len() - 1)
+        let start = dists.probabilities.len();
+        dists.probabilities.extend(probabilities);
+        if let Err(e) = check_distribution(&dists.probabilities[start..]) {
+            dists.probabilities.truncate(start);
+            return Err(e);
+        }
+        dists.ends.push(dists.probabilities.len());
+        Ok(dists.ends.len() - 1)
     }
 
     /// Adds a Boolean variable: alternative 0 is "true" with probability `p`,
@@ -77,23 +92,17 @@ impl ProbabilitySpace {
 
     /// Number of variables.
     pub fn num_variables(&self) -> usize {
-        self.dists.len()
+        self.dists.ends.len()
     }
 
     /// Number of alternatives of variable `var`.
     pub fn num_alternatives(&self, var: VarId) -> Result<usize> {
-        self.dists
-            .get(var)
-            .map(Vec::len)
-            .ok_or(ConfidenceError::UnknownVariable(var))
+        self.distribution(var).map(<[f64]>::len)
     }
 
     /// `Pr[X_var = alt]`.
     pub fn probability(&self, var: VarId, alt: AltId) -> Result<f64> {
-        let dist = self
-            .dists
-            .get(var)
-            .ok_or(ConfidenceError::UnknownVariable(var))?;
+        let dist = self.distribution(var)?;
         dist.get(alt)
             .copied()
             .ok_or(ConfidenceError::UnknownAlternative { var, alt })
@@ -101,10 +110,13 @@ impl ProbabilitySpace {
 
     /// The full distribution of variable `var`.
     pub fn distribution(&self, var: VarId) -> Result<&[f64]> {
-        self.dists
+        let dists = &*self.dists;
+        let end = *dists
+            .ends
             .get(var)
-            .map(Vec::as_slice)
-            .ok_or(ConfidenceError::UnknownVariable(var))
+            .ok_or(ConfidenceError::UnknownVariable(var))?;
+        let start = var.checked_sub(1).map_or(0, |prev| dists.ends[prev]);
+        Ok(&dists.probabilities[start..end])
     }
 
     /// Number of total assignments over the given variables.
@@ -115,6 +127,31 @@ impl ProbabilitySpace {
         }
         Ok(n)
     }
+}
+
+/// A distribution's checks: at least one alternative, every probability
+/// in `(0, 1]`, and a sum within [`DISTRIBUTION_TOLERANCE`] of 1.
+fn check_distribution(probabilities: &[f64]) -> Result<()> {
+    if probabilities.is_empty() {
+        return Err(ConfidenceError::InvalidDistribution(
+            "a variable needs at least one alternative".into(),
+        ));
+    }
+    let mut total = 0.0;
+    for &p in probabilities {
+        if !p.is_finite() || p <= 0.0 {
+            return Err(ConfidenceError::InvalidDistribution(format!(
+                "probability {p} is not in (0, 1]"
+            )));
+        }
+        total += p;
+    }
+    if (total - 1.0).abs() > DISTRIBUTION_TOLERANCE {
+        return Err(ConfidenceError::InvalidDistribution(format!(
+            "probabilities sum to {total}, expected 1"
+        )));
+    }
+    Ok(())
 }
 
 /// A partial assignment `f : Var → Dom`, the building block of DNF events.

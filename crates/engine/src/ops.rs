@@ -7,6 +7,7 @@ use crate::error::{EngineError, Result};
 use algebra::{Predicate, ProjItem};
 use pdb::{Schema, Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use urel::{Condition, URelation, URow};
 
 /// Merges per-chunk operator outputs; set semantics make the merged relation
@@ -128,28 +129,60 @@ impl JoinShape {
     }
 }
 
+/// The build side of a `⋈`: a relation's rows by the values of their
+/// join-key columns, each with its condition and the projection of its
+/// tuple onto the remaining columns.
+pub(crate) struct KeyedRows {
+    key: Vec<usize>,
+    rest: Vec<usize>,
+    /// Join key → the matching rows' conditions and rest-tuples.  Lookup
+    /// only; output order comes from the set build.
+    rows: HashMap<Tuple, Vec<(Condition, Tuple)>>,
+}
+
+impl KeyedRows {
+    fn build(relation: &URelation, key: &[usize], rest: &[usize]) -> KeyedRows {
+        let mut rows: HashMap<Tuple, Vec<(Condition, Tuple)>> = HashMap::new();
+        for r in relation.iter() {
+            rows.entry(r.tuple.project(key))
+                .or_default()
+                .push((r.condition.clone(), r.tuple.project(rest)));
+        }
+        KeyedRows {
+            key: key.to_vec(),
+            rest: rest.to_vec(),
+            rows,
+        }
+    }
+}
+
 /// The right side of a `⋈`, indexed by join key: built once, then probed
 /// read-only by the left side — whole, or chunk by chunk (concurrently) when
 /// the executor partitions it.  Each left row costs one key lookup instead
 /// of a right-side scan, whatever the input sizes.
-pub(crate) struct JoinIndex<'r> {
+pub(crate) struct JoinIndex {
     shape: JoinShape,
-    /// Join key → the matching right rows' conditions and projected
-    /// rest-tuples.  Lookup only; output order comes from the set build.
-    index: HashMap<Tuple, Vec<(&'r Condition, Tuple)>>,
+    right: Arc<KeyedRows>,
 }
 
-impl<'r> JoinIndex<'r> {
-    pub(crate) fn build(left: &Schema, right: &'r URelation) -> Result<JoinIndex<'r>> {
+impl JoinIndex {
+    /// Indexes `right` for probes by rows of the `left` schema.  With
+    /// `memoise` the keyed rows are kept with `right`'s content
+    /// ([`URelation::derived`]) — for a scanned relation, so every join
+    /// over the same served content shares one index and a commit's new
+    /// content builds its own.  A memo keyed on other columns is left as
+    /// it is.
+    pub(crate) fn build(left: &Schema, right: &URelation, memoise: bool) -> Result<JoinIndex> {
         let shape = JoinShape::new(left, right.schema())?;
-        let mut index: HashMap<Tuple, Vec<(&Condition, Tuple)>> = HashMap::new();
-        for r in right.iter() {
-            index
-                .entry(r.tuple.project(&shape.right_key))
-                .or_default()
-                .push((&r.condition, r.tuple.project(&shape.right_rest)));
-        }
-        Ok(JoinIndex { shape, index })
+        let fresh = |r: &URelation| KeyedRows::build(r, &shape.right_key, &shape.right_rest);
+        let keyed = match memoise.then(|| right.derived(fresh)) {
+            Some(memo) if memo.key == shape.right_key && memo.rest == shape.right_rest => memo,
+            _ => Arc::new(fresh(right)),
+        };
+        Ok(JoinIndex {
+            shape,
+            right: keyed,
+        })
     }
 
     /// Joins `left` (the whole left side or one chunk of it) against the
@@ -157,10 +190,11 @@ impl<'r> JoinIndex<'r> {
     pub(crate) fn probe(&self, left: &URelation) -> Result<URelation> {
         let mut rows = Vec::new();
         for l in left.iter() {
-            let Some(matches) = self.index.get(&l.tuple.project(&self.shape.left_key)) else {
+            let key = l.tuple.project(&self.shape.left_key);
+            let Some(matches) = self.right.rows.get(&key) else {
                 continue;
             };
-            for &(r_cond, ref r_rest) in matches {
+            for (r_cond, r_rest) in matches {
                 let Some(condition) = l.condition.merge(r_cond) else {
                     continue;
                 };
@@ -175,12 +209,19 @@ impl<'r> JoinIndex<'r> {
             rows,
         )?)
     }
+
+    /// The keyed rows probed (test hook: memo sharing is a pointer
+    /// comparison).
+    #[cfg(test)]
+    pub(crate) fn keyed_rows(&self) -> &Arc<KeyedRows> {
+        &self.right
+    }
 }
 
 /// `⋈`: natural join on shared attribute names, merging conditions (the
 /// right side is indexed by join key once and probed by every left row).
 pub fn natural_join(left: &URelation, right: &URelation) -> Result<URelation> {
-    JoinIndex::build(left.schema(), right)?.probe(left)
+    JoinIndex::build(left.schema(), right, false)?.probe(left)
 }
 
 /// How many chunks to split an operator input into: the sharding gate's
@@ -378,7 +419,7 @@ mod tests {
     /// The executor's chunked form of a join: one index, one probe per
     /// left chunk, merged.
     fn chunked_join(left: &URelation, right: &URelation, chunks: usize) -> URelation {
-        let index = JoinIndex::build(left.schema(), right).unwrap();
+        let index = JoinIndex::build(left.schema(), right, false).unwrap();
         merge_chunks(
             left.partition(chunks)
                 .iter()
@@ -514,5 +555,64 @@ mod tests {
         .unwrap();
         assert_eq!(s.len(), 1);
         assert!(s.possible_tuples().contains(&tuple!["2headed", "H", 1.0]));
+    }
+
+    /// A relation over `schema` from `(a, b, c)` rows: integer columns
+    /// `a`, `b`, then `c` for a third column, under no condition (`c` 0) or
+    /// `v = c`.
+    fn keyed_relation(schema: Schema, rows: &[(i64, i64, i64)]) -> URelation {
+        let mut rel = URelation::empty(schema.clone());
+        for &(a, b, c) in rows {
+            let values = [a, b, c].into_iter().take(schema.arity()).map(Value::Int);
+            let condition = match c {
+                0 => Condition::always(),
+                c => Condition::new([(Var::new("v"), Value::Int(c))]).unwrap(),
+            };
+            rel.insert(condition, Tuple::new(values.collect())).unwrap();
+        }
+        rel
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// Joins probing a memoised index of the right side against fresh
+        /// ones and the nested-loop reference, for left sides keyed on
+        /// both, one or none of the right side's first two columns: equal
+        /// output; the memo shared by every build of its key, dropped by an
+        /// edit, and never used for another key.
+        #[test]
+        fn a_memoised_join_index_matches_a_fresh_one(
+            right_rows in proptest::collection::vec((0i64..4, 0i64..3, 0i64..3), 0..16),
+            left_rows in proptest::collection::vec((0i64..4, 0i64..3, 0i64..3), 0..16),
+            first in 0usize..3,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut right = keyed_relation(schema!["K", "W", "B"], &right_rows);
+            let lefts = [schema!["K", "W"], schema!["K", "X"], schema!["Y"]];
+            // The first left schema built decides the memo's key.
+            let order = (0..3).map(|i| &lefts[(first + i) % 3]);
+            let mut memo = None;
+            for schema in order {
+                let left = keyed_relation(schema.clone(), &left_rows);
+                let memoised = JoinIndex::build(schema, &right, true).unwrap();
+                let fresh = JoinIndex::build(schema, &right, false).unwrap();
+                let reference = natural_join_nested_loop(&left, &right).unwrap();
+                prop_assert_eq!(memoised.probe(&left).unwrap(), fresh.probe(&left).unwrap());
+                prop_assert_eq!(memoised.probe(&left).unwrap(), reference);
+                let again = JoinIndex::build(schema, &right.clone(), true).unwrap();
+                let kept = Arc::ptr_eq(memoised.keyed_rows(), again.keyed_rows());
+                prop_assert_eq!(kept, memo.is_none());
+                prop_assert!(!Arc::ptr_eq(fresh.keyed_rows(), memoised.keyed_rows()));
+                memo = memo.or(Some(Arc::clone(memoised.keyed_rows())));
+            }
+            let memo = memo.unwrap();
+            right.insert(Condition::always(), tuple![9, 9, 9]).unwrap();
+            let schema = &lefts[first];
+            let edited = JoinIndex::build(schema, &right, true).unwrap();
+            prop_assert!(!Arc::ptr_eq(edited.keyed_rows(), &memo));
+            let left = keyed_relation(schema.clone(), &left_rows);
+            prop_assert_eq!(edited.probe(&left).unwrap(), natural_join_nested_loop(&left, &right).unwrap());
+        }
     }
 }

@@ -87,6 +87,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use urel::{Condition, UDatabase, URelation, URow, Var, WTable};
 
 /// Minimum number of input rows before an operator is worth chunking.
@@ -200,7 +201,11 @@ pub enum PhysicalOp {
     /// Cartesian product `×`.
     Product,
     /// Natural join `⋈`.
-    NaturalJoin,
+    NaturalJoin {
+        /// True if the build (right) side is a scan: its join index is
+        /// then memoised with the scanned relation's content.
+        scanned_build: bool,
+    },
     /// Union `∪`.
     Union,
     /// Difference; the unchecked `−` form verifies completeness at runtime
@@ -255,7 +260,7 @@ impl PhysicalOp {
             PhysicalOp::Extend { .. } => "extend",
             PhysicalOp::Rename { .. } => "rename",
             PhysicalOp::Product => "product",
-            PhysicalOp::NaturalJoin => "join",
+            PhysicalOp::NaturalJoin { .. } => "join",
             PhysicalOp::Union => "union",
             PhysicalOp::Difference { checked: true } => "diffc",
             PhysicalOp::Difference { checked: false } => "diff",
@@ -276,7 +281,7 @@ impl PhysicalOp {
             | PhysicalOp::Extend { .. }
             | PhysicalOp::Rename { .. }
             | PhysicalOp::Product
-            | PhysicalOp::NaturalJoin
+            | PhysicalOp::NaturalJoin { .. }
             | PhysicalOp::Union
             | PhysicalOp::Difference { .. }
             | PhysicalOp::Poss => OpClass::Pure,
@@ -366,12 +371,14 @@ impl PhysicalOp {
                 let relation = sharded(&left.relation, &|c| ops::product(c, &right.relation))?;
                 Ok(propagate_binary(relation, &left, &right))
             }
-            PhysicalOp::NaturalJoin => {
+            PhysicalOp::NaturalJoin { scanned_build } => {
                 let (left, right) = binary_inputs(inputs);
-                // One kernel at every size: index the right side once, probe
-                // it with the left side — whole, or per chunk under the same
-                // shard / spill gate as every other row-local operator.
-                let index = ops::JoinIndex::build(left.relation.schema(), &right.relation)?;
+                // One kernel at every size: index the right side once — a
+                // scanned one once per content — and probe it with the left
+                // side, whole or per chunk under the same shard / spill gate
+                // as every other row-local operator.
+                let index =
+                    ops::JoinIndex::build(left.relation.schema(), &right.relation, *scanned_build)?;
                 let relation = sharded(&left.relation, &|c| index.probe(c))?;
                 Ok(propagate_binary(relation, &left, &right))
             }
@@ -433,7 +440,7 @@ impl PhysicalOp {
                 delta::extend_delta(old_output, &inputs[0], items).map(Some)
             }
             PhysicalOp::Rename { .. } => delta::rename_delta(old_output, &inputs[0]).map(Some),
-            PhysicalOp::NaturalJoin => {
+            PhysicalOp::NaturalJoin { .. } => {
                 delta::natural_join_delta(old_output, &inputs[0], &inputs[1])
             }
             PhysicalOp::Union => delta::union_delta(old_output, &inputs[0], &inputs[1]).map(Some),
@@ -610,7 +617,12 @@ impl PhysicalPlan {
                     to: to.clone(),
                 },
                 LogicalOp::Product => PhysicalOp::Product,
-                LogicalOp::NaturalJoin => PhysicalOp::NaturalJoin,
+                LogicalOp::NaturalJoin => PhysicalOp::NaturalJoin {
+                    scanned_build: matches!(
+                        plan.nodes()[node.inputs[1]].op,
+                        LogicalOp::Scan { .. }
+                    ),
+                },
                 LogicalOp::Union => PhysicalOp::Union,
                 LogicalOp::Difference { checked } => PhysicalOp::Difference { checked: *checked },
                 LogicalOp::Poss => PhysicalOp::Poss,
@@ -1291,30 +1303,37 @@ fn propagate_binary(
 
 /// `repair-key_{A⃗@B}` on a complete input: one fresh variable per key group
 /// of several tuples, its distribution the group's normalised weights.
+///
+/// One pass over the input's rows, borrowed: a complete relation's rows are
+/// its distinct tuples in order, so a stable sort of row references by key
+/// forms the groups in key order with each group's tuples in tuple order.
+/// The key and weight columns are resolved once.
 fn repair_key(
     input: EvaluatedRelation,
     key: &[String],
     weight: &str,
     ctx: &mut ExecContext<'_>,
 ) -> Result<EvaluatedRelation> {
-    if !input.relation.is_complete_representation() {
+    let relation = &input.relation;
+    if !relation.is_complete_representation() {
         return Err(EngineError::NotComplete(
             "repair-key requires a complete input relation".into(),
         ));
     }
-    let complete = input.relation.possible_tuples();
-    let key_refs: Vec<&str> = key.iter().map(String::as_str).collect();
-    let groups = complete.group_by(&key_refs).map_err(EngineError::Pdb)?;
+    let schema = relation.schema();
+    let key_at = schema.indices_of(key).map_err(EngineError::Pdb)?;
+    let weight_at = schema.index_of(weight);
+    let mut members: Vec<&Tuple> = relation.iter().map(|row| &row.tuple).collect();
+    members.sort_by(|a, b| (key_at.iter().map(|&i| &a[i])).cmp(key_at.iter().map(|&i| &b[i])));
 
-    let mut rows = Vec::with_capacity(complete.len());
-    for (key_tuple, members) in groups {
+    let mut rows = Vec::with_capacity(members.len());
+    let mut weights = Vec::new();
+    for group in members.chunk_by(|a, b| key_at.iter().all(|&i| a[i] == b[i])) {
         // Validate and normalise the weights.
-        let mut weights = Vec::with_capacity(members.len());
+        weights.clear();
         let mut total = 0.0;
-        for t in &members {
-            let w = complete
-                .numeric_value(t, weight)
-                .map_err(EngineError::Pdb)?;
+        for &t in group {
+            let w = weight_of(t, weight, weight_at)?;
             if !w.is_finite() || w <= 0.0 {
                 return Err(EngineError::Pdb(pdb::PdbError::InvalidWeight(format!(
                     "weight {w} of tuple {t} is not a positive finite number"
@@ -1323,12 +1342,12 @@ fn repair_key(
             total += w;
             weights.push(w);
         }
-        if members.len() == 1 {
+        if let [t] = group {
             // A single candidate is chosen with probability 1; no random
             // variable is needed.
             rows.push(URow {
                 condition: Condition::always(),
-                tuple: members[0].clone(),
+                tuple: (*t).clone(),
             });
             continue;
         }
@@ -1336,21 +1355,18 @@ fn repair_key(
         // names it after the key values; we add a counter for global
         // uniqueness across repeated repair-key applications).
         ctx.var_counter += 1;
+        let key_tuple = group[0].project(&key_at);
         let var = Var::new(format!("rk{}:{}", ctx.var_counter, key_tuple));
-        let dist: Vec<(Value, f64)> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (Value::Int(i as i64), w / total))
-            .collect();
+        let dist = (weights.iter().enumerate()).map(|(i, w)| (Value::Int(i as i64), w / total));
         ctx.database.wtable_mut().add_variable(var.clone(), dist)?;
-        for (i, t) in members.iter().enumerate() {
+        for (i, &t) in group.iter().enumerate() {
             rows.push(URow {
                 condition: Condition::new([(var.clone(), Value::Int(i as i64))])?,
                 tuple: t.clone(),
             });
         }
     }
-    let out = URelation::from_row_vec(complete.schema().clone(), rows)?;
+    let out = URelation::from_row_vec(schema.clone(), rows)?;
 
     let errors = if input.errors.is_empty() {
         BTreeMap::new()
@@ -1365,6 +1381,18 @@ fn repair_key(
         complete: false,
         errors,
     })
+}
+
+/// The weight of a tuple, its column `weight_at` resolved from the name
+/// `weight`, with [`pdb::Relation::numeric_value`]'s errors.
+fn weight_of(t: &Tuple, weight: &str, weight_at: Option<usize>) -> Result<f64> {
+    let at = weight_at.ok_or_else(|| pdb::PdbError::UnknownAttribute(weight.to_owned()));
+    let w = at.and_then(|i| {
+        t[i].as_f64().ok_or_else(|| {
+            pdb::PdbError::InvalidWeight(format!("attribute `{weight}` of {t} is not numeric"))
+        })
+    });
+    w.map_err(EngineError::Pdb)
 }
 
 // ---- confidence computation (§4) -------------------------------------------
@@ -1385,12 +1413,18 @@ fn conf(
         .with_appended(prob_attr)
         .map_err(EngineError::Pdb)?;
 
-    // Batch: every tuple's DNF lineage in one memoised pass, compiled
-    // once into flat programs and estimated by the bit-parallel
-    // estimator layer (64 sampled worlds per word).  On a warm serving
-    // resume both the lineage and its compiled programs come from the
-    // retained snapshot caches, so the request pays sampling only.
-    let lineage = compiled.relation_events(&input.relation)?;
+    // Batch: every tuple's DNF lineage in one pass, compiled once into
+    // flat programs and estimated by the bit-parallel estimator layer (64
+    // sampled worlds per word).  A sampled `conf` memoises the batch by
+    // content: on a warm serving resume both the lineage and its compiled
+    // programs come from the retained snapshot caches, so the request pays
+    // sampling only.  An exact `conf`'s result is pooled with its stateful
+    // spine, so nothing looks its batch up again: it is neither hashed nor
+    // kept.
+    let lineage = match params {
+        None => Arc::new(compiled.extract_events(&input.relation)?),
+        Some(_) => compiled.relation_events(&input.relation)?,
+    };
     let fpras = params.map(|params| {
         FprasEstimator::new(params)
             .with_exact_backend(ctx.config.exact_backend_node_budget)
@@ -2373,7 +2407,7 @@ mod tests {
         let left = db.relation("T").unwrap();
         let right = ops::rename(left, "B", "C").unwrap();
         let reference = ops::natural_join_nested_loop(left, &right).unwrap();
-        let index = ops::JoinIndex::build(left.schema(), &right).unwrap();
+        let index = ops::JoinIndex::build(left.schema(), &right, false).unwrap();
         for budget in [0usize, 64, 512, 1 << 20] {
             for shards in [1usize, 4] {
                 let joined =
@@ -2409,5 +2443,202 @@ mod tests {
             assert_eq!(wave.result.relation, sequential.result.relation);
             assert_eq!(wave.stats, sequential.stats);
         }
+    }
+
+    /// The `repair-key` the one-pass kernel replaced, kept as its
+    /// bit-identity reference: the input's possible tuples as a relation,
+    /// grouped by a `group_by` of cloned tuples, each weight read by name.
+    fn repair_key_reference(
+        input: EvaluatedRelation,
+        key: &[String],
+        weight: &str,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<EvaluatedRelation> {
+        if !input.relation.is_complete_representation() {
+            return Err(EngineError::NotComplete(
+                "repair-key requires a complete input relation".into(),
+            ));
+        }
+        let complete = input.relation.possible_tuples();
+        let key_refs: Vec<&str> = key.iter().map(String::as_str).collect();
+        let groups = complete.group_by(&key_refs).map_err(EngineError::Pdb)?;
+
+        let mut rows = Vec::with_capacity(complete.len());
+        for (key_tuple, members) in groups {
+            // Validate and normalise the weights.
+            let mut weights = Vec::with_capacity(members.len());
+            let mut total = 0.0;
+            for t in &members {
+                let w = complete
+                    .numeric_value(t, weight)
+                    .map_err(EngineError::Pdb)?;
+                if !w.is_finite() || w <= 0.0 {
+                    return Err(EngineError::Pdb(pdb::PdbError::InvalidWeight(format!(
+                        "weight {w} of tuple {t} is not a positive finite number"
+                    ))));
+                }
+                total += w;
+                weights.push(w);
+            }
+            if members.len() == 1 {
+                // A single candidate is chosen with probability 1; no random
+                // variable is needed.
+                rows.push(URow {
+                    condition: Condition::always(),
+                    tuple: members[0].clone(),
+                });
+                continue;
+            }
+            // One fresh variable per key group (the Section 3 translation
+            // names it after the key values; we add a counter for global
+            // uniqueness across repeated repair-key applications).
+            ctx.var_counter += 1;
+            let var = Var::new(format!("rk{}:{}", ctx.var_counter, key_tuple));
+            let dist: Vec<(Value, f64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (Value::Int(i as i64), w / total))
+                .collect();
+            ctx.database.wtable_mut().add_variable(var.clone(), dist)?;
+            for (i, t) in members.iter().enumerate() {
+                rows.push(URow {
+                    condition: Condition::new([(var.clone(), Value::Int(i as i64))])?,
+                    tuple: t.clone(),
+                });
+            }
+        }
+        let out = URelation::from_row_vec(complete.schema().clone(), rows)?;
+
+        let errors = if input.errors.is_empty() {
+            BTreeMap::new()
+        } else {
+            out.possible_tuples()
+                .iter()
+                .filter_map(|t| input.errors.get(t).map(|e| (t.clone(), *e)))
+                .collect()
+        };
+        Ok(EvaluatedRelation {
+            relation: out,
+            complete: false,
+            errors,
+        })
+    }
+
+    /// A `repair-key` kernel: [`repair_key`] or [`repair_key_reference`].
+    type RepairKeyKernel =
+        fn(EvaluatedRelation, &[String], &str, &mut ExecContext<'_>) -> Result<EvaluatedRelation>;
+
+    /// The result of one kernel run (its error by its text), the W-table
+    /// it left behind and the counter.
+    type RepairKeyOutcome = (
+        std::result::Result<(URelation, BTreeMap<Tuple, f64>, bool), String>,
+        WTable,
+        usize,
+    );
+
+    /// One `repair-key` kernel over `input` in a context on `db` whose
+    /// counter starts at `counter`.
+    fn run_repair_key(
+        kernel: RepairKeyKernel,
+        db: &UDatabase,
+        input: &EvaluatedRelation,
+        (key, weight): (&[String], &str),
+        counter: usize,
+    ) -> RepairKeyOutcome {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut ctx = ctx_for(db, EvalConfig::exact(), &mut rng);
+        ctx.var_counter = counter;
+        let out = kernel(input.clone(), key, weight, &mut ctx)
+            .map(|out| (out.relation, out.errors, out.complete))
+            .map_err(|e| e.to_string());
+        (out, ctx.database.wtable().clone(), ctx.var_counter)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// The one-pass `repair-key` against [`repair_key_reference`]:
+        /// equal rows, errors, W-table and counter, including on failure.
+        /// Inputs over `R(A, B, W, S)` — possibly empty, possibly with an
+        /// uncertain row or input errors — keys of zero to three columns,
+        /// some unknown, weights that are zero, negative, fractional or
+        /// not numbers, and a table that may already declare the first
+        /// variable's name.
+        #[test]
+        fn one_pass_repair_key_matches_the_grouping_reference(
+            rows in proptest::collection::vec((0i64..4, 0i64..3, 0usize..6, 0usize..2), 0..14),
+            key in proptest::collection::vec(0usize..5, 0..4),
+            weight in 0usize..5,
+            counter in 0usize..3,
+            (uncertain, with_errors, taken) in (0u8..10, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+        ) {
+            let uncertain = uncertain == 0;
+            use pdb::schema;
+            const ATTRS: [&str; 5] = ["A", "B", "W", "S", "Z"];
+            let weights = [Value::Int(2), Value::Int(1), Value::float(0.5), Value::Int(0), Value::Int(-1), Value::str("w")];
+            let mut relation = URelation::empty(schema!["A", "B", "W", "S"]);
+            for &(a, b, w, label) in &rows {
+                let t = Tuple::new(vec![Value::Int(a), Value::Int(b), weights[w].clone(), Value::str(["x", "y"][label])]);
+                relation.insert(Condition::always(), t).unwrap();
+            }
+            if uncertain {
+                let cond = Condition::new([(Var::new("u"), Value::Int(0))]).unwrap();
+                relation.insert(cond, Tuple::new(vec![Value::Int(9), Value::Int(9), Value::Int(1), Value::str("x")])).unwrap();
+            }
+            let errors = if with_errors {
+                relation.possible_tuples().iter().map(|t| (t.clone(), 0.125)).collect()
+            } else {
+                BTreeMap::new()
+            };
+            let input = EvaluatedRelation { relation, complete: !uncertain, errors };
+            let mut db = UDatabase::new();
+            db.wtable_mut().add_bool_variable(Var::new("u"), 0.5).unwrap();
+            if taken {
+                // The name the first group of keys (0) would take.
+                let name = format!("rk{}:(0)", counter + 1);
+                db.wtable_mut().add_bool_variable(Var::new(name), 0.5).unwrap();
+            }
+            let key: Vec<String> = key.iter().map(|&i| ATTRS[i].to_owned()).collect();
+            let spec = (&key[..], ATTRS[weight]);
+            let one_pass = run_repair_key(repair_key, &db, &input, spec, counter);
+            let reference = run_repair_key(repair_key_reference, &db, &input, spec, counter);
+            proptest::prop_assert_eq!(&one_pass.0, &reference.0);
+            proptest::prop_assert!(one_pass.1.iter().eq(reference.1.iter()));
+            proptest::prop_assert_eq!(one_pass.2, reference.2);
+        }
+    }
+
+    #[test]
+    fn a_sampled_conf_over_equal_content_hits_the_lineage_memo() {
+        // A rebuilt relation — equal content, another allocation — must
+        // find the batch a sampled `conf` memoised: the memo is keyed by
+        // content, not by pointer, because shape-3 inputs of `cold_adhoc`
+        // repeat by content.
+        let db = TupleIndependentDb {
+            num_tuples: 40,
+            domain_size: 5,
+            tuple_probability: None,
+            seed: 3,
+        }
+        .database();
+        let mut rebuilt = db.clone();
+        let t = db.relation("T").unwrap();
+        let rows: Vec<URow> = t.iter().cloned().collect();
+        let copy = URelation::from_row_vec(t.schema().clone(), rows).unwrap();
+        assert!(!copy.shares_content(t) && copy == *t);
+        rebuilt.set_relation("T", copy, false);
+
+        let config = EvalConfig::exact();
+        let plan = lowered("aconf[0.3, 0.2](project[A](T))", &db, config);
+        let spaces = SpaceCache::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for database in [&db, &rebuilt] {
+            let mut ctx = ctx_for(database, config, &mut rng);
+            ctx.spaces = spaces.clone();
+            plan.execute(&mut ctx).unwrap();
+        }
+        let compiled = spaces.compiled(db.wtable()).unwrap();
+        assert_eq!(compiled.lineage_len(), 1);
+        assert_eq!(compiled.lineage_hits(), 1);
     }
 }

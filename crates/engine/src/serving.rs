@@ -1335,7 +1335,8 @@ struct Served {
     /// The served W-table compiled once ([`SpaceIndex::compile`]), and
     /// replaced with the table: every cold start seeds its space cache with
     /// it, so a cold `conf` over the served table compiles only the
-    /// lineage it reads.  `None` if the table does not compile — each
+    /// lineage it reads, and one over a table a `repair-key` extended
+    /// compiles only the variables it declared.  `None` if the table does not compile — each
     /// request then compiles, and fails, on its own.
     index: Option<Arc<SpaceIndex>>,
     /// Monotonic database-content version, bumped by every commit.  A
@@ -1350,8 +1351,12 @@ struct Served {
 
 impl Served {
     /// The state of a freshly served database at `epoch`: its W-table
-    /// compiled, an empty pool.
-    fn new(database: UDatabase, epoch: u64) -> Served {
+    /// kept in one layer and compiled, an empty pool.  One layer, so a
+    /// request's `repair-key` declares above the served map as a whole,
+    /// and its compiled space extends the served index.
+    fn new(mut database: UDatabase, epoch: u64) -> Served {
+        let wtable = std::mem::take(database.wtable_mut());
+        *database.wtable_mut() = wtable.into_one_layer();
         Served {
             index: SpaceIndex::compile(database.wtable()).ok().map(Arc::new),
             database,
@@ -4275,8 +4280,7 @@ mod tests {
 
         // Two never-seen exact `conf`s over the served table: both cold
         // starts compile nothing — each pooled entry's space shares the
-        // served index — and each keeps its lineage batch in a cache of its
-        // own.
+        // served index — and each has a lineage cache of its own.
         assert_eq!(sharers(&index), 0);
         let texts = ["conf(Flip)", "conf(select[Side >= 1](Flip))"];
         let mut spaces = Vec::new();
@@ -4291,7 +4295,9 @@ mod tests {
         assert_eq!(serving.stats().cold_evaluations, 2);
         assert_eq!(sharers(&index), 2);
         assert!(!Arc::ptr_eq(&spaces[0], &spaces[1]));
-        assert!(spaces.iter().all(|space| space.lineage_len() == 1));
+        // An exact `conf`'s result is pooled with its spine, so its batch
+        // is neither hashed nor kept.
+        assert!(spaces.iter().all(|space| space.lineage_len() == 0));
         // The shared index retains no batch: a cold start over it begins
         // with an empty lineage cache.
         let fresh = SpaceCache::seeded(Arc::clone(&index));
@@ -4368,9 +4374,9 @@ mod tests {
         assert!(extended.num_variables() > index.space().num_variables());
         let space = cache.compiled(&extended).unwrap();
         // The cold start's seed (the served index, shared, not copied) and
-        // the extended table's space.
+        // the extended table's space, whose index extends the served one.
         assert_eq!(cache.len(), 2);
-        assert_eq!(sharers(&index), 1);
+        assert_eq!(sharers(&index), 2);
 
         let cold = serving.stats().cold_evaluations;
         serving.evaluate(second, &mut rng).unwrap();
@@ -4378,6 +4384,134 @@ mod tests {
         assert_eq!(cache.len(), 2, "the resume compiled nothing new");
         assert!(Arc::ptr_eq(&cache.compiled(&extended).unwrap(), &space));
         assert_matches_one_shot(&serving, second, 8);
+    }
+
+    /// `R(K, W)` with one to three weights per key, `S(K, W, B)` with one
+    /// label row per key, and the uncertain `Flip` over a variable `c`:
+    /// `cold_adhoc`'s `repair-key` join in small.
+    fn keyed_db() -> UDatabase {
+        let mut db = uncertain_db();
+        let r = relation![schema!["K", "W"];
+            [0, 1], [0, 2], [1, 1], [1, 3], [1, 4], [2, 2], [3, 1], [3, 2]];
+        let s = relation![schema!["K", "W", "B"]; [0, 2, 0], [1, 1, 1], [2, 2, 0], [3, 2, 1]];
+        db.add_complete_relation("R", &r);
+        db.add_complete_relation("S", &s);
+        db
+    }
+
+    /// A `cold_adhoc` shape-1 text: an exact `conf` over a `repair-key`
+    /// spine of its own, joined with `S`.
+    fn shape_one(bound: u32) -> String {
+        format!("conf(project[B](join(repairkey[K @ W](select[K >= {bound}](R)), S)))")
+    }
+
+    /// The request's W-table keeps the served map as its lower layer, and
+    /// the entry's compiled space for it extends the served index.
+    fn assert_declared_over_the_served_table(serving: &ServingEngine, text: &str, seed: u64) {
+        let out = (serving.evaluate(text, &mut ChaCha8Rng::seed_from_u64(seed))).unwrap();
+        let served = serving.database();
+        assert!(
+            served.wtable().lower_layer().is_none(),
+            "served in one layer"
+        );
+        let table = out.database.wtable();
+        let lower = table.lower_layer().expect("declared above the served map");
+        assert!(lower.shares_content(served.wtable()));
+        let space = entry_spaces(serving, text).compiled(table).unwrap();
+        assert!(space.index().extends(&served_index(serving)));
+        assert_matches_one_shot(serving, text, seed);
+    }
+
+    #[test]
+    fn a_cold_repair_key_request_declares_over_the_served_table_and_extends_its_index() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), keyed_db()).unwrap();
+        let index = served_index(&serving);
+        assert_declared_over_the_served_table(&serving, &shape_one(1), 1);
+        assert_declared_over_the_served_table(&serving, &shape_one(2), 2);
+        assert!(Arc::ptr_eq(&served_index(&serving), &index));
+
+        // A served database with another table: requests declare over it
+        // and extend its index.
+        let mut db = keyed_db();
+        let d = urel::Var::new("d");
+        db.add_variable(d, [(pdb::Value::Int(0), 0.5), (pdb::Value::Int(1), 0.5)])
+            .unwrap();
+        serving.set_database(db).unwrap();
+        assert!(!Arc::ptr_eq(&served_index(&serving), &index));
+        assert_declared_over_the_served_table(&serving, &shape_one(0), 3);
+
+        // So do a restored engine's.
+        let dir = checkpoint_dir("declared-over-served");
+        serving.checkpoint(&dir).unwrap();
+        let restored = ServingEngine::restore(EvalConfig::exact(), &dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_declared_over_the_served_table(&restored, &shape_one(1), 4);
+    }
+
+    #[test]
+    fn joins_over_a_served_relation_build_one_index_per_content() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), keyed_db()).unwrap();
+        // The join index memoised with `S`'s served content.
+        let memo = |serving: &ServingEngine| {
+            let s = serving.database().relation("S").unwrap().clone();
+            s.derived::<crate::ops::KeyedRows>(|_| panic!("no join index memoised"))
+        };
+        let evaluate = |bound, seed| {
+            let text = shape_one(bound);
+            (serving.evaluate(&text, &mut ChaCha8Rng::seed_from_u64(seed))).unwrap();
+            text
+        };
+        let first = evaluate(1, 1);
+        let index = memo(&serving);
+        let second = evaluate(2, 2);
+        assert_eq!(serving.stats().cold_evaluations, 2);
+        assert!(
+            Arc::ptr_eq(&memo(&serving), &index),
+            "one index for two joins"
+        );
+        for (seed, text) in [first, second].iter().enumerate() {
+            assert_matches_one_shot(&serving, text, seed as u64);
+        }
+
+        // A commit to `S` is new content: the next join builds its index,
+        // and the one after shares it.
+        let old = serving.database().relation("S").unwrap().clone();
+        let mut new = old.clone();
+        new.insert(urel::Condition::always(), tuple![3, 1, 0])
+            .unwrap();
+        serving
+            .apply_deltas([("S", old.diff(&new).unwrap())])
+            .unwrap();
+        let third = evaluate(0, 3);
+        let rebuilt = memo(&serving);
+        assert!(!Arc::ptr_eq(&rebuilt, &index));
+        let fourth = evaluate(3, 4);
+        assert!(Arc::ptr_eq(&memo(&serving), &rebuilt), "one new index");
+        for (seed, text) in [third, fourth].iter().enumerate() {
+            assert_matches_one_shot(&serving, text, seed as u64);
+        }
+    }
+
+    #[test]
+    fn an_exact_conf_keeps_no_lineage_batch() {
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::exact(), keyed_db()).unwrap();
+        // An exact `conf` is pooled with its spine: its batch is neither
+        // hashed nor kept.  A sampled one memoises its batch for the warm
+        // resumes of its spine.
+        for (text, batches) in [
+            (shape_one(1), 0),
+            ("conf(select[Side >= 1](Flip))".to_owned(), 0),
+            ("aconf[0.3, 0.2](select[Side >= 1](Flip))".to_owned(), 1),
+        ] {
+            let out = (serving.evaluate(&text, &mut ChaCha8Rng::seed_from_u64(6))).unwrap();
+            let cache = entry_spaces(&serving, &text);
+            let space = cache.compiled(out.database.wtable()).unwrap();
+            assert_eq!(space.lineage_len(), batches, "{text}");
+            assert_matches_one_shot(&serving, &text, 6);
+        }
     }
 
     #[test]

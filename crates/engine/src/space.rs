@@ -8,7 +8,13 @@
 //!   alone (Section 3's `W(Var, Dom, P)` is a relation), so it is shared
 //!   behind an `Arc`: the serving layer compiles its served table once and
 //!   seeds every cold request with it, so a cold `conf` over the served
-//!   table compiles nothing;
+//!   table compiles nothing.  A request's `repair-key` declares above the
+//!   served map, which its table keeps as a shared lower layer, and the
+//!   index of that table *extends* the served one: it maps the declared
+//!   variables only and translates every served one through the served
+//!   index, its id shifted to the variable's place in the whole table, so
+//!   ids, translations and probabilities are those of a compile of the
+//!   whole table;
 //! * a **lineage/event cache inside [`CompiledSpace`]** (an index plus a
 //!   memo of its own): the batch of DNF events of a whole relation
 //!   ([`RelationEvents`]) is extracted once — from the relation's rows,
@@ -21,7 +27,10 @@
 //!   memoises inside them, are the serving layer's warm estimator state).
 //!   The key, [`URelation::content_digest`], is hashed once per content and
 //!   memoised with it, so a lookup on shared content (a pooled result and
-//!   every request resuming it) is O(1) rather than a pass over the rows;
+//!   every request resuming it) is O(1) rather than a pass over the rows.
+//!   An exact `conf` skips the memo ([`CompiledSpace::extract_events`]):
+//!   its result is pooled with its stateful spine, so nothing would look
+//!   the batch up again;
 //! * a **[`SpaceCache`]** memoising compiled spaces by their W-table's
 //!   content, so the confidence-bearing operators of one pipeline (and every
 //!   warm resume of a pooled prefix) share one compiled space instead of
@@ -51,27 +60,52 @@ const SPACE_CACHE_CAP: usize = 64;
 /// The immutable part of a compiled W-table: the probability space plus
 /// the name/value → index mappings needed to translate conditions into
 /// assignments.  Variable ids follow the table's variable order.
+///
+/// An index can *extend* the index of its table's
+/// [lower layer](WTable::lower_layer): it then maps only the variables
+/// declared above that layer, and translates every other one through the
+/// lower index, shifting its id to the variable's place in the whole
+/// table.  [`compile`](SpaceIndex::compile) is the extension of nothing.
 pub(crate) struct SpaceIndex {
     /// The table this index was compiled from (a pointer copy): what a
     /// [`SpaceCache`] hit is checked against.
     wtable: WTable,
     space: ProbabilitySpace,
-    /// Variable name → its index and the range of its domain in `alts`:
-    /// one hash lookup and one binary search per literal of a condition.
+    /// The index of the lower layer this one extends, with the id here of
+    /// each of its ids.
+    lower: Option<(Arc<SpaceIndex>, Vec<VarId>)>,
+    /// Variable name → its index and the range of its domain in `alts`,
+    /// for the variables this index compiled itself: one hash lookup and
+    /// one binary search per literal of a condition.
     vars: HashMap<Var, (VarId, Range<usize>)>,
-    /// Every variable's domain values, each variable's run sorted, with
-    /// the alternative's index: one buffer for the whole table.
+    /// Those variables' domain values, each variable's run sorted, with the
+    /// alternative's index: one buffer for all of them.
     alts: Vec<(Value, usize)>,
 }
 
 impl SpaceIndex {
     /// Compiles a W-table in one pass over its variables.
     pub(crate) fn compile(wtable: &WTable) -> Result<SpaceIndex> {
-        let mut space = ProbabilitySpace::new();
-        let mut vars = HashMap::with_capacity(wtable.num_variables());
-        let mut alts = Vec::with_capacity(2 * wtable.num_variables());
-        for (var, dist) in wtable.iter() {
-            let id = space.add_variable(dist.iter().map(|(_, p)| *p).collect())?;
+        SpaceIndex::extend(None, wtable)
+    }
+
+    /// Compiles `wtable` over `lower`, the index of the table's lower
+    /// layer (`None`: over nothing), in one pass over its variables in name
+    /// order.  The space is assembled in one buffer; only the variables
+    /// `lower` does not cover are mapped here.
+    fn extend(lower: Option<Arc<SpaceIndex>>, wtable: &WTable) -> Result<SpaceIndex> {
+        let n = wtable.num_variables();
+        let covered = lower.as_ref().map_or(0, |l| l.space.num_variables());
+        let mut space = ProbabilitySpace::with_capacity(n, 2 * n);
+        let mut shifted = Vec::with_capacity(covered);
+        let mut vars = HashMap::with_capacity(n - covered);
+        let mut alts = Vec::with_capacity(2 * (n - covered));
+        for (var, dist, in_lower) in wtable.iter_layered() {
+            let id = space.push_variable(dist.iter().map(|(_, p)| *p))?;
+            if in_lower && lower.is_some() {
+                shifted.push(id);
+                continue;
+            }
             let start = alts.len();
             alts.extend(dist.iter().map(|(value, _)| value.clone()).zip(0..));
             alts[start..].sort_unstable();
@@ -80,6 +114,7 @@ impl SpaceIndex {
         Ok(SpaceIndex {
             wtable: wtable.clone(),
             space,
+            lower: lower.map(|lower| (lower, shifted)),
             vars,
             alts,
         })
@@ -88,6 +123,22 @@ impl SpaceIndex {
     /// The index-based probability space.
     pub(crate) fn space(&self) -> &ProbabilitySpace {
         &self.space
+    }
+
+    /// A variable's id and its sorted alternatives.
+    fn lookup(&self, var: &Var) -> Option<(VarId, &[(Value, usize)])> {
+        if let Some((id, range)) = self.vars.get(var) {
+            return Some((*id, &self.alts[range.clone()]));
+        }
+        let (lower, shifted) = self.lower.as_ref()?;
+        let (id, alts) = lower.lookup(var)?;
+        Some((shifted[id], alts))
+    }
+
+    /// True if this index extends `lower` (a pointer comparison).
+    #[cfg(test)]
+    pub(crate) fn extends(&self, lower: &Arc<SpaceIndex>) -> bool {
+        (self.lower.as_ref()).is_some_and(|(l, _)| Arc::ptr_eq(l, lower))
     }
 }
 
@@ -190,14 +241,19 @@ impl CompiledSpace {
         self.index.space()
     }
 
+    /// The compiled table this space translates with (test hook: sharing
+    /// is a pointer comparison).
+    #[cfg(test)]
+    pub(crate) fn index(&self) -> &Arc<SpaceIndex> {
+        &self.index
+    }
+
     /// The whole lineage batch of a relation — [`URelation::tuple_events`]
     /// plus condition translation plus compilation into bit-parallel lineage
     /// programs — memoised by relation content, so a warm re-execution of a
     /// cached plan never re-extracts, re-translates, or re-compiles.  The
     /// cache key is the relation's memoised content digest: hashed once per
-    /// content, then O(1) for every clone that shares it.  Extraction
-    /// borrows the rows: each condition is translated where it lies, and
-    /// each distinct tuple is cloned once, into the batch.
+    /// content, then O(1) for every clone that shares it.
     pub fn relation_events(&self, relation: &URelation) -> Result<Arc<RelationEvents>> {
         let digest = relation.content_digest();
         if let Some(hit) = self.lineage.lock().get(&digest) {
@@ -205,6 +261,25 @@ impl CompiledSpace {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return Ok(hit.clone());
         }
+        let entry = Arc::new(self.extract_events(relation)?);
+        let mut guard = self.lineage.lock();
+        // A shared space can outlive many evaluations (serving); bound the
+        // cache so varying post-sampling relations cannot grow it forever.
+        if guard.len() >= LINEAGE_CACHE_CAP {
+            guard.clear();
+        }
+        guard.insert(digest, entry.clone());
+        Ok(entry)
+    }
+
+    /// The lineage batch of a relation, extracted and compiled as
+    /// [`relation_events`](CompiledSpace::relation_events) does but with no
+    /// memo: no content digest, nothing kept.  For a batch nobody looks up
+    /// again — an exact `conf`'s, whose result is pooled with its stateful
+    /// spine.  Extraction borrows the rows: each condition is translated
+    /// where it lies, and each distinct tuple is cloned once, into the
+    /// batch.
+    pub fn extract_events(&self, relation: &URelation) -> Result<RelationEvents> {
         let batch = relation.tuple_events();
         let mut tuples = Vec::with_capacity(batch.len());
         let mut events = Vec::with_capacity(batch.len());
@@ -215,15 +290,7 @@ impl CompiledSpace {
         let programs = Arc::new(
             LineagePrograms::compile(events, self.space()).map_err(EngineError::Confidence)?,
         );
-        let entry = Arc::new(RelationEvents { tuples, programs });
-        let mut guard = self.lineage.lock();
-        // A shared space can outlive many evaluations (serving); bound the
-        // cache so varying post-sampling relations cannot grow it forever.
-        if guard.len() >= LINEAGE_CACHE_CAP {
-            guard.clear();
-        }
-        guard.insert(digest, entry.clone());
-        Ok(entry)
+        Ok(RelationEvents { tuples, programs })
     }
 
     /// Number of relations whose lineage batch is currently cached.
@@ -244,17 +311,16 @@ impl CompiledSpace {
     pub fn assignment(&self, condition: &Condition) -> Result<Assignment> {
         let mut pairs = Vec::with_capacity(condition.len());
         for (var, value) in condition.iter() {
-            let (var_id, range) = self.index.vars.get(var).ok_or_else(|| {
+            let (var_id, alts) = self.index.lookup(var).ok_or_else(|| {
                 EngineError::Urel(urel::UrelError::UnknownVariable(var.name().to_owned()))
             })?;
-            let alts = &self.index.alts[range.clone()];
             let at = alts.binary_search_by(|(v, _)| v.cmp(value)).map_err(|_| {
                 EngineError::Urel(urel::UrelError::UnknownDomainValue {
                     var: var.name().to_owned(),
                     value: value.to_string(),
                 })
             })?;
-            pairs.push((*var_id, alts[at].1));
+            pairs.push((var_id, alts[at].1));
         }
         Assignment::new(pairs).map_err(Into::into)
     }
@@ -320,12 +386,24 @@ impl SpaceCache {
     }
 
     /// The compiled space for the W-table's current content, compiling at
-    /// most once per content while it stays cached.
+    /// most once per content while it stays cached.  A table whose
+    /// [lower layer](WTable::lower_layer) is cached — a request's table
+    /// after a `repair-key` over the served one — compiles as the
+    /// extension of that layer's index by its own variables.
     pub fn compiled(&self, wtable: &WTable) -> Result<Arc<CompiledSpace>> {
-        if let Some(hit) = find(&self.inner.lock(), wtable) {
-            return Ok(hit);
-        }
-        let compiled = Arc::new(CompiledSpace::compile(wtable)?);
+        let lower = {
+            let spaces = self.inner.lock();
+            if let Some(hit) = find(&spaces, wtable) {
+                return Ok(hit);
+            }
+            let lower = wtable.lower_layer();
+            let by_pointer = |s: &&Arc<CompiledSpace>| {
+                (lower.as_ref()).is_some_and(|lower| s.index.wtable.shares_content(lower))
+            };
+            spaces.iter().find(by_pointer).map(|s| Arc::clone(&s.index))
+        };
+        let index = SpaceIndex::extend(lower, wtable)?;
+        let compiled = Arc::new(CompiledSpace::over(Arc::new(index)));
         let mut spaces = self.inner.lock();
         // A racing evaluation may have compiled the same content meanwhile:
         // keep the first, so every sharer sees one lineage cache.
@@ -657,6 +735,79 @@ mod tests {
             let extended = out.database.wtable();
             assert_matches_reference(extended, &out.result.relation)?;
             assert_matches_reference(extended, &rel)?;
+        }
+    }
+
+    /// Names declared over the [`NAMES`] table, sorting before, between
+    /// and after its names.
+    const DECLARED: [&str; 4] = ["rk1:(0)", "x11", "b", "zz"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// The index of a table declared over a compiled one-layer table,
+        /// as its extension and as a compilation from nothing: equal
+        /// spaces, every variable with the same id and alternatives,
+        /// unknown ones unknown to both, and a random relation over both
+        /// layers with equal events and exact probabilities equal by
+        /// `to_bits`.
+        #[test]
+        fn an_extended_index_matches_a_compiled_one(
+            weights in proptest::collection::vec(proptest::collection::vec(1u8..10, 1..5), 1..6),
+            declared in proptest::collection::vec(proptest::collection::vec(1u8..10, 1..5), 0..5),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec((0usize..9, 0usize..4), 0..4), 0i64..4),
+                0..16,
+            ),
+        ) {
+            use pdb::{schema, tuple};
+            use proptest::{prop_assert, prop_assert_eq};
+            let (served, _) = build_case(&weights, &[]);
+            let lower = Arc::new(SpaceIndex::compile(&served).unwrap());
+            let mut table = served.clone();
+            for (name, alts) in DECLARED.iter().zip(&declared) {
+                let total: f64 = alts.iter().map(|&x| f64::from(x)).sum();
+                let dist = (alts.iter().enumerate()).map(|(i, &x)| (domain_value(i), f64::from(x) / total));
+                table.add_variable(Var::new(name), dist).unwrap();
+            }
+            prop_assert_eq!(table.lower_layer().is_some(), !declared.is_empty());
+            let cache = SpaceCache::seeded(Arc::clone(&lower));
+            let extended = cache.compiled(&table).unwrap();
+            let compiled = CompiledSpace::compile(&table).unwrap();
+            if !declared.is_empty() {
+                prop_assert!(table.lower_layer().unwrap().shares_content(&served));
+                prop_assert!(extended.index.extends(&lower));
+            }
+            prop_assert_eq!(extended.space(), compiled.space());
+            for (var, _) in table.iter() {
+                prop_assert_eq!(extended.index.lookup(var), compiled.index.lookup(var));
+            }
+            for ghost in ["a0", "x3", "zzz"] {
+                prop_assert!(extended.index.lookup(&Var::new(ghost)).is_none());
+            }
+
+            let vars: Vec<(Var, Vec<Value>)> = (table.iter())
+                .map(|(var, dist)| (var.clone(), dist.iter().map(|(v, _)| v.clone()).collect()))
+                .collect();
+            let mut rel = URelation::empty(schema!["T"]);
+            for (literals, t) in &rows {
+                let mut pairs: Vec<(Var, Value)> = Vec::new();
+                for &(v, a) in literals {
+                    let (var, domain) = &vars[v % vars.len()];
+                    if pairs.iter().all(|(named, _)| named != var) {
+                        pairs.push((var.clone(), domain[a % domain.len()].clone()));
+                    }
+                }
+                rel.insert(Condition::new(pairs).unwrap(), tuple![*t]).unwrap();
+            }
+            let (a, b) = (extended.extract_events(&rel).unwrap(), compiled.extract_events(&rel).unwrap());
+            prop_assert_eq!(a.tuples(), b.tuples());
+            prop_assert_eq!(a.events(), b.events());
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(a.programs().exact_probabilities().unwrap()),
+                bits(b.programs().exact_probabilities().unwrap())
+            );
         }
     }
 

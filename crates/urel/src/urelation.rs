@@ -5,6 +5,7 @@ use crate::condition::Condition;
 use crate::error::Result;
 use crate::wtable::WTable;
 use pdb::{Relation, Schema, Tuple, Value};
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -72,16 +73,19 @@ struct Content {
     rows: BTreeSet<URow>,
     /// [`pdb::content_fingerprint`] of schema and rows, filled on first use.
     digest: OnceLock<(u64, u64, usize)>,
+    /// The value [`URelation::derived`] memoised, filled on first use.
+    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Clone for Content {
-    /// The copy an edit of shared content makes: the memo starts empty,
-    /// since the edit is about to change what it would hash.
+    /// The copy an edit of shared content makes: the memos start empty,
+    /// since the edit is about to change what they were derived from.
     fn clone(&self) -> Content {
         Content {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
             digest: OnceLock::new(),
+            derived: OnceLock::new(),
         }
     }
 }
@@ -163,6 +167,7 @@ impl URelation {
                 schema,
                 rows,
                 digest: OnceLock::new(),
+                derived: OnceLock::new(),
             }),
         }
     }
@@ -174,11 +179,12 @@ impl URelation {
     }
 
     /// The content for an edit: copied first if another relation shares
-    /// it, with the digest memo cleared.  Every `&mut` method goes through
-    /// here, so no edit can leave a stale digest behind.
+    /// it, with the memos cleared.  Every `&mut` method goes through here,
+    /// so no edit can leave a stale digest or derived value behind.
     fn content_mut(&mut self) -> &mut Content {
         let content = Arc::make_mut(&mut self.content);
         content.digest.take();
+        content.derived.take();
         content
     }
 
@@ -412,6 +418,20 @@ impl URelation {
             .content
             .digest
             .get_or_init(|| pdb::content_fingerprint(self, self.len()))
+    }
+
+    /// `derive(self)`, memoised with the content like the
+    /// [`content_digest`](URelation::content_digest): derived at most once
+    /// per content, shared by every clone, and dropped with the content
+    /// (an edit starts without it).  One value per content: while the memo
+    /// holds a value of another type, `derive` runs and its value is
+    /// returned unkept.  The engine keeps a scanned relation's join index
+    /// here.
+    pub fn derived<T: Any + Send + Sync>(&self, derive: impl FnOnce(&URelation) -> T) -> Arc<T> {
+        let mut derive = Some(derive);
+        let mut run = || Arc::new(derive.take().expect("derives once")(self));
+        let memo = self.content.derived.get_or_init(|| run());
+        Arc::clone(memo).downcast::<T>().unwrap_or_else(|_| run())
     }
 
     /// The set of random variables mentioned anywhere in the relation.

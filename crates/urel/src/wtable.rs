@@ -1,26 +1,65 @@
 //! The `W(Var, Dom, P)` table: distributions of the independent random
 //! variables underlying a U-relational database.
+//!
+//! A table is one sorted variable map, or two: a `repair-key` over a table
+//! whose map another table shares (a request over the served database)
+//! keeps that map, shared and immutable, as the table's *lower layer* and
+//! declares its variables into a map of their own above it, so a
+//! declaration never copies the served variables.  The layers are a
+//! representation only: iteration, equality, [`Display`](fmt::Display)
+//! and the segment bytes are those of one table in variable-name order.
 
 use crate::error::{Result, UrelError};
 use crate::variable::Var;
 use pdb::Value;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 /// Numerical slack accepted when checking that a variable's probabilities sum
 /// to 1.
 pub const WTABLE_TOLERANCE: f64 = 1e-9;
 
+/// One layer of a [`WTable`]: variable → distribution, in name order.
+type Layer = BTreeMap<Var, Vec<(Value, f64)>>;
+
 /// The W-table: for each variable `X`, a finite domain `Dom_X` with
 /// `Pr[X = x] > 0` for every `x ∈ Dom_X` and `Σ_x Pr[X = x] = 1`.
 ///
-/// The variable map is shared, copy-on-write, like a
-/// [`URelation`](crate::URelation)'s rows: `clone` copies a pointer, and
-/// the first declaration into a table that shares its map copies it once.
-#[derive(Clone, Debug, PartialEq, Default)]
+/// The variable maps are shared, copy-on-write, like a
+/// [`URelation`](crate::URelation)'s rows: `clone` copies pointers.  The
+/// first declaration into a one-layer table whose map is shared keeps that
+/// map as the lower layer and starts an upper one (nothing is copied); a
+/// declaration into a shared upper layer copies that layer only.
+#[derive(Clone, Default)]
 pub struct WTable {
-    vars: Arc<BTreeMap<Var, Vec<(Value, f64)>>>,
+    /// The variables of the table this one was declared over, shared and
+    /// never edited here; `None` for a one-layer table.
+    lower: Option<Arc<Layer>>,
+    /// The variables declared above `lower` — all of them for a one-layer
+    /// table.  Disjoint from `lower`.
+    upper: Arc<Layer>,
+}
+
+impl PartialEq for WTable {
+    fn eq(&self, other: &WTable) -> bool {
+        self.shares_content(other)
+            || (self.num_variables() == other.num_variables() && self.iter().eq(other.iter()))
+    }
+}
+
+/// The one-table form: `WTable { vars: {…} }`, whatever the layers.
+impl fmt::Debug for WTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Vars<'a>(&'a WTable);
+        impl fmt::Debug for Vars<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("WTable").field("vars", &Vars(self)).finish()
+    }
 }
 
 impl WTable {
@@ -30,11 +69,43 @@ impl WTable {
         WTable::default()
     }
 
-    /// True if `self` and `other` hold the *same* variable-map allocation —
-    /// what `clone` yields until either side declares a variable.  A test
-    /// hook: content equality is `==`.
+    /// True if `self` and `other` hold the *same* variable-map allocations
+    /// — what `clone` yields until either side declares a variable.  The
+    /// serving layer matches tables by this pointer comparison before it
+    /// compares content (`==`).
     pub fn shares_content(&self, other: &WTable) -> bool {
-        Arc::ptr_eq(&self.vars, &other.vars)
+        let same_lower = match (&self.lower, &other.lower) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        same_lower && Arc::ptr_eq(&self.upper, &other.upper)
+    }
+
+    /// The table's lower layer as the one-layer table it was declared over
+    /// (a pointer copy): `None` for a one-layer table.
+    pub fn lower_layer(&self) -> Option<WTable> {
+        let lower = self.lower.as_ref()?;
+        Some(WTable {
+            lower: None,
+            upper: Arc::clone(lower),
+        })
+    }
+
+    /// The same content in one layer: a pointer copy of a one-layer table,
+    /// one merged map otherwise.
+    pub fn into_one_layer(self) -> WTable {
+        match self.lower {
+            None => self,
+            Some(lower) => {
+                let mut merged = Arc::unwrap_or_clone(lower);
+                merged.extend(self.upper.iter().map(|(v, d)| (v.clone(), d.clone())));
+                WTable {
+                    lower: None,
+                    upper: Arc::new(merged),
+                }
+            }
+        }
     }
 
     /// Declares a variable with its distribution.
@@ -47,7 +118,7 @@ impl WTable {
         var: Var,
         distribution: impl IntoIterator<Item = (Value, f64)>,
     ) -> Result<()> {
-        if self.vars.contains_key(&var) {
+        if self.contains(&var) {
             return Err(UrelError::InvalidDistribution {
                 var: var.name().to_owned(),
                 reason: "variable already declared".to_owned(),
@@ -82,8 +153,18 @@ impl WTable {
                 reason: format!("probabilities sum to {total}, expected 1"),
             });
         }
-        Arc::make_mut(&mut self.vars).insert(var, dist);
+        self.declare(var, dist);
         Ok(())
+    }
+
+    /// Inserts a checked, undeclared variable: into the upper layer, after
+    /// moving a shared one-layer map down to the lower layer.
+    fn declare(&mut self, var: Var, dist: Vec<(Value, f64)>) {
+        let shared = Arc::get_mut(&mut self.upper).is_none();
+        if self.lower.is_none() && shared && !self.upper.is_empty() {
+            self.lower = Some(std::mem::take(&mut self.upper));
+        }
+        Arc::make_mut(&mut self.upper).insert(var, dist);
     }
 
     /// Declares a Boolean variable that is `true` with probability `p` and
@@ -100,17 +181,21 @@ impl WTable {
 
     /// Number of declared variables.
     pub fn num_variables(&self) -> usize {
-        self.vars.len()
+        self.lower.as_ref().map_or(0, |lower| lower.len()) + self.upper.len()
     }
 
     /// True if no variables are declared.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.num_variables() == 0
     }
 
     /// True if `var` is declared.
     pub fn contains(&self, var: &Var) -> bool {
-        self.vars.contains_key(var)
+        self.get(var).is_some()
+    }
+
+    fn get(&self, var: &Var) -> Option<&Vec<(Value, f64)>> {
+        (self.upper.get(var)).or_else(|| self.lower.as_ref()?.get(var))
     }
 
     /// The domain of `var`, in declaration order.
@@ -124,8 +209,7 @@ impl WTable {
 
     /// The full distribution of `var`.
     pub fn distribution(&self, var: &Var) -> Result<&[(Value, f64)]> {
-        self.vars
-            .get(var)
+        self.get(var)
             .map(Vec::as_slice)
             .ok_or_else(|| UrelError::UnknownVariable(var.name().to_owned()))
     }
@@ -144,39 +228,48 @@ impl WTable {
 
     /// Iterates over `(variable, distribution)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &[(Value, f64)])> {
-        self.vars.iter().map(|(v, d)| (v, d.as_slice()))
+        self.iter_layered().map(|(var, dist, _)| (var, dist))
+    }
+
+    /// [`iter`](WTable::iter), each variable with whether it sits in the
+    /// [lower layer](WTable::lower_layer).
+    pub fn iter_layered(&self) -> impl Iterator<Item = (&Var, &[(Value, f64)], bool)> {
+        static NONE: Layer = BTreeMap::new();
+        Layered {
+            lower: self.lower.as_deref().unwrap_or(&NONE).iter().peekable(),
+            upper: self.upper.iter().peekable(),
+        }
     }
 
     /// All declared variables, in order.
     pub fn variables(&self) -> Vec<Var> {
-        self.vars.keys().cloned().collect()
+        self.iter().map(|(var, _)| var.clone()).collect()
     }
 
     /// Number of total assignments `f* : Var → Dom` this table induces
     /// (the number of possible worlds before coalescing), as a `u128` to
     /// avoid overflow on large tables.
     pub fn num_total_assignments(&self) -> u128 {
-        self.vars.values().map(|d| d.len() as u128).product()
+        self.iter().map(|(_, d)| d.len() as u128).product()
     }
 
     /// The variables this table declares and `base` does not, with their
     /// distributions: what was introduced on top of `base`.
     pub fn introduced_over(&self, base: &WTable) -> WTable {
-        let fresh = self.vars.iter().filter(|(var, _)| !base.contains(var));
+        let fresh = self.iter().filter(|(var, _)| !base.contains(var));
         WTable {
-            vars: Arc::new(fresh.map(|(v, d)| (v.clone(), d.clone())).collect()),
+            lower: None,
+            upper: Arc::new(fresh.map(|(v, d)| (v.clone(), d.to_vec())).collect()),
         }
     }
 
     /// Merges another W-table into this one; shared variables must carry the
     /// identical distribution (they represent the same source of randomness).
     pub fn merge(&mut self, other: &WTable) -> Result<()> {
-        for (var, dist) in other.vars.iter() {
-            match self.vars.get(var) {
-                None => {
-                    Arc::make_mut(&mut self.vars).insert(var.clone(), dist.clone());
-                }
-                Some(existing) if existing == dist => {}
+        for (var, dist) in other.iter() {
+            match self.get(var) {
+                None => self.declare(var.clone(), dist.to_vec()),
+                Some(existing) if existing[..] == *dist => {}
                 Some(_) => {
                     return Err(UrelError::InvalidDistribution {
                         var: var.name().to_owned(),
@@ -189,10 +282,33 @@ impl WTable {
     }
 }
 
+/// The two layers of a [`WTable`] merged into one name-ordered walk.
+struct Layered<'a> {
+    lower: Peekable<btree_map::Iter<'a, Var, Vec<(Value, f64)>>>,
+    upper: Peekable<btree_map::Iter<'a, Var, Vec<(Value, f64)>>>,
+}
+
+impl<'a> Iterator for Layered<'a> {
+    type Item = (&'a Var, &'a [(Value, f64)], bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let from_lower = match (self.lower.peek(), self.upper.peek()) {
+            (Some((a, _)), Some((b, _))) => a < b,
+            (lower, _) => lower.is_some(),
+        };
+        let (var, dist) = if from_lower {
+            self.lower.next()?
+        } else {
+            self.upper.next()?
+        };
+        Some((var, dist.as_slice(), from_lower))
+    }
+}
+
 impl fmt::Display for WTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "W(Var, Dom, P)")?;
-        for (var, dist) in self.vars.iter() {
+        for (var, dist) in self.iter() {
             for (value, p) in dist {
                 writeln!(f, "  {var}  {value}  {p}")?;
             }
@@ -304,5 +420,57 @@ mod tests {
         let w = WTable::new();
         assert!(w.is_empty());
         assert_eq!(w.num_total_assignments(), 1);
+    }
+
+    #[test]
+    fn declaring_over_a_shared_table_keeps_it_as_the_lower_layer() {
+        // Names that sort before, between and after the coin table's.
+        let declared = ["(a)", "b", "d"];
+        let served = coin_wtable();
+        let mut layered = served.clone();
+        let mut flat = coin_wtable();
+        for name in declared {
+            for table in [&mut layered, &mut flat] {
+                table.add_bool_variable(Var::new(name), 0.25).unwrap();
+            }
+        }
+        // Nothing copied: the served map is the lower layer, and the served
+        // table is untouched.
+        assert!(layered.lower_layer().unwrap().shares_content(&served));
+        assert!(flat.lower_layer().is_none());
+        assert_eq!(served.num_variables(), 3);
+        // One table in name order, whatever the layers.
+        assert!(layered.iter().eq(flat.iter()));
+        assert_eq!(layered, flat);
+        assert_eq!(flat, layered);
+        assert_ne!(layered, served);
+        assert_eq!(layered.to_string(), flat.to_string());
+        assert_eq!(format!("{layered:?}"), format!("{flat:?}"));
+        let bytes = |w: &WTable| {
+            let mut out = Vec::new();
+            crate::segment::put_wtable(&mut out, w);
+            out
+        };
+        assert_eq!(bytes(&layered), bytes(&flat));
+        assert_eq!(
+            layered.num_total_assignments(),
+            flat.num_total_assignments()
+        );
+        assert!(layered.contains(&Var::new("c")) && layered.contains(&Var::new("d")));
+        assert!(layered.add_bool_variable(Var::new("c"), 0.5).is_err());
+        let introduced = layered.introduced_over(&served);
+        assert_eq!(introduced.variables(), declared.map(Var::new));
+        let in_lower = layered.iter_layered().map(|(_, _, lower)| lower);
+        assert_eq!(in_lower.filter(|&lower| lower).count(), 3);
+        // One layer again: the same content.
+        let one = layered.clone().into_one_layer();
+        assert!(one.lower_layer().is_none());
+        assert_eq!(one, flat);
+        // A declaration into a shared upper layer copies that layer only.
+        let mut again = layered.clone();
+        again.add_bool_variable(Var::new("e"), 0.5).unwrap();
+        assert!(again.lower_layer().unwrap().shares_content(&served));
+        assert_eq!(layered.num_variables(), 6);
+        assert_eq!(again.num_variables(), 7);
     }
 }

@@ -346,12 +346,40 @@ fn identifier_spans(text: &str) -> Vec<(usize, &str)> {
 }
 
 /// The production part of a code view, as one text: the lines before the
-/// first `#[cfg(test)]`.
+/// [test module](test_module_start).
 fn production(code: &[String]) -> String {
-    let lines = code
-        .iter()
-        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"));
-    lines.cloned().collect::<Vec<_>>().join("\n")
+    code[..test_module_start(code)].join("\n")
+}
+
+/// Index of the line that starts a file's test module: the first
+/// `#[cfg(test)]` (after indentation) whose next item — past blank,
+/// comment and attribute lines — is a `mod`; `lines.len()` if there is
+/// none.  A `#[cfg(test)]` on one item inside production code, such as a
+/// test-only method in the middle of an `impl`, does not end it.
+fn test_module_start(lines: &[impl AsRef<str>]) -> usize {
+    let is_mod = |item: &str| {
+        let mut words = item.split_whitespace();
+        let first = words.next();
+        let keyword = if first.is_some_and(|w| w.starts_with("pub")) {
+            words.next()
+        } else {
+            first
+        };
+        keyword == Some("mod")
+    };
+    let starts_module = |i: usize| {
+        let Some(rest) = lines[i].as_ref().trim_start().strip_prefix("#[cfg(test)]") else {
+            return false;
+        };
+        let following = lines[i + 1..].iter().map(|line| line.as_ref().trim_start());
+        let mut items = std::iter::once(rest.trim_start()).chain(following);
+        let skipped =
+            |line: &&str| line.is_empty() || line.starts_with("//") || line.starts_with("#[");
+        items.find(|line| !skipped(line)).is_some_and(is_mod)
+    };
+    (0..lines.len())
+        .find(|&i| starts_module(i))
+        .unwrap_or(lines.len())
 }
 
 /// The `pool-in-init` scan of one file's code view (comments and literals
@@ -825,13 +853,13 @@ pub fn lint(root: &Path) -> Result<Vec<Finding>, String> {
 }
 
 /// Production lines of one source text, by the rule the "less code"
-/// criteria of the simplicity PRs count with: lines before the first
-/// `#[cfg(test)]`, minus blank lines and `//` comment lines (doc comments
-/// included).
+/// criteria of the simplicity PRs count with: lines before the
+/// [test module](test_module_start), minus blank lines and `//` comment
+/// lines (doc comments included).
 pub fn production_lines(text: &str) -> usize {
-    text.lines()
-        .map(str::trim_start)
-        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+    let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+    lines[..test_module_start(&lines)]
+        .iter()
         .filter(|line| !line.is_empty() && !line.starts_with("//"))
         .count()
 }
@@ -899,6 +927,18 @@ mod tests {
         let src = "//! docs\n\nuse a::b;\n    // note\nfn f() {}\n  #[cfg(test)]\nmod tests {\n    fn g() {}\n}\n";
         assert_eq!(production_lines(src), 2);
         assert_eq!(production_lines(""), 0);
+    }
+
+    #[test]
+    fn a_test_only_method_inside_an_impl_does_not_end_production_code() {
+        let src = "impl S {\n    fn a() {}\n    /// hook\n    #[cfg(test)]\n    #[allow(dead_code)]\n    \
+                   pub(crate) fn hook() {}\n    fn b() {}\n}\n#[cfg(test)]\n// the tests\npub(crate) mod tests {\n    \
+                   fn t() {}\n}\n";
+        assert_eq!(production_lines(src), 7);
+        let code: Vec<String> = src.lines().map(str::to_owned).collect();
+        assert_eq!(production(&code).lines().count(), 8);
+        assert_eq!(production_lines("#[cfg(test)] mod tests;\nfn f() {}\n"), 0);
+        assert_eq!(production_lines("#[cfg(test)]\nfn hook() {}\n"), 2);
     }
 
     #[test]
