@@ -59,7 +59,7 @@
 //! snapshot is how the serving layer makes the steady-state cost of a
 //! repeated query estimation-only.  A snapshot holds what its prefix
 //! *added* to the evaluation context (the W-table `repair-key` left behind,
-//! the variable counter, statistics, compiled spaces, slot results), never
+//! the variable counter, statistics, lineage memo, slot results), never
 //! the relations the prefix read: whoever resumes it composes the context's
 //! database from the current relations and the snapshot's W-table.
 
@@ -108,9 +108,9 @@ pub struct ExecContext<'a> {
     /// derive per-event/per-candidate sub-RNGs, so parallel estimation stays
     /// deterministic.
     pub rng: &'a mut dyn RngCore,
-    /// Memoised W-table compilation (and, inside each compiled space, the
-    /// per-relation lineage batches) shared by every confidence-bearing
-    /// operator of this evaluation.
+    /// The per-relation lineage batches memoised by every
+    /// confidence-bearing operator of this evaluation (the compiled W-table
+    /// itself is memoised with the table).
     pub spaces: SpaceCache,
     /// Cooperative deadline threaded into the sampling loops: estimation
     /// kernels probe the clock between sample blocks/batches and abort with
@@ -524,9 +524,9 @@ pub(crate) struct PrefixEffects {
     pub var_counter: usize,
     /// The statistics the prefix accumulated.
     pub stats: EvalStats,
-    /// The memoised W-table compilations of the prefix, shared with every
-    /// run that resumes it (a [`SpaceCache`] hit is checked against the
-    /// table's content, so sharing is safe).
+    /// The lineage batches the prefix memoised, shared with every run that
+    /// resumes it (a batch is keyed by its compiled index and relation
+    /// content, so sharing is safe).
     pub spaces: SpaceCache,
 }
 
@@ -876,12 +876,8 @@ impl PhysicalPlan {
     }
 
     /// Moves a snapshot's context effects into `ctx` and returns its slot
-    /// state for the run.  The run shares the snapshot's space cache: what
-    /// it compiles lands there, and the next resume finds it.  A snapshot
-    /// no stateful node has run in (the empty one, or a cold start built
-    /// from stored results) compiled nothing, so the run keeps the
-    /// context's own cache — which a serving cold start seeds with the
-    /// served W-table's compiled index.
+    /// state for the run.  The run shares the snapshot's space cache: the
+    /// lineage it memoises lands there, and the next resume finds it.
     fn restore(&self, ctx: &mut ExecContext<'_>, snapshot: ExecSnapshot) -> Result<SlotState> {
         if snapshot.plan_signature != self.signature {
             return Err(EngineError::Invariant(
@@ -903,9 +899,7 @@ impl PhysicalPlan {
         }
         ctx.var_counter = effects.var_counter;
         ctx.stats = effects.stats;
-        if effects.wtable.is_some() {
-            ctx.spaces = effects.spaces;
-        }
+        ctx.spaces = effects.spaces;
         Ok(snapshot.state)
     }
 

@@ -28,18 +28,19 @@
 //!    admits only prefixes and results it has seen before, so
 //!    never-repeated queries stop filling it).  Scans are never stored: a
 //!    scan's result is the request database's relation itself;
-//! 3. inside each pooled prefix, the memoised [`SpaceCache`] /
-//!    lineage-batch caches of the `space` module, shared by every resume
-//!    (a compiled space is found by its W-table's content; a cold start's
-//!    cache begins with the served W-table's `SpaceIndex`, compiled once
-//!    per served table, and an empty lineage cache of its own) —
-//!    including the **compiled lineage programs**
+//! 3. inside each pooled prefix, the lineage memo of the `space` module
+//!    (a [`SpaceCache`]), shared by every resume; a cold start begins with
+//!    an empty one.  The compiled W-table it translates with is memoised
+//!    with the table's content, not here: the served table is compiled at
+//!    set-up, and every request over it — a clone — finds that index.  The
+//!    memo holds the **compiled lineage programs**
 //!    ([`confidence::LineagePrograms`]) the bit-parallel Monte Carlo
 //!    estimators sample through and the exact probabilities the exact
 //!    estimator memoises inside them, so a warm `aconf` request pays
 //!    sampling only (and a warm `conf`/`cert` request pays lookups only):
-//!    event trees are never re-walked or re-compiled per request.  The
-//!    cache key is the input relation's content digest, which the pooled
+//!    event trees are never re-walked or re-compiled per request.  A
+//!    batch is keyed by the compiled index and the input relation's
+//!    content digest, which the pooled
 //!    result memoises with its content, so with shared sampling on (tallies
 //!    reused across requests) a warm `aconf` hashes nothing either — it is
 //!    a lookup, like a warm `conf`.
@@ -47,7 +48,7 @@
 //! Snapshot identity is "sub-plan × relation footprint", not "query":
 //! pool entries are keyed by the *stateful spine* of the prefix (the ordered
 //! repair-key / exact-confidence nodes, which determine every context
-//! effect — introduced variables, statistics, compiled spaces), a stored
+//! effect — introduced variables, statistics, lineage memo), a stored
 //! spine-free result by its sub-plan digest alone, and each pooled result
 //! records the set of base relations it scans.  A stored result also keeps
 //! pointer copies of those relations, and a lookup hits only while the
@@ -534,14 +535,11 @@ struct Warm {
 /// (a clone of the served one over the pooled prefix's W-table, or the
 /// base table on a cold start), the content epoch it was read at, the
 /// snapshot it resumes, and how it resumes it (`None` is a cold start).
-/// A cold start also carries the served table's compiled index, which its
-/// context's space cache starts from.
 struct Start {
     database: UDatabase,
     epoch: u64,
     snapshot: ExecSnapshot,
     warm: Option<Warm>,
-    index: Option<Arc<SpaceIndex>>,
 }
 
 /// The shared prefix of every prepared query with one stateful spine: the
@@ -1325,20 +1323,12 @@ struct Counters {
     shared_block_hits: AtomicU64,
 }
 
-/// The served state, behind one lock: the database, its content epoch, the
-/// snapshot pool and the compiled index of the database's W-table.  A
-/// request's start reads them as one cut, and every commit writes them
-/// together, so a reader never pairs a database with pool state of another
-/// version.
+/// The served state, behind one lock: the database, its content epoch and
+/// the snapshot pool.  A request's start reads them as one cut, and every
+/// commit writes them together, so a reader never pairs a database with
+/// pool state of another version.
 struct Served {
     database: UDatabase,
-    /// The served W-table compiled once ([`SpaceIndex::compile`]), and
-    /// replaced with the table: every cold start seeds its space cache with
-    /// it, so a cold `conf` over the served table compiles only the
-    /// lineage it reads, and one over a table a `repair-key` extended
-    /// compiles only the variables it declared.  `None` if the table does not compile — each
-    /// request then compiles, and fails, on its own.
-    index: Option<Arc<SpaceIndex>>,
     /// Monotonic database-content version, bumped by every commit.  A
     /// capturing evaluation records it at its start, and its absorb
     /// ([`absorb_if_current`](ServingEngine::absorb_if_current)) drops the
@@ -1353,12 +1343,15 @@ impl Served {
     /// The state of a freshly served database at `epoch`: its W-table
     /// kept in one layer and compiled, an empty pool.  One layer, so a
     /// request's `repair-key` declares above the served map as a whole,
-    /// and its compiled space extends the served index.
+    /// and its compiled space extends the served index.  The index is
+    /// memoised with the table ([`SpaceIndex::of`]), so every request over
+    /// the served table — a clone of it — finds it compiled; a table that
+    /// does not compile fails each request that compiles it.
     fn new(mut database: UDatabase, epoch: u64) -> Served {
         let wtable = std::mem::take(database.wtable_mut());
         *database.wtable_mut() = wtable.into_one_layer();
+        let _ = SpaceIndex::of(database.wtable());
         Served {
-            index: SpaceIndex::compile(database.wtable()).ok().map(Arc::new),
             database,
             epoch,
             pool: SnapshotPool::default(),
@@ -1801,7 +1794,7 @@ impl ServingEngine {
         };
         let snapshot = start.snapshot;
         let mut rng_ref: &mut R = rng;
-        let mut ctx = self.context(config, start.database, start.index, &mut rng_ref, deadline);
+        let mut ctx = self.context(config, start.database, &mut rng_ref, deadline);
         // Quarantine region: a panicking run (an operator bug, or an
         // injected fault) drops only this run's pool entry — the engine
         // stays serviceable and the next request of this prefix re-warms
@@ -1849,18 +1842,12 @@ impl ServingEngine {
     /// database.  Commits write database, epoch and pool under the same
     /// lock, so the resolved results always belong to the cloned relations;
     /// if the guarded absorb later sees the same epoch, no commit touched
-    /// the pool in between.  A cold start also takes the served table's
-    /// compiled index (a pointer copy); a warm one resumes its entry's
-    /// space cache instead and takes nothing.
+    /// the pool in between.
     fn start(&self, prepared: &PreparedQuery) -> Start {
-        let (mut database, epoch, (snapshot, warm), index) = {
+        let (mut database, epoch, (snapshot, warm)) = {
             let served = self.state.read();
             let resolved = served.pool.resolve(prepared, &served.database);
-            let index = match resolved.1 {
-                None => served.index.clone(),
-                Some(_) => None,
-            };
-            (served.database.clone(), served.epoch, resolved, index)
+            (served.database.clone(), served.epoch, resolved)
         };
         if let Some(wtable) = snapshot.effects().wtable.as_ref() {
             *database.wtable_mut() = wtable.clone();
@@ -1870,19 +1857,16 @@ impl ServingEngine {
             epoch,
             snapshot,
             warm,
-            index,
         }
     }
 
-    /// The execution context of one request over its start's database.  A
-    /// cold start's space cache is seeded with the served table's index
-    /// and an empty lineage cache of its own; a warm start's is replaced by
-    /// its entry's when the run restores the snapshot.
+    /// The execution context of one request over its start's database.
+    /// Its space cache is the one of the snapshot the run restores: an
+    /// empty one on a cold start, the entry's on a warm one.
     fn context<'a>(
         &self,
         config: EvalConfig,
         database: UDatabase,
-        index: Option<Arc<SpaceIndex>>,
         rng: &'a mut dyn RngCore,
         deadline: Option<Instant>,
     ) -> ExecContext<'a> {
@@ -1892,7 +1876,7 @@ impl ServingEngine {
             stats: EvalStats::default(),
             var_counter: 0,
             rng,
-            spaces: index.map_or_else(SpaceCache::new, SpaceCache::seeded),
+            spaces: SpaceCache::new(),
             deadline,
             sampler: config.shared_sampling.then(|| Arc::clone(&self.sampler)),
         }
@@ -1979,7 +1963,7 @@ impl ServingEngine {
         let prepared = self.prepare(request.text, config, digest)?;
         let start = self.start(&prepared);
         let mut dummy = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let mut ctx = self.context(config, start.database, start.index, &mut dummy, None);
+        let mut ctx = self.context(config, start.database, &mut dummy, None);
         let limit = config.pairwise_bound_limit;
         let bounds = prepared
             .physical
@@ -2876,8 +2860,8 @@ mod tests {
     #[test]
     fn warm_aconf_requests_reuse_compiled_estimator_state() {
         let _calm = storm_free();
-        // The pooled prefix retains the SpaceCache, whose compiled spaces
-        // hold the extracted-and-compiled lineage programs: every warm
+        // The pooled prefix retains the SpaceCache, which holds the
+        // extracted-and-compiled lineage programs: every warm
         // resume of a sampling query must hit that cache (sampling only) —
         // never re-extract events or re-compile programs.
         let db = coin_db();
@@ -2966,13 +2950,7 @@ mod tests {
         assert_eq!(start.epoch, serving.state.read().epoch);
         let epoch = start.epoch;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut ctx = serving.context(
-            EvalConfig::exact(),
-            start.database,
-            start.index,
-            &mut rng,
-            None,
-        );
+        let mut ctx = serving.context(EvalConfig::exact(), start.database, &mut rng, None);
         let plan = &prepared.physical;
         let (_, snapshot) = plan.resume(&mut ctx, plan.empty_snapshot(), true).unwrap();
         let snapshot = snapshot.expect("a capturing run returns its snapshot");
@@ -4260,48 +4238,47 @@ mod tests {
         entry.expect("pooled spine").effects.spaces.clone()
     }
 
-    fn served_index(serving: &ServingEngine) -> Arc<SpaceIndex> {
-        let index = serving.state.read().index.clone();
-        index.expect("the served W-table compiles")
+    /// The index memoised with `table`'s content (panics if nothing
+    /// compiled the content).
+    fn memoised_index(table: &urel::WTable) -> Arc<SpaceIndex> {
+        let memo = table.derived::<Result<Arc<SpaceIndex>>>(|_| panic!("no index memoised"));
+        memo.as_ref().clone().expect("the table compiles")
     }
 
-    /// Holders of the served index besides the served state and `index`
-    /// itself: the compiled spaces that share it.
-    fn sharers(index: &Arc<SpaceIndex>) -> usize {
-        Arc::strong_count(index) - 2
+    /// The index memoised with the served table.
+    fn served_index(serving: &ServingEngine) -> Arc<SpaceIndex> {
+        memoised_index(serving.database().wtable())
     }
 
     #[test]
     fn cold_requests_share_the_served_tables_compiled_index() {
         let _calm = storm_free();
+        // Compiled at set-up, memoised with the served table.
         let serving = ServingEngine::new(EvalConfig::exact(), uncertain_db()).unwrap();
         let index = served_index(&serving);
         let table = serving.database().wtable().clone();
 
         // Two never-seen exact `conf`s over the served table: both cold
-        // starts compile nothing — each pooled entry's space shares the
-        // served index — and each has a lineage cache of its own.
-        assert_eq!(sharers(&index), 0);
+        // starts run over a clone of it and so share its one index, and
+        // each pooled entry has a lineage cache of its own.
         let texts = ["conf(Flip)", "conf(select[Side >= 1](Flip))"];
         let mut spaces = Vec::new();
         for (seed, text) in texts.into_iter().enumerate() {
-            serving
+            let out = serving
                 .evaluate(text, &mut ChaCha8Rng::seed_from_u64(seed as u64))
                 .unwrap();
-            let cache = entry_spaces(&serving, text);
-            assert_eq!(cache.len(), 1, "nothing compiled beside the seed");
-            spaces.push(cache.compiled(&table).unwrap());
+            assert!(Arc::ptr_eq(&memoised_index(out.database.wtable()), &index));
+            let space = entry_spaces(&serving, text).compiled(&table).unwrap();
+            assert!(Arc::ptr_eq(space.index(), &index));
+            spaces.push(space);
         }
         assert_eq!(serving.stats().cold_evaluations, 2);
-        assert_eq!(sharers(&index), 2);
-        assert!(!Arc::ptr_eq(&spaces[0], &spaces[1]));
+        assert!(!spaces[0].shares_cache(&spaces[1]));
         // An exact `conf`'s result is pooled with its spine, so its batch
         // is neither hashed nor kept.
         assert!(spaces.iter().all(|space| space.lineage_len() == 0));
-        // The shared index retains no batch: a cold start over it begins
-        // with an empty lineage cache.
-        let fresh = SpaceCache::seeded(Arc::clone(&index));
-        assert_eq!(fresh.compiled(&table).unwrap().lineage_len(), 0);
+        // The shared index retains no batch: a cache over it begins empty.
+        assert_eq!(SpaceCache::new().compiled(&table).unwrap().lineage_len(), 0);
         for text in texts {
             assert_matches_one_shot(&serving, text, 5);
         }
@@ -4315,28 +4292,26 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&served_index(&serving), &index));
 
-        // A database with another W-table replaces the index: the next
-        // cold request compiles against the new content.
+        // A database with another W-table comes with a new index, compiled
+        // at set-up: the next cold request finds it.
         let mut db = uncertain_db();
         db.add_variable(
             urel::Var::new("d"),
             [(pdb::Value::Int(0), 0.25), (pdb::Value::Int(1), 0.75)],
         )
         .unwrap();
-        serving.set_database(db.clone()).unwrap();
+        serving.set_database(db).unwrap();
         let replaced = served_index(&serving);
         assert!(!Arc::ptr_eq(&replaced, &index));
+        assert_eq!(replaced.space().num_variables(), 2);
         let text = "conf(select[Side >= 0](Flip))";
-        serving
+        let out = serving
             .evaluate(text, &mut ChaCha8Rng::seed_from_u64(2))
             .unwrap();
-        let cache = entry_spaces(&serving, text);
-        assert_eq!(cache.len(), 1, "nothing compiled beside the seed");
-        assert_eq!(
-            cache.compiled(db.wtable()).unwrap().space().num_variables(),
-            2
-        );
-        assert_eq!(sharers(&replaced), 1);
+        assert!(Arc::ptr_eq(
+            &memoised_index(out.database.wtable()),
+            &replaced
+        ));
         assert_matches_one_shot(&serving, text, 6);
 
         // So does a restore: its cold requests use the restored table's.
@@ -4347,11 +4322,13 @@ mod tests {
         let restored_index = served_index(&restored);
         assert!(!Arc::ptr_eq(&restored_index, &replaced));
         let text = "conf(select[Side <= 0](Flip))";
-        restored
+        let out = restored
             .evaluate(text, &mut ChaCha8Rng::seed_from_u64(3))
             .unwrap();
-        assert_eq!(entry_spaces(&restored, text).len(), 1);
-        assert_eq!(sharers(&restored_index), 1);
+        assert!(Arc::ptr_eq(
+            &memoised_index(out.database.wtable()),
+            &restored_index
+        ));
         assert_matches_one_shot(&restored, text, 7);
     }
 
@@ -4368,22 +4345,46 @@ mod tests {
             "aconf[0.3, 0.1](project[CoinType](select[Count >= 2](repairkey[ @ Count](Coins))))";
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         serving.evaluate(first, &mut rng).unwrap();
-        let cache = entry_spaces(&serving, first);
         let extended = serving.evaluate(first, &mut rng).unwrap().database;
         let extended = extended.wtable().clone();
         assert!(extended.num_variables() > index.space().num_variables());
-        let space = cache.compiled(&extended).unwrap();
-        // The cold start's seed (the served index, shared, not copied) and
-        // the extended table's space, whose index extends the served one.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(sharers(&index), 2);
+        // The cold run compiled the extended table once, as the extension
+        // of the served index, shared rather than copied.
+        let compiled = memoised_index(&extended);
+        assert!(compiled.extends(&index));
 
         let cold = serving.stats().cold_evaluations;
-        serving.evaluate(second, &mut rng).unwrap();
+        let out = serving.evaluate(second, &mut rng).unwrap();
         assert_eq!(serving.stats().cold_evaluations, cold, "a spine resume");
-        assert_eq!(cache.len(), 2, "the resume compiled nothing new");
-        assert!(Arc::ptr_eq(&cache.compiled(&extended).unwrap(), &space));
+        let resumed = memoised_index(out.database.wtable());
+        assert!(
+            Arc::ptr_eq(&resumed, &compiled),
+            "the resume compiled nothing new"
+        );
+        assert!(Arc::ptr_eq(&served_index(&serving), &index));
         assert_matches_one_shot(&serving, second, 8);
+    }
+
+    #[test]
+    fn one_shot_evaluations_over_one_database_compile_its_table_once() {
+        let _calm = storm_free();
+        let db = keyed_db();
+        let engine = UEngine::new(EvalConfig::exact());
+        let evaluate = |text: &str, seed| {
+            let query = algebra::parse_query(text).unwrap();
+            (engine.evaluate(&db, &query, &mut ChaCha8Rng::seed_from_u64(seed))).unwrap()
+        };
+        // The first evaluation compiles the table into its memo; the second
+        // finds it there.  A `repair-key` request's table extends it.
+        evaluate("conf(select[Side >= 1](Flip))", 1);
+        let index = memoised_index(db.wtable());
+        let out = evaluate(&shape_one(1), 2);
+        assert!(Arc::ptr_eq(&memoised_index(db.wtable()), &index));
+        assert!(memoised_index(out.database.wtable()).extends(&index));
+        // A serving engine over the same database serves that index too.
+        let serving = ServingEngine::new(EvalConfig::exact(), db.clone()).unwrap();
+        assert!(Arc::ptr_eq(&served_index(&serving), &index));
+        assert_matches_one_shot(&serving, &shape_one(1), 2);
     }
 
     /// `R(K, W)` with one to three weights per key, `S(K, W, B)` with one
@@ -4406,7 +4407,7 @@ mod tests {
     }
 
     /// The request's W-table keeps the served map as its lower layer, and
-    /// the entry's compiled space for it extends the served index.
+    /// the index memoised with it extends the served index.
     fn assert_declared_over_the_served_table(serving: &ServingEngine, text: &str, seed: u64) {
         let out = (serving.evaluate(text, &mut ChaCha8Rng::seed_from_u64(seed))).unwrap();
         let served = serving.database();
@@ -4417,8 +4418,7 @@ mod tests {
         let table = out.database.wtable();
         let lower = table.lower_layer().expect("declared above the served map");
         assert!(lower.shares_content(served.wtable()));
-        let space = entry_spaces(serving, text).compiled(table).unwrap();
-        assert!(space.index().extends(&served_index(serving)));
+        assert!(memoised_index(table).extends(&served_index(serving)));
         assert_matches_one_shot(serving, text, seed);
     }
 

@@ -1,40 +1,42 @@
 //! Bridging the named random variables of a U-relational database to the
 //! index-based probability space the `confidence` crate estimates over,
-//! with two serving-grade caches layered on top:
+//! with two serving-grade memos layered on top:
 //!
-//! * a **[`SpaceIndex`]**, the immutable part of a compiled W-table — the
-//!   probability space and the name/value → index mappings that translate
-//!   conditions into assignments.  It is a function of the table's content
-//!   alone (Section 3's `W(Var, Dom, P)` is a relation), so it is shared
-//!   behind an `Arc`: the serving layer compiles its served table once and
-//!   seeds every cold request with it, so a cold `conf` over the served
-//!   table compiles nothing.  A request's `repair-key` declares above the
-//!   served map, which its table keeps as a shared lower layer, and the
-//!   index of that table *extends* the served one: it maps the declared
+//! * a **[`SpaceIndex`]**, the compiled W-table — the probability space
+//!   and the name/value → index mappings that translate conditions into
+//!   assignments.  It is a function of the table's content alone (Section
+//!   3's `W(Var, Dom, P)` is a relation), so it is memoised with that
+//!   content ([`WTable::derived`]), as a relation's digest and join index
+//!   are with its rows: every table that shares the content — the served
+//!   table and every request's and pooled prefix's clone of it — finds one
+//!   index, compiled at most once, and an edit starts without it.  A
+//!   request's `repair-key` declares above the served map, which its table
+//!   keeps as a shared lower layer, and the index of that table *extends*
+//!   the index in the lower layer's own memo: it maps the declared
 //!   variables only and translates every served one through the served
 //!   index, its id shifted to the variable's place in the whole table, so
 //!   ids, translations and probabilities are those of a compile of the
 //!   whole table;
-//! * a **lineage/event cache inside [`CompiledSpace`]** (an index plus a
-//!   memo of its own): the batch of DNF events of a whole relation
-//!   ([`RelationEvents`]) is extracted once — from the relation's rows,
-//!   borrowed, each condition translated straight into an assignment —
-//!   **compiled into flat bit-parallel lineage programs**
-//!   ([`confidence::LineagePrograms`]) and memoised by relation content, so
-//!   repeated evaluations of a cached plan pay for estimation only — never
-//!   for re-walking rows, re-translating conditions, or re-compiling event
-//!   trees (the programs, and the exact probabilities the exact estimator
-//!   memoises inside them, are the serving layer's warm estimator state).
-//!   The key, [`URelation::content_digest`], is hashed once per content and
-//!   memoised with it, so a lookup on shared content (a pooled result and
-//!   every request resuming it) is O(1) rather than a pass over the rows.
-//!   An exact `conf` skips the memo ([`CompiledSpace::extract_events`]):
-//!   its result is pooled with its stateful spine, so nothing would look
-//!   the batch up again;
-//! * a **[`SpaceCache`]** memoising compiled spaces by their W-table's
-//!   content, so the confidence-bearing operators of one pipeline (and every
-//!   warm resume of a pooled prefix) share one compiled space instead of
-//!   recompiling per operator.
+//! * a **[`SpaceCache`]**, the lineage memo of one evaluation context, and
+//!   so of a pooled prefix and every resume of it: the batch of DNF events
+//!   of a whole relation ([`RelationEvents`]) is extracted once — from the
+//!   relation's rows, borrowed, each condition translated straight into an
+//!   assignment — **compiled into flat bit-parallel lineage programs**
+//!   ([`confidence::LineagePrograms`]) and memoised by index and relation
+//!   content, so repeated evaluations of a cached plan pay for estimation
+//!   only — never for re-walking rows, re-translating conditions, or
+//!   re-compiling event trees (the programs, and the exact probabilities
+//!   the exact estimator memoises inside them, are the serving layer's warm
+//!   estimator state).  The relation's half of the key,
+//!   [`URelation::content_digest`], is hashed once per content and memoised
+//!   with it, so a lookup on shared content (a pooled result and every
+//!   request resuming it) is O(1) rather than a pass over the rows.  An
+//!   exact `conf` skips the memo ([`CompiledSpace::extract_events`]): its
+//!   result is pooled with its stateful spine, so nothing would look the
+//!   batch up again.
+//!
+//! A [`CompiledSpace`] is the two together: a table's index and a handle
+//! on the cache its batches are kept in.
 
 use crate::error::{EngineError, Result};
 use crate::sync::{LockRank, OrderedMutex};
@@ -46,30 +48,21 @@ use std::ops::Range;
 use std::sync::Arc;
 use urel::{Condition, URelation, Var, WTable};
 
-/// Upper bound on distinct relations memoised per compiled space; reaching
+/// Upper bound on distinct batches memoised per [`SpaceCache`]; reaching
 /// it clears the cache (steady-state serving re-fills the handful of hot
 /// entries immediately).
 const LINEAGE_CACHE_CAP: usize = 1024;
 
-/// Upper bound on distinct W-table states memoised per [`SpaceCache`];
-/// reaching it clears the cache, like [`LINEAGE_CACHE_CAP`].  A cache only
-/// keeps growing under a `repair-key` above a sampled operator, whose
-/// variables then follow the sampled result.
-const SPACE_CACHE_CAP: usize = 64;
-
-/// The immutable part of a compiled W-table: the probability space plus
-/// the name/value → index mappings needed to translate conditions into
-/// assignments.  Variable ids follow the table's variable order.
+/// The compiled W-table: the probability space plus the name/value → index
+/// mappings needed to translate conditions into assignments.  Variable ids
+/// follow the table's variable order.
 ///
 /// An index can *extend* the index of its table's
 /// [lower layer](WTable::lower_layer): it then maps only the variables
 /// declared above that layer, and translates every other one through the
 /// lower index, shifting its id to the variable's place in the whole
-/// table.  [`compile`](SpaceIndex::compile) is the extension of nothing.
+/// table.  A compile from nothing is the extension of nothing.
 pub(crate) struct SpaceIndex {
-    /// The table this index was compiled from (a pointer copy): what a
-    /// [`SpaceCache`] hit is checked against.
-    wtable: WTable,
     space: ProbabilitySpace,
     /// The index of the lower layer this one extends, with the id here of
     /// each of its ids.
@@ -84,9 +77,17 @@ pub(crate) struct SpaceIndex {
 }
 
 impl SpaceIndex {
-    /// Compiles a W-table in one pass over its variables.
-    pub(crate) fn compile(wtable: &WTable) -> Result<SpaceIndex> {
-        SpaceIndex::extend(None, wtable)
+    /// The index of `wtable`, memoised with its content: compiled on first
+    /// use — a two-layer table as the extension of its lower layer's
+    /// memoised index by its own variables — and shared by every table
+    /// that shares the content.  A table that does not compile memoises
+    /// its error.
+    pub(crate) fn of(wtable: &WTable) -> Result<Arc<SpaceIndex>> {
+        let memo = wtable.derived(|wtable| -> Result<Arc<SpaceIndex>> {
+            let lower = (wtable.lower_layer().as_ref()).map(SpaceIndex::of);
+            Ok(Arc::new(SpaceIndex::extend(lower.transpose()?, wtable)?))
+        });
+        memo.as_ref().clone()
     }
 
     /// Compiles `wtable` over `lower`, the index of the table's lower
@@ -112,7 +113,6 @@ impl SpaceIndex {
             vars.insert(var.clone(), (id, start..alts.len()));
         }
         Ok(SpaceIndex {
-            wtable: wtable.clone(),
             space,
             lower: lower.map(|lower| (lower, shifted)),
             vars,
@@ -142,20 +142,13 @@ impl SpaceIndex {
     }
 }
 
-/// A compiled view of a W-table: its immutable part (probability space and
-/// translation maps), shared behind an `Arc` by every compiled space over
-/// the same table content, plus a content-addressed cache of per-relation
-/// lineage batches of its own.
+/// A compiled view of a W-table: its [`SpaceIndex`], memoised with the
+/// table, and a handle on the [`SpaceCache`] its lineage batches are kept
+/// in.  Cheap to build: two pointer copies once the table is compiled.
+#[derive(Clone)]
 pub struct CompiledSpace {
     index: Arc<SpaceIndex>,
-    /// [`URelation::content_digest`] → extracted event batch.
-    /// Content-addressed, so the cache stays correct no matter who shares
-    /// this compiled space; keying by digest instead of a relation clone
-    /// keeps the cache from retaining copies of large relations.
-    lineage: OrderedMutex<HashMap<(u64, u64, usize), Arc<RelationEvents>>>,
-    /// Number of lineage-cache hits: warm requests that reused an already
-    /// extracted-and-compiled batch (so they paid estimation only).
-    lineage_hits: std::sync::atomic::AtomicU64,
+    cache: SpaceCache,
 }
 
 impl fmt::Debug for CompiledSpace {
@@ -221,19 +214,11 @@ impl RelationEvents {
 }
 
 impl CompiledSpace {
-    /// Compiles a W-table.
+    /// The compiled space of a W-table: its memoised index (compiled now
+    /// if nothing compiled the table's content before) with a lineage
+    /// cache of its own.
     pub fn compile(wtable: &WTable) -> Result<CompiledSpace> {
-        Ok(CompiledSpace::over(Arc::new(SpaceIndex::compile(wtable)?)))
-    }
-
-    /// A compiled space over an already compiled index, with an empty
-    /// lineage cache of its own.
-    pub(crate) fn over(index: Arc<SpaceIndex>) -> CompiledSpace {
-        CompiledSpace {
-            index,
-            lineage: OrderedMutex::new(LockRank::LineageCache, "space.lineage", HashMap::new()),
-            lineage_hits: std::sync::atomic::AtomicU64::new(0),
-        }
+        SpaceCache::new().compiled(wtable)
     }
 
     /// The index-based probability space.
@@ -248,27 +233,37 @@ impl CompiledSpace {
         &self.index
     }
 
+    /// True if both spaces keep their batches in one cache (test hook).
+    #[cfg(test)]
+    pub(crate) fn shares_cache(&self, other: &CompiledSpace) -> bool {
+        Arc::ptr_eq(&self.cache.lineage, &other.cache.lineage)
+    }
+
     /// The whole lineage batch of a relation — [`URelation::tuple_events`]
     /// plus condition translation plus compilation into bit-parallel lineage
-    /// programs — memoised by relation content, so a warm re-execution of a
-    /// cached plan never re-extracts, re-translates, or re-compiles.  The
-    /// cache key is the relation's memoised content digest: hashed once per
-    /// content, then O(1) for every clone that shares it.
+    /// programs — memoised in the space's cache by index and relation
+    /// content, so a warm re-execution of a cached plan never re-extracts,
+    /// re-translates, or re-compiles.  The relation's half of the key is
+    /// its memoised content digest: hashed once per content, then O(1) for
+    /// every clone that shares it.
     pub fn relation_events(&self, relation: &URelation) -> Result<Arc<RelationEvents>> {
-        let digest = relation.content_digest();
-        if let Some(hit) = self.lineage.lock().get(&digest) {
-            self.lineage_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(hit.clone());
+        let key = (Arc::as_ptr(&self.index) as usize, relation.content_digest());
+        let mut memo = self.cache.lineage.lock();
+        if let Some(hit) = memo.batches.get(&key).map(|(_, batch)| Arc::clone(batch)) {
+            memo.hits += 1;
+            return Ok(hit);
         }
+        drop(memo);
         let entry = Arc::new(self.extract_events(relation)?);
-        let mut guard = self.lineage.lock();
-        // A shared space can outlive many evaluations (serving); bound the
-        // cache so varying post-sampling relations cannot grow it forever.
-        if guard.len() >= LINEAGE_CACHE_CAP {
-            guard.clear();
+        let mut memo = self.cache.lineage.lock();
+        // A shared cache can outlive many evaluations (serving); bound it
+        // so varying post-sampling relations cannot grow it forever.
+        if memo.batches.len() >= LINEAGE_CACHE_CAP {
+            memo.batches.clear();
         }
-        guard.insert(digest, entry.clone());
+        // The index is kept beside its batches, so its address is not
+        // reused while a key names it.
+        (memo.batches).insert(key, (Arc::clone(&self.index), entry.clone()));
         Ok(entry)
     }
 
@@ -293,17 +288,18 @@ impl CompiledSpace {
         Ok(RelationEvents { tuples, programs })
     }
 
-    /// Number of relations whose lineage batch is currently cached.
+    /// Number of relations whose lineage batch the space's cache holds
+    /// (over any table the cache's context compiled).
     pub fn lineage_len(&self) -> usize {
-        self.lineage.lock().len()
+        self.cache.lineage.lock().batches.len()
     }
 
-    /// Number of lineage-cache hits so far: requests served from an already
-    /// extracted-and-compiled batch.  A warm serving resume of a confidence
-    /// query must hit here — paying sampling only — rather than re-extract
-    /// or re-compile.
+    /// Number of hits of the space's cache so far: requests served from an
+    /// already extracted-and-compiled batch.  A warm serving resume of a
+    /// confidence query must hit here — paying sampling only — rather than
+    /// re-extract or re-compile.
     pub fn lineage_hits(&self) -> u64 {
-        self.lineage_hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.cache.lineage.lock().hits
     }
 
     /// Translates a condition (partial function over named variables) into an
@@ -341,24 +337,45 @@ impl CompiledSpace {
     }
 }
 
-/// A cache of compiled W-table states, shared by every confidence-bearing
-/// operator of one evaluation and, through the serving layer's pooled
-/// snapshots, by every warm resume of the same prefix.
+/// The lineage memo of one evaluation context, shared by every
+/// confidence-bearing operator of the evaluation and, through the serving
+/// layer's pooled snapshots, by every warm resume of the same prefix.
+/// A clone shares the memo.
 ///
-/// A compiled space is a function of its W-table's content (Section 3's
-/// `W(Var, Dom, P)` is a relation), so a hit requires that content: the
-/// very table the space was compiled from — a pointer comparison, which is
-/// what every resume over a pooled prefix's table finds — or, failing that,
-/// an equal one.  The cache is therefore safe to share with anyone, across
-/// evaluations and databases alike.
+/// A batch is keyed by the [`SpaceIndex`] it was translated with (a
+/// pointer: an index is memoised with its table's content, so one content
+/// has one index) and its relation's content digest.  The cache is
+/// therefore safe to share with anyone, across evaluations and databases
+/// alike.
 #[derive(Clone, Debug)]
 pub struct SpaceCache {
-    inner: Arc<OrderedMutex<Vec<Arc<CompiledSpace>>>>,
+    lineage: Arc<OrderedMutex<Lineage>>,
+}
+
+/// A lineage batch's key: its index's address and its relation's
+/// [`URelation::content_digest`].
+type BatchKey = (usize, (u64, u64, usize));
+
+/// What a [`SpaceCache`] holds under its one lock.
+#[derive(Default)]
+struct Lineage {
+    /// Key → the index and the extracted batch.  Keying by digest instead
+    /// of a relation clone keeps the cache from retaining copies of large
+    /// relations.
+    batches: HashMap<BatchKey, (Arc<SpaceIndex>, Arc<RelationEvents>)>,
+    /// Lookups that found their batch.
+    hits: u64,
 }
 
 impl Default for SpaceCache {
     fn default() -> Self {
-        SpaceCache::from_spaces(Vec::new())
+        SpaceCache {
+            lineage: Arc::new(OrderedMutex::new(
+                LockRank::SpaceCache,
+                "space.lineage",
+                Lineage::default(),
+            )),
+        }
     }
 }
 
@@ -368,73 +385,15 @@ impl SpaceCache {
         SpaceCache::default()
     }
 
-    /// A cache holding one compiled space over `index` with an empty
-    /// lineage cache: a lookup of the index's table compiles nothing, and
-    /// the batches extracted through it stay this cache's own.
-    pub(crate) fn seeded(index: Arc<SpaceIndex>) -> Self {
-        SpaceCache::from_spaces(vec![Arc::new(CompiledSpace::over(index))])
+    /// The compiled space of the W-table's current content — its memoised
+    /// index ([`WTable::derived`]), compiled at most once per content —
+    /// with its batches kept in this cache.
+    pub fn compiled(&self, wtable: &WTable) -> Result<CompiledSpace> {
+        Ok(CompiledSpace {
+            index: SpaceIndex::of(wtable)?,
+            cache: self.clone(),
+        })
     }
-
-    fn from_spaces(spaces: Vec<Arc<CompiledSpace>>) -> Self {
-        SpaceCache {
-            inner: Arc::new(OrderedMutex::new(
-                LockRank::SpaceCache,
-                "space.cache",
-                spaces,
-            )),
-        }
-    }
-
-    /// The compiled space for the W-table's current content, compiling at
-    /// most once per content while it stays cached.  A table whose
-    /// [lower layer](WTable::lower_layer) is cached — a request's table
-    /// after a `repair-key` over the served one — compiles as the
-    /// extension of that layer's index by its own variables.
-    pub fn compiled(&self, wtable: &WTable) -> Result<Arc<CompiledSpace>> {
-        let lower = {
-            let spaces = self.inner.lock();
-            if let Some(hit) = find(&spaces, wtable) {
-                return Ok(hit);
-            }
-            let lower = wtable.lower_layer();
-            let by_pointer = |s: &&Arc<CompiledSpace>| {
-                (lower.as_ref()).is_some_and(|lower| s.index.wtable.shares_content(lower))
-            };
-            spaces.iter().find(by_pointer).map(|s| Arc::clone(&s.index))
-        };
-        let index = SpaceIndex::extend(lower, wtable)?;
-        let compiled = Arc::new(CompiledSpace::over(Arc::new(index)));
-        let mut spaces = self.inner.lock();
-        // A racing evaluation may have compiled the same content meanwhile:
-        // keep the first, so every sharer sees one lineage cache.
-        if let Some(hit) = find(&spaces, wtable) {
-            return Ok(hit);
-        }
-        if spaces.len() >= SPACE_CACHE_CAP {
-            spaces.clear();
-        }
-        spaces.push(compiled.clone());
-        Ok(compiled)
-    }
-
-    /// Number of cached W-table states.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True if nothing has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The cached space compiled from `wtable`'s content: pointer matches
-/// first, content comparisons only when none matches.
-fn find(spaces: &[Arc<CompiledSpace>], wtable: &WTable) -> Option<Arc<CompiledSpace>> {
-    let by_pointer = spaces
-        .iter()
-        .find(|s| s.index.wtable.shares_content(wtable));
-    (by_pointer.or_else(|| spaces.iter().find(|s| s.index.wtable == *wtable))).cloned()
 }
 
 #[cfg(test)]
@@ -546,22 +505,27 @@ mod tests {
     }
 
     #[test]
-    fn space_cache_compiles_once_per_table_content() {
+    fn an_index_is_compiled_once_per_table_content() {
         let w = coin_wtable();
-        let cache = SpaceCache::new();
-        assert!(cache.is_empty());
-        let a = cache.compiled(&w).unwrap();
-        let b = cache.compiled(&w).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        let a = SpaceIndex::of(&w).unwrap();
+        assert!(Arc::ptr_eq(&a, &SpaceIndex::of(&w).unwrap()));
+        // A clone shares the content, and so the index; two caches over one
+        // table share it too, each with a lineage memo of its own.
+        assert!(Arc::ptr_eq(&a, &SpaceIndex::of(&w.clone()).unwrap()));
+        let (one, two) = (SpaceCache::new(), SpaceCache::new());
+        let x = one.compiled(&w).unwrap();
+        assert!(Arc::ptr_eq(x.index(), &a));
+        assert!(Arc::ptr_eq(two.compiled(&w).unwrap().index(), &a));
 
-        // A separately built table with the same content hits; a clone of
-        // the cache shares its map.
-        let shared = cache.clone();
-        assert!(Arc::ptr_eq(&a, &shared.compiled(&coin_wtable()).unwrap()));
+        // A separately built table is other content: an index of its own,
+        // equal to the first.
+        let separate = coin_wtable();
+        let b = SpaceIndex::of(&separate).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.space(), b.space());
 
         // The same variable count over other probabilities is another
-        // space, and so is a grown table.
+        // space, and so is a grown table; the original keeps its index.
         let mut reweighted = WTable::new();
         for (var, dist) in w.iter() {
             let flipped = dist
@@ -572,23 +536,13 @@ mod tests {
         }
         assert_eq!(reweighted.num_variables(), w.num_variables());
         assert_ne!(reweighted, w);
-        let c = shared.compiled(&reweighted).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert_ne!(SpaceIndex::of(&reweighted).unwrap().space(), a.space());
         let mut grown = w.clone();
         grown.add_bool_variable(Var::new("extra"), 0.5).unwrap();
-        shared.compiled(&grown).unwrap();
-        assert_eq!(cache.len(), 3);
-        assert!(Arc::ptr_eq(&a, &cache.compiled(&w).unwrap()));
-
-        // Bounded: past the cap the cache starts over.
-        for i in 0..SPACE_CACHE_CAP {
-            let mut fresh = WTable::new();
-            fresh
-                .add_bool_variable(Var::new(format!("x{i}")), 0.5)
-                .unwrap();
-            cache.compiled(&fresh).unwrap();
-        }
-        assert!(cache.len() <= SPACE_CACHE_CAP);
+        let c = SpaceIndex::of(&grown).unwrap();
+        assert!(c.extends(&a));
+        assert_eq!(c.space().num_variables(), 4);
+        assert!(Arc::ptr_eq(&a, &SpaceIndex::of(&w).unwrap()));
     }
 
     /// The extraction [`CompiledSpace::relation_events`] replaced, kept as
@@ -742,72 +696,180 @@ mod tests {
     /// and after its names.
     const DECLARED: [&str; 4] = ["rk1:(0)", "x11", "b", "zz"];
 
+    /// One step of [`a_memoised_index_matches_a_fresh_compile`], over
+    /// indices into a growing list of tables.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Clone(usize),
+        Declare(usize, usize, Vec<u8>),
+        Merge(usize, usize),
+        OneLayer(usize),
+        Introduced(usize, usize),
+        Segment(usize),
+        Compile(usize),
+    }
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::strategy::Strategy;
+        let weights = proptest::collection::vec(1u8..10, 1..4);
+        (0usize..7, 0usize..16, 0usize..16, weights).prop_map(|(kind, a, b, weights)| match kind {
+            0 => Step::Clone(a),
+            1 => Step::Declare(a, b, weights),
+            2 => Step::Merge(a, b),
+            3 => Step::OneLayer(a),
+            4 => Step::Introduced(a, b),
+            5 => Step::Segment(a),
+            _ => Step::Compile(a),
+        })
+    }
+
+    /// `weights` as a distribution over [`domain_value`]s.
+    fn dist(weights: &[u8]) -> impl Iterator<Item = (Value, f64)> + '_ {
+        let total: f64 = weights.iter().map(|&x| f64::from(x)).sum();
+        (weights.iter().enumerate()).map(move |(i, &x)| (domain_value(i), f64::from(x) / total))
+    }
+
+    /// A compile of `table` from nothing, memo aside: the extension of
+    /// nothing.
+    fn compile(table: &WTable) -> SpaceIndex {
+        SpaceIndex::extend(None, table).unwrap()
+    }
+
+    /// The memoised index of `table` against a fresh [`compile`]: equal
+    /// spaces, every variable with the same id and alternatives, unknown
+    /// ones unknown to both, and a relation over the table (its `rows`
+    /// literals name the table's variables by position) with equal events
+    /// and exact probabilities equal by `to_bits`.
+    fn assert_memo_matches_compile(
+        table: &WTable,
+        rows: &[(Vec<(usize, usize)>, i64)],
+    ) -> proptest::prelude::TestCaseResult {
+        use pdb::{schema, tuple};
+        use proptest::{prop_assert, prop_assert_eq};
+        let memoised = SpaceCache::new().compiled(table).unwrap();
+        if let Some(lower) = table.lower_layer() {
+            prop_assert!(memoised.index().extends(&SpaceIndex::of(&lower).unwrap()));
+        }
+        let fresh = CompiledSpace {
+            index: Arc::new(compile(table)),
+            cache: SpaceCache::new(),
+        };
+        prop_assert_eq!(memoised.space(), fresh.space());
+        for (var, _) in table.iter() {
+            prop_assert_eq!(memoised.index.lookup(var), fresh.index.lookup(var));
+        }
+        for ghost in ["a0", "x3", "zzz"] {
+            prop_assert!(memoised.index.lookup(&Var::new(ghost)).is_none());
+        }
+
+        let vars: Vec<(Var, Vec<Value>)> = (table.iter())
+            .map(|(var, dist)| (var.clone(), dist.iter().map(|(v, _)| v.clone()).collect()))
+            .collect();
+        let mut rel = URelation::empty(schema!["T"]);
+        for (literals, t) in rows {
+            let mut pairs: Vec<(Var, Value)> = Vec::new();
+            for &(v, a) in literals.iter().filter(|_| !vars.is_empty()) {
+                let (var, domain) = &vars[v % vars.len()];
+                if pairs.iter().all(|(named, _)| named != var) {
+                    pairs.push((var.clone(), domain[a % domain.len()].clone()));
+                }
+            }
+            rel.insert(Condition::new(pairs).unwrap(), tuple![*t])
+                .unwrap();
+        }
+        let (a, b) = (
+            memoised.extract_events(&rel).unwrap(),
+            fresh.extract_events(&rel).unwrap(),
+        );
+        prop_assert_eq!(a.tuples(), b.tuples());
+        prop_assert_eq!(a.events(), b.events());
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(a.programs().exact_probabilities().unwrap()),
+            bits(b.programs().exact_probabilities().unwrap())
+        );
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
 
-        /// The index of a table declared over a compiled one-layer table,
-        /// as its extension and as a compilation from nothing: equal
-        /// spaces, every variable with the same id and alternatives,
-        /// unknown ones unknown to both, and a random relation over both
-        /// layers with equal events and exact probabilities equal by
-        /// `to_bits`.
+        /// The memoised index stays the index of its table's content.  A
+        /// table declared over a compiled one-layer table keeps it as its
+        /// lower layer and extends its index; then random sequences of
+        /// clones, declarations, merges, layer merges, `introduced_over`,
+        /// segment round trips and compiles run over one- and two-layer
+        /// tables, shared and unshared.  After each step the index of the
+        /// table it wrote — and at the end every table's — matches a fresh
+        /// compile ([`assert_memo_matches_compile`]).
         #[test]
-        fn an_extended_index_matches_a_compiled_one(
+        fn a_memoised_index_matches_a_fresh_compile(
             weights in proptest::collection::vec(proptest::collection::vec(1u8..10, 1..5), 1..6),
             declared in proptest::collection::vec(proptest::collection::vec(1u8..10, 1..5), 0..5),
             rows in proptest::collection::vec(
                 (proptest::collection::vec((0usize..9, 0usize..4), 0..4), 0i64..4),
                 0..16,
             ),
+            steps in proptest::collection::vec(arb_step(), 0..24),
         ) {
-            use pdb::{schema, tuple};
             use proptest::{prop_assert, prop_assert_eq};
             let (served, _) = build_case(&weights, &[]);
-            let lower = Arc::new(SpaceIndex::compile(&served).unwrap());
+            let lower = SpaceIndex::of(&served).unwrap();
             let mut table = served.clone();
             for (name, alts) in DECLARED.iter().zip(&declared) {
-                let total: f64 = alts.iter().map(|&x| f64::from(x)).sum();
-                let dist = (alts.iter().enumerate()).map(|(i, &x)| (domain_value(i), f64::from(x) / total));
-                table.add_variable(Var::new(name), dist).unwrap();
+                table.add_variable(Var::new(name), dist(alts)).unwrap();
             }
             prop_assert_eq!(table.lower_layer().is_some(), !declared.is_empty());
-            let cache = SpaceCache::seeded(Arc::clone(&lower));
-            let extended = cache.compiled(&table).unwrap();
-            let compiled = CompiledSpace::compile(&table).unwrap();
             if !declared.is_empty() {
                 prop_assert!(table.lower_layer().unwrap().shares_content(&served));
-                prop_assert!(extended.index.extends(&lower));
+                prop_assert!(SpaceIndex::of(&table).unwrap().extends(&lower));
             }
-            prop_assert_eq!(extended.space(), compiled.space());
-            for (var, _) in table.iter() {
-                prop_assert_eq!(extended.index.lookup(var), compiled.index.lookup(var));
-            }
-            for ghost in ["a0", "x3", "zzz"] {
-                prop_assert!(extended.index.lookup(&Var::new(ghost)).is_none());
-            }
+            assert_memo_matches_compile(&table, &rows)?;
 
-            let vars: Vec<(Var, Vec<Value>)> = (table.iter())
-                .map(|(var, dist)| (var.clone(), dist.iter().map(|(v, _)| v.clone()).collect()))
-                .collect();
-            let mut rel = URelation::empty(schema!["T"]);
-            for (literals, t) in &rows {
-                let mut pairs: Vec<(Var, Value)> = Vec::new();
-                for &(v, a) in literals {
-                    let (var, domain) = &vars[v % vars.len()];
-                    if pairs.iter().all(|(named, _)| named != var) {
-                        pairs.push((var.clone(), domain[a % domain.len()].clone()));
+            let mut tables = vec![served, table];
+            for step in &steps {
+                let n = tables.len();
+                let written = match step {
+                    Step::Clone(a) => {
+                        tables.push(tables[a % n].clone());
+                        n
                     }
-                }
-                rel.insert(Condition::new(pairs).unwrap(), tuple![*t]).unwrap();
+                    Step::Declare(a, b, alts) => {
+                        let name = format!("{}{}", DECLARED[b % DECLARED.len()], b / 4);
+                        let _ = tables[a % n].add_variable(Var::new(name), dist(alts));
+                        a % n
+                    }
+                    Step::Merge(a, b) => {
+                        let other = tables[b % n].clone();
+                        let _ = tables[a % n].merge(&other);
+                        a % n
+                    }
+                    Step::OneLayer(a) => {
+                        let one = std::mem::take(&mut tables[a % n]).into_one_layer();
+                        tables[a % n] = one;
+                        a % n
+                    }
+                    Step::Introduced(a, b) => {
+                        tables.push(tables[a % n].introduced_over(&tables[b % n]));
+                        n
+                    }
+                    Step::Segment(a) => {
+                        let mut bytes = Vec::new();
+                        urel::segment::put_wtable(&mut bytes, &tables[a % n]);
+                        let decoded = urel::segment::SegmentCursor::new(&bytes).take_wtable();
+                        tables.push(decoded.unwrap());
+                        n
+                    }
+                    Step::Compile(a) => {
+                        SpaceIndex::of(&tables[a % n]).unwrap();
+                        a % n
+                    }
+                };
+                assert_memo_matches_compile(&tables[written], &rows)?;
             }
-            let (a, b) = (extended.extract_events(&rel).unwrap(), compiled.extract_events(&rel).unwrap());
-            prop_assert_eq!(a.tuples(), b.tuples());
-            prop_assert_eq!(a.events(), b.events());
-            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(
-                bits(a.programs().exact_probabilities().unwrap()),
-                bits(b.programs().exact_probabilities().unwrap())
-            );
+            for table in &tables {
+                assert_memo_matches_compile(table, &rows)?;
+            }
         }
     }
 

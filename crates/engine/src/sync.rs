@@ -80,11 +80,9 @@ pub enum LockRank {
     /// The query cache: request text → prepared query, plus the catalog the
     /// prepared queries were validated against.
     Prepared = 60,
-    /// A compiled-space cache: W-table content → compiled space, shared by
-    /// a pooled prefix and every resume of it.
+    /// A space cache: (compiled index, relation content) → lineage batch,
+    /// shared by a pooled prefix and every resume of it.
     SpaceCache = 90,
-    /// A compiled space's lineage-event cache.
-    LineageCache = 100,
     /// The shared-sampling block scheduler's tally cache (acquired briefly
     /// around lookups/inserts during estimation; never held across a
     /// sampling run).
@@ -103,14 +101,13 @@ pub enum LockRank {
 impl LockRank {
     /// Every rank, lowest first — the doc table and the cross-crate pin
     /// test iterate this.
-    pub const ALL: [LockRank; 12] = [
+    pub const ALL: [LockRank; 11] = [
         LockRank::TestExclusive,
         LockRank::GateAdmission,
         LockRank::GateInternal,
         LockRank::State,
         LockRank::Prepared,
         LockRank::SpaceCache,
-        LockRank::LineageCache,
         LockRank::SharedSampler,
         LockRank::WorkerDeque,
         LockRank::PoolSignal,
@@ -133,7 +130,6 @@ impl LockRank {
             LockRank::State => "State",
             LockRank::Prepared => "Prepared",
             LockRank::SpaceCache => "SpaceCache",
-            LockRank::LineageCache => "LineageCache",
             LockRank::SharedSampler => "SharedSampler",
             LockRank::WorkerDeque => "WorkerDeque",
             LockRank::PoolSignal => "PoolSignal",
@@ -158,9 +154,8 @@ impl LockRank {
                 "the query cache: request text → prepared query, and the catalog it was validated against"
             }
             LockRank::SpaceCache => {
-                "a compiled-space cache: W-table content → compiled space (shared by a pooled prefix and its resumes)"
+                "a space cache: (compiled index, relation content) → lineage batch (shared by a pooled prefix and its resumes)"
             }
-            LockRank::LineageCache => "a compiled space's lineage-event cache",
             LockRank::SharedSampler => {
                 "the shared-sampling block scheduler's tally cache (never held across sampling)"
             }

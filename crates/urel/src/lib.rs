@@ -17,7 +17,10 @@
 //! before editing — the holder of a clone never sees an edit made through
 //! another.  Only `urelation.rs` and `wtable.rs` know this; equality,
 //! order, hashing, content digests, `approx_bytes` and the [`segment`]
-//! bytes are functions of content alone.  A [`UDatabase`] is a map of such
+//! bytes are functions of content alone.  A value derived from content —
+//! the engine's join index of a relation, its compiled space of a W-table
+//! — is memoised with it ([`URelation::derived`], [`WTable::derived`]),
+//! in one memo type that every edit clears.  A [`UDatabase`] is a map of such
 //! values, so its `clone` is pointer copies too.
 //!
 //! Rows are cheap to build: a [`Condition`] is one vector of
@@ -60,6 +63,7 @@ pub mod convert;
 pub mod decompose;
 mod delta;
 mod error;
+mod memo;
 pub mod segment;
 mod udb;
 mod urelation;

@@ -3,6 +3,7 @@
 
 use crate::condition::Condition;
 use crate::error::Result;
+use crate::memo::Memo;
 use crate::wtable::WTable;
 use pdb::{Relation, Schema, Tuple, Value};
 use std::any::Any;
@@ -67,27 +68,17 @@ pub struct URelation {
     content: Arc<Content>,
 }
 
-/// What a [`URelation`] shares between its clones.
+/// What a [`URelation`] shares between its clones.  Its copy is the one
+/// an edit of shared content makes ([`URelation::content_mut`]), which
+/// clears the memos the copy took along.
+#[derive(Clone)]
 struct Content {
     schema: Schema,
     rows: BTreeSet<URow>,
     /// [`pdb::content_fingerprint`] of schema and rows, filled on first use.
     digest: OnceLock<(u64, u64, usize)>,
     /// The value [`URelation::derived`] memoised, filled on first use.
-    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
-}
-
-impl Clone for Content {
-    /// The copy an edit of shared content makes: the memos start empty,
-    /// since the edit is about to change what they were derived from.
-    fn clone(&self) -> Content {
-        Content {
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            digest: OnceLock::new(),
-            derived: OnceLock::new(),
-        }
-    }
+    derived: Memo,
 }
 
 impl PartialEq for URelation {
@@ -167,7 +158,7 @@ impl URelation {
                 schema,
                 rows,
                 digest: OnceLock::new(),
-                derived: OnceLock::new(),
+                derived: Memo::default(),
             }),
         }
     }
@@ -184,7 +175,7 @@ impl URelation {
     fn content_mut(&mut self) -> &mut Content {
         let content = Arc::make_mut(&mut self.content);
         content.digest.take();
-        content.derived.take();
+        content.derived.clear();
         content
     }
 
@@ -428,10 +419,7 @@ impl URelation {
     /// returned unkept.  The engine keeps a scanned relation's join index
     /// here.
     pub fn derived<T: Any + Send + Sync>(&self, derive: impl FnOnce(&URelation) -> T) -> Arc<T> {
-        let mut derive = Some(derive);
-        let mut run = || Arc::new(derive.take().expect("derives once")(self));
-        let memo = self.content.derived.get_or_init(|| run());
-        Arc::clone(memo).downcast::<T>().unwrap_or_else(|_| run())
+        self.content.derived.get_or_derive(|| derive(self))
     }
 
     /// The set of random variables mentioned anywhere in the relation.
