@@ -4,6 +4,7 @@
 
 use crate::error::{AlgebraError, Result};
 use pdb::{Schema, Tuple, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -87,59 +88,105 @@ impl Expr {
 
     /// Checks that every referenced attribute exists in `schema`.
     pub fn check(&self, schema: &Schema) -> Result<()> {
-        for a in self.attrs() {
-            if !schema.contains(&a) {
-                return Err(AlgebraError::UnknownAttribute(a));
-            }
-        }
-        Ok(())
+        self.bind(schema).map(drop)
     }
 
-    /// Evaluates the expression against a tuple of the given schema.
+    /// The expression bound to `schema`'s column positions: every attribute
+    /// resolved once, every constant borrowed.  Fails on the first unknown
+    /// attribute, left to right.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundExpr<'_>> {
+        Ok(BoundExpr(match self {
+            Expr::Const(v) => Bound::Const(v),
+            Expr::Attr(a) => match schema.index_of(a) {
+                Some(i) => Bound::Column(i, a),
+                None => return Err(AlgebraError::UnknownAttribute(a.clone())),
+            },
+            Expr::Neg(x) => Bound::Neg(Box::new(x.bind(schema)?)),
+            Expr::Add(a, b) => Bound::Add(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Expr::Sub(a, b) => Bound::Sub(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Expr::Mul(a, b) => Bound::Mul(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Expr::Div(a, b) => Bound::Div(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+        }))
+    }
+
+    /// Evaluates the expression against a tuple of the given schema: binds
+    /// it, then evaluates the bound form.
     ///
     /// Attribute references that resolve to non-arithmetic leaf expressions
     /// (plain `Attr` or `Const`) may produce strings/booleans; any value
     /// participating in arithmetic must be numeric.
     pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<Value> {
-        match self {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Attr(a) => {
-                let i = schema
-                    .index_of(a)
-                    .ok_or_else(|| AlgebraError::UnknownAttribute(a.clone()))?;
-                Ok(tuple[i].clone())
-            }
-            Expr::Neg(x) => Ok(Value::float(-x.eval_numeric(schema, tuple)?)),
-            Expr::Add(a, b) => Ok(Value::float(
-                a.eval_numeric(schema, tuple)? + b.eval_numeric(schema, tuple)?,
-            )),
-            Expr::Sub(a, b) => Ok(Value::float(
-                a.eval_numeric(schema, tuple)? - b.eval_numeric(schema, tuple)?,
-            )),
-            Expr::Mul(a, b) => Ok(Value::float(
-                a.eval_numeric(schema, tuple)? * b.eval_numeric(schema, tuple)?,
-            )),
-            Expr::Div(a, b) => {
-                let d = b.eval_numeric(schema, tuple)?;
-                if d == 0.0 {
-                    return Err(AlgebraError::DivisionByZero);
-                }
-                Ok(Value::float(a.eval_numeric(schema, tuple)? / d))
-            }
-        }
+        Ok(self.bind(schema)?.eval(tuple)?.into_owned())
     }
 
     /// Evaluates the expression and requires a numeric result.
     pub fn eval_numeric(&self, schema: &Schema, tuple: &Tuple) -> Result<f64> {
-        let v = self.eval(schema, tuple)?;
-        v.as_f64().ok_or_else(|| {
-            AlgebraError::TypeError(format!("expected a number, got `{v}` in `{self}`"))
-        })
+        self.bind(schema)?.eval_numeric(tuple)
     }
 
     /// True if the expression contains no attribute references.
     pub fn is_constant(&self) -> bool {
         self.attrs().is_empty()
+    }
+}
+
+/// An [`Expr`] bound to the column positions of one schema
+/// ([`Expr::bind`]): attributes are column indices and constants are
+/// borrowed from the expression, so evaluating it against a tuple searches
+/// no schema and clones nothing that is not computed.
+#[derive(Clone, Debug)]
+pub struct BoundExpr<'a>(Bound<'a>);
+
+#[derive(Clone, Debug)]
+enum Bound<'a> {
+    Const(&'a Value),
+    /// A column and the attribute name it was bound from.
+    Column(usize, &'a str),
+    Neg(Box<BoundExpr<'a>>),
+    Add(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Sub(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Mul(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Div(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+}
+
+impl BoundExpr<'_> {
+    /// Evaluates the expression against a tuple of the schema it was bound
+    /// to.  A constant or an attribute is borrowed; arithmetic yields a new
+    /// float.
+    pub fn eval<'t>(&'t self, tuple: &'t Tuple) -> Result<Cow<'t, Value>> {
+        Ok(match &self.0 {
+            Bound::Const(v) => Cow::Borrowed(*v),
+            Bound::Column(i, _) => Cow::Borrowed(&tuple[*i]),
+            _ => Cow::Owned(Value::float(self.eval_numeric(tuple)?)),
+        })
+    }
+
+    /// Evaluates the expression and requires a numeric result.  Every
+    /// arithmetic step is a [`Value::float`], so a zero result is `0.0`,
+    /// whatever its sign.
+    pub fn eval_numeric(&self, tuple: &Tuple) -> Result<f64> {
+        // A leaf's error names the leaf as written.
+        let not_a_number = |v: &Value, leaf: &dyn fmt::Display| {
+            AlgebraError::TypeError(format!("expected a number, got `{v}` in `{leaf}`"))
+        };
+        let float = |x: f64| Value::float(x).as_f64().expect("a float is a number");
+        match &self.0 {
+            Bound::Const(v) => {
+                (v.as_f64()).ok_or_else(|| not_a_number(v, &Expr::Const((*v).clone())))
+            }
+            Bound::Column(i, a) => (tuple[*i].as_f64()).ok_or_else(|| not_a_number(&tuple[*i], a)),
+            Bound::Neg(x) => Ok(float(-x.eval_numeric(tuple)?)),
+            Bound::Add(a, b) => Ok(float(a.eval_numeric(tuple)? + b.eval_numeric(tuple)?)),
+            Bound::Sub(a, b) => Ok(float(a.eval_numeric(tuple)? - b.eval_numeric(tuple)?)),
+            Bound::Mul(a, b) => Ok(float(a.eval_numeric(tuple)? * b.eval_numeric(tuple)?)),
+            Bound::Div(a, b) => {
+                let d = b.eval_numeric(tuple)?;
+                if d == 0.0 {
+                    return Err(AlgebraError::DivisionByZero);
+                }
+                Ok(float(a.eval_numeric(tuple)? / d))
+            }
+        }
     }
 }
 

@@ -37,10 +37,10 @@ mod query;
 pub mod validate;
 
 pub use error::{AlgebraError, Result};
-pub use expr::Expr;
+pub use expr::{BoundExpr, Expr};
 pub use parser::{parse_expr, parse_predicate, parse_query};
 pub use plan::{subplan_digest, Accuracy, LogicalOp, LogicalPlan, NodeId, PlanNode, SubplanDigest};
-pub use predicate::{CmpOp, Predicate};
+pub use predicate::{BoundPredicate, CmpOp, Predicate};
 pub use query::{ConfTerm, ProjItem, Query, DEFAULT_DELTA, DEFAULT_EPSILON0};
 pub use validate::{
     check_conf_terms, is_complete, is_positive, output_schema, repair_key_below_approx_select,

@@ -2,7 +2,7 @@
 //! arithmetic expressions (Section 2 permits negation even in positive UA).
 
 use crate::error::Result;
-use crate::expr::Expr;
+use crate::expr::{BoundExpr, Expr};
 use pdb::{Schema, Tuple, Value};
 use std::fmt;
 
@@ -156,32 +156,27 @@ impl Predicate {
 
     /// Checks that every referenced attribute exists in `schema`.
     pub fn check(&self, schema: &Schema) -> Result<()> {
-        match self {
-            Predicate::True | Predicate::False => Ok(()),
-            Predicate::Cmp(a, _, b) => {
-                a.check(schema)?;
-                b.check(schema)
-            }
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.check(schema)?;
-                b.check(schema)
-            }
-            Predicate::Not(a) => a.check(schema),
-        }
+        self.bind(schema).map(drop)
     }
 
-    /// Evaluates the predicate against a tuple.
+    /// The predicate bound to `schema`'s column positions ([`Expr::bind`]
+    /// for every operand).  Fails on the first unknown attribute, left to
+    /// right.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate<'_>> {
+        Ok(BoundPredicate(match self {
+            Predicate::True => Node::Const(true),
+            Predicate::False => Node::Const(false),
+            Predicate::Cmp(a, op, b) => Node::Cmp(a.bind(schema)?, *op, b.bind(schema)?),
+            Predicate::And(a, b) => Node::And(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Predicate::Or(a, b) => Node::Or(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Predicate::Not(a) => Node::Not(Box::new(a.bind(schema)?)),
+        }))
+    }
+
+    /// Evaluates the predicate against a tuple: binds it to `schema`, then
+    /// evaluates the bound form.
     pub fn eval(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::False => Ok(false),
-            Predicate::Cmp(a, op, b) => {
-                Ok(op.apply(&a.eval(schema, tuple)?, &b.eval(schema, tuple)?))
-            }
-            Predicate::And(a, b) => Ok(a.eval(schema, tuple)? && b.eval(schema, tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(schema, tuple)? || b.eval(schema, tuple)?),
-            Predicate::Not(a) => Ok(!a.eval(schema, tuple)?),
-        }
+        self.bind(schema)?.eval(tuple)
     }
 
     /// Pushes negations down to the atoms (negation normal form), using
@@ -204,6 +199,35 @@ impl Predicate {
             }
         }
         nnf(self, false)
+    }
+}
+
+/// A [`Predicate`] bound to the column positions of one schema
+/// ([`Predicate::bind`]): evaluating it against a tuple searches no schema
+/// and clones no attribute or constant.
+#[derive(Clone, Debug)]
+pub struct BoundPredicate<'a>(Node<'a>);
+
+#[derive(Clone, Debug)]
+enum Node<'a> {
+    Const(bool),
+    Cmp(BoundExpr<'a>, CmpOp, BoundExpr<'a>),
+    And(Box<BoundPredicate<'a>>, Box<BoundPredicate<'a>>),
+    Or(Box<BoundPredicate<'a>>, Box<BoundPredicate<'a>>),
+    Not(Box<BoundPredicate<'a>>),
+}
+
+impl BoundPredicate<'_> {
+    /// Evaluates the predicate against a tuple of the schema it was bound
+    /// to; `and` and `or` evaluate their right side only when needed.
+    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
+        match &self.0 {
+            Node::Const(b) => Ok(*b),
+            Node::Cmp(a, op, b) => Ok(op.apply(&*a.eval(tuple)?, &*b.eval(tuple)?)),
+            Node::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
+            Node::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
+            Node::Not(a) => Ok(!a.eval(tuple)?),
+        }
     }
 }
 

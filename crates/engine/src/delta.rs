@@ -35,9 +35,9 @@
 //! sub-plan.
 
 use crate::error::Result;
-use crate::ops::JoinShape;
+use crate::ops::{self, JoinShape};
 use algebra::{Predicate, ProjItem};
-use pdb::{Tuple, Value};
+use pdb::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 use urel::{Condition, URelation, URow};
 
@@ -66,15 +66,15 @@ pub fn select_delta(
     input: &DeltaInput<'_>,
     predicate: &Predicate,
 ) -> Result<URelation> {
-    let schema = input.new.schema();
+    let predicate = predicate.bind(input.new.schema())?;
     let mut out = old_output.clone();
     for row in input.deleted {
-        if predicate.eval(schema, &row.tuple)? {
+        if predicate.eval(&row.tuple)? {
             out.remove_row(row);
         }
     }
     for row in input.inserted {
-        if predicate.eval(schema, &row.tuple)? {
+        if predicate.eval(&row.tuple)? {
             out.insert(row.condition.clone(), row.tuple.clone())?;
         }
     }
@@ -101,15 +101,11 @@ pub fn extend_delta(
     input: &DeltaInput<'_>,
     items: &[ProjItem],
 ) -> Result<URelation> {
-    let schema = input.new.schema();
+    let exprs = ops::bind_items(input.new.schema(), items)?;
     let extended = |row: &URow| -> Result<URow> {
-        let mut values: Vec<Value> = row.tuple.clone().into_values();
-        for item in items {
-            values.push(item.expr.eval(schema, &row.tuple)?);
-        }
         Ok(URow {
             condition: row.condition.clone(),
-            tuple: Tuple::new(values),
+            tuple: ops::extended(&exprs, &row.tuple)?,
         })
     };
     let mut out = old_output.clone();
@@ -165,15 +161,11 @@ pub fn project_delta(
     input: &DeltaInput<'_>,
     items: &[ProjItem],
 ) -> Result<URelation> {
-    let schema = input.new.schema();
+    let exprs = ops::bind_items(input.new.schema(), items)?;
     mapped_delta(old_output, input, |row| {
-        let mut values: Vec<Value> = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(schema, &row.tuple)?);
-        }
         Ok(URow {
             condition: row.condition.clone(),
-            tuple: Tuple::new(values),
+            tuple: ops::projected(&exprs, &row.tuple)?,
         })
     })
 }
@@ -287,8 +279,8 @@ pub fn natural_join_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
     use algebra::Expr;
+    use pdb::Value;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use urel::Var;

@@ -4,8 +4,9 @@
 //! combine tuples.
 
 use crate::error::{EngineError, Result};
-use algebra::{Predicate, ProjItem};
+use algebra::{BoundExpr, BoundPredicate, Predicate, ProjItem};
 use pdb::{Schema, Tuple, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use urel::{Condition, URelation, URow};
@@ -21,34 +22,135 @@ pub(crate) fn merge_chunks(outs: Vec<URelation>) -> URelation {
     merged
 }
 
-/// `σ_φ`: keeps rows whose data tuple satisfies the predicate.
-pub fn select(rel: &URelation, predicate: &Predicate) -> Result<URelation> {
-    predicate.check(rel.schema())?;
-    let mut rows = Vec::new();
-    for row in rel.iter() {
-        if predicate.eval(rel.schema(), &row.tuple)? {
-            rows.push(row.clone());
+/// A chain of `σ`, `π` and `ρ` bound to the schema of the relation it
+/// reads: every predicate and projection item resolved against its input
+/// schema once, when the link is added, never per row.  Applied to a row's
+/// tuple, the chain yields the tuple it ends with, or nothing when a `σ`
+/// drops the row; Section 3 carries the row's condition through every link
+/// unchanged.  The single-operator kernels ([`select`], [`project`],
+/// [`rename`]) are one-link chains, and an exact `conf` reads its input
+/// through the whole chain without building the relations between links.
+pub(crate) struct Chain<'a> {
+    links: Vec<Link<'a>>,
+    schema: Schema,
+}
+
+/// One row-level link of a [`Chain`]; a `ρ` only renames the schema.
+enum Link<'a> {
+    Select(BoundPredicate<'a>),
+    Project(Vec<BoundExpr<'a>>),
+}
+
+impl<'a> Chain<'a> {
+    /// The empty chain over `schema`: every row, its tuple as it is.
+    pub(crate) fn new(schema: Schema) -> Chain<'a> {
+        Chain {
+            links: Vec::new(),
+            schema,
         }
     }
-    Ok(URelation::from_row_vec(rel.schema().clone(), rows)?)
+
+    /// The schema of the tuples the chain yields.
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Appends `σ_predicate`.
+    pub(crate) fn select(mut self, predicate: &'a Predicate) -> Result<Chain<'a>> {
+        self.links.push(Link::Select(predicate.bind(&self.schema)?));
+        Ok(self)
+    }
+
+    /// Appends `π_items`.
+    pub(crate) fn project(mut self, items: &'a [ProjItem]) -> Result<Chain<'a>> {
+        let schema = Schema::new(items.iter().map(|i| i.name.clone())).map_err(EngineError::Pdb)?;
+        self.links
+            .push(Link::Project(bind_items(&self.schema, items)?));
+        self.schema = schema;
+        Ok(self)
+    }
+
+    /// Appends `ρ_{from→to}`.
+    pub(crate) fn rename(mut self, from: &str, to: &str) -> Result<Chain<'a>> {
+        self.schema = self.schema.rename(from, to).map_err(EngineError::Pdb)?;
+        Ok(self)
+    }
+
+    /// The tuple the chain makes of `tuple` — borrowed until a `π` computes
+    /// a new one — or `None` if a `σ` drops it.
+    pub(crate) fn apply<'t>(&self, tuple: &'t Tuple) -> Result<Option<Cow<'t, Tuple>>> {
+        let mut tuple = Cow::Borrowed(tuple);
+        for link in &self.links {
+            match link {
+                Link::Select(predicate) => {
+                    if !predicate.eval(&tuple)? {
+                        return Ok(None);
+                    }
+                }
+                Link::Project(exprs) => tuple = Cow::Owned(projected(exprs, &tuple)?),
+            }
+        }
+        Ok(Some(tuple))
+    }
+
+    /// The relation the chain makes of `rel`: its rows through
+    /// [`apply`](Chain::apply), each with its condition, as one set.
+    pub(crate) fn materialise(&self, rel: &URelation) -> Result<URelation> {
+        let mut rows = Vec::with_capacity(rel.len());
+        for row in rel.iter() {
+            if let Some(tuple) = self.apply(&row.tuple)? {
+                rows.push(URow {
+                    condition: row.condition.clone(),
+                    tuple: tuple.into_owned(),
+                });
+            }
+        }
+        Ok(URelation::from_row_vec(self.schema.clone(), rows)?)
+    }
+}
+
+/// Projection items bound to `schema` ([`algebra::Expr::bind`]).
+pub(crate) fn bind_items<'a>(schema: &Schema, items: &'a [ProjItem]) -> Result<Vec<BoundExpr<'a>>> {
+    let bound = items.iter().map(|item| item.expr.bind(schema));
+    Ok(bound.collect::<algebra::Result<_>>()?)
+}
+
+/// The tuple of the bound items' values over `tuple`: its image under `π`.
+pub(crate) fn projected(exprs: &[BoundExpr<'_>], tuple: &Tuple) -> Result<Tuple> {
+    let mut values = Vec::with_capacity(exprs.len());
+    push_values(exprs, tuple, &mut values)?;
+    Ok(Tuple::new(values))
+}
+
+/// `tuple` followed by the bound items' values over it: its image under an
+/// extension.
+pub(crate) fn extended(exprs: &[BoundExpr<'_>], tuple: &Tuple) -> Result<Tuple> {
+    let mut values = Vec::with_capacity(tuple.arity() + exprs.len());
+    values.extend(tuple.values().cloned());
+    push_values(exprs, tuple, &mut values)?;
+    Ok(Tuple::new(values))
+}
+
+fn push_values(exprs: &[BoundExpr<'_>], tuple: &Tuple, values: &mut Vec<Value>) -> Result<()> {
+    for expr in exprs {
+        values.push(expr.eval(tuple)?.into_owned());
+    }
+    Ok(())
+}
+
+/// `σ_φ`: keeps rows whose data tuple satisfies the predicate.
+pub fn select(rel: &URelation, predicate: &Predicate) -> Result<URelation> {
+    Chain::new(rel.schema().clone())
+        .select(predicate)?
+        .materialise(rel)
 }
 
 /// Generalised projection `π_items`: each output attribute is computed from
 /// the input tuple; conditions are carried over unchanged.
 pub fn project(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
-    let out_schema = Schema::new(items.iter().map(|i| i.name.clone())).map_err(EngineError::Pdb)?;
-    let mut rows = Vec::with_capacity(rel.len());
-    for row in rel.iter() {
-        let mut values: Vec<Value> = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(rel.schema(), &row.tuple)?);
-        }
-        rows.push(URow {
-            condition: row.condition.clone(),
-            tuple: Tuple::new(values),
-        });
-    }
-    Ok(URelation::from_row_vec(out_schema, rows)?)
+    Chain::new(rel.schema().clone())
+        .project(items)?
+        .materialise(rel)
 }
 
 /// Extension: keeps all input attributes and appends the computed items.
@@ -56,15 +158,12 @@ pub fn extend(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
     let mut names: Vec<String> = rel.schema().attrs().to_vec();
     names.extend(items.iter().map(|i| i.name.clone()));
     let out_schema = Schema::new(names).map_err(EngineError::Pdb)?;
+    let exprs = bind_items(rel.schema(), items)?;
     let mut rows = Vec::with_capacity(rel.len());
     for row in rel.iter() {
-        let mut values: Vec<Value> = row.tuple.clone().into_values();
-        for item in items {
-            values.push(item.expr.eval(rel.schema(), &row.tuple)?);
-        }
         rows.push(URow {
             condition: row.condition.clone(),
-            tuple: Tuple::new(values),
+            tuple: extended(&exprs, &row.tuple)?,
         });
     }
     Ok(URelation::from_row_vec(out_schema, rows)?)
@@ -72,9 +171,9 @@ pub fn extend(rel: &URelation, items: &[ProjItem]) -> Result<URelation> {
 
 /// `ρ_{from→to}`: renames an attribute.
 pub fn rename(rel: &URelation, from: &str, to: &str) -> Result<URelation> {
-    let out_schema = rel.schema().rename(from, to).map_err(EngineError::Pdb)?;
-    let rows = rel.iter().cloned().collect();
-    Ok(URelation::from_row_vec(out_schema, rows)?)
+    Chain::new(rel.schema().clone())
+        .rename(from, to)?
+        .materialise(rel)
 }
 
 /// `×`: pairs of rows with consistent conditions; their conditions are merged
@@ -367,6 +466,21 @@ mod tests {
         assert_eq!(r.schema().attrs(), &["Kind".to_string()]);
         assert_eq!(r.len(), 2);
         assert!(rename(&ur(), "Nope", "X").is_err());
+    }
+
+    #[test]
+    fn kernels_bind_every_attribute_before_reading_a_row() {
+        // An unknown attribute fails when the kernel binds its predicate or
+        // items, before any row is read — over an empty input too, where
+        // `π` and extension returned `Ok` while they looked attributes up
+        // row by row.
+        let empty = URelation::empty(schema!["A"]);
+        let unknown = [ProjItem::attr("X")];
+        assert!(project(&empty, &unknown).is_err());
+        assert!(extend(&empty, &unknown).is_err());
+        let predicate = Predicate::eq(Expr::attr("X"), Expr::konst(1));
+        assert!(select(&empty, &predicate).is_err());
+        assert!(project(&empty, &[ProjItem::attr("A")]).is_ok());
     }
 
     #[test]

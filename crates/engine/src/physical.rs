@@ -7,6 +7,13 @@
 //! FPRAS, `σ̂` becomes exact decisions or the Figure 3 loop under its
 //! adaptive or its fixed-`l` stop rule.  The operator set is closed, so
 //! naming, classing and running an operator are one `match` each.
+//! Lowering then fuses every exact `conf` with the `σ` / `π` / `ρ` chain
+//! below it ([`PhysicalNode::chain`]): Section 3 keeps each surviving row's
+//! condition through those operators and Section 4's `conf` groups rows by
+//! tuple, so the `conf` reads the chain's base in one pass — rows filtered
+//! and projected through the chain's operators bound to column positions,
+//! `(tuple, condition)` pairs sorted once by tuple — and the relations
+//! between the links are never built.
 //! [`PhysicalPlan::execute`] then schedules the nodes over value slots; a
 //! consumer takes a clone of its input's slot (a pointer copy: relation
 //! content is shared inside `urel`), and values stay in their slots until
@@ -19,12 +26,14 @@
 //! | [`Scan`](PhysicalOp::Scan), [`Select`](PhysicalOp::Select), [`Project`](PhysicalOp::Project), [`Extend`](PhysicalOp::Extend), [`Rename`](PhysicalOp::Rename), [`Product`](PhysicalOp::Product), [`NaturalJoin`](PhysicalOp::NaturalJoin), [`Union`](PhysicalOp::Union), [`Difference`](PhysicalOp::Difference) | §3 parsimonious translation |
 //! | [`RepairKey`](PhysicalOp::RepairKey)       | §2.2 / §3           |
 //! | [`Poss`](PhysicalOp::Poss), [`Cert`](PhysicalOp::Cert) | §2 (`cert` = the `conf = 1` test of Example 5.7) |
-//! | [`Conf`](PhysicalOp::Conf)                 | §4 (exact / Prop. 4.2 FPRAS) |
+//! | [`Conf`](PhysicalOp::Conf)                 | §4 (exact / Prop. 4.2 FPRAS); an exact `conf` reads its input through its fused `σ`/`π`/`ρ` chain (§3) |
 //! | [`ApproxSelect`](PhysicalOp::ApproxSelect) | §5 Figure 3, §6 error propagation (Lemma 6.4) |
 //!
 //! The confidence-bearing operators (`conf`, `cert`, `σ̂`) are *batched*:
 //! they collect the DNF lineages of all tuples via the memoised
-//! [`CompiledSpace::relation_events`] batch and hand it to the
+//! [`CompiledSpace::relation_events`] batch (an exact `conf`: the unmemoised
+//! [`CompiledSpace::extract_events`] pass, through its fused chain) and
+//! hand it to the
 //! [`ConfidenceEstimator`] layer, which estimates every event in parallel
 //! with a deterministic per-event sub-RNG.  Monte Carlo `σ̂` decisions are
 //! likewise run concurrently across candidate tuples, one seeded RNG per
@@ -316,7 +325,7 @@ impl PhysicalOp {
                 repair_key(unary_input(inputs), key, weight, ctx)
             }
             PhysicalOp::Conf { prob_attr, params } => {
-                conf(unary_input(inputs), prob_attr, *params, ctx)
+                conf(unary_input(inputs), &[], prob_attr, *params, ctx)
             }
             PhysicalOp::Cert => cert(unary_input(inputs), ctx),
             PhysicalOp::ApproxSelect {
@@ -574,29 +583,77 @@ pub struct PhysicalNode {
     pub inputs: Vec<usize>,
     /// The subquery label inherited from the logical node.
     pub label: String,
+    /// For an exact `conf` fused with the `σ` / `π` / `ρ` chain below it
+    /// ([`PhysicalPlan::lower`]): the chain's nodes, bottom up.  The node's
+    /// input is then the chain's base, which it reads through the chain's
+    /// operators; the chain's own nodes stay in the plan with no consumer,
+    /// so no run computes them.  Empty for every other node.
+    pub chain: Vec<usize>,
 }
 
-impl fmt::Debug for PhysicalPlan {
+/// EXPLAIN form: one line per node — its operator, its inputs and its
+/// label.  A fused `conf` shows the chain it reads its input through, and
+/// each node of the chain the `conf` that reads it.
+impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "PhysicalPlan (root = #{})", self.root)?;
+        let mut read_by = vec![None; self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate() {
+            for &link in &node.chain {
+                read_by[link] = Some(id);
+            }
+        }
         for (id, node) in self.nodes.iter().enumerate() {
             let inputs: Vec<String> = node.inputs.iter().map(|i| format!("#{i}")).collect();
-            writeln!(
+            let chain: String = (node.chain.iter())
+                .map(|&i| format!(" → {} #{i}", self.nodes[i].operator.name()))
+                .collect();
+            let name = node.operator.name();
+            write!(
                 f,
-                "  #{id} {}({})  ← {}",
-                node.operator.name(),
+                "  #{id} {name}({}{chain})  ← {}",
                 inputs.join(", "),
                 node.label
             )?;
+            if let Some(reader) = read_by[id] {
+                write!(f, "  [fused into #{reader}]")?;
+            }
+            writeln!(f)?;
         }
         Ok(())
     }
 }
 
+impl fmt::Debug for PhysicalPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
 impl PhysicalPlan {
     /// Lowers a logical plan, resolving accuracy annotations against the
-    /// engine configuration.
+    /// engine configuration, and fuses every exact `conf` with the `σ` /
+    /// `π` / `ρ` chain below it: the `conf` reads the chain's base through
+    /// the chain's operators in one pass, and the relations between the
+    /// links are never built.
+    ///
+    /// A link joins the chain only if the link above it (or the `conf`) is
+    /// its one consumer in the plan, and a chain is fused only if no `σ̂`
+    /// sits below its base — `σ̂` is the only source of error bounds, so
+    /// the fused `conf`'s are empty, as the unfused route's would be.  A
+    /// sampled `conf` is not fused: it memoises its lineage by its
+    /// materialised input's content.  Node ids, labels and the plan
+    /// signature are those of the unfused plan.
     pub fn lower(plan: &LogicalPlan, config: EvalConfig) -> Result<PhysicalPlan> {
+        let mut physical = PhysicalPlan::lower_unfused(plan, config)?;
+        physical.fuse_conf_chains();
+        Ok(physical)
+    }
+
+    /// [`lower`](PhysicalPlan::lower) without the fusion: one node per
+    /// logical node, each reading its inputs' results as they are.  Tests
+    /// execute it as the reference of the fused plan.
+    fn lower_unfused(plan: &LogicalPlan, config: EvalConfig) -> Result<PhysicalPlan> {
         let mut nodes = Vec::with_capacity(plan.len());
         for node in plan.nodes() {
             let operator = match &node.op {
@@ -675,6 +732,7 @@ impl PhysicalPlan {
                 operator,
                 inputs: node.inputs.clone(),
                 label: node.label.clone(),
+                chain: Vec::new(),
             });
         }
         let signature = {
@@ -693,6 +751,48 @@ impl PhysicalPlan {
             root: plan.root(),
             signature,
         })
+    }
+
+    /// Fuses every exact `conf` with the chain below it (see
+    /// [`lower`](PhysicalPlan::lower)): rewires its input to the chain's
+    /// base and records the chain's nodes.
+    fn fuse_conf_chains(&mut self) {
+        let mut consumers = vec![0usize; self.nodes.len()];
+        let mut sigma_hat_below = vec![false; self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate() {
+            for &input in &node.inputs {
+                consumers[input] += 1;
+                sigma_hat_below[id] |= sigma_hat_below[input];
+            }
+            sigma_hat_below[id] |= matches!(node.operator, PhysicalOp::ApproxSelect { .. });
+        }
+        for id in 0..self.nodes.len() {
+            if !matches!(
+                self.nodes[id].operator,
+                PhysicalOp::Conf { params: None, .. }
+            ) {
+                continue;
+            }
+            let mut chain = Vec::new();
+            let mut base = self.nodes[id].inputs[0];
+            while consumers[base] == 1
+                && matches!(
+                    self.nodes[base].operator,
+                    PhysicalOp::Select { .. }
+                        | PhysicalOp::Project { .. }
+                        | PhysicalOp::Rename { .. }
+                )
+            {
+                chain.push(base);
+                base = self.nodes[base].inputs[0];
+            }
+            if chain.is_empty() || sigma_hat_below[base] {
+                continue;
+            }
+            chain.reverse();
+            self.nodes[id].inputs = vec![base];
+            self.nodes[id].chain = chain;
+        }
     }
 
     /// The nodes in execution order.
@@ -909,13 +1009,14 @@ impl PhysicalPlan {
             .expect("the root slot holds the query result")
     }
 
-    /// The single-threaded, single-batch reference schedule: every node runs
-    /// in id order on one unchunked batch.  The sharded executor is
-    /// property-tested to produce bit-identical results; this stays as the
-    /// differential baseline (and as documentation of the semantics).
+    /// The single-threaded, single-batch reference schedule: every node the
+    /// root needs runs in id order on one unchunked batch.  The sharded
+    /// executor is property-tested to produce bit-identical results; this
+    /// stays as the differential baseline (and as documentation of the
+    /// semantics).
     pub fn execute_sequential(&self, ctx: &mut ExecContext<'_>) -> Result<EvaluatedRelation> {
         let mut state = self.slot_state(|_| None);
-        for id in 0..self.nodes.len() {
+        for id in (0..self.nodes.len()).filter(|&id| state.todo[id]) {
             let inputs = self.gather_inputs(id, &state);
             let operator = &self.nodes[id].operator;
             // Pure operators get a single-batch view of their own; the
@@ -927,10 +1028,33 @@ impl PhysicalPlan {
                 };
                 operator.execute_pure(inputs, &pctx)?
             } else {
-                operator.execute(inputs, ctx)?
+                self.execute_stateful(id, inputs, ctx)?
             });
         }
         Ok(self.take_root(state))
+    }
+
+    /// Runs stateful node `id` on its inputs: a fused `conf` reads its
+    /// input through its chain's operators, any other node runs its
+    /// operator.
+    fn execute_stateful(
+        &self,
+        id: usize,
+        inputs: Vec<EvaluatedRelation>,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<EvaluatedRelation> {
+        let node = &self.nodes[id];
+        match &node.operator {
+            PhysicalOp::Conf { prob_attr, params } if !node.chain.is_empty() => {
+                let chain: Vec<&PhysicalOp> = node
+                    .chain
+                    .iter()
+                    .map(|&i| &self.nodes[i].operator)
+                    .collect();
+                conf(unary_input(inputs), &chain, prob_attr, *params, ctx)
+            }
+            operator => operator.execute(inputs, ctx),
+        }
     }
 
     /// A node's inputs: clones (pointer copies) of its input slots.
@@ -1012,7 +1136,7 @@ impl PhysicalPlan {
                 }
             }
             let inputs = self.gather_inputs(id, state);
-            state.slots[id] = Some(self.nodes[id].operator.execute(inputs, ctx)?);
+            state.slots[id] = Some(self.execute_stateful(id, inputs, ctx)?);
             state.todo[id] = false;
         }
         debug_assert!(!state.todo.contains(&true), "executor left nodes unrun");
@@ -1239,18 +1363,14 @@ fn propagate_projection(
     // Each output tuple's membership can change whenever any input tuple
     // that projects onto it changes (Example 6.5): sum the errors of the
     // contributing input tuples.
+    let exprs = ops::bind_items(input.relation.schema(), items)?;
     let mut errors: BTreeMap<Tuple, f64> = BTreeMap::new();
     for t in input.relation.possible_tuples().iter() {
         let e = input.error_of(t);
         if e == 0.0 {
             continue;
         }
-        let mut values = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(input.relation.schema(), t)?);
-        }
-        let out_t = Tuple::new(values);
-        *errors.entry(out_t).or_insert(0.0) += e;
+        *errors.entry(ops::projected(&exprs, t)?).or_insert(0.0) += e;
     }
     for e in errors.values_mut() {
         *e = e.min(1.0);
@@ -1392,17 +1512,23 @@ fn weight_of(t: &Tuple, weight: &str, weight_at: Option<usize>) -> Result<f64> {
 // ---- confidence computation (§4) -------------------------------------------
 
 /// `conf` / `conf_{ε,δ}` (`params` `None` / `Some`): batched confidence
-/// computation over all tuple lineages at once.
+/// computation over all tuple lineages at once, of `input` read through
+/// `chain` — the `σ` / `π` / `ρ` operators an exact `conf` was fused with,
+/// bottom up (empty: `input` as it is).
 fn conf(
     input: EvaluatedRelation,
+    chain: &[&PhysicalOp],
     prob_attr: &str,
     params: Option<FprasParams>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<EvaluatedRelation> {
     ctx.stats.conf_operators += 1;
     let compiled = ctx.spaces.compiled(ctx.database.wtable())?;
-    let schema = input
-        .relation
+    let bound = bind_chain(input.relation.schema(), chain)?;
+    // Only an exact `conf` is fused, and only with no σ̂ below its chain:
+    // there are no input errors to carry through it.
+    debug_assert!(chain.is_empty() || (params.is_none() && input.errors.is_empty()));
+    let schema = bound
         .schema()
         .with_appended(prob_attr)
         .map_err(EngineError::Pdb)?;
@@ -1414,9 +1540,9 @@ fn conf(
     // programs come from the retained snapshot caches, so the request pays
     // sampling only.  An exact `conf`'s result is pooled with its stateful
     // spine, so nothing looks its batch up again: it is neither hashed nor
-    // kept.
+    // kept, and it is read straight through the fused chain.
     let lineage = match params {
-        None => Arc::new(compiled.extract_events(&input.relation)?),
+        None => Arc::new(compiled.chain_events(&input.relation, &bound)?),
         Some(_) => compiled.relation_events(&input.relation)?,
     };
     let fpras = params.map(|params| {
@@ -1506,6 +1632,26 @@ fn conf(
         complete: true,
         errors,
     })
+}
+
+/// A fused `conf`'s chain operators, bottom up, bound to the schema of the
+/// relation they read.
+fn bind_chain<'a>(schema: &Schema, chain: &[&'a PhysicalOp]) -> Result<ops::Chain<'a>> {
+    let mut bound = ops::Chain::new(schema.clone());
+    for link in chain {
+        bound = match link {
+            PhysicalOp::Select { predicate } => bound.select(predicate)?,
+            PhysicalOp::Project { items } => bound.project(items)?,
+            PhysicalOp::Rename { from, to } => bound.rename(from, to)?,
+            other => {
+                return Err(EngineError::Invariant(format!(
+                    "`{}` in a conf's fused chain",
+                    other.name()
+                )))
+            }
+        };
+    }
+    Ok(bound)
 }
 
 /// `cert`: the `conf = 1` test, answered by exact model counting (batched).
@@ -2275,7 +2421,11 @@ mod tests {
         let mut ctx = ctx_for(&db, config, &mut rng);
         let (_, captured) = capture_cold(&plan, &mut ctx);
         let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
-        assert_eq!(held.len(), plan.nodes().len());
+        // The `conf` reads the projection through its fused chain: the run
+        // holds the scan and the root, never the projection.
+        let names: Vec<&str> = plan.nodes().iter().map(|n| n.operator.name()).collect();
+        assert_eq!(names, ["scan", "project", "conf"]);
+        assert_eq!(held.keys().copied().collect::<Vec<_>>(), [0, plan.root()]);
 
         // Every result is stored, but only the root's is wanted.
         let mut asked = Vec::new();
@@ -2290,15 +2440,15 @@ mod tests {
         assert_eq!(recomputed, 0);
         assert!(snapshot.is_complete());
 
-        // With nothing stored, the walk asks for every node once, root down.
+        // With nothing stored, the walk asks for every wanted node once,
+        // root down: the root, then the scan it reads through its chain.
         let mut asked = Vec::new();
         let value_of = |id: usize| {
             asked.push(id);
             None
         };
         plan.snapshot_from(value_of, None).unwrap();
-        let every: Vec<usize> = (0..plan.nodes().len()).rev().collect();
-        assert_eq!(asked, every);
+        assert_eq!(asked, [plan.root(), 0]);
     }
 
     #[test]
@@ -2599,6 +2749,219 @@ mod tests {
             proptest::prop_assert_eq!(&one_pass.0, &reference.0);
             proptest::prop_assert!(one_pass.1.iter().eq(reference.1.iter()));
             proptest::prop_assert_eq!(one_pass.2, reference.2);
+        }
+    }
+
+    /// The fused-chain differential's database: `R(A, B, C)` and
+    /// `S(C, D)`, whose rows are complete (kinds 0–1) or under one of four
+    /// Boolean variables (kinds 2–5), and the complete `K(A, W, C)` for
+    /// `repair-key`.
+    fn chain_db(
+        r: &[(i64, i64, i64, usize)],
+        s: &[(i64, i64, usize)],
+        k: &[(i64, i64, i64)],
+    ) -> UDatabase {
+        let mut db = UDatabase::new();
+        for (i, p) in [0.3, 0.45, 0.6, 0.75].into_iter().enumerate() {
+            db.add_variable(
+                Var::new(format!("x{i}")),
+                [(Value::Bool(true), p), (Value::Bool(false), 1.0 - p)],
+            )
+            .unwrap();
+        }
+        let condition = |kind: usize| match kind {
+            0 | 1 => Condition::always(),
+            v => Condition::new([(Var::new(format!("x{}", v - 2)), Value::Bool(true))]).unwrap(),
+        };
+        let ints = |values: &[i64]| Tuple::new(values.iter().map(|&v| Value::Int(v)).collect());
+        let mut rel = URelation::empty(pdb::schema!["A", "B", "C"]);
+        for &(a, b, c, kind) in r {
+            rel.insert(condition(kind), ints(&[a, b, c])).unwrap();
+        }
+        db.set_relation("R", rel, false);
+        let mut rel = URelation::empty(pdb::schema!["C", "D"]);
+        for &(c, d, kind) in s {
+            rel.insert(condition(kind), ints(&[c, d])).unwrap();
+        }
+        db.set_relation("S", rel, false);
+        let mut rel = URelation::empty(pdb::schema!["A", "W", "C"]);
+        for &(a, w, c) in k {
+            rel.insert(Condition::always(), ints(&[a, w, c])).unwrap();
+        }
+        db.set_relation("K", rel, true);
+        db
+    }
+
+    /// A chain of `σ` / `π` / `ρ` links over the query `base` with
+    /// attributes `attrs`, each link drawn from `(kind, x, y, c)`: a
+    /// selection (one that keeps nothing among them), a projection onto a
+    /// non-empty subset of the attributes in rotated order, or a rename.
+    /// Returns the text of every prefix of the chain, base first.
+    fn chain_texts(
+        base: &str,
+        mut attrs: Vec<String>,
+        links: &[(u8, usize, usize, i64)],
+    ) -> Vec<String> {
+        let mut texts = vec![base.to_owned()];
+        for (n, &(kind, x, y, c)) in links.iter().enumerate() {
+            let input = texts.last().unwrap().clone();
+            let a = attrs[x % attrs.len()].clone();
+            let b = attrs[y % attrs.len()].clone();
+            texts.push(match kind % 5 {
+                0 => format!("select[{a} >= {c}]({input})"),
+                1 => format!("select[({a} + {b}) <= {c} or {a} = {}]({input})", c - 1),
+                2 => format!("select[{a} >= 9]({input})"),
+                3 => {
+                    let mask = x % ((1 << attrs.len()) - 1) + 1;
+                    let kept: Vec<String> = (0..attrs.len())
+                        .map(|i| attrs[(i + y) % attrs.len()].clone())
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, a)| a)
+                        .collect();
+                    attrs = kept;
+                    format!("project[{}]({input})", attrs.join(", "))
+                }
+                _ => {
+                    let to = format!("N{n}");
+                    let at = x % attrs.len();
+                    attrs[at] = to.clone();
+                    format!("rename[{a} -> {to}]({input})")
+                }
+            });
+        }
+        texts
+    }
+
+    /// What one run of a plan leaves: the result (rows, errors,
+    /// completeness, and the last column's bits — a `conf`'s estimates),
+    /// or its error; the statistics, the counter, the W-table and the next
+    /// RNG draw.
+    type ChainOutcome = (
+        std::result::Result<(URelation, BTreeMap<Tuple, f64>, bool, Vec<u64>), String>,
+        EvalStats,
+        usize,
+        WTable,
+        u64,
+    );
+
+    fn run_chain_plan(
+        plan: &PhysicalPlan,
+        db: &UDatabase,
+        config: EvalConfig,
+        sequential: bool,
+    ) -> ChainOutcome {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut ctx = ctx_for(db, config, &mut rng);
+        let out = if sequential {
+            plan.execute_sequential(&mut ctx)
+        } else {
+            plan.execute(&mut ctx)
+        };
+        let out = out.map_err(|e| e.to_string()).map(|out| {
+            let bits = (out.relation.iter())
+                .filter_map(|row| row.tuple.values().last().and_then(Value::as_f64))
+                .map(f64::to_bits)
+                .collect();
+            (out.relation, out.errors, out.complete, bits)
+        });
+        let (stats, counter, wtable) = (ctx.stats, ctx.var_counter, ctx.database.wtable().clone());
+        (out, stats, counter, wtable, rng.next_u64())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 96, ..Default::default() })]
+
+        /// An exact `conf` fused with its `σ` / `π` / `ρ` chain against the
+        /// unfused plan, which materialises every link: equal rows,
+        /// estimates by `to_bits`, errors, statistics, counter, W-table and
+        /// RNG position, under the wave and the sequential executor, at one
+        /// and eight shards and under a spill budget; and the fused pass's
+        /// lineage batch equal, tuple by tuple and term by term, to the one
+        /// `URelation::tuple_events` groups from the materialised chain.
+        /// Bases are a scan, a join, a `repair-key` and a join over one, or
+        /// a `σ̂` (never fused); the root is a `conf`, a sampled `aconf`
+        /// (never fused), or a `conf` whose chain's top input another node
+        /// also reads (fused above it only).
+        #[test]
+        fn a_fused_conf_matches_the_unfused_plan_bit_for_bit(
+            r in proptest::collection::vec((0i64..3, 0i64..3, 0i64..3, 0usize..6), 0..48),
+            s in proptest::collection::vec((0i64..3, 0i64..3, 0usize..6), 0..8),
+            k in proptest::collection::vec((0i64..3, 1i64..4, 0i64..3), 0..10),
+            base in 0usize..5,
+            links in proptest::collection::vec((0u8..5, 0usize..8, 0usize..8, 0i64..4), 0..5),
+            root in 0usize..3,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let db = chain_db(&r, &s, &k);
+            let attrs = |names: &[&str]| names.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+            let (base_text, base_attrs) = [
+                ("R", attrs(&["A", "B", "C"])),
+                ("join(R, S)", attrs(&["A", "B", "C", "D"])),
+                ("repairkey[A @ W](K)", attrs(&["A", "W", "C"])),
+                ("join(repairkey[A @ W](K), S)", attrs(&["A", "W", "C", "D"])),
+                ("aselect[P1 = conf(A, C); P1 >= 0.3](R)", attrs(&["A", "C"])),
+            ][base].clone();
+            let texts = chain_texts(base_text, base_attrs, &links);
+            let chain = texts.last().unwrap();
+            let text = match root {
+                0 => format!("conf({chain})"),
+                1 => format!("aconf[0.3, 0.2]({chain})"),
+                _ => format!("join(conf({chain}), {})", texts[texts.len().saturating_sub(2)]),
+            };
+            let query = algebra::parse_query(&text).unwrap();
+            let catalog = crate::adaptive_query::catalog_of(&db).unwrap();
+            let logical = LogicalPlan::lower_validated(&query, &catalog).unwrap();
+            for config in [
+                EvalConfig::default(),
+                EvalConfig::default().with_shards(8),
+                EvalConfig::default().with_spill_budget_bytes(256),
+            ] {
+                let fused = PhysicalPlan::lower(&logical, config).unwrap();
+                let unfused = PhysicalPlan::lower_unfused(&logical, config).unwrap();
+                prop_assert_eq!(fused.signature, unfused.signature);
+                // What was fused: the whole chain under a `conf` root, the
+                // top link only under a shared input, nothing under an
+                // `aconf` or over a σ̂.
+                let fused_links: usize = fused.nodes().iter().map(|n| n.chain.len()).sum();
+                let expected = match (root, base) {
+                    (1, _) | (_, 4) => 0,
+                    (0, _) => links.len(),
+                    _ => links.len().min(1),
+                };
+                prop_assert_eq!(fused_links, expected, "{}", text);
+                for sequential in [false, true] {
+                    let a = run_chain_plan(&fused, &db, config, sequential);
+                    let b = run_chain_plan(&unfused, &db, config, sequential);
+                    prop_assert!(a.0.is_ok(), "{}: {:?}", text, a.0);
+                    prop_assert_eq!(&a.0, &b.0, "{}", text);
+                    prop_assert_eq!(a.1, b.1);
+                    prop_assert_eq!(a.2, b.2);
+                    prop_assert!(a.3.iter().eq(b.3.iter()));
+                    prop_assert_eq!(a.4, b.4);
+                }
+                // The lineage batch of every fused `conf`, against the
+                // grouping of its materialised input.
+                let mut rng = ChaCha8Rng::seed_from_u64(7);
+                let mut ctx = ctx_for(&db, config, &mut rng);
+                let (_, captured) = capture_cold(&unfused, &mut ctx);
+                let held: BTreeMap<usize, &EvaluatedRelation> = captured.live_slots().collect();
+                let compiled = CompiledSpace::compile(ctx.database.wtable()).unwrap();
+                for (id, node) in fused.nodes().iter().enumerate() {
+                    if node.chain.is_empty() {
+                        continue;
+                    }
+                    let base = &held[&node.inputs[0]].relation;
+                    let ops: Vec<&PhysicalOp> = node.chain.iter().map(|&i| &fused.nodes()[i].operator).collect();
+                    let batch = compiled.chain_events(base, &bind_chain(base.schema(), &ops).unwrap()).unwrap();
+                    let input = &held[&unfused.nodes()[id].inputs[0]].relation;
+                    let grouped = input.tuple_events();
+                    let tuples: Vec<&Tuple> = grouped.iter().map(|(t, _)| t).collect();
+                    prop_assert!(batch.tuples().iter().eq(tuples));
+                    let events = grouped.iter().map(|(_, conditions)| compiled.event(conditions).unwrap());
+                    prop_assert!(batch.events().iter().eq(events.collect::<Vec<_>>().iter()));
+                }
+            }
         }
     }
 

@@ -187,8 +187,9 @@ fn select(input: &AnnotatedRelation, predicate: &Predicate) -> Result<AnnotatedR
         schema: input.schema.clone(),
         tuples: Vec::new(),
     };
+    let predicate = predicate.bind(&input.schema)?;
     for (t, p) in &input.tuples {
-        if predicate.eval(&input.schema, t)? {
+        if predicate.eval(t)? {
             out.push(t.clone(), p.clone());
         }
     }
@@ -202,12 +203,9 @@ fn project(input: &AnnotatedRelation, items: &[ProjItem]) -> Result<AnnotatedRel
         schema,
         tuples: Vec::new(),
     };
+    let exprs = crate::ops::bind_items(&input.schema, items)?;
     for (t, p) in &input.tuples {
-        let mut values = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(item.expr.eval(&input.schema, t)?);
-        }
-        out.push(Tuple::new(values), p.clone());
+        out.push(crate::ops::projected(&exprs, t)?, p.clone());
     }
     Ok(out)
 }
@@ -220,12 +218,9 @@ fn extend(input: &AnnotatedRelation, items: &[ProjItem]) -> Result<AnnotatedRela
         schema,
         tuples: Vec::new(),
     };
+    let exprs = crate::ops::bind_items(&input.schema, items)?;
     for (t, p) in &input.tuples {
-        let mut values: Vec<pdb::Value> = t.clone().into_values();
-        for item in items {
-            values.push(item.expr.eval(&input.schema, t)?);
-        }
-        out.push(Tuple::new(values), p.clone());
+        out.push(crate::ops::extended(&exprs, t)?, p.clone());
     }
     Ok(out)
 }

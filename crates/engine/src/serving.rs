@@ -3753,8 +3753,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             serving.stats().subplans_patched,
-            2,
-            "the join and `first`'s projection"
+            1,
+            "the join (`first`'s `conf` reads its projection through its chain)"
         );
         assert_eq!(held(), ["join"]);
 
@@ -3773,6 +3773,43 @@ mod tests {
         let expect = fresh.evaluate(text, &mut fresh_rng).unwrap();
         assert_eq!(served.result.relation, expect.result.relation);
         assert_eq!(served.stats, expect.stats);
+    }
+
+    #[test]
+    fn a_cold_fused_conf_stores_nothing_under_its_chains_digests() {
+        // `cold_adhoc`'s shape-2 form: an exact `conf` over a projected
+        // selection of a spine-free join.  The `conf` reads the selection
+        // and projection through its fused chain, so a cold request stores
+        // the join and the `conf`, and no result under either link's digest.
+        let _calm = storm_free();
+        let serving = ServingEngine::new(EvalConfig::default(), wide_labels_db()).unwrap();
+        let text = "conf(project[CoinType](select[Label >= 3](join(Coins, Labels))))";
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        serving.evaluate(text, &mut rng).unwrap();
+        let prepared = serving
+            .prepare(text, *serving.config(), serving.config_digest)
+            .unwrap();
+        let physical = &prepared.physical;
+        let chain = &physical.nodes()[physical.root()].chain;
+        let names: Vec<&str> = chain
+            .iter()
+            .map(|&i| physical.nodes()[i].operator.name())
+            .collect();
+        assert_eq!(names, ["select", "project"]);
+        let state = serving.state.read();
+        let pool = &state.pool;
+        assert!(pool
+            .store
+            .contains_key(&algebra::subplan_digest("join(Coins, Labels)")));
+        for &id in chain {
+            let digest = prepared.profile.digests[id];
+            assert!(!pool.store.contains_key(&digest));
+            assert!(pool
+                .entries
+                .values()
+                .all(|e| !e.slots.contains_key(&digest)));
+        }
+        assert_eq!(pool.subplans(), 2, "the join and the conf");
     }
 
     #[test]

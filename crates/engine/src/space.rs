@@ -33,15 +33,18 @@
 //!   request resuming it) is O(1) rather than a pass over the rows.  An
 //!   exact `conf` skips the memo ([`CompiledSpace::extract_events`]): its
 //!   result is pooled with its stateful spine, so nothing would look the
-//!   batch up again.
+//!   batch up again, and it extracts straight through the `σ` / `π` / `ρ`
+//!   chain lowering fused it with, in one pass over the chain's base.
 //!
 //! A [`CompiledSpace`] is the two together: a table's index and a handle
 //! on the cache its batches are kept in.
 
 use crate::error::{EngineError, Result};
+use crate::ops::Chain;
 use crate::sync::{LockRank, OrderedMutex};
 use confidence::{Assignment, DnfEvent, LineagePrograms, ProbabilitySpace, VarId};
 use pdb::{Tuple, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -271,17 +274,44 @@ impl CompiledSpace {
     /// [`relation_events`](CompiledSpace::relation_events) does but with no
     /// memo: no content digest, nothing kept.  For a batch nobody looks up
     /// again — an exact `conf`'s, whose result is pooled with its stateful
-    /// spine.  Extraction borrows the rows: each condition is translated
-    /// where it lies, and each distinct tuple is cloned once, into the
-    /// batch.
+    /// spine.  The empty chain's case of the one extraction pass,
+    /// `chain_events`, which an exact `conf` runs through its fused chain.
     pub fn extract_events(&self, relation: &URelation) -> Result<RelationEvents> {
-        let batch = relation.tuple_events();
-        let mut tuples = Vec::with_capacity(batch.len());
-        let mut events = Vec::with_capacity(batch.len());
-        for (t, conditions) in batch.iter() {
-            events.push(self.event(conditions)?);
-            tuples.push(t.clone());
+        self.chain_events(relation, &Chain::new(relation.schema().clone()))
+    }
+
+    /// The lineage batch of what `chain` makes of `relation`, with no memo:
+    /// one scan of the rows in row order, each surviving row's chained
+    /// tuple paired with its condition (borrowed); one stable sort of the
+    /// pairs by tuple and the repeated pairs dropped; then each tuple's
+    /// conditions translated into its event, and the batch compiled.  No
+    /// relation is built between the links, and each distinct tuple is
+    /// cloned at most once, into the batch.
+    ///
+    /// Rows come in `(condition, tuple)` order, so after the stable sort
+    /// each tuple's conditions are in condition order, equal pairs sit
+    /// side by side, and the batch is the one
+    /// [`URelation::tuple_events`] gives over the relation the chain would
+    /// materialise: the same tuples, each event's terms in the same order.
+    pub(crate) fn chain_events(
+        &self,
+        relation: &URelation,
+        chain: &Chain<'_>,
+    ) -> Result<RelationEvents> {
+        let mut pairs: Vec<(Cow<'_, Tuple>, &Condition)> = Vec::with_capacity(relation.len());
+        for row in relation.iter() {
+            if let Some(tuple) = chain.apply(&row.tuple)? {
+                pairs.push((tuple, &row.condition));
+            }
         }
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup();
+        let groups = pairs.chunk_by(|a, b| a.0 == b.0);
+        let events = groups.map(|group| self.event(group.iter().map(|(_, c)| *c)));
+        let events = events.collect::<Result<Vec<_>>>()?;
+        // One pair per tuple is left, its tuple moved into the batch.
+        pairs.dedup_by(|a, b| a.0 == b.0);
+        let tuples = pairs.into_iter().map(|(t, _)| t.into_owned()).collect();
         let programs = Arc::new(
             LineagePrograms::compile(events, self.space()).map_err(EngineError::Confidence)?,
         );

@@ -1,12 +1,14 @@
 //! EXPLAIN-style tour of the logical plan: lower a UA query into the
-//! validated operator DAG, render it, then execute the physical pipeline.
+//! validated operator DAG, render it, lower it to the physical plan (where
+//! each exact `conf` reads the σ/π/ρ chain below it in one pass), then
+//! execute the physical pipeline.
 //!
 //! ```text
 //! cargo run --release --example plan_explain
 //! ```
 
 use algebra::{parse_query, LogicalPlan};
-use engine::{catalog_of, EvalConfig, UEngine};
+use engine::{catalog_of, EvalConfig, PhysicalPlan, UEngine};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -25,6 +27,12 @@ fn main() {
         plan.len()
     );
     println!("{plan}");
+
+    // Physical lowering fuses each exact `conf` with the σ/π/ρ chain below
+    // it: the `conf` reads the chain's base through the chain's operators,
+    // and the chain's own nodes never run.
+    let physical = PhysicalPlan::lower(&plan, EvalConfig::exact()).expect("lowers");
+    println!("{physical}");
 
     let engine = UEngine::new(EvalConfig::exact());
     let mut rng = ChaCha8Rng::seed_from_u64(0);

@@ -99,10 +99,11 @@ fn path_conf(c: usize) -> String {
     format!("conf(project[A, B](select[C >= {c}]({PATH})))")
 }
 
-/// Sub-plan results one `path_conf` adds to an empty pool: the join, the
-/// four nodes below it, the selection and projection (the store), and the
-/// `conf` (its entry).
-const PATH_CONF_RESULTS: usize = 8;
+/// Sub-plan results one `path_conf` adds to an empty pool: the join and the
+/// four nodes below it (the store), and the `conf` (its entry).  The `conf`
+/// reads the selection and projection through its fused chain, so neither
+/// is ever computed as a relation, let alone stored.
+const PATH_CONF_RESULTS: usize = 6;
 
 fn eval(serving: &ServingEngine, text: &str, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -259,10 +260,10 @@ fn a_cold_start_resumes_the_join_another_spine_stored() {
     eval(&serving, &path_conf(1), 1);
     assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS);
     // A second constant is a second spine, so a cold start — which finds
-    // the join stored: it adds its own selection, projection and `conf`,
-    // and no second copy of the join or anything below it.
+    // the join stored: it adds its own `conf`, and no second copy of the
+    // join or anything below it.
     assert_matches_one_shot(&serving, &path_conf(2), 2);
-    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS + 3);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS + 1);
     let stats = serving.stats();
     assert_eq!((stats.cold_evaluations, stats.warm_evaluations), (2, 0));
 }
@@ -278,8 +279,8 @@ fn a_row_delta_patches_the_stored_join_once_and_the_next_spine_resumes_it() {
         .apply_deltas([("T", old.diff(&new).unwrap())])
         .unwrap();
     // The first text's `conf` reads `T`: its entry drops.  Its stored
-    // results — the join, the four nodes below it, the selection and the
-    // projection — are patched once each and re-stored against the new `T`.
+    // results — the join and the four nodes below it — are patched once
+    // each and re-stored against the new `T`.
     let stats = serving.stats();
     assert_eq!(stats.snapshots_invalidated, 1);
     assert_eq!(stats.subplans_patched, PATH_CONF_RESULTS as u64 - 1);
@@ -287,7 +288,7 @@ fn a_row_delta_patches_the_stored_join_once_and_the_next_spine_resumes_it() {
     assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS - 1);
 
     assert_matches_one_shot(&serving, &path_conf(2), 2);
-    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS - 1 + 3);
+    assert_eq!(serving.pooled_subplans(), PATH_CONF_RESULTS - 1 + 1);
     let stats = serving.stats();
     assert_eq!((stats.cold_evaluations, stats.warm_evaluations), (2, 0));
 }
